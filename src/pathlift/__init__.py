@@ -11,9 +11,9 @@ config-driven command line.
 from .endpoint import (ControlGrid, ControlSystem, EndpointOracle,
                        SYSTEM_NAMES, brockett, endpoint_problem, integrate,
                        lti, make_system, single_integrator, unicycle)
-from .errors import (BadAnchor, ConfigurationError, CorrectionFailed,
-                     GapViolation, InvalidXi, NumericalError, SimplicityLoss,
-                     SingularGramian, SingularStart, TrajectoryBlowup)
+from .errors import (BadAnchor, ConfigurationError, GapViolation, InvalidXi,
+                     NumericalError, SimplicityLoss, SingularGramian,
+                     SingularStart, TrajectoryBlowup)
 from .hypotheses import (HypothesisReport, PowerLawXi, SamplingPlan,
                          check_report, coercivity_ratio,
                          estimate_bilinear_norm, gramian_inverse_growth,
@@ -25,9 +25,8 @@ from .paths import (AnalyticPath, LinePath, PolylinePath, TargetPath,
                     line_to_target)
 from .solver import (ContinuationReport, DIVERGED, LiftState, REACHED,
                      SINGULAR_INTERIOR, SINGULAR_TERMINAL, STEP_UNDERFLOW,
-                     SolverOptions, correct, fd_along_lift,
-                     gauss_newton_correct, lambda1_fd_along_lift, lift,
-                     ple_rhs, step)
+                     SolverOptions, fd_along_lift, gauss_newton_correct,
+                     lambda1_fd_along_lift, lift, ple_rhs)
 from .spectrum import (GapReport, GramianSpectrum, SpectralDiagnostics,
                        coefficients, diagnostics, gap_check, gramian,
                        gramian_derivative_action, spectral_decompose,
@@ -36,7 +35,7 @@ from .spectrum import (GapReport, GramianSpectrum, SpectralDiagnostics,
 __all__ = [
     "AnalyticPath", "BadAnchor", "CheckResult", "ConfigurationError",
     "ContinuationReport", "ControlGrid", "ControlSystem",
-    "CorrectionFailed", "DIVERGED", "EndpointOracle", "FoldMap",
+    "DIVERGED", "EndpointOracle", "FoldMap",
     "GapReport", "GapViolation", "GramianSpectrum", "HypothesisReport",
     "InvalidXi", "LiftState", "LinePath", "LinearMap", "MAP_NAMES",
     "MapOracle", "NumericalError", "PolylinePath", "PowerLawXi",
@@ -44,13 +43,13 @@ __all__ = [
     "SamplingPlan", "SimplicityLoss", "SingularGramian", "SingularStart",
     "SolverOptions", "SpectralDiagnostics", "SphereMap", "SYSTEM_NAMES",
     "TargetPath", "TrajectoryBlowup", "brockett", "check_report",
-    "coefficients", "coercivity_ratio", "correct", "diagnostics",
+    "coefficients", "coercivity_ratio", "diagnostics",
     "endpoint_problem", "estimate_bilinear_norm", "fd_along_lift",
     "gap_check", "gauss_newton_correct", "gramian",
     "gramian_derivative_action", "gramian_inverse_growth", "integrate",
     "lambda1_fd_along_lift", "lift", "line_to_target", "lti", "make_map",
     "make_system", "ple_rhs", "single_integrator", "spectral_decompose",
-    "step", "unicycle", "validate_oracle", "xi_margin", "z1_derivative",
+    "unicycle", "validate_oracle", "xi_margin", "z1_derivative",
 ]
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ failed run never leaves a partial file behind.
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import os
 import sys
@@ -85,6 +86,8 @@ _PARSERS = {
 # section -> key -> (type, default); REQUIRED means no default
 REQUIRED = object()
 
+_SOLVER_FIELDS = dataclasses.fields(solver.SolverOptions)
+
 _SCHEMA = {
     "problem": {
         "kind": ("str", REQUIRED),
@@ -108,18 +111,7 @@ _SCHEMA = {
         "target": ("vector", None),
         "waypoints": ("matrix", None),
     },
-    "solver": {
-        "ds_init": ("float", 1e-2),
-        "ds_min": ("float", 1e-12),
-        "ds_event": ("float", 1e-6),
-        "tol_ode": ("float", 1e-8),
-        "tol_ode_abs": ("float", 1e-10),
-        "tol_residual": ("float", 1e-10),
-        "tol_init": ("float", 1e-6),
-        "correction": ("bool", True),
-        "terminal_window": ("float", 1e-3),
-        "max_steps": ("int", 200_000),
-    },
+    "solver": {f.name: (f.type.__name__, f.default) for f in _SOLVER_FIELDS},
     "check": {
         "radii": ("vector", None),
         "per_radius": ("int", 8),
@@ -137,13 +129,9 @@ _SCHEMA = {
     },
 }
 
-_POSITIVE_KEYS = {
-    ("solver", "ds_init"), ("solver", "ds_min"), ("solver", "ds_event"),
-    ("solver", "tol_ode"), ("solver", "tol_ode_abs"),
-    ("solver", "tol_residual"), ("solver", "tol_init"),
-    ("solver", "terminal_window"), ("problem", "horizon"),
-    ("check", "lambda0"),
-}
+# every float solver option is a step size, tolerance or window
+_POSITIVE_KEYS = {("problem", "horizon"), ("check", "lambda0")} | {
+    ("solver", f.name) for f in _SOLVER_FIELDS if f.type is float}
 
 
 def parse_config(text):
@@ -266,14 +254,7 @@ def build_path(cfg, oracle, u0):
 
 
 def build_options(cfg):
-    sec = cfg["solver"]
-    return solver.SolverOptions(
-        ds_init=sec["ds_init"], ds_min=sec["ds_min"],
-        ds_event=sec["ds_event"], tol_ode=sec["tol_ode"],
-        tol_ode_abs=sec["tol_ode_abs"], tol_residual=sec["tol_residual"],
-        tol_init=sec["tol_init"], correction=sec["correction"],
-        terminal_window=sec["terminal_window"],
-        max_steps=sec["max_steps"])
+    return solver.SolverOptions(**cfg["solver"])
 
 
 def build_plan(cfg, seed_override=None):

@@ -11,8 +11,10 @@ First variations are computed by one backward pass of the transition
 kernel K(t) = M(T) M(t)^-1 (Kdot = -K f_x, K(T) = I) rather than by
 inverting the forward transition matrix; the n x m kernel K(t) f_u is
 then integrated per segment by Simpson quadrature to form the coordinate
-Jacobian.  Second differentials use the base-class finite difference of
-the switching function.
+Jacobian.  That backward pass lives in one generator,
+``EndpointOracle._kernel_pass``, which both the Jacobian and
+``kernel_nodes`` consume.  Second differentials use the base-class finite
+difference of the switching function.
 """
 
 from collections import OrderedDict
@@ -216,10 +218,12 @@ def integrate(system, x0, u_values, horizon, substeps=8):
 class EndpointOracle(MapOracle):
     """Map oracle for the endpoint map of a control system.
 
-    Immutable after construction; trajectory and Jacobian results are
-    memoized per control vector in a bounded cache, so repeated oracle
-    calls at the same point (spectral assembly, adjoints, correction)
-    cost one forward and one backward pass.
+    Trajectory and Jacobian results are memoized per control vector in a
+    bounded LRU cache, so repeated oracle calls at the same point
+    (spectral assembly, adjoints, correction) cost one forward and one
+    backward pass.  Every call may reorder or extend that cache, which
+    has no lock: use one oracle from one thread at a time.  The cached
+    times, states and Jacobian are returned read-only.
     """
 
     def __init__(self, system, x0, grid, substeps=8, cache_size=512):
@@ -263,9 +267,12 @@ class EndpointOracle(MapOracle):
         if sub == self.substeps:
             entry = self._entry(u)
             if "traj" not in entry:
-                entry["traj"] = integrate(self.system, self.x0,
+                times, states = integrate(self.system, self.x0,
                                           self.grid.unpack(u),
                                           self.grid.horizon, sub)
+                times.flags.writeable = False
+                states.flags.writeable = False
+                entry["traj"] = (times, states)
             return entry["traj"]
         return integrate(self.system, self.x0, self.grid.unpack(u),
                          self.grid.horizon, sub)
@@ -287,84 +294,79 @@ class EndpointOracle(MapOracle):
         if "jac" in entry:
             return entry["jac"]
         _, states = self.trajectory(u)
-        entry["jac"] = self._jacobian_from_states(u, states)
-        return entry["jac"]
+        jac = self._jacobian_from_states(u, states)
+        jac.flags.writeable = False
+        entry["jac"] = jac
+        return jac
 
-    def _jacobian_from_states(self, u, states):
-        """Backward kernel pass plus per-segment Simpson quadrature."""
-        system = self.system
-        n = system.state_dim
-        segments = self.grid.segments
-        u_values = self.grid.unpack(u)
+    def _kernel_pass(self, u_values, states):
+        """Backward RK4 pass of the kernel K (Kdot = -K f_x, K(T) = I).
+
+        Yields ``(seg, knodes)`` from the last segment to the first, with
+        ``knodes[j]`` the kernel at the segment's j-th coarse node, fine
+        index ``seg * 2*substeps + 2*j``; the substeps+1 nodes include both
+        segment ends.
+        """
+        f_x = self.system.f_x
+        n = self.system.state_dim
         fine = 2 * self.substeps
         h = self.grid.dt / self.substeps        # backward RK4 step (2 fine)
         kernel = np.eye(n)
-        jac = np.empty((n, self.dim_domain))
-        # Simpson weights over the substeps+1 kernel nodes per segment
-        sw = np.ones(self.substeps + 1)
-        sw[1:-1:2] = 4.0
-        sw[2:-1:2] = 2.0
-        sw *= h / 3.0
-        for seg in range(segments - 1, -1, -1):
+        for seg in range(self.grid.segments - 1, -1, -1):
             useg = u_values[seg]
             base = seg * fine
-            # kernel at the substeps+1 coarse nodes of this segment,
-            # integrated backward from the segment end
             knodes = np.empty((self.substeps + 1, n, n))
             knodes[-1] = kernel
             for j in range(self.substeps - 1, -1, -1):
                 x_end = states[base + 2 * j + 2]
                 x_mid = states[base + 2 * j + 1]
                 x_start = states[base + 2 * j]
-                k1 = kernel @ system.f_x(x_end, useg)
-                k2 = (kernel + 0.5 * h * k1) @ system.f_x(x_mid, useg)
-                k3 = (kernel + 0.5 * h * k2) @ system.f_x(x_mid, useg)
-                k4 = (kernel + h * k3) @ system.f_x(x_start, useg)
+                k1 = kernel @ f_x(x_end, useg)
+                k2 = (kernel + 0.5 * h * k1) @ f_x(x_mid, useg)
+                k3 = (kernel + 0.5 * h * k2) @ f_x(x_mid, useg)
+                k4 = (kernel + h * k3) @ f_x(x_start, useg)
                 kernel = kernel + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 knodes[j] = kernel
-            block = np.zeros((n, system.control_dim))
+            yield seg, knodes
+
+    def _jacobian_from_states(self, u, states):
+        """Backward kernel pass plus per-segment Simpson quadrature."""
+        system = self.system
+        m = system.control_dim
+        u_values = self.grid.unpack(u)
+        fine = 2 * self.substeps
+        jac = np.empty((system.state_dim, self.dim_domain))
+        # Simpson weights over the substeps+1 kernel nodes per segment
+        sw = np.ones(self.substeps + 1)
+        sw[1:-1:2] = 4.0
+        sw[2:-1:2] = 2.0
+        sw *= self.grid.dt / self.substeps / 3.0
+        for seg, knodes in self._kernel_pass(u_values, states):
+            useg = u_values[seg]
+            base = seg * fine
+            block = np.zeros((system.state_dim, m))
             for j in range(self.substeps + 1):
                 x_j = states[base + 2 * j]
                 block += sw[j] * (knodes[j] @ system.f_u(x_j, useg))
-            jac[:, seg * system.control_dim:(seg + 1) * system.control_dim] \
-                = block
+            jac[:, seg * m:(seg + 1) * m] = block
         return jac
 
     def kernel_nodes(self, u):
         """Times and first-variation kernel B(t) = K(t) f_u on the
-        backward-pass nodes, for inspection and tests."""
+        backward-pass nodes, for inspection and tests; each segment gives
+        its substeps+1 nodes, so inner segment ends appear twice."""
         u = self._domain_vec(u)
         times, states = self.trajectory(u)
-        system = self.system
+        f_u = self.system.f_u
         u_values = self.grid.unpack(u)
         fine = 2 * self.substeps
-        h = self.grid.dt / self.substeps
-        kernel = np.eye(system.state_dim)
         out_t, out_b = [], []
-        for seg in range(self.grid.segments - 1, -1, -1):
-            useg = u_values[seg]
-            base = seg * fine
-            out_t.append(times[base + fine])
-            out_b.append(kernel @ system.f_u(states[base + fine], useg))
-            for j in range(self.substeps - 1, -1, -1):
-                x_end = states[base + 2 * j + 2]
-                x_mid = states[base + 2 * j + 1]
-                x_start = states[base + 2 * j]
-                k1 = kernel @ system.f_x(x_end, useg)
-                k2 = (kernel + 0.5 * h * k1) @ system.f_x(x_mid, useg)
-                k3 = (kernel + 0.5 * h * k2) @ system.f_x(x_mid, useg)
-                k4 = (kernel + h * k3) @ system.f_x(x_start, useg)
-                kernel = kernel + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                out_b.append(kernel @ system.f_u(x_start, useg))
-                out_t.append(times[base + 2 * j])
+        for seg, knodes in self._kernel_pass(u_values, states):
+            for j in range(self.substeps, -1, -1):
+                idx = seg * fine + 2 * j
+                out_t.append(times[idx])
+                out_b.append(knodes[j] @ f_u(states[idx], u_values[seg]))
         return np.array(out_t[::-1]), np.array(out_b[::-1])
-
-    def second_variation(self, u, z, v, w):
-        """Symmetrized z-contracted second differential of the endpoint
-        map, by central differences of the switching function."""
-        forward = self.bilinear_second(u, z, v, w)
-        backward = self.bilinear_second(u, z, w, v)
-        return 0.5 * (forward + backward)
 
 
 def endpoint_problem(system_name, x0, horizon, segments,

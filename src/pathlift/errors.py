@@ -30,14 +30,6 @@ class GapViolation(NumericalError):
     so the cross terms of the eigenvalue derivative are not stably defined."""
 
 
-class CorrectionFailed(NumericalError):
-    """Gauss-Newton residual correction did not converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class TrajectoryBlowup(NumericalError):
     """State trajectory escaped in finite time during integration."""
 

@@ -25,8 +25,11 @@ class MapOracle:
     differential override ``_bilinear_second`` and set
     ``has_analytic_second``.
 
-    Oracles are immutable after construction and safe to share between
-    workers.
+    Oracles are not thread-safe: an oracle may memoize results in
+    unlocked state that every call updates (see ``EndpointOracle``), so
+    use each one from one thread at a time.  Arrays returned from stored
+    state (``LinearMap``'s matrix, ``EndpointOracle``'s cached trajectory
+    and Jacobian) are read-only; writing to them raises ValueError.
     """
 
     has_analytic_second = False
@@ -174,11 +177,12 @@ class LinearMap(MapOracle):
     has_analytic_second = True
 
     def __init__(self, matrix, weights=None):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = np.array(matrix, dtype=float)   # private read-only copy
         if matrix.ndim != 2:
             raise ConfigurationError("linear map needs a 2-d matrix")
         n, big_n = matrix.shape
         super().__init__(big_n, n, weights)
+        matrix.flags.writeable = False
         self.matrix = matrix
 
     def eval(self, u):

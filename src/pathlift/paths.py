@@ -6,7 +6,7 @@ from .errors import ConfigurationError
 
 
 class TargetPath:
-    """Interface: gamma(s), gamma_dot(s), gamma_ddot(s) on [0, 1].
+    """Interface: gamma(s) and gamma_dot(s) on [0, 1].
 
     ``knots`` lists interior parameters where smoothness breaks; the
     solver restarts its diagnostics there.
@@ -19,9 +19,6 @@ class TargetPath:
         raise NotImplementedError
 
     def gamma_dot(self, s):
-        raise NotImplementedError
-
-    def gamma_ddot(self, s):
         raise NotImplementedError
 
     def max_speed(self, samples=201):
@@ -44,9 +41,6 @@ class LinePath(TargetPath):
 
     def gamma_dot(self, s):
         return self.end - self.start
-
-    def gamma_ddot(self, s):
-        return np.zeros(self.dim)
 
 
 class PolylinePath(TargetPath):
@@ -79,17 +73,13 @@ class PolylinePath(TargetPath):
         k, _ = self._segment(s)
         return (self.points[k + 1] - self.points[k]) * self.nseg
 
-    def gamma_ddot(self, s):
-        return np.zeros(self.dim)
-
 
 class AnalyticPath(TargetPath):
-    """Wrap user callables for gamma and its first two derivatives."""
+    """Wrap user callables for gamma and its derivative."""
 
-    def __init__(self, gamma, gamma_dot, gamma_ddot, dim):
+    def __init__(self, gamma, gamma_dot, dim):
         self._gamma = gamma
         self._gamma_dot = gamma_dot
-        self._gamma_ddot = gamma_ddot
         self.dim = int(dim)
 
     def gamma(self, s):
@@ -97,9 +87,6 @@ class AnalyticPath(TargetPath):
 
     def gamma_dot(self, s):
         return np.asarray(self._gamma_dot(s), dtype=float)
-
-    def gamma_ddot(self, s):
-        return np.asarray(self._gamma_ddot(s), dtype=float)
 
 
 def line_to_target(oracle, u0, target):

@@ -3,14 +3,16 @@
 The lift follows a target path gamma(s) from s=0 to s=1 with an embedded
 Cash-Karp 5(4) pair, Gauss-Newton residual correction after each
 accepted step, and bisection toward the singular set when the least
-Gramian eigenvalue collapses.  Every accepted state carries the full
+Gramian eigenvalue collapses.  One step loop, ``_Lift.run`` behind
+:func:`lift`, owns the step retry and correction logic; there is no
+separate single-step API.  Every accepted state carries the full
 spectral diagnostics, so a finished run doubles as an empirical record
 of the quantities the solver's termination analysis is built on.
 """
 
 import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,18 +92,6 @@ _CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296,
                    277 / 14336, 1 / 4])
 
 
-def _solve_gramian(spec, rhs_vec, clamp=False):
-    """Solve G c = rhs through the eigendecomposition.
-
-    With ``clamp`` the eigenvalues are floored at the singular threshold,
-    the graceful-degradation route used near the singular set.
-    """
-    lam = spec.lambdas
-    if clamp:
-        lam = np.maximum(lam, spec.lambda_sing)
-    return spec.vectors @ ((spec.vectors.T @ rhs_vec) / lam)
-
-
 def ple_rhs(oracle, u, gamma_dot):
     """Right-hand side dF|_u^* G(u)^-1 gamma_dot of the lifting equation.
 
@@ -121,13 +111,21 @@ def ple_rhs(oracle, u, gamma_dot):
         chol = np.linalg.cholesky(gmat)
         c = np.linalg.solve(chol.T, np.linalg.solve(chol, gamma_dot))
     except np.linalg.LinAlgError:
-        c = _solve_gramian(spec, gamma_dot, clamp=True)
+        return _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=True)
     return oracle.apply_adjoint(u, c)
 
 
 def _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=False):
-    c = _solve_gramian(spec, np.asarray(gamma_dot, float), clamp=clamp)
-    return oracle.apply_adjoint(u, c)
+    """dF|_u^* G^-1 gamma_dot with G solved through its eigendecomposition.
+
+    With ``clamp`` the eigenvalues are floored at the singular threshold,
+    the graceful-degradation route used near the singular set.
+    """
+    lam = spec.lambdas
+    if clamp:
+        lam = np.maximum(lam, spec.lambda_sing)
+    proj = spec.vectors.T @ np.asarray(gamma_dot, float)
+    return oracle.apply_adjoint(u, spec.vectors @ (proj / lam))
 
 
 def _ck_step(fun, s, u, h):
@@ -184,53 +182,6 @@ def _make_state(oracle, path, s, u, spec, h_used, flags=""):
     return LiftState(s=float(s), u=u, spectrum=spec, diag=diag,
                      residual=residual, step_size=float(h_used),
                      udot_norm=udot_norm, flags=flags)
-
-
-def step(oracle, path, state, options=None):
-    """Advance one accepted, error-controlled step from a LiftState.
-
-    Convenience wrapper around the same embedded pair the full lift
-    uses; no singularity-event handling.
-    """
-    opts = options or SolverOptions()
-
-    def fun(ss, uu):
-        return ple_rhs(oracle, uu, path.gamma_dot(ss))
-
-    h = min(state.step_size if state.step_size > 0 else opts.ds_init,
-            1.0 - state.s)
-    while True:
-        u5, err = _ck_step(fun, state.s, state.u, h)
-        ratio = _error_ratio(state.u, u5, err, opts)
-        if ratio <= 1.0:
-            break
-        h = max(h * max(0.2, 0.9 * ratio ** -0.25), opts.ds_min)
-        if h <= opts.ds_min:
-            break
-    s_new = state.s + h
-    u_new = u5
-    if opts.correction:
-        u_new, _, _ = gauss_newton_correct(oracle, u_new, path.gamma(s_new),
-                                           opts.tol_residual)
-    spec = spectral_decompose(gramian(oracle, u_new), prev=state.spectrum)
-    return _make_state(oracle, path, s_new, u_new, spec, h)
-
-
-def correct(oracle, state, path, options=None):
-    """Residual-corrected copy of a LiftState at the same s."""
-    opts = options or SolverOptions()
-    u_new, res, ok = gauss_newton_correct(oracle, state.u,
-                                          path.gamma(state.s),
-                                          opts.tol_residual)
-    if np.allclose(u_new, state.u) and res == state.residual:
-        return state
-    spec = spectral_decompose(gramian(oracle, u_new), prev=state.spectrum)
-    new_state = _make_state(oracle, path, state.s, u_new, spec,
-                            state.step_size, flags=state.flags)
-    if not ok:
-        new_state = replace(new_state,
-                            flags=(new_state.flags + " corr-fail").strip())
-    return new_state
 
 
 class _Lift:
@@ -367,6 +318,8 @@ class _Lift:
                 self.message = f"step budget {opts.max_steps} exhausted"
                 break
             boundary = self._next_boundary()
+            if boundary == 1.0 and 1.0 - self.s < opts.ds_min:
+                break       # sub-ds_min gap to the end; resolved below
             h = min(h, boundary - self.s)
             if h < opts.ds_min:
                 self.status = STEP_UNDERFLOW

@@ -85,6 +85,15 @@ def test_parse_config_rejects_negative_tolerance():
         cli.parse_config(SPHERE_LIFT + "\n[solver]\ntol_ode = -1\n")
 
 
+@pytest.mark.parametrize("key", [
+    "ds_init", "ds_min", "ds_event", "tol_ode", "tol_ode_abs",
+    "tol_residual", "tol_init", "terminal_window"])
+def test_parse_config_rejects_zero_solver_float(key):
+    with pytest.raises(ConfigurationError,
+                       match=f"solver.{key} must be positive"):
+        cli.parse_config(SPHERE_LIFT + f"\n[solver]\n{key} = 0\n")
+
+
 def test_parse_config_rejects_diverging_xi_violation():
     with pytest.raises(ConfigurationError, match="p <= 1"):
         cli.parse_config(SPHERE_CHECK.replace("xi_p = 1.0", "xi_p = 1.5"))

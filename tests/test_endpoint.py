@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import pathlift as pl
@@ -86,7 +88,6 @@ def test_brockett_second_variation_closed_form():
     v = ep.grid.constant([1.0, 1.0])
     z = np.array([0.0, 0.0, 1.0])
     assert ep.bilinear_second(u, z, v, v) == pytest.approx(1.0, abs=1e-6)
-    assert ep.second_variation(u, z, v, v) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_kernel_nodes_shapes_and_terminal_value():
@@ -101,6 +102,52 @@ def test_kernel_nodes_shapes_and_terminal_value():
     np.testing.assert_allclose(bands[-1],
                                ep.system.f_u(states[-1], u[-2:]),
                                atol=1e-12)
+
+
+# name -> (x0, system params, fewest segments with P*m >= n)
+_SYSTEMS = {
+    "brockett": ([0.0, 0.0, 0.0], None, 2),
+    "unicycle": ([0.0, 0.0, 0.0], None, 2),
+    "lti": ([1.0, -0.5], {"A": [[0.0, 1.0], [-2.0, -0.3]],
+                          "B": [[0.0, 0.5], [1.0, 0.0]]}, 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_simpson_over_kernel_nodes_reproduces_jacobian(data):
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS)), label="system")
+    x0, params, fewest = _SYSTEMS[name]
+    segments = data.draw(st.integers(fewest, 12), label="segments")
+    ep = pl.endpoint_problem(name, x0, 1.0, segments, system_params=params)
+    u = data.draw(arrays(float, ep.dim_domain,
+                         elements=st.floats(-2.0, 2.0)), label="u")
+    times, bands = ep.kernel_nodes(u)
+    nodes = ep.substeps + 1
+    assert bands.shape[0] == times.shape[0] == segments * nodes
+    sw = np.ones(nodes)
+    sw[1:-1:2] = 4.0
+    sw[2:-1:2] = 2.0
+    sw *= (ep.grid.dt / ep.substeps) / 3.0
+    jac = np.concatenate(
+        [np.tensordot(sw, bands[k * nodes:(k + 1) * nodes], axes=1)
+         for k in range(segments)], axis=1)
+    expect = ep.jacobian(u)
+    np.testing.assert_allclose(
+        jac, expect, rtol=0, atol=1e-12 * max(1.0, np.abs(expect).max()))
+
+
+def test_cached_arrays_are_read_only():
+    ep = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 4)
+    u = 0.3 * np.ones(ep.dim_domain)
+    y = ep.eval(u)
+    jac = ep.jacobian(u).copy()
+    times, states = ep.trajectory(u)
+    for arr in (times, states, ep.jacobian(u)):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    np.testing.assert_array_equal(ep.eval(u), y)
+    np.testing.assert_array_equal(ep.jacobian(u), jac)
 
 
 def test_trajectory_cache_reuses_results():

@@ -72,6 +72,19 @@ def test_linear_second_is_zero():
     assert o.bilinear_second(u, z, v, w) == 0.0
 
 
+def test_linear_map_does_not_alias_its_matrix():
+    mat = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+    o = pl.LinearMap(mat)
+    u = np.array([1.0, -1.0, 0.5])
+    y = o.eval(u)
+    with pytest.raises(ValueError):
+        o.jacobian(u)[0, 0] = 9.0
+    mat[0, 0] = 9.0   # the caller's array is not the oracle's
+    np.testing.assert_array_equal(o.eval(u), y)
+    np.testing.assert_array_equal(o.jacobian(u),
+                                  [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+
+
 def test_fd_second_matches_analytic():
     rng = np.random.default_rng(5)
     o = pl.SphereMap(3)
@@ -142,7 +155,6 @@ def test_line_path():
     p = pl.LinePath([1.0, 0.0], [0.0, 2.0])
     np.testing.assert_allclose(p.gamma(0.5), [0.5, 1.0])
     np.testing.assert_allclose(p.gamma_dot(0.3), [-1.0, 2.0])
-    np.testing.assert_allclose(p.gamma_ddot(0.3), [0.0, 0.0])
     assert p.knots == ()
     assert p.max_speed() == pytest.approx(np.sqrt(5.0))
 
@@ -168,7 +180,7 @@ def test_line_to_target_starts_at_image():
 
 def test_analytic_path_wraps_callables():
     p = pl.AnalyticPath(lambda s: [np.sin(s)], lambda s: [np.cos(s)],
-                        lambda s: [-np.sin(s)], dim=1)
+                        dim=1)
     assert p.gamma(0.2)[0] == pytest.approx(np.sin(0.2))
     assert p.gamma_dot(0.2)[0] == pytest.approx(np.cos(0.2))
 

@@ -143,30 +143,19 @@ def test_correction_disabled_still_reaches():
     np.testing.assert_allclose(o.eval(rep.final_u), target, atol=1e-5)
 
 
-def test_single_step_advances():
-    o = pl.FoldMap()
-    u0 = np.array([0.3, 0.0])
-    path = pl.line_to_target(o, u0, [0.25, 0.2])
-    rep = pl.lift(o, path, u0, pl.SolverOptions(max_steps=10**4))
-    st0 = rep.trace[0]
-    st1 = pl.step(o, path, st0)
-    assert st1.s > st0.s
-    assert st1.residual <= 1e-9
-
-
-def test_correct_projects_back_to_fiber():
-    o = pl.FoldMap()
-    u0 = np.array([0.3, 0.0])
-    path = pl.line_to_target(o, u0, [0.25, 0.2])
-    rep = pl.lift(o, path, u0)
-    st = rep.trace[1]
-    perturbed = pl.LiftState(
-        s=st.s, u=st.u + 1e-4, spectrum=st.spectrum, diag=st.diag,
-        residual=float(np.linalg.norm(o.eval(st.u + 1e-4)
-                                      - path.gamma(st.s))),
-        step_size=st.step_size, udot_norm=st.udot_norm)
-    fixed = pl.correct(o, perturbed, path)
-    assert fixed.residual <= 1e-10
+@pytest.mark.parametrize("seed", [[303, 119], [307, 85]])
+def test_sub_ds_min_gap_to_end_still_resolves_singular(seed):
+    # weighted sphere draws whose Cash-Karp steps stop less than ds_min
+    # short of s = 1 with lambda_1 just above the singular threshold
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    weights = rng.uniform(0.5, 2.0, dim)
+    direction = rng.standard_normal(dim)
+    o = pl.SphereMap(dim, weights=weights)
+    rep = pl.lift(o, pl.LinePath([1.0], [0.0]), direction / o.norm(direction))
+    assert rep.status == pl.SINGULAR_TERMINAL, rep.message
+    assert rep.final_state.spectrum.singular
+    assert rep.g_integral == pytest.approx(1.0024, abs=1e-3)
 
 
 def test_ple_rhs_matches_closed_form_on_sphere():
