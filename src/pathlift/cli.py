@@ -129,9 +129,11 @@ _SCHEMA = {
     },
 }
 
-# every float solver option is a step size, tolerance or window
-_POSITIVE_KEYS = {("problem", "horizon"), ("check", "lambda0")} | {
-    ("solver", f.name) for f in _SOLVER_FIELDS if f.type is float}
+# every float solver option is a step size, tolerance or window; checked
+# in declaration order, so an error names the same key on every run
+_POSITIVE_KEYS = (("problem", "horizon"),) + tuple(
+    ("solver", f.name) for f in _SOLVER_FIELDS if f.type is float) + (
+    ("check", "lambda0"),)
 
 
 def parse_config(text):

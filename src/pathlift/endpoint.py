@@ -7,13 +7,13 @@ in R^n.  The induced weighted inner product with weights T/P equals the
 L2 inner product of the piecewise-constant representatives exactly, so
 the oracle adjoint discretizes the continuous one.
 
-First variations are computed by one backward pass of the transition
-kernel K(t) = M(T) M(t)^-1 (Kdot = -K f_x, K(T) = I) rather than by
-inverting the forward transition matrix; the n x m kernel K(t) f_u is
-then integrated per segment by Simpson quadrature to form the coordinate
-Jacobian.  That backward pass lives in one generator,
-``EndpointOracle._kernel_pass``, which both the Jacobian and
-``kernel_nodes`` consume.  Second differentials use the base-class finite
+The forward RK4 flow steps one state at a time; the partials f_x and
+f_u broadcast over leading axes, so the rest runs on the whole control
+grid at once.  The transition kernel K(t) = M(T) M(t)^-1 (Kdot = -K f_x,
+K(T) = I) is linear in K, so each backward RK4 step is a product with a
+propagator, K_j = K_{j+1} M_j, and ``EndpointOracle._kernel_pass`` builds
+every M_j in one batch.  Simpson quadrature of K(t) f_u per segment gives
+the coordinate Jacobian.  Second differentials use the base-class finite
 difference of the switching function.
 """
 
@@ -31,25 +31,33 @@ BLOWUP_NORM = 1e8
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Dynamics f with its state and control partials."""
+    """Dynamics f of one state; partials that broadcast over leading axes,
+    ``f_x(X, U)[i] == f_x(X[i], U[i])``, for the whole-grid backward pass."""
 
     name: str
     state_dim: int
     control_dim: int
     f: Callable          # f(x, u) -> (n,)
-    f_x: Callable        # (n, n)
-    f_u: Callable        # (n, m)
+    f_x: Callable        # (..., n), (..., m) -> (..., n, n)
+    f_u: Callable        # (..., n), (..., m) -> (..., n, m)
+
+
+def _lead(x, u):
+    """Broadcast leading shape of stacked states and controls."""
+    return np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
+
+
+def _constant(mat):
+    """Partial equal to ``mat`` at every (x, u)."""
+    return lambda x, u: np.broadcast_to(mat, _lead(x, u) + mat.shape)
 
 
 def single_integrator(dim=1):
     dim = int(dim)
-    eye = np.eye(dim)
-    zero = np.zeros((dim, dim))
     return ControlSystem(
         name="single-integrator", state_dim=dim, control_dim=dim,
         f=lambda x, u: np.asarray(u, float),
-        f_x=lambda x, u: zero,
-        f_u=lambda x, u: eye)
+        f_x=_constant(np.zeros((dim, dim))), f_u=_constant(np.eye(dim)))
 
 
 def lti(A, B):
@@ -62,8 +70,7 @@ def lti(A, B):
     return ControlSystem(
         name="lti", state_dim=A.shape[0], control_dim=B.shape[1],
         f=lambda x, u: A @ x + B @ u,
-        f_x=lambda x, u: A,
-        f_u=lambda x, u: B)
+        f_x=_constant(A), f_u=_constant(B))
 
 
 def brockett():
@@ -77,14 +84,15 @@ def brockett():
         return np.array([u[0], u[1], x[0] * u[1]])
 
     def f_x(x, u):
-        return np.array([[0.0, 0.0, 0.0],
-                         [0.0, 0.0, 0.0],
-                         [u[1], 0.0, 0.0]])
+        out = np.zeros(_lead(x, u) + (3, 3))
+        out[..., 2, 0] = u[..., 1]
+        return out
 
     def f_u(x, u):
-        return np.array([[1.0, 0.0],
-                         [0.0, 1.0],
-                         [0.0, x[0]]])
+        out = np.zeros(_lead(x, u) + (3, 2))
+        out[..., 0, 0] = out[..., 1, 1] = 1.0
+        out[..., 2, 1] = x[..., 0]
+        return out
 
     return ControlSystem(name="brockett", state_dim=3, control_dim=2,
                          f=f, f_x=f_x, f_u=f_u)
@@ -95,14 +103,16 @@ def unicycle():
         return np.array([u[0] * np.cos(x[2]), u[0] * np.sin(x[2]), u[1]])
 
     def f_x(x, u):
-        return np.array([[0.0, 0.0, -u[0] * np.sin(x[2])],
-                         [0.0, 0.0, u[0] * np.cos(x[2])],
-                         [0.0, 0.0, 0.0]])
+        out = np.zeros(_lead(x, u) + (3, 3))
+        out[..., 0, 2] = -u[..., 0] * np.sin(x[..., 2])
+        out[..., 1, 2] = u[..., 0] * np.cos(x[..., 2])
+        return out
 
     def f_u(x, u):
-        return np.array([[np.cos(x[2]), 0.0],
-                         [np.sin(x[2]), 0.0],
-                         [0.0, 1.0]])
+        out = np.zeros(_lead(x, u) + (3, 2))
+        out[..., 0, 0], out[..., 1, 0] = np.cos(x[..., 2]), np.sin(x[..., 2])
+        out[..., 2, 1] = 1.0
+        return out
 
     return ControlSystem(name="unicycle", state_dim=3, control_dim=2,
                          f=f, f_x=f_x, f_u=f_u)
@@ -174,7 +184,7 @@ class ControlGrid:
         return np.tile(per_channel, self.segments)
 
 
-def _rk4(f, x, u, t, h):
+def _rk4(f, x, u, h):
     k1 = f(x, u)
     k2 = f(x + 0.5 * h * k1, u)
     k3 = f(x + 0.5 * h * k2, u)
@@ -188,30 +198,32 @@ def integrate(system, x0, u_values, horizon, substeps=8):
     ``u_values`` has shape (P, m); the state is stored on a fine grid of
     2*substeps intervals per segment (the resolution the backward
     variational pass needs).  Returns (times, states) with states of
-    shape (P * 2*substeps + 1, n).
+    shape (P * 2*substeps + 1, n).  Blowup is checked once per segment;
+    the escape time is the first non-finite or too-large fine state's.
     """
     u_values = np.asarray(u_values, dtype=float)
     if u_values.ndim != 2 or u_values.shape[1] != system.control_dim:
         raise ConfigurationError("u_values must be (segments, control_dim)")
     segments = u_values.shape[0]
     fine = 2 * substeps
-    dt = horizon / segments
-    h = dt / fine
+    h = horizon / segments / fine
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((segments * fine + 1, system.state_dim))
     times = np.linspace(0.0, horizon, segments * fine + 1)
     states[0] = x
-    idx = 1
-    for seg in range(segments):
-        u = u_values[seg]
-        for j in range(fine):
-            x = _rk4(system.f, x, u, times[idx - 1], h)
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP_NORM:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg in range(segments):
+            u = u_values[seg]
+            block = states[seg * fine + 1:(seg + 1) * fine + 1]
+            for j in range(fine):
+                x = _rk4(system.f, x, u, h)
+                block[j] = x
+            bad = (~np.isfinite(block).all(axis=1)
+                   | (np.linalg.norm(block, axis=1) > BLOWUP_NORM))
+            if bad.any():
+                t = float(times[seg * fine + 1 + np.argmax(bad)])
                 raise TrajectoryBlowup(
-                    f"trajectory escaped near t = {times[idx]:.4f}",
-                    escape_time=float(times[idx]))
-            states[idx] = x
-            idx += 1
+                    f"trajectory escaped near t = {t:.4f}", escape_time=t)
     return times, states
 
 
@@ -242,7 +254,13 @@ class EndpointOracle(MapOracle):
         self.system = system
         self.x0 = x0
         self.grid = grid
-        self.substeps = int(substeps)
+        self.substeps = substeps
+        # Simpson weights over the substeps+1 kernel nodes of a segment
+        self._simpson = (grid.dt / substeps / 3.0) * np.r_[
+            1.0, np.tile([4.0, 2.0], substeps // 2)[:-1], 1.0]
+        # fine-grid index of each segment's nodes, (P, 2*substeps+1)
+        self._nodes = (np.arange(grid.segments)[:, None] * 2 * substeps
+                       + np.arange(2 * substeps + 1))
         self._cache = OrderedDict()
         self._cache_size = int(cache_size)
 
@@ -299,57 +317,46 @@ class EndpointOracle(MapOracle):
         entry["jac"] = jac
         return jac
 
-    def _kernel_pass(self, u_values, states):
+    def _kernel_pass(self, x, u):
         """Backward RK4 pass of the kernel K (Kdot = -K f_x, K(T) = I).
 
-        Yields ``(seg, knodes)`` from the last segment to the first, with
-        ``knodes[j]`` the kernel at the segment's j-th coarse node, fine
-        index ``seg * 2*substeps + 2*j``; the substeps+1 nodes include both
-        segment ends.
+        ``x`` (P, 2*substeps+1, n) and ``u`` (P, 2*substeps+1, m) are each
+        segment's fine-grid states and control.  Returns K at the coarse
+        nodes x[:, ::2], shape (P, substeps+1, n, n).  A step spans two
+        fine intervals: K_j = K_{j+1} (I + h/6 (A_e + 2 B2 + 2 B3 + B4)),
+        B2 = (I + h/2 A_e) A_m, B3 = (I + h/2 B2) A_m, B4 = (I + h B3) A_s.
         """
-        f_x = self.system.f_x
-        n = self.system.state_dim
-        fine = 2 * self.substeps
-        h = self.grid.dt / self.substeps        # backward RK4 step (2 fine)
-        kernel = np.eye(n)
+        h = self.grid.dt / self.substeps
+        a = self.system.f_x(x, u)
+        a_s, a_m, a_e = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
+        eye = np.eye(self.system.state_dim)
+        b2 = (eye + 0.5 * h * a_e) @ a_m
+        b3 = (eye + 0.5 * h * b2) @ a_m
+        b4 = (eye + h * b3) @ a_s
+        props = eye + (h / 6.0) * (a_e + 2 * b2 + 2 * b3 + b4)
+        knodes = np.empty(a[:, ::2].shape)
+        kernel = eye
         for seg in range(self.grid.segments - 1, -1, -1):
-            useg = u_values[seg]
-            base = seg * fine
-            knodes = np.empty((self.substeps + 1, n, n))
-            knodes[-1] = kernel
+            knodes[seg, -1] = kernel
             for j in range(self.substeps - 1, -1, -1):
-                x_end = states[base + 2 * j + 2]
-                x_mid = states[base + 2 * j + 1]
-                x_start = states[base + 2 * j]
-                k1 = kernel @ f_x(x_end, useg)
-                k2 = (kernel + 0.5 * h * k1) @ f_x(x_mid, useg)
-                k3 = (kernel + 0.5 * h * k2) @ f_x(x_mid, useg)
-                k4 = (kernel + h * k3) @ f_x(x_start, useg)
-                kernel = kernel + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                knodes[j] = kernel
-            yield seg, knodes
+                kernel = kernel @ props[seg, j]
+                knodes[seg, j] = kernel
+        return knodes
+
+    def _bands(self, u, states):
+        """B = K f_u at every coarse node, shape (P, substeps+1, n, m);
+        shared segment ends appear in both segments, each with its own
+        control."""
+        x = states[self._nodes]
+        u = np.broadcast_to(self.grid.unpack(u)[:, None],
+                            self._nodes.shape + (self.grid.control_dim,))
+        knodes = self._kernel_pass(x, u)
+        return knodes @ self.system.f_u(x[:, ::2], u[:, ::2])
 
     def _jacobian_from_states(self, u, states):
         """Backward kernel pass plus per-segment Simpson quadrature."""
-        system = self.system
-        m = system.control_dim
-        u_values = self.grid.unpack(u)
-        fine = 2 * self.substeps
-        jac = np.empty((system.state_dim, self.dim_domain))
-        # Simpson weights over the substeps+1 kernel nodes per segment
-        sw = np.ones(self.substeps + 1)
-        sw[1:-1:2] = 4.0
-        sw[2:-1:2] = 2.0
-        sw *= self.grid.dt / self.substeps / 3.0
-        for seg, knodes in self._kernel_pass(u_values, states):
-            useg = u_values[seg]
-            base = seg * fine
-            block = np.zeros((system.state_dim, m))
-            for j in range(self.substeps + 1):
-                x_j = states[base + 2 * j]
-                block += sw[j] * (knodes[j] @ system.f_u(x_j, useg))
-            jac[:, seg * m:(seg + 1) * m] = block
-        return jac
+        jac = np.einsum("j,pjam->apm", self._simpson, self._bands(u, states))
+        return jac.reshape(self.dim_codomain, self.dim_domain)
 
     def kernel_nodes(self, u):
         """Times and first-variation kernel B(t) = K(t) f_u on the
@@ -357,16 +364,8 @@ class EndpointOracle(MapOracle):
         its substeps+1 nodes, so inner segment ends appear twice."""
         u = self._domain_vec(u)
         times, states = self.trajectory(u)
-        f_u = self.system.f_u
-        u_values = self.grid.unpack(u)
-        fine = 2 * self.substeps
-        out_t, out_b = [], []
-        for seg, knodes in self._kernel_pass(u_values, states):
-            for j in range(self.substeps, -1, -1):
-                idx = seg * fine + 2 * j
-                out_t.append(times[idx])
-                out_b.append(knodes[j] @ f_u(states[idx], u_values[seg]))
-        return np.array(out_t[::-1]), np.array(out_b[::-1])
+        bands = self._bands(u, states)
+        return times[self._nodes[:, ::2]].ravel(), np.concatenate(bands)
 
 
 def endpoint_problem(system_name, x0, horizon, segments,

@@ -27,9 +27,10 @@ class MapOracle:
 
     Oracles are not thread-safe: an oracle may memoize results in
     unlocked state that every call updates (see ``EndpointOracle``), so
-    use each one from one thread at a time.  Arrays returned from stored
-    state (``LinearMap``'s matrix, ``EndpointOracle``'s cached trajectory
-    and Jacobian) are read-only; writing to them raises ValueError.
+    use each one from one thread at a time.  The weights and
+    ``LinearMap``'s matrix are private copies of the caller's arrays.
+    They, and ``EndpointOracle``'s cached trajectory and Jacobian, are
+    read-only; writing to them raises ValueError.
     """
 
     has_analytic_second = False
@@ -45,7 +46,7 @@ class MapOracle:
                 f"{dim_domain}")
         if weights is None:
             weights = np.ones(dim_domain)
-        weights = np.asarray(weights, dtype=float)
+        weights = np.array(weights, dtype=float)
         if weights.shape != (dim_domain,):
             raise ConfigurationError(
                 f"weights must have length {dim_domain}, got {weights.shape}")
@@ -53,6 +54,7 @@ class MapOracle:
             raise ConfigurationError("weights must be strictly positive")
         self.dim_domain = dim_domain
         self.dim_codomain = dim_codomain
+        weights.flags.writeable = False
         self.weights = weights
 
     # -- weighted geometry -------------------------------------------------

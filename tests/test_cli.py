@@ -1,6 +1,8 @@
 """Config parsing, subcommands, artifacts, and exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +94,23 @@ def test_parse_config_rejects_zero_solver_float(key):
     with pytest.raises(ConfigurationError,
                        match=f"solver.{key} must be positive"):
         cli.parse_config(SPHERE_LIFT + f"\n[solver]\n{key} = 0\n")
+
+
+def test_parse_config_error_names_the_same_key_under_any_hash_seed():
+    text = SPHERE_LIFT + "\n[solver]\ntol_ode = 0\nds_min = 0\n"
+    probe = ("import sys\n"
+             "from pathlift import cli\n"
+             "try:\n"
+             "    cli.parse_config(sys.stdin.read())\n"
+             "except cli.ConfigurationError as exc:\n"
+             "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], input=text,
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "solver.ds_min must be positive", (seed, out)
 
 
 def test_parse_config_rejects_diverging_xi_violation():

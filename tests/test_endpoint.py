@@ -1,5 +1,7 @@
 """Endpoint maps of control systems as oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import pathlift as pl
+from pathlift.endpoint import BLOWUP_NORM
 from pathlift.errors import ConfigurationError, TrajectoryBlowup
 
 
@@ -110,7 +113,67 @@ _SYSTEMS = {
     "unicycle": ([0.0, 0.0, 0.0], None, 2),
     "lti": ([1.0, -0.5], {"A": [[0.0, 1.0], [-2.0, -0.3]],
                           "B": [[0.0, 0.5], [1.0, 0.0]]}, 1),
+    "single-integrator": ([0.5, -1.0], {"dim": 2}, 1),
 }
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_partials_broadcast_over_leading_axes(name):
+    params = _SYSTEMS[name][1]
+    system = pl.make_system(name, **(params or {}))
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((5, system.state_dim))
+    us = rng.standard_normal((5, system.control_dim))
+    fx, fu = system.f_x(xs, us), system.f_u(xs, us)
+    n, m = system.state_dim, system.control_dim
+    assert fx.shape == (5, n, n) and fu.shape == (5, n, m)
+    for i in range(5):
+        np.testing.assert_array_equal(fx[i], system.f_x(xs[i], us[i]))
+        np.testing.assert_array_equal(fu[i], system.f_u(xs[i], us[i]))
+
+
+def _loop_jacobian(ep, u):
+    """Reference Jacobian: backward RK4 of Kdot = -K f_x one step at a
+    time on single states, then a Simpson sum per segment."""
+    f_x, f_u = ep.system.f_x, ep.system.f_u
+    _, states = ep.trajectory(u)
+    u_values = ep.grid.unpack(u)
+    sub, n, m = ep.substeps, ep.system.state_dim, ep.system.control_dim
+    h = ep.grid.dt / sub
+    sw = np.ones(sub + 1)
+    sw[1:-1:2] = 4.0
+    sw[2:-1:2] = 2.0
+    sw *= h / 3.0
+    jac = np.empty((n, ep.dim_domain))
+    kernel = np.eye(n)
+    for seg in range(ep.grid.segments - 1, -1, -1):
+        us, base = u_values[seg], seg * 2 * sub
+        block = sw[sub] * (kernel @ f_u(states[base + 2 * sub], us))
+        for j in range(sub - 1, -1, -1):
+            x_s, x_m, x_e = states[base + 2 * j:base + 2 * j + 3]
+            k1 = kernel @ f_x(x_e, us)
+            k2 = (kernel + 0.5 * h * k1) @ f_x(x_m, us)
+            k3 = (kernel + 0.5 * h * k2) @ f_x(x_m, us)
+            k4 = (kernel + h * k3) @ f_x(x_s, us)
+            kernel = kernel + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            block = block + sw[j] * (kernel @ f_u(x_s, us))
+        jac[:, seg * m:(seg + 1) * m] = block
+    return jac
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jacobian_matches_loop_form_reference(data):
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS)), label="system")
+    x0, params, fewest = _SYSTEMS[name]
+    segments = data.draw(st.integers(fewest, 12), label="segments")
+    ep = pl.endpoint_problem(name, x0, 1.0, segments, system_params=params)
+    u = data.draw(arrays(float, ep.dim_domain,
+                         elements=st.floats(-2.0, 2.0)), label="u")
+    expect = _loop_jacobian(ep, u)
+    np.testing.assert_allclose(
+        ep.jacobian(u), expect, rtol=0,
+        atol=1e-12 * max(1.0, np.abs(expect).max()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,12 +222,35 @@ def test_trajectory_cache_reuses_results():
     assert ep.jacobian(u) is ep.jacobian(u)
 
 
+def _first_escape(a, x0, horizon, segments, substeps=8):
+    """First fine-grid time of a plain RK4 loop on xdot = a x whose state
+    is non-finite or has norm above BLOWUP_NORM."""
+    steps = segments * 2 * substeps
+    h = horizon / steps
+    x = np.array([x0])
+    for k in range(1, steps + 1):
+        k1 = a * x
+        k2 = a * (x + 0.5 * h * k1)
+        k3 = a * (x + 0.5 * h * k2)
+        k4 = a * (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP_NORM:
+            return np.linspace(0.0, horizon, steps + 1)[k]
+    return None
+
+
 def test_blowup_detection():
-    ep = pl.endpoint_problem("lti", [1.0], 1.0, 2,
-                             system_params={"A": [[30.0]], "B": [[1.0]]})
-    with pytest.raises(TrajectoryBlowup) as info:
-        ep.eval(np.zeros(2))
-    assert 0.0 < info.value.escape_time <= 1.0
+    # a = 30 escapes in the second segment; a = 1e8 escapes at the first
+    # step and overflows before its segment ends
+    for a in (30.0, 1e8):
+        ep = pl.endpoint_problem("lti", [1.0], 1.0, 2,
+                                 system_params={"A": [[a]], "B": [[1.0]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryBlowup) as info:
+                ep.eval(np.zeros(2))
+        assert 0.0 < info.value.escape_time <= 1.0
+        assert info.value.escape_time == _first_escape(a, 1.0, 1.0, 2)
 
 
 def test_constructor_validation():

@@ -85,6 +85,15 @@ def test_linear_map_does_not_alias_its_matrix():
                                   [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
 
 
+def test_map_oracle_does_not_alias_its_weights():
+    w = np.array([1.0, 2.0])
+    o = pl.SphereMap(2, weights=w)
+    w[1] = 5.0   # the caller's array is not the oracle's
+    assert o.eval([1, 1]) == pytest.approx(3.0)
+    with pytest.raises(ValueError):
+        o.weights[0] = 9
+
+
 def test_fd_second_matches_analytic():
     rng = np.random.default_rng(5)
     o = pl.SphereMap(3)
