@@ -7,7 +7,8 @@ falsification), ``validate`` (oracle identity suite), ``list-problems``.
 Config files are INI-style sectioned key/value text; unknown keys are
 rejected.  Exit codes: 0 success / Reached, 1 configuration or setup
 error, 2 singular terminal lift, 3 other lift termination, 4 a checked
-condition was falsified on the sample, 5 validation failure.
+condition was falsified on the sample, 5 validation failure, 6 a numerical
+failure such as a trajectory blowup.
 
 Artifacts are written to a temporary file and atomically renamed, so a
 failed run never leaves a partial file behind.
@@ -24,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import endpoint, hypotheses, maps, oracle_checks, paths, solver
-from .errors import ConfigurationError, InvalidXi
+from .errors import ConfigurationError, InvalidXi, NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +35,7 @@ EXIT_SINGULAR_TERMINAL = 2
 EXIT_OTHER_TERMINATION = 3
 EXIT_FALSIFIED = 4
 EXIT_VALIDATE_FAIL = 5
+EXIT_NUMERICAL = 6
 
 
 def _fmt(x):
@@ -190,22 +192,15 @@ def build_problem(cfg):
     """Build (oracle, u0 or None) from the problem section."""
     prob = cfg["problem"]
     kind = prob["kind"]
-    if kind == "linear":
-        oracle = maps.LinearMap(_require(cfg, "problem", "matrix"),
-                                weights=prob["weights"])
-    elif kind == "builtin-map":
-        name = _require(cfg, "problem", "map")
-        if name == "sphere":
-            oracle = maps.SphereMap(_require(cfg, "problem", "dim"),
-                                    weights=prob["weights"])
-        elif name == "fold":
-            oracle = maps.FoldMap(weights=prob["weights"])
-        elif name == "linear":
-            oracle = maps.LinearMap(_require(cfg, "problem", "matrix"),
-                                    weights=prob["weights"])
-        else:
+    if kind in ("builtin-map", "linear"):
+        name = "linear" if kind == "linear" else _require(cfg, "problem",
+                                                          "map")
+        if name not in maps.MAP_NAMES:
             raise ConfigurationError(
                 f"problem.map: unknown builtin map {name!r}")
+        params = {key: _require(cfg, "problem", key)
+                  for key in maps.required_params(name)}
+        oracle = maps.make_map(name, weights=prob["weights"], **params)
     elif kind == "endpoint":
         name = _require(cfg, "problem", "system")
         params = {}
@@ -444,6 +439,9 @@ def main(argv=None):
     except (ConfigurationError, InvalidXi, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

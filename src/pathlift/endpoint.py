@@ -13,8 +13,8 @@ grid at once.  The transition kernel K(t) = M(T) M(t)^-1 (Kdot = -K f_x,
 K(T) = I) is linear in K, so each backward RK4 step is a product with a
 propagator, K_j = K_{j+1} M_j, and ``EndpointOracle._kernel_pass`` builds
 every M_j in one batch.  Simpson quadrature of K(t) f_u per segment gives
-the coordinate Jacobian.  Second differentials use the base-class finite
-difference of the switching function.
+the coordinate Jacobian.  Second differentials come from the base-class
+``jacobian_derivative``, a central finite difference of that Jacobian.
 """
 
 from collections import OrderedDict

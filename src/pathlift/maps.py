@@ -7,6 +7,8 @@ this package is taken with respect to that inner product: in coordinates
 the adjoint of the Jacobian J is ``W^-1 J^T``, never the bare transpose.
 """
 
+import inspect
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -19,11 +21,12 @@ SECOND_FD_SCALE = 1e-4
 class MapOracle:
     """Base class for C^2 maps F: (R^N, W) -> R^n.
 
-    Subclasses implement :meth:`eval` and :meth:`jacobian`.  The second
-    differential defaults to a central finite difference of the switching
-    function ``u -> dF|_u^* z``; maps with a closed-form second
-    differential override ``_bilinear_second`` and set
-    ``has_analytic_second``.
+    Subclasses implement :meth:`eval` and :meth:`jacobian`.  Every
+    second-order quantity derives from :meth:`jacobian_derivative`, which
+    defaults to a central finite difference of the Jacobian; maps with a
+    closed-form second differential override it and set
+    ``has_analytic_second``, which only picks the tolerances of the
+    identity suite in :mod:`pathlift.oracle_checks`.
 
     Oracles are not thread-safe: an oracle may memoize results in
     unlocked state that every call updates (see ``EndpointOracle``), so
@@ -111,53 +114,36 @@ class MapOracle:
         u = self._domain_vec(u)
         return self.jacobian(u).T / self.weights[:, None]
 
-    def bilinear_second(self, u, z, v, w):
-        """z-contracted second differential z^* d2F|_u(v, w).
+    def jacobian_derivative(self, u, v):
+        """Derivative of the coordinate Jacobian along v, shape (n, N).
 
-        Defined as the derivative of the switching function along v,
-        paired with w in the weighted inner product.
+        Row i paired with w is e_i^* d2F|_u(v, w).  The default is a
+        central finite difference of :meth:`jacobian`; this is the one
+        second-order method a subclass overrides.
         """
-        u = self._domain_vec(u)
-        z = self._codomain_vec(z)
-        v = self._domain_vec(v, "v")
-        w = self._domain_vec(w, "w")
-        if self.has_analytic_second:
-            return self._bilinear_second(u, z, v, w)
-        dphi = self._switching_derivative(u, z, v)
-        return self.inner(dphi, w)
+        eps = SECOND_FD_SCALE * (1.0 + self.norm(u))
+        return (self.jacobian(u + eps * v)
+                - self.jacobian(u - eps * v)) / (2.0 * eps)
+
+    def bilinear_second(self, u, z, v, w):
+        """z-contracted second differential z^* d2F|_u(v, w)."""
+        return float(self._contract(u, z, v) @ self._domain_vec(w, "w"))
 
     def bilinear_second_many(self, u, z, v, ws):
-        """z^* d2F|_u(v, w) for several w sharing the same direction v.
-
-        For finite-difference oracles this reuses a single pair of
-        Jacobian evaluations for all contractions.
-        """
-        u = self._domain_vec(u)
-        z = self._codomain_vec(z)
-        v = self._domain_vec(v, "v")
-        if self.has_analytic_second:
-            return np.array(
-                [self._bilinear_second(u, z, v, self._domain_vec(w, "w"))
-                 for w in ws])
-        dphi = self._switching_derivative(u, z, v)
-        return np.array([self.inner(dphi, w) for w in ws])
+        """z^* d2F|_u(v, w) for several w sharing one derivative along v."""
+        row = self._contract(u, z, v)
+        return np.array([float(row @ self._domain_vec(w, "w")) for w in ws])
 
     def second_operator(self, u, z, v):
         """Domain vector B(v) with <B(v), w>_X = z^* d2F|_u(v, w)."""
+        return self._contract(u, z, v) / self.weights
+
+    def _contract(self, u, z, v):
+        """z^T dJ(v), the derivative of J^T z along v."""
         u = self._domain_vec(u)
         z = self._codomain_vec(z)
         v = self._domain_vec(v, "v")
-        return self._switching_derivative(u, z, v)
-
-    def _switching_derivative(self, u, z, v):
-        """Central FD of the switching function along v."""
-        eps = SECOND_FD_SCALE * (1.0 + self.norm(u))
-        phi_p = self.apply_adjoint(u + eps * v, z)
-        phi_m = self.apply_adjoint(u - eps * v, z)
-        return (phi_p - phi_m) / (2.0 * eps)
-
-    def _bilinear_second(self, u, z, v, w):
-        raise NotImplementedError
+        return z @ self.jacobian_derivative(u, v)
 
     def fd_jacobian(self, u, eps=None):
         """Central finite-difference Jacobian; validation use only."""
@@ -194,8 +180,8 @@ class LinearMap(MapOracle):
         self._domain_vec(u)
         return self.matrix
 
-    def _bilinear_second(self, u, z, v, w):
-        return 0.0
+    def jacobian_derivative(self, u, v):
+        return np.zeros_like(self.matrix)
 
 
 class SphereMap(MapOracle):
@@ -219,8 +205,8 @@ class SphereMap(MapOracle):
         u = self._domain_vec(u)
         return (2.0 * self.weights * u)[None, :]
 
-    def _bilinear_second(self, u, z, v, w):
-        return 2.0 * z[0] * self.inner(v, w)
+    def jacobian_derivative(self, u, v):
+        return (2.0 * self.weights * v)[None, :]
 
 
 class FoldMap(MapOracle):
@@ -239,8 +225,8 @@ class FoldMap(MapOracle):
         u = self._domain_vec(u)
         return np.array([[2.0 * u[0], 0.0], [0.0, 1.0]])
 
-    def _bilinear_second(self, u, z, v, w):
-        return 2.0 * z[0] * v[0] * w[0]
+    def jacobian_derivative(self, u, v):
+        return np.array([[2.0 * v[0], 0.0], [0.0, 0.0]])
 
 
 def make_map(name, **params):
@@ -256,6 +242,12 @@ def make_map(name, **params):
         raise ConfigurationError(
             f"unknown map {name!r}; known: {sorted(_MAP_BUILDERS)}") from None
     return builder(**params)
+
+
+def required_params(name):
+    """Parameters of the registered map ``name`` that have no default."""
+    params = inspect.signature(_MAP_BUILDERS[name]).parameters.values()
+    return tuple(p.name for p in params if p.default is p.empty)
 
 
 _MAP_BUILDERS = {

@@ -168,35 +168,16 @@ def diagnostics(oracle, u, spec, gamma_dot):
 def gramian_derivative_action(oracle, u, v, z):
     """Vector dG|_u(v) z, the Gramian differential along a domain direction.
 
-    Entry i is ``e_i^* d2F(dF^* z, v) + z^* d2F(dF^* e_i, v)``.  For
-    finite-difference oracles both terms come from one pair of Jacobian
-    evaluations; for analytic oracles the contractions are exact.
+    With G = J W^-1 J^T and dJ the oracle's ``jacobian_derivative`` along
+    v, this is ``dJ W^-1 J^T z + J W^-1 dJ^T z``: one Jacobian and one
+    Jacobian derivative, exact whenever the oracle's derivative is.
     """
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = oracle.dim_codomain
-    phi_z = oracle.apply_adjoint(u, z)
-    if oracle.has_analytic_second:
-        phis = oracle.adjoint_matrix(u)
-        out = np.empty(n)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = 1.0
-            out[i] = (oracle.bilinear_second(u, ei, phi_z, v)
-                      + oracle.bilinear_second(u, z, phis[:, i], v))
-        return out
-    from .maps import SECOND_FD_SCALE
-    eps = SECOND_FD_SCALE * (1.0 + oracle.norm(u))
-    phis_p = oracle.adjoint_matrix(u + eps * v)
-    phis_m = oracle.adjoint_matrix(u - eps * v)
-    dphis = (phis_p - phis_m) / (2.0 * eps)   # column i = d(dF^* e_i) along v
+    jac = oracle.jacobian(u)
+    djac = oracle.jacobian_derivative(u, np.asarray(v, dtype=float))
     w = oracle.weights
-    phis = oracle.adjoint_matrix(u)
-    dphi_z = dphis @ z
-    term1 = dphis.T @ (w * phi_z)             # <dphi_{e_i}, phi_z>_X
-    term2 = phis.T @ (w * dphi_z)             # <phi_{e_i}, dphi_z>_X
-    return term1 + term2
+    return djac @ ((jac.T @ z) / w) + jac @ ((djac.T @ z) / w)
 
 
 def z1_derivative(oracle, u, spec, gamma_dot):

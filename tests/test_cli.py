@@ -9,6 +9,7 @@ import pytest
 
 from pathlift import cli
 from pathlift.errors import ConfigurationError
+from pathlift.maps import LinearMap
 
 SPHERE_LIFT = """
 [problem]
@@ -246,6 +247,58 @@ target = 0.8, 0.9, 0.4
     rows = (out / "trace.csv").read_text().splitlines()
     # brockett has a three-dimensional state, hence three eigenvalue columns
     assert rows[0].split(",")[1:4] == ["lambda_1", "lambda_2", "lambda_3"]
+
+
+LTI_BLOWUP = """
+[problem]
+kind = endpoint
+system = lti
+lti_a = 30
+lti_b = 1
+x0 = 1
+horizon = 1.0
+segments = 2
+u0_constant = 0
+
+[path]
+target = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["lift", "check", "validate"])
+def test_numerical_failure_exits_6_without_traceback(tmp_path, capsys,
+                                                     command):
+    code = cli.main([command, "--config", _cfg(tmp_path, LTI_BLOWUP),
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL == 6
+    assert err.startswith("error: ") and "escape" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem, message", [
+    ("kind = builtin-map\nmap = nope", "unknown builtin map 'nope'"),
+    ("kind = builtin-map\nmap = sphere", "problem.dim for this problem"),
+    ("kind = builtin-map\nmap = linear", "problem.matrix for this problem"),
+    ("kind = linear", "problem.matrix for this problem"),
+    ("kind = builtin-map", "problem.map for this problem"),
+])
+def test_builtin_map_config_errors(problem, message):
+    cfg = cli.parse_config(f"[problem]\n{problem}\n")
+    with pytest.raises(ConfigurationError, match=message):
+        cli.build_problem(cfg)
+
+
+@pytest.mark.parametrize("problem", [
+    "kind = builtin-map\nmap = linear",
+    "kind = linear",
+])
+def test_linear_map_from_config(problem):
+    text = f"[problem]\n{problem}\nmatrix = 1 0 2; 0 1 1\nweights = 1, 2, 3\n"
+    oracle, _ = cli.build_problem(cli.parse_config(text))
+    assert isinstance(oracle, LinearMap)
+    np.testing.assert_array_equal(oracle.matrix, [[1, 0, 2], [0, 1, 1]])
+    np.testing.assert_array_equal(oracle.weights, [1, 2, 3])
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pathlift as pl
 from pathlift.errors import ConfigurationError
@@ -100,8 +101,54 @@ def test_fd_second_matches_analytic():
     u, v, w = rng.standard_normal((3, 3))
     z = rng.standard_normal(1)
     exact = o.bilinear_second(u, z, v, w)
-    fd = o.inner(o._switching_derivative(u, z, v), w)
+    fd = float(z @ pl.MapOracle.jacobian_derivative(o, u, v) @ w)
     assert fd == pytest.approx(exact, abs=1e-8)
+
+
+def _weighted_map(kind, data):
+    """A sphere, fold or linear map with non-unit weights."""
+    dim = {"fold": 2}.get(kind, data.draw(st.integers(2, 5)))
+    weights = np.array(data.draw(st.lists(
+        st.floats(0.2, 5.0), min_size=dim, max_size=dim)))
+    if kind == "sphere":
+        return pl.SphereMap(dim, weights=weights)
+    if kind == "fold":
+        return pl.FoldMap(weights=weights)
+    rows = data.draw(st.integers(1, dim))
+    mat = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    return pl.LinearMap(mat.standard_normal((rows, dim)), weights=weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sphere", "fold", "linear"]), data=st.data())
+def test_closed_form_jacobian_derivative_matches_fd(kind, data):
+    o = _weighted_map(kind, data)
+    vec = st.lists(st.floats(-2.0, 2.0), min_size=o.dim_domain,
+                   max_size=o.dim_domain)
+    u = np.array(data.draw(vec))
+    v = np.array(data.draw(vec))
+    exact = o.jacobian_derivative(u, v)
+    fd = pl.MapOracle.jacobian_derivative(o, u, v)
+    assert exact.shape == (o.dim_codomain, o.dim_domain)
+    scale = 1.0 + float(np.max(np.abs(o.jacobian(u))))
+    np.testing.assert_allclose(fd, exact, rtol=1e-9, atol=1e-9 * scale)
+
+
+def test_second_operator_is_exact_on_quadratic_maps():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        w = rng.uniform(0.2, 5.0, 3)
+        sphere = pl.SphereMap(3, weights=w)
+        u, v = rng.uniform(-2.0, 2.0, (2, 3))
+        z = rng.standard_normal(1)
+        np.testing.assert_allclose(sphere.second_operator(u, z, v),
+                                   2.0 * z[0] * v, rtol=1e-14, atol=0.0)
+        fold = pl.FoldMap(weights=w[:2])
+        u, v = rng.uniform(-2.0, 2.0, (2, 2))
+        z = rng.standard_normal(2)
+        np.testing.assert_allclose(fold.second_operator(u, z, v),
+                                   [2.0 * z[0] * v[0] / w[0], 0.0],
+                                   rtol=1e-14, atol=0.0)
 
 
 def test_bilinear_second_many_matches_single():

@@ -136,32 +136,36 @@ def test_dlambda1_formula_matches_fd():
     assert d.dlambda1_ds == pytest.approx((lp - lm) / (2 * eps), rel=1e-6)
 
 
-def test_gramian_derivative_action_matches_fd():
+_GRAMIAN_ORACLES = {
+    # name -> (oracle, point, FD step, atol, rtol)
+    "fold": (lambda: pl.FoldMap(), [0.4, -0.2], 1e-6, 1e-9, 1e-7),
+    "weighted-sphere": (lambda: pl.SphereMap(3, weights=[0.5, 2.0, 3.0]),
+                        [0.7, -0.3, 0.2], 1e-6, 1e-9, 1e-7),
+    "linear": (lambda: pl.LinearMap(
+        np.random.default_rng(3).standard_normal((2, 4)),
+        weights=[0.5, 1.0, 2.0, 4.0]), [0.1, 0.2, -0.3, 0.4], 1e-6, 1e-12,
+        0.0),
+    "unicycle": (lambda: pl.endpoint_problem(
+        "unicycle", [0.0, 0.0, 0.0], 1.0, 4), None, 1e-5, 1e-5, 1e-4),
+    "brockett": (lambda: pl.endpoint_problem(
+        "brockett", [0.0, 0.0, 0.0], 1.0, 4), None, 1e-5, 1e-5, 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRAMIAN_ORACLES))
+def test_gramian_derivative_action_matches_fd(name):
+    build, point, eps, atol, rtol = _GRAMIAN_ORACLES[name]
+    o = build()
     rng = np.random.default_rng(5)
-    o = pl.FoldMap()
-    u = np.array([0.4, -0.2])
-    v = rng.standard_normal(2)
-    z = rng.standard_normal(2)
+    u = (0.5 * rng.standard_normal(o.dim_domain) if point is None
+         else np.array(point))
+    v = rng.standard_normal(o.dim_domain)
+    z = rng.standard_normal(o.dim_codomain)
     got = pl.gramian_derivative_action(o, u, v, z)
-    eps = 1e-6
     Gp = pl.gramian(o, u + eps * v)
     Gm = pl.gramian(o, u - eps * v)
-    np.testing.assert_allclose(got, ((Gp - Gm) / (2 * eps)) @ z, atol=1e-6)
-
-
-def test_gramian_derivative_action_fd_branch():
-    # endpoint oracles have no analytic second differential
-    ep = pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0], 1.0, 4)
-    rng = np.random.default_rng(6)
-    u = 0.5 * rng.standard_normal(ep.dim_domain)
-    v = rng.standard_normal(ep.dim_domain)
-    z = rng.standard_normal(3)
-    got = pl.gramian_derivative_action(ep, u, v, z)
-    eps = 1e-5
-    Gp = pl.gramian(ep, u + eps * v)
-    Gm = pl.gramian(ep, u - eps * v)
     np.testing.assert_allclose(got, ((Gp - Gm) / (2 * eps)) @ z,
-                               atol=1e-5, rtol=1e-4)
+                               atol=atol, rtol=rtol)
 
 
 def test_z1_derivative_matches_fd():
