@@ -76,9 +76,19 @@ def _parse_bool(text, key):
     raise ConfigurationError(f"{key}: expected a boolean, got {text!r}")
 
 
+def _scalar(convert, what):
+    def parse(text, key):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{key}: expected {what}, got {text!r}") from None
+    return parse
+
+
 _PARSERS = {
-    "float": lambda t, k: float(t),
-    "int": lambda t, k: int(t),
+    "float": _scalar(float, "a number"),
+    "int": _scalar(int, "an integer"),
     "str": lambda t, k: t.strip(),
     "bool": _parse_bool,
     "vector": _parse_vector,

@@ -13,8 +13,16 @@ grid at once.  The transition kernel K(t) = M(T) M(t)^-1 (Kdot = -K f_x,
 K(T) = I) is linear in K, so each backward RK4 step is a product with a
 propagator, K_j = K_{j+1} M_j, and ``EndpointOracle._kernel_pass`` builds
 every M_j in one batch.  Simpson quadrature of K(t) f_u per segment gives
-the coordinate Jacobian.  Second differentials come from the base-class
-``jacobian_derivative``, a central finite difference of that Jacobian.
+the coordinate Jacobian.
+
+Second differentials are exact for systems that give f_xx, f_xu and f_uu:
+``EndpointOracle.jacobian_derivative`` differentiates that quadrature
+along v on the cached trajectory.  A forward pass of the tangent y_v
+(ydot = f_x y + f_u v) steps with the same M_j; the kernel derivative dK
+comes from one backward pass of the block propagators
+[[M_j, dM_j], [0, M_j]], dM_j the derivative of M_j along
+dA = f_xx[y_v] + f_xu[v].  A system without the second partials keeps
+the base-class central finite difference.
 """
 
 from collections import OrderedDict
@@ -32,7 +40,13 @@ BLOWUP_NORM = 1e8
 @dataclass(frozen=True)
 class ControlSystem:
     """Dynamics f of one state; partials that broadcast over leading axes,
-    ``f_x(X, U)[i] == f_x(X[i], U[i])``, for the whole-grid backward pass."""
+    ``f_x(X, U)[i] == f_x(X[i], U[i])``, for the whole-grid backward pass.
+
+    The second partials are optional and broadcast the same way; entry
+    ``f_xu[..., i, a, k]`` is d2 f_i / dx_a du_k.  A system that gives all
+    three gets the exact second variation of its endpoint map; without
+    them ``EndpointOracle`` falls back to the base-class finite difference.
+    """
 
     name: str
     state_dim: int
@@ -40,6 +54,9 @@ class ControlSystem:
     f: Callable          # f(x, u) -> (n,)
     f_x: Callable        # (..., n), (..., m) -> (..., n, n)
     f_u: Callable        # (..., n), (..., m) -> (..., n, m)
+    f_xx: Callable | None = None  # -> (..., n, n, n)
+    f_xu: Callable | None = None  # -> (..., n, n, m)
+    f_uu: Callable | None = None  # -> (..., n, m, m)
 
 
 def _lead(x, u):
@@ -52,12 +69,20 @@ def _constant(mat):
     return lambda x, u: np.broadcast_to(mat, _lead(x, u) + mat.shape)
 
 
+def _zero_second_partials(n, m):
+    """f_xx, f_xu and f_uu of a system that is affine in (x, u)."""
+    return dict(f_xx=_constant(np.zeros((n, n, n))),
+                f_xu=_constant(np.zeros((n, n, m))),
+                f_uu=_constant(np.zeros((n, m, m))))
+
+
 def single_integrator(dim=1):
     dim = int(dim)
     return ControlSystem(
         name="single-integrator", state_dim=dim, control_dim=dim,
         f=lambda x, u: np.asarray(u, float),
-        f_x=_constant(np.zeros((dim, dim))), f_u=_constant(np.eye(dim)))
+        f_x=_constant(np.zeros((dim, dim))), f_u=_constant(np.eye(dim)),
+        **_zero_second_partials(dim, dim))
 
 
 def lti(A, B):
@@ -70,7 +95,8 @@ def lti(A, B):
     return ControlSystem(
         name="lti", state_dim=A.shape[0], control_dim=B.shape[1],
         f=lambda x, u: A @ x + B @ u,
-        f_x=_constant(A), f_u=_constant(B))
+        f_x=_constant(A), f_u=_constant(B),
+        **_zero_second_partials(*B.shape))
 
 
 def brockett():
@@ -94,8 +120,13 @@ def brockett():
         out[..., 2, 1] = x[..., 0]
         return out
 
+    f_xu = np.zeros((3, 3, 2))
+    f_xu[2, 0, 1] = 1.0
     return ControlSystem(name="brockett", state_dim=3, control_dim=2,
-                         f=f, f_x=f_x, f_u=f_u)
+                         f=f, f_x=f_x, f_u=f_u,
+                         f_xx=_constant(np.zeros((3, 3, 3))),
+                         f_xu=_constant(f_xu),
+                         f_uu=_constant(np.zeros((3, 2, 2))))
 
 
 def unicycle():
@@ -114,8 +145,21 @@ def unicycle():
         out[..., 2, 1] = 1.0
         return out
 
+    def f_xx(x, u):
+        out = np.zeros(_lead(x, u) + (3, 3, 3))
+        out[..., 0, 2, 2] = -u[..., 0] * np.cos(x[..., 2])
+        out[..., 1, 2, 2] = -u[..., 0] * np.sin(x[..., 2])
+        return out
+
+    def f_xu(x, u):
+        out = np.zeros(_lead(x, u) + (3, 3, 2))
+        out[..., 0, 2, 0] = -np.sin(x[..., 2])
+        out[..., 1, 2, 0] = np.cos(x[..., 2])
+        return out
+
     return ControlSystem(name="unicycle", state_dim=3, control_dim=2,
-                         f=f, f_x=f_x, f_u=f_u)
+                         f=f, f_x=f_x, f_u=f_u, f_xx=f_xx, f_xu=f_xu,
+                         f_uu=_constant(np.zeros((3, 2, 2))))
 
 
 _SYSTEM_BUILDERS = {
@@ -317,25 +361,44 @@ class EndpointOracle(MapOracle):
         entry["jac"] = jac
         return jac
 
-    def _kernel_pass(self, x, u):
-        """Backward RK4 pass of the kernel K (Kdot = -K f_x, K(T) = I).
+    def _propagators(self, a):
+        """Step propagators of the linear flow with matrix ``a``.
 
-        ``x`` (P, 2*substeps+1, n) and ``u`` (P, 2*substeps+1, m) are each
-        segment's fine-grid states and control.  Returns K at the coarse
-        nodes x[:, ::2], shape (P, substeps+1, n, n).  A step spans two
-        fine intervals: K_j = K_{j+1} (I + h/6 (A_e + 2 B2 + 2 B3 + B4)),
+        ``a`` (P, 2*substeps+1, n, n) holds each segment's matrix on the
+        fine grid; a step spans two fine intervals.  Returns M_j, shape
+        (P, substeps, n, n): M_j = I + h/6 (A_e + 2 B2 + 2 B3 + B4) with
         B2 = (I + h/2 A_e) A_m, B3 = (I + h/2 B2) A_m, B4 = (I + h B3) A_s.
+        K_j = K_{j+1} M_j is a backward RK4 step of Kdot = -K a, and the
+        same polynomial, expanded, is the forward RK4 step of ydot = a y.
         """
         h = self.grid.dt / self.substeps
-        a = self.system.f_x(x, u)
         a_s, a_m, a_e = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
-        eye = np.eye(self.system.state_dim)
+        eye = np.eye(a.shape[-1])
         b2 = (eye + 0.5 * h * a_e) @ a_m
         b3 = (eye + 0.5 * h * b2) @ a_m
         b4 = (eye + h * b3) @ a_s
-        props = eye + (h / 6.0) * (a_e + 2 * b2 + 2 * b3 + b4)
-        knodes = np.empty(a[:, ::2].shape)
-        kernel = eye
+        return eye + (h / 6.0) * (a_e + 2 * b2 + 2 * b3 + b4)
+
+    def _propagator_derivatives(self, a, da):
+        """dM_j, the derivative of :meth:`_propagators` along ``da``."""
+        h = self.grid.dt / self.substeps
+        a_s, a_m, a_e = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
+        d_s, d_m, d_e = da[:, 0:-1:2], da[:, 1::2], da[:, 2::2]
+        eye = np.eye(a.shape[-1])
+        c2 = eye + 0.5 * h * a_e
+        b2 = c2 @ a_m
+        c3 = eye + 0.5 * h * b2
+        db2 = (0.5 * h) * d_e @ a_m + c2 @ d_m
+        db3 = (0.5 * h) * db2 @ a_m + c3 @ d_m
+        db4 = h * db3 @ a_s + (eye + h * (c3 @ a_m)) @ d_s
+        return (h / 6.0) * (d_e + 2 * db2 + 2 * db3 + db4)
+
+    def _backward_products(self, props):
+        """K at the coarse nodes from K_j = K_{j+1} M_j, K(T) = I, shape
+        (P, substeps+1, k, k) for propagators (P, substeps, k, k)."""
+        knodes = np.empty((self.grid.segments, self.substeps + 1)
+                          + props.shape[-2:])
+        kernel = np.eye(props.shape[-1])
         for seg in range(self.grid.segments - 1, -1, -1):
             knodes[seg, -1] = kernel
             for j in range(self.substeps - 1, -1, -1):
@@ -343,20 +406,109 @@ class EndpointOracle(MapOracle):
                 knodes[seg, j] = kernel
         return knodes
 
+    def _kernel_pass(self, a):
+        """Backward RK4 pass of the kernel K (Kdot = -K a, K(T) = I) at
+        the coarse nodes, shape (P, substeps+1, n, n)."""
+        return self._backward_products(self._propagators(a))
+
+    def _on_fine_grid(self, u):
+        """Each segment's control at its fine-grid states, shape
+        (P, 2*substeps+1, m)."""
+        return np.broadcast_to(self.grid.unpack(u)[:, None],
+                               self._nodes.shape + (self.grid.control_dim,))
+
     def _bands(self, u, states):
         """B = K f_u at every coarse node, shape (P, substeps+1, n, m);
         shared segment ends appear in both segments, each with its own
         control."""
-        x = states[self._nodes]
-        u = np.broadcast_to(self.grid.unpack(u)[:, None],
-                            self._nodes.shape + (self.grid.control_dim,))
-        knodes = self._kernel_pass(x, u)
+        x, u = states[self._nodes], self._on_fine_grid(u)
+        knodes = self._kernel_pass(self.system.f_x(x, u))
         return knodes @ self.system.f_u(x[:, ::2], u[:, ::2])
 
     def _jacobian_from_states(self, u, states):
         """Backward kernel pass plus per-segment Simpson quadrature."""
         jac = np.einsum("j,pjam->apm", self._simpson, self._bands(u, states))
         return jac.reshape(self.dim_codomain, self.dim_domain)
+
+    def _tangent(self, props, a, b):
+        """Tangent y (ydot = a y + b, y(0) = 0) on the fine grid.
+
+        ``a`` (P, 2*substeps+1, n, n) and ``b`` (P, 2*substeps+1, n) are
+        f_x and f_u v on the fine grid, ``props`` their step propagators.
+        A forward RK4 step is y_{j+1} = M_j y_j + c_j, c_j its response
+        from y_j = 0.  Every segment's running products and its response
+        from rest are formed for all segments at once, then chained across
+        segments.  A cubic Hermite interpolant through the two ends of each
+        step, with slopes a y + b, gives the midpoint.
+        """
+        h = self.grid.dt / self.substeps
+        a_m, a_e = a[:, 1::2], a[:, 2::2]
+        b_s, b_m, b_e = b[:, 0:-1:2], b[:, 1::2], b[:, 2::2]
+        k2 = b_m + (0.5 * h) * np.einsum("...ab,...b->...a", a_m, b_s)
+        k3 = b_m + (0.5 * h) * np.einsum("...ab,...b->...a", a_m, k2)
+        k4 = b_e + h * np.einsum("...ab,...b->...a", a_e, k3)
+        c = (h / 6.0) * (b_s + 2 * k2 + 2 * k3 + k4)
+        flows = np.empty((self.grid.segments, self.substeps + 1)
+                         + props.shape[-2:])
+        rest = np.empty(b[:, ::2].shape)
+        flows[:, 0] = np.eye(props.shape[-1])
+        rest[:, 0] = 0.0
+        for j in range(self.substeps):
+            flows[:, j + 1] = props[:, j] @ flows[:, j]
+            rest[:, j + 1] = np.einsum("pab,pb->pa", props[:, j],
+                                       rest[:, j]) + c[:, j]
+        starts = np.empty(b.shape[:1] + b.shape[2:])
+        state = np.zeros(b.shape[-1])
+        for seg in range(self.grid.segments):
+            starts[seg] = state
+            state = flows[seg, -1] @ state + rest[seg, -1]
+        ends = np.einsum("pjab,pb->pja", flows, starts) + rest
+        slope = np.einsum("...ab,...b->...a", a[:, ::2], ends) + b[:, ::2]
+        y = np.empty(b.shape)
+        y[:, ::2] = ends
+        y[:, 1::2] = (0.5 * (ends[:, :-1] + ends[:, 1:])
+                      + (h / 8.0) * (slope[:, :-1] - slope[:, 1:]))
+        return y
+
+    def jacobian_derivative(self, u, v):
+        """Second variation: J = sum Simpson K f_u differentiated along v
+        on the cached trajectory, with no new integration.
+
+        The state's variation is the tangent y_v of :meth:`_tangent`, so
+        this matches the derivative of the computed Jacobian to O(h^4),
+        h the kernel pass's step.  The kernel derivative dK solves
+        dKdot = -dK f_x - K dA, dK(T) = 0, dA = f_xx[y_v] + f_xu[v]: one
+        backward pass of the block propagators [[M_j, dM_j], [0, M_j]],
+        dM_j the derivative of M_j along dA, yields [[K, dK], [0, K]] at
+        every node.  Then dJ(v) = sum Simpson (dK f_u + K dB),
+        dB = f_xu[y_v] + f_uu[v] contracting f_xu's state index.  Systems
+        without the second partials use the base-class finite difference.
+        """
+        system = self.system
+        if None in (system.f_xx, system.f_xu, system.f_uu):
+            return super().jacobian_derivative(u, v)
+        u = self._domain_vec(u)
+        v = self._domain_vec(v, "v")
+        _, states = self.trajectory(u)
+        x, uu, vv = (states[self._nodes], self._on_fine_grid(u),
+                     self._on_fine_grid(v))
+        a = system.f_x(x, uu)
+        b = system.f_u(x, uu)
+        props = self._propagators(a)
+        y = self._tangent(props, a, np.einsum("...ik,...k->...i", b, vv))
+        f_xu = system.f_xu(x, uu)
+        da = (np.einsum("...iab,...b->...ia", system.f_xx(x, uu), y)
+              + np.einsum("...iak,...k->...ia", f_xu, vv))
+        db = (np.einsum("...iak,...a->...ik", f_xu[:, ::2], y[:, ::2])
+              + np.einsum("...ikl,...l->...ik",
+                          system.f_uu(x[:, ::2], uu[:, ::2]), vv[:, ::2]))
+        del f_xu
+        knodes = self._backward_products(
+            _block_dual(props, self._propagator_derivatives(a, da)))
+        n = self.dim_codomain
+        bands = knodes[..., :n, n:] @ b[:, ::2] + knodes[..., :n, :n] @ db
+        djac = np.einsum("j,pjam->apm", self._simpson, bands)
+        return djac.reshape(n, self.dim_domain)
 
     def kernel_nodes(self, u):
         """Times and first-variation kernel B(t) = K(t) f_u on the
@@ -366,6 +518,16 @@ class EndpointOracle(MapOracle):
         times, states = self.trajectory(u)
         bands = self._bands(u, states)
         return times[self._nodes[:, ::2]].ravel(), np.concatenate(bands)
+
+
+def _block_dual(a, da):
+    """Block matrices [[a, da], [0, a]]: a product of them carries the
+    derivative of the product of the a's in its upper right block."""
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = a
+    out[..., :n, n:] = da
+    return out
 
 
 def endpoint_problem(system_name, x0, horizon, segments,

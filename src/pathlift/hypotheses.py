@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidXi
+from .errors import ConfigurationError, InvalidXi
 from .spectrum import gramian, spectral_decompose
 
 POWER_ITERATIONS = 20
@@ -43,11 +43,12 @@ class SamplingPlan:
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
         if not radii or any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
+            raise ConfigurationError("radii must be positive")
         if list(radii) != sorted(radii):
-            raise ValueError("radii must be increasing")
+            raise ConfigurationError("radii must be increasing")
         if self.per_radius < 1 or self.z_samples < 1:
-            raise ValueError("sample counts must be >= 1")
+            raise ConfigurationError(
+                "per_radius and z_samples must be >= 1")
         object.__setattr__(self, "radii", radii)
 
 
@@ -194,41 +195,46 @@ def estimate_bilinear_norm(oracle, u, z_count=8, v_count=8, seed=0):
                 best, best_z, best_v = val, z, v
     if best_z is None:
         return 0.0
-    v = best_v
+    # the Rayleigh quotient's B(v) is the next iteration's input
+    bv = oracle.second_operator(u, best_z, best_v)
     for _ in range(POWER_ITERATIONS):
-        bv = oracle.second_operator(u, best_z, v)
         nv = oracle.norm(bv)
         if nv < 1e-14:
             break
         v = bv / nv
-        best = max(best, abs(oracle.inner(v, oracle.second_operator(
-            u, best_z, v))))
+        bv = oracle.second_operator(u, best_z, v)
+        best = max(best, abs(oracle.inner(v, bv)))
     return best
+
+
+def _switching_sample(oracle, u, z):
+    """(||phi_z||_X, coercivity ratio) at one sample from one adjoint and
+    one second-operator call, or None when phi_z is degenerate."""
+    phi = oracle.apply_adjoint(u, z)
+    nphi2 = oracle.inner(phi, phi)
+    if nphi2 <= DEGENERATE_SWITCHING ** 2:
+        return None
+    curv = abs(oracle.inner(phi, oracle.second_operator(u, z, phi)))
+    return float(np.sqrt(nphi2)), curv / nphi2
 
 
 def coercivity_ratio(oracle, u, z):
     """|z^* d2F(phi_z, phi_z)| / ||phi_z||_X^2, or None when the
     switching function is degenerate at the sample."""
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
-    phi = oracle.apply_adjoint(u, z)
-    nphi2 = oracle.inner(phi, phi)
-    if nphi2 <= DEGENERATE_SWITCHING ** 2:
-        return None
-    val = abs(oracle.inner(phi, oracle.second_operator(u, z, phi)))
-    return val / nphi2
+    sample = _switching_sample(oracle, np.asarray(u, dtype=float),
+                               np.asarray(z, dtype=float))
+    return None if sample is None else sample[1]
 
 
 def xi_margin(oracle, u, z, xi):
-    """Margin of the product condition at one sample; pass is >= 1."""
+    """Margin ratio * ||phi_z|| * xi(||u||)^2 of the product condition at
+    one sample; pass is >= 1."""
     u = np.asarray(u, dtype=float)
-    phi = oracle.apply_adjoint(u, z)
-    nphi2 = oracle.inner(phi, phi)
-    if nphi2 <= DEGENERATE_SWITCHING ** 2:
+    sample = _switching_sample(oracle, u, np.asarray(z, dtype=float))
+    if sample is None:
         return None
-    nphi = np.sqrt(nphi2)
-    curv = abs(oracle.inner(phi, oracle.second_operator(u, z, phi)))
-    return nphi * curv * xi(oracle.norm(u)) ** 2 / nphi2
+    nphi, ratio = sample
+    return ratio * nphi * xi(oracle.norm(u)) ** 2
 
 
 def _sample_u(oracle, plan, shell_idx, sample_idx):
@@ -319,22 +325,20 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
             sh_c = max(sh_c, estimate_bilinear_norm(
                 oracle, u, z_count=plan.z_samples, v_count=plan.z_samples,
                 seed=plan.seed + 104729 * si + 1299721 * k))
+            xi_u2 = None if xi is None else xi(oracle.norm(u)) ** 2
             for j in range(plan.z_samples):
                 z = _sample_z(oracle, plan, si, k, j)
-                ratio = coercivity_ratio(oracle, u, z)
-                if ratio is None:
+                sample = _switching_sample(oracle, u, z)
+                if sample is None:
                     skipped += 1
                     continue
+                nphi, ratio = sample
                 sh_k = min(sh_k, ratio)
-                phi = oracle.apply_adjoint(u, z)
-                nphi = oracle.norm(phi)
                 log_r.append(np.log(r))
                 log_ratio.append(np.log(max(ratio, 1e-300)))
                 log_phi.append(np.log(max(nphi, 1e-300)))
                 if xi is not None:
-                    m = xi_margin(oracle, u, z, xi)
-                    if m is not None:
-                        sh_xi = min(sh_xi, m)
+                    sh_xi = min(sh_xi, ratio * nphi * xi_u2)
         shells.append(ShellStats(
             radius=r, samples=plan.per_radius, skipped=skipped,
             c_max=sh_c, k_min=float(sh_k if np.isfinite(sh_k) else np.nan),

@@ -276,6 +276,26 @@ def test_numerical_failure_exits_6_without_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("dim = 3", "dim = abc", "problem.dim: expected an integer, got 'abc'"),
+    ("radii = 1, 2, 4", "radii = 1, 2, 4\nper_radius = 0",
+     "per_radius and z_samples must be >= 1"),
+    ("radii = 1, 2, 4", "radii = 2, 1", "radii must be increasing"),
+], ids=["int-parse", "per-radius-zero", "radii-decreasing"])
+def test_bad_config_value_exits_1_without_traceback(tmp_path, old, new,
+                                                    message):
+    config = _cfg(tmp_path, SPHERE_CHECK.replace(old, new))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathlift.cli", "check", "--config", config,
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CONFIG == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("problem, message", [
     ("kind = builtin-map\nmap = nope", "unknown builtin map 'nope'"),
     ("kind = builtin-map\nmap = sphere", "problem.dim for this problem"),

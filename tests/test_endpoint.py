@@ -124,12 +124,206 @@ def test_partials_broadcast_over_leading_axes(name):
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((5, system.state_dim))
     us = rng.standard_normal((5, system.control_dim))
-    fx, fu = system.f_x(xs, us), system.f_u(xs, us)
     n, m = system.state_dim, system.control_dim
-    assert fx.shape == (5, n, n) and fu.shape == (5, n, m)
-    for i in range(5):
-        np.testing.assert_array_equal(fx[i], system.f_x(xs[i], us[i]))
-        np.testing.assert_array_equal(fu[i], system.f_u(xs[i], us[i]))
+    shapes = {"f_x": (n, n), "f_u": (n, m), "f_xx": (n, n, n),
+              "f_xu": (n, n, m), "f_uu": (n, m, m)}
+    for partial, shape in shapes.items():
+        fn = getattr(system, partial)
+        stacked = fn(xs, us)
+        assert stacked.shape == (5,) + shape, partial
+        for i in range(5):
+            np.testing.assert_array_equal(stacked[i], fn(xs[i], us[i]))
+
+
+def _mixed_system():
+    """Two states, two controls, with every second partial nonzero:
+    x1' = x2 u1^2 / 2 + sin(x1) u2,  x2' = x1 x2 / 2 + u1 u2 - x2."""
+    def zeros(x, u, shape):
+        lead = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
+        return np.zeros(lead + shape)
+
+    def f(x, u):
+        return np.array([0.5 * x[1] * u[0] ** 2 + np.sin(x[0]) * u[1],
+                         0.5 * x[0] * x[1] + u[0] * u[1] - x[1]])
+
+    def f_x(x, u):
+        out = zeros(x, u, (2, 2))
+        out[..., 0, 0] = np.cos(x[..., 0]) * u[..., 1]
+        out[..., 0, 1] = 0.5 * u[..., 0] ** 2
+        out[..., 1, 0] = 0.5 * x[..., 1]
+        out[..., 1, 1] = 0.5 * x[..., 0] - 1.0
+        return out
+
+    def f_u(x, u):
+        out = zeros(x, u, (2, 2))
+        out[..., 0, 0] = x[..., 1] * u[..., 0]
+        out[..., 0, 1] = np.sin(x[..., 0])
+        out[..., 1, 0] = u[..., 1]
+        out[..., 1, 1] = u[..., 0]
+        return out
+
+    def f_xx(x, u):
+        out = zeros(x, u, (2, 2, 2))
+        out[..., 0, 0, 0] = -np.sin(x[..., 0]) * u[..., 1]
+        out[..., 1, 0, 1] = out[..., 1, 1, 0] = 0.5
+        return out
+
+    def f_xu(x, u):
+        out = zeros(x, u, (2, 2, 2))
+        out[..., 0, 0, 1] = np.cos(x[..., 0])
+        out[..., 0, 1, 0] = u[..., 0]
+        return out
+
+    def f_uu(x, u):
+        out = zeros(x, u, (2, 2, 2))
+        out[..., 0, 0, 0] = x[..., 1]
+        out[..., 1, 0, 1] = out[..., 1, 1, 0] = 1.0
+        return out
+
+    return pl.ControlSystem("mixed", 2, 2, f, f_x, f_u, f_xx, f_xu, f_uu)
+
+
+def _oracle(name, segments):
+    """Endpoint oracle of a registered system from _SYSTEMS, or of
+    _mixed_system() from x0 = (0.1, -0.2), on [0, 1]."""
+    if name == "mixed":
+        grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
+        return pl.EndpointOracle(_mixed_system(), [0.1, -0.2], grid)
+    x0, params, _ = _SYSTEMS[name]
+    return pl.endpoint_problem(name, x0, 1.0, segments, system_params=params)
+
+
+def test_mixed_system_partials_match_differences():
+    system = _mixed_system()
+    rng = np.random.default_rng(4)
+    x, u = rng.standard_normal((2, 2))
+    eps = 1e-6
+    e = np.eye(2)
+
+    def diff(fn, wrt):
+        return np.stack([
+            (fn(x + eps * e[k], u) - fn(x - eps * e[k], u)) if wrt == "x"
+            else (fn(x, u + eps * e[k]) - fn(x, u - eps * e[k]))
+            for k in range(2)], axis=-1) / (2 * eps)
+
+    for got, expect in [(system.f_x(x, u), diff(system.f, "x")),
+                        (system.f_u(x, u), diff(system.f, "u")),
+                        (system.f_xx(x, u), diff(system.f_x, "x")),
+                        (system.f_xu(x, u), diff(system.f_x, "u")),
+                        (system.f_uu(x, u), diff(system.f_u, "u"))]:
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exact_jacobian_derivative_matches_fd(data):
+    """The exact pass against the base-class central difference D(v).
+
+    D(v) has step eps = 1e-4 (1 + ||u||_X) and truncation error
+    (eps^2 / 6) d3J[v, v, v], up to 5e-6 here at |u| = 2 on the mixed
+    system.  2 D(v / 2) is the same difference with step eps / 2, so the
+    Richardson combination R = (8 D(v / 2) - D(v)) / 3 of two base-class
+    calls cancels that term, leaving O(eps^4) truncation and about
+    1e-11 of roundoff.  Tolerance 1e-9 + 2 h^4 max(1, |R|), with
+    h = T / (P substeps) the kernel pass's RK4 step: the exact pass
+    differentiates the RK4 kernel along a tangent taken by forward RK4 on
+    the kernel nodes with cubic Hermite midpoints, while D differentiates
+    the fine-grid RK4 states.  Both are fourth order, so they differ by
+    C h^4, with C up to 0.6 at the corner u = 2, v = 1 of the mixed
+    system; the registered systems agree with R to 3e-12.
+    """
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
+                     label="system")
+    fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
+    segments = data.draw(st.integers(fewest, 12), label="segments")
+    ep = _oracle(name, segments)
+    u = data.draw(arrays(float, ep.dim_domain,
+                         elements=st.floats(-2.0, 2.0)), label="u")
+    v = data.draw(arrays(float, ep.dim_domain,
+                         elements=st.floats(-1.0, 1.0)), label="v")
+    exact = ep.jacobian_derivative(u, v)
+    fd = pl.MapOracle.jacobian_derivative(ep, u, v)
+    richardson = (8.0 * pl.MapOracle.jacobian_derivative(ep, u, 0.5 * v)
+                  - fd) / 3.0
+    assert exact.shape == (ep.dim_codomain, ep.dim_domain)
+    h = ep.grid.dt / ep.substeps
+    np.testing.assert_allclose(
+        exact, richardson, rtol=0,
+        atol=1e-9 + 2.0 * h ** 4 * max(1.0, np.abs(richardson).max()))
+
+
+@pytest.mark.parametrize("name", ["unicycle", "mixed"])
+@pytest.mark.parametrize("segments", [4, 6, 10])
+def test_second_order_taylor_remainder_is_third_order(name, segments):
+    """|F(u + tv) - F(u) - t J v - t^2/2 dJ(v) v| = O(t^3), from eval only.
+
+    J and dJ are quadratures of the derivatives of the RK4 map, not its
+    exact derivatives, so the remainder carries a consistency floor
+    t |(DF - J) v| + t^2/2 |(D2F - dJ)(v, v)| plus roundoff, at most 5e-13
+    at t = 2^-12 on these problems.  The window t = 2^-4 ... 2^-8 keeps
+    the remainder above 1e-12 and clear of the floor, and far enough
+    below t = 1 that the t^4 term moves the observed order by under 0.15
+    (the mixed system's t^4 term is the largest).
+    """
+    ep = _oracle(name, segments)
+    rng = np.random.default_rng([segments, len(name)])
+    u = rng.uniform(-1.0, 1.0, ep.dim_domain)
+    v = rng.uniform(-1.0, 1.0, ep.dim_domain)
+    f0 = ep.eval(u)
+    jv = ep.jacobian(u) @ v
+    djvv = ep.jacobian_derivative(u, v) @ v
+    ts = 2.0 ** -np.arange(4, 9)
+    rem = np.array([np.linalg.norm(ep.eval(u + t * v) - f0 - t * jv
+                                   - 0.5 * t * t * djvv) for t in ts])
+    assert rem.min() > 1e-12
+    orders = np.log2(rem[:-1] / rem[1:])
+    np.testing.assert_allclose(orders, 3.0, atol=0.15)
+
+
+def test_taylor_remainder_vanishes_on_brockett():
+    # brockett's endpoint map is quadratic in u, and RK4 and Simpson are
+    # exact on its polynomial trajectory, so the second-order Taylor
+    # polynomial reproduces F up to roundoff
+    ep = _oracle("brockett", 6)
+    rng = np.random.default_rng(8)
+    u, v = rng.uniform(-1.0, 1.0, (2, ep.dim_domain))
+    f0, jv = ep.eval(u), ep.jacobian(u) @ v
+    djvv = ep.jacobian_derivative(u, v) @ v
+    for t in (1.0, 0.5, 0.125):
+        rem = ep.eval(u + t * v) - f0 - t * jv - 0.5 * t * t * djvv
+        assert np.abs(rem).max() <= 1e-13
+
+
+def test_jacobian_derivative_at_cached_point_integrates_nothing(monkeypatch):
+    calls = []
+    real = pl.endpoint.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pl.endpoint, "integrate", counting)
+    ep = _oracle("unicycle", 6)
+    rng = np.random.default_rng(9)
+    u, v, w = rng.standard_normal((3, ep.dim_domain))
+    ep.jacobian(u)
+    assert len(calls) == 1
+    ep.jacobian_derivative(u, v)
+    ep.bilinear_second(u, np.ones(3), v, w)
+    ep.second_operator(u, np.ones(3), w)
+    assert len(calls) == 1
+
+
+def test_system_without_second_partials_uses_fd():
+    full = pl.make_system("unicycle")
+    bare = pl.ControlSystem(full.name, full.state_dim, full.control_dim,
+                            full.f, full.f_x, full.f_u)
+    grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
+    ep = pl.EndpointOracle(bare, [0.0, 0.0, 0.0], grid)
+    rng = np.random.default_rng(10)
+    u, v = rng.standard_normal((2, ep.dim_domain))
+    np.testing.assert_array_equal(ep.jacobian_derivative(u, v),
+                                  pl.MapOracle.jacobian_derivative(ep, u, v))
 
 
 def _loop_jacobian(ep, u):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pathlift as pl
+from pathlift import hypotheses as hyp
 from pathlift.errors import InvalidXi
 
 
@@ -113,6 +114,50 @@ def test_estimate_bilinear_norm_power_iteration():
     u = np.ones(5)
     got = pl.estimate_bilinear_norm(o, u, z_count=2, v_count=2, seed=0)
     assert got == pytest.approx(2.0, abs=1e-6)
+
+
+def _count_calls(oracle, *names):
+    """Make the oracle count its calls of the named methods."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(oracle, name)
+
+        def counted(*args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(*args)
+        setattr(oracle, name, counted)
+    return counts
+
+
+def test_power_iteration_reuses_the_rayleigh_quotient_operator():
+    o = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 4)
+    u = np.random.default_rng(2).uniform(-1.0, 1.0, o.dim_domain)
+    # with one z and one v drawn, the power iteration starts from them
+    rng = np.random.default_rng([3, 7, 0])
+    z = hyp._unit_codomain(o.dim_codomain, rng)
+    v = hyp._unit_domain(o, rng)
+    w = hyp._unit_domain(o, rng)
+    expect = abs(o.bilinear_second(u, z, v, w))
+    for _ in range(hyp.POWER_ITERATIONS):
+        bv = o.second_operator(u, z, v)
+        v = bv / o.norm(bv)
+        expect = max(expect, abs(o.inner(v, o.second_operator(u, z, v))))
+    counts = _count_calls(o, "second_operator")
+    got = pl.estimate_bilinear_norm(o, u, z_count=1, v_count=1, seed=3)
+    assert counts["second_operator"] == hyp.POWER_ITERATIONS + 1 == 21
+    assert got == expect
+
+
+def test_check_report_makes_one_adjoint_and_one_second_call_per_pair():
+    o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4)
+    plan = _plan(per_radius=2, z_samples=3)
+    counts = _count_calls(o, "apply_adjoint", "second_operator")
+    rep = pl.check_report(o, plan, xi=pl.PowerLawXi(c=1.0, p=0.5))
+    samples = len(plan.radii) * plan.per_radius
+    pairs = samples * plan.z_samples - rep.skipped_samples
+    assert counts["apply_adjoint"] == samples * plan.z_samples
+    assert counts["second_operator"] == (
+        samples * (hyp.POWER_ITERATIONS + 1) + pairs)
 
 
 def test_report_text_and_rows():
