@@ -502,7 +502,7 @@ class EndpointOracle(MapOracle):
         db = (np.einsum("...iak,...a->...ik", f_xu[:, ::2], y[:, ::2])
               + np.einsum("...ikl,...l->...ik",
                           system.f_uu(x[:, ::2], uu[:, ::2]), vv[:, ::2]))
-        del f_xu
+        del f_xu  # the largest array here; free it before the block pass
         knodes = self._backward_products(
             _block_dual(props, self._propagator_derivatives(a, da)))
         n = self.dim_codomain
