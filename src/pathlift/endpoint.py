@@ -7,13 +7,15 @@ in R^n.  The induced weighted inner product with weights T/P equals the
 L2 inner product of the piecewise-constant representatives exactly, so
 the oracle adjoint discretizes the continuous one.
 
-The forward RK4 flow steps one state at a time; the partials f_x and
-f_u broadcast over leading axes, so the rest runs on the whole control
-grid at once.  The transition kernel K(t) = M(T) M(t)^-1 (Kdot = -K f_x,
-K(T) = I) is linear in K, so each backward RK4 step is a product with a
-propagator, K_j = K_{j+1} M_j, and ``EndpointOracle._kernel_pass`` builds
-every M_j in one batch.  Simpson quadrature of K(t) f_u per segment gives
-the coordinate Jacobian.
+The forward RK4 flow steps the state as an (n,) vector, or B independent
+trajectories at once as an (n, B) array with the batch on the last axis:
+``f`` is written on components, so one call steps every member.  The
+partials f_x and f_u broadcast over leading axes, so the rest runs on the
+whole control grid at once.  The transition kernel K(t) = M(T) M(t)^-1
+(Kdot = -K f_x, K(T) = I) is linear in K, so each backward RK4 step is a
+product with a propagator, K_j = K_{j+1} M_j, and
+``EndpointOracle._kernel_pass`` builds every M_j in one batch.  Simpson
+quadrature of K(t) f_u per segment gives the coordinate Jacobian.
 
 Second differentials are exact for systems that give f_xx, f_xu and f_uu:
 ``EndpointOracle.jacobian_derivative`` differentiates that quadrature
@@ -39,8 +41,15 @@ BLOWUP_NORM = 1e8
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Dynamics f of one state; partials that broadcast over leading axes,
-    ``f_x(X, U)[i] == f_x(X[i], U[i])``, for the whole-grid backward pass.
+    """Dynamics f written on components, and partials that broadcast over
+    leading axes, ``f_x(X, U)[i] == f_x(X[i], U[i])``, for the whole-grid
+    backward pass.
+
+    ``f`` takes one state (n,) and control (m,), or B of each stacked on
+    the last axis, (n, B) and (m, B), and returns (n,) or (n, B) with
+    ``f(X, U)[:, b] == f(X[:, b], U[:, b])``; code such as
+    ``np.array([u[0], x[0] * u[1]])`` or ``A @ x`` does both.  Batched
+    integration raises ConfigurationError for an ``f`` that does not.
 
     The second partials are optional and broadcast the same way; entry
     ``f_xu[..., i, a, k]`` is d2 f_i / dx_a du_k.  A system that gives all
@@ -51,7 +60,7 @@ class ControlSystem:
     name: str
     state_dim: int
     control_dim: int
-    f: Callable          # f(x, u) -> (n,)
+    f: Callable          # (n,), (m,) -> (n,); (n, B), (m, B) -> (n, B)
     f_x: Callable        # (..., n), (..., m) -> (..., n, n)
     f_u: Callable        # (..., n), (..., m) -> (..., n, m)
     f_xx: Callable | None = None  # -> (..., n, n, n)
@@ -236,23 +245,51 @@ def _rk4(f, x, u, h):
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _check_stacked(f, x, u):
+    """Raise ConfigurationError unless ``f`` at stacked (n, B) states and
+    (m, B) controls equals ``f`` at each member's own state and control."""
+    try:
+        stacked = np.asarray(f(x, u), dtype=float)
+        members = np.stack([np.asarray(f(x[:, b], u[:, b]), dtype=float)
+                            for b in range(x.shape[1])], axis=-1)
+    except (ValueError, IndexError, TypeError) as exc:
+        raise ConfigurationError(
+            f"f fails on stacked (n, B) states: {exc}") from exc
+    # a stacked A @ x may round differently from one column's A @ x
+    if stacked.shape != x.shape or not np.allclose(
+            stacked, members, rtol=1e-9, atol=1e-9, equal_nan=True):
+        raise ConfigurationError(
+            "f must map stacked (n, B) states and (m, B) controls column "
+            "by column, as it maps one (n,) state and (m,) control")
+
+
 def integrate(system, x0, u_values, horizon, substeps=8):
     """Fixed-step RK4 flow of the control system.
 
-    ``u_values`` has shape (P, m); the state is stored on a fine grid of
-    2*substeps intervals per segment (the resolution the backward
-    variational pass needs).  Returns (times, states) with states of
-    shape (P * 2*substeps + 1, n).  Blowup is checked once per segment;
-    the escape time is the first non-finite or too-large fine state's.
+    ``u_values`` has shape (P, m) for one trajectory, or (P, m, B) for B
+    independent trajectories from the same x0.  The state is stored on a
+    fine grid of 2*substeps intervals per segment (the resolution the
+    backward variational pass needs).  Returns (times, states) with states
+    of shape (T, n), T = P * 2*substeps + 1, or (B, T, n) for a batch.  A
+    batch steps an (n, B) state through one ``system.f`` call per RK4
+    stage, and ``f`` is checked against single-member calls at the first
+    and last states.  Blowup is checked once per segment on every member;
+    the escape time is the first non-finite or too-large fine state's,
+    over the members that escape first.
     """
     u_values = np.asarray(u_values, dtype=float)
-    if u_values.ndim != 2 or u_values.shape[1] != system.control_dim:
-        raise ConfigurationError("u_values must be (segments, control_dim)")
+    if u_values.ndim not in (2, 3) or u_values.shape[1] != system.control_dim:
+        raise ConfigurationError(
+            "u_values must be (segments, control_dim) or "
+            "(segments, control_dim, batch)")
     segments = u_values.shape[0]
     fine = 2 * substeps
     h = horizon / segments / fine
     x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((segments * fine + 1, system.state_dim))
+    if u_values.ndim == 3:
+        x = np.repeat(x[:, None], u_values.shape[2], axis=1)
+        _check_stacked(system.f, x, u_values[0])
+    states = np.empty((segments * fine + 1,) + x.shape)
     times = np.linspace(0.0, horizon, segments * fine + 1)
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
@@ -265,9 +302,13 @@ def integrate(system, x0, u_values, horizon, substeps=8):
             bad = (~np.isfinite(block).all(axis=1)
                    | (np.linalg.norm(block, axis=1) > BLOWUP_NORM))
             if bad.any():
-                t = float(times[seg * fine + 1 + np.argmax(bad)])
+                first = np.argmax(bad.reshape(fine, -1).any(axis=1))
+                t = float(times[seg * fine + 1 + first])
                 raise TrajectoryBlowup(
                     f"trajectory escaped near t = {t:.4f}", escape_time=t)
+    if u_values.ndim == 3:
+        _check_stacked(system.f, x, u_values[-1])
+        states = np.ascontiguousarray(np.moveaxis(states, -1, 0))
     return times, states
 
 
@@ -344,6 +385,37 @@ class EndpointOracle(MapOracle):
     def eval(self, u):
         _, states = self.trajectory(u)
         return states[-1].copy()
+
+    def eval_many(self, us):
+        """F at each row of ``us`` (B, N), shape (B, n).
+
+        The rows not in the cache are integrated in one stacked call, and
+        each member's trajectory is cached read-only as :meth:`trajectory`
+        caches it, so a later :meth:`jacobian` costs only the backward
+        pass.  Values come from the batch itself, so B may exceed the
+        cache size.
+        """
+        us = self._domain_rows(us)
+        keys = [u.tobytes() for u in us]
+        trajs = {key: self._cache[key]["traj"] for key in keys
+                 if "traj" in self._cache.get(key, {})}
+        todo = {key: u for key, u in zip(keys, us) if key not in trajs}
+        if todo:
+            times, states = integrate(
+                self.system, self.x0,
+                np.stack([self.grid.unpack(u) for u in todo.values()],
+                         axis=-1),
+                self.grid.horizon, self.substeps)
+            times.flags.writeable = False
+            states.flags.writeable = False
+            trajs.update((key, (times, member))
+                         for key, member in zip(todo, states))
+        # touch the cache in row order, as one eval per row would
+        out = np.empty((len(us), self.dim_codomain))
+        for i, (key, u) in enumerate(zip(keys, us)):
+            self._entry(u)["traj"] = trajs[key]
+            out[i] = trajs[key][1][-1]
+        return out
 
     def endpoint_refined(self, u, refine=4):
         """Terminal state re-integrated on a refine-times finer grid."""

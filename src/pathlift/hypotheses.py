@@ -41,6 +41,9 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be >= 0, got {self.seed}")
         radii = tuple(float(r) for r in self.radii)
         if not radii or any(r <= 0 for r in radii):
             raise ConfigurationError("radii must be positive")
@@ -259,17 +262,23 @@ def _sample_spectrum(oracle, u):
 def gramian_inverse_growth(oracle, plan):
     """Per-shell max of 1/lambda_1 and the log-log growth fit.
 
-    Returns (per_shell_max, slope, intercept, passed, singular_counts);
-    singular samples are flagged and excluded from the fit.
+    Returns (per_shell_max, slope, intercept, passed, singular_counts,
+    samples); singular samples are flagged and excluded from the fit.
+    ``samples[si][k]`` is the (u, spectrum) of plan point k on shell si:
+    every plan point is evaluated in one :meth:`MapOracle.eval_many` and
+    its Gramian decomposed once, for callers that need more than the fit.
     """
+    points = [[_sample_u(oracle, plan, si, k) for k in range(plan.per_radius)]
+              for si in range(len(plan.radii))]
+    oracle.eval_many(np.concatenate(points))
+    samples = [[(u, _sample_spectrum(oracle, u)) for u in shell]
+               for shell in points]
     shell_max = []
     singular_counts = []
-    for si, r in enumerate(plan.radii):
+    for shell in samples:
         worst = 0.0
         singular = 0
-        for k in range(plan.per_radius):
-            u = _sample_u(oracle, plan, si, k)
-            spec = _sample_spectrum(oracle, u)
+        for _, spec in shell:
             if spec.singular:
                 singular += 1
                 continue
@@ -289,7 +298,8 @@ def gramian_inverse_growth(oracle, plan):
         slope, intercept = 0.0, -np.inf
     passed = bool(np.isfinite(intercept) or not xs) and \
         slope <= GROWTH_SLOPE_LIMIT + GROWTH_SLOPE_TOL
-    return shell_max, float(slope), float(intercept), passed, singular_counts
+    return (shell_max, float(slope), float(intercept), passed,
+            singular_counts, samples)
 
 
 def check_report(oracle, plan, lambda0=1e-6, xi=None):
@@ -308,17 +318,15 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     skipped_total = 0
     singular_total = 0
     log_r, log_ratio, log_phi = [], [], []
-    shell_inv, growth_slope, growth_intercept, growth_pass, sing_counts = \
-        gramian_inverse_growth(oracle, plan)
+    (shell_inv, growth_slope, growth_intercept, growth_pass, sing_counts,
+     samples) = gramian_inverse_growth(oracle, plan)
     for si, r in enumerate(plan.radii):
         sh_c = 0.0
         sh_k = np.inf
         sh_xi = np.inf
         sh_gap = np.inf
         skipped = 0
-        for k in range(plan.per_radius):
-            u = _sample_u(oracle, plan, si, k)
-            spec = _sample_spectrum(oracle, u)
+        for k, (u, spec) in enumerate(samples[si]):
             if n > 1:
                 sh_gap = min(sh_gap, float(np.min(spec.lambdas[1:]))
                              - lambda0)

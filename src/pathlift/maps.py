@@ -78,6 +78,13 @@ class MapOracle:
                 f"{name} must have length {self.dim_domain}, got {u.shape}")
         return u
 
+    def _domain_rows(self, us):
+        us = np.asarray(us, dtype=float)
+        if us.ndim != 2 or us.shape[1] != self.dim_domain:
+            raise ConfigurationError(
+                f"us must have shape (B, {self.dim_domain}), got {us.shape}")
+        return us
+
     def _codomain_vec(self, z, name="z"):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim_codomain,):
@@ -96,6 +103,13 @@ class MapOracle:
         raise NotImplementedError
 
     # -- derived operations --------------------------------------------------
+
+    def eval_many(self, us):
+        """F at each row of ``us`` (B, N), shape (B, n).  Oracles that can
+        evaluate independent points together override it."""
+        us = self._domain_rows(us)
+        return np.array([self.eval(u) for u in us]).reshape(
+            len(us), self.dim_codomain)
 
     def apply_jacobian(self, u, v):
         """dF|_u applied to a domain direction v."""
@@ -146,16 +160,15 @@ class MapOracle:
         return z @ self.jacobian_derivative(u, v)
 
     def fd_jacobian(self, u, eps=None):
-        """Central finite-difference Jacobian; validation use only."""
+        """Central finite-difference Jacobian from one :meth:`eval_many`
+        of the 2N points u +- eps e_k; validation use only."""
         u = self._domain_vec(u)
         if eps is None:
             eps = FIRST_FD_SCALE * (1.0 + self.norm(u))
-        cols = []
-        for k in range(self.dim_domain):
-            e = np.zeros(self.dim_domain)
-            e[k] = eps
-            cols.append((self.eval(u + e) - self.eval(u - e)) / (2.0 * eps))
-        return np.stack(cols, axis=1)
+        steps = eps * np.eye(self.dim_domain)
+        vals = self.eval_many(np.concatenate([u + steps, u - steps]))
+        plus, minus = np.split(vals, 2)
+        return ((plus - minus) / (2.0 * eps)).T
 
 
 class LinearMap(MapOracle):

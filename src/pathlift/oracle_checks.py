@@ -6,11 +6,17 @@ second differential must be symmetric, the Jacobian must be linear in
 its direction, and analytic Jacobians must agree with central finite
 differences.  The CLI ``validate`` subcommand runs them on whatever
 problem the config describes.
+
+Each check draws all its samples first and evaluates their base points in
+one :meth:`MapOracle.eval_many`, so an oracle that caches (the endpoint
+map) integrates them as one batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 
 @dataclass
@@ -30,17 +36,24 @@ def _sample_point(oracle, rng, scale=1.0):
     return scale * rng.standard_normal(oracle.dim_domain)
 
 
+def _warm(oracle, points):
+    """Evaluate every base point in one batch."""
+    oracle.eval_many(np.reshape(points, (-1, oracle.dim_domain)))
+
+
 def check_adjoint_identity(oracle, samples=50, seed=0, tol=None,
                            scale=1.0):
     """|<dF v, z> - <v, dF^* z>_X| over random triples."""
     if tol is None:
         tol = 1e-10 if oracle.has_analytic_second else 1e-6
     rng = np.random.default_rng(seed)
+    draws = [(_sample_point(oracle, rng, scale),
+              rng.standard_normal(oracle.dim_domain),
+              rng.standard_normal(oracle.dim_codomain))
+             for _ in range(samples)]
+    _warm(oracle, [d[0] for d in draws])
     worst = 0.0
-    for _ in range(samples):
-        u = _sample_point(oracle, rng, scale)
-        v = rng.standard_normal(oracle.dim_domain)
-        z = rng.standard_normal(oracle.dim_codomain)
+    for u, v, z in draws:
         lhs = float(np.dot(oracle.apply_jacobian(u, v), z))
         rhs = oracle.inner(v, oracle.apply_adjoint(u, z))
         worst = max(worst, abs(lhs - rhs) / (1.0 + oracle.norm(v)
@@ -53,12 +66,14 @@ def check_second_symmetry(oracle, samples=20, seed=1, tol=None, scale=1.0):
     if tol is None:
         tol = 1e-8 if oracle.has_analytic_second else 1e-5
     rng = np.random.default_rng(seed)
+    draws = [(_sample_point(oracle, rng, scale),
+              rng.standard_normal(oracle.dim_domain),
+              rng.standard_normal(oracle.dim_domain),
+              rng.standard_normal(oracle.dim_codomain))
+             for _ in range(samples)]
+    _warm(oracle, [d[0] for d in draws])
     worst = 0.0
-    for _ in range(samples):
-        u = _sample_point(oracle, rng, scale)
-        v = rng.standard_normal(oracle.dim_domain)
-        w = rng.standard_normal(oracle.dim_domain)
-        z = rng.standard_normal(oracle.dim_codomain)
+    for u, v, w, z in draws:
         a = oracle.bilinear_second(u, z, v, w)
         b = oracle.bilinear_second(u, z, w, v)
         denom = max(abs(a), abs(b), 1.0)
@@ -70,12 +85,14 @@ def check_second_symmetry(oracle, samples=20, seed=1, tol=None, scale=1.0):
 def check_jacobian_linearity(oracle, samples=20, seed=2, tol=1e-12,
                              scale=1.0):
     rng = np.random.default_rng(seed)
+    draws = [(_sample_point(oracle, rng, scale),
+              rng.standard_normal(oracle.dim_domain),
+              rng.standard_normal(oracle.dim_domain),
+              *rng.standard_normal(2))
+             for _ in range(samples)]
+    _warm(oracle, [d[0] for d in draws])
     worst = 0.0
-    for _ in range(samples):
-        u = _sample_point(oracle, rng, scale)
-        v = rng.standard_normal(oracle.dim_domain)
-        w = rng.standard_normal(oracle.dim_domain)
-        a, b = rng.standard_normal(2)
+    for u, v, w, a, b in draws:
         lhs = oracle.apply_jacobian(u, a * v + b * w)
         rhs = a * oracle.apply_jacobian(u, v) + b * oracle.apply_jacobian(
             u, w)
@@ -87,9 +104,10 @@ def check_jacobian_linearity(oracle, samples=20, seed=2, tol=1e-12,
 def check_jacobian_fd(oracle, samples=5, seed=3, tol=1e-5, scale=1.0):
     """Analytic-vs-finite-difference Jacobian, relative Frobenius error."""
     rng = np.random.default_rng(seed)
+    points = [_sample_point(oracle, rng, scale) for _ in range(samples)]
+    _warm(oracle, points)
     worst = 0.0
-    for _ in range(samples):
-        u = _sample_point(oracle, rng, scale)
+    for u in points:
         ja = oracle.jacobian(u)
         jf = oracle.fd_jacobian(u)
         denom = max(float(np.linalg.norm(ja)), 1.0)
@@ -100,6 +118,8 @@ def check_jacobian_fd(oracle, samples=5, seed=3, tol=1e-5, scale=1.0):
 
 def validate_oracle(oracle, seed=0, scale=1.0):
     """Run the full identity suite; returns a list of CheckResult."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     return [
         check_adjoint_identity(oracle, seed=seed, scale=scale),
         check_second_symmetry(oracle, seed=seed + 1, scale=scale),

@@ -296,6 +296,29 @@ def test_bad_config_value_exits_1_without_traceback(tmp_path, old, new,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, seed, config_seed", [
+    ("validate", "-1", None), ("check", "-1", None), ("check", None, "-3"),
+], ids=["validate-flag", "check-flag", "check-config"])
+def test_negative_seed_exits_1_without_traceback(tmp_path, command, seed,
+                                                 config_seed):
+    text = SPHERE_CHECK
+    if config_seed is not None:
+        text += f"seed = {config_seed}\n"
+    argv = [command, "--config", _cfg(tmp_path, text)]
+    if seed is not None:
+        argv += ["--seed", seed]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathlift.cli"] + argv
+        + ["--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CONFIG == 1
+    assert proc.stderr == (f"error: seed must be >= 0, got "
+                           f"{seed or config_seed}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("problem, message", [
     ("kind = builtin-map\nmap = nope", "unknown builtin map 'nope'"),
     ("kind = builtin-map\nmap = sphere", "problem.dim for this problem"),

@@ -294,15 +294,21 @@ def test_taylor_remainder_vanishes_on_brockett():
         assert np.abs(rem).max() <= 1e-13
 
 
-def test_jacobian_derivative_at_cached_point_integrates_nothing(monkeypatch):
+def _count_integrate(monkeypatch):
+    """Record the control shape of every ``integrate`` call."""
     calls = []
     real = pl.endpoint.integrate
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.shape(args[2]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pl.endpoint, "integrate", counting)
+    return calls
+
+
+def test_jacobian_derivative_at_cached_point_integrates_nothing(monkeypatch):
+    calls = _count_integrate(monkeypatch)
     ep = _oracle("unicycle", 6)
     rng = np.random.default_rng(9)
     u, v, w = rng.standard_normal((3, ep.dim_domain))
@@ -469,3 +475,130 @@ def test_endpoint_lift_plans_single_integrator():
     # least-norm control is constant in time
     vals = ep.grid.unpack(rep.final_u)
     np.testing.assert_allclose(vals, np.tile(vals[0], (4, 1)), atol=1e-8)
+
+
+# -- stacked trajectories ---------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stacked_integrate_equals_per_member_integrate(data):
+    """Componentwise f steps every member with the same arithmetic, so
+    members are bitwise equal to their own integration; lti's stacked
+    A @ x runs through a matrix product that may round differently."""
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
+                     label="system")
+    fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
+    segments = data.draw(st.integers(fewest, 12), label="segments")
+    batch = data.draw(st.integers(1, 50), label="batch")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    ep = _oracle(name, segments)
+    us = np.random.default_rng(seed).uniform(
+        -2.0, 2.0, (segments, ep.system.control_dim, batch))
+    times, states = pl.integrate(ep.system, ep.x0, us, 1.0)
+    assert states.shape == (batch,) + times.shape + (ep.system.state_dim,)
+    for b in range(batch):
+        t_one, s_one = pl.integrate(ep.system, ep.x0, us[..., b], 1.0)
+        np.testing.assert_array_equal(times, t_one)
+        if name == "lti":
+            np.testing.assert_allclose(states[b], s_one, rtol=1e-15,
+                                       atol=1e-15 * np.abs(s_one).max())
+        else:
+            np.testing.assert_array_equal(states[b], s_one)
+
+
+def test_eval_many_matches_eval_with_duplicates_and_small_cache(
+        monkeypatch):
+    calls = _count_integrate(monkeypatch)
+    grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
+    system = pl.make_system("brockett")
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((6, grid.dim))
+    us = rows[[0, 1, 0, 2, 3, 4, 5, 1, 5]]
+    small = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid, cache_size=3)
+    got = small.eval_many(us)
+    assert calls == [(4, 2, 6)]     # one stacked call, duplicates merged
+    ref = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid)
+    np.testing.assert_array_equal(got, [ref.eval(u) for u in us])
+    assert len(small._cache) == 3
+    # the last rows are cached read-only; their Jacobian integrates nothing
+    del calls[:]
+    _, states = small.trajectory(us[-1])
+    with pytest.raises(ValueError):
+        states[0] = 9.0
+    np.testing.assert_array_equal(small.jacobian(us[-1]),
+                                  ref.jacobian(us[-1]))
+    np.testing.assert_array_equal(small.eval_many(us[-2:]), got[-2:])
+    assert calls == []
+
+
+def test_batch_blowup_reports_the_first_escape():
+    def escape_time(evaluate, *args):
+        ep = pl.endpoint_problem("lti", [1.0], 1.0, 4,
+                                 system_params={"A": [[1.0]], "B": [[1.0]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryBlowup) as info:
+                getattr(ep, evaluate)(*args)
+        return info.value.escape_time
+
+    us = np.zeros((5, 4))
+    us[1, 2] = 1e9      # escapes in the third segment
+    us[3, 1] = 4e8      # escapes in the second segment
+    alone = [escape_time("eval", us[row]) for row in (1, 3)]
+    assert alone[1] < alone[0]
+    assert escape_time("eval_many", us) == alone[1]
+    assert escape_time("eval_many", us[:3]) == alone[0]
+
+
+def test_fd_jacobian_equals_per_column_loop():
+    ep = _oracle("brockett", 5)
+    u = np.random.default_rng(12).standard_normal(ep.dim_domain)
+    eps = pl.maps.FIRST_FD_SCALE * (1.0 + ep.norm(u))
+    cols = []
+    for k in range(ep.dim_domain):
+        e = np.zeros(ep.dim_domain)
+        e[k] = eps
+        cols.append((ep.eval(u + e) - ep.eval(u - e)) / (2.0 * eps))
+    fresh = _oracle("brockett", 5)
+    np.testing.assert_array_equal(fresh.fd_jacobian(u),
+                                  np.stack(cols, axis=1))
+
+
+def test_validate_integrates_each_check_as_one_batch(monkeypatch):
+    calls = _count_integrate(monkeypatch)
+    results = pl.validate_oracle(_oracle("brockett", 6), seed=0)
+    assert all(r.passed for r in results)
+    assert len(calls) <= 13     # one trajectory per call: 215
+
+
+def test_non_conforming_f_fails_on_a_batch():
+    """``x @ A.T`` is A x on one state but mixes members on (n, B) states,
+    and keeps the right shape when B == n."""
+    a = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    bm = np.array([[0.0, 0.5], [1.0, 0.0]])
+    good = pl.lti(a, bm)
+    bad = pl.ControlSystem("bad", 2, 2, lambda x, u: x @ a.T + u @ bm.T,
+                           good.f_x, good.f_u)
+    grid = pl.ControlGrid(horizon=1.0, segments=3, control_dim=2)
+    us = np.random.default_rng(13).standard_normal((2, grid.dim))
+    ep = pl.EndpointOracle(bad, [1.0, -0.5], grid)
+    np.testing.assert_allclose(
+        ep.eval(us[0]), pl.EndpointOracle(good, [1.0, -0.5], grid).eval(
+            us[0]), rtol=1e-14)
+    with pytest.raises(ConfigurationError, match="stacked"):
+        ep.eval_many(us)
+    grid1 = pl.ControlGrid(horizon=1.0, segments=2, control_dim=1)
+    scalar_only = pl.ControlSystem(
+        "scalar", 1, 1, lambda x, u: np.array([float(x[0]) * u[0]]),
+        good.f_x, good.f_u)
+    with pytest.raises(ConfigurationError, match="stacked"):
+        pl.EndpointOracle(scalar_only, [1.0], grid1).eval_many(
+            np.ones((3, 2)))
+    # right at the first stage, where every member has the same state and
+    # control, and wrong once the second segments' controls differ
+    mean_of_batch = pl.ControlSystem(
+        "mean", 1, 1, lambda x, u: x * np.mean(u), good.f_x, good.f_u)
+    with pytest.raises(ConfigurationError, match="stacked"):
+        pl.EndpointOracle(mean_of_batch, [1.0], grid1).eval_many(
+            [[0.5, 1.0], [0.5, -1.0]])

@@ -21,6 +21,8 @@ def test_sampling_plan_validation():
         pl.SamplingPlan(radii=(2.0, 1.0))
     with pytest.raises(ValueError):
         pl.SamplingPlan(radii=(1.0,), per_radius=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        pl.SamplingPlan(radii=(1.0,), seed=-3)
 
 
 def test_power_law_xi():
@@ -160,6 +162,24 @@ def test_check_report_makes_one_adjoint_and_one_second_call_per_pair():
         samples * (hyp.POWER_ITERATIONS + 1) + pairs)
 
 
+def test_check_report_decomposes_and_evaluates_each_plan_point_once(
+        monkeypatch):
+    o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4)
+    plan = _plan(per_radius=2, z_samples=2)
+    counts = _count_calls(o, "eval_many")
+    decompositions = []
+    real = hyp.spectral_decompose
+
+    def counting(*args, **kwargs):
+        decompositions.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hyp, "spectral_decompose", counting)
+    pl.check_report(o, plan)
+    assert len(decompositions) == len(plan.radii) * plan.per_radius
+    assert counts["eval_many"] == 1
+
+
 def test_report_text_and_rows():
     o = pl.SphereMap(2)
     rep = pl.check_report(o, _plan(radii=(1.0, 2.0)),
@@ -174,9 +194,10 @@ def test_report_text_and_rows():
 
 def test_gramian_inverse_growth_flags_singular_samples():
     o = pl.SphereMap(3)
-    shell_max, slope, intercept, passed, sing = \
+    shell_max, slope, intercept, passed, sing, samples = \
         pl.gramian_inverse_growth(o, _plan(radii=(1.0, 2.0)))
     assert len(shell_max) == 2
+    assert [len(shell) for shell in samples] == [6, 6]
     assert shell_max[0] == pytest.approx(1.0 / 4.0, rel=1e-10)
     assert shell_max[1] == pytest.approx(1.0 / 16.0, rel=1e-10)
     assert passed and sing == [0, 0]
