@@ -12,8 +12,8 @@ from .endpoint import (ControlGrid, ControlSystem, EndpointOracle,
                        SYSTEM_NAMES, brockett, endpoint_problem, integrate,
                        lti, make_system, single_integrator, unicycle)
 from .errors import (BadAnchor, ConfigurationError, GapViolation, InvalidXi,
-                     NumericalError, SimplicityLoss, SingularGramian,
-                     SingularStart, TrajectoryBlowup)
+                     NumericalError, SingularGramian, SingularStart,
+                     TrajectoryBlowup)
 from .hypotheses import (HypothesisReport, PowerLawXi, SamplingPlan,
                          check_report, coercivity_ratio,
                          estimate_bilinear_norm, gramian_inverse_growth,
@@ -21,35 +21,31 @@ from .hypotheses import (HypothesisReport, PowerLawXi, SamplingPlan,
 from .maps import (FoldMap, LinearMap, MAP_NAMES, MapOracle, SphereMap,
                    make_map)
 from .oracle_checks import CheckResult, validate_oracle
-from .paths import (AnalyticPath, LinePath, PolylinePath, TargetPath,
-                    line_to_target)
+from .paths import LinePath, PolylinePath, TargetPath, line_to_target
 from .solver import (ContinuationReport, DIVERGED, LiftState, REACHED,
                      SINGULAR_INTERIOR, SINGULAR_TERMINAL, STEP_UNDERFLOW,
                      SolverOptions, fd_along_lift, gauss_newton_correct,
                      lambda1_fd_along_lift, lift, ple_rhs)
-from .spectrum import (GapReport, GramianSpectrum, SpectralDiagnostics,
-                       coefficients, diagnostics, gap_check, gramian,
-                       gramian_derivative_action, spectral_decompose,
-                       z1_derivative)
+from .spectrum import (GramianSpectrum, SpectralDiagnostics, coefficients,
+                       diagnostics, gramian, spectral_decompose)
 
 __all__ = [
-    "AnalyticPath", "BadAnchor", "CheckResult", "ConfigurationError",
+    "BadAnchor", "CheckResult", "ConfigurationError",
     "ContinuationReport", "ControlGrid", "ControlSystem",
     "DIVERGED", "EndpointOracle", "FoldMap",
-    "GapReport", "GapViolation", "GramianSpectrum", "HypothesisReport",
+    "GapViolation", "GramianSpectrum", "HypothesisReport",
     "InvalidXi", "LiftState", "LinePath", "LinearMap", "MAP_NAMES",
     "MapOracle", "NumericalError", "PolylinePath", "PowerLawXi",
     "REACHED", "SINGULAR_INTERIOR", "SINGULAR_TERMINAL", "STEP_UNDERFLOW",
-    "SamplingPlan", "SimplicityLoss", "SingularGramian", "SingularStart",
+    "SamplingPlan", "SingularGramian", "SingularStart",
     "SolverOptions", "SpectralDiagnostics", "SphereMap", "SYSTEM_NAMES",
     "TargetPath", "TrajectoryBlowup", "brockett", "check_report",
     "coefficients", "coercivity_ratio", "diagnostics",
     "endpoint_problem", "estimate_bilinear_norm", "fd_along_lift",
-    "gap_check", "gauss_newton_correct", "gramian",
-    "gramian_derivative_action", "gramian_inverse_growth", "integrate",
-    "lambda1_fd_along_lift", "lift", "line_to_target", "lti", "make_map",
-    "make_system", "ple_rhs", "single_integrator", "spectral_decompose",
-    "unicycle", "validate_oracle", "xi_margin", "z1_derivative",
+    "gauss_newton_correct", "gramian", "gramian_inverse_growth",
+    "integrate", "lambda1_fd_along_lift", "lift", "line_to_target", "lti",
+    "make_map", "make_system", "ple_rhs", "single_integrator",
+    "spectral_decompose", "unicycle", "validate_oracle", "xi_margin",
 ]
 
 __version__ = "0.1.0"

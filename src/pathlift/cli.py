@@ -47,13 +47,20 @@ def _fmt(x):
 # config parsing
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parse_vector(text, key):
     try:
         parts = [p for p in text.replace(",", " ").split() if p]
-        return np.array([float(p) for p in parts])
+        return np.array([_finite_float(p) for p in parts])
     except ValueError:
-        raise ConfigurationError(f"{key}: expected a list of numbers, "
-                                 f"got {text!r}") from None
+        raise ConfigurationError(f"{key}: expected a list of finite "
+                                 f"numbers, got {text!r}") from None
 
 
 def _parse_matrix(text, key):
@@ -87,7 +94,7 @@ def _scalar(convert, what):
 
 
 _PARSERS = {
-    "float": _scalar(float, "a number"),
+    "float": _scalar(_finite_float, "a finite number"),
     "int": _scalar(int, "an integer"),
     "str": lambda t, k: t.strip(),
     "bool": _parse_bool,
@@ -179,9 +186,10 @@ def parse_config(text):
         value = cfg[section][key]
         if value is not None and value <= 0:
             raise ConfigurationError(f"{section}.{key} must be positive")
-    if cfg["problem"]["segments"] is not None \
-            and cfg["problem"]["segments"] < 1:
-        raise ConfigurationError("problem.segments must be >= 1")
+    for section, key in (("problem", "segments"), ("solver", "max_steps")):
+        value = cfg[section][key]
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{section}.{key} must be >= 1")
     xi_p = cfg["check"]["xi_p"]
     if xi_p is not None and xi_p > 1.0:
         raise ConfigurationError(
@@ -343,15 +351,6 @@ def lift_report_text(report):
         f"max path speed = {_fmt(report.max_gamma_dot)}\n")
 
 
-def shells_csv_text(hyp_report):
-    header, rows = hyp_report.shell_rows()
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            str(v) if isinstance(v, int) else _fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -382,7 +381,7 @@ def run_check(cfg, out_dir, seed_override=None):
     _atomic_write(os.path.join(out_dir, cfg["output"]["report"]),
                   report.to_text())
     _atomic_write(os.path.join(out_dir, cfg["output"]["shells_csv"]),
-                  shells_csv_text(report))
+                  report.shells_csv())
     return EXIT_FALSIFIED if report.falsified else EXIT_OK
 
 

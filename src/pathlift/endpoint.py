@@ -14,7 +14,7 @@ partials f_x and f_u broadcast over leading axes, so the rest runs on the
 whole control grid at once.  The transition kernel K(t) = M(T) M(t)^-1
 (Kdot = -K f_x, K(T) = I) is linear in K, so each backward RK4 step is a
 product with a propagator, K_j = K_{j+1} M_j, and
-``EndpointOracle._kernel_pass`` builds every M_j in one batch.  Simpson
+``EndpointOracle._propagators`` builds every M_j in one batch.  Simpson
 quadrature of K(t) f_u per segment gives the coordinate Jacobian.
 
 Second differentials are exact for systems that give f_xx, f_xu and f_uu:
@@ -282,6 +282,8 @@ def integrate(system, x0, u_values, horizon, substeps=8):
         raise ConfigurationError(
             "u_values must be (segments, control_dim) or "
             "(segments, control_dim, batch)")
+    if substeps < 1:
+        raise ConfigurationError(f"substeps must be >= 1, got {substeps}")
     segments = u_values.shape[0]
     fine = 2 * substeps
     h = horizon / segments / fine
@@ -363,22 +365,18 @@ class EndpointOracle(MapOracle):
             self._cache.move_to_end(key)
         return entry
 
-    def trajectory(self, u, substeps=None):
+    def trajectory(self, u):
         """(times, states) of the controlled flow on the fine grid."""
         u = self._domain_vec(u)
-        sub = self.substeps if substeps is None else int(substeps)
-        if sub == self.substeps:
-            entry = self._entry(u)
-            if "traj" not in entry:
-                times, states = integrate(self.system, self.x0,
-                                          self.grid.unpack(u),
-                                          self.grid.horizon, sub)
-                times.flags.writeable = False
-                states.flags.writeable = False
-                entry["traj"] = (times, states)
-            return entry["traj"]
-        return integrate(self.system, self.x0, self.grid.unpack(u),
-                         self.grid.horizon, sub)
+        entry = self._entry(u)
+        if "traj" not in entry:
+            times, states = integrate(self.system, self.x0,
+                                      self.grid.unpack(u), self.grid.horizon,
+                                      self.substeps)
+            times.flags.writeable = False
+            states.flags.writeable = False
+            entry["traj"] = (times, states)
+        return entry["traj"]
 
     # -- oracle contract ---------------------------------------------------
 
@@ -419,7 +417,11 @@ class EndpointOracle(MapOracle):
 
     def endpoint_refined(self, u, refine=4):
         """Terminal state re-integrated on a refine-times finer grid."""
-        _, states = self.trajectory(u, substeps=self.substeps * refine)
+        if refine < 1:
+            raise ConfigurationError(f"refine must be >= 1, got {refine}")
+        _, states = integrate(self.system, self.x0,
+                              self.grid.unpack(self._domain_vec(u)),
+                              self.grid.horizon, self.substeps * refine)
         return states[-1].copy()
 
     def jacobian(self, u):
@@ -478,11 +480,6 @@ class EndpointOracle(MapOracle):
                 knodes[seg, j] = kernel
         return knodes
 
-    def _kernel_pass(self, a):
-        """Backward RK4 pass of the kernel K (Kdot = -K a, K(T) = I) at
-        the coarse nodes, shape (P, substeps+1, n, n)."""
-        return self._backward_products(self._propagators(a))
-
     def _on_fine_grid(self, u):
         """Each segment's control at its fine-grid states, shape
         (P, 2*substeps+1, m)."""
@@ -494,7 +491,8 @@ class EndpointOracle(MapOracle):
         shared segment ends appear in both segments, each with its own
         control."""
         x, u = states[self._nodes], self._on_fine_grid(u)
-        knodes = self._kernel_pass(self.system.f_x(x, u))
+        knodes = self._backward_products(
+            self._propagators(self.system.f_x(x, u)))
         return knodes @ self.system.f_u(x[:, ::2], u[:, ::2])
 
     def _jacobian_from_states(self, u, states):
@@ -581,15 +579,6 @@ class EndpointOracle(MapOracle):
         bands = knodes[..., :n, n:] @ b[:, ::2] + knodes[..., :n, :n] @ db
         djac = np.einsum("j,pjam->apm", self._simpson, bands)
         return djac.reshape(n, self.dim_domain)
-
-    def kernel_nodes(self, u):
-        """Times and first-variation kernel B(t) = K(t) f_u on the
-        backward-pass nodes, for inspection and tests; each segment gives
-        its substeps+1 nodes, so inner segment ends appear twice."""
-        u = self._domain_vec(u)
-        times, states = self.trajectory(u)
-        bands = self._bands(u, states)
-        return times[self._nodes[:, ::2]].ravel(), np.concatenate(bands)
 
 
 def _block_dual(a, da):

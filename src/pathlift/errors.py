@@ -21,10 +21,6 @@ class SingularGramian(NumericalError):
         self.spectrum = spectrum
 
 
-class SimplicityLoss(NumericalError):
-    """Spectral gap too small to differentiate the least eigenvector."""
-
-
 class GapViolation(NumericalError):
     """The uniform lower bound on the eigenvalues above the least one failed,
     so the cross terms of the eigenvalue derivative are not stably defined."""

@@ -45,8 +45,8 @@ class SamplingPlan:
             raise ConfigurationError(
                 f"seed must be >= 0, got {self.seed}")
         radii = tuple(float(r) for r in self.radii)
-        if not radii or any(r <= 0 for r in radii):
-            raise ConfigurationError("radii must be positive")
+        if not radii or not all(0 < r < np.inf for r in radii):
+            raise ConfigurationError("radii must be positive and finite")
         if list(radii) != sorted(radii):
             raise ConfigurationError("radii must be increasing")
         if self.per_radius < 1 or self.z_samples < 1:
@@ -141,23 +141,20 @@ class HypothesisReport:
         w(f"skipped degenerate samples = {self.skipped_samples}, "
           f"singular samples = {self.singular_samples}\n\n")
         w("per-shell breakdown\n")
-        w("radius,samples,skipped,c_max,k_min,xi_margin_min,"
-          "inv_gramian_max,gap_margin_min,singular_found\n")
-        for sh in self.shells:
-            w(f"{sh.radius:.17g},{sh.samples},{sh.skipped},"
-              f"{sh.c_max:.17g},{sh.k_min:.17g},{sh.xi_margin_min:.17g},"
-              f"{sh.inv_gramian_max:.17g},{sh.gap_margin_min:.17g},"
-              f"{sh.singular_found}\n")
+        w(self.shells_csv())
         return out.getvalue()
 
-    def shell_rows(self):
-        header = ["radius", "samples", "skipped", "c_max", "k_min",
-                  "xi_margin_min", "inv_gramian_max", "gap_margin_min",
-                  "singular_found"]
-        rows = [[sh.radius, sh.samples, sh.skipped, sh.c_max, sh.k_min,
-                 sh.xi_margin_min, sh.inv_gramian_max, sh.gap_margin_min,
-                 sh.singular_found] for sh in self.shells]
-        return header, rows
+    def shells_csv(self):
+        """Per-shell table as CSV text, floats at 17 significant digits."""
+        out = ["radius,samples,skipped,c_max,k_min,xi_margin_min,"
+               "inv_gramian_max,gap_margin_min,singular_found\n"]
+        for sh in self.shells:
+            out.append(
+                f"{sh.radius:.17g},{sh.samples},{sh.skipped},"
+                f"{sh.c_max:.17g},{sh.k_min:.17g},{sh.xi_margin_min:.17g},"
+                f"{sh.inv_gramian_max:.17g},{sh.gap_margin_min:.17g},"
+                f"{sh.singular_found}\n")
+        return "".join(out)
 
 
 def _unit_domain(oracle, rng):
@@ -309,7 +306,6 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     hashed substream, so doubling the counts extends the sample set
     without disturbing earlier draws.
     """
-    n = oracle.dim_codomain
     shells = []
     c_est = 0.0
     k_est = np.inf
@@ -327,9 +323,7 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
         sh_gap = np.inf
         skipped = 0
         for k, (u, spec) in enumerate(samples[si]):
-            if n > 1:
-                sh_gap = min(sh_gap, float(np.min(spec.lambdas[1:]))
-                             - lambda0)
+            sh_gap = min(sh_gap, spec.floor - lambda0)
             sh_c = max(sh_c, estimate_bilinear_norm(
                 oracle, u, z_count=plan.z_samples, v_count=plan.z_samples,
                 seed=plan.seed + 104729 * si + 1299721 * k))

@@ -74,21 +74,6 @@ class PolylinePath(TargetPath):
         return (self.points[k + 1] - self.points[k]) * self.nseg
 
 
-class AnalyticPath(TargetPath):
-    """Wrap user callables for gamma and its derivative."""
-
-    def __init__(self, gamma, gamma_dot, dim):
-        self._gamma = gamma
-        self._gamma_dot = gamma_dot
-        self.dim = int(dim)
-
-    def gamma(self, s):
-        return np.asarray(self._gamma(s), dtype=float)
-
-    def gamma_dot(self, s):
-        return np.asarray(self._gamma_dot(s), dtype=float)
-
-
 def line_to_target(oracle, u0, target):
     """Default path: straight line from F(u0) to the target point."""
     start = oracle.eval(np.asarray(u0, dtype=float))

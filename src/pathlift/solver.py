@@ -305,9 +305,9 @@ class _Lift:
             self.status = STEP_UNDERFLOW
             self.message = "could not cross the singular threshold"
 
-    def run(self):
+    def run(self, spec0):
+        """Lift from the anchor, whose Gramian spectrum is ``spec0``."""
         opts = self.opts
-        spec0 = spectral_decompose(gramian(self.oracle, self.u))
         self._log(0.0, self.u, spec0, 0.0, "start")
         h = opts.ds_init
         steps = 0
@@ -392,11 +392,7 @@ class _Lift:
         norms = [self.oracle.norm(st.u) for st in trace]
         variation = float(np.sum(np.abs(np.diff(norms)))) if len(norms) > 1 \
             else 0.0
-        if n > 1:
-            lam0 = min(float(np.min(st.spectrum.lambdas[1:]))
-                       for st in trace)
-        else:
-            lam0 = np.inf
+        lam0 = min(st.spectrum.floor for st in trace)
         max_speed = self.path.max_speed()
         cbar = (n - 1) * max_speed / np.sqrt(lam0) if n > 1 else 0.0
         bound_max = -np.inf
@@ -432,7 +428,7 @@ def lift(oracle, path, u0, options=None):
     if spec0.singular:
         raise SingularStart(
             f"anchor is singular: lambda_1 = {spec0.lambdas[0]:.3e}")
-    return _Lift(oracle, path, u0, opts).run()
+    return _Lift(oracle, path, u0, opts).run(spec0)
 
 
 # -- finite differences along the integrated lift --------------------------

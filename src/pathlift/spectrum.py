@@ -9,15 +9,14 @@ and the blowup indicator g = a1 / sqrt(lambda_1).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapViolation, NumericalError, SimplicityLoss
+from .errors import GapViolation, NumericalError
 
-# Relative thresholds: singular-set surrogate and simplicity of lambda_1.
+# Relative thresholds: singular-set surrogate and tied upper eigenvalues.
 LAMBDA_SING_REL = 1e-10
-GAP_TOL_REL = 1e-8
 DEGENERACY_REL = 1e-12
 
 
@@ -27,7 +26,6 @@ class GramianSpectrum:
 
     lambdas: np.ndarray
     vectors: np.ndarray  # column i is z_i
-    gap: float
 
     @property
     def n(self):
@@ -41,15 +39,11 @@ class GramianSpectrum:
     def singular(self):
         return bool(self.lambdas[0] < self.lambda_sing)
 
-
-@dataclass
-class GapReport:
-    """Result of checking the uniform eigenvalue floor above lambda_1."""
-
-    passed: bool
-    margin: float            # min_{i>=2} lambda_i - lambda0 (inf when n = 1)
-    simplicity_margin: float  # lambda_2 - lambda_1 (inf when n = 1)
-    failing_index: int | None = None
+    @property
+    def floor(self):
+        """min_{i>=2} lambda_i, which the uniform eigenvalue bound lambda0
+        must not exceed (lambda_1 is exempt); inf when n = 1."""
+        return float(np.min(self.lambdas[1:])) if self.n > 1 else np.inf
 
 
 @dataclass
@@ -67,7 +61,6 @@ class SpectralDiagnostics:
     g: float
     dlambda1_ds: float
     singular_flag: bool
-    v1: np.ndarray | None = field(default=None, repr=False)
 
 
 def gramian(oracle, u):
@@ -106,23 +99,7 @@ def spectral_decompose(grammat, prev=None):
         warnings.warn("degenerate eigenvalues above lambda_1; eigenbasis "
                       "choice is arbitrary there", RuntimeWarning,
                       stacklevel=2)
-    gap = float(lambdas[1] - lambdas[0]) if len(lambdas) > 1 else np.inf
-    return GramianSpectrum(lambdas=lambdas, vectors=vectors, gap=gap)
-
-
-def gap_check(spec, lambda0):
-    """Check lambda_i >= lambda0 for all i >= 2 (lambda_1 is exempt)."""
-    if lambda0 <= 0:
-        raise ValueError("lambda0 must be positive")
-    if spec.n == 1:
-        return GapReport(passed=True, margin=np.inf, simplicity_margin=np.inf)
-    upper = spec.lambdas[1:]
-    margins = upper - lambda0
-    worst = int(np.argmin(margins))
-    passed = bool(margins[worst] >= 0.0)
-    return GapReport(passed=passed, margin=float(margins[worst]),
-                     simplicity_margin=float(spec.gap),
-                     failing_index=None if passed else worst + 2)
+    return GramianSpectrum(lambdas=lambdas, vectors=vectors)
 
 
 def coefficients(gamma_dot, spec):
@@ -162,45 +139,4 @@ def diagnostics(oracle, u, spec, gamma_dot):
     g = float(a[0] / np.sqrt(lam[0]))
     dlam = 2.0 * a[0] * h + 2.0 * f * np.sqrt(lam[0])
     return SpectralDiagnostics(a=a, h=h, f=f, g=g, dlambda1_ds=float(dlam),
-                               singular_flag=False, v1=v1)
-
-
-def gramian_derivative_action(oracle, u, v, z):
-    """Vector dG|_u(v) z, the Gramian differential along a domain direction.
-
-    With G = J W^-1 J^T and dJ the oracle's ``jacobian_derivative`` along
-    v, this is ``dJ W^-1 J^T z + J W^-1 dJ^T z``: one Jacobian and one
-    Jacobian derivative, exact whenever the oracle's derivative is.
-    """
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
-    jac = oracle.jacobian(u)
-    djac = oracle.jacobian_derivative(u, np.asarray(v, dtype=float))
-    w = oracle.weights
-    return djac @ ((jac.T @ z) / w) + jac @ ((djac.T @ z) / w)
-
-
-def z1_derivative(oracle, u, spec, gamma_dot):
-    """Derivative of the least eigenvector along the lift.
-
-    Applies the reduced resolvent (G - lambda_1 I) inverted on the
-    orthogonal complement of z_1 to the Gramian differential along the
-    lift direction; the result is orthogonal to z_1.
-    """
-    u = np.asarray(u, dtype=float)
-    lam = spec.lambdas
-    if spec.n == 1:
-        return np.zeros(1)
-    gap_tol = GAP_TOL_REL * max(1.0, float(lam[-1]))
-    if spec.gap < gap_tol:
-        raise SimplicityLoss(
-            f"spectral gap {spec.gap:.3e} below tolerance {gap_tol:.3e}")
-    # lift direction dF^* G^-1 gamma_dot through the eigenbasis
-    coeff = spec.vectors @ (coefficients(gamma_dot, spec) / lam)
-    udot = oracle.apply_adjoint(u, coeff)
-    dgz1 = gramian_derivative_action(oracle, u, udot, spec.vectors[:, 0])
-    out = np.zeros(spec.n)
-    for i in range(1, spec.n):
-        zi = spec.vectors[:, i]
-        out += zi * (np.dot(zi, dgz1) / (lam[i] - lam[0]))
-    return out
+                               singular_flag=False)

@@ -114,6 +114,28 @@ def test_parse_config_error_names_the_same_key_under_any_hash_seed():
         assert out.strip() == "solver.ds_min must be positive", (seed, out)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("solver", "ds_init", "nan", "expected a finite number"),
+    ("solver", "tol_ode", "nan", "expected a finite number"),
+    ("solver", "tol_ode_abs", "inf", "expected a finite number"),
+    ("check", "lambda0", "nan", "expected a finite number"),
+    ("check", "radii", "1, nan, 4", "expected a list of finite numbers"),
+    ("problem", "weights", "1, -inf", "expected a list of finite numbers"),
+    ("problem", "matrix", "1 0; 0 inf", "expected a list of finite numbers"),
+    ("solver", "max_steps", "-3", "must be >= 1"),
+    ("solver", "max_steps", "0", "must be >= 1"),
+], ids=["ds_init-nan", "tol_ode-nan", "tol_ode_abs-inf", "lambda0-nan",
+        "radii-nan", "weights-inf", "matrix-inf", "max_steps-negative",
+        "max_steps-zero"])
+def test_parse_config_rejects_non_finite_and_empty_budget(section, key,
+                                                          value, message):
+    text = (SPHERE_LIFT + "\n[solver]\n[check]\n").replace(
+        f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigurationError,
+                       match=f"^{section}.{key}:? {message}"):
+        cli.parse_config(text)
+
+
 def test_parse_config_rejects_diverging_xi_violation():
     with pytest.raises(ConfigurationError, match="p <= 1"):
         cli.parse_config(SPHERE_CHECK.replace("xi_p = 1.0", "xi_p = 1.5"))
@@ -281,7 +303,12 @@ def test_numerical_failure_exits_6_without_traceback(tmp_path, capsys,
     ("radii = 1, 2, 4", "radii = 1, 2, 4\nper_radius = 0",
      "per_radius and z_samples must be >= 1"),
     ("radii = 1, 2, 4", "radii = 2, 1", "radii must be increasing"),
-], ids=["int-parse", "per-radius-zero", "radii-decreasing"])
+    ("radii = 1, 2, 4", "radii = 1, nan, 4",
+     "check.radii: expected a list of finite numbers, got '1, nan, 4'"),
+    ("xi_c = 1.0", "xi_c = 1.0\nlambda0 = nan",
+     "check.lambda0: expected a finite number, got 'nan'"),
+], ids=["int-parse", "per-radius-zero", "radii-decreasing", "radii-nan",
+        "lambda0-nan"])
 def test_bad_config_value_exits_1_without_traceback(tmp_path, old, new,
                                                     message):
     config = _cfg(tmp_path, SPHERE_CHECK.replace(old, new))

@@ -96,13 +96,11 @@ def test_brockett_second_variation_closed_form():
 def test_kernel_nodes_shapes_and_terminal_value():
     ep = pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0], 1.0, 3)
     u = 0.3 * np.ones(ep.dim_domain)
-    times, bands = ep.kernel_nodes(u)
-    assert times[0] == pytest.approx(0.0)
-    assert times[-1] == pytest.approx(1.0)
-    assert bands.shape[1:] == (3, 2)
-    # K(T) = I, so the terminal band is f_u at the endpoint
     _, states = ep.trajectory(u)
-    np.testing.assert_allclose(bands[-1],
+    bands = ep._bands(u, states)
+    assert bands.shape == (3, ep.substeps + 1, 3, 2)
+    # K(T) = I, so the terminal band is f_u at the endpoint
+    np.testing.assert_allclose(bands[-1, -1],
                                ep.system.f_u(states[-1], u[-2:]),
                                atol=1e-12)
 
@@ -385,9 +383,9 @@ def test_simpson_over_kernel_nodes_reproduces_jacobian(data):
     ep = pl.endpoint_problem(name, x0, 1.0, segments, system_params=params)
     u = data.draw(arrays(float, ep.dim_domain,
                          elements=st.floats(-2.0, 2.0)), label="u")
-    times, bands = ep.kernel_nodes(u)
+    bands = np.concatenate(ep._bands(u, ep.trajectory(u)[1]))
     nodes = ep.substeps + 1
-    assert bands.shape[0] == times.shape[0] == segments * nodes
+    assert bands.shape[0] == segments * nodes
     sw = np.ones(nodes)
     sw[1:-1:2] = 4.0
     sw[2:-1:2] = 2.0
@@ -462,6 +460,16 @@ def test_constructor_validation():
         pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 2, substeps=3)
     with pytest.raises(ConfigurationError):
         pl.ControlGrid(horizon=-1.0, segments=2, control_dim=1)
+
+
+def test_refinement_must_be_at_least_one():
+    ep = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 2)
+    u = np.ones(ep.dim_domain)
+    for refine in (0, -1):
+        with pytest.raises(ConfigurationError, match="refine must be >= 1"):
+            ep.endpoint_refined(u, refine=refine)
+    with pytest.raises(ConfigurationError, match="substeps must be >= 1"):
+        pl.integrate(ep.system, ep.x0, ep.grid.unpack(u), 1.0, substeps=0)
 
 
 def test_endpoint_lift_plans_single_integrator():

@@ -23,6 +23,9 @@ def test_sampling_plan_validation():
         pl.SamplingPlan(radii=(1.0,), per_radius=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         pl.SamplingPlan(radii=(1.0,), seed=-3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pl.SamplingPlan(radii=(1.0, bad))
 
 
 def test_power_law_xi():
@@ -188,8 +191,11 @@ def test_report_text_and_rows():
     assert "C_est" in text and "K_est" in text
     assert "seed = 0" in text
     assert "sample" in text  # never claims more than the sample shows
-    header, rows = rep.shell_rows()
-    assert len(rows) == 2 and len(rows[0]) == len(header)
+    table = rep.shells_csv()
+    assert text.endswith("per-shell breakdown\n" + table)
+    header, *rows = table.splitlines()
+    assert len(rows) == 2
+    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
 
 
 def test_gramian_inverse_growth_flags_singular_samples():

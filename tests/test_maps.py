@@ -234,11 +234,12 @@ def test_line_to_target_starts_at_image():
     np.testing.assert_allclose(p.gamma(1.0), [0.5])
 
 
-def test_analytic_path_wraps_callables():
-    p = pl.AnalyticPath(lambda s: [np.sin(s)], lambda s: [np.cos(s)],
-                        dim=1)
-    assert p.gamma(0.2)[0] == pytest.approx(np.sin(0.2))
-    assert p.gamma_dot(0.2)[0] == pytest.approx(np.cos(0.2))
+def test_public_names_resolve():
+    for name in pl.__all__:
+        assert hasattr(pl, name), name
+    for gone in ("AnalyticPath", "GapReport", "SimplicityLoss", "gap_check",
+                 "gramian_derivative_action", "z1_derivative"):
+        assert gone not in pl.__all__ and not hasattr(pl, gone), gone
 
 
 # -- oracle identity suite -------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pathlift as pl
+from pathlift import solver
 from pathlift.errors import BadAnchor, SingularStart
 
 
@@ -115,6 +116,27 @@ def test_velocity_bound_holds_on_trace():
     o, path, u0 = _sphere_problem(dim=4, seed=6)
     rep = pl.lift(o, path, u0)
     assert rep.bound_check_max <= 1e-8
+
+
+def test_lift_decomposes_the_anchor_gramian_once(monkeypatch):
+    o, path, u0 = _sphere_problem(3)
+    decompositions = []
+    before_first_rhs = []
+    real_decompose, real_rhs = solver.spectral_decompose, solver.ple_rhs
+
+    def decompose(grammat, prev=None):
+        decompositions.append(grammat)
+        return real_decompose(grammat, prev=prev)
+
+    def rhs(*args):
+        before_first_rhs.append(len(decompositions))
+        return real_rhs(*args)
+
+    monkeypatch.setattr(solver, "spectral_decompose", decompose)
+    monkeypatch.setattr(solver, "ple_rhs", rhs)
+    pl.lift(o, path, u0)
+    assert before_first_rhs[0] == 1
+    np.testing.assert_array_equal(decompositions[0], pl.gramian(o, u0))
 
 
 def test_polyline_knot_restarts():
