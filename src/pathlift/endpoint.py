@@ -200,8 +200,8 @@ class ControlGrid:
     control_dim: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ConfigurationError("horizon must be positive and finite")
         if self.segments < 1:
             raise ConfigurationError("segments must be >= 1")
 

@@ -43,4 +43,5 @@ class SingularStart(ConfigurationError):
 
 
 class InvalidXi(ConfigurationError):
-    """Power-law weight with p > 1: the divergence requirement fails."""
+    """Power-law weight whose c is not positive and finite, or whose p is
+    not a finite p <= 1, so the divergence requirement fails."""

@@ -63,12 +63,12 @@ class PowerLawXi:
     p: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidXi("xi coefficient c must be positive")
-        if self.p > 1.0:
+        if not 0 < self.c < np.inf:
+            raise InvalidXi("xi coefficient c must be positive and finite")
+        if not -np.inf < self.p <= 1.0:
             raise InvalidXi(
-                f"xi exponent p = {self.p} > 1: the reciprocal integral "
-                "converges, the growth hypothesis is vacuous")
+                f"xi exponent p = {self.p}: the reciprocal integral of xi "
+                "must diverge, which requires a finite p <= 1")
 
     def __call__(self, s):
         return self.c * s ** self.p
@@ -306,6 +306,9 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     hashed substream, so doubling the counts extends the sample set
     without disturbing earlier draws.
     """
+    if not 0 < lambda0 < np.inf:
+        raise ConfigurationError(
+            f"lambda0 must be positive and finite, got {lambda0}")
     shells = []
     c_est = 0.0
     k_est = np.inf

@@ -53,8 +53,9 @@ class MapOracle:
         if weights.shape != (dim_domain,):
             raise ConfigurationError(
                 f"weights must have length {dim_domain}, got {weights.shape}")
-        if not np.all(weights > 0):
-            raise ConfigurationError("weights must be strictly positive")
+        if not np.all((weights > 0) & (weights < np.inf)):
+            raise ConfigurationError(
+                "weights must be strictly positive and finite")
         self.dim_domain = dim_domain
         self.dim_codomain = dim_codomain
         weights.flags.writeable = False

@@ -12,12 +12,12 @@ of the quantities the solver's termination analysis is built on.
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (BadAnchor, NumericalError, SingularGramian,
-                     SingularStart)
+from .errors import (BadAnchor, ConfigurationError, NumericalError,
+                     SingularGramian, SingularStart)
 from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
                        gramian, spectral_decompose)
 
@@ -31,7 +31,7 @@ STEP_UNDERFLOW = "StepUnderflow"
 DIVERGED = "Diverged"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     ds_init: float = 1e-2
     ds_min: float = 1e-12
@@ -43,6 +43,15 @@ class SolverOptions:
     correction: bool = True
     terminal_window: float = 1e-3
     max_steps: int = 200_000
+
+    def __post_init__(self):
+        # every float option is a step size, tolerance or window; checked
+        # in declaration order, so an error names the same field every run
+        for f in fields(self):
+            if f.type is float and not 0 < getattr(self, f.name) < np.inf:
+                raise ConfigurationError(f"solver.{f.name} must be positive")
+        if self.max_steps < 1:
+            raise ConfigurationError("solver.max_steps must be >= 1")
 
 
 @dataclass
@@ -156,17 +165,18 @@ def gauss_newton_correct(oracle, u, target, tol_residual, max_iter=10):
     least-norm update dF^* G^-1 (target - F(u)).
     """
     u = np.asarray(u, dtype=float)
-    res = float(np.linalg.norm(oracle.eval(u) - target))
+    r = target - oracle.eval(u)
+    res = float(np.linalg.norm(r))
     for _ in range(max_iter):
         if res <= tol_residual:
             return u, res, True
         spec = spectral_decompose(gramian(oracle, u))
-        r = target - oracle.eval(u)
         u_try = u + _rhs_from_spectrum(oracle, u, r, spec, clamp=True)
-        res_try = float(np.linalg.norm(oracle.eval(u_try) - target))
+        r_try = target - oracle.eval(u_try)
+        res_try = float(np.linalg.norm(r_try))
         if not np.isfinite(res_try) or res_try >= res:
             break
-        u, res = u_try, res_try
+        u, r, res = u_try, r_try, res_try
     return u, res, res <= tol_residual
 
 
@@ -366,6 +376,18 @@ class _Lift:
                 # finished barely above the singular threshold; resolve by
                 # contracting toward the target at fixed s
                 self._approach_singularity(opts.ds_min, require=False)
+        if self.status is None and self.s < 1.0 - 1e-15:
+            # stopped less than ds_min short of the end: reached only if
+            # the state already maps onto gamma(1)
+            res_end = float(np.linalg.norm(
+                self.oracle.eval(self.u) - self.path.gamma(1.0)))
+            if res_end <= opts.tol_residual:
+                self.status = REACHED
+            else:
+                self.status = STEP_UNDERFLOW
+                self.message = (f"stopped at s = {self.s:.6g}, less than "
+                                f"ds_min short of s = 1 (residual "
+                                f"{res_end:.3e} to gamma(1))")
         if self.status is None:
             final = self.trace[-1]
             if final.residual <= opts.tol_residual:

@@ -63,7 +63,7 @@ def _cfg(tmp_path, text, name="run.ini"):
 def test_parse_config_defaults():
     cfg = cli.parse_config(SPHERE_LIFT)
     assert cfg["problem"]["kind"] == "builtin-map"
-    assert cfg["solver"]["tol_ode"] == 1e-8
+    assert cfg["solver"].tol_ode == 1e-8
     assert cfg["path"]["kind"] == "line"
     np.testing.assert_allclose(cfg["problem"]["u0"], [1.0, 0.0])
 
@@ -175,6 +175,17 @@ def test_lift_reached_exit_0(tmp_path):
     # floats are emitted at 17 significant digits and round-trip
     s_vals = [float(r.split(",")[0]) for r in rows[1:]]
     assert s_vals[0] == 0.0 and s_vals[-1] == 1.0
+
+
+def test_lift_stopped_short_of_the_end_exits_3(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["lift", "--config",
+                     _cfg(tmp_path, FOLD_LIFT + "\n[solver]\nds_min = 2\n"),
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_OTHER_TERMINATION == 3
+    report = (out / "report.txt").read_text()
+    assert "status = StepUnderflow" in report
+    assert "message = stopped at s = 0," in report
 
 
 def test_lift_bad_anchor_exit_1_writes_nothing(tmp_path):

@@ -462,6 +462,16 @@ def test_constructor_validation():
         pl.ControlGrid(horizon=-1.0, segments=2, control_dim=1)
 
 
+@pytest.mark.parametrize("horizon", [np.nan, np.inf])
+def test_control_grid_rejects_non_finite_horizon(horizon):
+    with pytest.raises(ConfigurationError,
+                       match="horizon must be positive and finite"):
+        pl.ControlGrid(horizon=horizon, segments=2, control_dim=1)
+    with pytest.raises(ConfigurationError,
+                       match="horizon must be positive and finite"):
+        pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], horizon, 2)
+
+
 def test_refinement_must_be_at_least_one():
     ep = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 2)
     u = np.ones(ep.dim_domain)

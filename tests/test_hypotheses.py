@@ -5,7 +5,7 @@ import pytest
 
 import pathlift as pl
 from pathlift import hypotheses as hyp
-from pathlift.errors import InvalidXi
+from pathlift.errors import ConfigurationError, InvalidXi
 
 
 def _plan(**kw):
@@ -35,6 +35,20 @@ def test_power_law_xi():
         pl.PowerLawXi(c=2.0, p=1.5)
     with pytest.raises(InvalidXi):
         pl.PowerLawXi(c=-1.0, p=1.0)
+
+
+@pytest.mark.parametrize("c, p", [(np.nan, 1.0), (np.inf, 1.0),
+                                  (1.0, np.nan), (1.0, -np.inf)])
+def test_power_law_xi_rejects_non_finite(c, p):
+    with pytest.raises(InvalidXi):
+        pl.PowerLawXi(c=c, p=p)
+
+
+@pytest.mark.parametrize("lambda0", [-1.0, 0.0, np.nan, np.inf])
+def test_check_report_rejects_bad_eigenvalue_floor(lambda0):
+    with pytest.raises(ConfigurationError,
+                       match="lambda0 must be positive and finite"):
+        pl.check_report(pl.FoldMap(), _plan(radii=(1.0,)), lambda0=lambda0)
 
 
 def test_sphere_estimates_are_exact():

@@ -95,6 +95,13 @@ def test_map_oracle_does_not_alias_its_weights():
         o.weights[0] = 9
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+def test_map_oracle_rejects_non_positive_or_non_finite_weights(bad):
+    with pytest.raises(ConfigurationError,
+                       match="weights must be strictly positive and finite"):
+        pl.SphereMap(2, weights=[1.0, bad])
+
+
 def test_fd_second_matches_analytic():
     rng = np.random.default_rng(5)
     o = pl.SphereMap(3)

@@ -1,11 +1,13 @@
 """Continuation solver: exactness, singular termination, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pathlift as pl
 from pathlift import solver
-from pathlift.errors import BadAnchor, SingularStart
+from pathlift.errors import BadAnchor, ConfigurationError, SingularStart
 
 
 def _sphere_problem(dim=2, seed=0):
@@ -163,6 +165,43 @@ def test_correction_disabled_still_reaches():
     rep = pl.lift(o, pl.line_to_target(o, u0, target), u0, opts)
     assert rep.status == pl.REACHED
     np.testing.assert_allclose(o.eval(rep.final_u), target, atol=1e-5)
+
+
+_FLOAT_OPTIONS = [f.name for f in dataclasses.fields(pl.SolverOptions)
+                  if f.type is float]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", _FLOAT_OPTIONS)
+def test_solver_options_reject_non_positive_or_non_finite(name, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"^solver.{name} must be positive$"):
+        pl.SolverOptions(**{name: value})
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_solver_options_reject_empty_step_budget(max_steps):
+    with pytest.raises(ConfigurationError,
+                       match="^solver.max_steps must be >= 1$"):
+        pl.SolverOptions(max_steps=max_steps)
+
+
+def test_solver_options_cannot_be_changed_past_their_checks():
+    opts = pl.SolverOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.tol_ode = float("nan")
+
+
+def test_stop_short_of_the_end_is_not_reached():
+    # ds_min above the whole interval: the loop stops at s = 0, which is
+    # not gamma(1), so the run must not report Reached
+    o = pl.FoldMap()
+    u0 = np.array([0.1, 0.0])
+    path = pl.line_to_target(o, u0, [0.16, 0.5])
+    rep = pl.lift(o, path, u0, pl.SolverOptions(ds_min=2.0))
+    assert rep.status == pl.STEP_UNDERFLOW
+    assert "stopped at s = 0" in rep.message
+    assert len(rep.trace) == 1
 
 
 @pytest.mark.parametrize("seed", [[303, 119], [307, 85]])
