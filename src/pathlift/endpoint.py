@@ -19,12 +19,13 @@ quadrature of K(t) f_u per segment gives the coordinate Jacobian.
 
 Second differentials are exact for systems that give f_xx, f_xu and f_uu:
 ``EndpointOracle.jacobian_derivative`` differentiates that quadrature
-along v on the cached trajectory.  A forward pass of the tangent y_v
-(ydot = f_x y + f_u v) steps with the same M_j; the kernel derivative dK
-comes from one backward pass of the block propagators
-[[M_j, dM_j], [0, M_j]], dM_j the derivative of M_j along
-dA = f_xx[y_v] + f_xu[v].  A system without the second partials keeps
-the base-class central finite difference.
+along v on the cached trajectory.  Every linear flow there steps with
+``_propagators`` of a block matrix: the tangent y_v (ydot = f_x y + f_u v)
+with those of [[f_x, f_u v], [0, 0]] on (y_v, 1), the kernel derivative
+dK with [[M_j, dM_j], [0, M_j]], those of [[f_x, dA], [0, f_x]] for
+dA = f_xx[y_v] + f_xu[v] (the block-triangular identity for Frechet
+derivatives).  A system without the second partials keeps the
+base-class central finite difference.
 """
 
 from collections import OrderedDict
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, TrajectoryBlowup
+from .errors import ConfigurationError, TrajectoryBlowup, finite
 from .maps import MapOracle
 
 BLOWUP_NORM = 1e8
@@ -95,8 +96,8 @@ def single_integrator(dim=1):
 
 
 def lti(A, B):
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A = finite(A, "lti matrix A")
+    B = finite(B, "lti matrix B")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigurationError("A must be square")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
@@ -329,7 +330,7 @@ class EndpointOracle(MapOracle):
         if grid.control_dim != system.control_dim:
             raise ConfigurationError(
                 "grid control_dim does not match the system")
-        x0 = np.asarray(x0, dtype=float)
+        x0 = finite(x0, "x0")
         if x0.shape != (system.state_dim,):
             raise ConfigurationError(
                 f"x0 must have length {system.state_dim}")
@@ -438,12 +439,14 @@ class EndpointOracle(MapOracle):
     def _propagators(self, a):
         """Step propagators of the linear flow with matrix ``a``.
 
-        ``a`` (P, 2*substeps+1, n, n) holds each segment's matrix on the
+        ``a`` (P, 2*substeps+1, k, k) holds each segment's matrix on the
         fine grid; a step spans two fine intervals.  Returns M_j, shape
-        (P, substeps, n, n): M_j = I + h/6 (A_e + 2 B2 + 2 B3 + B4) with
+        (P, substeps, k, k): M_j = I + h/6 (A_e + 2 B2 + 2 B3 + B4) with
         B2 = (I + h/2 A_e) A_m, B3 = (I + h/2 B2) A_m, B4 = (I + h B3) A_s.
         K_j = K_{j+1} M_j is a backward RK4 step of Kdot = -K a, and the
         same polynomial, expanded, is the forward RK4 step of ydot = a y.
+        Fed [[a, c], [0, d]] (:func:`_block`) it steps the coupled flow:
+        every linear flow in this module takes its RK4 step from here.
         """
         h = self.grid.dt / self.substeps
         a_s, a_m, a_e = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
@@ -452,20 +455,6 @@ class EndpointOracle(MapOracle):
         b3 = (eye + 0.5 * h * b2) @ a_m
         b4 = (eye + h * b3) @ a_s
         return eye + (h / 6.0) * (a_e + 2 * b2 + 2 * b3 + b4)
-
-    def _propagator_derivatives(self, a, da):
-        """dM_j, the derivative of :meth:`_propagators` along ``da``."""
-        h = self.grid.dt / self.substeps
-        a_s, a_m, a_e = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
-        d_s, d_m, d_e = da[:, 0:-1:2], da[:, 1::2], da[:, 2::2]
-        eye = np.eye(a.shape[-1])
-        c2 = eye + 0.5 * h * a_e
-        b2 = c2 @ a_m
-        c3 = eye + 0.5 * h * b2
-        db2 = (0.5 * h) * d_e @ a_m + c2 @ d_m
-        db3 = (0.5 * h) * db2 @ a_m + c3 @ d_m
-        db4 = h * db3 @ a_s + (eye + h * (c3 @ a_m)) @ d_s
-        return (h / 6.0) * (d_e + 2 * db2 + 2 * db3 + db4)
 
     def _backward_products(self, props):
         """K at the coarse nodes from K_j = K_{j+1} M_j, K(T) = I, shape
@@ -500,39 +489,31 @@ class EndpointOracle(MapOracle):
         jac = np.einsum("j,pjam->apm", self._simpson, self._bands(u, states))
         return jac.reshape(self.dim_codomain, self.dim_domain)
 
-    def _tangent(self, props, a, b):
+    def _tangent(self, a, b):
         """Tangent y (ydot = a y + b, y(0) = 0) on the fine grid.
 
         ``a`` (P, 2*substeps+1, n, n) and ``b`` (P, 2*substeps+1, n) are
-        f_x and f_u v on the fine grid, ``props`` their step propagators.
-        A forward RK4 step is y_{j+1} = M_j y_j + c_j, c_j its response
-        from y_j = 0.  Every segment's running products and its response
-        from rest are formed for all segments at once, then chained across
-        segments.  A cubic Hermite interpolant through the two ends of each
-        step, with slopes a y + b, gives the midpoint.
+        f_x and f_u v on the fine grid.  The affine flow is the linear flow
+        of [[a, b], [0, 0]] acting on (y, 1), so its step propagators are
+        [[M_j, c_j], [0, 1]]: a forward RK4 step is y_{j+1} = M_j y_j + c_j,
+        c_j its response from y_j = 0.  Every segment's running products
+        are formed for all segments at once, then chained across segments.
+        A cubic Hermite interpolant through the two ends of each step, with
+        slopes a y + b, gives the midpoint.
         """
         h = self.grid.dt / self.substeps
-        a_m, a_e = a[:, 1::2], a[:, 2::2]
-        b_s, b_m, b_e = b[:, 0:-1:2], b[:, 1::2], b[:, 2::2]
-        k2 = b_m + (0.5 * h) * np.einsum("...ab,...b->...a", a_m, b_s)
-        k3 = b_m + (0.5 * h) * np.einsum("...ab,...b->...a", a_m, k2)
-        k4 = b_e + h * np.einsum("...ab,...b->...a", a_e, k3)
-        c = (h / 6.0) * (b_s + 2 * k2 + 2 * k3 + k4)
-        flows = np.empty((self.grid.segments, self.substeps + 1)
-                         + props.shape[-2:])
-        rest = np.empty(b[:, ::2].shape)
-        flows[:, 0] = np.eye(props.shape[-1])
-        rest[:, 0] = 0.0
+        segments, n = self.grid.segments, b.shape[-1]
+        props = self._propagators(_block(a, b[..., None], np.zeros((1, 1))))
+        flows = np.empty((segments, self.substeps + 1, n + 1, n + 1))
+        flows[:, 0] = np.eye(n + 1)
         for j in range(self.substeps):
             flows[:, j + 1] = props[:, j] @ flows[:, j]
-            rest[:, j + 1] = np.einsum("pab,pb->pa", props[:, j],
-                                       rest[:, j]) + c[:, j]
-        starts = np.empty(b.shape[:1] + b.shape[2:])
-        state = np.zeros(b.shape[-1])
-        for seg in range(self.grid.segments):
+        starts = np.empty((segments, n + 1))
+        state = np.r_[np.zeros(n), 1.0]
+        for seg in range(segments):
             starts[seg] = state
-            state = flows[seg, -1] @ state + rest[seg, -1]
-        ends = np.einsum("pjab,pb->pja", flows, starts) + rest
+            state = flows[seg, -1] @ state
+        ends = np.einsum("pjab,pb->pja", flows[..., :n, :], starts)
         slope = np.einsum("...ab,...b->...a", a[:, ::2], ends) + b[:, ::2]
         y = np.empty(b.shape)
         y[:, ::2] = ends
@@ -547,10 +528,11 @@ class EndpointOracle(MapOracle):
         The state's variation is the tangent y_v of :meth:`_tangent`, so
         this matches the derivative of the computed Jacobian to O(h^4),
         h the kernel pass's step.  The kernel derivative dK solves
-        dKdot = -dK f_x - K dA, dK(T) = 0, dA = f_xx[y_v] + f_xu[v]: one
-        backward pass of the block propagators [[M_j, dM_j], [0, M_j]],
-        dM_j the derivative of M_j along dA, yields [[K, dK], [0, K]] at
-        every node.  Then dJ(v) = sum Simpson (dK f_u + K dB),
+        dKdot = -dK f_x - K dA, dK(T) = 0, dA = f_xx[y_v] + f_xu[v]:
+        :meth:`_propagators` of [[f_x, dA], [0, f_x]] gives the block
+        propagators [[M_j, dM_j], [0, M_j]], dM_j the derivative of M_j
+        along dA, and one backward pass of them yields [[K, dK], [0, K]]
+        at every node.  Then dJ(v) = sum Simpson (dK f_u + K dB),
         dB = f_xu[y_v] + f_uu[v] contracting f_xu's state index.  Systems
         without the second partials use the base-class finite difference.
         """
@@ -564,8 +546,7 @@ class EndpointOracle(MapOracle):
                      self._on_fine_grid(v))
         a = system.f_x(x, uu)
         b = system.f_u(x, uu)
-        props = self._propagators(a)
-        y = self._tangent(props, a, np.einsum("...ik,...k->...i", b, vv))
+        y = self._tangent(a, np.einsum("...ik,...k->...i", b, vv))
         f_xu = system.f_xu(x, uu)
         da = (np.einsum("...iab,...b->...ia", system.f_xx(x, uu), y)
               + np.einsum("...iak,...k->...ia", f_xu, vv))
@@ -573,21 +554,23 @@ class EndpointOracle(MapOracle):
               + np.einsum("...ikl,...l->...ik",
                           system.f_uu(x[:, ::2], uu[:, ::2]), vv[:, ::2]))
         del f_xu  # the largest array here; free it before the block pass
-        knodes = self._backward_products(
-            _block_dual(props, self._propagator_derivatives(a, da)))
+        knodes = self._backward_products(self._propagators(_block(a, da, a)))
         n = self.dim_codomain
         bands = knodes[..., :n, n:] @ b[:, ::2] + knodes[..., :n, :n] @ db
         djac = np.einsum("j,pjam->apm", self._simpson, bands)
         return djac.reshape(n, self.dim_domain)
 
 
-def _block_dual(a, da):
-    """Block matrices [[a, da], [0, a]]: a product of them carries the
-    derivative of the product of the a's in its upper right block."""
-    n = a.shape[-1]
-    out = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = out[..., n:, n:] = a
-    out[..., :n, n:] = da
+def _block(a, c, d):
+    """Block matrices [[a, c], [0, d]] over the leading axes.  A polynomial
+    in [[a, da], [0, a]]'s carries its derivative along da in the upper
+    right block; [[a, b], [0, 0]], b (n, 1), is the matrix of the affine
+    flow ydot = a y + b acting on (y, 1)."""
+    n, k = c.shape[-2:]
+    out = np.zeros(c.shape[:-2] + (n + k, n + k))
+    out[..., :n, :n] = a
+    out[..., :n, n:] = c
+    out[..., n:, n:] = d
     return out
 
 

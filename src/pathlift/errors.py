@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+that input rules raise them from."""
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -45,3 +48,11 @@ class SingularStart(ConfigurationError):
 class InvalidXi(ConfigurationError):
     """Power-law weight whose c is not positive and finite, or whose p is
     not a finite p <= 1, so the divergence requirement fails."""
+
+
+def finite(values, what, error=ConfigurationError):
+    """``values`` as a new float array; ``error`` unless all are finite."""
+    out = np.array(values, dtype=float)
+    if not np.isfinite(out).all():
+        raise error(f"{what} must be finite")
+    return out

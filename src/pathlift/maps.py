@@ -11,7 +11,7 @@ import inspect
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, finite
 
 # Central finite-difference step scales, relative to 1 + ||u||_X.
 FIRST_FD_SCALE = 1e-5
@@ -179,7 +179,7 @@ class LinearMap(MapOracle):
     has_analytic_second = True
 
     def __init__(self, matrix, weights=None):
-        matrix = np.array(matrix, dtype=float)   # private read-only copy
+        matrix = finite(matrix, "linear map matrix")  # private read-only copy
         if matrix.ndim != 2:
             raise ConfigurationError("linear map needs a 2-d matrix")
         n, big_n = matrix.shape

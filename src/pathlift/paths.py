@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, finite
 
 
 class TargetPath:
@@ -30,8 +30,8 @@ class LinePath(TargetPath):
     """Straight segment from start to end."""
 
     def __init__(self, start, end):
-        self.start = np.asarray(start, dtype=float)
-        self.end = np.asarray(end, dtype=float)
+        self.start = finite(start, "line start")
+        self.end = finite(end, "line end")
         if self.start.shape != self.end.shape or self.start.ndim != 1:
             raise ConfigurationError("line endpoints must be 1-d and match")
         self.dim = len(self.start)
@@ -51,7 +51,7 @@ class PolylinePath(TargetPath):
     """
 
     def __init__(self, waypoints):
-        pts = np.asarray(waypoints, dtype=float)
+        pts = finite(waypoints, "polyline waypoints")
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ConfigurationError("polyline needs >= 2 waypoints")
         self.points = pts

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (BadAnchor, ConfigurationError, NumericalError,
-                     SingularGramian, SingularStart)
+                     SingularGramian, SingularStart, finite)
 from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
                        gramian, spectral_decompose)
 
@@ -436,14 +436,15 @@ class _Lift:
 def lift(oracle, path, u0, options=None):
     """Lift the target path through the map, from anchor u0.
 
-    Preconditions: F(u0) must match gamma(0) within tol_init (else
-    BadAnchor) and u0 must be nonsingular (else SingularStart).  Returns
-    a ContinuationReport whose trace holds every accepted state.
+    Preconditions: u0 must be finite and F(u0) match gamma(0) within
+    tol_init (else BadAnchor), and u0 must be nonsingular (else
+    SingularStart).  Returns a ContinuationReport whose trace holds every
+    accepted state.
     """
     opts = options or SolverOptions()
-    u0 = oracle._domain_vec(np.asarray(u0, dtype=float), "u0")
+    u0 = oracle._domain_vec(finite(u0, "anchor u0", BadAnchor), "u0")
     res0 = float(np.linalg.norm(oracle.eval(u0) - path.gamma(0.0)))
-    if res0 > opts.tol_init:
+    if not res0 <= opts.tol_init:  # NaN fails too
         raise BadAnchor(
             f"initial residual {res0:.3e} exceeds tol_init {opts.tol_init:.1e}")
     spec0 = spectral_decompose(gramian(oracle, u0))

@@ -374,6 +374,95 @@ def test_jacobian_matches_loop_form_reference(data):
         atol=1e-12 * max(1.0, np.abs(expect).max()))
 
 
+def _loop_jacobian_derivative(ep, u, v):
+    """Reference second variation, one RK4 step at a time on single
+    states: forward RK4 of the tangent y' = f_x y + f_u v with cubic
+    Hermite midpoints, backward RK4 of (K, dK) with K' = -K f_x and
+    dK' = -dK f_x - K dA, then a Simpson sum of dK f_u + K dB per
+    segment."""
+    sys_ = ep.system
+    _, states = ep.trajectory(u)
+    u_values, v_values = ep.grid.unpack(u), ep.grid.unpack(v)
+    sub, n, m = ep.substeps, sys_.state_dim, sys_.control_dim
+    h = ep.grid.dt / sub
+    sw = np.ones(sub + 1)
+    sw[1:-1:2] = 4.0
+    sw[2:-1:2] = 2.0
+    sw *= h / 3.0
+
+    def slope(k, y, seg):
+        us, vs = u_values[seg], v_values[seg]
+        return (sys_.f_x(states[k], us) @ y
+                + sys_.f_u(states[k], us) @ vs)
+
+    ys = np.empty((ep.grid.segments, 2 * sub + 1, n))  # y per segment
+    y = np.zeros(n)
+    for seg in range(ep.grid.segments):
+        base = seg * 2 * sub
+        ys[seg, 0] = y
+        for j in range(sub):
+            s, mid, e = base + 2 * j, base + 2 * j + 1, base + 2 * j + 2
+            k1 = slope(s, y, seg)
+            k2 = slope(mid, y + 0.5 * h * k1, seg)
+            k3 = slope(mid, y + 0.5 * h * k2, seg)
+            k4 = slope(e, y + h * k3, seg)
+            y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            ys[seg, 2 * j + 1] = (0.5 * (y + y_next) + (h / 8.0) * (
+                slope(s, y, seg) - slope(e, y_next, seg)))
+            ys[seg, 2 * j + 2] = y = y_next
+
+    def coeffs(seg, i):
+        x, us, vs = states[seg * 2 * sub + i], u_values[seg], v_values[seg]
+        y = ys[seg, i]
+        da = (np.einsum("iab,b->ia", sys_.f_xx(x, us), y)
+              + np.einsum("iak,k->ia", sys_.f_xu(x, us), vs))
+        db = (np.einsum("iak,a->ik", sys_.f_xu(x, us), y)
+              + np.einsum("ikl,l->ik", sys_.f_uu(x, us), vs))
+        return sys_.f_x(x, us), da, sys_.f_u(x, us), db
+
+    def rhs(kd, a, da):
+        kernel, dkernel = kd
+        return np.array([kernel @ a, dkernel @ a + kernel @ da])
+
+    djac = np.empty((n, ep.dim_domain))
+    kd = np.array([np.eye(n), np.zeros((n, n))])
+    for seg in range(ep.grid.segments - 1, -1, -1):
+        _, _, b, db = coeffs(seg, 2 * sub)
+        block = sw[sub] * (kd[1] @ b + kd[0] @ db)
+        for j in range(sub - 1, -1, -1):
+            a_s, da_s, b, db = coeffs(seg, 2 * j)
+            a_m, da_m, _, _ = coeffs(seg, 2 * j + 1)
+            a_e, da_e, _, _ = coeffs(seg, 2 * j + 2)
+            k1 = rhs(kd, a_e, da_e)
+            k2 = rhs(kd + 0.5 * h * k1, a_m, da_m)
+            k3 = rhs(kd + 0.5 * h * k2, a_m, da_m)
+            k4 = rhs(kd + h * k3, a_s, da_s)
+            kd = kd + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            block = block + sw[j] * (kd[1] @ b + kd[0] @ db)
+        djac[:, seg * m:(seg + 1) * m] = block
+    return djac
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jacobian_derivative_matches_loop_form_reference(data):
+    """Pins the discrete scheme of the second variation, which the
+    fourth-order agreement with a finite difference would not."""
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
+                     label="system")
+    fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
+    segments = data.draw(st.integers(fewest, 12), label="segments")
+    ep = _oracle(name, segments)
+    u = data.draw(arrays(float, ep.dim_domain,
+                         elements=st.floats(-2.0, 2.0)), label="u")
+    v = data.draw(arrays(float, ep.dim_domain,
+                         elements=st.floats(-1.0, 1.0)), label="v")
+    expect = _loop_jacobian_derivative(ep, u, v)
+    np.testing.assert_allclose(
+        ep.jacobian_derivative(u, v), expect, rtol=0,
+        atol=1e-12 * max(1.0, np.abs(expect).max()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_simpson_over_kernel_nodes_reproduces_jacobian(data):
@@ -460,6 +549,21 @@ def test_constructor_validation():
         pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 2, substeps=3)
     with pytest.raises(ConfigurationError):
         pl.ControlGrid(horizon=-1.0, segments=2, control_dim=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_x0_and_lti_matrices_are_configuration_errors(bad):
+    with pytest.raises(ConfigurationError, match="x0 must be finite"):
+        pl.endpoint_problem("brockett", [bad, 0.0, 0.0], 1.0, 2)
+    good = {"A": [[0.0, 1.0], [-2.0, -0.3]], "B": [[0.0], [1.0]]}
+    for key in ("A", "B"):
+        params = dict(good)
+        params[key] = np.array(good[key])
+        params[key][-1, 0] = bad
+        with pytest.raises(ConfigurationError,
+                           match=f"lti matrix {key} must be finite"):
+            pl.endpoint_problem("lti", [1.0, -0.5], 1.0, 2,
+                                system_params=params)
 
 
 @pytest.mark.parametrize("horizon", [np.nan, np.inf])

@@ -241,6 +241,26 @@ def test_line_to_target_starts_at_image():
     np.testing.assert_allclose(p.gamma(1.0), [0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_paths_reject_non_finite_points(bad):
+    with pytest.raises(ConfigurationError, match="line start must be finite"):
+        pl.LinePath([bad, 0.0], [0.0, 1.0])
+    with pytest.raises(ConfigurationError, match="line end must be finite"):
+        pl.LinePath([0.0, 0.0], [0.0, bad])
+    with pytest.raises(ConfigurationError, match="line end must be finite"):
+        pl.line_to_target(pl.FoldMap(), [0.1, 0.0], [bad, 0.5])
+    with pytest.raises(ConfigurationError,
+                       match="polyline waypoints must be finite"):
+        pl.PolylinePath([[0.0, 0.0], [bad, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_map_rejects_non_finite_matrix(bad):
+    with pytest.raises(ConfigurationError,
+                       match="linear map matrix must be finite"):
+        pl.LinearMap([[1.0, bad, 0.0]])
+
+
 def test_public_names_resolve():
     for name in pl.__all__:
         assert hasattr(pl, name), name

@@ -107,6 +107,23 @@ def test_bad_anchor_raises():
         pl.lift(o, path, np.array([1.0, 0.0]))  # F(u0) = 1 != 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_anchor_raises_bad_anchor(bad):
+    path = pl.LinePath([0.01, 0.0], [0.02, 0.1])
+    with pytest.raises(BadAnchor, match="anchor u0 must be finite"):
+        pl.lift(pl.FoldMap(), path, [bad, 0.0])
+
+
+def test_nan_anchor_residual_raises_bad_anchor():
+    class NanFold(pl.FoldMap):
+        def eval(self, u):
+            return np.full(2, np.nan)
+
+    with pytest.raises(BadAnchor, match="initial residual nan"):
+        pl.lift(NanFold(), pl.LinePath([0.01, 0.0], [0.02, 0.1]),
+                [0.1, 0.0])
+
+
 def test_singular_start_raises():
     o = pl.SphereMap(2)
     path = pl.LinePath([0.0], [1.0])
