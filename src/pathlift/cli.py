@@ -120,7 +120,6 @@ _SCHEMA = {
         "x0": ("vector", None),
         "horizon": ("float", None),
         "segments": ("int", None),
-        "substeps": ("int", 8),
         "u0": ("vector", None),
         "u0_constant": ("vector", None),
     },
@@ -137,7 +136,6 @@ _SCHEMA = {
         "z_samples": ("int", 8),
         "seed": ("int", 0),
         "lambda0": ("float", 1e-6),
-        "r_min": ("float", None),
         "xi_c": ("float", None),
         "xi_p": ("float", None),
     },
@@ -221,7 +219,7 @@ def build_problem(cfg):
             name, _require(cfg, "problem", "x0"),
             _require(cfg, "problem", "horizon"),
             _require(cfg, "problem", "segments"),
-            system_params=params, substeps=prob["substeps"])
+            system_params=params)
     else:
         raise ConfigurationError(
             f"problem.kind must be one of builtin-map | linear | endpoint, "
@@ -260,10 +258,6 @@ def build_plan(cfg, seed_override=None):
     radii = sec["radii"]
     if radii is None:
         radii = np.array([1.0, 2.0, 4.0, 8.0])
-    r_min = sec["r_min"]
-    if r_min is not None and np.any(radii < r_min):
-        raise ConfigurationError(
-            "check.radii must all be >= check.r_min")
     seed = sec["seed"] if seed_override is None else seed_override
     plan = hypotheses.SamplingPlan(
         radii=tuple(float(r) for r in radii),

@@ -7,25 +7,27 @@ in R^n.  The induced weighted inner product with weights T/P equals the
 L2 inner product of the piecewise-constant representatives exactly, so
 the oracle adjoint discretizes the continuous one.
 
-The forward RK4 flow steps the state as an (n,) vector, or B independent
-trajectories at once as an (n, B) array with the batch on the last axis:
-``f`` is written on components, so one call steps every member.  The
-partials f_x and f_u broadcast over leading axes, so the rest runs on the
-whole control grid at once.  The transition kernel K(t) = M(T) M(t)^-1
-(Kdot = -K f_x, K(T) = I) is linear in K, so each backward RK4 step is a
-product with a propagator, K_j = K_{j+1} M_j, and
-``EndpointOracle._propagators`` builds every M_j in one batch.  Simpson
-quadrature of K(t) f_u per segment gives the coordinate Jacobian.
+The map F is the one ``integrate`` computes: STEPS_PER_SEGMENT classical
+RK4 steps per segment.  It steps B independent trajectories at once as an
+(n, B) state with the batch on the last axis, one trajectory as a batch
+of one: ``f`` is written on components, so one call steps every member.
+J and dJ are the exact derivatives of that computed map, on the same
+grid (discretise, then differentiate).  An RK4 step Phi(x, u) has
+partials M_j = dPhi/dx and N_j = dPhi/du, a polynomial in f_x and f_u at
+its four stage states: with the control frozen as a state (udot = 0),
+``_propagators`` of the stage blocks [[f_x, f_u], [0, 0]] gives the step
+block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
+partials broadcast over leading axes).  J sums K_{j+1} N_j over the
+steps, with K_j = K_{j+1} M_j and K = I at T.
 
 Second differentials are exact for systems that give f_xx, f_xu and f_uu:
-``EndpointOracle.jacobian_derivative`` differentiates that quadrature
-along v on the cached trajectory.  Every linear flow there steps with
-``_propagators`` of a block matrix: the tangent y_v (ydot = f_x y + f_u v)
-with those of [[f_x, f_u v], [0, 0]] on (y_v, 1), the kernel derivative
-dK with [[M_j, dM_j], [0, M_j]], those of [[f_x, dA], [0, f_x]] for
-dA = f_xx[y_v] + f_xu[v] (the block-triangular identity for Frechet
-derivatives).  A system without the second partials keeps the
-base-class central finite difference.
+``EndpointOracle.jacobian_derivative`` differentiates J along v on the
+cached trajectory.  The tangent y_v steps with ``_propagators`` of
+[[f_x, f_u v], [0, 0]], and the step partials' derivatives come from the
+same pullback fed the stage blocks [[S, dS], [0, S]] (the block-triangular
+identity for Frechet derivatives), so every linear flow here takes its
+RK4 step from ``_propagators``.  A system without the second partials
+keeps the base-class central finite difference.
 """
 
 from collections import OrderedDict
@@ -38,6 +40,9 @@ from .errors import ConfigurationError, TrajectoryBlowup, finite
 from .maps import MapOracle
 
 BLOWUP_NORM = 1e8
+# RK4 steps per control segment: the fewest that keep the lti endpoint
+# within 1e-8 of its matrix exponential (5 steps give 1.6e-8)
+STEPS_PER_SEGMENT = 6
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,9 @@ class ControlSystem:
     ``f`` takes one state (n,) and control (m,), or B of each stacked on
     the last axis, (n, B) and (m, B), and returns (n,) or (n, B) with
     ``f(X, U)[:, b] == f(X[:, b], U[:, b])``; code such as
-    ``np.array([u[0], x[0] * u[1]])`` or ``A @ x`` does both.  Batched
-    integration raises ConfigurationError for an ``f`` that does not.
+    ``np.array([u[0], x[0] * u[1]])`` or ``A @ x`` does both.
+    ``integrate`` steps even one trajectory as a batch of one, and raises
+    ConfigurationError for an ``f`` that does not.
 
     The second partials are optional and broadcast the same way; entry
     ``f_xu[..., i, a, k]`` is d2 f_i / dx_a du_k.  A system that gives all
@@ -238,12 +244,13 @@ class ControlGrid:
         return np.tile(per_channel, self.segments)
 
 
-def _rk4(f, x, u, h):
+def _stages(f, x, u, h):
+    """An RK4 step's four stage states from x, and the slopes k1..k3 of the
+    first three."""
     k1 = f(x, u)
-    k2 = f(x + 0.5 * h * k1, u)
-    k3 = f(x + 0.5 * h * k2, u)
-    k4 = f(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = f(x2 := x + 0.5 * h * k1, u)
+    k3 = f(x3 := x + 0.5 * h * k2, u)
+    return (x, x2, x3, x + h * k3), (k1, k2, k3)
 
 
 def _check_stacked(f, x, u):
@@ -264,19 +271,19 @@ def _check_stacked(f, x, u):
             "by column, as it maps one (n,) state and (m,) control")
 
 
-def integrate(system, x0, u_values, horizon, substeps=8):
-    """Fixed-step RK4 flow of the control system.
+def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
+    """Fixed-step RK4 flow of the control system, ``substeps`` steps per
+    segment.
 
     ``u_values`` has shape (P, m) for one trajectory, or (P, m, B) for B
-    independent trajectories from the same x0.  The state is stored on a
-    fine grid of 2*substeps intervals per segment (the resolution the
-    backward variational pass needs).  Returns (times, states) with states
-    of shape (T, n), T = P * 2*substeps + 1, or (B, T, n) for a batch.  A
-    batch steps an (n, B) state through one ``system.f`` call per RK4
+    independent trajectories from the same x0.  Returns (times, states) at
+    the step starts, states of shape (T, n), T = P * substeps + 1, or
+    (B, T, n) for a batch.  Every call steps an (n, B) state, one
+    trajectory as a batch of one, through one ``system.f`` call per RK4
     stage, and ``f`` is checked against single-member calls at the first
     and last states.  Blowup is checked once per segment on every member;
-    the escape time is the first non-finite or too-large fine state's,
-    over the members that escape first.
+    the escape time is the first non-finite or too-large state's, over
+    the members that escape first.
     """
     u_values = np.asarray(u_values, dtype=float)
     if u_values.ndim not in (2, 3) or u_values.shape[1] != system.control_dim:
@@ -285,34 +292,86 @@ def integrate(system, x0, u_values, horizon, substeps=8):
             "(segments, control_dim, batch)")
     if substeps < 1:
         raise ConfigurationError(f"substeps must be >= 1, got {substeps}")
+    single = u_values.ndim == 2
+    u_values = u_values[..., None] if single else u_values
     segments = u_values.shape[0]
-    fine = 2 * substeps
-    h = horizon / segments / fine
-    x = np.asarray(x0, dtype=float).copy()
-    if u_values.ndim == 3:
-        x = np.repeat(x[:, None], u_values.shape[2], axis=1)
-        _check_stacked(system.f, x, u_values[0])
-    states = np.empty((segments * fine + 1,) + x.shape)
-    times = np.linspace(0.0, horizon, segments * fine + 1)
+    h = horizon / segments / substeps
+    x = np.repeat(np.asarray(x0, dtype=float)[:, None], u_values.shape[2],
+                  axis=1)
+    _check_stacked(system.f, x, u_values[0])
+    states = np.empty((segments * substeps + 1,) + x.shape)
+    times = np.linspace(0.0, horizon, segments * substeps + 1)
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for seg in range(segments):
             u = u_values[seg]
-            block = states[seg * fine + 1:(seg + 1) * fine + 1]
-            for j in range(fine):
-                x = _rk4(system.f, x, u, h)
+            block = states[seg * substeps + 1:(seg + 1) * substeps + 1]
+            for j in range(substeps):
+                (*_, x4), (k1, k2, k3) = _stages(system.f, x, u, h)
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + system.f(x4, u))
                 block[j] = x
             bad = (~np.isfinite(block).all(axis=1)
                    | (np.linalg.norm(block, axis=1) > BLOWUP_NORM))
             if bad.any():
-                first = np.argmax(bad.reshape(fine, -1).any(axis=1))
-                t = float(times[seg * fine + 1 + first])
+                first = np.argmax(bad.any(axis=1))
+                t = float(times[seg * substeps + 1 + first])
                 raise TrajectoryBlowup(
                     f"trajectory escaped near t = {t:.4f}", escape_time=t)
-    if u_values.ndim == 3:
-        _check_stacked(system.f, x, u_values[-1])
-        states = np.ascontiguousarray(np.moveaxis(states, -1, 0))
-    return times, states
+    _check_stacked(system.f, x, u_values[-1])
+    states = np.moveaxis(states, -1, 0)
+    return times, np.ascontiguousarray(states[0] if single else states)
+
+
+def _propagators(a, h):
+    """RK4 step blocks of a linear flow, from its four stage matrices.
+
+    ``a`` (..., 4, r, c), c >= r, holds the nonzero rows [A_i | C_i] of
+    the stage blocks [[A_i, C_i], [0, 0]] at a step's stage states i = 1..4.
+    Returns [M | N] (..., r, c), the nonzero rows of the step block
+    [[M, N], [0, I]] = I + h/6 (a_4 + 2 b_2 + 2 b_3 + b_4) with
+    b_2 = (I + h/2 a_4) a_3, b_3 = (I + h/2 b_2) a_2, b_4 = (I + h b_3) a_1:
+    the forward RK4 step (y, w) -> (M y + N w, w) of ydot = A y + C w,
+    wdot = 0, expanded.  Fed [f_x | f_u] it gives the partials M = dPhi/dx
+    and N = dPhi/du of the RK4 step Phi(x, u); every linear flow in this
+    module takes its RK4 step from here.
+    """
+    r = a.shape[-2]
+    a1, a2, a3, a4 = (a[..., i, :, :] for i in range(4))
+    b2 = a3 + 0.5 * h * a4[..., :r] @ a3
+    b3 = a2 + 0.5 * h * b2[..., :r] @ a2
+    b4 = a1 + h * b3[..., :r] @ a1
+    b4 += a4    # h/6 (a4 + 2 b2 + 2 b3 + b4) in place: dJ's peak memory
+    b4 += 2 * (b2 + b3)
+    b4 *= h / 6.0
+    b4[..., :r] += np.eye(r)
+    return b4
+
+
+def _chain(steps):
+    """Running products of each segment's step blocks, for all segments
+    at once: entry j of the (P, S + 1, r, c) result holds the nonzero rows
+    of the product of the first j step blocks, ``steps`` (P, S, r, c)."""
+    segments, count, r, c = steps.shape
+    out = np.zeros((segments, count + 1, r, c))
+    out[:, 0, :, :r] = np.eye(r)
+    for j in range(count):
+        out[:, j + 1] = steps[:, j, :, :r] @ out[:, j]
+        out[:, j + 1, :, r:] += steps[:, j, :, r:]
+    return out
+
+
+def _dual(a, da, b, db):
+    """Nonzero rows [[a, da, b, db], [0, a, 0, b]] of the stage block
+    [[S, dS], [0, S]], S = [[a, b], [0, 0]], in coordinates
+    (x, dx | u, du).  A polynomial in such blocks carries its derivative
+    along (da, db) in the dx and du columns of its x rows."""
+    n, m = b.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (2 * n, 2 * (n + m)))
+    out[..., :n, :n] = out[..., n:, n:2 * n] = a
+    out[..., :n, n:2 * n] = da
+    out[..., :n, 2 * n:2 * n + m] = out[..., n:, 2 * n + m:] = b
+    out[..., :n, 2 * n + m:] = db
+    return out
 
 
 class EndpointOracle(MapOracle):
@@ -326,7 +385,7 @@ class EndpointOracle(MapOracle):
     times, states and Jacobian are returned read-only.
     """
 
-    def __init__(self, system, x0, grid, substeps=8, cache_size=512):
+    def __init__(self, system, x0, grid, cache_size=512):
         if grid.control_dim != system.control_dim:
             raise ConfigurationError(
                 "grid control_dim does not match the system")
@@ -334,21 +393,11 @@ class EndpointOracle(MapOracle):
         if x0.shape != (system.state_dim,):
             raise ConfigurationError(
                 f"x0 must have length {system.state_dim}")
-        substeps = int(substeps)
-        if substeps < 2 or substeps % 2:
-            raise ConfigurationError(
-                "substeps must be even and >= 2 (Simpson quadrature nodes)")
         super().__init__(grid.dim, system.state_dim, grid.weights)
         self.system = system
         self.x0 = x0
         self.grid = grid
-        self.substeps = substeps
-        # Simpson weights over the substeps+1 kernel nodes of a segment
-        self._simpson = (grid.dt / substeps / 3.0) * np.r_[
-            1.0, np.tile([4.0, 2.0], substeps // 2)[:-1], 1.0]
-        # fine-grid index of each segment's nodes, (P, 2*substeps+1)
-        self._nodes = (np.arange(grid.segments)[:, None] * 2 * substeps
-                       + np.arange(2 * substeps + 1))
+        self._h = grid.dt / STEPS_PER_SEGMENT
         self._cache = OrderedDict()
         self._cache_size = int(cache_size)
 
@@ -367,13 +416,12 @@ class EndpointOracle(MapOracle):
         return entry
 
     def trajectory(self, u):
-        """(times, states) of the controlled flow on the fine grid."""
+        """(times, states) of the controlled flow at the RK4 step starts."""
         u = self._domain_vec(u)
         entry = self._entry(u)
         if "traj" not in entry:
             times, states = integrate(self.system, self.x0,
-                                      self.grid.unpack(u), self.grid.horizon,
-                                      self.substeps)
+                                      self.grid.unpack(u), self.grid.horizon)
             times.flags.writeable = False
             states.flags.writeable = False
             entry["traj"] = (times, states)
@@ -404,7 +452,7 @@ class EndpointOracle(MapOracle):
                 self.system, self.x0,
                 np.stack([self.grid.unpack(u) for u in todo.values()],
                          axis=-1),
-                self.grid.horizon, self.substeps)
+                self.grid.horizon)
             times.flags.writeable = False
             states.flags.writeable = False
             trajs.update((key, (times, member))
@@ -417,167 +465,120 @@ class EndpointOracle(MapOracle):
         return out
 
     def endpoint_refined(self, u, refine=4):
-        """Terminal state re-integrated on a refine-times finer grid."""
+        """Terminal state re-integrated with refine times as many steps."""
         if refine < 1:
             raise ConfigurationError(f"refine must be >= 1, got {refine}")
         _, states = integrate(self.system, self.x0,
                               self.grid.unpack(self._domain_vec(u)),
-                              self.grid.horizon, self.substeps * refine)
+                              self.grid.horizon, STEPS_PER_SEGMENT * refine)
         return states[-1].copy()
 
+    def _stage_states(self, u):
+        """Stage states (P, S, 4, n) of every RK4 step of the cached
+        trajectory, and the control at them (P, S, 4, m): three stacked
+        ``f`` calls over the step starts."""
+        _, states = self.trajectory(u)
+        segments, m = self.grid.segments, self.grid.control_dim
+        controls = self.grid.unpack(u)
+        stages, _ = _stages(self.system.f, states[:-1].T,
+                            np.repeat(controls, STEPS_PER_SEGMENT, axis=0).T,
+                            self._h)
+        x = np.stack(stages).transpose(2, 0, 1).reshape(
+            segments, STEPS_PER_SEGMENT, 4, -1)
+        return x, np.broadcast_to(controls[:, None, None], x.shape[:3] + (m,))
+
+    def _pullback(self, steps):
+        """sum_j K_{j+1} N_j over each segment's steps, (P, r, c - r), for
+        step rows [M_j | N_j] (P, S, r, c), K_j = K_{j+1} M_j and K = I
+        at T: the segment products come from :func:`_chain`, then one
+        backward pass over the segments."""
+        ends = _chain(steps)[:, -1]
+        r = steps.shape[-2]
+        out = np.empty(ends[..., r:].shape)
+        kernel = np.eye(r)
+        for seg in range(self.grid.segments - 1, -1, -1):
+            out[seg] = kernel @ ends[seg, :, r:]
+            kernel = kernel @ ends[seg, :, :r]
+        return out
+
     def jacobian(self, u):
+        """J = dF/du of the computed RK4 map: the pullback of the step
+        partials [M_j | N_j], from :func:`_propagators` of [f_x | f_u] at
+        each step's stage states."""
         u = self._domain_vec(u)
         entry = self._entry(u)
         if "jac" in entry:
             return entry["jac"]
-        _, states = self.trajectory(u)
-        jac = self._jacobian_from_states(u, states)
+        x, uu = self._stage_states(u)
+        stage = np.concatenate([self.system.f_x(x, uu),
+                                self.system.f_u(x, uu)], axis=-1)
+        jac = self._pullback(_propagators(stage, self._h))
+        jac = jac.transpose(1, 0, 2).reshape(self.dim_codomain, -1)
         jac.flags.writeable = False
         entry["jac"] = jac
         return jac
 
-    def _propagators(self, a):
-        """Step propagators of the linear flow with matrix ``a``.
-
-        ``a`` (P, 2*substeps+1, k, k) holds each segment's matrix on the
-        fine grid; a step spans two fine intervals.  Returns M_j, shape
-        (P, substeps, k, k): M_j = I + h/6 (A_e + 2 B2 + 2 B3 + B4) with
-        B2 = (I + h/2 A_e) A_m, B3 = (I + h/2 B2) A_m, B4 = (I + h B3) A_s.
-        K_j = K_{j+1} M_j is a backward RK4 step of Kdot = -K a, and the
-        same polynomial, expanded, is the forward RK4 step of ydot = a y.
-        Fed [[a, c], [0, d]] (:func:`_block`) it steps the coupled flow:
-        every linear flow in this module takes its RK4 step from here.
-        """
-        h = self.grid.dt / self.substeps
-        a_s, a_m, a_e = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
-        eye = np.eye(a.shape[-1])
-        b2 = (eye + 0.5 * h * a_e) @ a_m
-        b3 = (eye + 0.5 * h * b2) @ a_m
-        b4 = (eye + h * b3) @ a_s
-        return eye + (h / 6.0) * (a_e + 2 * b2 + 2 * b3 + b4)
-
-    def _backward_products(self, props):
-        """K at the coarse nodes from K_j = K_{j+1} M_j, K(T) = I, shape
-        (P, substeps+1, k, k) for propagators (P, substeps, k, k)."""
-        knodes = np.empty((self.grid.segments, self.substeps + 1)
-                          + props.shape[-2:])
-        kernel = np.eye(props.shape[-1])
-        for seg in range(self.grid.segments - 1, -1, -1):
-            knodes[seg, -1] = kernel
-            for j in range(self.substeps - 1, -1, -1):
-                kernel = kernel @ props[seg, j]
-                knodes[seg, j] = kernel
-        return knodes
-
-    def _on_fine_grid(self, u):
-        """Each segment's control at its fine-grid states, shape
-        (P, 2*substeps+1, m)."""
-        return np.broadcast_to(self.grid.unpack(u)[:, None],
-                               self._nodes.shape + (self.grid.control_dim,))
-
-    def _bands(self, u, states):
-        """B = K f_u at every coarse node, shape (P, substeps+1, n, m);
-        shared segment ends appear in both segments, each with its own
-        control."""
-        x, u = states[self._nodes], self._on_fine_grid(u)
-        knodes = self._backward_products(
-            self._propagators(self.system.f_x(x, u)))
-        return knodes @ self.system.f_u(x[:, ::2], u[:, ::2])
-
-    def _jacobian_from_states(self, u, states):
-        """Backward kernel pass plus per-segment Simpson quadrature."""
-        jac = np.einsum("j,pjam->apm", self._simpson, self._bands(u, states))
-        return jac.reshape(self.dim_codomain, self.dim_domain)
-
-    def _tangent(self, a, b):
-        """Tangent y (ydot = a y + b, y(0) = 0) on the fine grid.
-
-        ``a`` (P, 2*substeps+1, n, n) and ``b`` (P, 2*substeps+1, n) are
-        f_x and f_u v on the fine grid.  The affine flow is the linear flow
-        of [[a, b], [0, 0]] acting on (y, 1), so its step propagators are
-        [[M_j, c_j], [0, 1]]: a forward RK4 step is y_{j+1} = M_j y_j + c_j,
-        c_j its response from y_j = 0.  Every segment's running products
-        are formed for all segments at once, then chained across segments.
-        A cubic Hermite interpolant through the two ends of each step, with
-        slopes a y + b, gives the midpoint.
-        """
-        h = self.grid.dt / self.substeps
-        segments, n = self.grid.segments, b.shape[-1]
-        props = self._propagators(_block(a, b[..., None], np.zeros((1, 1))))
-        flows = np.empty((segments, self.substeps + 1, n + 1, n + 1))
-        flows[:, 0] = np.eye(n + 1)
-        for j in range(self.substeps):
-            flows[:, j + 1] = props[:, j] @ flows[:, j]
-        starts = np.empty((segments, n + 1))
-        state = np.r_[np.zeros(n), 1.0]
-        for seg in range(segments):
-            starts[seg] = state
-            state = flows[seg, -1] @ state
-        ends = np.einsum("pjab,pb->pja", flows[..., :n, :], starts)
-        slope = np.einsum("...ab,...b->...a", a[:, ::2], ends) + b[:, ::2]
-        y = np.empty(b.shape)
-        y[:, ::2] = ends
-        y[:, 1::2] = (0.5 * (ends[:, :-1] + ends[:, 1:])
-                      + (h / 8.0) * (slope[:, :-1] - slope[:, 1:]))
+    def _tangent(self, steps):
+        """Tangent y = dx along v at every step start, (P, S, n), from the
+        step rows [M_j | c_j] (P, S, n, n + 1) of y_{j+1} = M_j y_j + c_j,
+        y = 0 at t = 0: each segment's running products, then a forward
+        pass over the segments."""
+        flows = _chain(steps)
+        n = steps.shape[-2]
+        y = np.empty(steps.shape[:-1])
+        start = np.zeros(n)
+        for seg in range(self.grid.segments):
+            y[seg] = flows[seg, :-1, :, :n] @ start + flows[seg, :-1, :, n]
+            start = flows[seg, -1, :, :n] @ start + flows[seg, -1, :, n]
         return y
 
     def jacobian_derivative(self, u, v):
-        """Second variation: J = sum Simpson K f_u differentiated along v
-        on the cached trajectory, with no new integration.
+        """Second variation: the exact derivative of :meth:`jacobian` along
+        v, on the cached trajectory, with no new integration.
 
-        The state's variation is the tangent y_v of :meth:`_tangent`, so
-        this matches the derivative of the computed Jacobian to O(h^4),
-        h the kernel pass's step.  The kernel derivative dK solves
-        dKdot = -dK f_x - K dA, dK(T) = 0, dA = f_xx[y_v] + f_xu[v]:
-        :meth:`_propagators` of [[f_x, dA], [0, f_x]] gives the block
-        propagators [[M_j, dM_j], [0, M_j]], dM_j the derivative of M_j
-        along dA, and one backward pass of them yields [[K, dK], [0, K]]
-        at every node.  Then dJ(v) = sum Simpson (dK f_u + K dB),
-        dB = f_xu[y_v] + f_uu[v] contracting f_xu's state index.  Systems
-        without the second partials use the base-class finite difference.
+        The step tangent y_j comes from :meth:`_tangent` on the
+        :func:`_propagators` of [f_x | f_u v], and the stage tangents from
+        the stage recurrence, Y_1 = y_j and Y_{i+1} = y_j + c_i h (A_i Y_i
+        + B_i v), c = (1/2, 1/2, 1).  Along them the stage partials move by
+        dA = f_xx[Y_i] + f_xu[v] and dB = f_xu[Y_i] + f_uu[v], contracting
+        f_xu's state index in dB; the pullback of the :func:`_dual` stage
+        rows then carries dJ(v) = sum_j (K_{j+1} dN_j + dK_{j+1} N_j) next
+        to J.  Systems without the second partials use the base-class
+        finite difference.
         """
         system = self.system
         if None in (system.f_xx, system.f_xu, system.f_uu):
             return super().jacobian_derivative(u, v)
         u = self._domain_vec(u)
         v = self._domain_vec(v, "v")
-        _, states = self.trajectory(u)
-        x, uu, vv = (states[self._nodes], self._on_fine_grid(u),
-                     self._on_fine_grid(v))
+        x, uu = self._stage_states(u)
+        vv = np.broadcast_to(self.grid.unpack(v)[:, None, None], uu.shape)
         a = system.f_x(x, uu)
         b = system.f_u(x, uu)
-        y = self._tangent(a, np.einsum("...ik,...k->...i", b, vv))
+        bv = np.einsum("...ik,...k->...i", b, vv)
+        y = self._tangent(_propagators(
+            np.concatenate([a, bv[..., None]], axis=-1), self._h))
+        ys = np.empty(x.shape)
+        ys[:, :, 0] = y
+        for i, c in enumerate((0.5, 0.5, 1.0)):
+            ys[:, :, i + 1] = y + c * self._h * (
+                np.einsum("...ab,...b->...a", a[:, :, i], ys[:, :, i])
+                + bv[:, :, i])
         f_xu = system.f_xu(x, uu)
-        da = (np.einsum("...iab,...b->...ia", system.f_xx(x, uu), y)
+        da = (np.einsum("...iab,...b->...ia", system.f_xx(x, uu), ys)
               + np.einsum("...iak,...k->...ia", f_xu, vv))
-        db = (np.einsum("...iak,...a->...ik", f_xu[:, ::2], y[:, ::2])
-              + np.einsum("...ikl,...l->...ik",
-                          system.f_uu(x[:, ::2], uu[:, ::2]), vv[:, ::2]))
-        del f_xu  # the largest array here; free it before the block pass
-        knodes = self._backward_products(self._propagators(_block(a, da, a)))
-        n = self.dim_codomain
-        bands = knodes[..., :n, n:] @ b[:, ::2] + knodes[..., :n, :n] @ db
-        djac = np.einsum("j,pjam->apm", self._simpson, bands)
-        return djac.reshape(n, self.dim_domain)
+        db = (np.einsum("...iak,...a->...ik", f_xu, ys)
+              + np.einsum("...ikl,...l->...ik", system.f_uu(x, uu), vv))
+        n, m = b.shape[-2:]
+        dual = _dual(a, da, b, db)
+        del a, b, da, db, f_xu  # free the stage partials for the block pass
+        rows = self._pullback(_propagators(dual, self._h))
+        return rows[:, :n, m:].transpose(1, 0, 2).reshape(n, -1)
 
 
-def _block(a, c, d):
-    """Block matrices [[a, c], [0, d]] over the leading axes.  A polynomial
-    in [[a, da], [0, a]]'s carries its derivative along da in the upper
-    right block; [[a, b], [0, 0]], b (n, 1), is the matrix of the affine
-    flow ydot = a y + b acting on (y, 1)."""
-    n, k = c.shape[-2:]
-    out = np.zeros(c.shape[:-2] + (n + k, n + k))
-    out[..., :n, :n] = a
-    out[..., :n, n:] = c
-    out[..., n:, n:] = d
-    return out
-
-
-def endpoint_problem(system_name, x0, horizon, segments,
-                     system_params=None, substeps=8):
+def endpoint_problem(system_name, x0, horizon, segments, system_params=None):
     """Convenience builder: registered system -> EndpointOracle."""
     system = make_system(system_name, **(system_params or {}))
     grid = ControlGrid(horizon=float(horizon), segments=int(segments),
                        control_dim=system.control_dim)
-    return EndpointOracle(system, x0, grid, substeps=substeps)
+    return EndpointOracle(system, x0, grid)

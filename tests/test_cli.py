@@ -73,6 +73,16 @@ def test_parse_config_rejects_unknown_key():
         cli.parse_config(SPHERE_LIFT + "\n[solver]\nbogus = 1\n")
 
 
+@pytest.mark.parametrize("section, key", [("problem", "substeps"),
+                                          ("check", "r_min")])
+def test_parse_config_rejects_removed_keys(section, key):
+    text = (SPHERE_LIFT + "\n[check]\n").replace(f"[{section}]\n",
+                                                 f"[{section}]\n{key} = 8\n")
+    with pytest.raises(ConfigurationError,
+                       match=f"unknown config key {section}.{key}"):
+        cli.parse_config(text)
+
+
 def test_parse_config_rejects_unknown_section():
     with pytest.raises(ConfigurationError, match="mystery"):
         cli.parse_config(SPHERE_LIFT + "\n[mystery]\nx = 1\n")

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import pathlift as pl
-from pathlift.endpoint import BLOWUP_NORM
+from pathlift.endpoint import BLOWUP_NORM, STEPS_PER_SEGMENT
 from pathlift.errors import ConfigurationError, TrajectoryBlowup
 
 
@@ -91,18 +91,6 @@ def test_brockett_second_variation_closed_form():
     v = ep.grid.constant([1.0, 1.0])
     z = np.array([0.0, 0.0, 1.0])
     assert ep.bilinear_second(u, z, v, v) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_kernel_nodes_shapes_and_terminal_value():
-    ep = pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0], 1.0, 3)
-    u = 0.3 * np.ones(ep.dim_domain)
-    _, states = ep.trajectory(u)
-    bands = ep._bands(u, states)
-    assert bands.shape == (3, ep.substeps + 1, 3, 2)
-    # K(T) = I, so the terminal band is f_u at the endpoint
-    np.testing.assert_allclose(bands[-1, -1],
-                               ep.system.f_u(states[-1], u[-2:]),
-                               atol=1e-12)
 
 
 # name -> (x0, system params, fewest segments with P*m >= n)
@@ -222,13 +210,8 @@ def test_exact_jacobian_derivative_matches_fd(data):
     system.  2 D(v / 2) is the same difference with step eps / 2, so the
     Richardson combination R = (8 D(v / 2) - D(v)) / 3 of two base-class
     calls cancels that term, leaving O(eps^4) truncation and about
-    1e-11 of roundoff.  Tolerance 1e-9 + 2 h^4 max(1, |R|), with
-    h = T / (P substeps) the kernel pass's RK4 step: the exact pass
-    differentiates the RK4 kernel along a tangent taken by forward RK4 on
-    the kernel nodes with cubic Hermite midpoints, while D differentiates
-    the fine-grid RK4 states.  Both are fourth order, so they differ by
-    C h^4, with C up to 0.6 at the corner u = 2, v = 1 of the mixed
-    system; the registered systems agree with R to 3e-12.
+    1e-11 of roundoff.  Both differentiate the same computed Jacobian,
+    so no discretisation term separates them.
     """
     name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
                      label="system")
@@ -244,10 +227,7 @@ def test_exact_jacobian_derivative_matches_fd(data):
     richardson = (8.0 * pl.MapOracle.jacobian_derivative(ep, u, 0.5 * v)
                   - fd) / 3.0
     assert exact.shape == (ep.dim_codomain, ep.dim_domain)
-    h = ep.grid.dt / ep.substeps
-    np.testing.assert_allclose(
-        exact, richardson, rtol=0,
-        atol=1e-9 + 2.0 * h ** 4 * max(1.0, np.abs(richardson).max()))
+    np.testing.assert_allclose(exact, richardson, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["unicycle", "mixed"])
@@ -255,13 +235,11 @@ def test_exact_jacobian_derivative_matches_fd(data):
 def test_second_order_taylor_remainder_is_third_order(name, segments):
     """|F(u + tv) - F(u) - t J v - t^2/2 dJ(v) v| = O(t^3), from eval only.
 
-    J and dJ are quadratures of the derivatives of the RK4 map, not its
-    exact derivatives, so the remainder carries a consistency floor
-    t |(DF - J) v| + t^2/2 |(D2F - dJ)(v, v)| plus roundoff, at most 5e-13
-    at t = 2^-12 on these problems.  The window t = 2^-4 ... 2^-8 keeps
-    the remainder above 1e-12 and clear of the floor, and far enough
-    below t = 1 that the t^4 term moves the observed order by under 0.15
-    (the mixed system's t^4 term is the largest).
+    J and dJ are the exact derivatives of the computed RK4 map, so only
+    roundoff floors the remainder.  The window t = 2^-4 ... 2^-8 keeps
+    the remainder above 1e-12, and far enough below t = 1 that the t^4
+    term moves the observed order by under 0.15 (the mixed system's t^4
+    term is the largest).
     """
     ep = _oracle(name, segments)
     rng = np.random.default_rng([segments, len(name)])
@@ -279,9 +257,10 @@ def test_second_order_taylor_remainder_is_third_order(name, segments):
 
 
 def test_taylor_remainder_vanishes_on_brockett():
-    # brockett's endpoint map is quadratic in u, and RK4 and Simpson are
-    # exact on its polynomial trajectory, so the second-order Taylor
-    # polynomial reproduces F up to roundoff
+    # brockett's computed endpoint map is quadratic in u: each RK4 stage
+    # state is affine in u and x3' = x1 u2 multiplies two of them.  J and
+    # dJ are its exact derivatives, so the second-order Taylor polynomial
+    # reproduces F up to roundoff
     ep = _oracle("brockett", 6)
     rng = np.random.default_rng(8)
     u, v = rng.uniform(-1.0, 1.0, (2, ep.dim_domain))
@@ -330,33 +309,46 @@ def test_system_without_second_partials_uses_fd():
                                   pl.MapOracle.jacobian_derivative(ep, u, v))
 
 
-def _loop_jacobian(ep, u):
-    """Reference Jacobian: backward RK4 of Kdot = -K f_x one step at a
-    time on single states, then a Simpson sum per segment."""
-    f_x, f_u = ep.system.f_x, ep.system.f_u
+def _forward_mode(ep, u, v):
+    """Reference J and dJ(v) of the computed RK4 map in forward mode, one
+    step at a time on single states.
+
+    Through each step's stages X_1 = x, X_{i+1} = x + c_i h f(X_i, u),
+    c = (1/2, 1/2, 1), it carries the sensitivity Z = dx/du (n, N), the
+    tangent y = Z v and the derivative dZ of Z along v by the same
+    recurrence; the step then adds h/6 (k_1 + 2 k_2 + 2 k_3 + k_4) of
+    the slopes of each."""
+    sys_ = ep.system
     _, states = ep.trajectory(u)
-    u_values = ep.grid.unpack(u)
-    sub, n, m = ep.substeps, ep.system.state_dim, ep.system.control_dim
-    h = ep.grid.dt / sub
-    sw = np.ones(sub + 1)
-    sw[1:-1:2] = 4.0
-    sw[2:-1:2] = 2.0
-    sw *= h / 3.0
-    jac = np.empty((n, ep.dim_domain))
-    kernel = np.eye(n)
-    for seg in range(ep.grid.segments - 1, -1, -1):
-        us, base = u_values[seg], seg * 2 * sub
-        block = sw[sub] * (kernel @ f_u(states[base + 2 * sub], us))
-        for j in range(sub - 1, -1, -1):
-            x_s, x_m, x_e = states[base + 2 * j:base + 2 * j + 3]
-            k1 = kernel @ f_x(x_e, us)
-            k2 = (kernel + 0.5 * h * k1) @ f_x(x_m, us)
-            k3 = (kernel + 0.5 * h * k2) @ f_x(x_m, us)
-            k4 = (kernel + h * k3) @ f_x(x_s, us)
-            kernel = kernel + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            block = block + sw[j] * (kernel @ f_u(x_s, us))
-        jac[:, seg * m:(seg + 1) * m] = block
-    return jac
+    u_values, v_values = ep.grid.unpack(u), ep.grid.unpack(v)
+    n, m, dim = sys_.state_dim, sys_.control_dim, ep.dim_domain
+    h = ep.grid.dt / STEPS_PER_SEGMENT
+    z, dz, y = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n)
+    for k in range(len(states) - 1):
+        seg = k // STEPS_PER_SEGMENT
+        us, vs = u_values[seg], v_values[seg]
+        select = np.zeros((m, dim))     # d(control of this segment) / du
+        select[:, seg * m:(seg + 1) * m] = np.eye(m)
+        x = states[k]
+        sx, sz, sdz, sy = x, z, dz, y
+        slopes = []
+        for c in (0.5, 0.5, 1.0, None):
+            a, b = sys_.f_x(sx, us), sys_.f_u(sx, us)
+            f_xu = sys_.f_xu(sx, us)
+            da = (np.einsum("iab,b->ia", sys_.f_xx(sx, us), sy)
+                  + np.einsum("iak,k->ia", f_xu, vs))
+            db = (np.einsum("iak,a->ik", f_xu, sy)
+                  + np.einsum("ikl,l->ik", sys_.f_uu(sx, us), vs))
+            slope = (a @ sz + b @ select, a @ sy + b @ vs,
+                     da @ sz + a @ sdz + db @ select)
+            slopes.append(slope)
+            if c is not None:
+                sx = x + c * h * sys_.f(sx, us)
+                sz, sy, sdz = (base + c * h * d
+                               for base, d in zip((z, y, dz), slope))
+        z, y, dz = (base + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
+                    for base, s1, s2, s3, s4 in zip((z, y, dz), *slopes))
+    return z, dz
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,86 +360,18 @@ def test_jacobian_matches_loop_form_reference(data):
     ep = pl.endpoint_problem(name, x0, 1.0, segments, system_params=params)
     u = data.draw(arrays(float, ep.dim_domain,
                          elements=st.floats(-2.0, 2.0)), label="u")
-    expect = _loop_jacobian(ep, u)
+    expect, _ = _forward_mode(ep, u, np.zeros(ep.dim_domain))
     np.testing.assert_allclose(
         ep.jacobian(u), expect, rtol=0,
         atol=1e-12 * max(1.0, np.abs(expect).max()))
 
 
-def _loop_jacobian_derivative(ep, u, v):
-    """Reference second variation, one RK4 step at a time on single
-    states: forward RK4 of the tangent y' = f_x y + f_u v with cubic
-    Hermite midpoints, backward RK4 of (K, dK) with K' = -K f_x and
-    dK' = -dK f_x - K dA, then a Simpson sum of dK f_u + K dB per
-    segment."""
-    sys_ = ep.system
-    _, states = ep.trajectory(u)
-    u_values, v_values = ep.grid.unpack(u), ep.grid.unpack(v)
-    sub, n, m = ep.substeps, sys_.state_dim, sys_.control_dim
-    h = ep.grid.dt / sub
-    sw = np.ones(sub + 1)
-    sw[1:-1:2] = 4.0
-    sw[2:-1:2] = 2.0
-    sw *= h / 3.0
-
-    def slope(k, y, seg):
-        us, vs = u_values[seg], v_values[seg]
-        return (sys_.f_x(states[k], us) @ y
-                + sys_.f_u(states[k], us) @ vs)
-
-    ys = np.empty((ep.grid.segments, 2 * sub + 1, n))  # y per segment
-    y = np.zeros(n)
-    for seg in range(ep.grid.segments):
-        base = seg * 2 * sub
-        ys[seg, 0] = y
-        for j in range(sub):
-            s, mid, e = base + 2 * j, base + 2 * j + 1, base + 2 * j + 2
-            k1 = slope(s, y, seg)
-            k2 = slope(mid, y + 0.5 * h * k1, seg)
-            k3 = slope(mid, y + 0.5 * h * k2, seg)
-            k4 = slope(e, y + h * k3, seg)
-            y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            ys[seg, 2 * j + 1] = (0.5 * (y + y_next) + (h / 8.0) * (
-                slope(s, y, seg) - slope(e, y_next, seg)))
-            ys[seg, 2 * j + 2] = y = y_next
-
-    def coeffs(seg, i):
-        x, us, vs = states[seg * 2 * sub + i], u_values[seg], v_values[seg]
-        y = ys[seg, i]
-        da = (np.einsum("iab,b->ia", sys_.f_xx(x, us), y)
-              + np.einsum("iak,k->ia", sys_.f_xu(x, us), vs))
-        db = (np.einsum("iak,a->ik", sys_.f_xu(x, us), y)
-              + np.einsum("ikl,l->ik", sys_.f_uu(x, us), vs))
-        return sys_.f_x(x, us), da, sys_.f_u(x, us), db
-
-    def rhs(kd, a, da):
-        kernel, dkernel = kd
-        return np.array([kernel @ a, dkernel @ a + kernel @ da])
-
-    djac = np.empty((n, ep.dim_domain))
-    kd = np.array([np.eye(n), np.zeros((n, n))])
-    for seg in range(ep.grid.segments - 1, -1, -1):
-        _, _, b, db = coeffs(seg, 2 * sub)
-        block = sw[sub] * (kd[1] @ b + kd[0] @ db)
-        for j in range(sub - 1, -1, -1):
-            a_s, da_s, b, db = coeffs(seg, 2 * j)
-            a_m, da_m, _, _ = coeffs(seg, 2 * j + 1)
-            a_e, da_e, _, _ = coeffs(seg, 2 * j + 2)
-            k1 = rhs(kd, a_e, da_e)
-            k2 = rhs(kd + 0.5 * h * k1, a_m, da_m)
-            k3 = rhs(kd + 0.5 * h * k2, a_m, da_m)
-            k4 = rhs(kd + h * k3, a_s, da_s)
-            kd = kd + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            block = block + sw[j] * (kd[1] @ b + kd[0] @ db)
-        djac[:, seg * m:(seg + 1) * m] = block
-    return djac
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_jacobian_derivative_matches_loop_form_reference(data):
-    """Pins the discrete scheme of the second variation, which the
-    fourth-order agreement with a finite difference would not."""
+    """Forward mode through the stages against the blocked pullback of
+    the step polynomial: two derivations of the same discrete
+    derivative, which pin the scheme to roundoff."""
     name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
                      label="system")
     fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
@@ -457,34 +381,47 @@ def test_jacobian_derivative_matches_loop_form_reference(data):
                          elements=st.floats(-2.0, 2.0)), label="u")
     v = data.draw(arrays(float, ep.dim_domain,
                          elements=st.floats(-1.0, 1.0)), label="v")
-    expect = _loop_jacobian_derivative(ep, u, v)
+    _, expect = _forward_mode(ep, u, v)
     np.testing.assert_allclose(
         ep.jacobian_derivative(u, v), expect, rtol=0,
         atol=1e-12 * max(1.0, np.abs(expect).max()))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_simpson_over_kernel_nodes_reproduces_jacobian(data):
-    name = data.draw(st.sampled_from(sorted(_SYSTEMS)), label="system")
-    x0, params, fewest = _SYSTEMS[name]
-    segments = data.draw(st.integers(fewest, 12), label="segments")
-    ep = pl.endpoint_problem(name, x0, 1.0, segments, system_params=params)
-    u = data.draw(arrays(float, ep.dim_domain,
-                         elements=st.floats(-2.0, 2.0)), label="u")
-    bands = np.concatenate(ep._bands(u, ep.trajectory(u)[1]))
-    nodes = ep.substeps + 1
-    assert bands.shape[0] == segments * nodes
-    sw = np.ones(nodes)
-    sw[1:-1:2] = 4.0
-    sw[2:-1:2] = 2.0
-    sw *= (ep.grid.dt / ep.substeps) / 3.0
-    jac = np.concatenate(
-        [np.tensordot(sw, bands[k * nodes:(k + 1) * nodes], axes=1)
-         for k in range(segments)], axis=1)
-    expect = ep.jacobian(u)
-    np.testing.assert_allclose(
-        jac, expect, rtol=0, atol=1e-12 * max(1.0, np.abs(expect).max()))
+_EXACT = ["brockett", "lti", "mixed", "unicycle"]
+
+
+@pytest.mark.parametrize("name", _EXACT)
+@pytest.mark.parametrize("segments", [2, 5, 10])
+def test_jacobian_is_the_derivative_of_the_computed_map(name, segments):
+    """J against the Richardson central difference (4 D(eps/2) - D(eps)) / 3
+    of eval, eps = 1e-3: O(eps^4) truncation and about 1e-13 of roundoff."""
+    ep = _oracle(name, segments)
+    u = np.random.default_rng([segments, len(name)]).uniform(
+        -1.0, 1.0, ep.dim_domain)
+    steps = np.eye(ep.dim_domain)
+
+    def central(eps):
+        plus, minus = np.split(
+            ep.eval_many(np.concatenate([u + eps * steps, u - eps * steps])),
+            2)
+        return ((plus - minus) / (2.0 * eps)).T
+
+    richardson = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+    assert (np.abs(ep.jacobian(u) - richardson).max()
+            <= 1e-10 * max(1.0, np.abs(richardson).max()))
+
+
+@pytest.mark.parametrize("name", _EXACT)
+@pytest.mark.parametrize("segments", [2, 5, 10])
+def test_second_differential_is_symmetric(name, segments):
+    ep = _oracle(name, segments)
+    rng = np.random.default_rng([segments, len(name), 1])
+    for _ in range(5):
+        u, v, w = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
+        z = rng.standard_normal(ep.dim_codomain)
+        a = ep.bilinear_second(u, z, v, w)
+        b = ep.bilinear_second(u, z, w, v)
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
 
 def test_cached_arrays_are_read_only():
@@ -509,10 +446,10 @@ def test_trajectory_cache_reuses_results():
     assert ep.jacobian(u) is ep.jacobian(u)
 
 
-def _first_escape(a, x0, horizon, segments, substeps=8):
-    """First fine-grid time of a plain RK4 loop on xdot = a x whose state
-    is non-finite or has norm above BLOWUP_NORM."""
-    steps = segments * 2 * substeps
+def _first_escape(a, x0, horizon, segments):
+    """First step time of a plain RK4 loop on xdot = a x whose state is
+    non-finite or has norm above BLOWUP_NORM."""
+    steps = segments * STEPS_PER_SEGMENT
     h = horizon / steps
     x = np.array([x0])
     for k in range(1, steps + 1):
@@ -545,8 +482,6 @@ def test_constructor_validation():
         pl.endpoint_problem("nope", [0.0], 1.0, 2)
     with pytest.raises(ConfigurationError):
         pl.endpoint_problem("brockett", [0.0], 1.0, 2)  # x0 wrong length
-    with pytest.raises(ConfigurationError):
-        pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 2, substeps=3)
     with pytest.raises(ConfigurationError):
         pl.ControlGrid(horizon=-1.0, segments=2, control_dim=1)
 
@@ -695,8 +630,9 @@ def test_validate_integrates_each_check_as_one_batch(monkeypatch):
 
 
 def test_non_conforming_f_fails_on_a_batch():
-    """``x @ A.T`` is A x on one state but mixes members on (n, B) states,
-    and keeps the right shape when B == n."""
+    """``x @ A.T`` is A x on one (n,) state but mixes members on (n, B)
+    states, and keeps the right shape when B == n.  One trajectory steps
+    as a batch of one, so ``eval`` rejects it as ``eval_many`` does."""
     a = np.array([[0.0, 1.0], [-2.0, -0.3]])
     bm = np.array([[0.0, 0.5], [1.0, 0.0]])
     good = pl.lti(a, bm)
@@ -705,9 +641,8 @@ def test_non_conforming_f_fails_on_a_batch():
     grid = pl.ControlGrid(horizon=1.0, segments=3, control_dim=2)
     us = np.random.default_rng(13).standard_normal((2, grid.dim))
     ep = pl.EndpointOracle(bad, [1.0, -0.5], grid)
-    np.testing.assert_allclose(
-        ep.eval(us[0]), pl.EndpointOracle(good, [1.0, -0.5], grid).eval(
-            us[0]), rtol=1e-14)
+    with pytest.raises(ConfigurationError, match="stacked"):
+        ep.eval(us[0])
     with pytest.raises(ConfigurationError, match="stacked"):
         ep.eval_many(us)
     grid1 = pl.ControlGrid(horizon=1.0, segments=2, control_dim=1)
