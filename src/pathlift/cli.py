@@ -2,7 +2,7 @@
 
 Subcommands: ``lift`` (integrate the path-lifting equation and write the
 trace CSV plus a summary report), ``check`` (sampling-based hypothesis
-falsification), ``validate`` (oracle identity suite), ``list-problems``.
+falsification), ``validate`` (oracle self-checks), ``list-problems``.
 
 Config files are INI-style sectioned key/value text.  Parsing checks only
 the text (known and required keys, finite numbers); each rule on a value

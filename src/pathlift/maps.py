@@ -24,9 +24,9 @@ class MapOracle:
     Subclasses implement :meth:`eval` and :meth:`jacobian`.  Every
     second-order quantity derives from :meth:`jacobian_derivative`, which
     defaults to a central finite difference of the Jacobian; maps with a
-    closed-form second differential override it and set
-    ``has_analytic_second``, which only picks the tolerances of the
-    identity suite in :mod:`pathlift.oracle_checks`.
+    closed-form second differential override it.  The checks in
+    :mod:`pathlift.oracle_checks` hold every oracle to the same
+    tolerances, whichever way its second differential is computed.
 
     Oracles are not thread-safe: an oracle may memoize results in
     unlocked state that every call updates (see ``EndpointOracle``), so
@@ -35,8 +35,6 @@ class MapOracle:
     They, and ``EndpointOracle``'s cached trajectory and Jacobian, are
     read-only; writing to them raises ValueError.
     """
-
-    has_analytic_second = False
 
     def __init__(self, dim_domain, dim_codomain, weights=None):
         dim_domain = int(dim_domain)
@@ -133,12 +131,14 @@ class MapOracle:
         """Derivative of the coordinate Jacobian along v, shape (n, N).
 
         Row i paired with w is e_i^* d2F|_u(v, w).  The default is a
-        central finite difference of :meth:`jacobian`; this is the one
-        second-order method a subclass overrides.
+        central finite difference of :meth:`jacobian` at u +- eps v, both
+        evaluated in one batch; this is the one second-order method a
+        subclass overrides.
         """
         eps = SECOND_FD_SCALE * (1.0 + self.norm(u))
-        return (self.jacobian(u + eps * v)
-                - self.jacobian(u - eps * v)) / (2.0 * eps)
+        plus, minus = u + eps * v, u - eps * v
+        self.eval_many([plus, minus])
+        return (self.jacobian(plus) - self.jacobian(minus)) / (2.0 * eps)
 
     def bilinear_second(self, u, z, v, w):
         """z-contracted second differential z^* d2F|_u(v, w)."""
@@ -176,8 +176,6 @@ class LinearMap(MapOracle):
     """F(u) = A u for a dense matrix A; the zero second differential makes
     it the degenerate reference case for every curvature diagnostic."""
 
-    has_analytic_second = True
-
     def __init__(self, matrix, weights=None):
         matrix = finite(matrix, "linear map matrix")  # private read-only copy
         if matrix.ndim != 2:
@@ -206,8 +204,6 @@ class SphereMap(MapOracle):
     in closed form (G = 4 ||u||^2, h = 2, g = a1 / (2||u||)).
     """
 
-    has_analytic_second = True
-
     def __init__(self, dim, weights=None):
         super().__init__(dim, 1, weights)
 
@@ -225,8 +221,6 @@ class SphereMap(MapOracle):
 
 class FoldMap(MapOracle):
     """F(u) = (u1^2, u2): a fold with curvature in the first component only."""
-
-    has_analytic_second = True
 
     def __init__(self, weights=None):
         super().__init__(2, 2, weights)

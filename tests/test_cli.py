@@ -9,7 +9,7 @@ import pytest
 
 from pathlift import cli
 from pathlift.errors import ConfigurationError
-from pathlift.maps import LinearMap
+from pathlift.maps import FoldMap, LinearMap
 
 SPHERE_LIFT = """
 [problem]
@@ -260,6 +260,19 @@ def test_validate_exit_0(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("pass") == 4
+
+
+def test_validate_exit_5_on_a_flipped_second_differential(
+        tmp_path, capsys, monkeypatch):
+    exact = FoldMap.jacobian_derivative
+    monkeypatch.setattr(FoldMap, "jacobian_derivative",
+                        lambda self, u, v: -exact(self, u, v))
+    code = cli.main(["validate", "--config", _cfg(tmp_path, FOLD_LIFT)])
+    assert code == cli.EXIT_VALIDATE_FAIL == 5
+    out = capsys.readouterr().out
+    assert ("first violated identity: "
+            "second-differential Taylor order deficit") in out
+    assert "pass  second-differential symmetry" in out
 
 
 def test_list_problems(capsys):

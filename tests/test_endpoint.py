@@ -1,5 +1,6 @@
 """Endpoint maps of control systems as oracles."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -659,3 +660,57 @@ def test_non_conforming_f_fails_on_a_batch():
     with pytest.raises(ConfigurationError, match="stacked"):
         pl.EndpointOracle(mean_of_batch, [1.0], grid1).eval_many(
             [[0.5, 1.0], [0.5, -1.0]])
+
+
+# -- validation of the second differential ----------------------------------
+
+
+def _unicycle(segments=6, **partials):
+    """Unicycle endpoint oracle from the origin on [0, 1], with some of
+    its second partials replaced."""
+    system = dataclasses.replace(pl.make_system("unicycle"), **partials)
+    grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
+    return pl.EndpointOracle(system, [0.0, 0.0, 0.0], grid)
+
+
+def _zeros(*shape):
+    """A second partial that is identically zero."""
+    return lambda x, u: np.zeros(
+        np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + shape)
+
+
+def test_fd_second_differential_integrates_its_pair_as_one_batch(
+        monkeypatch):
+    calls = _count_integrate(monkeypatch)
+    ep = _unicycle(f_xx=None)
+    u, v = np.random.default_rng(13).standard_normal((2, ep.dim_domain))
+    got = ep.jacobian_derivative(u, v)
+    assert calls == [(6, 2, 2)]         # u + eps v and u - eps v together
+    fresh = _unicycle(f_xx=None)
+    eps = pl.maps.SECOND_FD_SCALE * (1.0 + fresh.norm(u))
+    expect = (fresh.jacobian(u + eps * v)
+              - fresh.jacobian(u - eps * v)) / (2.0 * eps)
+    np.testing.assert_allclose(got, expect, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(expect)))
+
+
+def test_validate_passes_the_fd_second_differential():
+    results = pl.validate_oracle(_unicycle(f_xx=None), seed=0)
+    assert len(results) == 4
+    assert all(r.passed for r in results), [r.line() for r in results]
+    symmetry = [r for r in results
+                if r.name == "second-differential symmetry"]
+    assert symmetry[0].tol == 1e-8
+
+
+@pytest.mark.parametrize("partial,shape", [("f_xx", (3, 3, 3)),
+                                           ("f_xu", (3, 3, 2))])
+def test_dropped_second_partial_fails_the_taylor_row(partial, shape):
+    """The exact second variation without one partial is still symmetric,
+    so only the second-order Taylor remainder sees the missing term."""
+    ep = _unicycle(**{partial: _zeros(*shape)})
+    rows = {r.name: r for r in pl.validate_oracle(ep, seed=0)}
+    assert not rows["second-differential Taylor order deficit"].passed
+    assert rows["second-differential symmetry"].passed
+    assert rows["jacobian Taylor order deficit"].passed
+    assert rows["jacobian vs finite differences"].passed

@@ -286,3 +286,101 @@ def test_check_result_line_format():
     assert r.line().startswith("pass")
     r = pl.CheckResult("thing", False, 1.0, 1e-10)
     assert r.line().startswith("FAIL")
+
+
+def test_vacuous_identity_checks_and_tolerance_flag_are_gone():
+    for gone in ("check_adjoint_identity", "check_jacobian_linearity"):
+        assert not hasattr(pl.oracle_checks, gone), gone
+    for cls in (pl.MapOracle, pl.LinearMap, pl.SphereMap, pl.FoldMap):
+        assert not hasattr(cls, "has_analytic_second"), cls
+
+
+def _rows(oracle, seed=0):
+    return {r.name: r for r in pl.validate_oracle(oracle, seed=seed)}
+
+
+TAYLOR_J = "jacobian Taylor order deficit"
+TAYLOR_DJ = "second-differential Taylor order deficit"
+SYMMETRY = "second-differential symmetry"
+JACOBIAN_FD = "jacobian vs finite differences"
+
+
+def test_polynomial_maps_leave_only_roundoff_in_their_exact_rows():
+    """F(u + t v) is a polynomial of degree p in t, so the Taylor
+    remainder of order p is roundoff and its row reads 0."""
+    rng = np.random.default_rng(3)
+    linear = _rows(pl.LinearMap(rng.standard_normal((2, 5))))
+    assert linear[TAYLOR_J].worst == 0.0
+    assert linear[TAYLOR_DJ].worst == 0.0
+    for o in (pl.SphereMap(4), pl.FoldMap()):
+        rows = _rows(o)
+        assert rows[TAYLOR_DJ].worst == 0.0
+        assert rows[TAYLOR_J].worst < 1e-6      # observed order 2
+
+
+def test_sign_flipped_second_differential_fails_the_taylor_row():
+    """A flipped closed-form dJ stays symmetric, so only the Taylor row
+    sees it: the remainder keeps order 2 where 3 is due."""
+
+    class FlippedFold(pl.FoldMap):
+        def jacobian_derivative(self, u, v):
+            return -super().jacobian_derivative(u, v)
+
+    rows = _rows(FlippedFold())
+    assert not rows[TAYLOR_DJ].passed
+    assert rows[TAYLOR_DJ].worst == pytest.approx(1.0, abs=1e-6)
+    assert rows[SYMMETRY].passed
+    assert rows[TAYLOR_J].passed and rows[JACOBIAN_FD].passed
+
+
+class _Scaled(pl.MapOracle):
+    """c F for a map oracle F, with every derivative scaled alike."""
+
+    def __init__(self, base, c):
+        super().__init__(base.dim_domain, base.dim_codomain, base.weights)
+        self.base = base
+        self.c = c
+
+    def eval(self, u):
+        return self.c * self.base.eval(u)
+
+    def jacobian(self, u):
+        return self.c * self.base.jacobian(u)
+
+    def jacobian_derivative(self, u, v):
+        return self.c * self.base.jacobian_derivative(u, v)
+
+
+class _DoubledJacobian(pl.LinearMap):
+    """A wrong oracle: F(u) = A u with Jacobian 2 A."""
+
+    def jacobian(self, u):
+        return 2.0 * super().jacobian(u)
+
+
+def test_doubled_jacobian_fails_at_small_scale():
+    """The FD row is relative to |J|: at F scaled by 1e-6 a Jacobian off
+    by a factor 2 fails it, as it does at scale 1."""
+    mat = np.random.default_rng(4).standard_normal((2, 4))
+    for c in (1.0, 1e-6):
+        rows = _rows(_Scaled(_DoubledJacobian(mat), c))
+        assert rows[JACOBIAN_FD].worst == pytest.approx(0.5, rel=1e-6)
+        assert not rows[JACOBIAN_FD].passed and not rows[TAYLOR_J].passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["sphere", "fold", "linear", "doubled"]),
+       log_c=st.floats(-8.0, 8.0), seed=st.integers(0, 1000),
+       data=st.data())
+def test_every_check_verdict_is_scale_invariant(kind, log_c, seed, data):
+    if kind == "doubled":
+        base = _weighted_map("linear", data)
+        base = _DoubledJacobian(base.matrix, base.weights)
+    else:
+        base = _weighted_map(kind, data)
+    plain = pl.validate_oracle(_Scaled(base, 1.0), seed=seed)
+    scaled = pl.validate_oracle(_Scaled(base, 10.0 ** log_c), seed=seed)
+    assert [r.name for r in plain] == [r.name for r in scaled]
+    assert [r.passed for r in plain] == [r.passed for r in scaled], \
+        [r.line() for r in plain + scaled]
+    assert all(r.passed for r in plain) == (kind != "doubled")
