@@ -15,7 +15,7 @@ from .errors import ConfigurationError, finite
 
 # Central finite-difference step scales, relative to 1 + ||u||_X.
 FIRST_FD_SCALE = 1e-5
-SECOND_FD_SCALE = 1e-4
+SECOND_FD_SCALE = 1e-5
 
 
 class MapOracle:

@@ -665,12 +665,12 @@ def test_non_conforming_f_fails_on_a_batch():
 # -- validation of the second differential ----------------------------------
 
 
-def _unicycle(segments=6, **partials):
-    """Unicycle endpoint oracle from the origin on [0, 1], with some of
-    its second partials replaced."""
+def _unicycle(segments=6, x0=(0.0, 0.0, 0.0), **partials):
+    """Unicycle endpoint oracle from x0 on [0, 1], with some of its second
+    partials replaced."""
     system = dataclasses.replace(pl.make_system("unicycle"), **partials)
     grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
-    return pl.EndpointOracle(system, [0.0, 0.0, 0.0], grid)
+    return pl.EndpointOracle(system, x0, grid)
 
 
 def _zeros(*shape):
@@ -701,6 +701,18 @@ def test_validate_passes_the_fd_second_differential():
     symmetry = [r for r in results
                 if r.name == "second-differential symmetry"]
     assert symmetry[0].tol == 1e-8
+
+
+@pytest.mark.parametrize("x0_seed", [0, 2, 7])
+def test_fd_second_differential_is_symmetric_on_a_coarse_grid(x0_seed):
+    """The FD step's O(eps^2) truncation shows as asymmetry; at two
+    segments a step of 1e-4 left 1.4e-8 to 3.6e-8, above the 1e-8
+    tolerance, and 1e-5 leaves at most 3.6e-10."""
+    x0 = np.random.default_rng(x0_seed).uniform(-0.5, 0.5, 3)
+    ep = _unicycle(segments=2, x0=x0, f_xx=None)
+    for seed in range(1, 16):
+        row = pl.oracle_checks.check_second_symmetry(ep, seed=seed)
+        assert row.passed, row.line()
 
 
 @pytest.mark.parametrize("partial,shape", [("f_xx", (3, 3, 3)),

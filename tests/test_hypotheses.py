@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pathlift as pl
 from pathlift import hypotheses as hyp
@@ -131,7 +132,7 @@ def test_coercivity_ratio_skips_degenerate_switching():
 def test_estimate_bilinear_norm_power_iteration():
     o = pl.SphereMap(5)
     u = np.ones(5)
-    got = pl.estimate_bilinear_norm(o, u, z_count=2, v_count=2, seed=0)
+    got = pl.estimate_bilinear_norm(o, u, v_count=2, seed=0)
     assert got == pytest.approx(2.0, abs=1e-6)
 
 
@@ -148,35 +149,93 @@ def _count_calls(oracle, *names):
     return counts
 
 
-def test_power_iteration_reuses_the_rayleigh_quotient_operator():
+def test_estimator_makes_one_jacobian_derivative_call_per_start_and_sweep():
     o = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 4)
     u = np.random.default_rng(2).uniform(-1.0, 1.0, o.dim_domain)
-    # with one z and one v drawn, the power iteration starts from them
-    rng = np.random.default_rng([3, 7, 0])
-    z = hyp._unit_codomain(o.dim_codomain, rng)
-    v = hyp._unit_domain(o, rng)
-    w = hyp._unit_domain(o, rng)
-    expect = abs(o.bilinear_second(u, z, v, w))
-    for _ in range(hyp.POWER_ITERATIONS):
-        bv = o.second_operator(u, z, v)
-        v = bv / o.norm(bv)
-        expect = max(expect, abs(o.inner(v, o.second_operator(u, z, v))))
-    counts = _count_calls(o, "second_operator")
-    got = pl.estimate_bilinear_norm(o, u, z_count=1, v_count=1, seed=3)
-    assert counts["second_operator"] == hyp.POWER_ITERATIONS + 1 == 21
-    assert got == expect
+    for v_count in (1, 3):
+        counts = _count_calls(o, "jacobian_derivative", "second_operator",
+                              "bilinear_second")
+        pl.estimate_bilinear_norm(o, u, v_count=v_count, seed=3)
+        assert v_count < counts["jacobian_derivative"] <= (
+            v_count + hyp.POWER_ITERATIONS)
+        assert counts["second_operator"] == counts["bilinear_second"] == 0
+    # a zero form is not swept at all
+    flat = pl.LinearMap(np.ones((2, 4)))
+    counts = _count_calls(flat, "jacobian_derivative")
+    assert pl.estimate_bilinear_norm(flat, np.ones(4), v_count=3) == 0.0
+    assert counts["jacobian_derivative"] == 3
 
 
 def test_check_report_makes_one_adjoint_and_one_second_call_per_pair():
     o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4)
     plan = _plan(per_radius=2, z_samples=3)
-    counts = _count_calls(o, "apply_adjoint", "second_operator")
+    counts = _count_calls(o, "apply_adjoint", "second_operator",
+                          "jacobian_derivative")
     rep = pl.check_report(o, plan, xi=pl.PowerLawXi(c=1.0, p=0.5))
     samples = len(plan.radii) * plan.per_radius
     pairs = samples * plan.z_samples - rep.skipped_samples
     assert counts["apply_adjoint"] == samples * plan.z_samples
-    assert counts["second_operator"] == (
-        samples * (hyp.POWER_ITERATIONS + 1) + pairs)
+    assert counts["second_operator"] == pairs
+    # each second_operator call takes one jacobian_derivative; the rest
+    # are the estimator's starts and sweeps
+    sweeps = counts["jacobian_derivative"] - pairs
+    assert samples * (plan.z_samples + 1) <= sweeps <= (
+        samples * (plan.z_samples + hyp.POWER_ITERATIONS))
+
+
+def _brockett_bound(o, u):
+    """max |eig(W^-1/2 H_3 W^-1/2)|: Brockett's first two components are
+    linear, so C is the norm of the third component's Hessian form."""
+    scale = 1.0 / np.sqrt(o.weights)
+    h3 = np.array([o.jacobian_derivative(u, e)[2]
+                   for e in np.eye(o.dim_domain)])
+    form = scale[:, None] * h3 * scale[None, :]
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (form + form.T)))))
+
+
+@pytest.mark.parametrize("segments", [6, 10, 20, 40])
+def test_estimate_bilinear_norm_reaches_the_brockett_bound(segments):
+    o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, segments)
+    u = np.random.default_rng(segments).uniform(-1.0, 1.0, o.dim_domain)
+    exact = _brockett_bound(o, u)
+    for seed in range(10):
+        for v_count in (1, 2, 8):
+            got = pl.estimate_bilinear_norm(o, u, v_count=v_count, seed=seed)
+            assert got == pytest.approx(exact, rel=1e-9)
+            assert got <= exact * (1.0 + 1e-12)
+
+
+def test_sphere_bilinear_bound_is_two():
+    o = pl.SphereMap(4, weights=[0.5, 1.0, 2.0, 3.0])
+    rep = pl.check_report(o, _plan(z_samples=2))
+    assert rep.c_est == pytest.approx(2.0, abs=1e-12)
+    assert all(sh.c_max == pytest.approx(2.0, abs=1e-12)
+               for sh in rep.shells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["unicycle", "fold", "sphere"]),
+       segments=st.integers(4, 10), seed=st.integers(0, 2**32 - 1))
+def test_estimate_bilinear_norm_bounds_every_sampled_value(kind, segments,
+                                                           seed):
+    """The sweeps climb from the best start to a local maximum of the
+    form, which no randomly sampled unit triple should beat."""
+    rng = np.random.default_rng(seed)
+    if kind == "unicycle":
+        o = pl.endpoint_problem("unicycle", rng.uniform(-0.5, 0.5, 3), 1.0,
+                                segments)
+    elif kind == "fold":
+        o = pl.FoldMap(weights=rng.uniform(0.5, 2.0, 2))
+    else:
+        o = pl.SphereMap(3, weights=rng.uniform(0.5, 2.0, 3))
+    u = rng.uniform(-1.0, 1.0, o.dim_domain)
+    got = pl.estimate_bilinear_norm(o, u, v_count=2, seed=seed)
+    sampled = max(
+        abs(o.bilinear_second(u, hyp._unit_codomain(o.dim_codomain, rng),
+                              hyp._unit_domain(o, rng),
+                              hyp._unit_domain(o, rng)))
+        for _ in range(32))
+    assert got >= sampled * (1.0 - 1e-12)
 
 
 def test_check_report_decomposes_and_evaluates_each_plan_point_once(
