@@ -5,7 +5,9 @@ only singular point is the origin. Driving the target value linearly
 from 1 to 0 pulls the lift along u(s) = sqrt(1-s) u0 straight into that
 singularity. The blowup indicator g = a1/sqrt(lambda_1) follows
 -1/(2 sqrt(1-s)); it diverges, but its integral stays finite (exactly 1),
-which is why the lift itself stays bounded all the way in.
+which is why the lift itself stays bounded all the way in. The solver
+takes the whole lift in sigma = sqrt(1-s), where u is linear (states
+flagged `endgame`), and then walks onto the singular point.
 
 Run:  python3 demos/demo_sphere_singular_lift.py
 """
@@ -28,13 +30,14 @@ def main():
     print(f"trapezoid integral of |g| = {report.g_integral:.6f} "
           "(analytic value: 1)")
     print()
-    print("     s        ||u||    sqrt(1-s)          g     -1/(2 sqrt(1-s))")
-    for st in report.trace[::12]:
+    print("        s        ||u||    sqrt(1-s)          g     "
+          "-1/(2 sqrt(1-s))  flags")
+    for st in report.trace:
         exact_norm = np.sqrt(max(1.0 - st.s, 0.0))
         exact_g = -0.5 / exact_norm if exact_norm > 0 else float("-inf")
         g = st.diag.g if np.isfinite(st.diag.g) else float("nan")
-        print(f"  {st.s:8.5f}  {oracle.norm(st.u):9.6f}  {exact_norm:9.6f}"
-              f"  {g:12.4f}  {exact_g:12.4f}")
+        print(f"  {st.s:11.8f}  {oracle.norm(st.u):9.6f}  {exact_norm:9.6f}"
+              f"  {g:12.4f}  {exact_g:12.4f}  {st.flags}")
     fin = report.final_state
     print(f"\nlast state: s = {fin.s}, lambda_1 = "
           f"{fin.spectrum.lambdas[0]:.3e} (below the singular threshold), "

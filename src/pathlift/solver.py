@@ -8,6 +8,22 @@ Gramian eigenvalue collapses.  One step loop, ``_Lift.run`` behind
 separate single-step API.  Every accepted state carries the full
 spectral diagnostics, so a finished run doubles as an empirical record
 of the quantities the solver's termination analysis is built on.
+
+Terminal endgame.  After every accepted state, the anchor included, the
+loop extrapolates lambda_1 linearly to s* = s - lambda_1 / dlambda1_ds
+from values the state already carries.  When lambda_1 is falling, s* lies
+within ``terminal_window`` of 1 and no knot remains, the rest of the lift
+is integrated in sigma = sqrt(1 - s), as homotopy-continuation endgames
+do (Morgan, Sommese & Wampler 1992).  At a corank-1 end lambda_1 vanishes
+linearly in s and |g| grows like 1/sigma, but du/dsigma = -2 sigma du/ds
+stays bounded; on the squared-norm map u is linear in sigma.  The same
+Cash-Karp step, error control and correction run in tau = sigma0 - sigma,
+with right-hand side 2 sigma du/ds.  Those states carry the flag
+``endgame`` and their step in s.  No step can land on the singular point
+itself, so the run finishes as one in s does, through the approach walk.
+Over each pair of states that ends on an endgame state the g integral is
+the trapezoid of 2 sigma |g| in sigma, since |g| ds = 2 sigma |g| dsigma.
+A singular point at a knot is not an endgame; the lift stops there.
 """
 
 import logging
@@ -203,14 +219,37 @@ class _Lift:
         self.opts = opts
         self.u = np.asarray(u0, dtype=float)
         self.s = 0.0
+        self.sigma0 = None      # sqrt(1 - s) where the endgame started
         self.prev_spec = None
         self.trace = []
         self.status = None
         self.message = ""
         self.boundaries = sorted(set(path.knots)) + [1.0]
 
-    def _fun(self, ss, uu):
-        return ple_rhs(self.oracle, uu, self.path.gamma_dot(ss))
+    def _fun(self, t, uu):
+        """Lifting equation in the step variable t: s itself, or
+        tau = sigma0 - sigma in the endgame, where du/dtau = 2 sigma du/ds."""
+        if self.sigma0 is None:
+            return ple_rhs(self.oracle, uu, self.path.gamma_dot(t))
+        sigma = self.sigma0 - t
+        return (2.0 * sigma) * ple_rhs(self.oracle, uu,
+                                       self.path.gamma_dot(1.0 - sigma**2))
+
+    def _s_after(self, t, h):
+        """Parameter s after a step h from t, and the step in s."""
+        if self.sigma0 is None:
+            return self.s + h, h
+        s_new = 1.0 - (self.sigma0 - (t + h)) ** 2
+        return s_new, s_new - self.s
+
+    def _endgame_due(self, state):
+        """Whether lambda_1, extrapolated linearly from ``state``, vanishes
+        within the terminal window of s = 1 with no knot left before it."""
+        dlam = state.diag.dlambda1_ds
+        if not dlam < 0.0 or self._next_boundary() < 1.0:
+            return False
+        s_star = state.s - state.spectrum.lambdas[0] / dlam
+        return abs(s_star - 1.0) <= self.opts.terminal_window
 
     def _next_boundary(self):
         for b in self.boundaries:
@@ -227,7 +266,7 @@ class _Lift:
         self.u = u
         return state
 
-    def _accept_regular(self, s_new, u_new, h_used, at_knot):
+    def _accept_regular(self, s_new, u_new, h_used, tag=""):
         opts = self.opts
         flags = []
         if opts.correction:
@@ -250,10 +289,10 @@ class _Lift:
                     return None
         spec = spectral_decompose(gramian(self.oracle, u_new),
                                   prev=self.prev_spec)
-        if at_knot:
-            flags.append("knot")
+        if tag:
+            flags.append(tag)
         state = self._log(s_new, u_new, spec, h_used, " ".join(flags))
-        if at_knot and s_new < 1.0 - 1e-14:
+        if tag == "knot" and s_new < 1.0 - 1e-14:
             # restart eigenvector alignment and coefficient tracking
             self.prev_spec = None
         return state
@@ -271,9 +310,10 @@ class _Lift:
         """Euler steps with a clamped Gramian solve to land just past the
         point where lambda_1 crosses the singular threshold.
 
-        With ``require`` False the walk gives up silently when lambda_1
-        stops shrinking (the state was regular after all); otherwise the
-        failure to cross is reported as step underflow.
+        When the contraction at the end of the path stalls, the state is
+        regular after all, and the end-of-run checks decide whether it is
+        reached.  A walk that runs out of steps without crossing is step
+        underflow, unless ``require`` is False.
         """
         opts = self.opts
         h = max(h_start, opts.ds_min)
@@ -304,8 +344,6 @@ class _Lift:
                     h = h * 2.0
             elif h_use <= 1e-15:
                 # pinned contraction stalled: the state is regular
-                if require:
-                    break
                 return
             else:
                 h = h * 2.0
@@ -318,10 +356,14 @@ class _Lift:
     def run(self, spec0):
         """Lift from the anchor, whose Gramian spectrum is ``spec0``."""
         opts = self.opts
-        self._log(0.0, self.u, spec0, 0.0, "start")
+        state = self._log(0.0, self.u, spec0, 0.0, "start")
         h = opts.ds_init
+        t = 0.0         # step variable: s, or sigma0 - sigma in the endgame
         steps = 0
         while self.s < 1.0 - 1e-15 and self.status is None:
+            if self.sigma0 is None and self._endgame_due(state):
+                self.sigma0 = float(np.sqrt(1.0 - self.s))
+                t, h = 0.0, min(h / (2.0 * self.sigma0), self.sigma0)
             steps += 1
             if steps > opts.max_steps:
                 self.status = STEP_UNDERFLOW
@@ -330,16 +372,18 @@ class _Lift:
             boundary = self._next_boundary()
             if boundary == 1.0 and 1.0 - self.s < opts.ds_min:
                 break       # sub-ds_min gap to the end; resolved below
-            h = min(h, boundary - self.s)
-            if h < opts.ds_min:
+            end = boundary if self.sigma0 is None else self.sigma0
+            h = min(h, end - t)
+            s_new, ds = self._s_after(t, h)
+            if ds < opts.ds_min:
                 self.status = STEP_UNDERFLOW
-                self.message = f"step size {h:.3e} below ds_min"
+                self.message = f"step size {ds:.3e} below ds_min"
                 break
             try:
-                u5, err = _ck_step(self._fun, self.s, self.u, h)
+                u5, err = _ck_step(self._fun, t, self.u, h)
             except SingularGramian:
-                if h <= max(opts.ds_event, 4.0 * opts.ds_min):
-                    self._approach_singularity(h)
+                if ds <= max(opts.ds_event, 4.0 * opts.ds_min):
+                    self._approach_singularity(ds)
                     break
                 h *= 0.5
                 continue
@@ -357,15 +401,21 @@ class _Lift:
             spec_new = spectral_decompose(gramian(self.oracle, u5),
                                           prev=self.prev_spec)
             if spec_new.singular:
-                if h <= max(opts.ds_event, 4.0 * opts.ds_min):
-                    self._finish_singular(self.s + h, u5, spec_new, h)
+                if ds <= max(opts.ds_event, 4.0 * opts.ds_min):
+                    self._finish_singular(s_new, u5, spec_new, ds)
                     break
                 h *= 0.5
                 continue
-            s_new = self.s + h
-            at_knot = abs(s_new - boundary) < 1e-14 and boundary < 1.0
-            if self._accept_regular(s_new, u5, h, at_knot) is None:
+            if self.sigma0 is not None:
+                tag = "endgame"
+            elif abs(s_new - boundary) < 1e-14 and boundary < 1.0:
+                tag = "knot"
+            else:
+                tag = ""
+            state = self._accept_regular(s_new, u5, ds, tag)
+            if state is None:
                 break
+            t += h
             if ratio > 0.0:
                 h = h * min(5.0, max(0.2, 0.9 * ratio ** -0.2))
             else:
@@ -405,12 +455,18 @@ class _Lift:
         trace = self.trace
         final = trace[-1]
         n = self.oracle.dim_codomain
-        # trapezoid of |g| over states where g is defined
-        pts = [(st.s, abs(st.diag.g)) for st in trace
-               if np.isfinite(st.diag.g)]
+        # trapezoid of |g| over states where g is defined; in sigma over a
+        # pair that ends on an endgame state, where |g| ds = 2 sigma |g| dsigma
+        # stays bounded
+        pts = [(st.s, abs(st.diag.g), "endgame" in st.flags.split())
+               for st in trace if np.isfinite(st.diag.g)]
         g_integral = 0.0
-        for (s0, g0), (s1, g1) in zip(pts, pts[1:]):
-            g_integral += 0.5 * (g0 + g1) * (s1 - s0)
+        for (s0, g0, _), (s1, g1, endgame) in zip(pts, pts[1:]):
+            if endgame:
+                sig0, sig1 = (1.0 - s0) ** 0.5, (1.0 - s1) ** 0.5
+                g_integral += (sig0 * g0 + sig1 * g1) * (sig0 - sig1)
+            else:
+                g_integral += 0.5 * (g0 + g1) * (s1 - s0)
         norms = [self.oracle.norm(st.u) for st in trace]
         variation = float(np.sum(np.abs(np.diff(norms)))) if len(norms) > 1 \
             else 0.0

@@ -120,6 +120,19 @@ def test_criterion_3_singular_terminal_sphere():
             f"integral of |g| = {rep.g_integral:.4f}, {elapsed:.2f}s")
 
 
+def test_endgame_runs_only_on_the_singular_sphere():
+    # regular lifts never enter the endgame; the sphere's singular end
+    # takes a handful of steps in sigma = sqrt(1 - s)
+    for name in ("linear", "fold", "unicycle", "brockett"):
+        _, _, _, rep = _scenario(name)
+        assert not any("endgame" in st.flags.split() for st in rep.trace), \
+            name
+    _, _, _, rep = _scenario("sphere")
+    assert any("endgame" in st.flags.split() for st in rep.trace)
+    assert len(rep.trace) <= 25
+    assert abs(rep.g_integral - 1.0) < 0.0024
+
+
 def test_criterion_4_velocity_bound():
     worst = -np.inf
     for name in ("linear", "fold", "sphere", "unicycle", "brockett"):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
 from pathlift import solver
@@ -223,8 +225,10 @@ def test_stop_short_of_the_end_is_not_reached():
 
 @pytest.mark.parametrize("seed", [[303, 119], [307, 85]])
 def test_sub_ds_min_gap_to_end_still_resolves_singular(seed):
-    # weighted sphere draws whose Cash-Karp steps stop less than ds_min
-    # short of s = 1 with lambda_1 just above the singular threshold
+    # weighted sphere draws whose Cash-Karp steps in s stopped less than
+    # ds_min short of s = 1 with lambda_1 just above the singular
+    # threshold; the endgame in sigma now finishes them before that gap
+    # (test_sub_ds_min_gap_to_a_near_singular_end_is_resolved covers it)
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 7))
     weights = rng.uniform(0.5, 2.0, dim)
@@ -233,7 +237,71 @@ def test_sub_ds_min_gap_to_end_still_resolves_singular(seed):
     rep = pl.lift(o, pl.LinePath([1.0], [0.0]), direction / o.norm(direction))
     assert rep.status == pl.SINGULAR_TERMINAL, rep.message
     assert rep.final_state.spectrum.singular
-    assert rep.g_integral == pytest.approx(1.0024, abs=1e-3)
+    assert rep.g_integral == pytest.approx(1.0, abs=1e-3)
+
+
+def _endgame_states(rep):
+    return [state for state in rep.trace if "endgame" in state.flags.split()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_endgame_lifts_weighted_spheres_onto_the_singular_point(data):
+    # lambda_1 = 4 (1 - s) on every weighted sphere, so the endgame fires
+    # at the anchor; u = sigma u0 is linear in sigma = sqrt(1 - s)
+    dim = data.draw(st.integers(2, 6), label="dim")
+    weights = data.draw(arrays(float, dim, elements=st.floats(0.5, 2.0)),
+                        label="weights")
+    direction = data.draw(
+        arrays(float, dim, elements=st.floats(-1.0, 1.0)).filter(
+            lambda v: np.linalg.norm(v) > 1e-3), label="direction")
+    o = pl.SphereMap(dim, weights=weights)
+    rep = pl.lift(o, pl.LinePath([1.0], [0.0]), direction / o.norm(direction))
+    assert rep.status == pl.SINGULAR_TERMINAL, rep.message
+    assert abs(rep.g_integral - 1.0) <= 1e-3
+    deviation = max(abs(o.norm(state.u) - np.sqrt(1.0 - state.s))
+                    for state in rep.trace if state.s <= 1.0 - 1e-9)
+    assert deviation <= 1e-9
+    assert _endgame_states(rep)
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-7, 1e-9, 3e-10, 1e-10, 3e-11])
+def test_endgame_near_miss_of_the_fold_is_reached(gap):
+    # lambda_1 extrapolates to zero within the terminal window of s = 1,
+    # but the path ends gap above the fold value, so the end is regular
+    o = pl.FoldMap()
+    rep = pl.lift(o, pl.LinePath([0.25, 0.0], [gap, 0.3]),
+                  np.array([0.5, 0.0]))
+    assert rep.status == pl.REACHED, rep.message
+    np.testing.assert_allclose(rep.final_u, [np.sqrt(gap), 0.3], rtol=1e-5)
+    assert _endgame_states(rep)
+
+
+def test_sub_ds_min_gap_to_a_near_singular_end_is_resolved():
+    # the endgame stops less than ds_min short of s = 1 with lambda_1 near
+    # the singular threshold; contracting at s = 1 then lands on the
+    # regular fiber point
+    o = pl.FoldMap()
+    opts = pl.SolverOptions(ds_min=1e-8)
+    rep = pl.lift(o, pl.LinePath([0.25, 0.0], [1e-8, 0.3]),
+                  np.array([0.5, 0.0]), opts)
+    assert rep.status == pl.REACHED, rep.message
+    np.testing.assert_allclose(rep.final_u, [1e-4, 0.3], rtol=1e-9)
+    assert 0.0 < 1.0 - _endgame_states(rep)[-1].s < opts.ds_min
+    assert rep.trace[-1].s == 1.0 and rep.trace[-1].flags == "approach"
+
+
+def test_fold_polyline_ends_singular_interior_at_its_knot():
+    # the polyline touches the fold at its knot s = 0.5; a singular point
+    # at a knot is never an endgame, and the lift stops there
+    o = pl.FoldMap()
+    path = pl.PolylinePath([[0.25, 0.0], [0.0, 0.3], [0.25, 0.6]])
+    rep = pl.lift(o, path, np.array([0.5, 0.0]))
+    assert rep.status == pl.SINGULAR_INTERIOR, rep.message
+    assert rep.final_state.s == pytest.approx(0.5, abs=1e-5)
+    np.testing.assert_allclose(rep.final_u, [5e-6, 0.3], atol=1e-5)
+    assert abs(rep.g_integral - 0.5) <= 0.01
+    assert not _endgame_states(rep)
 
 
 def test_ple_rhs_matches_closed_form_on_sphere():
