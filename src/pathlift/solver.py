@@ -9,21 +9,28 @@ separate single-step API.  Every accepted state carries the full
 spectral diagnostics, so a finished run doubles as an empirical record
 of the quantities the solver's termination analysis is built on.
 
-Terminal endgame.  After every accepted state, the anchor included, the
-loop extrapolates lambda_1 linearly to s* = s - lambda_1 / dlambda1_ds
-from values the state already carries.  When lambda_1 is falling, s* lies
-within ``terminal_window`` of 1 and no knot remains, the rest of the lift
-is integrated in sigma = sqrt(1 - s), as homotopy-continuation endgames
-do (Morgan, Sommese & Wampler 1992).  At a corank-1 end lambda_1 vanishes
-linearly in s and |g| grows like 1/sigma, but du/dsigma = -2 sigma du/ds
-stays bounded; on the squared-norm map u is linear in sigma.  The same
+The first step is tried over the whole first knot interval: the default
+``ds_init`` of 1 only caps it, and the error control shortens it when the
+path needs shorter steps.
+
+Endgame.  After every accepted state, the anchor included, the loop
+extrapolates lambda_1 linearly to s* = s - lambda_1 / dlambda1_ds from
+values the state already carries.  Let b be the next boundary of the
+path: its next knot, or the end s = 1.  When lambda_1 is falling and s*
+lies within ``terminal_window`` of b, the lift up to b is integrated in
+sigma = sqrt(b - s), as homotopy-continuation endgames do (Morgan,
+Sommese & Wampler 1992).  At a corank-1 point lambda_1 vanishes linearly
+in s and |g| grows like 1/sigma, but du/dsigma = -2 sigma du/ds stays
+bounded; on the squared-norm map u is linear in sigma.  The same
 Cash-Karp step, error control and correction run in tau = sigma0 - sigma,
 with right-hand side 2 sigma du/ds.  Those states carry the flag
-``endgame`` and their step in s.  No step can land on the singular point
-itself, so the run finishes as one in s does, through the approach walk.
-Over each pair of states that ends on an endgame state the g integral is
-the trapezoid of 2 sigma |g| in sigma, since |g| ds = 2 sigma |g| dsigma.
-A singular point at a knot is not an endgame; the lift stops there.
+``endgame`` and their step in s.  A step onto a singular point fails, so
+a singular end is finished as one in s is, by the approach walk, with s
+pinned at b: at b < 1 the run ends ``SingularInterior``.  An endgame step
+that lands regular on a knot is tagged ``endgame knot``, and the next leg
+continues in s.  Over each pair of states that ends on an endgame state
+the g integral is the trapezoid of 2 sigma |g| in sigma, since
+|g| ds = 2 sigma |g| dsigma.
 """
 
 import logging
@@ -49,7 +56,7 @@ DIVERGED = "Diverged"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    ds_init: float = 1e-2
+    ds_init: float = 1.0         # cap on the first step
     ds_min: float = 1e-12
     ds_event: float = 1e-6       # bisection resolution toward the singular set
     tol_ode: float = 1e-8        # relative local error tolerance
@@ -219,7 +226,8 @@ class _Lift:
         self.opts = opts
         self.u = np.asarray(u0, dtype=float)
         self.s = 0.0
-        self.sigma0 = None      # sqrt(1 - s) where the endgame started
+        self.b = None           # next boundary: a knot or s = 1
+        self.sigma0 = None      # sqrt(b - s) where the endgame started
         self.prev_spec = None
         self.trace = []
         self.status = None
@@ -233,27 +241,28 @@ class _Lift:
             return ple_rhs(self.oracle, uu, self.path.gamma_dot(t))
         sigma = self.sigma0 - t
         return (2.0 * sigma) * ple_rhs(self.oracle, uu,
-                                       self.path.gamma_dot(1.0 - sigma**2))
+                                       self.path.gamma_dot(self.b - sigma**2))
 
     def _s_after(self, t, h):
         """Parameter s after a step h from t, and the step in s."""
         if self.sigma0 is None:
             return self.s + h, h
-        s_new = 1.0 - (self.sigma0 - (t + h)) ** 2
+        s_new = self.b - (self.sigma0 - (t + h)) ** 2
         return s_new, s_new - self.s
 
     def _endgame_due(self, state):
         """Whether lambda_1, extrapolated linearly from ``state``, vanishes
-        within the terminal window of s = 1 with no knot left before it."""
+        within the terminal window of the next boundary b."""
         dlam = state.diag.dlambda1_ds
-        if not dlam < 0.0 or self._next_boundary() < 1.0:
+        if not dlam < 0.0:
             return False
         s_star = state.s - state.spectrum.lambdas[0] / dlam
-        return abs(s_star - 1.0) <= self.opts.terminal_window
+        return abs(s_star - self.b) <= self.opts.terminal_window
 
-    def _next_boundary(self):
+    def _next_boundary(self, s):
+        """The first knot after s, or the end s = 1."""
         for b in self.boundaries:
-            if b > self.s + 1e-14:
+            if b > s + 1e-14:
                 return b
         return 1.0
 
@@ -292,7 +301,7 @@ class _Lift:
         if tag:
             flags.append(tag)
         state = self._log(s_new, u_new, spec, h_used, " ".join(flags))
-        if tag == "knot" and s_new < 1.0 - 1e-14:
+        if "knot" in tag.split():
             # restart eigenvector alignment and coefficient tracking
             self.prev_spec = None
         return state
@@ -308,17 +317,19 @@ class _Lift:
 
     def _approach_singularity(self, h_start, require=True):
         """Euler steps with a clamped Gramian solve to land just past the
-        point where lambda_1 crosses the singular threshold.
+        point where lambda_1 crosses the singular threshold, with s pinned
+        at the boundary b ahead.
 
-        When the contraction at the end of the path stalls, the state is
-        regular after all, and the end-of-run checks decide whether it is
-        reached.  A walk that runs out of steps without crossing is step
-        underflow, unless ``require`` is False.
+        When the contraction at b stalls, the state is regular after all,
+        and the end-of-run checks decide whether it is reached.  A walk
+        that runs out of steps without crossing is step underflow, unless
+        ``require`` is False.
         """
         opts = self.opts
+        b = self.b
         h = max(h_start, opts.ds_min)
         for _ in range(300):
-            h_use = min(h, 1.0 - self.s)
+            h_use = min(h, b - self.s)
             spec_here = self.prev_spec
             if h_use > 1e-15:
                 gd = self.path.gamma_dot(self.s)
@@ -360,19 +371,21 @@ class _Lift:
         h = opts.ds_init
         t = 0.0         # step variable: s, or sigma0 - sigma in the endgame
         steps = 0
+        walked = False  # whether the loop ended in the approach walk
         while self.s < 1.0 - 1e-15 and self.status is None:
-            if self.sigma0 is None and self._endgame_due(state):
-                self.sigma0 = float(np.sqrt(1.0 - self.s))
-                t, h = 0.0, min(h / (2.0 * self.sigma0), self.sigma0)
+            if self.sigma0 is None:
+                self.b = self._next_boundary(self.s)
+                if self._endgame_due(state):
+                    self.sigma0 = float(np.sqrt(self.b - self.s))
+                    t, h = 0.0, min(h / (2.0 * self.sigma0), self.sigma0)
             steps += 1
             if steps > opts.max_steps:
                 self.status = STEP_UNDERFLOW
                 self.message = f"step budget {opts.max_steps} exhausted"
                 break
-            boundary = self._next_boundary()
-            if boundary == 1.0 and 1.0 - self.s < opts.ds_min:
+            if self.b == 1.0 and 1.0 - self.s < opts.ds_min:
                 break       # sub-ds_min gap to the end; resolved below
-            end = boundary if self.sigma0 is None else self.sigma0
+            end = self.b if self.sigma0 is None else self.sigma0
             h = min(h, end - t)
             s_new, ds = self._s_after(t, h)
             if ds < opts.ds_min:
@@ -384,6 +397,13 @@ class _Lift:
             except SingularGramian:
                 if ds <= max(opts.ds_event, 4.0 * opts.ds_min):
                     self._approach_singularity(ds)
+                    if self.status is None and self.b < 1.0:
+                        # the walk stalled regular on a knot: the next leg
+                        # continues in s
+                        state, self.prev_spec = self.trace[-1], None
+                        self.sigma0, t, h = None, self.s, ds
+                        continue
+                    walked = True
                     break
                 h *= 0.5
                 continue
@@ -406,21 +426,23 @@ class _Lift:
                     break
                 h *= 0.5
                 continue
-            if self.sigma0 is not None:
-                tag = "endgame"
-            elif abs(s_new - boundary) < 1e-14 and boundary < 1.0:
-                tag = "knot"
-            else:
-                tag = ""
-            state = self._accept_regular(s_new, u5, ds, tag)
+            tags = [] if self.sigma0 is None else ["endgame"]
+            on_knot = self.b < 1.0 and abs(s_new - self.b) < 1e-14
+            if on_knot:
+                tags.append("knot")
+            state = self._accept_regular(s_new, u5, ds, " ".join(tags))
             if state is None:
                 break
-            t += h
+            if on_knot and self.sigma0 is not None:
+                # landed regular on a knot: the next leg continues in s
+                self.sigma0, t, h = None, s_new, ds
+            else:
+                t += h
             if ratio > 0.0:
                 h = h * min(5.0, max(0.2, 0.9 * ratio ** -0.2))
             else:
                 h = h * 5.0
-        if self.status is None:
+        if self.status is None and not walked:
             near = self.trace[-1].spectrum
             if near.lambdas[0] < 1e4 * near.lambda_sing:
                 # finished barely above the singular threshold; resolve by
@@ -463,7 +485,8 @@ class _Lift:
         g_integral = 0.0
         for (s0, g0, _), (s1, g1, endgame) in zip(pts, pts[1:]):
             if endgame:
-                sig0, sig1 = (1.0 - s0) ** 0.5, (1.0 - s1) ** 0.5
+                b = next(x for x in self.boundaries if x >= s1)
+                sig0, sig1 = (b - s0) ** 0.5, (b - s1) ** 0.5
                 g_integral += (sig0 * g0 + sig1 * g1) * (sig0 - sig1)
             else:
                 g_integral += 0.5 * (g0 + g1) * (s1 - s0)

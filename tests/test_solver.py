@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
-from pathlift import solver
+from pathlift import endpoint, solver
 from pathlift.errors import BadAnchor, ConfigurationError, SingularStart
 
 
@@ -291,17 +291,94 @@ def test_sub_ds_min_gap_to_a_near_singular_end_is_resolved():
     assert rep.trace[-1].s == 1.0 and rep.trace[-1].flags == "approach"
 
 
+def test_endgame_near_miss_walks_once(monkeypatch):
+    # the approach walk stalls regular at s = 1; the end-of-run checks
+    # must not walk a second time from the same state
+    calls = []
+    real = solver._Lift._approach_singularity
+
+    def walk(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Lift, "_approach_singularity", walk)
+    rep = pl.lift(pl.FoldMap(), pl.LinePath([0.25, 0.0], [1e-10, 0.3]),
+                  np.array([0.5, 0.0]))
+    assert rep.status == pl.REACHED, rep.message
+    assert len(calls) == 1
+
+
+_FOLD_POLYLINE = [[0.25, 0.0], [0.0, 0.3], [0.25, 0.6]]
+
+
 def test_fold_polyline_ends_singular_interior_at_its_knot():
-    # the polyline touches the fold at its knot s = 0.5; a singular point
-    # at a knot is never an endgame, and the lift stops there
+    # the polyline touches the fold at its knot s = 0.5; the endgame in
+    # sigma = sqrt(0.5 - s) runs into it, and the lift stops there
     o = pl.FoldMap()
-    path = pl.PolylinePath([[0.25, 0.0], [0.0, 0.3], [0.25, 0.6]])
+    path = pl.PolylinePath(_FOLD_POLYLINE)
     rep = pl.lift(o, path, np.array([0.5, 0.0]))
     assert rep.status == pl.SINGULAR_INTERIOR, rep.message
     assert rep.final_state.s == pytest.approx(0.5, abs=1e-5)
     np.testing.assert_allclose(rep.final_u, [5e-6, 0.3], atol=1e-5)
     assert abs(rep.g_integral - 0.5) <= 0.01
-    assert not _endgame_states(rep)
+    assert _endgame_states(rep)
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [pl.SolverOptions(ds_init=d) for d in np.geomspace(1e-3, 1.0, 25)]
+    + [pl.SolverOptions(tol_ode=t) for t in np.geomspace(1e-10, 1e-6, 13)],
+    ids=[f"ds_init={d:.3g}" for d in np.geomspace(1e-3, 1.0, 25)]
+    + [f"tol_ode={t:.3g}" for t in np.geomspace(1e-10, 1e-6, 13)])
+def test_fold_polyline_end_does_not_depend_on_the_step_history(opts):
+    rep = pl.lift(pl.FoldMap(), pl.PolylinePath(_FOLD_POLYLINE),
+                  np.array([0.5, 0.0]), opts)
+    assert rep.status == pl.SINGULAR_INTERIOR, rep.message
+    assert rep.final_state.s == pytest.approx(0.5, abs=1e-12)
+    assert len(rep.trace) <= 40
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 3e-11])
+def test_fold_polyline_near_miss_passes_its_knot(gap):
+    # the knot stops gap short of the fold value; the endgame toward the
+    # knot lands on it regular, or its approach walk stalls there, and
+    # the second leg is lifted in s
+    o = pl.FoldMap()
+    path = pl.PolylinePath([[0.25, 0.0], [gap, 0.3], [0.25, 0.6]])
+    rep = pl.lift(o, path, np.array([0.5, 0.0]))
+    assert rep.status == pl.REACHED, rep.message
+    np.testing.assert_allclose(rep.final_u, [0.5, 0.6], atol=1e-9)
+    assert any(state.s == 0.5 for state in rep.trace)
+
+
+def _short_brockett_lift(opts=None):
+    o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 10)
+    u0 = o.grid.constant([1.0, 1.0])
+    y0 = o.eval(u0)
+    return pl.lift(o, pl.LinePath(y0, y0 + [0.05, -0.03, 0.02]), u0, opts)
+
+
+def test_short_lift_takes_one_cash_karp_step(monkeypatch):
+    # the first step spans the whole path; ds_init only caps it
+    calls = []
+    real = endpoint.integrate
+
+    def integrate(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(endpoint, "integrate", integrate)
+    rep = _short_brockett_lift()
+    assert rep.status == pl.REACHED, rep.message
+    assert [state.s for state in rep.trace] == [0.0, 1.0]
+    assert len(calls) <= 8
+
+
+def test_small_ds_init_keeps_the_growing_step_sequence():
+    rep = _short_brockett_lift(pl.SolverOptions(ds_init=0.01))
+    assert rep.status == pl.REACHED, rep.message
+    np.testing.assert_allclose([state.s for state in rep.trace],
+                               [0.0, 0.01, 0.06, 0.31, 1.0], atol=1e-12)
 
 
 def test_ple_rhs_matches_closed_form_on_sphere():
