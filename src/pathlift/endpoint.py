@@ -8,10 +8,12 @@ L2 inner product of the piecewise-constant representatives exactly, so
 the oracle adjoint discretizes the continuous one.
 
 The map F is the one ``integrate`` computes: STEPS_PER_SEGMENT classical
-RK4 steps per segment.  It steps B independent trajectories at once as an
-(n, B) state with the batch on the last axis, one trajectory as a batch
-of one: ``f`` is written on components, so one call steps every member.
-J and dJ are the exact derivatives of that computed map, on the same
+RK4 steps per segment.  It takes B independent trajectories at once with
+the batch on the last axis, one trajectory as a batch of one: ``f`` is
+written on components, so one call steps every member.  The steps are
+taken in exact Picard sweeps over the whole grid (see ``integrate``):
+the states are bit for bit those of stepping one step at a time.  J and
+dJ are the exact derivatives of that computed map, on the same
 grid (discretise, then differentiate).  An RK4 step Phi(x, u) has
 partials M_j = dPhi/dx and N_j = dPhi/du, a polynomial in f_x and f_u at
 its four stage states: with the control frozen as a state (udot = 0),
@@ -253,6 +255,22 @@ def _stages(f, x, u, h):
     return (x, x2, x3, x + h * k3), (k1, k2, k3)
 
 
+def _increments(f, x, u, h):
+    """RK4 increments h/6 (k1 + 2 k2 + 2 k3 + k4) at states x (n, K) and
+    controls u (m, K): the stage states of :func:`_stages`, each dropped
+    once used, and the sum in that order, in place."""
+    k1 = f(x, u)
+    k2 = f(x + 0.5 * h * k1, u)
+    total = k1 + 2 * k2
+    del k1
+    k3 = f(x + 0.5 * h * k2, u)
+    del k2
+    total += 2 * k3
+    total += f(x + h * k3, u)
+    total *= h / 6.0
+    return total
+
+
 def _check_stacked(f, x, u):
     """Raise ConfigurationError unless ``f`` at stacked (n, B) states and
     (m, B) controls equals ``f`` at each member's own state and control."""
@@ -273,17 +291,25 @@ def _check_stacked(f, x, u):
 
 def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
     """Fixed-step RK4 flow of the control system, ``substeps`` steps per
-    segment.
+    segment, in exact Picard sweeps over the whole grid.
 
     ``u_values`` has shape (P, m) for one trajectory, or (P, m, B) for B
     independent trajectories from the same x0.  Returns (times, states) at
     the step starts, states of shape (T, n), T = P * substeps + 1, or
-    (B, T, n) for a batch.  Every call steps an (n, B) state, one
-    trajectory as a batch of one, through one ``system.f`` call per RK4
-    stage, and ``f`` is checked against single-member calls at the first
-    and last states.  Blowup is checked once per segment on every member;
-    the escape time is the first non-finite or too-large state's, over
-    the members that escape first.
+    (B, T, n) for a batch.  ``f`` is checked against single-member calls
+    at the first and last states; the escape time is the first non-finite
+    or too-large state's, over all members.
+
+    The states are bit for bit those of stepping x_{j+1} = x_j + inc(x_j)
+    one step at a time.  States up to x_d are exact, the later ones are
+    guesses (x0 at first).  A sweep takes the increments of the steps from
+    d on at their guessed starts, in four ``f`` calls on an (n, L*B) stack,
+    and accumulates them in order from x_d.  Up to the first state whose
+    bits differ from its guess, each increment was taken at the state
+    itself, so those states are exact: at least one more per sweep.  A
+    cascade (each component driven only by the controls and earlier ones)
+    is exact after n sweeps, confirmed by sweep n + 1; after n + 1 sweeps
+    the steps left are taken one at a time.
     """
     u_values = np.asarray(u_values, dtype=float)
     if u_values.ndim not in (2, 3) or u_values.shape[1] != system.control_dim:
@@ -294,31 +320,45 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
         raise ConfigurationError(f"substeps must be >= 1, got {substeps}")
     single = u_values.ndim == 2
     u_values = u_values[..., None] if single else u_values
-    segments = u_values.shape[0]
+    segments, m, batch = u_values.shape
+    steps = segments * substeps
     h = horizon / segments / substeps
-    x = np.repeat(np.asarray(x0, dtype=float)[:, None], u_values.shape[2],
-                  axis=1)
+    x = np.repeat(np.asarray(x0, dtype=float)[:, None], batch, axis=1)
+    n = x.shape[0]
     _check_stacked(system.f, x, u_values[0])
-    states = np.empty((segments * substeps + 1,) + x.shape)
-    times = np.linspace(0.0, horizon, segments * substeps + 1)
-    states[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seg in range(segments):
-            u = u_values[seg]
-            block = states[seg * substeps + 1:(seg + 1) * substeps + 1]
-            for j in range(substeps):
-                (*_, x4), (k1, k2, k3) = _stages(system.f, x, u, h)
-                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + system.f(x4, u))
-                block[j] = x
-            bad = (~np.isfinite(block).all(axis=1)
-                   | (np.linalg.norm(block, axis=1) > BLOWUP_NORM))
-            if bad.any():
-                first = np.argmax(bad.any(axis=1))
-                t = float(times[seg * substeps + 1 + first])
-                raise TrajectoryBlowup(
-                    f"trajectory escaped near t = {t:.4f}", escape_time=t)
-    _check_stacked(system.f, x, u_values[-1])
-    states = np.moveaxis(states, -1, 0)
+    # column j*B + b holds member b at step j: a run of steps is a slice
+    states = np.tile(x, steps + 1)
+    controls = np.repeat(u_values, substeps, axis=0).transpose(1, 0, 2)
+    controls = controls.reshape(m, -1)
+    times = np.linspace(0.0, horizon, steps + 1)
+    done = sweeps = 0
+    # flags raised at guesses mean nothing; a real escape fails the test below
+    with np.errstate(all="ignore"):
+        while done < steps:
+            stop = steps if sweeps <= n else done + 1
+            sweeps += 1
+            a, b = done * batch, stop * batch
+            new = _increments(system.f, states[:, a:b], controls[:, a:b], h)
+            new[:, :batch] += states[:, a:a + batch]
+            if stop > done + 1:
+                runs = new.reshape(n, -1, batch)
+                np.add.accumulate(runs, axis=1, out=runs)
+                moved = (new[:, :-batch].view(np.int64)
+                         != states[:, a + batch:b].view(np.int64))
+                moved = moved.reshape(n, -1, batch).any(axis=(0, 2))
+                if moved.any():
+                    stop = done + 1 + int(np.argmax(moved))
+            states[:, a + batch:b + batch] = new
+            done = stop
+        states = states.reshape(n, steps + 1, batch)
+        bad = (~np.isfinite(states[:, 1:]).all(axis=0)
+               | (np.linalg.norm(states[:, 1:], axis=0) > BLOWUP_NORM))
+    if bad.any():
+        t = float(times[1 + np.argmax(bad.any(axis=1))])
+        raise TrajectoryBlowup(
+            f"trajectory escaped near t = {t:.4f}", escape_time=t)
+    _check_stacked(system.f, states[:, -1], u_values[-1])
+    states = states.transpose(2, 1, 0)
     return times, np.ascontiguousarray(states[0] if single else states)
 
 

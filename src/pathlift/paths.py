@@ -42,6 +42,9 @@ class LinePath(TargetPath):
     def gamma_dot(self, s):
         return self.end - self.start
 
+    def max_speed(self, samples=None):
+        return float(np.linalg.norm(self.end - self.start))
+
 
 class PolylinePath(TargetPath):
     """Piecewise-linear path through waypoints, uniform in s per segment.
@@ -72,6 +75,11 @@ class PolylinePath(TargetPath):
     def gamma_dot(self, s):
         k, _ = self._segment(s)
         return (self.points[k + 1] - self.points[k]) * self.nseg
+
+    def max_speed(self, samples=None):
+        # every slope, normed as gamma_dot is: samples can miss segments
+        return max(float(np.linalg.norm(slope))
+                   for slope in np.diff(self.points, axis=0) * self.nseg)
 
 
 def line_to_target(oracle, u0, target):

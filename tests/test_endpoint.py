@@ -565,6 +565,150 @@ def test_stacked_integrate_equals_per_member_integrate(data):
             np.testing.assert_array_equal(states[b], s_one)
 
 
+def _loop_integrate(system, x0, u_values, horizon):
+    """Reference flow: the RK4 recurrence x_{j+1} = x_j + h/6 (k1 + 2 k2 +
+    2 k3 + k4), one step at a time on the (n, B) stack of members, stepping
+    on past any escape.  Returns (times, states) shaped as ``integrate``'s."""
+    u_values = np.asarray(u_values, dtype=float)
+    single = u_values.ndim == 2
+    u_values = u_values[..., None] if single else u_values
+    h = horizon / u_values.shape[0] / STEPS_PER_SEGMENT
+    x = np.repeat(np.asarray(x0, dtype=float)[:, None], u_values.shape[2],
+                  axis=1)
+    states = [x]
+    with np.errstate(all="ignore"):
+        for u in np.repeat(u_values, STEPS_PER_SEGMENT, axis=0):
+            k1 = system.f(x, u)
+            k2 = system.f(x + 0.5 * h * k1, u)
+            k3 = system.f(x + 0.5 * h * k2, u)
+            k4 = system.f(x + h * k3, u)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(x)
+    states = np.moveaxis(np.stack(states), -1, 0)
+    times = np.linspace(0.0, horizon, states.shape[1])
+    return times, states[0] if single else states
+
+
+def _loop_escape_time(system, x0, u_values, horizon):
+    """Time of the reference flow's first state, over all members, that is
+    non-finite or has norm above BLOWUP_NORM; None if there is none."""
+    times, states = _loop_integrate(system, x0, u_values, horizon)
+    with np.errstate(all="ignore"):
+        bad = (~np.isfinite(states).all(axis=-1)
+               | (np.linalg.norm(states, axis=-1) > BLOWUP_NORM))
+    bad = bad.reshape(-1, len(times)).any(axis=0)
+    return float(times[np.argmax(bad)]) if bad.any() else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integrate_equals_the_step_by_step_reference(data):
+    """The sweeps reproduce the step-by-step recurrence bit for bit, for a
+    single trajectory and for a batch.  lti's stacked A @ x on a sweep's
+    (n, L*B) stack may round differently from the (n, B) one."""
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
+                     label="system")
+    fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
+    segments = data.draw(st.integers(fewest, 12), label="segments")
+    batch = data.draw(st.none() | st.integers(1, 50), label="batch")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    ep = _oracle(name, segments)
+    shape = (segments, ep.system.control_dim) + (
+        () if batch is None else (batch,))
+    us = np.random.default_rng(seed).uniform(-2.0, 2.0, shape)
+    times, states = pl.integrate(ep.system, ep.x0, us, 1.0)
+    t_ref, ref = _loop_integrate(ep.system, ep.x0, us, 1.0)
+    np.testing.assert_array_equal(times, t_ref)
+    assert states.shape == ref.shape
+    if name == "lti":
+        np.testing.assert_allclose(states, ref, rtol=1e-15,
+                                   atol=1e-15 * np.abs(ref).max())
+    else:
+        assert states.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_non_cascade_escape_time_matches_the_reference(batch):
+    """x' = x^2 + u from x = 2, at u = 1, escapes near t = pi/2 - atan 2.
+    It is no cascade, so the sweeps fix one step each and the steps after
+    n + 1 sweeps are taken one at a time; the escape time is the reference
+    loop's, and in a batch the earliest member's."""
+    system = pl.ControlSystem("riccati", 1, 1, lambda x, u: x * x + u,
+                              _zeros(1, 1), _zeros(1, 1))
+    us = np.ones((40, 1)) if batch is None else np.stack(
+        [np.full((40, 1), u) for u in (0.5, 1.0, -1.0)], axis=-1)
+    expect = _loop_escape_time(system, [2.0], us, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryBlowup) as info:
+            pl.integrate(system, [2.0], us, 1.0)
+    assert info.value.escape_time == expect
+    assert round(expect, 4) == 0.4708
+
+
+def test_cascade_escape_in_its_second_component_matches_the_reference():
+    """x1' = u, x2' = exp(x1): a cascade, exact after two sweeps, whose
+    second component passes BLOWUP_NORM; the member with the larger
+    control escapes first."""
+    system = pl.ControlSystem(
+        "exp-cascade", 2, 1,
+        lambda x, u: np.stack([u[0], np.exp(x[0])]), _zeros(2, 2),
+        _zeros(2, 1))
+    us = np.stack([np.full((5, 1), 30.0), np.full((5, 1), 40.0)], axis=-1)
+    expect = [_loop_escape_time(system, [0.0, 0.0], us[..., b], 1.0)
+              for b in range(2)]
+    assert 0.0 < expect[1] < expect[0] < 1.0
+    for u_values, t in ((us[..., 0], expect[0]), (us, expect[1])):
+        with pytest.raises(TrajectoryBlowup) as info:
+            pl.integrate(system, [0.0, 0.0], u_values, 1.0)
+        assert info.value.escape_time == t
+
+
+def _counting_f(system):
+    """The system with ``f`` wrapped to record the shape of each state it
+    is called on."""
+    shapes = []
+
+    def f(x, u):
+        shapes.append(np.shape(x))
+        return system.f(x, u)
+
+    return dataclasses.replace(system, f=f), shapes
+
+
+@pytest.mark.parametrize("name,params", [
+    ("brockett", None), ("unicycle", None),
+    ("single-integrator", {"dim": 2})])
+def test_a_cascade_takes_at_most_n_plus_one_sweeps(name, params):
+    """Four stacked ``f`` calls per sweep, at most n + 1 sweeps, next to
+    _check_stacked's 1 + B calls at each end: 4 (n + 1) + 4 calls for one
+    trajectory instead of 4 * 480 at 80 segments."""
+    system, shapes = _counting_f(pl.make_system(name, **(params or {})))
+    n = system.state_dim
+    us = np.random.default_rng(14).uniform(
+        -1.0, 1.0, (80, system.control_dim))
+    _, states = pl.integrate(system, np.full(n, 0.1), us, 1.0)
+    assert len(shapes) <= 4 * (n + 1) + 4
+    _, ref = _loop_integrate(system, np.full(n, 0.1), us, 1.0)
+    assert states.tobytes() == ref.tobytes()
+
+
+def test_lti_falls_back_to_single_steps_after_n_plus_one_sweeps():
+    """lti is no cascade: each sweep fixes one step, so after n + 1 = 3
+    sweeps over the open steps the rest go one at a time."""
+    a = [[0.0, 1.0], [-2.0, -0.3]]
+    system, shapes = _counting_f(pl.lti(a, [[0.0, 0.5], [1.0, 0.0]]))
+    batch, steps = 4, 10 * STEPS_PER_SEGMENT
+    us = np.random.default_rng(15).uniform(-1.0, 1.0, (10, 2, batch))
+    _, states = pl.integrate(system, [1.0, -0.5], us, 1.0)
+    stages = [shape[1] for shape in shapes[1 + batch:-1 - batch]]
+    assert stages == ([(steps - i) * batch for i in range(3) for _ in "1234"]
+                      + [batch] * 4 * (steps - 3))
+    _, ref = _loop_integrate(system, [1.0, -0.5], us, 1.0)
+    np.testing.assert_allclose(states, ref, rtol=1e-15,
+                               atol=1e-15 * np.abs(ref).max())
+
+
 def test_eval_many_matches_eval_with_duplicates_and_small_cache(
         monkeypatch):
     calls = _count_integrate(monkeypatch)
@@ -674,7 +818,7 @@ def _unicycle(segments=6, x0=(0.0, 0.0, 0.0), **partials):
 
 
 def _zeros(*shape):
-    """A second partial that is identically zero."""
+    """A partial that is identically zero."""
     return lambda x, u: np.zeros(
         np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + shape)
 

@@ -233,6 +233,30 @@ def test_polyline_path_knots_and_slopes():
     np.testing.assert_allclose(p.gamma(1.0), [3.0])
 
 
+def test_polyline_max_speed_sees_every_segment():
+    # at 400 segments the 201-point grid of the sampled maximum hits only
+    # a few odd segments; the fastest one, 201, is not among them
+    steps = np.ones(400)
+    steps[201] = 3.0
+    points = np.column_stack([np.concatenate([[0.0], np.cumsum(steps)]),
+                              np.zeros(401)])
+    p = pl.PolylinePath(points)
+    assert pl.TargetPath.max_speed(p) == 400.0
+    assert p.max_speed() == 1200.0
+
+
+@pytest.mark.parametrize("segments", [1, 2, 7, 50, 200])
+def test_exact_max_speed_equals_the_sampled_one_up_to_200_segments(segments):
+    """Up to 200 segments the grid hits every segment, and the exact
+    maximum takes the same norm of the same slopes, so report.txt keeps
+    its digits."""
+    rng = np.random.default_rng(segments)
+    paths = [pl.PolylinePath(rng.standard_normal((segments + 1, 3))),
+             pl.LinePath(*rng.standard_normal((2, 3)))]
+    for p in paths:
+        assert p.max_speed() == pl.TargetPath.max_speed(p)
+
+
 def test_line_to_target_starts_at_image():
     o = pl.SphereMap(2)
     u0 = np.array([1.0, 1.0])
