@@ -23,8 +23,10 @@ partials broadcast over leading axes).  J sums K_{j+1} N_j over the
 steps, with K_j = K_{j+1} M_j and K = I at T.
 
 Second differentials are exact for systems that give f_xx, f_xu and f_uu:
-``EndpointOracle.jacobian_derivative`` differentiates J along v on the
-cached trajectory.  The tangent y_v steps with ``_propagators`` of
+``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
+u on the cached trajectories for a stack of (u, v) pairs on a leading
+axis, and ``jacobian_derivative`` is the stack of one.  The tangent y_v
+steps with ``_propagators`` of
 [[f_x, f_u v], [0, 0]], and the step partials' derivatives come from the
 same pullback fed the stage blocks [[S, dS], [0, S]] (the block-triangular
 identity for Frechet derivatives), so every linear flow here takes its
@@ -45,6 +47,8 @@ BLOWUP_NORM = 1e8
 # RK4 steps per control segment: the fewest that keep the lti endpoint
 # within 1e-8 of its matrix exponential (5 steps give 1.6e-8)
 STEPS_PER_SEGMENT = 6
+# members x segments of one second-variation pass: a longer stack is split
+STACK_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -377,11 +381,17 @@ def _propagators(a, h):
     """
     r = a.shape[-2]
     a1, a2, a3, a4 = (a[..., i, :, :] for i in range(4))
-    b2 = a3 + 0.5 * h * a4[..., :r] @ a3
-    b3 = a2 + 0.5 * h * b2[..., :r] @ a2
-    b4 = a1 + h * b3[..., :r] @ a1
-    b4 += a4    # h/6 (a4 + 2 b2 + 2 b3 + b4) in place: dJ's peak memory
-    b4 += 2 * (b2 + b3)
+    # every sum in place, in the order of the formula: dJ's peak memory
+    b2 = 0.5 * h * a4[..., :r] @ a3
+    b2 += a3
+    b3 = 0.5 * h * b2[..., :r] @ a2
+    b3 += a2
+    b4 = h * b3[..., :r] @ a1
+    b4 += a1
+    b4 += a4    # h/6 (a4 + 2 (b2 + b3) + b4)
+    b3 += b2
+    b3 *= 2
+    b4 += b3
     b4 *= h / 6.0
     b4[..., :r] += np.eye(r)
     return b4
@@ -389,14 +399,14 @@ def _propagators(a, h):
 
 def _chain(steps):
     """Running products of each segment's step blocks, for all segments
-    at once: entry j of the (P, S + 1, r, c) result holds the nonzero rows
-    of the product of the first j step blocks, ``steps`` (P, S, r, c)."""
-    segments, count, r, c = steps.shape
-    out = np.zeros((segments, count + 1, r, c))
-    out[:, 0, :, :r] = np.eye(r)
+    at once: entry j of the (..., P, S + 1, r, c) result holds the nonzero
+    rows of the product of the first j blocks ``steps`` (..., P, S, r, c)."""
+    *lead, count, r, c = steps.shape
+    out = np.zeros((*lead, count + 1, r, c))
+    out[..., 0, :, :r] = np.eye(r)
     for j in range(count):
-        out[:, j + 1] = steps[:, j, :, :r] @ out[:, j]
-        out[:, j + 1, :, r:] += steps[:, j, :, r:]
+        out[..., j + 1, :, :] = steps[..., j, :, :r] @ out[..., j, :, :]
+        out[..., j + 1, :, r:] += steps[..., j, :, r:]
     return out
 
 
@@ -457,15 +467,7 @@ class EndpointOracle(MapOracle):
 
     def trajectory(self, u):
         """(times, states) of the controlled flow at the RK4 step starts."""
-        u = self._domain_vec(u)
-        entry = self._entry(u)
-        if "traj" not in entry:
-            times, states = integrate(self.system, self.x0,
-                                      self.grid.unpack(u), self.grid.horizon)
-            times.flags.writeable = False
-            states.flags.writeable = False
-            entry["traj"] = (times, states)
-        return entry["traj"]
+        return self._trajectories(self._domain_vec(u)[None])[0]
 
     # -- oracle contract ---------------------------------------------------
 
@@ -473,16 +475,9 @@ class EndpointOracle(MapOracle):
         _, states = self.trajectory(u)
         return states[-1].copy()
 
-    def eval_many(self, us):
-        """F at each row of ``us`` (B, N), shape (B, n).
-
-        The rows not in the cache are integrated in one stacked call, and
-        each member's trajectory is cached read-only as :meth:`trajectory`
-        caches it, so a later :meth:`jacobian` costs only the backward
-        pass.  Values come from the batch itself, so B may exceed the
-        cache size.
-        """
-        us = self._domain_rows(us)
+    def _trajectories(self, us):
+        """Read-only (times, states) at each row of ``us`` (B, N), the rows
+        not in the cache integrated in one stacked call and cached."""
         keys = [u.tobytes() for u in us]
         trajs = {key: self._cache[key]["traj"] for key in keys
                  if "traj" in self._cache.get(key, {})}
@@ -497,12 +492,18 @@ class EndpointOracle(MapOracle):
             states.flags.writeable = False
             trajs.update((key, (times, member))
                          for key, member in zip(todo, states))
-        # touch the cache in row order, as one eval per row would
-        out = np.empty((len(us), self.dim_codomain))
-        for i, (key, u) in enumerate(zip(keys, us)):
+        # touch the cache in row order, as one trajectory call per row would
+        for key, u in zip(keys, us):
             self._entry(u)["traj"] = trajs[key]
-            out[i] = trajs[key][1][-1]
-        return out
+        return [trajs[key] for key in keys]
+
+    def eval_many(self, us):
+        """F at each row of ``us`` (B, N), shape (B, n), from
+        :meth:`_trajectories`: a later :meth:`jacobian` costs no
+        integration."""
+        us = self._domain_rows(us)
+        return np.array([states[-1] for _, states in self._trajectories(us)]
+                        ).reshape(len(us), self.dim_codomain)
 
     def endpoint_refined(self, u, refine=4):
         """Terminal state re-integrated with refine times as many steps."""
@@ -513,33 +514,34 @@ class EndpointOracle(MapOracle):
                               self.grid.horizon, STEPS_PER_SEGMENT * refine)
         return states[-1].copy()
 
-    def _stage_states(self, u):
-        """Stage states (P, S, 4, n) of every RK4 step of the cached
-        trajectory, and the control at them (P, S, 4, m): three stacked
-        ``f`` calls over the step starts."""
-        _, states = self.trajectory(u)
-        segments, m = self.grid.segments, self.grid.control_dim
-        controls = self.grid.unpack(u)
-        stages, _ = _stages(self.system.f, states[:-1].T,
-                            np.repeat(controls, STEPS_PER_SEGMENT, axis=0).T,
-                            self._h)
+    def _stage_states(self, us):
+        """Stage states (K, P, S, 4, n) of every RK4 step of the
+        trajectories at the controls ``us`` (K, N), and the control at
+        them (K, P, S, 4, m): three ``f`` calls over all step starts."""
+        controls = us.reshape(len(us), self.grid.segments, -1)
+        starts = np.concatenate([self.trajectory(u)[1][:-1] for u in us])
+        stages, _ = _stages(self.system.f, starts.T, np.repeat(
+            controls, STEPS_PER_SEGMENT, axis=1).reshape(len(starts), -1).T,
+            self._h)
         x = np.stack(stages).transpose(2, 0, 1).reshape(
-            segments, STEPS_PER_SEGMENT, 4, -1)
-        return x, np.broadcast_to(controls[:, None, None], x.shape[:3] + (m,))
+            controls.shape[:2] + (STEPS_PER_SEGMENT, 4, -1))
+        return x, np.broadcast_to(controls[:, :, None, None],
+                                  x.shape[:-1] + controls.shape[-1:])
 
     def _pullback(self, steps):
-        """sum_j K_{j+1} N_j over each segment's steps, (P, r, c - r), for
-        step rows [M_j | N_j] (P, S, r, c), K_j = K_{j+1} M_j and K = I
-        at T: the segment products come from :func:`_chain`, then one
-        backward pass over the segments."""
-        ends = _chain(steps)[:, -1]
+        """sum_j K_{j+1} N_j over each segment's steps, (..., P, r, c - r),
+        for step rows [M_j | N_j] (..., P, S, r, c), K_j = K_{j+1} M_j and
+        K = I at T: the segment products come from :func:`_chain`, then
+        one backward pass over the segments."""
+        ends = _chain(steps)[..., -1, :, :].swapaxes(-3, 0)
         r = steps.shape[-2]
-        out = np.empty(ends[..., r:].shape)
+        gains, maps = ends[..., r:], ends[..., :r]
+        out = np.empty(gains.shape)
         kernel = np.eye(r)
         for seg in range(self.grid.segments - 1, -1, -1):
-            out[seg] = kernel @ ends[seg, :, r:]
-            kernel = kernel @ ends[seg, :, :r]
-        return out
+            out[seg] = kernel @ gains[seg]
+            kernel = kernel @ maps[seg]
+        return out.swapaxes(0, -3)
 
     def jacobian(self, u):
         """J = dF/du of the computed RK4 map: the pullback of the step
@@ -549,9 +551,9 @@ class EndpointOracle(MapOracle):
         entry = self._entry(u)
         if "jac" in entry:
             return entry["jac"]
-        x, uu = self._stage_states(u)
-        stage = np.concatenate([self.system.f_x(x, uu),
-                                self.system.f_u(x, uu)], axis=-1)
+        x, uu = self._stage_states(u[None])
+        stage = np.concatenate([self.system.f_x(x[0], uu[0]),
+                                self.system.f_u(x[0], uu[0])], axis=-1)
         jac = self._pullback(_propagators(stage, self._h))
         jac = jac.transpose(1, 0, 2).reshape(self.dim_codomain, -1)
         jac.flags.writeable = False
@@ -559,22 +561,47 @@ class EndpointOracle(MapOracle):
         return jac
 
     def _tangent(self, steps):
-        """Tangent y = dx along v at every step start, (P, S, n), from the
-        step rows [M_j | c_j] (P, S, n, n + 1) of y_{j+1} = M_j y_j + c_j,
-        y = 0 at t = 0: each segment's running products, then a forward
-        pass over the segments."""
+        """Tangent y = dx along v at every step start, (..., P, S, n), from
+        the step rows [M_j | c_j] (..., P, S, n, n + 1) of
+        y_{j+1} = M_j y_j + c_j, y = 0 at t = 0: each segment's running
+        products, then a forward pass over the segments."""
         flows = _chain(steps)
         n = steps.shape[-2]
         y = np.empty(steps.shape[:-1])
-        start = np.zeros(n)
+        start = np.zeros(steps.shape[:-4] + (1, n, 1))
         for seg in range(self.grid.segments):
-            y[seg] = flows[seg, :-1, :, :n] @ start + flows[seg, :-1, :, n]
-            start = flows[seg, -1, :, :n] @ start + flows[seg, -1, :, n]
+            # y at the segment's step starts, and at its end: the next start
+            flow = flows[..., seg, :, :, :]
+            ys = flow[..., :n] @ start + flow[..., n:]
+            y[..., seg, :, :] = ys[..., :-1, :, 0]
+            start = ys[..., -1:, :, :]
         return y
 
     def jacobian_derivative(self, u, v):
-        """Second variation: the exact derivative of :meth:`jacobian` along
-        v, on the cached trajectory, with no new integration.
+        """Second variation dJ(v): the stack of one."""
+        return self.jacobian_derivative_many(
+            self._domain_vec(u)[None], self._domain_vec(v, "v")[None])[0]
+
+    def jacobian_derivative_many(self, us, vs):
+        """Exact derivatives of :meth:`jacobian` along v_k at u_k, (K, n,
+        N), each bit for bit the stack of one, in passes of at most
+        STACK_LIMIT // P members: the memory of one call at STACK_LIMIT
+        segments.  Without the second partials, the base-class central
+        difference with all 2K points u +- eps v in one batch."""
+        us, vs = self._pair_rows(us, vs)
+        system = self.system
+        if None in (system.f_xx, system.f_xu, system.f_uu):
+            return self._fd_second_many(us, vs)
+        self._trajectories(us)      # the rows not in the cache, in one batch
+        out = np.empty((len(us), self.dim_codomain, self.dim_domain))
+        size = max(1, STACK_LIMIT // self.grid.segments)
+        for k in range(0, len(us), size):
+            out[k:k + size] = self._second_variations(us[k:k + size],
+                                                      vs[k:k + size])
+        return out
+
+    def _second_variations(self, us, vs):
+        """dJ(v_k) at u_k (K, n, N) in one pass, the stack leading.
 
         The step tangent y_j comes from :meth:`_tangent` on the
         :func:`_propagators` of [f_x | f_u v], and the stage tangents from
@@ -583,27 +610,25 @@ class EndpointOracle(MapOracle):
         dA = f_xx[Y_i] + f_xu[v] and dB = f_xu[Y_i] + f_uu[v], contracting
         f_xu's state index in dB; the pullback of the :func:`_dual` stage
         rows then carries dJ(v) = sum_j (K_{j+1} dN_j + dK_{j+1} N_j) next
-        to J.  Systems without the second partials use the base-class
-        finite difference.
+        to J.
         """
         system = self.system
-        if None in (system.f_xx, system.f_xu, system.f_uu):
-            return super().jacobian_derivative(u, v)
-        u = self._domain_vec(u)
-        v = self._domain_vec(v, "v")
-        x, uu = self._stage_states(u)
-        vv = np.broadcast_to(self.grid.unpack(v)[:, None, None], uu.shape)
+        x, uu = self._stage_states(us)
+        if len(us) == 1:
+            # without the stack axis: unbroadcast products take less time
+            x, uu = x[0], uu[0]
+        vv = np.broadcast_to(vs.reshape(uu.shape[:-3] + (1, 1, -1)), uu.shape)
         a = system.f_x(x, uu)
         b = system.f_u(x, uu)
         bv = np.einsum("...ik,...k->...i", b, vv)
         y = self._tangent(_propagators(
             np.concatenate([a, bv[..., None]], axis=-1), self._h))
         ys = np.empty(x.shape)
-        ys[:, :, 0] = y
+        ys[..., 0, :] = y
         for i, c in enumerate((0.5, 0.5, 1.0)):
-            ys[:, :, i + 1] = y + c * self._h * (
-                np.einsum("...ab,...b->...a", a[:, :, i], ys[:, :, i])
-                + bv[:, :, i])
+            ys[..., i + 1, :] = y + c * self._h * (
+                np.einsum("...ab,...b->...a", a[..., i, :, :], ys[..., i, :])
+                + bv[..., i, :])
         f_xu = system.f_xu(x, uu)
         da = (np.einsum("...iab,...b->...ia", system.f_xx(x, uu), ys)
               + np.einsum("...iak,...k->...ia", f_xu, vv))
@@ -613,7 +638,7 @@ class EndpointOracle(MapOracle):
         dual = _dual(a, da, b, db)
         del a, b, da, db, f_xu  # free the stage partials for the block pass
         rows = self._pullback(_propagators(dual, self._h))
-        return rows[:, :n, m:].transpose(1, 0, 2).reshape(n, -1)
+        return rows[..., :n, m:].swapaxes(-2, -3).reshape(len(us), n, -1)
 
 
 def endpoint_problem(system_name, x0, horizon, segments, system_params=None):

@@ -185,52 +185,64 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     attained value of the form, and its top right singular vector is the
     next v.  Since d2F is symmetric the sweeps never decrease.  The best
     of ``v_count`` seeded starts is swept until a sweep gains at most
-    1e-12 relative, or POWER_ITERATIONS times.
+    1e-12 relative, or POWER_ITERATIONS times.  Points ``u`` (K, N) with
+    one seed each give (K,) estimates, each what the point gets alone: all
+    starts in one stack, then one per sweep of the points still sweeping.
     """
-    u = np.asarray(u, dtype=float)
+    us = np.atleast_2d(np.asarray(u, dtype=float))
     scale = 1.0 / np.sqrt(oracle.weights)
-    rng = np.random.default_rng([seed, 7])
 
-    def sweep(v):
+    def sweep(points, vs):
         _, sigma, vt = np.linalg.svd(
-            oracle.jacobian_derivative(u, v) * scale, full_matrices=False)
-        return float(sigma[0]), vt[0] * scale
+            oracle.jacobian_derivative_many(points, vs) * scale,
+            full_matrices=False)
+        return sigma[:, 0], vt[:, 0] * scale
 
-    sigma, v = max((sweep(_unit_domain(oracle, rng)) for _ in range(v_count)),
-                   key=lambda start: start[0])
-    best = 0.0
+    rngs = [np.random.default_rng([s, 7])
+            for s in np.broadcast_to(seed, len(us))]
+    starts = [_unit_domain(oracle, rng) for rng in rngs
+              for _ in range(v_count)]
+    sigma, vs = sweep(np.repeat(us, v_count, axis=0), starts)
+    first = np.argmax(sigma.reshape(-1, v_count), axis=1)
+    first += np.arange(len(us)) * v_count
+    sigma, vs = sigma[first], vs[first]
+    best, running = np.zeros(len(us)), np.ones(len(us), dtype=bool)
     for _ in range(POWER_ITERATIONS):
-        if sigma <= best * (1.0 + 1e-12):
+        running &= sigma > best * (1.0 + 1e-12)
+        if not running.any():
             break
-        best = sigma
-        sigma, v = sweep(v)
-    return max(best, sigma)
+        best[running] = sigma[running]
+        sigma[running], vs[running] = sweep(us[running], vs[running])
+    best = np.maximum(best, sigma)
+    return float(best[0]) if np.ndim(u) == 1 else best
 
 
-def _switching_sample(oracle, u, z):
-    """(||phi_z||_X, coercivity ratio) at one sample from one adjoint and
-    one second-operator call, or None when phi_z is degenerate."""
-    phi = oracle.apply_adjoint(u, z)
-    nphi2 = oracle.inner(phi, phi)
-    if nphi2 <= DEGENERATE_SWITCHING ** 2:
-        return None
-    curv = abs(oracle.inner(phi, oracle.second_operator(u, z, phi)))
-    return float(np.sqrt(nphi2)), curv / nphi2
+def _switching_samples(oracle, us, zs):
+    """(||phi_z||_X, coercivity ratio) at each sample (u, z), or None where
+    phi_z is degenerate: one adjoint per sample and one stack of dJ."""
+    us, zs = np.asarray(us, dtype=float), np.asarray(zs, dtype=float)
+    phis = np.array([oracle.apply_adjoint(u, z) for u, z in zip(us, zs)])
+    nphi2 = np.array([oracle.inner(phi, phi) for phi in phis])
+    keep = np.flatnonzero(nphi2 > DEGENERATE_SWITCHING ** 2)
+    samples = [None] * len(phis)
+    curvatures = oracle.jacobian_derivative_many(us[keep], phis[keep])
+    for k, dj in zip(keep, curvatures):
+        curv = abs(oracle.inner(phis[k], (zs[k] @ dj) / oracle.weights))
+        samples[k] = float(np.sqrt(nphi2[k])), float(curv / nphi2[k])
+    return samples
 
 
 def coercivity_ratio(oracle, u, z):
     """|z^* d2F(phi_z, phi_z)| / ||phi_z||_X^2, or None when the
     switching function is degenerate at the sample."""
-    sample = _switching_sample(oracle, np.asarray(u, dtype=float),
-                               np.asarray(z, dtype=float))
+    sample, = _switching_samples(oracle, [u], [z])
     return None if sample is None else sample[1]
 
 
 def xi_margin(oracle, u, z, xi):
     """Margin ratio * ||phi_z|| * xi(||u||)^2 of the product condition at
     one sample; pass is >= 1."""
-    u = np.asarray(u, dtype=float)
-    sample = _switching_sample(oracle, u, np.asarray(z, dtype=float))
+    sample, = _switching_samples(oracle, [u], [z])
     if sample is None:
         return None
     nphi, ratio = sample
@@ -319,21 +331,29 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     log_r, log_ratio, log_phi = [], [], []
     (shell_inv, growth_slope, growth_intercept, growth_pass, sing_counts,
      samples) = gramian_inverse_growth(oracle, plan)
+    # every plan point's C_est in lockstep, every (u, z) sample in one stack
+    index = [(si, k) for si in range(len(plan.radii))
+             for k in range(plan.per_radius)]
+    points = np.array([u for shell in samples for u, _ in shell])
+    c_points = iter(estimate_bilinear_norm(
+        oracle, points, v_count=plan.z_samples,
+        seed=[plan.seed + 104729 * si + 1299721 * k for si, k in index]))
+    switching = iter(_switching_samples(
+        oracle, np.repeat(points, plan.z_samples, axis=0),
+        [_sample_z(oracle, plan, si, k, j) for si, k in index
+         for j in range(plan.z_samples)]))
     for si, r in enumerate(plan.radii):
         sh_c = 0.0
         sh_k = np.inf
         sh_xi = np.inf
         sh_gap = np.inf
         skipped = 0
-        for k, (u, spec) in enumerate(samples[si]):
+        for u, spec in samples[si]:
             sh_gap = min(sh_gap, spec.floor - lambda0)
-            sh_c = max(sh_c, estimate_bilinear_norm(
-                oracle, u, v_count=plan.z_samples,
-                seed=plan.seed + 104729 * si + 1299721 * k))
+            sh_c = max(sh_c, float(next(c_points)))
             xi_u2 = None if xi is None else xi(oracle.norm(u)) ** 2
-            for j in range(plan.z_samples):
-                z = _sample_z(oracle, plan, si, k, j)
-                sample = _switching_sample(oracle, u, z)
+            for _ in range(plan.z_samples):
+                sample = next(switching)
                 if sample is None:
                     skipped += 1
                     continue

@@ -24,9 +24,11 @@ class MapOracle:
     Subclasses implement :meth:`eval` and :meth:`jacobian`.  Every
     second-order quantity derives from :meth:`jacobian_derivative`, which
     defaults to a central finite difference of the Jacobian; maps with a
-    closed-form second differential override it.  The checks in
-    :mod:`pathlift.oracle_checks` hold every oracle to the same
-    tolerances, whichever way its second differential is computed.
+    closed-form second differential override it.  Callers with many
+    (u, v) pairs use :meth:`jacobian_derivative_many`, which loops over it
+    unless overridden too (``EndpointOracle`` takes a stack in one pass).
+    The checks in :mod:`pathlift.oracle_checks` hold every oracle to the
+    same tolerances, whichever way its second differential is computed.
 
     Oracles are not thread-safe: an oracle may memoize results in
     unlocked state that every call updates (see ``EndpointOracle``), so
@@ -84,6 +86,13 @@ class MapOracle:
                 f"us must have shape (B, {self.dim_domain}), got {us.shape}")
         return us
 
+    def _pair_rows(self, us, vs):
+        us, vs = self._domain_rows(us), np.asarray(vs, dtype=float)
+        if vs.shape != us.shape:
+            raise ConfigurationError(
+                f"vs must have the shape of us {us.shape}, got {vs.shape}")
+        return us, vs
+
     def _codomain_vec(self, z, name="z"):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim_codomain,):
@@ -132,13 +141,28 @@ class MapOracle:
 
         Row i paired with w is e_i^* d2F|_u(v, w).  The default is a
         central finite difference of :meth:`jacobian` at u +- eps v, both
-        evaluated in one batch; this is the one second-order method a
-        subclass overrides.
+        evaluated in one batch.
         """
-        eps = SECOND_FD_SCALE * (1.0 + self.norm(u))
-        plus, minus = u + eps * v, u - eps * v
-        self.eval_many([plus, minus])
-        return (self.jacobian(plus) - self.jacobian(minus)) / (2.0 * eps)
+        return self._fd_second_many([u], [v])[0]
+
+    def jacobian_derivative_many(self, us, vs):
+        """:meth:`jacobian_derivative` at each row pair of ``us`` and
+        ``vs`` (K, N), shape (K, n, N), by default one call per pair."""
+        us, vs = self._pair_rows(us, vs)
+        return np.array([self.jacobian_derivative(u, v)
+                         for u, v in zip(us, vs)]).reshape(
+            len(us), self.dim_codomain, self.dim_domain)
+
+    def _fd_second_many(self, us, vs):
+        """Central differences of :meth:`jacobian` at u_k +- eps_k v_k,
+        eps_k = SECOND_FD_SCALE (1 + ||u_k||_X), in one :meth:`eval_many`."""
+        us, vs = self._pair_rows(us, vs)
+        eps = np.array([SECOND_FD_SCALE * (1.0 + self.norm(u)) for u in us])
+        plus, minus = us + eps[:, None] * vs, us - eps[:, None] * vs
+        self.eval_many(np.concatenate([plus, minus]))
+        return np.array([(self.jacobian(p) - self.jacobian(m)) / (2.0 * e)
+                         for p, m, e in zip(plus, minus, eps)]).reshape(
+            len(us), self.dim_codomain, self.dim_domain)
 
     def bilinear_second(self, u, z, v, w):
         """z-contracted second differential z^* d2F|_u(v, w)."""

@@ -7,7 +7,7 @@ taken off too.  The second differential must also be symmetric and J
 must match central differences.  Every check is relative to its own
 operands' scale, so F and c F get the same verdicts, whichever way an
 oracle computes its derivatives.  Each check evaluates its base points
-in one :meth:`MapOracle.eval_many`, one batch for the endpoint map.
+in one :meth:`MapOracle.eval_many` and its dJ in one stack.
 """
 
 from dataclasses import dataclass
@@ -68,12 +68,13 @@ def check_taylor_remainders(oracle, seed=0):
     values = oracle.eval_many(points.reshape(-1, oracle.dim_domain))
     t = TAYLOR_STEPS[:, None]
     worst_j = worst_dj = 0.0
-    for (u, v), f in zip(draws, values.reshape(len(draws), -1,
-                                               oracle.dim_codomain)):
+    curvatures = oracle.jacobian_derivative_many(draws[:, 0], draws[:, 1])
+    for (u, v), f, dj in zip(draws, values.reshape(len(draws), -1,
+                                                   oracle.dim_codomain),
+                             curvatures):
         jv = oracle.apply_jacobian(u, v)
         first = f[1:] - f[0] - t * jv
-        second = first - 0.5 * t ** 2 * (oracle.jacobian_derivative(u, v)
-                                         @ v)
+        second = first - 0.5 * t ** 2 * (dj @ v)
         floor = TAYLOR_FLOOR * (np.linalg.norm(f[0])
                                 + t[:, 0] * np.linalg.norm(jv))
         worst_j = max(worst_j, _order_deficit(first, floor, 2.0))
@@ -89,11 +90,14 @@ def check_second_symmetry(oracle, seed=1):
     max(|B(v)| |w|, |B(w)| |v|) in the X-norm."""
     tol = 1e-8
     big_n = oracle.dim_domain
+    draws = _draws(oracle, seed, 20, big_n, big_n, big_n, oracle.dim_codomain)
+    # dJ(v) and dJ(w) at each u, all 40 in one stack
+    curvatures = oracle.jacobian_derivative_many(
+        [u for u, *_ in draws for _ in range(2)],
+        [x for _, v, w, _ in draws for x in (v, w)])
     worst = 0.0
-    for u, v, w, z in _draws(oracle, seed, 20, big_n, big_n, big_n,
-                             oracle.dim_codomain):
-        bv = oracle.second_operator(u, z, v)
-        bw = oracle.second_operator(u, z, w)
+    for k, (u, v, w, z) in enumerate(draws):
+        bv, bw = (z @ curvatures[2 * k:2 * k + 2]) / oracle.weights
         scale = max(oracle.norm(bv) * oracle.norm(w),
                     oracle.norm(bw) * oracle.norm(v))
         if scale > 0.0:

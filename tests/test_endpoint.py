@@ -1,6 +1,7 @@
 """Endpoint maps of control systems as oracles."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,6 +387,72 @@ def test_jacobian_derivative_matches_loop_form_reference(data):
     np.testing.assert_allclose(
         ep.jacobian_derivative(u, v), expect, rtol=0,
         atol=1e-12 * max(1.0, np.abs(expect).max()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stacked_second_variations_equal_single_calls(data):
+    """Each member of a stack is bit for bit the single call, for stacks
+    that do and do not cross the STACK_LIMIT split, with distinct and
+    repeated u."""
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
+                     label="system")
+    fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
+    segments = data.draw(st.integers(fewest, 12), label="segments")
+    count = data.draw(st.integers(1, 50), label="K")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    ep = _oracle(name, segments)
+    us = rng.uniform(-2.0, 2.0, (count, ep.dim_domain))
+    if data.draw(st.booleans(), label="repeated u"):
+        us = us[rng.integers(0, max(1, count // 3), count)]
+    vs = rng.uniform(-1.0, 1.0, (count, ep.dim_domain))
+    stack = ep.jacobian_derivative_many(us, vs)
+    assert stack.shape == (count, ep.dim_codomain, ep.dim_domain)
+    single = _oracle(name, segments)
+    for k in range(count):
+        one = single.jacobian_derivative(us[k], vs[k])
+        assert np.array_equal(stack[k].view(np.int64), one.view(np.int64))
+
+
+def test_stack_split_bounds_the_working_memory(monkeypatch):
+    """40 pairs at 10 segments go through passes of STACK_LIMIT // 10 = 4
+    members, so they need no more working memory (the traced peak above
+    what the call leaves allocated: its result) than one pair at 40
+    segments; the 1% covers the split's bookkeeping, a few hundred
+    bytes.  Without the split the same stack needs about ten times as
+    much."""
+    def working_memory(segments, count):
+        ep = _oracle("unicycle", segments)
+        us, vs = np.random.default_rng(segments).uniform(
+            -1.0, 1.0, (2, count, ep.dim_domain))
+        ep.eval_many(us)
+        tracemalloc.start()
+        try:
+            result = ep.jacobian_derivative_many(us, vs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.shape == (count, 3, 2 * segments)
+        return peak - held
+
+    assert pl.endpoint.STACK_LIMIT == 40
+    single = working_memory(40, 1)
+    assert working_memory(10, 40) <= 1.01 * single
+    monkeypatch.setattr(pl.endpoint, "STACK_LIMIT", 10**6)
+    assert working_memory(10, 40) > 5 * single
+
+
+def test_jacobian_derivative_many_checks_its_rows():
+    ep = _oracle("brockett", 3)
+    us = np.zeros((2, ep.dim_domain))
+    for bad in (us[:1], us[:, :-1], us[0]):
+        with pytest.raises(ConfigurationError, match="vs must have the shape"):
+            ep.jacobian_derivative_many(us, bad)
+    with pytest.raises(ConfigurationError, match="us must have shape"):
+        ep.jacobian_derivative_many(us[0], us[0])
+    assert ep.jacobian_derivative_many(us[:0], us[:0]).shape == (
+        0, 3, ep.dim_domain)
 
 
 _EXACT = ["brockett", "lti", "mixed", "unicycle"]
@@ -836,6 +903,16 @@ def test_fd_second_differential_integrates_its_pair_as_one_batch(
               - fresh.jacobian(u - eps * v)) / (2.0 * eps)
     np.testing.assert_allclose(got, expect, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(expect)))
+    # a stack of K pairs, one repeated: all 2K points in one batch, each
+    # member bit for bit its own pair's difference
+    us, vs = np.random.default_rng(14).standard_normal((2, 5, ep.dim_domain))
+    us[3] = us[0]
+    calls.clear()
+    stack = _unicycle(f_xx=None).jacobian_derivative_many(us, vs)
+    assert calls == [(6, 2, 10)]
+    for k in range(5):
+        one = _unicycle(f_xx=None).jacobian_derivative(us[k], vs[k])
+        assert np.array_equal(stack[k].view(np.int64), one.view(np.int64))
 
 
 def test_validate_passes_the_fd_second_differential():

@@ -149,37 +149,71 @@ def _count_calls(oracle, *names):
     return counts
 
 
-def test_estimator_makes_one_jacobian_derivative_call_per_start_and_sweep():
+def _record_stacks(oracle):
+    """Make the oracle record the member count of each
+    ``jacobian_derivative_many`` call."""
+    sizes = []
+    method = oracle.jacobian_derivative_many
+
+    def recorded(us, vs):
+        sizes.append(len(us))
+        return method(us, vs)
+    oracle.jacobian_derivative_many = recorded
+    return sizes
+
+
+def test_estimator_stacks_its_starts_and_each_sweep():
     o = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 4)
-    u = np.random.default_rng(2).uniform(-1.0, 1.0, o.dim_domain)
+    rng = np.random.default_rng(2)
+    u = rng.uniform(-1.0, 1.0, o.dim_domain)
     for v_count in (1, 3):
+        sizes = _record_stacks(o)
         counts = _count_calls(o, "jacobian_derivative", "second_operator",
                               "bilinear_second")
         pl.estimate_bilinear_norm(o, u, v_count=v_count, seed=3)
-        assert v_count < counts["jacobian_derivative"] <= (
-            v_count + hyp.POWER_ITERATIONS)
-        assert counts["second_operator"] == counts["bilinear_second"] == 0
+        # every start in one stack, then one member per sweep
+        starts, *sweeps = sizes
+        assert starts == v_count
+        assert 1 <= len(sweeps) <= hyp.POWER_ITERATIONS
+        assert sweeps == [1] * len(sweeps)
+        assert counts == dict.fromkeys(counts, 0)
+    # points in lockstep: all starts in one stack, then each sweep over
+    # the points still sweeping
+    us = rng.uniform(-1.0, 1.0, (4, o.dim_domain))
+    sizes = _record_stacks(o)
+    pl.estimate_bilinear_norm(o, us, v_count=2, seed=[5, 6, 7, 8])
+    starts, *sweeps = sizes
+    assert starts == 8 and 1 <= len(sweeps) <= hyp.POWER_ITERATIONS
+    assert sweeps[0] == 4 and all(a >= b >= 1
+                                  for a, b in zip(sweeps, sweeps[1:]))
     # a zero form is not swept at all
     flat = pl.LinearMap(np.ones((2, 4)))
+    sizes = _record_stacks(flat)
     counts = _count_calls(flat, "jacobian_derivative")
     assert pl.estimate_bilinear_norm(flat, np.ones(4), v_count=3) == 0.0
-    assert counts["jacobian_derivative"] == 3
+    assert sizes == [3] and counts["jacobian_derivative"] == 3
 
 
-def test_check_report_makes_one_adjoint_and_one_second_call_per_pair():
+def test_check_report_stacks_one_second_differential_per_pair():
     o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4)
     plan = _plan(per_radius=2, z_samples=3)
+    sizes = _record_stacks(o)
     counts = _count_calls(o, "apply_adjoint", "second_operator",
                           "jacobian_derivative")
     rep = pl.check_report(o, plan, xi=pl.PowerLawXi(c=1.0, p=0.5))
     samples = len(plan.radii) * plan.per_radius
     pairs = samples * plan.z_samples - rep.skipped_samples
     assert counts["apply_adjoint"] == samples * plan.z_samples
-    assert counts["second_operator"] == pairs
-    # each second_operator call takes one jacobian_derivative; the rest
-    # are the estimator's starts and sweeps
-    sweeps = counts["jacobian_derivative"] - pairs
-    assert samples * (plan.z_samples + 1) <= sweeps <= (
+    assert counts["second_operator"] == counts["jacobian_derivative"] == 0
+    # the estimator's starts of every point, its sweeps over the points
+    # still sweeping, then every non-degenerate (u, z) pair in one stack
+    starts, *sweeps, switching = sizes
+    assert starts == samples * plan.z_samples
+    assert 1 <= len(sweeps) <= hyp.POWER_ITERATIONS
+    assert sweeps[0] == samples and all(a >= b >= 1
+                                        for a, b in zip(sweeps, sweeps[1:]))
+    assert switching == pairs
+    assert samples * (plan.z_samples + 1) <= starts + sum(sweeps) <= (
         samples * (plan.z_samples + hyp.POWER_ITERATIONS))
 
 
@@ -280,3 +314,106 @@ def test_gramian_inverse_growth_flags_singular_samples():
     assert shell_max[0] == pytest.approx(1.0 / 4.0, rel=1e-10)
     assert shell_max[1] == pytest.approx(1.0 / 16.0, rel=1e-10)
     assert passed and sing == [0, 0]
+
+
+# -- stacked second differentials against loop-form references --------------
+
+_KINDS = ["brockett", "unicycle", "lti", "sphere", "fold"]
+
+
+def _problem(kind, segments=6):
+    if kind == "sphere":
+        return pl.SphereMap(3, weights=[0.5, 1.0, 2.0])
+    if kind == "fold":
+        return pl.FoldMap(weights=[0.7, 1.3])
+    if kind == "lti":
+        return pl.endpoint_problem(
+            "lti", [1.0, -0.5], 1.0, segments,
+            system_params={"A": [[0.0, 1.0], [-2.0, -0.3]],
+                           "B": [[0.0], [1.0]]})
+    return pl.endpoint_problem(kind, [0.1, -0.2, 0.3], 1.0, segments)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_stacked_estimate_equals_per_point_calls(kind):
+    o = _problem(kind)
+    us = np.random.default_rng(len(kind)).uniform(-1.0, 1.0,
+                                                  (5, o.dim_domain))
+    us[4] = us[1]
+    seeds = [3, 1, 4, 1, 5]
+    got = pl.estimate_bilinear_norm(o, us, v_count=3, seed=seeds)
+    fresh = _problem(kind)
+    assert got.tolist() == [
+        pl.estimate_bilinear_norm(fresh, u, v_count=3, seed=s)
+        for u, s in zip(us, seeds)]
+
+
+def _finite_or_nan(x):
+    return float(x) if np.isfinite(x) else np.nan
+
+
+def _check_report_reference(o, plan, xi):
+    """check_report's per-shell (c_max, k_min, xi_margin_min, skipped) and
+    its power-law fit from loops: one estimate per plan point, and one
+    adjoint and one second_operator call per (u, z)."""
+    rows, log_r, log_ratio = [], [], []
+    samples = pl.gramian_inverse_growth(o, plan)[5]
+    for si, r in enumerate(plan.radii):
+        c_max, k_min, xi_min, skipped = 0.0, np.inf, np.inf, 0
+        for k, (u, _) in enumerate(samples[si]):
+            c_max = max(c_max, pl.estimate_bilinear_norm(
+                o, u, v_count=plan.z_samples,
+                seed=plan.seed + 104729 * si + 1299721 * k))
+            for j in range(plan.z_samples):
+                z = hyp._sample_z(o, plan, si, k, j)
+                phi = o.apply_adjoint(u, z)
+                nphi2 = o.inner(phi, phi)
+                if nphi2 <= hyp.DEGENERATE_SWITCHING ** 2:
+                    skipped += 1
+                    continue
+                ratio = abs(o.inner(phi, o.second_operator(u, z, phi))) / nphi2
+                k_min = min(k_min, ratio)
+                xi_min = min(xi_min, ratio * float(np.sqrt(nphi2))
+                             * xi(o.norm(u)) ** 2)
+                log_r.append(np.log(r))
+                log_ratio.append(np.log(max(ratio, 1e-300)))
+        rows.append((c_max, _finite_or_nan(k_min), _finite_or_nan(xi_min),
+                     skipped))
+    return rows, 1.0 + float(np.polyfit(log_r, log_ratio, 1)[0])
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_check_report_equals_the_per_pair_loops(kind):
+    plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=2, z_samples=3, seed=4)
+    xi = pl.PowerLawXi(c=1.3, p=0.6)
+    rep = pl.check_report(_problem(kind), plan, xi=xi)
+    rows, alpha = _check_report_reference(_problem(kind), plan, xi)
+    np.testing.assert_array_equal(
+        [(sh.c_max, sh.k_min, sh.xi_margin_min, sh.skipped)
+         for sh in rep.shells], rows)
+    assert rep.c_est == max(row[0] for row in rows)
+    assert rep.remark_alpha == alpha
+
+
+def _symmetry_reference(oracle, seed):
+    """check_second_symmetry's worst value from one second_operator call
+    per (u, z, direction), draw by draw."""
+    n, big_n = oracle.dim_codomain, oracle.dim_domain
+    worst = 0.0
+    for u, v, w, z in pl.oracle_checks._draws(oracle, seed, 20, big_n,
+                                              big_n, big_n, n):
+        bv = oracle.second_operator(u, z, v)
+        bw = oracle.second_operator(u, z, w)
+        scale = max(oracle.norm(bv) * oracle.norm(w),
+                    oracle.norm(bw) * oracle.norm(v))
+        if scale > 0.0:
+            worst = max(worst, abs(oracle.inner(bv, w)
+                                   - oracle.inner(bw, v)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("seed", [1, 6])
+def test_second_symmetry_equals_the_per_draw_loop(kind, seed):
+    row = pl.oracle_checks.check_second_symmetry(_problem(kind), seed=seed)
+    assert row.worst == _symmetry_reference(_problem(kind), seed)
