@@ -7,7 +7,9 @@ singularity. The blowup indicator g = a1/sqrt(lambda_1) follows
 -1/(2 sqrt(1-s)); it diverges, but its integral stays finite (exactly 1),
 which is why the lift itself stays bounded all the way in. The solver
 takes the whole lift in sigma = sqrt(1-s), where u is linear (states
-flagged `endgame`), and then walks onto the singular point.
+flagged `endgame`): one step, then one aimed at the sigma where lambda_1
+reaches twice the singular threshold, and one step of the approach walk
+crosses it at s = 1 (flagged `singular`).
 
 Run:  python3 demos/demo_sphere_singular_lift.py
 """

@@ -64,8 +64,9 @@ class PolylinePath(TargetPath):
 
     def _segment(self, s):
         # right-continuous segment choice so gamma_dot(knot) is the
-        # incoming slope of the next segment
-        k = min(int(np.floor(s * self.nseg)), self.nseg - 1)
+        # incoming slope of the next segment; s just outside [0, 1] (a
+        # rounding) takes the end segment, not a wrapped-around one
+        k = min(max(int(np.floor(s * self.nseg)), 0), self.nseg - 1)
         return k, s * self.nseg - k
 
     def gamma(self, s):

@@ -24,9 +24,13 @@ in s and |g| grows like 1/sigma, but du/dsigma = -2 sigma du/ds stays
 bounded; on the squared-norm map u is linear in sigma.  The same
 Cash-Karp step, error control and correction run in tau = sigma0 - sigma,
 with right-hand side 2 sigma du/ds.  Those states carry the flag
-``endgame`` and their step in s.  A step onto a singular point fails, so
-a singular end is finished as one in s is, by the approach walk, with s
-pinned at b: at b < 1 the run ends ``SingularInterior``.  An endgame step
+``endgame`` and their step in s.  While the same linear model of lambda_1
+falls to ``LANDING_SING_MULTIPLE`` times the singular threshold before b,
+the step is capped at that landing sigma; where it does not (a near
+miss), the step aims at sigma = 0.  The step onto the singular point
+from the landing state fails within ``ds_event`` of b, and the approach
+walk, with s pinned at b, crosses the threshold in one Euler step: at
+b < 1 the run ends ``SingularInterior``.  An endgame step
 that lands regular on a knot is tagged ``endgame knot``, and the next leg
 continues in s.  Over each pair of states that ends on an endgame state
 the g integral is the trapezoid of 2 sigma |g| in sigma, since
@@ -52,6 +56,10 @@ SINGULAR_TERMINAL = "SingularTerminal"
 SINGULAR_INTERIOR = "SingularInterior"
 STEP_UNDERFLOW = "StepUnderflow"
 DIVERGED = "Diverged"
+
+# The endgame aims its step at the sigma where lambda_1, extrapolated
+# linearly in s, falls to this multiple of the singular threshold.
+LANDING_SING_MULTIPLE = 2.0
 
 
 @dataclass(frozen=True)
@@ -240,8 +248,10 @@ class _Lift:
         if self.sigma0 is None:
             return ple_rhs(self.oracle, uu, self.path.gamma_dot(t))
         sigma = self.sigma0 - t
-        return (2.0 * sigma) * ple_rhs(self.oracle, uu,
-                                       self.path.gamma_dot(self.b - sigma**2))
+        # never before the step's start, where b - sigma^2 may round below
+        # a knot onto the previous leg
+        s = max(self.b - sigma**2, self.s)
+        return (2.0 * sigma) * ple_rhs(self.oracle, uu, self.path.gamma_dot(s))
 
     def _s_after(self, t, h):
         """Parameter s after a step h from t, and the step in s."""
@@ -258,6 +268,21 @@ class _Lift:
             return False
         s_star = state.s - state.spectrum.lambdas[0] / dlam
         return abs(s_star - self.b) <= self.opts.terminal_window
+
+    def _landing(self, state, sigma):
+        """The sigma where lambda_1, extrapolated linearly in s from
+        ``state``, falls to LANDING_SING_MULTIPLE times the singular
+        threshold; 0 when it does not before b (a near miss), or when
+        that sigma is not well short of the present one."""
+        dlam = state.diag.dlambda1_ds
+        if not dlam < 0.0:
+            return 0.0
+        lam_land = LANDING_SING_MULTIPLE * state.spectrum.lambda_sing
+        s_land = state.s + (lam_land - state.spectrum.lambdas[0]) / dlam
+        if not s_land < self.b:
+            return 0.0
+        sigma_land = float(np.sqrt(self.b - s_land))
+        return sigma_land if sigma_land < 0.5 * sigma else 0.0
 
     def _next_boundary(self, s):
         """The first knot after s, or the end s = 1."""
@@ -330,7 +355,7 @@ class _Lift:
         h = max(h_start, opts.ds_min)
         for _ in range(300):
             h_use = min(h, b - self.s)
-            spec_here = self.prev_spec
+            spec_here = self.trace[-1].spectrum
             if h_use > 1e-15:
                 gd = self.path.gamma_dot(self.s)
                 udot = _rhs_from_spectrum(self.oracle, self.u, gd,
@@ -385,7 +410,11 @@ class _Lift:
                 break
             if self.b == 1.0 and 1.0 - self.s < opts.ds_min:
                 break       # sub-ds_min gap to the end; resolved below
-            end = self.b if self.sigma0 is None else self.sigma0
+            if self.sigma0 is None:
+                end = self.b
+            else:
+                # aim at the landing sigma, or onto sigma = 0
+                end = self.sigma0 - self._landing(state, self.sigma0 - t)
             h = min(h, end - t)
             s_new, ds = self._s_after(t, h)
             if ds < opts.ds_min:
@@ -395,7 +424,10 @@ class _Lift:
             try:
                 u5, err = _ck_step(self._fun, t, self.u, h)
             except SingularGramian:
-                if ds <= max(opts.ds_event, 4.0 * opts.ds_min):
+                # walk only onto a singular point ahead, where lambda_1 falls;
+                # where it rises, a stage overshot, and the step is halved
+                if (ds <= max(opts.ds_event, 4.0 * opts.ds_min)
+                        and state.diag.dlambda1_ds < 0.0):
                     self._approach_singularity(ds)
                     if self.status is None and self.b < 1.0:
                         # the walk stalled regular on a knot: the next leg

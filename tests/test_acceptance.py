@@ -129,7 +129,7 @@ def test_endgame_runs_only_on_the_singular_sphere():
             name
     _, _, _, rep = _scenario("sphere")
     assert any("endgame" in st.flags.split() for st in rep.trace)
-    assert len(rep.trace) <= 25
+    assert len(rep.trace) <= 10
     assert abs(rep.g_integral - 1.0) < 0.0024
 
 

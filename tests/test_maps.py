@@ -233,6 +233,14 @@ def test_polyline_path_knots_and_slopes():
     np.testing.assert_allclose(p.gamma(1.0), [3.0])
 
 
+def test_polyline_path_just_below_zero_takes_the_first_segment():
+    # b - sigma^2 at the anchor of an endgame rounds to about -1e-16; that
+    # is the first segment, not the last one wrapped around
+    p = pl.PolylinePath([[0.25, 0.0], [0.0, 0.3], [0.25, 0.6]])
+    np.testing.assert_allclose(p.gamma_dot(-1e-16), [-0.5, 0.6])
+    np.testing.assert_allclose(p.gamma(-1e-16), [0.25, 0.0], atol=1e-15)
+
+
 def test_polyline_max_speed_sees_every_segment():
     # at 400 segments the 201-point grid of the sampled maximum hits only
     # a few odd segments; the fastest one, 201, is not among them
