@@ -26,15 +26,15 @@ Cash-Karp step, error control and correction run in tau = sigma0 - sigma,
 with right-hand side 2 sigma du/ds.  Those states carry the flag
 ``endgame`` and their step in s.  While the same linear model of lambda_1
 falls to ``LANDING_SING_MULTIPLE`` times the singular threshold before b,
-the step is capped at that landing sigma; where it does not (a near
-miss), the step aims at sigma = 0.  The step onto the singular point
-from the landing state fails within ``ds_event`` of b, and the approach
-walk, with s pinned at b, crosses the threshold in one Euler step: at
-b < 1 the run ends ``SingularInterior``.  An endgame step
-that lands regular on a knot is tagged ``endgame knot``, and the next leg
-continues in s.  Over each pair of states that ends on an endgame state
-the g integral is the trapezoid of 2 sigma |g| in sigma, since
-|g| ds = 2 sigma |g| dsigma.
+the step is capped at that landing sigma, kept at least 2 ``ds_min``
+short of b; where it does not (a near miss), the step aims at sigma = 0.
+The step onto the singular point from the landing state fails within
+``ds_event`` of b, and the approach walk, with s pinned at b, crosses the
+threshold in one Euler step: at b < 1 the run ends ``SingularInterior``.
+An endgame step that lands regular on a knot is tagged ``endgame knot``,
+and the next leg continues in s.  Over each pair of states that ends on
+an endgame state the g integral is the trapezoid of 2 sigma |g| in sigma,
+since |g| ds = 2 sigma |g| dsigma.
 """
 
 import logging
@@ -260,27 +260,31 @@ class _Lift:
         s_new = self.b - (self.sigma0 - (t + h)) ** 2
         return s_new, s_new - self.s
 
+    def _s_where(self, state, lam):
+        """The s where lambda_1, extrapolated linearly in s from ``state``,
+        falls to ``lam``; inf when lambda_1 is not falling."""
+        dlam = state.diag.dlambda1_ds
+        if not dlam < 0.0:
+            return np.inf
+        return state.s + (lam - state.spectrum.lambdas[0]) / dlam
+
     def _endgame_due(self, state):
         """Whether lambda_1, extrapolated linearly from ``state``, vanishes
         within the terminal window of the next boundary b."""
-        dlam = state.diag.dlambda1_ds
-        if not dlam < 0.0:
-            return False
-        s_star = state.s - state.spectrum.lambdas[0] / dlam
+        s_star = self._s_where(state, 0.0)
         return abs(s_star - self.b) <= self.opts.terminal_window
 
     def _landing(self, state, sigma):
-        """The sigma where lambda_1, extrapolated linearly in s from
-        ``state``, falls to LANDING_SING_MULTIPLE times the singular
-        threshold; 0 when it does not before b (a near miss), or when
-        that sigma is not well short of the present one."""
-        dlam = state.diag.dlambda1_ds
-        if not dlam < 0.0:
-            return 0.0
-        lam_land = LANDING_SING_MULTIPLE * state.spectrum.lambda_sing
-        s_land = state.s + (lam_land - state.spectrum.lambdas[0]) / dlam
+        """The sigma where lambda_1 is predicted to fall to
+        LANDING_SING_MULTIPLE times the singular threshold; 0 when it does
+        not before b (a near miss), or when that sigma is not well short
+        of the present one.  The landing stays 2 ds_min short of b, so the
+        step after it is not below ds_min and still starts the walk."""
+        s_land = self._s_where(
+            state, LANDING_SING_MULTIPLE * state.spectrum.lambda_sing)
         if not s_land < self.b:
             return 0.0
+        s_land = min(s_land, self.b - 2.0 * self.opts.ds_min)
         sigma_land = float(np.sqrt(self.b - s_land))
         return sigma_land if sigma_land < 0.5 * sigma else 0.0
 

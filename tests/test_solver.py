@@ -342,15 +342,33 @@ def test_fold_polyline_ends_singular_interior_at_its_knot():
 @pytest.mark.parametrize(
     "opts",
     [pl.SolverOptions(ds_init=d) for d in np.geomspace(1e-3, 1.0, 25)]
-    + [pl.SolverOptions(tol_ode=t) for t in np.geomspace(1e-10, 1e-6, 13)],
+    + [pl.SolverOptions(tol_ode=t) for t in np.geomspace(1e-10, 1e-6, 13)]
+    + [pl.SolverOptions(ds_min=m) for m in np.geomspace(1e-12, 1e-7, 6)],
     ids=[f"ds_init={d:.3g}" for d in np.geomspace(1e-3, 1.0, 25)]
-    + [f"tol_ode={t:.3g}" for t in np.geomspace(1e-10, 1e-6, 13)])
+    + [f"tol_ode={t:.3g}" for t in np.geomspace(1e-10, 1e-6, 13)]
+    + [f"ds_min={m:.3g}" for m in np.geomspace(1e-12, 1e-7, 6)])
 def test_fold_polyline_end_does_not_depend_on_the_step_history(opts):
     rep = pl.lift(pl.FoldMap(), pl.PolylinePath(_FOLD_POLYLINE),
                   np.array([0.5, 0.0]), opts)
     assert rep.status == pl.SINGULAR_INTERIOR, rep.message
     assert rep.final_state.s == pytest.approx(0.5, abs=1e-12)
     assert len(rep.trace) <= 10
+
+
+@pytest.mark.parametrize("height", [1e2, 1e3, 1e5])
+def test_steep_fold_lands_no_closer_than_ds_min(height):
+    # lambda_1 = 4 height (1 - 2 s) falls so steeply that it reaches twice
+    # the singular threshold less than ds_min short of the knot; the
+    # landing must stay far enough out for the step onto the knot
+    o = pl.FoldMap()
+    path = pl.PolylinePath([[height, 0.0], [0.0, 0.3], [height, 0.6]])
+    rep = pl.lift(o, path, np.array([np.sqrt(height), 0.0]))
+    assert rep.status == pl.SINGULAR_INTERIOR, rep.message
+    assert rep.final_state.s == pytest.approx(0.5, abs=1e-12)
+    rep = pl.lift(o, pl.LinePath([height, 0.0], [0.0, 0.3]),
+                  np.array([np.sqrt(height), 0.0]))
+    assert rep.status == pl.SINGULAR_TERMINAL, rep.message
+    assert rep.final_state.spectrum.singular
 
 
 @pytest.mark.parametrize(
