@@ -24,10 +24,9 @@ from .oracle_checks import CheckResult, validate_oracle
 from .paths import LinePath, PolylinePath, TargetPath, line_to_target
 from .solver import (ContinuationReport, DIVERGED, LiftState, REACHED,
                      SINGULAR_INTERIOR, SINGULAR_TERMINAL, STEP_UNDERFLOW,
-                     SolverOptions, fd_along_lift, gauss_newton_correct,
-                     lambda1_fd_along_lift, lift, ple_rhs)
-from .spectrum import (GramianSpectrum, SpectralDiagnostics, coefficients,
-                       diagnostics, gramian, spectral_decompose)
+                     SolverOptions, gauss_newton_correct, lift, ple_rhs)
+from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
+                       gramian, spectral_decompose)
 
 __all__ = [
     "BadAnchor", "CheckResult", "ConfigurationError",
@@ -40,10 +39,9 @@ __all__ = [
     "SamplingPlan", "SingularGramian", "SingularStart",
     "SolverOptions", "SpectralDiagnostics", "SphereMap", "SYSTEM_NAMES",
     "TargetPath", "TrajectoryBlowup", "brockett", "check_report",
-    "coefficients", "coercivity_ratio", "diagnostics",
-    "endpoint_problem", "estimate_bilinear_norm", "fd_along_lift",
-    "gauss_newton_correct", "gramian", "gramian_inverse_growth",
-    "integrate", "lambda1_fd_along_lift", "lift", "line_to_target", "lti",
+    "coercivity_ratio", "diagnostics", "endpoint_problem",
+    "estimate_bilinear_norm", "gauss_newton_correct", "gramian",
+    "gramian_inverse_growth", "integrate", "lift", "line_to_target", "lti",
     "make_map", "make_system", "ple_rhs", "single_integrator",
     "spectral_decompose", "unicycle", "validate_oracle", "xi_margin",
 ]

@@ -75,15 +75,6 @@ def _parse_matrix(text, key):
     return np.vstack(parsed)
 
 
-def _parse_bool(text, key):
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"{key}: expected a boolean, got {text!r}")
-
-
 def _scalar(convert, what):
     def parse(text, key):
         try:
@@ -98,7 +89,6 @@ _PARSERS = {
     "float": _scalar(_finite_float, "a finite number"),
     "int": _scalar(int, "an integer"),
     "str": lambda t, k: t.strip(),
-    "bool": _parse_bool,
     "vector": _parse_vector,
     "matrix": _parse_matrix,
 }

@@ -49,6 +49,8 @@ BLOWUP_NORM = 1e8
 STEPS_PER_SEGMENT = 6
 # members x segments of one second-variation pass: a longer stack is split
 STACK_LIMIT = 40
+# control vectors whose trajectory and Jacobian an EndpointOracle keeps
+CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,6 @@ class ControlGrid:
                 f"got {u_flat.shape}")
         return u_flat.reshape(self.segments, self.control_dim)
 
-    def pack(self, values):
-        return np.asarray(values, dtype=float).reshape(self.dim)
-
     def constant(self, per_channel):
         """Flat control with the same value on every segment."""
         per_channel = np.asarray(per_channel, dtype=float)
@@ -251,12 +250,10 @@ class ControlGrid:
 
 
 def _stages(f, x, u, h):
-    """An RK4 step's four stage states from x, and the slopes k1..k3 of the
-    first three."""
-    k1 = f(x, u)
-    k2 = f(x2 := x + 0.5 * h * k1, u)
-    k3 = f(x3 := x + 0.5 * h * k2, u)
-    return (x, x2, x3, x + h * k3), (k1, k2, k3)
+    """An RK4 step's four stage states from x."""
+    x2 = x + 0.5 * h * f(x, u)
+    x3 = x + 0.5 * h * f(x2, u)
+    return x, x2, x3, x + h * f(x3, u)
 
 
 def _increments(f, x, u, h):
@@ -427,15 +424,15 @@ def _dual(a, da, b, db):
 class EndpointOracle(MapOracle):
     """Map oracle for the endpoint map of a control system.
 
-    Trajectory and Jacobian results are memoized per control vector in a
-    bounded LRU cache, so repeated oracle calls at the same point
-    (spectral assembly, adjoints, correction) cost one forward and one
-    backward pass.  Every call may reorder or extend that cache, which
+    Trajectory and Jacobian results are memoized per control vector in an
+    LRU cache of CACHE_SIZE entries, so repeated oracle calls at the same
+    point (spectral assembly, adjoints, correction) cost one forward and
+    one backward pass.  Every call may reorder or extend that cache, which
     has no lock: use one oracle from one thread at a time.  The cached
     times, states and Jacobian are returned read-only.
     """
 
-    def __init__(self, system, x0, grid, cache_size=512):
+    def __init__(self, system, x0, grid):
         if grid.control_dim != system.control_dim:
             raise ConfigurationError(
                 "grid control_dim does not match the system")
@@ -449,7 +446,6 @@ class EndpointOracle(MapOracle):
         self.grid = grid
         self._h = grid.dt / STEPS_PER_SEGMENT
         self._cache = OrderedDict()
-        self._cache_size = int(cache_size)
 
     # -- caching -----------------------------------------------------------
 
@@ -459,7 +455,7 @@ class EndpointOracle(MapOracle):
         if entry is None:
             entry = {}
             self._cache[key] = entry
-            if len(self._cache) > self._cache_size:
+            if len(self._cache) > CACHE_SIZE:
                 self._cache.popitem(last=False)
         else:
             self._cache.move_to_end(key)
@@ -520,7 +516,7 @@ class EndpointOracle(MapOracle):
         them (K, P, S, 4, m): three ``f`` calls over all step starts."""
         controls = us.reshape(len(us), self.grid.segments, -1)
         starts = np.concatenate([self.trajectory(u)[1][:-1] for u in us])
-        stages, _ = _stages(self.system.f, starts.T, np.repeat(
+        stages = _stages(self.system.f, starts.T, np.repeat(
             controls, STEPS_PER_SEGMENT, axis=1).reshape(len(starts), -1).T,
             self._h)
         x = np.stack(stages).transpose(2, 0, 1).reshape(

@@ -158,22 +158,14 @@ class HypothesisReport:
         return "".join(out)
 
 
-def _unit_domain(oracle, rng):
-    v = rng.standard_normal(oracle.dim_domain)
-    nv = oracle.norm(v)
-    while nv < 1e-12:
-        v = rng.standard_normal(oracle.dim_domain)
-        nv = oracle.norm(v)
-    return v / nv
-
-
-def _unit_codomain(n, rng):
-    z = rng.standard_normal(n)
-    nz = np.linalg.norm(z)
-    while nz < 1e-12:
-        z = rng.standard_normal(n)
-        nz = np.linalg.norm(z)
-    return z / nz
+def _unit(rng, dim, norm=np.linalg.norm):
+    """A standard normal draw of length ``dim`` scaled to unit ``norm``;
+    a draw of norm below 1e-12 is drawn again."""
+    while True:
+        v = rng.standard_normal(dim)
+        nv = norm(v)
+        if nv >= 1e-12:
+            return v / nv
 
 
 def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
@@ -200,7 +192,7 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
 
     rngs = [np.random.default_rng([s, 7])
             for s in np.broadcast_to(seed, len(us))]
-    starts = [_unit_domain(oracle, rng) for rng in rngs
+    starts = [_unit(rng, oracle.dim_domain, oracle.norm) for rng in rngs
               for _ in range(v_count)]
     sigma, vs = sweep(np.repeat(us, v_count, axis=0), starts)
     first = np.argmax(sigma.reshape(-1, v_count), axis=1)
@@ -251,13 +243,13 @@ def xi_margin(oracle, u, z, xi):
 
 def _sample_u(oracle, plan, shell_idx, sample_idx):
     rng = np.random.default_rng([plan.seed, shell_idx, sample_idx])
-    return plan.radii[shell_idx] * _unit_domain(oracle, rng)
+    return plan.radii[shell_idx] * _unit(rng, oracle.dim_domain, oracle.norm)
 
 
 def _sample_z(oracle, plan, shell_idx, sample_idx, z_idx):
     rng = np.random.default_rng([plan.seed, shell_idx, sample_idx,
                                  1000 + z_idx])
-    return _unit_codomain(oracle.dim_codomain, rng)
+    return _unit(rng, oracle.dim_codomain)
 
 
 def _sample_spectrum(oracle, u):

@@ -119,12 +119,6 @@ class MapOracle:
         return np.array([self.eval(u) for u in us]).reshape(
             len(us), self.dim_codomain)
 
-    def apply_jacobian(self, u, v):
-        """dF|_u applied to a domain direction v."""
-        u = self._domain_vec(u)
-        v = self._domain_vec(v, "v")
-        return self.jacobian(u) @ v
-
     def apply_adjoint(self, u, z):
         """Switching function dF|_u^* z, i.e. W^-1 J^T z in coordinates."""
         u = self._domain_vec(u)
@@ -184,12 +178,12 @@ class MapOracle:
         v = self._domain_vec(v, "v")
         return z @ self.jacobian_derivative(u, v)
 
-    def fd_jacobian(self, u, eps=None):
+    def fd_jacobian(self, u):
         """Central finite-difference Jacobian from one :meth:`eval_many`
-        of the 2N points u +- eps e_k; validation use only."""
+        of the 2N points u +- eps e_k, eps = FIRST_FD_SCALE (1 + ||u||_X);
+        validation use only."""
         u = self._domain_vec(u)
-        if eps is None:
-            eps = FIRST_FD_SCALE * (1.0 + self.norm(u))
+        eps = FIRST_FD_SCALE * (1.0 + self.norm(u))
         steps = eps * np.eye(self.dim_domain)
         vals = self.eval_many(np.concatenate([u + steps, u - steps]))
         plus, minus = np.split(vals, 2)

@@ -72,7 +72,7 @@ def check_taylor_remainders(oracle, seed=0):
     for (u, v), f, dj in zip(draws, values.reshape(len(draws), -1,
                                                    oracle.dim_codomain),
                              curvatures):
-        jv = oracle.apply_jacobian(u, v)
+        jv = oracle.jacobian(u) @ v
         first = f[1:] - f[0] - t * jv
         second = first - 0.5 * t ** 2 * (dj @ v)
         floor = TAYLOR_FLOOR * (np.linalg.norm(f[0])

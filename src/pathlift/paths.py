@@ -12,7 +12,6 @@ class TargetPath:
     solver restarts its diagnostics there.
     """
 
-    dim = None
     knots = ()
 
     def gamma(self, s):
@@ -21,9 +20,10 @@ class TargetPath:
     def gamma_dot(self, s):
         raise NotImplementedError
 
-    def max_speed(self, samples=201):
-        grid = np.linspace(0.0, 1.0, samples)
-        return max(float(np.linalg.norm(self.gamma_dot(s))) for s in grid)
+    def max_speed(self):
+        """max |gamma_dot| over 201 uniform samples of [0, 1]."""
+        return max(float(np.linalg.norm(self.gamma_dot(s)))
+                   for s in np.linspace(0.0, 1.0, 201))
 
 
 class LinePath(TargetPath):
@@ -34,7 +34,6 @@ class LinePath(TargetPath):
         self.end = finite(end, "line end")
         if self.start.shape != self.end.shape or self.start.ndim != 1:
             raise ConfigurationError("line endpoints must be 1-d and match")
-        self.dim = len(self.start)
 
     def gamma(self, s):
         return (1.0 - s) * self.start + s * self.end
@@ -42,7 +41,7 @@ class LinePath(TargetPath):
     def gamma_dot(self, s):
         return self.end - self.start
 
-    def max_speed(self, samples=None):
+    def max_speed(self):
         return float(np.linalg.norm(self.end - self.start))
 
 
@@ -58,7 +57,6 @@ class PolylinePath(TargetPath):
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ConfigurationError("polyline needs >= 2 waypoints")
         self.points = pts
-        self.dim = pts.shape[1]
         self.nseg = pts.shape[0] - 1
         self.knots = tuple(k / self.nseg for k in range(1, self.nseg))
 
@@ -77,7 +75,7 @@ class PolylinePath(TargetPath):
         k, _ = self._segment(s)
         return (self.points[k + 1] - self.points[k]) * self.nseg
 
-    def max_speed(self, samples=None):
+    def max_speed(self):
         # every slope, normed as gamma_dot is: samples can miss segments
         return max(float(np.linalg.norm(slope))
                    for slope in np.diff(self.points, axis=0) * self.nseg)

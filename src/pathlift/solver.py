@@ -43,8 +43,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (BadAnchor, ConfigurationError, NumericalError,
-                     SingularGramian, SingularStart, finite)
+from .errors import (BadAnchor, ConfigurationError, SingularGramian,
+                     SingularStart, finite)
 from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
                        gramian, spectral_decompose)
 
@@ -71,7 +71,6 @@ class SolverOptions:
     tol_ode_abs: float = 1e-10
     tol_residual: float = 1e-10
     tol_init: float = 1e-6
-    correction: bool = True
     terminal_window: float = 1e-3
     max_steps: int = 200_000
 
@@ -137,13 +136,13 @@ def ple_rhs(oracle, u, gamma_dot):
 
     The Gramian solve goes through Cholesky and falls back to a clamped
     eigendecomposition when roundoff makes the factorization fail.
-    Raises SingularGramian when lambda_1 is at or below the singular
-    threshold.
+    Raises SingularGramian when lambda_1 is below the singular threshold,
+    the one test of ``GramianSpectrum.singular``.
     """
     u = np.asarray(u, dtype=float)
     gmat = gramian(oracle, u)
     spec = spectral_decompose(gmat)
-    if spec.lambdas[0] <= spec.lambda_sing:
+    if spec.singular:
         raise SingularGramian(
             f"Gramian singular: lambda_1 = {spec.lambdas[0]:.3e}",
             spectrum=spec)
@@ -189,16 +188,16 @@ def _error_ratio(u, u5, err, opts):
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def gauss_newton_correct(oracle, u, target, tol_residual, max_iter=10):
+def gauss_newton_correct(oracle, u, target, tol_residual):
     """Project u back onto the fiber F(u) = target.
 
-    Returns (u, residual, converged).  Each iteration applies the
-    least-norm update dF^* G^-1 (target - F(u)).
+    Returns (u, residual, converged).  Each of at most 10 iterations
+    applies the least-norm update dF^* G^-1 (target - F(u)).
     """
     u = np.asarray(u, dtype=float)
     r = target - oracle.eval(u)
     res = float(np.linalg.norm(r))
-    for _ in range(max_iter):
+    for _ in range(10):
         if res <= tol_residual:
             return u, res, True
         spec = spectral_decompose(gramian(oracle, u))
@@ -305,28 +304,22 @@ class _Lift:
         return state
 
     def _accept_regular(self, s_new, u_new, h_used, tag=""):
-        opts = self.opts
-        flags = []
-        if opts.correction:
-            u_new, res, ok = gauss_newton_correct(
-                self.oracle, u_new, self.path.gamma(s_new),
-                opts.tol_residual)
-            if not ok:
-                if res < 10.0 * opts.tol_residual:
-                    warnings.warn(
-                        f"residual correction stalled at {res:.3e} "
-                        f"(s = {s_new:.6f}); continuing", RuntimeWarning)
-                    flags.append("corr-warn")
-                else:
-                    self.status = DIVERGED
-                    self.message = (f"correction failed: residual {res:.3e} "
-                                    f"at s = {s_new:.6f}")
-                    spec = spectral_decompose(gramian(self.oracle, u_new),
-                                              prev=self.prev_spec)
-                    self._log(s_new, u_new, spec, h_used, "corr-fail")
-                    return None
+        tol = self.opts.tol_residual
+        u_new, res, ok = gauss_newton_correct(
+            self.oracle, u_new, self.path.gamma(s_new), tol)
         spec = spectral_decompose(gramian(self.oracle, u_new),
                                   prev=self.prev_spec)
+        if not ok and not res < 10.0 * tol:    # NaN fails too
+            self.status = DIVERGED
+            self.message = (f"correction failed: residual {res:.3e} "
+                            f"at s = {s_new:.6f}")
+            self._log(s_new, u_new, spec, h_used, "corr-fail")
+            return None
+        flags = []
+        if not ok:
+            warnings.warn(f"residual correction stalled at {res:.3e} "
+                          f"(s = {s_new:.6f}); continuing", RuntimeWarning)
+            flags.append("corr-warn")
         if tag:
             flags.append(tag)
         state = self._log(s_new, u_new, spec, h_used, " ".join(flags))
@@ -500,10 +493,6 @@ class _Lift:
             final = self.trace[-1]
             if final.residual <= opts.tol_residual:
                 self.status = REACHED
-            elif not opts.correction:
-                self.status = REACHED
-                self.message = (f"drift {final.residual:.3e} at s = 1 "
-                                "(correction disabled)")
             else:
                 self.status = DIVERGED
                 self.message = f"final residual {final.residual:.3e}"
@@ -567,42 +556,3 @@ def lift(oracle, path, u0, options=None):
         raise SingularStart(
             f"anchor is singular: lambda_1 = {spec0.lambdas[0]:.3e}")
     return _Lift(oracle, path, u0, opts).run(spec0)
-
-
-# -- finite differences along the integrated lift --------------------------
-
-def _rk4_flow(oracle, path, s, u, ds, nsub=2):
-    """Short classical RK4 flow of the lifting equation from (s, u)."""
-    h = ds / nsub
-    for _ in range(nsub):
-        k1 = ple_rhs(oracle, u, path.gamma_dot(s))
-        k2 = ple_rhs(oracle, u + 0.5 * h * k1, path.gamma_dot(s + 0.5 * h))
-        k3 = ple_rhs(oracle, u + 0.5 * h * k2, path.gamma_dot(s + 0.5 * h))
-        k4 = ple_rhs(oracle, u + h * k3, path.gamma_dot(s + h))
-        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s = s + h
-    return u
-
-
-def fd_along_lift(oracle, path, state, quantity, delta=1e-3):
-    """Central difference of a spectral quantity along the lift.
-
-    ``quantity(s, u, spec)`` receives a spectrum sign-aligned with the
-    base state.  Used as the independent check of the eigenvalue- and
-    eigenvector-derivative formulas.
-    """
-    def evaluate(ss, uu):
-        spec = spectral_decompose(gramian(oracle, uu), prev=state.spectrum)
-        return quantity(ss, uu, spec)
-
-    u_p = _rk4_flow(oracle, path, state.s, state.u, delta)
-    u_m = _rk4_flow(oracle, path, state.s, state.u, -delta)
-    qp = evaluate(state.s + delta, u_p)
-    qm = evaluate(state.s - delta, u_m)
-    return (np.asarray(qp) - np.asarray(qm)) / (2.0 * delta)
-
-
-def lambda1_fd_along_lift(oracle, path, state, delta=1e-3):
-    """Finite-difference d(lambda_1)/ds along the integrated lift."""
-    return float(fd_along_lift(oracle, path, state,
-                               lambda s, u, spec: spec.lambdas[0], delta))

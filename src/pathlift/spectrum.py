@@ -60,7 +60,6 @@ class SpectralDiagnostics:
     f: float
     g: float
     dlambda1_ds: float
-    singular_flag: bool
 
 
 def gramian(oracle, u):
@@ -102,23 +101,19 @@ def spectral_decompose(grammat, prev=None):
     return GramianSpectrum(lambdas=lambdas, vectors=vectors)
 
 
-def coefficients(gamma_dot, spec):
-    """Components a_i = <gamma_dot, z_i> of the path velocity."""
-    return spec.vectors.T @ np.asarray(gamma_dot, dtype=float)
-
-
 def diagnostics(oracle, u, spec, gamma_dot):
     """Spectral diagnostics at a state of the lift.
 
     At singular states (lambda_1 below the singular threshold) the
     normalized switching function v1 does not exist; h, f, g and the
-    eigenvalue derivative are reported as NaN with the singular flag set.
+    eigenvalue derivative are reported as NaN.
 
     Raises GapViolation when lambda_2 itself sits below the singular
     threshold, since the cross terms in f are then not stably defined.
     """
     u = np.asarray(u, dtype=float)
-    a = coefficients(gamma_dot, spec)
+    # coefficients a_i = <gamma_dot, z_i> of the path velocity
+    a = spec.vectors.T @ np.asarray(gamma_dot, dtype=float)
     lam = spec.lambdas
     lam_sing = spec.lambda_sing
     if spec.n > 1 and lam[1] <= lam_sing:
@@ -127,7 +122,7 @@ def diagnostics(oracle, u, spec, gamma_dot):
             f"{lam_sing:.3e}; corank > 1 is out of scope")
     if spec.singular:
         return SpectralDiagnostics(a=a, h=np.nan, f=np.nan, g=np.nan,
-                                   dlambda1_ds=np.nan, singular_flag=True)
+                                   dlambda1_ds=np.nan)
     phis = oracle.adjoint_matrix(u)          # column i = dF^* z_i in basis e
     phis = phis @ spec.vectors               # column i = dF^* z_i
     vs = phis / np.sqrt(lam)[None, :]        # normalized switching functions
@@ -138,5 +133,4 @@ def diagnostics(oracle, u, spec, gamma_dot):
     f = float(np.sum(a[1:] / np.sqrt(lam[1:]) * contractions[1:]))
     g = float(a[0] / np.sqrt(lam[0]))
     dlam = 2.0 * a[0] * h + 2.0 * f * np.sqrt(lam[0])
-    return SpectralDiagnostics(a=a, h=h, f=f, g=g, dlambda1_ds=float(dlam),
-                               singular_flag=False)
+    return SpectralDiagnostics(a=a, h=h, f=f, g=g, dlambda1_ds=float(dlam))

@@ -12,8 +12,9 @@ import pytest
 
 import pathlift as pl
 from pathlift import cli
-from pathlift.solver import _rk4_flow
 from pathlift.spectrum import diagnostics, gramian, spectral_decompose
+
+from lift_fd import lambda1_fd_along_lift, rk4_flow
 
 
 def _record(num, ok, detail):
@@ -66,7 +67,7 @@ def _resampled_states(oracle, path, report, s_values):
     out = []
     for s in s_values:
         base = min(regular, key=lambda st: abs(st.s - s))
-        u = _rk4_flow(oracle, path, base.s, base.u, s - base.s, nsub=4)
+        u = rk4_flow(oracle, path, base.s, base.u, s - base.s, nsub=4)
         spec = spectral_decompose(gramian(oracle, u), prev=base.spectrum)
         out.append(SimpleNamespace(s=s, u=u, spectrum=spec))
     return out
@@ -97,7 +98,7 @@ def test_criterion_2_eigenvalue_derivative_formula():
         s_values = np.linspace(0.04, 0.96, 24)
         for st in _resampled_states(o, path, rep, s_values):
             d = diagnostics(o, st.u, st.spectrum, path.gamma_dot(st.s))
-            fd = pl.lambda1_fd_along_lift(o, path, st, delta=1e-3)
+            fd = lambda1_fd_along_lift(o, path, st, delta=1e-3)
             worst = max(worst, abs(d.dlambda1_ds - fd) / (1.0 + abs(fd)))
             count += 1
     elapsed = time.perf_counter() - t0

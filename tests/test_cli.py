@@ -74,10 +74,11 @@ def test_parse_config_rejects_unknown_key():
 
 
 @pytest.mark.parametrize("section, key", [("problem", "substeps"),
-                                          ("check", "r_min")])
+                                          ("check", "r_min"),
+                                          ("solver", "correction")])
 def test_parse_config_rejects_removed_keys(section, key):
-    text = (SPHERE_LIFT + "\n[check]\n").replace(f"[{section}]\n",
-                                                 f"[{section}]\n{key} = 8\n")
+    text = (SPHERE_LIFT + "\n[solver]\n[check]\n").replace(
+        f"[{section}]\n", f"[{section}]\n{key} = 8\n")
     with pytest.raises(ConfigurationError,
                        match=f"unknown config key {section}.{key}"):
         cli.parse_config(text)

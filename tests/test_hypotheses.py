@@ -92,6 +92,17 @@ def test_linear_map_is_falsified():
     assert rep.falsified
 
 
+def test_zero_map_samples_are_all_singular_and_skipped():
+    rep = pl.check_report(pl.LinearMap(np.zeros((1, 2))),
+                          pl.SamplingPlan((1, 2), 2, 2))
+    assert rep.singular_samples == 4
+    assert rep.skipped_samples == 8
+    assert [sh.singular_found for sh in rep.shells] == [2, 2]
+    assert [sh.skipped for sh in rep.shells] == [4, 4]
+    assert rep.k_est == 0.0
+    assert rep.falsified
+
+
 def test_determinism_and_monotone_refinement():
     o = pl.SphereMap(4)
     r1 = pl.check_report(o, _plan())
@@ -265,9 +276,9 @@ def test_estimate_bilinear_norm_bounds_every_sampled_value(kind, segments,
     u = rng.uniform(-1.0, 1.0, o.dim_domain)
     got = pl.estimate_bilinear_norm(o, u, v_count=2, seed=seed)
     sampled = max(
-        abs(o.bilinear_second(u, hyp._unit_codomain(o.dim_codomain, rng),
-                              hyp._unit_domain(o, rng),
-                              hyp._unit_domain(o, rng)))
+        abs(o.bilinear_second(u, hyp._unit(rng, o.dim_codomain),
+                              hyp._unit(rng, o.dim_domain, o.norm),
+                              hyp._unit(rng, o.dim_domain, o.norm)))
         for _ in range(32))
     assert got >= sampled * (1.0 - 1e-12)
 

@@ -26,7 +26,7 @@ def test_adjoint_is_weighted_transpose():
     for _ in range(20):
         v = rng.standard_normal(7)
         z = rng.standard_normal(3)
-        lhs = float(np.dot(o.apply_jacobian(u, v), z))
+        lhs = float(np.dot(o.jacobian(u) @ v, z))
         rhs = o.inner(v, o.apply_adjoint(u, z))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -297,7 +297,8 @@ def test_public_names_resolve():
     for name in pl.__all__:
         assert hasattr(pl, name), name
     for gone in ("AnalyticPath", "GapReport", "SimplicityLoss", "gap_check",
-                 "gramian_derivative_action", "z1_derivative"):
+                 "gramian_derivative_action", "z1_derivative",
+                 "fd_along_lift", "lambda1_fd_along_lift", "coefficients"):
         assert gone not in pl.__all__ and not hasattr(pl, gone), gone
 
 

@@ -11,6 +11,8 @@ import pathlift as pl
 from pathlift import endpoint, solver
 from pathlift.errors import BadAnchor, ConfigurationError, SingularStart
 
+from lift_fd import fd_along_lift, lambda1_fd_along_lift
+
 
 def _sphere_problem(dim=2, seed=0):
     rng = np.random.default_rng(seed)
@@ -83,7 +85,7 @@ def test_g_dynamics_invariant_on_sphere():
     rep = pl.lift(o, path, u0)
     for st in rep.trace:
         if 0.05 < st.s < 0.9:
-            gprime = float(pl.fd_along_lift(
+            gprime = float(fd_along_lift(
                 o, path, st, lambda s, u, spec: pl.diagnostics(
                     o, u, spec, path.gamma_dot(s)).g, delta=1e-4))
             lhs = gprime * np.sqrt(st.spectrum.lambdas[0])
@@ -176,14 +178,34 @@ def test_polyline_knot_restarts():
                                atol=1e-9)
 
 
-def test_correction_disabled_still_reaches():
+def _fold_line_lift(**options):
     o = pl.FoldMap()
     u0 = np.array([0.2, 0.1])
-    target = np.array([0.09, 0.4])
-    opts = pl.SolverOptions(correction=False)
-    rep = pl.lift(o, pl.line_to_target(o, u0, target), u0, opts)
+    path = pl.line_to_target(o, u0, [0.09, 0.4])
+    return pl.lift(o, path, u0, pl.SolverOptions(**options))
+
+
+def test_correction_stalled_near_tolerance_warns_and_continues():
+    # 1e-17 is below what roundoff lets some states reach, but within 10x
+    with pytest.warns(RuntimeWarning, match="residual correction stalled"):
+        rep = _fold_line_lift(tol_residual=1e-17)
     assert rep.status == pl.REACHED
-    np.testing.assert_allclose(o.eval(rep.final_u), target, atol=1e-5)
+    assert any("corr-warn" in st.flags.split() for st in rep.trace)
+
+
+def test_failed_correction_ends_diverged_and_keeps_the_trace():
+    rep = _fold_line_lift(tol_residual=1e-30)
+    assert rep.status == pl.DIVERGED
+    assert rep.message.startswith("correction failed")
+    assert len(rep.trace) == 2
+    assert rep.trace[-1].flags == "corr-fail"
+
+
+def test_exhausted_step_budget_is_step_underflow():
+    o, path, u0 = _sphere_problem()
+    rep = pl.lift(o, path, u0, pl.SolverOptions(max_steps=2))
+    assert rep.status == pl.STEP_UNDERFLOW
+    assert rep.message == "step budget 2 exhausted"
 
 
 _FLOAT_OPTIONS = [f.name for f in dataclasses.fields(pl.SolverOptions)
@@ -441,6 +463,19 @@ def test_ple_rhs_raises_on_singular():
         pl.ple_rhs(o, np.zeros(2), np.array([1.0]))
 
 
+def test_lambda_1_at_the_singular_threshold_is_regular():
+    # G = diag(1e-10, 1): lambda_1 equals lambda_sing exactly, which the
+    # anchor check, the step loop and the right-hand side all call regular
+    o = pl.LinearMap(np.diag([1e-10, 1.0]), weights=[1e-10, 1.0])
+    u0 = np.zeros(2)
+    spec = pl.spectral_decompose(pl.gramian(o, u0))
+    assert spec.lambdas[0] == spec.lambda_sing and not spec.singular
+    pl.ple_rhs(o, u0, np.array([1e-10, 1.0]))
+    rep = pl.lift(o, pl.line_to_target(o, u0, [1e-10, 1.0]), u0)
+    assert rep.status == pl.REACHED
+    assert len(rep.trace) == 2
+
+
 def test_gauss_newton_correct_converges():
     rng = np.random.default_rng(8)
     o = pl.FoldMap()
@@ -468,5 +503,5 @@ def test_fd_along_lift_matches_formula():
     rep = pl.lift(o, path, u0)
     for st in rep.trace:
         if 0.05 < st.s < 0.95:
-            fd = pl.lambda1_fd_along_lift(o, path, st, delta=1e-4)
+            fd = lambda1_fd_along_lift(o, path, st, delta=1e-4)
             assert st.diag.dlambda1_ds == pytest.approx(fd, abs=1e-6)

@@ -61,10 +61,11 @@ def test_spectrum_floor():
 
 def test_coefficients_are_eigenbasis_components():
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 3))
-    spec = pl.spectral_decompose(a @ a.T)
+    o = pl.LinearMap(rng.standard_normal((3, 3)))
+    u = np.zeros(3)
+    spec = pl.spectral_decompose(pl.gramian(o, u))
     gd = rng.standard_normal(3)
-    coef = pl.coefficients(gd, spec)
+    coef = pl.diagnostics(o, u, spec, gd).a
     np.testing.assert_allclose(spec.vectors @ coef, gd, atol=1e-12)
 
 
@@ -100,7 +101,7 @@ def test_diagnostics_singular_state_is_nan():
     u = np.array([1e-8, 0.0])
     spec = pl.spectral_decompose(pl.gramian(o, u))
     d = pl.diagnostics(o, u, spec, np.array([-1.0]))
-    assert d.singular_flag
+    assert spec.singular
     assert np.isnan(d.g) and np.isnan(d.h) and np.isnan(d.dlambda1_ds)
 
 
