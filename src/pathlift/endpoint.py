@@ -282,9 +282,12 @@ def _check_stacked(f, x, u):
     except (ValueError, IndexError, TypeError) as exc:
         raise ConfigurationError(
             f"f fails on stacked (n, B) states: {exc}") from exc
-    # a stacked A @ x may round differently from one column's A @ x
-    if stacked.shape != x.shape or not np.allclose(
-            stacked, members, rtol=1e-9, atol=1e-9, equal_nan=True):
+    # a stacked A @ x may round differently from one column's A @ x; equal
+    # bits, the common case, need no tolerance test
+    if stacked.shape != x.shape or not (
+            np.array_equal(stacked, members, equal_nan=True)
+            or np.allclose(stacked, members, rtol=1e-9, atol=1e-9,
+                           equal_nan=True)):
         raise ConfigurationError(
             "f must map stacked (n, B) states and (m, B) controls column "
             "by column, as it maps one (n,) state and (m,) control")

@@ -134,31 +134,26 @@ _CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296,
 def ple_rhs(oracle, u, gamma_dot):
     """Right-hand side dF|_u^* G(u)^-1 gamma_dot of the lifting equation.
 
-    The Gramian solve goes through Cholesky and falls back to a clamped
-    eigendecomposition when roundoff makes the factorization fail.
+    G is solved through its eigendecomposition, the one solve that the
+    state's velocity, the correction and the approach walk use too.
     Raises SingularGramian when lambda_1 is below the singular threshold,
     the one test of ``GramianSpectrum.singular``.
     """
     u = np.asarray(u, dtype=float)
-    gmat = gramian(oracle, u)
-    spec = spectral_decompose(gmat)
+    spec = spectral_decompose(gramian(oracle, u))
     if spec.singular:
         raise SingularGramian(
             f"Gramian singular: lambda_1 = {spec.lambdas[0]:.3e}",
             spectrum=spec)
-    try:
-        chol = np.linalg.cholesky(gmat)
-        c = np.linalg.solve(chol.T, np.linalg.solve(chol, gamma_dot))
-    except np.linalg.LinAlgError:
-        return _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=True)
-    return oracle.apply_adjoint(u, c)
+    return _rhs_from_spectrum(oracle, u, gamma_dot, spec)
 
 
 def _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=False):
     """dF|_u^* G^-1 gamma_dot with G solved through its eigendecomposition.
 
-    With ``clamp`` the eigenvalues are floored at the singular threshold,
-    the graceful-degradation route used near the singular set.
+    The result does not depend on the eigenvector signs.  With ``clamp``
+    the eigenvalues are floored at the singular threshold, the
+    graceful-degradation route used near the singular set.
     """
     lam = spec.lambdas
     if clamp:
@@ -167,11 +162,12 @@ def _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=False):
     return oracle.apply_adjoint(u, spec.vectors @ (proj / lam))
 
 
-def _ck_step(fun, s, u, h):
+def _ck_step(fun, s, u, h, k1=None):
     """One Cash-Karp step; returns the fifth-order solution and the
-    embedded error estimate."""
-    ks = []
-    for i in range(6):
+    embedded error estimate.  ``k1``, when given, is the first stage
+    fun(s, u), already in hand."""
+    ks = [] if k1 is None else [k1]
+    for i in range(len(ks), 6):
         ui = u
         for aij, kj in zip(_CK_A[i], ks):
             ui = ui + (h * aij) * kj
@@ -210,20 +206,6 @@ def gauss_newton_correct(oracle, u, target, tol_residual):
     return u, res, res <= tol_residual
 
 
-def _make_state(oracle, path, s, u, spec, h_used, flags=""):
-    gd = path.gamma_dot(s)
-    diag = diagnostics(oracle, u, spec, gd)
-    residual = float(np.linalg.norm(oracle.eval(u) - path.gamma(s)))
-    if spec.singular:
-        udot_norm = np.nan
-    else:
-        udot = _rhs_from_spectrum(oracle, u, gd, spec)
-        udot_norm = oracle.norm(udot)
-    return LiftState(s=float(s), u=u, spectrum=spec, diag=diag,
-                     residual=residual, step_size=float(h_used),
-                     udot_norm=udot_norm, flags=flags)
-
-
 class _Lift:
     """Single sequential continuation run."""
 
@@ -236,6 +218,7 @@ class _Lift:
         self.b = None           # next boundary: a knot or s = 1
         self.sigma0 = None      # sqrt(b - s) where the endgame started
         self.prev_spec = None
+        self.udot = None        # dF^* G^-1 gamma_dot at the last state
         self.trace = []
         self.status = None
         self.message = ""
@@ -295,8 +278,17 @@ class _Lift:
         return 1.0
 
     def _log(self, s, u, spec, h_used, flags=""):
-        state = _make_state(self.oracle, self.path, s, u, spec, h_used,
-                            flags)
+        gd = self.path.gamma_dot(s)
+        diag = diagnostics(self.oracle, u, spec, gd)
+        residual = float(np.linalg.norm(self.oracle.eval(u) -
+                                        self.path.gamma(s)))
+        # the state's velocity is also the next s-step's first stage
+        self.udot = None if spec.singular else _rhs_from_spectrum(
+            self.oracle, u, gd, spec)
+        state = LiftState(s=float(s), u=u, spectrum=spec, diag=diag,
+                          residual=residual, step_size=float(h_used),
+                          udot_norm=np.nan if self.udot is None
+                          else self.oracle.norm(self.udot), flags=flags)
         self.trace.append(state)
         self.prev_spec = spec
         self.s = s
@@ -419,7 +411,9 @@ class _Lift:
                 self.message = f"step size {ds:.3e} below ds_min"
                 break
             try:
-                u5, err = _ck_step(self._fun, t, self.u, h)
+                # in s, t equals self.s bit for bit: stage 1 is self.udot
+                u5, err = _ck_step(self._fun, t, self.u, h, self.udot
+                                   if self.sigma0 is None else None)
             except SingularGramian:
                 # walk only onto a singular point ahead, where lambda_1 falls;
                 # where it rises, a stage overshot, and the step is halved

@@ -8,6 +8,7 @@ curvature contractions h and f feeding the least-eigenvalue derivative,
 and the blowup indicator g = a1 / sqrt(lambda_1).
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,32 +70,49 @@ def gramian(oracle, u):
     return 0.5 * (g + g.T)
 
 
+def _abs_max(values):
+    """max |x| over a list of floats; NaN when one is NaN, as numpy's max."""
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
+
+
 def spectral_decompose(grammat, prev=None):
     """Full ascending eigendecomposition with sign continuity.
 
     With ``prev`` given, each eigenvector is flipped so that its overlap
-    with the previous accepted eigenvector is non-negative.
+    with the previous accepted eigenvector is non-negative.  Without it,
+    each eigenvector's largest-magnitude component (the first, on a tie)
+    is made positive, so the sign does not hang on roundoff in G.
+
+    The checks run on Python floats: numpy's per-call overhead is most of
+    the cost on an n <= 4 matrix.
     """
     grammat = np.asarray(grammat, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(grammat))))
-    if np.max(np.abs(grammat - grammat.T)) > 1e-12 * scale:
+    entries = grammat.ravel().tolist()
+    scale = max(1.0, _abs_max(entries))
+    asym = _abs_max([a - b for a, b in
+                     zip(entries, grammat.T.ravel().tolist())])
+    if asym > 1e-12 * scale:
         raise NumericalError("Gramian is not symmetric", matrix=grammat)
     try:
         lambdas, vectors = np.linalg.eigh(0.5 * (grammat + grammat.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}",
                              matrix=grammat) from exc
-    norm = max(1.0, float(np.max(np.abs(lambdas))))
-    if lambdas[0] < -1e-10 * norm:
+    lam = lambdas.tolist()
+    norm = max(1.0, _abs_max(lam))
+    if lam[0] < -1e-10 * norm:
         raise NumericalError(
-            f"Gramian not PSD: least eigenvalue {lambdas[0]:.3e}",
+            f"Gramian not PSD: least eigenvalue {lam[0]:.3e}",
             matrix=grammat)
-    if prev is not None:
-        for i in range(len(lambdas)):
-            if np.dot(vectors[:, i], prev.vectors[:, i]) < 0.0:
-                vectors[:, i] = -vectors[:, i]
-    ties = np.diff(lambdas[1:]) < DEGENERACY_REL * norm
-    if np.any(ties):
+    for i, column in enumerate(vectors.T.tolist()):
+        if prev is None:
+            flip = max(column, key=abs) < 0.0
+        else:
+            flip = np.dot(vectors[:, i], prev.vectors[:, i]) < 0.0
+        if flip:
+            vectors[:, i] = -vectors[:, i]
+    tol = DEGENERACY_REL * norm
+    if any(b - a < tol for a, b in zip(lam[1:], lam[2:])):
         warnings.warn("degenerate eigenvalues above lambda_1; eigenbasis "
                       "choice is arbitrary there", RuntimeWarning,
                       stacklevel=2)

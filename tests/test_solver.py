@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
@@ -461,6 +461,85 @@ def test_ple_rhs_raises_on_singular():
     o = pl.SphereMap(2)
     with pytest.raises(pl.SingularGramian):
         pl.ple_rhs(o, np.zeros(2), np.array([1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       extra=st.integers(0, 4))
+def test_ple_rhs_matches_a_dense_solve(seed, n, extra):
+    # dF^* G^-1 gamma_dot = W^-1 J^T solve(G, gamma_dot) on a
+    # well-conditioned LinearMap with random weights
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, n + extra))
+    w = rng.uniform(0.2, 5.0, n + extra)
+    G = (mat / w) @ mat.T
+    assume(np.linalg.cond(G) <= 1e3)
+    gd, u = rng.standard_normal(n), rng.standard_normal(n + extra)
+    expect = (mat.T @ np.linalg.solve(G, gd)) / w
+    rhs = pl.ple_rhs(pl.LinearMap(mat, weights=w), u, gd)
+    assert np.linalg.norm(rhs - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def _fold_lift():
+    o = pl.FoldMap()
+    u0 = np.array([0.1, 0.0])
+    return o, pl.line_to_target(o, u0, [0.2025, 0.3]), u0
+
+
+def _brockett10_lift():
+    o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 10)
+    u0 = o.grid.constant([1.0, 1.0])
+    return o, pl.line_to_target(o, u0, [0.5, -0.3, 0.2]), u0
+
+
+def test_step_in_s_reuses_the_state_velocity_as_its_first_stage(
+        monkeypatch):
+    # an attempt in s evaluates 5 of its 6 stages, and a retry 5 more;
+    # an endgame attempt, in tau, evaluates all 6
+    calls = []
+    real_rhs, real_step = solver.ple_rhs, solver._ck_step
+
+    def rhs(*args):
+        calls.append(1)
+        return real_rhs(*args)
+
+    def step(fun, t, u, h, k1=None):
+        start = len(calls)
+        result = real_step(fun, t, u, h, k1)
+        mode = "s" if fun.__self__.sigma0 is None else "tau"
+        attempts.append((mode, t, len(calls) - start))
+        return result
+
+    monkeypatch.setattr(solver, "ple_rhs", rhs)
+    monkeypatch.setattr(solver, "_ck_step", step)
+    attempts = []
+    pl.lift(*_fold_lift())
+    assert {(mode, count) for mode, _, count in attempts} == {("s", 5)}
+    starts = [t for _, t, _ in attempts]
+    assert len(set(starts)) < len(starts)       # a rejected step retried
+    attempts = []
+    pl.lift(pl.SphereMap(3), pl.LinePath([1.0], [0.0]), [0.8, -0.36, 0.48])
+    assert {(mode, count) for mode, _, count in attempts} == {("tau", 6)}
+
+
+def _trace_bits(report):
+    return [(np.array([st.s, st.diag.h, st.diag.f, st.diag.g,
+                       st.diag.dlambda1_ds, st.residual, st.step_size,
+                       st.udot_norm]).tobytes(), st.u.tobytes(),
+             st.spectrum.lambdas.tobytes(), st.spectrum.vectors.tobytes(),
+             st.diag.a.tobytes(), st.flags)
+            for st in report.trace]
+
+
+def test_first_stage_from_the_state_moves_no_bit(monkeypatch):
+    problems = (_fold_lift, _brockett10_lift)
+    before = [_trace_bits(pl.lift(*problem())) for problem in problems]
+    real_step = solver._ck_step
+    monkeypatch.setattr(solver, "_ck_step",
+                        lambda fun, t, u, h, k1=None: real_step(fun, t, u, h))
+    after = [_trace_bits(pl.lift(*problem())) for problem in problems]
+    assert min(len(bits) for bits in before) > 10
+    assert after == before
 
 
 def test_lambda_1_at_the_singular_threshold_is_regular():

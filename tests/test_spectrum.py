@@ -1,10 +1,15 @@
 """Gramian spectrum, diagnostics, and derivative formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
 from pathlift.errors import GapViolation, NumericalError
+from pathlift.spectrum import DEGENERACY_REL, GramianSpectrum
 
 
 def test_gramian_matches_definition():
@@ -44,6 +49,131 @@ def test_spectral_decompose_rejects_bad_input():
         pl.spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NumericalError):
         pl.spectral_decompose(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+
+
+def _spectral_reference(grammat, prev=None):
+    """``spectral_decompose`` with numpy reductions throughout, which the
+    Python-float checks must equal bit for bit.  Without ``prev`` it keeps
+    the eigenvector signs ``eigh`` returns; see ``_canonical``."""
+    grammat = np.asarray(grammat, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(grammat))))
+    if np.max(np.abs(grammat - grammat.T)) > 1e-12 * scale:
+        raise NumericalError("Gramian is not symmetric", matrix=grammat)
+    try:
+        lambdas, vectors = np.linalg.eigh(0.5 * (grammat + grammat.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}",
+                             matrix=grammat) from exc
+    norm = max(1.0, float(np.max(np.abs(lambdas))))
+    if lambdas[0] < -1e-10 * norm:
+        raise NumericalError(
+            f"Gramian not PSD: least eigenvalue {lambdas[0]:.3e}",
+            matrix=grammat)
+    if prev is not None:
+        for i in range(len(lambdas)):
+            if np.dot(vectors[:, i], prev.vectors[:, i]) < 0.0:
+                vectors[:, i] = -vectors[:, i]
+    ties = np.diff(lambdas[1:]) < DEGENERACY_REL * norm
+    if np.any(ties):
+        warnings.warn("degenerate eigenvalues above lambda_1; eigenbasis "
+                      "choice is arbitrary there", RuntimeWarning,
+                      stacklevel=2)
+    return GramianSpectrum(lambdas=lambdas, vectors=vectors)
+
+
+def _canonical(vectors):
+    """Each column flipped so that its largest-magnitude component, the
+    first on a tie, is positive."""
+    cols = np.arange(vectors.shape[1])
+    signs = np.where(vectors[np.argmax(np.abs(vectors), axis=0), cols] < 0,
+                     -1.0, 1.0)
+    return vectors * signs
+
+
+def _outcome(decompose, grammat, prev):
+    """(spectrum or None, error message or None, warning messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            spec, error = decompose(grammat.copy(), prev=prev), None
+        except NumericalError as exc:
+            spec, error = None, str(exc)
+    return spec, error, [str(w.message) for w in caught]
+
+
+def _assert_same_outcome(grammat, prev):
+    spec, error, warned = _outcome(pl.spectral_decompose, grammat, prev)
+    ref, ref_error, ref_warned = _outcome(_spectral_reference, grammat, prev)
+    assert (error, warned) == (ref_error, ref_warned)
+    if ref is not None:
+        expect = ref.vectors if prev is not None else _canonical(ref.vectors)
+        assert spec.lambdas.tobytes() == ref.lambdas.tobytes()
+        assert spec.vectors.tobytes() == expect.tobytes()
+    return error or (warned and "warned") or "regular"
+
+
+def _orthogonal(a):
+    q, _ = np.linalg.qr(a)
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_spectral_decompose_equals_spectral_reference(data):
+    n = data.draw(st.integers(1, 4))
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    a = data.draw(arrays(float, (n, n + data.draw(st.integers(0, 2))),
+                         elements=entries))
+    grammat = (a @ a.T) * data.draw(st.sampled_from([1e-8, 1.0, 1e6]))
+    kind = data.draw(st.sampled_from(["psd", "tied", "asym", "shift"]))
+    if kind == "tied" and n > 2:
+        # one eigenvalue repeated above lambda_1, rotated off the axes
+        lam = np.sort(data.draw(arrays(float, n, elements=st.floats(
+            0.0, 3.0, allow_nan=False))))
+        lam[2:] = lam[1]
+        q = _orthogonal(data.draw(arrays(float, (n, n), elements=entries))
+                        + 4.0 * np.eye(n))
+        grammat = 0.5 * ((q * lam) @ q.T + ((q * lam) @ q.T).T)
+    elif kind == "asym" and n > 1:
+        # straddles the 1e-12 relative symmetry tolerance
+        scale = max(1.0, float(np.max(np.abs(grammat))))
+        grammat[0, n - 1] += scale * data.draw(st.floats(1e-14, 1e-10))
+    elif kind == "shift":
+        # straddles the -1e-10 relative PSD tolerance
+        norm = max(1.0, float(np.max(np.abs(grammat))))
+        grammat = grammat - norm * data.draw(
+            st.floats(1e-12, 1e-8)) * np.eye(n)
+    prev = None
+    if data.draw(st.booleans()):
+        q = _orthogonal(data.draw(arrays(float, (n, n), elements=entries))
+                        + 4.0 * np.eye(n))
+        prev = GramianSpectrum(lambdas=np.zeros(n), vectors=q)
+    event(_assert_same_outcome(grammat, prev).split(":")[0])
+    event("with prev" if prev is not None else "canonical")
+
+
+@pytest.mark.parametrize("grammat, message", [
+    (np.array([[1.0, 1e-9], [0.0, 1.0]]), "Gramian is not symmetric"),
+    (np.diag([-1e-9, 1.0]), "Gramian not PSD: least eigenvalue -1.000e-09"),
+    (np.diag([0.5, 2.0, 2.0]), "degenerate eigenvalues above lambda_1"),
+])
+def test_spectral_reference_pins_the_warning_and_the_raises(grammat,
+                                                             message):
+    prev_spec = pl.spectral_decompose(np.diag(np.arange(len(grammat)) + 1.0))
+    for prev in (None, prev_spec):
+        spec, error, warned = _outcome(pl.spectral_decompose, grammat, prev)
+        assert message in (error or "") + "".join(warned)
+        _assert_same_outcome(grammat, prev)
+
+
+def test_canonical_sign_takes_the_first_of_tied_components():
+    # both components of each eigenvector tie in magnitude, bit for bit
+    spec = pl.spectral_decompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.all(spec.vectors[0] > 0.0)
+    np.testing.assert_array_equal(spec.vectors,
+                                  _canonical(spec.vectors.copy()))
+    spec = pl.spectral_decompose(np.diag([2.0, 1.0]))
+    np.testing.assert_array_equal(spec.vectors, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_singular_flag_threshold():
