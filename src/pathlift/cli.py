@@ -18,6 +18,7 @@ failed run never leaves a partial file behind.
 import argparse
 import configparser
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -381,8 +382,9 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def main(argv=None):
-    _setup_logging()
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pathlift",
         description="path-lifting continuation runner")
@@ -393,7 +395,12 @@ def main(argv=None):
         p.add_argument("--out-dir", default=".")
         p.add_argument("--seed", type=int, default=None)
     sub.add_parser("list-problems")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    _setup_logging()
+    args = _parser().parse_args(argv)
 
     if args.command == "list-problems":
         return run_list_problems()

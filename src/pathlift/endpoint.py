@@ -22,16 +22,20 @@ block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
 partials broadcast over leading axes).  J sums K_{j+1} N_j over the
 steps, with K_j = K_{j+1} M_j and K = I at T.
 
-Second differentials are exact for systems that give f_xx, f_xu and f_uu:
+Second differentials are exact for systems that give ``d_partials``, the
+derivatives (dA, dB) of f_x and f_u along a direction (dx, du):
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
 u on the cached trajectories for a stack of (u, v) pairs on a leading
-axis, and ``jacobian_derivative`` is the stack of one.  The tangent y_v
-steps with ``_propagators`` of
-[[f_x, f_u v], [0, 0]], and the step partials' derivatives come from the
-same pullback fed the stage blocks [[S, dS], [0, S]] (the block-triangular
-identity for Frechet derivatives), so every linear flow here takes its
-RK4 step from ``_propagators``.  A system without the second partials
-keeps the base-class central finite difference.
+axis, and ``jacobian_derivative`` is the stack of one.  It works in
+forward mode through the fixed scheme.  Per distinct u of a pass, the
+stage rows [f_x | f_u] give the step rows [M_j | N_j] once, with the
+polynomial's intermediates.  Per member, the tangent y_v steps with
+[M_j | N_j v]; along the stage tangents ``d_partials`` gives the stage
+rows' derivatives, and differentiating the same polynomial line by line
+gives [dM_j | dN_j].  The pullback of the step rows
+[[M_j, dM_j, N_j, dN_j], [0, M_j, 0, N_j]] (the block-triangular identity
+for Frechet derivatives) carries dJ(v) next to J.  A system without
+``d_partials`` keeps the base-class central finite difference.
 """
 
 from collections import OrderedDict
@@ -47,7 +51,9 @@ BLOWUP_NORM = 1e8
 # RK4 steps per control segment: the fewest that keep the lti endpoint
 # within 1e-8 of its matrix exponential (5 steps give 1.6e-8)
 STEPS_PER_SEGMENT = 6
-# members x segments of one second-variation pass: a longer stack is split
+# members x segments of one second-variation pass.  A pass's arrays grow
+# with members x segments, so a longer stack is split to bound its working
+# memory by that of one member at STACK_LIMIT segments
 STACK_LIMIT = 40
 # control vectors whose trajectory and Jacobian an EndpointOracle keeps
 CACHE_SIZE = 512
@@ -66,10 +72,12 @@ class ControlSystem:
     ``integrate`` steps even one trajectory as a batch of one, and raises
     ConfigurationError for an ``f`` that does not.
 
-    The second partials are optional and broadcast the same way; entry
-    ``f_xu[..., i, a, k]`` is d2 f_i / dx_a du_k.  A system that gives all
-    three gets the exact second variation of its endpoint map; without
-    them ``EndpointOracle`` falls back to the base-class finite difference.
+    ``d_partials(x, u, dx, du)`` is optional and broadcasts the same way
+    over the leading axes of its four arguments: it returns (dA, dB), the
+    derivatives of ``f_x`` and ``f_u`` at (x, u) along (dx, du).  A
+    system that gives it gets the exact second variation of its endpoint
+    map; without it ``EndpointOracle`` falls back to the base-class finite
+    difference.
     """
 
     name: str
@@ -78,14 +86,13 @@ class ControlSystem:
     f: Callable          # (n,), (m,) -> (n,); (n, B), (m, B) -> (n, B)
     f_x: Callable        # (..., n), (..., m) -> (..., n, n)
     f_u: Callable        # (..., n), (..., m) -> (..., n, m)
-    f_xx: Callable | None = None  # -> (..., n, n, n)
-    f_xu: Callable | None = None  # -> (..., n, n, m)
-    f_uu: Callable | None = None  # -> (..., n, m, m)
+    # (..., n), (..., m), (..., n), (..., m) -> (..., n, n), (..., n, m)
+    d_partials: Callable | None = None
 
 
-def _lead(x, u):
+def _lead(*arrays):
     """Broadcast leading shape of stacked states and controls."""
-    return np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
+    return np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
 
 
 def _constant(mat):
@@ -93,11 +100,12 @@ def _constant(mat):
     return lambda x, u: np.broadcast_to(mat, _lead(x, u) + mat.shape)
 
 
-def _zero_second_partials(n, m):
-    """f_xx, f_xu and f_uu of a system that is affine in (x, u)."""
-    return dict(f_xx=_constant(np.zeros((n, n, n))),
-                f_xu=_constant(np.zeros((n, n, m))),
-                f_uu=_constant(np.zeros((n, m, m))))
+def _zero_d_partials(n, m):
+    """d_partials of a system that is affine in (x, u)."""
+    def d_partials(x, u, dx, du):
+        lead = _lead(x, u, dx, du)
+        return np.zeros(lead + (n, n)), np.zeros(lead + (n, m))
+    return d_partials
 
 
 def single_integrator(dim=1):
@@ -106,7 +114,7 @@ def single_integrator(dim=1):
         name="single-integrator", state_dim=dim, control_dim=dim,
         f=lambda x, u: np.asarray(u, float),
         f_x=_constant(np.zeros((dim, dim))), f_u=_constant(np.eye(dim)),
-        **_zero_second_partials(dim, dim))
+        d_partials=_zero_d_partials(dim, dim))
 
 
 def lti(A, B):
@@ -120,7 +128,7 @@ def lti(A, B):
         name="lti", state_dim=A.shape[0], control_dim=B.shape[1],
         f=lambda x, u: A @ x + B @ u,
         f_x=_constant(A), f_u=_constant(B),
-        **_zero_second_partials(*B.shape))
+        d_partials=_zero_d_partials(*B.shape))
 
 
 def brockett():
@@ -144,13 +152,15 @@ def brockett():
         out[..., 2, 1] = x[..., 0]
         return out
 
-    f_xu = np.zeros((3, 3, 2))
-    f_xu[2, 0, 1] = 1.0
+    def d_partials(x, u, dx, du):
+        lead = _lead(x, u, dx, du)
+        da, db = np.zeros(lead + (3, 3)), np.zeros(lead + (3, 2))
+        da[..., 2, 0] = du[..., 1]
+        db[..., 2, 1] = dx[..., 0]
+        return da, db
+
     return ControlSystem(name="brockett", state_dim=3, control_dim=2,
-                         f=f, f_x=f_x, f_u=f_u,
-                         f_xx=_constant(np.zeros((3, 3, 3))),
-                         f_xu=_constant(f_xu),
-                         f_uu=_constant(np.zeros((3, 2, 2))))
+                         f=f, f_x=f_x, f_u=f_u, d_partials=d_partials)
 
 
 def unicycle():
@@ -169,21 +179,19 @@ def unicycle():
         out[..., 2, 1] = 1.0
         return out
 
-    def f_xx(x, u):
-        out = np.zeros(_lead(x, u) + (3, 3, 3))
-        out[..., 0, 2, 2] = -u[..., 0] * np.cos(x[..., 2])
-        out[..., 1, 2, 2] = -u[..., 0] * np.sin(x[..., 2])
-        return out
-
-    def f_xu(x, u):
-        out = np.zeros(_lead(x, u) + (3, 3, 2))
-        out[..., 0, 2, 0] = -np.sin(x[..., 2])
-        out[..., 1, 2, 0] = np.cos(x[..., 2])
-        return out
+    def d_partials(x, u, dx, du):
+        lead = _lead(x, u, dx, du)
+        da, db = np.zeros(lead + (3, 3)), np.zeros(lead + (3, 2))
+        cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
+        turn = u[..., 0] * dx[..., 2]
+        da[..., 0, 2] = -du[..., 0] * sin - turn * cos
+        da[..., 1, 2] = du[..., 0] * cos - turn * sin
+        db[..., 0, 0] = -sin * dx[..., 2]
+        db[..., 1, 0] = cos * dx[..., 2]
+        return da, db
 
     return ControlSystem(name="unicycle", state_dim=3, control_dim=2,
-                         f=f, f_x=f_x, f_u=f_u, f_xx=f_xx, f_xu=f_xu,
-                         f_uu=_constant(np.zeros((3, 2, 2))))
+                         f=f, f_x=f_x, f_u=f_u, d_partials=d_partials)
 
 
 _SYSTEM_BUILDERS = {
@@ -376,8 +384,8 @@ def _propagators(a, h):
     b_2 = (I + h/2 a_4) a_3, b_3 = (I + h/2 b_2) a_2, b_4 = (I + h b_3) a_1:
     the forward RK4 step (y, w) -> (M y + N w, w) of ydot = A y + C w,
     wdot = 0, expanded.  Fed [f_x | f_u] it gives the partials M = dPhi/dx
-    and N = dPhi/du of the RK4 step Phi(x, u); every linear flow in this
-    module takes its RK4 step from here.
+    and N = dPhi/du of the RK4 step Phi(x, u).  Also returns b_2 and b_3,
+    the intermediates :func:`_propagator_derivatives` differentiates.
     """
     r = a.shape[-2]
     a1, a2, a3, a4 = (a[..., i, :, :] for i in range(4))
@@ -389,12 +397,41 @@ def _propagators(a, h):
     b4 = h * b3[..., :r] @ a1
     b4 += a1
     b4 += a4    # h/6 (a4 + 2 (b2 + b3) + b4)
-    b3 += b2
-    b3 *= 2
-    b4 += b3
+    twice = b3 + b2
+    twice *= 2
+    b4 += twice
     b4 *= h / 6.0
     b4[..., :r] += np.eye(r)
-    return b4
+    return b4, b2, b3
+
+
+def _propagator_derivatives(a, da, b2, b3, h):
+    """[dM | dN] (..., r, c), the derivative of :func:`_propagators`' step
+    rows along stage rows ``da`` (..., 4, r, c), from its stage rows ``a``
+    and intermediates ``b2``, ``b3``: each line of the polynomial
+    differentiated, db_2 = h/2 (da_4 a_3 + a_4 da_3) + da_3 and so on
+    (forward mode through the fixed scheme)."""
+    r = a.shape[-2]
+    a1, a2, a3, a4 = (a[..., i, :, :] for i in range(4))
+    d1, d2, d3, d4 = (da[..., i, :, :] for i in range(4))
+    db2 = d4[..., :r] @ a3
+    db2 += a4[..., :r] @ d3
+    db2 *= 0.5 * h
+    db2 += d3
+    db3 = db2[..., :r] @ a2
+    db3 += b2[..., :r] @ d2
+    db3 *= 0.5 * h
+    db3 += d2
+    db4 = db3[..., :r] @ a1
+    db4 += b3[..., :r] @ d1
+    db4 *= h
+    db4 += d1
+    db4 += d4    # h/6 (da4 + 2 (db2 + db3) + db4)
+    db3 += db2
+    db3 *= 2
+    db4 += db3
+    db4 *= h / 6.0
+    return db4
 
 
 def _chain(steps):
@@ -407,20 +444,6 @@ def _chain(steps):
     for j in range(count):
         out[..., j + 1, :, :] = steps[..., j, :, :r] @ out[..., j, :, :]
         out[..., j + 1, :, r:] += steps[..., j, :, r:]
-    return out
-
-
-def _dual(a, da, b, db):
-    """Nonzero rows [[a, da, b, db], [0, a, 0, b]] of the stage block
-    [[S, dS], [0, S]], S = [[a, b], [0, 0]], in coordinates
-    (x, dx | u, du).  A polynomial in such blocks carries its derivative
-    along (da, db) in the dx and du columns of its x rows."""
-    n, m = b.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (2 * n, 2 * (n + m)))
-    out[..., :n, :n] = out[..., n:, n:2 * n] = a
-    out[..., :n, n:2 * n] = da
-    out[..., :n, 2 * n:2 * n + m] = out[..., n:, 2 * n + m:] = b
-    out[..., :n, 2 * n + m:] = db
     return out
 
 
@@ -522,7 +545,9 @@ class EndpointOracle(MapOracle):
         stages = _stages(self.system.f, starts.T, np.repeat(
             controls, STEPS_PER_SEGMENT, axis=1).reshape(len(starts), -1).T,
             self._h)
-        x = np.stack(stages).transpose(2, 0, 1).reshape(
+        # contiguous, as a member gathered from a stack is: the same layout
+        # takes the same arithmetic path, bit for bit
+        x = np.ascontiguousarray(np.stack(stages, axis=1).T).reshape(
             controls.shape[:2] + (STEPS_PER_SEGMENT, 4, -1))
         return x, np.broadcast_to(controls[:, :, None, None],
                                   x.shape[:-1] + controls.shape[-1:])
@@ -553,7 +578,7 @@ class EndpointOracle(MapOracle):
         x, uu = self._stage_states(u[None])
         stage = np.concatenate([self.system.f_x(x[0], uu[0]),
                                 self.system.f_u(x[0], uu[0])], axis=-1)
-        jac = self._pullback(_propagators(stage, self._h))
+        jac = self._pullback(_propagators(stage, self._h)[0])
         jac = jac.transpose(1, 0, 2).reshape(self.dim_codomain, -1)
         jac.flags.writeable = False
         entry["jac"] = jac
@@ -585,11 +610,10 @@ class EndpointOracle(MapOracle):
         """Exact derivatives of :meth:`jacobian` along v_k at u_k, (K, n,
         N), each bit for bit the stack of one, in passes of at most
         STACK_LIMIT // P members: the memory of one call at STACK_LIMIT
-        segments.  Without the second partials, the base-class central
+        segments.  Without ``d_partials``, the base-class central
         difference with all 2K points u +- eps v in one batch."""
         us, vs = self._pair_rows(us, vs)
-        system = self.system
-        if None in (system.f_xx, system.f_xu, system.f_uu):
+        if self.system.d_partials is None:
             return self._fd_second_many(us, vs)
         self._trajectories(us)      # the rows not in the cache, in one batch
         out = np.empty((len(us), self.dim_codomain, self.dim_domain))
@@ -602,41 +626,56 @@ class EndpointOracle(MapOracle):
     def _second_variations(self, us, vs):
         """dJ(v_k) at u_k (K, n, N) in one pass, the stack leading.
 
-        The step tangent y_j comes from :meth:`_tangent` on the
-        :func:`_propagators` of [f_x | f_u v], and the stage tangents from
-        the stage recurrence, Y_1 = y_j and Y_{i+1} = y_j + c_i h (A_i Y_i
-        + B_i v), c = (1/2, 1/2, 1).  Along them the stage partials move by
-        dA = f_xx[Y_i] + f_xu[v] and dB = f_xu[Y_i] + f_uu[v], contracting
-        f_xu's state index in dB; the pullback of the :func:`_dual` stage
-        rows then carries dJ(v) = sum_j (K_{j+1} dN_j + dK_{j+1} N_j) next
-        to J.
+        Per distinct u: the stage states, the stage rows a_i = [f_x | f_u]
+        and from them the step rows [M_j | N_j] with the intermediates of
+        :func:`_propagators`.  Per member: the step tangent y_j from
+        :meth:`_tangent` on [M_j | N_j v], the stage tangents Y_1 = y_j and
+        Y_{i+1} = y_j + c_i h a_i [Y_i; v], c = (1/2, 1/2, 1), the stage
+        rows' derivatives [dA_i | dB_i] from ``d_partials`` along (Y_i, v),
+        and from those :func:`_propagator_derivatives`' [dM_j | dN_j].  The
+        pullback of the step rows [[M, dM, N, dN], [0, M, 0, N]] (the
+        block-triangular identity for Frechet derivatives, in coordinates
+        (x, dx | u, du)) then carries dJ(v) = sum_j (K_{j+1} dN_j
+        + dK_{j+1} N_j) next to J.
         """
-        system = self.system
-        x, uu = self._stage_states(us)
-        if len(us) == 1:
-            # without the stack axis: unbroadcast products take less time
-            x, uu = x[0], uu[0]
-        vv = np.broadcast_to(vs.reshape(uu.shape[:-3] + (1, 1, -1)), uu.shape)
-        a = system.f_x(x, uu)
-        b = system.f_u(x, uu)
-        bv = np.einsum("...ik,...k->...i", b, vv)
-        y = self._tangent(_propagators(
-            np.concatenate([a, bv[..., None]], axis=-1), self._h))
-        ys = np.empty(x.shape)
-        ys[..., 0, :] = y
+        system, h = self.system, self._h
+        keys = [u.tobytes() for u in us]
+        slot = {key: j for j, key in enumerate(dict.fromkeys(keys))}
+        distinct = us if len(slot) == len(us) else us[
+            [keys.index(key) for key in slot]]
+        x, uu = self._stage_states(distinct)
+        a = np.concatenate([system.f_x(x, uu), system.f_u(x, uu)], axis=-1)
+        steps, b2, b3 = _propagators(a, h)
+        if len(slot) < len(us):
+            inverse = [slot[key] for key in keys]
+            x, a, steps, b2, b3 = (arr[inverse]
+                                   for arr in (x, a, steps, b2, b3))
+        n, m = self.dim_codomain, self.grid.control_dim
+        # each segment's v and u, broadcast over its steps
+        v = vs.reshape(len(us), self.grid.segments, 1, m)
+        y = self._tangent(np.concatenate(
+            [steps[..., :n], steps[..., n:] @ v[..., None]], axis=-1))
+        # stage tangents next to v: each stage's slope is one product
+        yv = np.empty(x.shape[:-1] + (n + m,))
+        yv[..., n:] = v[..., None, :]
+        yv[..., 0, :n] = y
         for i, c in enumerate((0.5, 0.5, 1.0)):
-            ys[..., i + 1, :] = y + c * self._h * (
-                np.einsum("...ab,...b->...a", a[..., i, :, :], ys[..., i, :])
-                + bv[..., i, :])
-        f_xu = system.f_xu(x, uu)
-        da = (np.einsum("...iab,...b->...ia", system.f_xx(x, uu), ys)
-              + np.einsum("...iak,...k->...ia", f_xu, vv))
-        db = (np.einsum("...iak,...a->...ik", f_xu, ys)
-              + np.einsum("...ikl,...l->...ik", system.f_uu(x, uu), vv))
-        n, m = b.shape[-2:]
-        dual = _dual(a, da, b, db)
-        del a, b, da, db, f_xu  # free the stage partials for the block pass
-        rows = self._pullback(_propagators(dual, self._h))
+            slope = a[..., i, :, :] @ yv[..., i, :, None]
+            yv[..., i + 1, :n] = y + c * h * slope[..., 0]
+        controls = np.broadcast_to(us.reshape(v.shape)[..., None, :],
+                                   yv[..., n:].shape)
+        da = np.concatenate(system.d_partials(x, controls, yv[..., :n],
+                                              yv[..., n:]), axis=-1)
+        dsteps = _propagator_derivatives(a, da, b2, b3, h)
+        del a, da, b2, b3   # free the stage rows for the block pass
+        dual = np.zeros(steps.shape[:-2] + (2 * n, 2 * (n + m)))
+        dual[..., :n, :n] = dual[..., n:, n:2 * n] = steps[..., :n]
+        dual[..., :n, n:2 * n] = dsteps[..., :n]
+        dual[..., :n, 2 * n:2 * n + m] = steps[..., n:]
+        dual[..., n:, 2 * n + m:] = steps[..., n:]
+        dual[..., :n, 2 * n + m:] = dsteps[..., n:]
+        del steps, dsteps
+        rows = self._pullback(dual)
         return rows[..., :n, m:].swapaxes(-2, -3).reshape(len(us), n, -1)
 
 

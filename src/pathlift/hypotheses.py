@@ -168,43 +168,112 @@ def _unit(rng, dim, norm=np.linalg.norm):
             return v / nv
 
 
+def _orthonormal_part(basis, forms, p, form):
+    """The part of each unit vector p (K, N) orthogonal to its point's
+    orthonormal basis rows (K, k, N), normalised, and the form along it,
+    by linearity from G(p) (K, n, N) and the forms along the basis (K, k,
+    n, N); zeros where p lies within 1e-6 of the span."""
+    coef = (basis @ p[..., None])[..., 0]
+    rest = p - (coef[:, None, :] @ basis)[:, 0]
+    again = (basis @ rest[..., None])[..., 0]    # reorthogonalise once
+    rest -= (again[:, None, :] @ basis)[:, 0]
+    coef += again
+    norm = np.linalg.norm(rest, axis=1)
+    inverse = np.divide(1.0, norm, out=np.zeros_like(norm),
+                        where=norm > 1e-6)
+    rest *= inverse[:, None]
+    along = form - (coef[:, None, :] @ forms.reshape(coef.shape + (-1,))
+                    ).reshape(form.shape)
+    along *= inverse[:, None, None]
+    return rest, along
+
+
+def _ritz_direction(forms, z):
+    """The next direction of each point, from its forms (K, k, n, N) along
+    an orthonormal basis and the top left singular vector z (K, n) of its
+    last sweep: alternating maximisation of z^T G(p) w over unit z, unit w
+    and unit p in the basis's span, which needs no oracle call.  For fixed
+    z, p's coordinates are the top eigenvector of R R^T for the rows
+    R = [z^T G(q_j)]_j, and w is along R^T of them; for fixed (p, w), z is
+    along G(p) w.  Stops once a z step gains at most 1e-12 relative, or
+    after POWER_ITERATIONS steps.  Returns the last w (K, N)."""
+    z = z.copy()
+    active = np.ones(len(z), dtype=bool)
+    w = np.empty((len(z), forms.shape[-1]))
+    for _ in range(POWER_ITERATIONS):
+        along = forms[active]
+        rows = (z[active, None, None, :] @ along)[..., 0, :]
+        coef = np.linalg.eigh(rows @ rows.swapaxes(-1, -2))[1][..., -1]
+        step = (coef[:, None, :] @ rows)[:, 0]
+        sigma = np.linalg.norm(step, axis=1)
+        w[active] = step / sigma[:, None]
+        form = (coef[:, None, :] @ along.reshape(along.shape[:2] + (-1,))
+                ).reshape(along.shape[:1] + along.shape[2:])
+        step = (form @ w[active, :, None])[..., 0]
+        gain = np.linalg.norm(step, axis=1)
+        z[active] = step / gain[:, None]
+        active[active] = gain > sigma * (1.0 + 1e-12)
+        if not active.any():
+            break
+    return w
+
+
 def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     """Lower estimate of sup |z^* d2F|_u(v, w)| over unit z and X-unit v, w
-    by alternating maximisation (the higher-order power method).
+    by alternating maximisation, accelerated by Rayleigh-Ritz steps over
+    the directions it has visited (subspace-accelerated higher-order
+    power method).
 
-    A sweep at a unit v takes the SVD of dJ(v) W^-1/2: its largest
-    singular value is the exact supremum over z and w at that v, so an
-    attained value of the form, and its top right singular vector is the
-    next v.  Since d2F is symmetric the sweeps never decrease.  The best
-    of ``v_count`` seeded starts is swept until a sweep gains at most
-    1e-12 relative, or POWER_ITERATIONS times.  Points ``u`` (K, N) with
-    one seed each give (K,) estimates, each what the point gets alone: all
-    starts in one stack, then one per sweep of the points still sweeping.
+    In X-orthonormal coordinates p = W^1/2 v the form is G(p) = dJ(v)
+    W^-1/2, linear in p.  A sweep at a unit p takes the SVD of G(p): its
+    largest singular value is the exact supremum over z and w at that p,
+    so an attained value of the form.  Since G is linear, each point keeps
+    an orthonormal basis of the directions swept so far (all ``v_count``
+    seeded starts among them) with G along each, and
+    :func:`_ritz_direction` maximises the form over p in their span with
+    no oracle call; the w of that maximum is the next p.  The span holds
+    the last p, and d2F is symmetric (z^T G(w) p = z^T G(p) w), so the
+    sweeps never decrease.  The best start is swept until a sweep gains
+    at most 1e-12 relative, or POWER_ITERATIONS times.  Points ``u`` (K,
+    N) with one seed each give (K,) estimates, each what the point gets
+    alone: all starts in one stack, then one per sweep of the points still
+    sweeping.
     """
     us = np.atleast_2d(np.asarray(u, dtype=float))
     scale = 1.0 / np.sqrt(oracle.weights)
+    count, big_n = us.shape
 
-    def sweep(points, vs):
-        _, sigma, vt = np.linalg.svd(
-            oracle.jacobian_derivative_many(points, vs) * scale,
-            full_matrices=False)
-        return sigma[:, 0], vt[:, 0] * scale
+    def sweep(points, ps):
+        form = oracle.jacobian_derivative_many(points, ps * scale) * scale
+        left, sigma, _ = np.linalg.svd(form, full_matrices=False)
+        return form, sigma[:, 0], left[..., 0]
 
     rngs = [np.random.default_rng([s, 7])
-            for s in np.broadcast_to(seed, len(us))]
-    starts = [_unit(rng, oracle.dim_domain, oracle.norm) for rng in rngs
-              for _ in range(v_count)]
-    sigma, vs = sweep(np.repeat(us, v_count, axis=0), starts)
+            for s in np.broadcast_to(seed, count)]
+    starts = np.array([_unit(rng, big_n, oracle.norm) for rng in rngs
+                       for _ in range(v_count)]).reshape(-1, big_n) / scale
+    form, sigma, z = sweep(np.repeat(us, v_count, axis=0), starts)
+    slots = v_count + POWER_ITERATIONS
+    basis = np.zeros((count, slots, big_n))
+    forms = np.zeros((count, slots) + form.shape[1:])
+    form = form.reshape((count, v_count) + form.shape[1:])
+    starts = starts.reshape(count, v_count, big_n)
+    for k in range(v_count):
+        basis[:, k], forms[:, k] = _orthonormal_part(
+            basis, forms, starts[:, k], form[:, k])
     first = np.argmax(sigma.reshape(-1, v_count), axis=1)
-    first += np.arange(len(us)) * v_count
-    sigma, vs = sigma[first], vs[first]
-    best, running = np.zeros(len(us)), np.ones(len(us), dtype=bool)
-    for _ in range(POWER_ITERATIONS):
+    first += np.arange(count) * v_count
+    sigma, z = sigma[first], z[first]
+    best, running = np.zeros(count), np.ones(count, dtype=bool)
+    for k in range(v_count, slots):
         running &= sigma > best * (1.0 + 1e-12)
         if not running.any():
             break
         best[running] = sigma[running]
-        sigma[running], vs[running] = sweep(us[running], vs[running])
+        p = _ritz_direction(forms[running], z[running])
+        form, sigma[running], z[running] = sweep(us[running], p)
+        basis[running, k], forms[running, k] = _orthonormal_part(
+            basis[running], forms[running], p, form)
     best = np.maximum(best, sigma)
     return float(best[0]) if np.ndim(u) == 1 else best
 

@@ -284,6 +284,16 @@ def test_list_problems(capsys):
         assert name in out
 
 
+def test_main_builds_its_parser_once_per_process(capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert cli.main(["list-problems"]) == 0
+    assert cli._parser.cache_info().misses == 1
+    with pytest.raises(SystemExit):     # a bad command line still fails
+        cli.main(["lift"])
+    assert "--config" in capsys.readouterr().err
+
+
 def test_endpoint_problem_from_config(tmp_path):
     text = """
 [problem]

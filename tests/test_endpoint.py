@@ -110,24 +110,28 @@ def test_partials_broadcast_over_leading_axes(name):
     params = _SYSTEMS[name][1]
     system = pl.make_system(name, **(params or {}))
     rng = np.random.default_rng(3)
-    xs = rng.standard_normal((5, system.state_dim))
-    us = rng.standard_normal((5, system.control_dim))
     n, m = system.state_dim, system.control_dim
-    shapes = {"f_x": (n, n), "f_u": (n, m), "f_xx": (n, n, n),
-              "f_xu": (n, n, m), "f_uu": (n, m, m)}
-    for partial, shape in shapes.items():
-        fn = getattr(system, partial)
-        stacked = fn(xs, us)
-        assert stacked.shape == (5,) + shape, partial
+    xs, dxs = rng.standard_normal((2, 5, n))
+    us, dus = rng.standard_normal((2, 5, m))
+    for fn, args, shapes in [
+            (system.f_x, (xs, us), [(n, n)]),
+            (system.f_u, (xs, us), [(n, m)]),
+            (system.d_partials, (xs, us, dxs, dus), [(n, n), (n, m)])]:
+        stacked = fn(*args)
+        stacked = stacked if isinstance(stacked, tuple) else (stacked,)
+        assert [s.shape for s in stacked] == [(5,) + sh for sh in shapes]
         for i in range(5):
-            np.testing.assert_array_equal(stacked[i], fn(xs[i], us[i]))
+            one = fn(*(arg[i] for arg in args))
+            one = one if isinstance(one, tuple) else (one,)
+            for got, expect in zip(stacked, one):
+                np.testing.assert_array_equal(got[i], expect)
 
 
 def _mixed_system():
     """Two states, two controls, with every second partial nonzero:
     x1' = x2 u1^2 / 2 + sin(x1) u2,  x2' = x1 x2 / 2 + u1 u2 - x2."""
-    def zeros(x, u, shape):
-        lead = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
+    def zeros(*arrays, shape):
+        lead = np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
         return np.zeros(lead + shape)
 
     def f(x, u):
@@ -135,7 +139,7 @@ def _mixed_system():
                          0.5 * x[0] * x[1] + u[0] * u[1] - x[1]])
 
     def f_x(x, u):
-        out = zeros(x, u, (2, 2))
+        out = zeros(x, u, shape=(2, 2))
         out[..., 0, 0] = np.cos(x[..., 0]) * u[..., 1]
         out[..., 0, 1] = 0.5 * u[..., 0] ** 2
         out[..., 1, 0] = 0.5 * x[..., 1]
@@ -143,32 +147,28 @@ def _mixed_system():
         return out
 
     def f_u(x, u):
-        out = zeros(x, u, (2, 2))
+        out = zeros(x, u, shape=(2, 2))
         out[..., 0, 0] = x[..., 1] * u[..., 0]
         out[..., 0, 1] = np.sin(x[..., 0])
         out[..., 1, 0] = u[..., 1]
         out[..., 1, 1] = u[..., 0]
         return out
 
-    def f_xx(x, u):
-        out = zeros(x, u, (2, 2, 2))
-        out[..., 0, 0, 0] = -np.sin(x[..., 0]) * u[..., 1]
-        out[..., 1, 0, 1] = out[..., 1, 1, 0] = 0.5
-        return out
+    def d_partials(x, u, dx, du):
+        da = zeros(x, u, dx, du, shape=(2, 2))
+        db = zeros(x, u, dx, du, shape=(2, 2))
+        sin, cos = np.sin(x[..., 0]), np.cos(x[..., 0])
+        da[..., 0, 0] = cos * du[..., 1] - sin * u[..., 1] * dx[..., 0]
+        da[..., 0, 1] = u[..., 0] * du[..., 0]
+        da[..., 1, 0] = 0.5 * dx[..., 1]
+        da[..., 1, 1] = 0.5 * dx[..., 0]
+        db[..., 0, 0] = u[..., 0] * dx[..., 1] + x[..., 1] * du[..., 0]
+        db[..., 0, 1] = cos * dx[..., 0]
+        db[..., 1, 0] = du[..., 1]
+        db[..., 1, 1] = du[..., 0]
+        return da, db
 
-    def f_xu(x, u):
-        out = zeros(x, u, (2, 2, 2))
-        out[..., 0, 0, 1] = np.cos(x[..., 0])
-        out[..., 0, 1, 0] = u[..., 0]
-        return out
-
-    def f_uu(x, u):
-        out = zeros(x, u, (2, 2, 2))
-        out[..., 0, 0, 0] = x[..., 1]
-        out[..., 1, 0, 1] = out[..., 1, 1, 0] = 1.0
-        return out
-
-    return pl.ControlSystem("mixed", 2, 2, f, f_x, f_u, f_xx, f_xu, f_uu)
+    return pl.ControlSystem("mixed", 2, 2, f, f_x, f_u, d_partials)
 
 
 def _oracle(name, segments):
@@ -195,11 +195,26 @@ def test_mixed_system_partials_match_differences():
             for k in range(2)], axis=-1) / (2 * eps)
 
     for got, expect in [(system.f_x(x, u), diff(system.f, "x")),
-                        (system.f_u(x, u), diff(system.f, "u")),
-                        (system.f_xx(x, u), diff(system.f_x, "x")),
-                        (system.f_xu(x, u), diff(system.f_x, "u")),
-                        (system.f_uu(x, u), diff(system.f_u, "u"))]:
+                        (system.f_u(x, u), diff(system.f, "u"))]:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS) + ["mixed"])
+def test_d_partials_match_differences_of_the_partials(name):
+    """(dA, dB) along (dx, du) against central differences of (f_x, f_u)
+    along the same line, at a few random points."""
+    system = _oracle(name, 2).system
+    n, m = system.state_dim, system.control_dim
+    rng = np.random.default_rng(len(name))
+    eps = 1e-6
+    for _ in range(5):
+        x, dx = rng.standard_normal((2, n))
+        u, du = rng.standard_normal((2, m))
+        got = system.d_partials(x, u, dx, du)
+        for fn, dfn in zip((system.f_x, system.f_u), got):
+            expect = (fn(x + eps * dx, u + eps * du)
+                      - fn(x - eps * dx, u - eps * du)) / (2 * eps)
+            np.testing.assert_allclose(dfn, expect, rtol=0, atol=1e-8)
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,11 +351,7 @@ def _forward_mode(ep, u, v):
         slopes = []
         for c in (0.5, 0.5, 1.0, None):
             a, b = sys_.f_x(sx, us), sys_.f_u(sx, us)
-            f_xu = sys_.f_xu(sx, us)
-            da = (np.einsum("iab,b->ia", sys_.f_xx(sx, us), sy)
-                  + np.einsum("iak,k->ia", f_xu, vs))
-            db = (np.einsum("iak,a->ik", f_xu, sy)
-                  + np.einsum("ikl,l->ik", sys_.f_uu(sx, us), vs))
+            da, db = sys_.d_partials(sx, us, sy, vs)
             slope = (a @ sz + b @ select, a @ sy + b @ vs,
                      da @ sz + a @ sdz + db @ select)
             slopes.append(slope)
@@ -441,6 +452,40 @@ def test_stack_split_bounds_the_working_memory(monkeypatch):
     assert working_memory(10, 40) <= 1.01 * single
     monkeypatch.setattr(pl.endpoint, "STACK_LIMIT", 10**6)
     assert working_memory(10, 40) > 5 * single
+
+
+def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
+    """In one pass, the stage states (``f``), ``f_x`` and ``f_u`` are
+    evaluated at each distinct u's stages once, however many members
+    share that u; only ``d_partials`` is evaluated per member."""
+    points = dict.fromkeys(["f", "f_x", "f_u", "d_partials"], 0)
+
+    def counted(name, fn):
+        def wrapper(x, *args):
+            points[name] += (np.shape(x)[-1] if name == "f"
+                             else int(np.prod(np.shape(x)[:-1])))
+            return fn(x, *args)
+        return wrapper
+
+    base = pl.make_system("unicycle")
+    system = dataclasses.replace(base, **{
+        name: counted(name, getattr(base, name)) for name in points})
+    segments = 4
+    grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
+    ep = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid)
+    rng = np.random.default_rng(15)
+    distinct = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
+    us = distinct[[0, 1, 0, 2, 2, 1, 0, 2]]
+    vs = rng.uniform(-1.0, 1.0, us.shape)
+    assert len(us) <= pl.endpoint.STACK_LIMIT // segments    # one pass
+    ep.eval_many(distinct)
+    points.update(dict.fromkeys(points, 0))
+    ep.jacobian_derivative_many(us, vs)
+    steps = segments * STEPS_PER_SEGMENT
+    assert points == {"f": 3 * steps * len(distinct),
+                      "f_x": 4 * steps * len(distinct),
+                      "f_u": 4 * steps * len(distinct),
+                      "d_partials": 4 * steps * len(us)}
 
 
 def test_jacobian_derivative_many_checks_its_rows():
@@ -877,10 +922,11 @@ def test_non_conforming_f_fails_on_a_batch():
 # -- validation of the second differential ----------------------------------
 
 
-def _unicycle(segments=6, x0=(0.0, 0.0, 0.0), **partials):
-    """Unicycle endpoint oracle from x0 on [0, 1], with some of its second
-    partials replaced."""
-    system = dataclasses.replace(pl.make_system("unicycle"), **partials)
+def _unicycle(segments=6, x0=(0.0, 0.0, 0.0), d_partials=None):
+    """Unicycle endpoint oracle from x0 on [0, 1], with ``d_partials``
+    replaced: by default dropped, so the oracle falls back to FD."""
+    system = dataclasses.replace(pl.make_system("unicycle"),
+                                 d_partials=d_partials)
     grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
     return pl.EndpointOracle(system, x0, grid)
 
@@ -894,11 +940,11 @@ def _zeros(*shape):
 def test_fd_second_differential_integrates_its_pair_as_one_batch(
         monkeypatch):
     calls = _count_integrate(monkeypatch)
-    ep = _unicycle(f_xx=None)
+    ep = _unicycle()
     u, v = np.random.default_rng(13).standard_normal((2, ep.dim_domain))
     got = ep.jacobian_derivative(u, v)
     assert calls == [(6, 2, 2)]         # u + eps v and u - eps v together
-    fresh = _unicycle(f_xx=None)
+    fresh = _unicycle()
     eps = pl.maps.SECOND_FD_SCALE * (1.0 + fresh.norm(u))
     expect = (fresh.jacobian(u + eps * v)
               - fresh.jacobian(u - eps * v)) / (2.0 * eps)
@@ -909,15 +955,15 @@ def test_fd_second_differential_integrates_its_pair_as_one_batch(
     us, vs = np.random.default_rng(14).standard_normal((2, 5, ep.dim_domain))
     us[3] = us[0]
     calls.clear()
-    stack = _unicycle(f_xx=None).jacobian_derivative_many(us, vs)
+    stack = _unicycle().jacobian_derivative_many(us, vs)
     assert calls == [(6, 2, 10)]
     for k in range(5):
-        one = _unicycle(f_xx=None).jacobian_derivative(us[k], vs[k])
+        one = _unicycle().jacobian_derivative(us[k], vs[k])
         assert np.array_equal(stack[k].view(np.int64), one.view(np.int64))
 
 
 def test_validate_passes_the_fd_second_differential():
-    results = pl.validate_oracle(_unicycle(f_xx=None), seed=0)
+    results = pl.validate_oracle(_unicycle(), seed=0)
     assert len(results) == 4
     assert all(r.passed for r in results), [r.line() for r in results]
     symmetry = [r for r in results
@@ -931,18 +977,32 @@ def test_fd_second_differential_is_symmetric_on_a_coarse_grid(x0_seed):
     segments a step of 1e-4 left 1.4e-8 to 3.6e-8, above the 1e-8
     tolerance, and 1e-5 leaves at most 3.6e-10."""
     x0 = np.random.default_rng(x0_seed).uniform(-0.5, 0.5, 3)
-    ep = _unicycle(segments=2, x0=x0, f_xx=None)
+    ep = _unicycle(segments=2, x0=x0)
     for seed in range(1, 16):
         row = pl.oracle_checks.check_second_symmetry(ep, seed=seed)
         assert row.passed, row.line()
 
 
-@pytest.mark.parametrize("partial,shape", [("f_xx", (3, 3, 3)),
-                                           ("f_xu", (3, 3, 2))])
-def test_dropped_second_partial_fails_the_taylor_row(partial, shape):
-    """The exact second variation without one partial is still symmetric,
-    so only the second-order Taylor remainder sees the missing term."""
-    ep = _unicycle(**{partial: _zeros(*shape)})
+def _without_f_xx(x, u, dx, du):
+    """Unicycle's d_partials without its f_xx term, the dx part of dA."""
+    full = pl.make_system("unicycle").d_partials
+    return full(x, u, 0 * dx, du)[0], full(x, u, dx, du)[1]
+
+
+def _without_f_xu(x, u, dx, du):
+    """Unicycle's d_partials without its mixed term f_xu, the du part of
+    dA and the dx part of dB."""
+    full = pl.make_system("unicycle").d_partials
+    return full(x, u, dx, 0 * du)[0], full(x, u, 0 * dx, du)[1]
+
+
+@pytest.mark.parametrize("dropped", ["f_xx", "f_xu"])
+def test_dropped_second_partial_fails_the_taylor_row(dropped):
+    """The exact second variation without one second partial is still
+    symmetric, so only the second-order Taylor remainder sees the missing
+    term."""
+    ep = _unicycle(d_partials={"f_xx": _without_f_xx,
+                               "f_xu": _without_f_xu}[dropped])
     rows = {r.name: r for r in pl.validate_oracle(ep, seed=0)}
     assert not rows["second-differential Taylor order deficit"].passed
     assert rows["second-differential symmetry"].passed
