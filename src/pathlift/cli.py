@@ -122,7 +122,7 @@ _SCHEMA = {
     "solver": {f.name: (f.type.__name__, f.default)
                for f in dataclasses.fields(solver.SolverOptions)},
     "check": {
-        "radii": ("vector", None),
+        "radii": ("vector", (1.0, 2.0, 4.0, 8.0)),
         "per_radius": ("int", 8),
         "z_samples": ("int", 8),
         "seed": ("int", 0),
@@ -246,14 +246,10 @@ def build_path(cfg, oracle, u0):
 
 def build_plan(cfg, seed_override=None):
     sec = cfg["check"]
-    radii = sec["radii"]
-    if radii is None:
-        radii = np.array([1.0, 2.0, 4.0, 8.0])
     seed = sec["seed"] if seed_override is None else seed_override
     plan = hypotheses.SamplingPlan(
-        radii=tuple(float(r) for r in radii),
-        per_radius=sec["per_radius"], z_samples=sec["z_samples"],
-        seed=int(seed))
+        radii=sec["radii"], per_radius=sec["per_radius"],
+        z_samples=sec["z_samples"], seed=seed)
     return plan, sec["xi"], sec["lambda0"]
 
 

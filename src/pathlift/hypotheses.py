@@ -279,35 +279,35 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
 
 
 def _switching_samples(oracle, us, zs):
-    """(||phi_z||_X, coercivity ratio) at each sample (u, z), or None where
-    phi_z is degenerate: one adjoint per sample and one stack of dJ."""
+    """||phi_z||_X and the coercivity ratio at each sample (u, z), the
+    ratio NaN where phi_z is degenerate: one adjoint per sample and one
+    stack of dJ."""
     us, zs = np.asarray(us, dtype=float), np.asarray(zs, dtype=float)
     phis = np.array([oracle.apply_adjoint(u, z) for u, z in zip(us, zs)])
     nphi2 = np.array([oracle.inner(phi, phi) for phi in phis])
     keep = np.flatnonzero(nphi2 > DEGENERATE_SWITCHING ** 2)
-    samples = [None] * len(phis)
+    ratio = np.full(len(phis), np.nan)
     curvatures = oracle.jacobian_derivative_many(us[keep], phis[keep])
     for k, dj in zip(keep, curvatures):
         curv = abs(oracle.inner(phis[k], (zs[k] @ dj) / oracle.weights))
-        samples[k] = float(np.sqrt(nphi2[k])), float(curv / nphi2[k])
-    return samples
+        ratio[k] = curv / nphi2[k]
+    return np.sqrt(nphi2), ratio
 
 
 def coercivity_ratio(oracle, u, z):
     """|z^* d2F(phi_z, phi_z)| / ||phi_z||_X^2, or None when the
     switching function is degenerate at the sample."""
-    sample, = _switching_samples(oracle, [u], [z])
-    return None if sample is None else sample[1]
+    (ratio,) = _switching_samples(oracle, [u], [z])[1]
+    return None if np.isnan(ratio) else float(ratio)
 
 
 def xi_margin(oracle, u, z, xi):
     """Margin ratio * ||phi_z|| * xi(||u||)^2 of the product condition at
     one sample; pass is >= 1."""
-    sample, = _switching_samples(oracle, [u], [z])
-    if sample is None:
+    (nphi,), (ratio,) = _switching_samples(oracle, [u], [z])
+    if np.isnan(ratio):
         return None
-    nphi, ratio = sample
-    return ratio * nphi * xi(oracle.norm(u)) ** 2
+    return float(ratio * nphi * xi(oracle.norm(u)) ** 2)
 
 
 def _sample_u(oracle, plan, shell_idx, sample_idx):
@@ -321,55 +321,21 @@ def _sample_z(oracle, plan, shell_idx, sample_idx, z_idx):
     return _unit(rng, oracle.dim_codomain)
 
 
-def _sample_spectrum(oracle, u):
-    # sampling only reads eigenvalues, so basis ambiguity in a repeated
-    # spectrum is harmless
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return spectral_decompose(gramian(oracle, u))
-
-
-def gramian_inverse_growth(oracle, plan):
-    """Per-shell max of 1/lambda_1 and the log-log growth fit.
-
-    Returns (per_shell_max, slope, intercept, passed, singular_counts,
-    samples); singular samples are flagged and excluded from the fit.
-    ``samples[si][k]`` is the (u, spectrum) of plan point k on shell si:
-    every plan point is evaluated in one :meth:`MapOracle.eval_many` and
-    its Gramian decomposed once, for callers that need more than the fit.
-    """
-    points = [[_sample_u(oracle, plan, si, k) for k in range(plan.per_radius)]
-              for si in range(len(plan.radii))]
-    oracle.eval_many(np.concatenate(points))
-    samples = [[(u, _sample_spectrum(oracle, u)) for u in shell]
-               for shell in points]
-    shell_max = []
-    singular_counts = []
-    for shell in samples:
-        worst = 0.0
-        singular = 0
-        for _, spec in shell:
-            if spec.singular:
-                singular += 1
-                continue
-            worst = max(worst, 1.0 / float(spec.lambdas[0]))
-        shell_max.append(worst)
-        singular_counts.append(singular)
-    xs, ys = [], []
-    for r, m in zip(plan.radii, shell_max):
-        if m > 0.0:
-            xs.append(np.log1p(r))
-            ys.append(np.log(m))
+def gramian_inverse_growth(radii, inv_gramian_max):
+    """Log-log fit of the per-shell max of 1/lambda_1 against 1 + r, over
+    the shells with a regular sample (max > 0): (slope, intercept,
+    passed), intercept -inf when no shell has one."""
+    radii, inv_max = np.asarray(radii), np.asarray(inv_gramian_max)
+    seen = inv_max > 0.0
+    xs, ys = np.log1p(radii[seen]), np.log(inv_max[seen])
     if len(xs) >= 2:
         slope, intercept = np.polyfit(xs, ys, 1)
     elif len(xs) == 1:
         slope, intercept = 0.0, ys[0]
     else:
         slope, intercept = 0.0, -np.inf
-    passed = bool(np.isfinite(intercept) or not xs) and \
-        slope <= GROWTH_SLOPE_LIMIT + GROWTH_SLOPE_TOL
-    return (shell_max, float(slope), float(intercept), passed,
-            singular_counts, samples)
+    return (float(slope), float(intercept),
+            bool(slope <= GROWTH_SLOPE_LIMIT + GROWTH_SLOPE_TOL))
 
 
 def check_report(oracle, plan, lambda0=1e-6, xi=None):
@@ -377,90 +343,75 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
 
     Deterministic given (oracle, plan): each sample draws from its own
     hashed substream, so doubling the counts extends the sample set
-    without disturbing earlier draws.
+    without disturbing earlier draws.  The samples form one table of
+    shells x points x z samples: per plan point (all evaluated in one
+    :meth:`MapOracle.eval_many`, each Gramian decomposed once) its least
+    eigenvalue, singular flag, eigenvalue floor and C_est, and per (u, z)
+    ||phi_z|| and the coercivity ratio, NaN where phi_z is degenerate and
+    the sample skipped.  Every shell row and every aggregate is a
+    reduction of the table over its axes.
     """
     if not 0 < lambda0 < np.inf:
         raise ConfigurationError(
             f"lambda0 must be positive and finite, got {lambda0}")
-    shells = []
-    c_est = 0.0
-    k_est = np.inf
-    xi_min = np.inf
-    gap_margin = np.inf
-    skipped_total = 0
-    singular_total = 0
-    log_r, log_ratio, log_phi = [], [], []
-    (shell_inv, growth_slope, growth_intercept, growth_pass, sing_counts,
-     samples) = gramian_inverse_growth(oracle, plan)
+    radii = np.asarray(plan.radii)
+    shape = (len(radii), plan.per_radius)
+    index = list(np.ndindex(shape))
+    points = np.array([_sample_u(oracle, plan, si, k) for si, k in index])
+    oracle.eval_many(points)
+    # sampling only reads eigenvalues, so basis ambiguity in a repeated
+    # spectrum is harmless
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        specs = [spectral_decompose(gramian(oracle, u)) for u in points]
+    lam1 = np.reshape([s.lambdas[0] for s in specs], shape)
+    singular = np.reshape([s.singular for s in specs], shape)
+    gap = np.reshape([s.floor for s in specs], shape) - lambda0
     # every plan point's C_est in lockstep, every (u, z) sample in one stack
-    index = [(si, k) for si in range(len(plan.radii))
-             for k in range(plan.per_radius)]
-    points = np.array([u for shell in samples for u, _ in shell])
-    c_points = iter(estimate_bilinear_norm(
+    c = estimate_bilinear_norm(
         oracle, points, v_count=plan.z_samples,
-        seed=[plan.seed + 104729 * si + 1299721 * k for si, k in index]))
-    switching = iter(_switching_samples(
-        oracle, np.repeat(points, plan.z_samples, axis=0),
-        [_sample_z(oracle, plan, si, k, j) for si, k in index
-         for j in range(plan.z_samples)]))
-    for si, r in enumerate(plan.radii):
-        sh_c = 0.0
-        sh_k = np.inf
-        sh_xi = np.inf
-        sh_gap = np.inf
-        skipped = 0
-        for u, spec in samples[si]:
-            sh_gap = min(sh_gap, spec.floor - lambda0)
-            sh_c = max(sh_c, float(next(c_points)))
-            xi_u2 = None if xi is None else xi(oracle.norm(u)) ** 2
-            for _ in range(plan.z_samples):
-                sample = next(switching)
-                if sample is None:
-                    skipped += 1
-                    continue
-                nphi, ratio = sample
-                sh_k = min(sh_k, ratio)
-                log_r.append(np.log(r))
-                log_ratio.append(np.log(max(ratio, 1e-300)))
-                log_phi.append(np.log(max(nphi, 1e-300)))
-                if xi is not None:
-                    sh_xi = min(sh_xi, ratio * nphi * xi_u2)
-        shells.append(ShellStats(
-            radius=r, samples=plan.per_radius, skipped=skipped,
-            c_max=sh_c, k_min=float(sh_k if np.isfinite(sh_k) else np.nan),
-            xi_margin_min=float(sh_xi if np.isfinite(sh_xi) else np.nan),
-            inv_gramian_max=shell_inv[si],
-            gap_margin_min=float(sh_gap if np.isfinite(sh_gap) else np.inf),
-            singular_found=sing_counts[si]))
-        c_est = max(c_est, sh_c)
-        k_est = min(k_est, sh_k)
-        xi_min = min(xi_min, sh_xi)
-        gap_margin = min(gap_margin, sh_gap)
-        skipped_total += skipped
-        singular_total += sing_counts[si]
+        seed=[plan.seed + 104729 * si + 1299721 * k for si, k in index]
+    ).reshape(shape)
+    zs = [_sample_z(oracle, plan, si, k, j) for si, k in index
+          for j in range(plan.z_samples)]
+    nphi, ratio = _switching_samples(
+        oracle, np.repeat(points, plan.z_samples, axis=0), zs)
+    nphi, ratio = nphi.reshape(shape + (-1,)), ratio.reshape(shape + (-1,))
+    xi_u2 = [np.nan if xi is None else xi(oracle.norm(u)) ** 2
+             for u in points]
+    margin = ratio * nphi * np.reshape(xi_u2, shape)[..., None]
+    kept = ~np.isnan(ratio)
+    inv_max = (1.0 / np.where(singular, np.inf, lam1)).max(axis=1)
+    # ShellStats columns after radius and samples, in field order
+    columns = ((~kept).sum(axis=(1, 2)), c.max(axis=1),
+               np.fmin.reduce(ratio, axis=(1, 2)),
+               np.fmin.reduce(margin, axis=(1, 2)), inv_max,
+               gap.min(axis=1), singular.sum(axis=1))
+    shells = [ShellStats(r, plan.per_radius, *row) for r, row in
+              zip(plan.radii, zip(*(col.tolist() for col in columns)))]
     # power-law split fit: slope of log(ratio) gives 1 - alpha, with
     # K1, K2 the worst-case constants at the fitted exponent
-    if len(log_r) >= 2 and np.ptp(log_r) > 0:
-        slope_ratio = float(np.polyfit(log_r, log_ratio, 1)[0])
-    else:
-        slope_ratio = 0.0
-    alpha = 1.0 + slope_ratio
-    lr = np.asarray(log_r)
-    k1 = float(np.exp(np.min(np.asarray(log_ratio) + (1.0 - alpha) * lr))) \
-        if len(log_r) else 0.0
-    k2 = float(np.exp(np.min(np.asarray(log_phi) + (1.0 + alpha) * lr))) \
-        if len(log_r) else 0.0
-    k_est = float(k_est) if np.isfinite(k_est) else 0.0
-    xi_ok = xi is None or (np.isfinite(xi_min) and xi_min >= 1.0)
-    gap_val = float(gap_margin) if np.isfinite(gap_margin) else np.inf
+    log_r = np.broadcast_to(np.log(radii)[:, None, None], ratio.shape)[kept]
+    log_ratio = np.log(np.maximum(ratio[kept], 1e-300))
+    log_phi = np.log(np.maximum(nphi[kept], 1e-300))
+    alpha, k1, k2 = 1.0, 0.0, 0.0
+    if log_r.size and np.ptp(log_r) > 0.0:
+        alpha += float(np.polyfit(log_r, log_ratio, 1)[0])
+    if log_r.size:
+        k1 = float(np.exp(np.min(log_ratio + (1.0 - alpha) * log_r)))
+        k2 = float(np.exp(np.min(log_phi + (1.0 + alpha) * log_r)))
+    k_est = float(np.fmin.reduce(ratio, axis=None))
+    xi_min = float(np.fmin.reduce(margin, axis=None))
+    growth_slope, growth_intercept, growth_pass = gramian_inverse_growth(
+        radii, inv_max)
+    gap_margin = float(gap.min())
     return HypothesisReport(
-        plan=plan, lambda0=lambda0, xi=xi, c_est=float(c_est),
-        k_est=k_est,
-        xi_margin_min=float(xi_min) if np.isfinite(xi_min) else np.nan,
-        xi_pass=bool(xi_ok),
+        plan=plan, lambda0=lambda0, xi=xi, c_est=float(c.max()),
+        k_est=0.0 if np.isnan(k_est) else k_est, xi_margin_min=xi_min,
+        xi_pass=xi is None or xi_min >= 1.0,
         growth_slope=growth_slope, growth_intercept=growth_intercept,
         growth_pass=growth_pass,
-        gap_margin=gap_val, gap_pass=bool(gap_val >= 0.0),
-        remark_alpha=float(alpha), remark_k1=k1, remark_k2=k2,
-        shells=shells, skipped_samples=skipped_total,
-        singular_samples=singular_total)
+        gap_margin=gap_margin, gap_pass=gap_margin >= 0.0,
+        remark_alpha=alpha, remark_k1=k1, remark_k2=k2,
+        shells=shells, skipped_samples=int((~kept).sum()),
+        singular_samples=int(singular.sum()))

@@ -295,12 +295,16 @@ class _Lift:
         self.u = u
         return state
 
-    def _accept_regular(self, s_new, u_new, h_used, tag=""):
+    def _accept_regular(self, s_new, u5, spec, h_used, tag=""):
+        """Correct the step's u5, whose spectrum is ``spec``, onto the
+        fiber and log it; the spectrum is taken again only when the
+        correction moved u5."""
         tol = self.opts.tol_residual
         u_new, res, ok = gauss_newton_correct(
-            self.oracle, u_new, self.path.gamma(s_new), tol)
-        spec = spectral_decompose(gramian(self.oracle, u_new),
-                                  prev=self.prev_spec)
+            self.oracle, u5, self.path.gamma(s_new), tol)
+        if u_new is not u5:
+            spec = spectral_decompose(gramian(self.oracle, u_new),
+                                      prev=self.prev_spec)
         if not ok and not res < 10.0 * tol:    # NaN fails too
             self.status = DIVERGED
             self.message = (f"correction failed: residual {res:.3e} "
@@ -453,7 +457,8 @@ class _Lift:
             on_knot = self.b < 1.0 and abs(s_new - self.b) < 1e-14
             if on_knot:
                 tags.append("knot")
-            state = self._accept_regular(s_new, u5, ds, " ".join(tags))
+            state = self._accept_regular(s_new, u5, spec_new, ds,
+                                         " ".join(tags))
             if state is None:
                 break
             if on_knot and self.sigma0 is not None:

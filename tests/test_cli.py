@@ -243,7 +243,11 @@ def test_check_falsified_exit_4(tmp_path):
     code = cli.main(["check", "--config", _cfg(tmp_path, LINEAR_CHECK),
                      "--out-dir", str(out)])
     assert code == 4
-    assert "K_est = 0" in (out / "report.txt").read_text()
+    text = (out / "report.txt").read_text()
+    assert "K_est = 0" in text
+    # no radii in the config: the schema's default shells
+    assert "radii = [1.0, 2.0, 4.0, 8.0]" in text
+    assert len((out / "shells.csv").read_text().splitlines()) == 5
 
 
 def test_check_seed_override_changes_report(tmp_path):

@@ -1,5 +1,8 @@
 """Sampling-based falsification checks."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,8 +317,8 @@ def test_unicycle_c_est_reaches_the_dense_bound(segments):
     o = pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0], 1.0, segments)
     plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=2, z_samples=2)
     rep = pl.check_report(o, plan)
-    points = [u for shell in pl.gramian_inverse_growth(o, plan)[5]
-              for u, _ in shell]
+    points = [hyp._sample_u(o, plan, si, k) for si in range(3)
+              for k in range(2)]
     exact = max(_dense_bound(o, u) for u in points)
     assert rep.c_est == pytest.approx(exact, rel=1e-9)
     for k, u in enumerate(points):
@@ -391,14 +394,31 @@ def test_report_text_and_rows():
 
 
 def test_gramian_inverse_growth_flags_singular_samples():
-    o = pl.SphereMap(3)
-    shell_max, slope, intercept, passed, sing, samples = \
-        pl.gramian_inverse_growth(o, _plan(radii=(1.0, 2.0)))
-    assert len(shell_max) == 2
-    assert [len(shell) for shell in samples] == [6, 6]
+    # 1 / lambda_1 = 1 / (4 r^2) on the sphere; every sample of the zero
+    # map is singular, so its shells read 0 and drop out of the fit
+    sphere = pl.check_report(pl.SphereMap(3), _plan(radii=(1.0, 2.0)))
+    zero = pl.check_report(pl.LinearMap(np.zeros((1, 3))),
+                           _plan(radii=(1.0, 2.0)))
+    shell_max = [sh.inv_gramian_max for sh in sphere.shells]
     assert shell_max[0] == pytest.approx(1.0 / 4.0, rel=1e-10)
     assert shell_max[1] == pytest.approx(1.0 / 16.0, rel=1e-10)
-    assert passed and sing == [0, 0]
+    assert [sh.singular_found for sh in sphere.shells] == [0, 0]
+    assert [sh.inv_gramian_max for sh in zero.shells] == [0.0, 0.0]
+    assert [sh.singular_found for sh in zero.shells] == [6, 6]
+    slope, intercept, passed = pl.gramian_inverse_growth(
+        np.array([1.0, 2.0]), np.array(shell_max))
+    assert (slope, intercept, passed) == (
+        sphere.growth_slope, sphere.growth_intercept, sphere.growth_pass)
+    assert slope == pytest.approx(np.log(0.25) / np.log(1.5), rel=1e-10)
+    assert passed
+    # a shell with no regular sample is left out of the fit
+    assert pl.gramian_inverse_growth(
+        np.array([1.0, 1.5, 2.0]),
+        np.array([shell_max[0], 0.0, shell_max[1]])) == (
+            slope, intercept, passed)
+    assert pl.gramian_inverse_growth(
+        np.array([1.0, 2.0]), np.array([0.0, 0.25])) == (
+            0.0, float(np.log(0.25)), True)
 
 
 # -- stacked second differentials against loop-form references --------------
@@ -411,6 +431,8 @@ def _problem(kind, segments=6):
         return pl.SphereMap(3, weights=[0.5, 1.0, 2.0])
     if kind == "fold":
         return pl.FoldMap(weights=[0.7, 1.3])
+    if kind == "zero":
+        return pl.LinearMap(np.zeros((1, 2)))
     if kind == "lti":
         return pl.endpoint_problem(
             "lti", [1.0, -0.5], 1.0, segments,
@@ -437,15 +459,24 @@ def _finite_or_nan(x):
     return float(x) if np.isfinite(x) else np.nan
 
 
-def _check_report_reference(o, plan, xi):
-    """check_report's per-shell (c_max, k_min, xi_margin_min, skipped) and
-    its power-law fit from loops: one estimate per plan point, and one
-    adjoint and one second_operator call per (u, z)."""
-    rows, log_r, log_ratio = [], [], []
-    samples = pl.gramian_inverse_growth(o, plan)[5]
+def _check_report_reference(o, plan, lambda0, xi):
+    """check_report's shell rows and aggregates from loops: per plan point
+    one Gramian decomposition and one estimate, and per (u, z) one adjoint
+    and one second_operator call."""
+    rows, fit, log_r, log_ratio, log_phi = [], [], [], [], []
     for si, r in enumerate(plan.radii):
         c_max, k_min, xi_min, skipped = 0.0, np.inf, np.inf, 0
-        for k, (u, _) in enumerate(samples[si]):
+        inv_max, gap, singular = 0.0, np.inf, 0
+        for k in range(plan.per_radius):
+            u = hyp._sample_u(o, plan, si, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                spec = pl.spectral_decompose(pl.gramian(o, u))
+            gap = min(gap, spec.floor - lambda0)
+            if spec.singular:
+                singular += 1
+            else:
+                inv_max = max(inv_max, 1.0 / float(spec.lambdas[0]))
             c_max = max(c_max, pl.estimate_bilinear_norm(
                 o, u, v_count=plan.z_samples,
                 seed=plan.seed + 104729 * si + 1299721 * k))
@@ -457,27 +488,63 @@ def _check_report_reference(o, plan, xi):
                     skipped += 1
                     continue
                 ratio = abs(o.inner(phi, o.second_operator(u, z, phi))) / nphi2
+                nphi = float(np.sqrt(nphi2))
                 k_min = min(k_min, ratio)
-                xi_min = min(xi_min, ratio * float(np.sqrt(nphi2))
-                             * xi(o.norm(u)) ** 2)
+                if xi is not None:
+                    xi_min = min(xi_min, ratio * nphi * xi(o.norm(u)) ** 2)
                 log_r.append(np.log(r))
                 log_ratio.append(np.log(max(ratio, 1e-300)))
-        rows.append((c_max, _finite_or_nan(k_min), _finite_or_nan(xi_min),
-                     skipped))
-    return rows, 1.0 + float(np.polyfit(log_r, log_ratio, 1)[0])
+                log_phi.append(np.log(max(nphi, 1e-300)))
+        rows.append((r, plan.per_radius, skipped, c_max,
+                     _finite_or_nan(k_min), _finite_or_nan(xi_min), inv_max,
+                     gap, singular))
+        if inv_max > 0.0:
+            fit.append((np.log1p(r), np.log(inv_max)))
+    if len(fit) >= 2:
+        slope, intercept = np.polyfit(*zip(*fit), 1)
+    else:
+        slope, intercept = 0.0, fit[0][1] if fit else -np.inf
+    alpha = 1.0
+    if len(set(log_r)) > 1:
+        alpha += float(np.polyfit(log_r, log_ratio, 1)[0])
+    k1 = float(np.exp(min(a + (1.0 - alpha) * b
+                          for a, b in zip(log_ratio, log_r)))) \
+        if log_r else 0.0
+    k2 = float(np.exp(min(a + (1.0 + alpha) * b
+                          for a, b in zip(log_phi, log_r)))) \
+        if log_r else 0.0
+    k_est = min(row[4] for row in rows if np.isfinite(row[4])) \
+        if log_r else 0.0
+    xi_margin_min = _finite_or_nan(min(row[5] for row in rows))
+    gap = min(row[7] for row in rows)
+    aggregates = (
+        max(row[3] for row in rows), k_est, xi_margin_min,
+        xi is None or xi_margin_min >= 1.0, float(slope), float(intercept),
+        bool(slope <= hyp.GROWTH_SLOPE_LIMIT + hyp.GROWTH_SLOPE_TOL), gap,
+        gap >= 0.0, alpha, k1, k2, sum(row[2] for row in rows),
+        sum(row[8] for row in rows))
+    return rows, aggregates
 
 
-@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("kind", _KINDS + ["zero"])
 def test_check_report_equals_the_per_pair_loops(kind):
+    # every sample of the zero map is singular and skipped, so its xi
+    # margin has no sample and must not pass
     plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=2, z_samples=3, seed=4)
     xi = pl.PowerLawXi(c=1.3, p=0.6)
     rep = pl.check_report(_problem(kind), plan, xi=xi)
-    rows, alpha = _check_report_reference(_problem(kind), plan, xi)
+    rows, aggregates = _check_report_reference(_problem(kind), plan,
+                                               rep.lambda0, xi)
     np.testing.assert_array_equal(
-        [(sh.c_max, sh.k_min, sh.xi_margin_min, sh.skipped)
-         for sh in rep.shells], rows)
-    assert rep.c_est == max(row[0] for row in rows)
-    assert rep.remark_alpha == alpha
+        [dataclasses.astuple(sh) for sh in rep.shells], rows)
+    np.testing.assert_array_equal(
+        (rep.c_est, rep.k_est, rep.xi_margin_min, rep.xi_pass,
+         rep.growth_slope, rep.growth_intercept, rep.growth_pass,
+         rep.gap_margin, rep.gap_pass, rep.remark_alpha, rep.remark_k1,
+         rep.remark_k2, rep.skipped_samples, rep.singular_samples),
+        aggregates)
+    if kind == "zero":
+        assert not rep.xi_pass and np.isnan(rep.xi_margin_min)
 
 
 def _symmetry_reference(oracle, seed):

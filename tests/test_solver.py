@@ -208,6 +208,82 @@ def test_exhausted_step_budget_is_step_underflow():
     assert rep.message == "step budget 2 exhausted"
 
 
+def test_step_below_ds_min_is_step_underflow():
+    # the error control shortens the step under a ds_min this coarse
+    o = pl.FoldMap()
+    u0 = np.array([0.5, 0.0])
+    rep = pl.lift(o, pl.line_to_target(o, u0, [0.04, 0.9]), u0,
+                  pl.SolverOptions(ds_min=0.3, tol_ode=1e-12))
+    assert rep.status == pl.STEP_UNDERFLOW
+    assert rep.message.endswith("below ds_min")
+    assert len(rep.trace) == 1
+
+
+class _FoldNaNOffAnchor(pl.FoldMap):
+    """The fold map whose adjoint is NaN everywhere but at the anchor."""
+
+    anchor = np.array([0.5, 0.0])
+
+    def apply_adjoint(self, u, z):
+        phi = super().apply_adjoint(u, z)
+        return phi if np.array_equal(u, self.anchor) else phi * np.nan
+
+
+def test_non_finite_state_ends_diverged():
+    # every step's later stages are NaN: the step is halved below ds_min
+    o = _FoldNaNOffAnchor()
+    rep = pl.lift(o, pl.line_to_target(o, o.anchor, [0.04, 0.9]), o.anchor)
+    assert rep.status == pl.DIVERGED
+    assert rep.message == "non-finite state produced"
+    assert len(rep.trace) == 1
+
+
+def test_final_residual_above_tolerance_is_diverged():
+    # every correction stalls within 10x of tol_residual, so each state is
+    # accepted corr-warn, and the last one is still off gamma(1)
+    o = pl.FoldMap()
+    u0 = np.array([0.2, 0.1])
+    with pytest.warns(RuntimeWarning, match="residual correction stalled"):
+        rep = pl.lift(o, pl.line_to_target(o, u0, [0.3, -0.2]), u0,
+                      pl.SolverOptions(tol_residual=2e-17))
+    assert rep.status == pl.DIVERGED
+    assert rep.message.startswith("final residual")
+    assert rep.final_state.s == 1.0
+    assert "corr-warn" in rep.final_state.flags.split()
+    assert rep.final_residual > 2e-17
+
+
+def test_singular_state_after_regular_stages_ends_the_lift(monkeypatch):
+    # the fold line crosses u1 = 0 mid-leg; at this loose tolerance a step
+    # of at most ds_event lands on the singular set with every stage
+    # regular, and the lift ends there without the approach walk
+    def no_walk(*args, **kwargs):
+        raise AssertionError("approach walk entered")
+
+    monkeypatch.setattr(solver._Lift, "_approach_singularity", no_walk)
+    o = pl.FoldMap()
+    u0 = np.array([0.4, 0.0])
+    rep = pl.lift(o, pl.line_to_target(o, u0, [-0.5, 0.0]), u0,
+                  pl.SolverOptions(tol_ode=1e-3, tol_ode_abs=1e-6))
+    assert rep.status == pl.SINGULAR_INTERIOR
+    final = rep.final_state
+    assert final.flags == "singular" and final.spectrum.singular
+    assert final.step_size <= pl.SolverOptions().ds_event
+
+
+def test_approach_walk_out_of_steps_is_step_underflow():
+    # the fold line leaves the fold's image mid-leg (u1^2 cannot go
+    # negative): the walk ends a hair past s = 0.5 with lambda_1 just
+    # above the threshold, and each later Euler step overshoots u1 = 0
+    o = pl.FoldMap()
+    u0 = np.array([0.5, 0.0])
+    rep = pl.lift(o, pl.line_to_target(o, u0, [-0.25, 0.5]), u0)
+    assert rep.status == pl.STEP_UNDERFLOW
+    assert rep.message == "could not cross the singular threshold"
+    assert rep.final_state.flags == "approach"
+    assert not rep.final_state.spectrum.singular
+
+
 _FLOAT_OPTIONS = [f.name for f in dataclasses.fields(pl.SolverOptions)
                   if f.type is float]
 
