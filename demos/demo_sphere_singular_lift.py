@@ -29,7 +29,7 @@ def main():
     print(f"termination: {report.status}")
     print(f"final ||u|| = {oracle.norm(report.final_u):.3e} "
           f"(the lift lands on the singular point)")
-    print(f"trapezoid integral of |g| = {report.g_integral:.6f} "
+    print(f"integral of |g| ds = {report.g_integral:.6f} "
           "(analytic value: 1)")
     print()
     print("        s        ||u||    sqrt(1-s)          g     "

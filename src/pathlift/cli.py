@@ -303,7 +303,7 @@ def lift_report_text(report):
         f"accepted states = {len(report.trace)}\n"
         f"final s = {_fmt(report.trace[-1].s)}\n"
         f"final residual = {_fmt(report.final_residual)}\n"
-        f"g integral (trapezoid of |g|) = {_fmt(report.g_integral)}\n"
+        f"g integral (to the last regular state) = {_fmt(report.g_integral)}\n"
         f"total variation of norm_u = {_fmt(report.u_norm_variation)}\n"
         f"velocity bound check max = {_fmt(bound)}\n"
         f"lambda0 measured = {_fmt(report.lambda0_measured)}\n"

@@ -8,11 +8,14 @@ from .errors import ConfigurationError, finite
 class TargetPath:
     """Interface: gamma(s) and gamma_dot(s) on [0, 1].
 
-    ``knots`` lists interior parameters where smoothness breaks; the
-    solver restarts its diagnostics there.
+    ``legs`` lists the path in order as ``(a, b, leg)``, each leg with its
+    own ``gamma`` and ``gamma_dot``, smooth on [a, b]; the lift steps one
+    leg at a time.  A smooth path is the one leg ``(0, 1, self)``.
     """
 
-    knots = ()
+    @property
+    def legs(self):
+        return ((0.0, 1.0, self),)
 
     def gamma(self, s):
         raise NotImplementedError
@@ -45,40 +48,55 @@ class LinePath(TargetPath):
         return float(np.linalg.norm(self.end - self.start))
 
 
-class PolylinePath(TargetPath):
-    """Piecewise-linear path through waypoints, uniform in s per segment.
+class _Segment:
+    """A polyline leg from p at s = a to q at s = b, exact at both ends."""
 
-    C^2 smoothness is broken at the knots; they are exposed so the lift
-    can restart eigenvector alignment and coefficient tracking there.
-    """
+    def __init__(self, a, b, p, q, slope):
+        self.a, self.b, self.p, self.q, self.slope = a, b, p, q, slope
+
+    def gamma(self, s):
+        t = (s - self.a) / (self.b - self.a)
+        return (1.0 - t) * self.p + t * self.q
+
+    def gamma_dot(self, s):
+        return self.slope
+
+
+class PolylinePath(TargetPath):
+    """Piecewise-linear path through waypoints, one leg per segment, each
+    uniform in s; C^2 smoothness breaks at the knots between legs."""
 
     def __init__(self, waypoints):
         pts = finite(waypoints, "polyline waypoints")
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ConfigurationError("polyline needs >= 2 waypoints")
         self.points = pts
-        self.nseg = pts.shape[0] - 1
-        self.knots = tuple(k / self.nseg for k in range(1, self.nseg))
+        self.nseg = n = pts.shape[0] - 1
+        self.slopes = np.diff(pts, axis=0) * n
+        self._legs = tuple(
+            (k / n, (k + 1) / n,
+             _Segment(k / n, (k + 1) / n, pts[k], pts[k + 1], self.slopes[k]))
+            for k in range(n))
+
+    @property
+    def legs(self):
+        return self._legs
 
     def _segment(self, s):
-        # right-continuous segment choice so gamma_dot(knot) is the
-        # incoming slope of the next segment; s just outside [0, 1] (a
-        # rounding) takes the end segment, not a wrapped-around one
+        # right-continuous: a knot takes the next leg; s a rounding outside
+        # [0, 1] takes the end leg, not a wrapped-around one
         k = min(max(int(np.floor(s * self.nseg)), 0), self.nseg - 1)
-        return k, s * self.nseg - k
+        return self._legs[k][2]
 
     def gamma(self, s):
-        k, t = self._segment(s)
-        return (1.0 - t) * self.points[k] + t * self.points[k + 1]
+        return self._segment(s).gamma(s)
 
     def gamma_dot(self, s):
-        k, _ = self._segment(s)
-        return (self.points[k + 1] - self.points[k]) * self.nseg
+        return self._segment(s).gamma_dot(s)
 
     def max_speed(self):
         # every slope, normed as gamma_dot is: samples can miss segments
-        return max(float(np.linalg.norm(slope))
-                   for slope in np.diff(self.points, axis=0) * self.nseg)
+        return max(float(np.linalg.norm(slope)) for slope in self.slopes)
 
 
 def line_to_target(oracle, u0, target):

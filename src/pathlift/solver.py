@@ -1,44 +1,41 @@
 """Integration of the path-lifting equation du/ds = dF^* G^-1 gamma_dot.
 
-The lift follows a target path gamma(s) from s=0 to s=1 with an embedded
-Cash-Karp 5(4) pair, Gauss-Newton residual correction after each
-accepted step, and bisection toward the singular set when the least
-Gramian eigenvalue collapses.  One step loop, ``_Lift.run`` behind
-:func:`lift`, owns the step retry and correction logic; there is no
-separate single-step API.  Every accepted state carries the full
-spectral diagnostics, so a finished run doubles as an empirical record
-of the quantities the solver's termination analysis is built on.
+The lift follows a target path gamma(s) from s = 0 to s = 1 one leg at a
+time, with an embedded Cash-Karp 5(4) pair, Gauss-Newton residual
+correction after each accepted step, and an approach walk onto the
+singular set when the least Gramian eigenvalue collapses.  Every accepted
+state carries the full spectral diagnostics.
 
-The first step is tried over the whole first knot interval: the default
-``ds_init`` of 1 only caps it, and the error control shortens it when the
-path needs shorter steps.
+Legs.  Every stage of a step reads the gamma_dot of the leg it steps on,
+smooth on the leg's [a, b], and a step in s onto b lands on b exactly.  A
+state on a knot b < 1 starts the next leg: it is flagged ``knot`` and
+carries that leg's diagnostics, so its velocity is that leg's first
+stage.  The first step is tried over the whole first leg.
 
-Endgame.  After every accepted state, the anchor included, the loop
-extrapolates lambda_1 linearly to s* = s - lambda_1 / dlambda1_ds from
-values the state already carries.  Let b be the next boundary of the
-path: its next knot, or the end s = 1.  When lambda_1 is falling and s*
-lies within ``terminal_window`` of b, the lift up to b is integrated in
-sigma = sqrt(b - s), as homotopy-continuation endgames do (Morgan,
-Sommese & Wampler 1992).  At a corank-1 point lambda_1 vanishes linearly
-in s and |g| grows like 1/sigma, but du/dsigma = -2 sigma du/ds stays
-bounded; on the squared-norm map u is linear in sigma.  The same
-Cash-Karp step, error control and correction run in tau = sigma0 - sigma,
-with right-hand side 2 sigma du/ds.  Those states carry the flag
-``endgame`` and their step in s.  While the same linear model of lambda_1
-falls to ``LANDING_SING_MULTIPLE`` times the singular threshold before b,
-the step is capped at that landing sigma, kept at least 2 ``ds_min``
-short of b; where it does not (a near miss), the step aims at sigma = 0.
-The step onto the singular point from the landing state fails within
-``ds_event`` of b, and the approach walk, with s pinned at b, crosses the
-threshold in one Euler step: at b < 1 the run ends ``SingularInterior``.
-An endgame step that lands regular on a knot is tagged ``endgame knot``,
-and the next leg continues in s.  Over each pair of states that ends on
-an endgame state the g integral is the trapezoid of 2 sigma |g| in sigma,
-since |g| ds = 2 sigma |g| dsigma.
+The g integral.  ``ple_rhs`` also returns |g| = |<gamma_dot, z_1>| /
+sqrt(lambda_1) from the spectrum it decomposes, and each step adds the
+fifth-order quadrature of its stages' |g| to q = integral |g| ds.  The
+values ride beside the stacked stages, so u is stepped as without them
+and q stays out of the error norm.  An approach-walk Euler step adds
+h |g| at its start.  q stops at the last regular state.
+
+Endgame.  After each accepted state the loop extrapolates lambda_1
+linearly to s* = s - lambda_1 / dlambda1_ds.  When lambda_1 is falling
+and s* lies within ``terminal_window`` of the leg's end b, the lift up to
+b runs in sigma = sqrt(b - s) (Morgan, Sommese & Wampler 1992): at a
+corank-1 point |g| grows like 1/sigma, but du/dsigma = -2 sigma du/ds and
+2 sigma |g| stay bounded.  The same step, error control and correction
+run in tau = sigma0 - sigma; those states are flagged ``endgame`` and
+carry their step in s.  The step is capped at the sigma where the linear
+model of lambda_1 falls to ``LANDING_SING_MULTIPLE`` times the singular
+threshold, at least 2 ``ds_min`` short of b, or aims at sigma = 0 on a
+near miss.  From the landing state the approach walk, with s pinned at
+b, crosses the threshold in one Euler step: at b < 1 the run ends
+``SingularInterior``.  An endgame that ends regular on a knot hands the
+next leg a step in s.
 """
 
 import logging
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -132,7 +129,8 @@ _CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296,
 
 
 def ple_rhs(oracle, u, gamma_dot):
-    """Right-hand side dF|_u^* G(u)^-1 gamma_dot of the lifting equation.
+    """Right-hand side dF|_u^* G(u)^-1 gamma_dot of the lifting equation,
+    and the blowup indicator |g| from the same decomposition.
 
     G is solved through its eigendecomposition, the one solve that the
     state's velocity, the correction and the approach walk use too.
@@ -149,33 +147,37 @@ def ple_rhs(oracle, u, gamma_dot):
 
 
 def _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=False):
-    """dF|_u^* G^-1 gamma_dot with G solved through its eigendecomposition.
+    """dF|_u^* G^-1 gamma_dot with G solved through its eigendecomposition,
+    and |<gamma_dot, z_1>| / sqrt(lambda_1), which is |g| on the path.
 
-    The result does not depend on the eigenvector signs.  With ``clamp``
-    the eigenvalues are floored at the singular threshold, the
+    Neither depends on the eigenvector signs.  With ``clamp`` the
+    eigenvalues are floored at the singular threshold, the
     graceful-degradation route used near the singular set.
     """
     lam = spec.lambdas
     if clamp:
         lam = np.maximum(lam, spec.lambda_sing)
     proj = spec.vectors.T @ np.asarray(gamma_dot, float)
-    return oracle.apply_adjoint(u, spec.vectors @ (proj / lam))
+    return (oracle.apply_adjoint(u, spec.vectors @ (proj / lam)),
+            abs(float(proj[0] / np.sqrt(lam[0]))))
 
 
-def _ck_step(fun, s, u, h, k1=None):
-    """One Cash-Karp step; returns the fifth-order solution and the
-    embedded error estimate.  ``k1``, when given, is the first stage
-    fun(s, u), already in hand."""
-    ks = [] if k1 is None else [k1]
-    for i in range(len(ks), 6):
+def _ck_step(fun, s, u, h, first=None):
+    """One Cash-Karp step; returns the fifth-order solution, the embedded
+    error estimate and the fifth-order increment of q.  ``fun(s, u)``
+    returns a stage's velocity and |g| integrand; ``first``, when given, is
+    the first stage fun(s, u), already in hand."""
+    stages = [] if first is None else [first]
+    for i in range(len(stages), 6):
         ui = u
-        for aij, kj in zip(_CK_A[i], ks):
+        for aij, (kj, _) in zip(_CK_A[i], stages):
             ui = ui + (h * aij) * kj
-        ks.append(fun(s + _CK_C[i] * h, ui))
+        stages.append(fun(s + _CK_C[i] * h, ui))
+    ks, gs = zip(*stages)
     kmat = np.stack(ks, axis=0)
     u5 = u + h * (_CK_B5 @ kmat)
     err = h * ((_CK_B5 - _CK_B4) @ kmat)
-    return u5, err
+    return u5, err, h * float(_CK_B5 @ gs)
 
 
 def _error_ratio(u, u5, err, opts):
@@ -197,7 +199,7 @@ def gauss_newton_correct(oracle, u, target, tol_residual):
         if res <= tol_residual:
             return u, res, True
         spec = spectral_decompose(gramian(oracle, u))
-        u_try = u + _rhs_from_spectrum(oracle, u, r, spec, clamp=True)
+        u_try = u + _rhs_from_spectrum(oracle, u, r, spec, clamp=True)[0]
         r_try = target - oracle.eval(u_try)
         res_try = float(np.linalg.norm(r_try))
         if not np.isfinite(res_try) or res_try >= res:
@@ -207,7 +209,7 @@ def gauss_newton_correct(oracle, u, target, tol_residual):
 
 
 class _Lift:
-    """Single sequential continuation run."""
+    """Single sequential continuation run, one leg of the path at a time."""
 
     def __init__(self, oracle, path, u0, opts):
         self.oracle = oracle
@@ -215,32 +217,26 @@ class _Lift:
         self.opts = opts
         self.u = np.asarray(u0, dtype=float)
         self.s = 0.0
-        self.b = None           # next boundary: a knot or s = 1
+        _, self.b, self.leg = path.legs[0]  # the leg lifted now, up to b
+        self.next_leg = None    # the leg after b, if b is a knot
         self.sigma0 = None      # sqrt(b - s) where the endgame started
         self.prev_spec = None
-        self.udot = None        # dF^* G^-1 gamma_dot at the last state
+        self.stage1 = None      # (velocity, |g|) at the last state
+        self.q = 0.0            # integral of |g| ds to the last regular state
         self.trace = []
         self.status = None
         self.message = ""
-        self.boundaries = sorted(set(path.knots)) + [1.0]
 
     def _fun(self, t, uu):
-        """Lifting equation in the step variable t: s itself, or
-        tau = sigma0 - sigma in the endgame, where du/dtau = 2 sigma du/ds."""
+        """Lifting equation and its |g| integrand in the step variable t:
+        s itself, or tau = sigma0 - sigma in the endgame, where
+        d/dtau = 2 sigma d/ds."""
         if self.sigma0 is None:
-            return ple_rhs(self.oracle, uu, self.path.gamma_dot(t))
+            return ple_rhs(self.oracle, uu, self.leg.gamma_dot(t))
         sigma = self.sigma0 - t
-        # never before the step's start, where b - sigma^2 may round below
-        # a knot onto the previous leg
-        s = max(self.b - sigma**2, self.s)
-        return (2.0 * sigma) * ple_rhs(self.oracle, uu, self.path.gamma_dot(s))
-
-    def _s_after(self, t, h):
-        """Parameter s after a step h from t, and the step in s."""
-        if self.sigma0 is None:
-            return self.s + h, h
-        s_new = self.b - (self.sigma0 - (t + h)) ** 2
-        return s_new, s_new - self.s
+        udot, g = ple_rhs(self.oracle, uu,
+                          self.leg.gamma_dot(self.b - sigma**2))
+        return (2.0 * sigma) * udot, (2.0 * sigma) * g
 
     def _s_where(self, state, lam):
         """The s where lambda_1, extrapolated linearly in s from ``state``,
@@ -252,7 +248,7 @@ class _Lift:
 
     def _endgame_due(self, state):
         """Whether lambda_1, extrapolated linearly from ``state``, vanishes
-        within the terminal window of the next boundary b."""
+        within the terminal window of the leg's end b."""
         s_star = self._s_where(state, 0.0)
         return abs(s_star - self.b) <= self.opts.terminal_window
 
@@ -270,25 +266,22 @@ class _Lift:
         sigma_land = float(np.sqrt(self.b - s_land))
         return sigma_land if sigma_land < 0.5 * sigma else 0.0
 
-    def _next_boundary(self, s):
-        """The first knot after s, or the end s = 1."""
-        for b in self.boundaries:
-            if b > s + 1e-14:
-                return b
-        return 1.0
-
     def _log(self, s, u, spec, h_used, flags=""):
-        gd = self.path.gamma_dot(s)
+        leg = self.leg
+        if s == self.b and self.next_leg is not None:
+            # a knot state starts the next leg: it carries that leg's
+            # diagnostics, and its velocity is that leg's first stage
+            leg, flags = self.next_leg, f"{flags} knot".lstrip()
+        gd = leg.gamma_dot(s)
         diag = diagnostics(self.oracle, u, spec, gd)
-        residual = float(np.linalg.norm(self.oracle.eval(u) -
-                                        self.path.gamma(s)))
-        # the state's velocity is also the next s-step's first stage
-        self.udot = None if spec.singular else _rhs_from_spectrum(
+        residual = float(np.linalg.norm(self.oracle.eval(u) - leg.gamma(s)))
+        # the state's velocity and |g| are also the next s-step's first stage
+        self.stage1 = None if spec.singular else _rhs_from_spectrum(
             self.oracle, u, gd, spec)
         state = LiftState(s=float(s), u=u, spectrum=spec, diag=diag,
                           residual=residual, step_size=float(h_used),
-                          udot_norm=np.nan if self.udot is None
-                          else self.oracle.norm(self.udot), flags=flags)
+                          udot_norm=np.nan if self.stage1 is None
+                          else self.oracle.norm(self.stage1[0]), flags=flags)
         self.trace.append(state)
         self.prev_spec = spec
         self.s = s
@@ -301,7 +294,7 @@ class _Lift:
         correction moved u5."""
         tol = self.opts.tol_residual
         u_new, res, ok = gauss_newton_correct(
-            self.oracle, u5, self.path.gamma(s_new), tol)
+            self.oracle, u5, self.leg.gamma(s_new), tol)
         if u_new is not u5:
             spec = spectral_decompose(gramian(self.oracle, u_new),
                                       prev=self.prev_spec)
@@ -313,16 +306,12 @@ class _Lift:
             return None
         flags = []
         if not ok:
-            warnings.warn(f"residual correction stalled at {res:.3e} "
-                          f"(s = {s_new:.6f}); continuing", RuntimeWarning)
+            log.warning("residual correction stalled at %.3e (s = %.6f); "
+                        "continuing", res, s_new)
             flags.append("corr-warn")
         if tag:
             flags.append(tag)
-        state = self._log(s_new, u_new, spec, h_used, " ".join(flags))
-        if "knot" in tag.split():
-            # restart eigenvector alignment and coefficient tracking
-            self.prev_spec = None
-        return state
+        return self._log(s_new, u_new, spec, h_used, " ".join(flags))
 
     def _finish_singular(self, s_new, u_new, spec, h_used):
         self._log(s_new, u_new, spec, h_used, "singular")
@@ -336,12 +325,12 @@ class _Lift:
     def _approach_singularity(self, h_start, require=True):
         """Euler steps with a clamped Gramian solve to land just past the
         point where lambda_1 crosses the singular threshold, with s pinned
-        at the boundary b ahead.
+        at the leg's end b; each adds h |g| at its start to q.
 
-        When the contraction at b stalls, the state is regular after all,
-        and the end-of-run checks decide whether it is reached.  A walk
-        that runs out of steps without crossing is step underflow, unless
-        ``require`` is False.
+        When the contraction at b stalls, the state is regular after all.
+        A walk that cannot cross (out of steps, or its next attempt would
+        repeat its last one) is step underflow, unless ``require`` is
+        False.
         """
         opts = self.opts
         b = self.b
@@ -350,30 +339,34 @@ class _Lift:
             h_use = min(h, b - self.s)
             spec_here = self.trace[-1].spectrum
             if h_use > 1e-15:
-                gd = self.path.gamma_dot(self.s)
-                udot = _rhs_from_spectrum(self.oracle, self.u, gd,
-                                          spec_here, clamp=True)
+                gd = self.leg.gamma_dot(self.s)
+                udot, g = _rhs_from_spectrum(self.oracle, self.u, gd,
+                                             spec_here, clamp=True)
                 u_try = self.u + h_use * udot
-                s_try = self.s + h_use
+                s_try = b if h_use == b - self.s else self.s + h_use
+                dq = h_use * g
             else:
-                # s pinned at a boundary: contract toward the target in u
-                # alone with the clamped least-norm correction
-                r = self.path.gamma(self.s) - self.oracle.eval(self.u)
+                # s pinned at b: contract toward the target in u alone with
+                # the clamped least-norm correction
+                r = self.leg.gamma(self.s) - self.oracle.eval(self.u)
                 u_try = self.u + _rhs_from_spectrum(self.oracle, self.u, r,
-                                                    spec_here, clamp=True)
-                s_try = self.s
+                                                    spec_here, clamp=True)[0]
+                s_try, dq = self.s, 0.0
             spec_try = spectral_decompose(gramian(self.oracle, u_try),
                                           prev=self.prev_spec)
             if spec_try.singular:
                 self._finish_singular(s_try, u_try, spec_try, h_use)
                 return
             if spec_try.lambdas[0] < spec_here.lambdas[0]:
+                self.q += dq
                 self._log(s_try, u_try, spec_try, h_use, "approach")
                 if spec_try.lambdas[0] > 0.5 * spec_here.lambdas[0]:
                     h = h * 2.0
             elif h_use <= 1e-15:
                 # pinned contraction stalled: the state is regular
                 return
+            elif min(2.0 * h, opts.ds_event, b - self.s) == h_use:
+                break       # the next attempt would repeat this one
             else:
                 h = h * 2.0
             if h > opts.ds_event:
@@ -383,93 +376,96 @@ class _Lift:
             self.message = "could not cross the singular threshold"
 
     def run(self, spec0):
-        """Lift from the anchor, whose Gramian spectrum is ``spec0``."""
+        """Lift from the anchor, whose Gramian spectrum is ``spec0``, one
+        leg of the path at a time."""
         opts = self.opts
-        state = self._log(0.0, self.u, spec0, 0.0, "start")
+        legs = self.path.legs
+        self._log(0.0, self.u, spec0, 0.0, "start")
         h = opts.ds_init
-        t = 0.0         # step variable: s, or sigma0 - sigma in the endgame
         steps = 0
-        walked = False  # whether the loop ended in the approach walk
-        while self.s < 1.0 - 1e-15 and self.status is None:
-            if self.sigma0 is None:
-                self.b = self._next_boundary(self.s)
-                if self._endgame_due(state):
-                    self.sigma0 = float(np.sqrt(self.b - self.s))
+        for k, (_, b, leg) in enumerate(legs):
+            self.leg, self.b = leg, b
+            self.next_leg = legs[k + 1][2] if k + 1 < len(legs) else None
+            if self.sigma0 is not None:
+                # the last leg ended in the endgame: step in s again
+                self.sigma0, h = None, ds
+            state = self.trace[-1]
+            t = self.s      # step variable: s, or sigma0 - sigma in the endgame
+            walked = False  # whether the leg ended in the approach walk
+            while self.s < b and self.status is None:
+                if self.sigma0 is None and self._endgame_due(state):
+                    self.sigma0 = float(np.sqrt(b - self.s))
                     t, h = 0.0, min(h / (2.0 * self.sigma0), self.sigma0)
-            steps += 1
-            if steps > opts.max_steps:
-                self.status = STEP_UNDERFLOW
-                self.message = f"step budget {opts.max_steps} exhausted"
-                break
-            if self.b == 1.0 and 1.0 - self.s < opts.ds_min:
-                break       # sub-ds_min gap to the end; resolved below
-            if self.sigma0 is None:
-                end = self.b
-            else:
-                # aim at the landing sigma, or onto sigma = 0
-                end = self.sigma0 - self._landing(state, self.sigma0 - t)
-            h = min(h, end - t)
-            s_new, ds = self._s_after(t, h)
-            if ds < opts.ds_min:
-                self.status = STEP_UNDERFLOW
-                self.message = f"step size {ds:.3e} below ds_min"
-                break
-            try:
-                # in s, t equals self.s bit for bit: stage 1 is self.udot
-                u5, err = _ck_step(self._fun, t, self.u, h, self.udot
-                                   if self.sigma0 is None else None)
-            except SingularGramian:
-                # walk only onto a singular point ahead, where lambda_1 falls;
-                # where it rises, a stage overshot, and the step is halved
-                if (ds <= max(opts.ds_event, 4.0 * opts.ds_min)
-                        and state.diag.dlambda1_ds < 0.0):
-                    self._approach_singularity(ds)
-                    if self.status is None and self.b < 1.0:
-                        # the walk stalled regular on a knot: the next leg
-                        # continues in s
-                        state, self.prev_spec = self.trace[-1], None
-                        self.sigma0, t, h = None, self.s, ds
-                        continue
-                    walked = True
+                steps += 1
+                if steps > opts.max_steps:
+                    self.status = STEP_UNDERFLOW
+                    self.message = f"step budget {opts.max_steps} exhausted"
                     break
-                h *= 0.5
-                continue
-            if not np.all(np.isfinite(u5)):
-                h *= 0.5
-                if h < opts.ds_min:
-                    self.status = DIVERGED
-                    self.message = "non-finite state produced"
+                if b == 1.0 and 1.0 - self.s < opts.ds_min:
+                    break       # sub-ds_min gap to the end; resolved below
+                if self.sigma0 is None:
+                    h = min(h, b - t)
+                    # a step onto the leg's end lands on b exactly
+                    s_new, ds = (b if h == b - t else self.s + h), h
+                else:
+                    # aim at the landing sigma, or onto sigma = 0
+                    end = self.sigma0 - self._landing(state, self.sigma0 - t)
+                    h = min(h, end - t)
+                    s_new = b - (self.sigma0 - (t + h)) ** 2
+                    ds = s_new - self.s
+                if ds < opts.ds_min:
+                    self.status = STEP_UNDERFLOW
+                    self.message = f"step size {ds:.3e} below ds_min"
                     break
-                continue
-            ratio = _error_ratio(self.u, u5, err, opts)
-            if ratio > 1.0:
-                h = h * max(0.2, 0.9 * ratio ** -0.25)
-                continue
-            spec_new = spectral_decompose(gramian(self.oracle, u5),
-                                          prev=self.prev_spec)
-            if spec_new.singular:
-                if ds <= max(opts.ds_event, 4.0 * opts.ds_min):
-                    self._finish_singular(s_new, u5, spec_new, ds)
+                try:
+                    # in s, t equals self.s bit for bit: stage 1 is the
+                    # state's own velocity and |g|
+                    u5, err, dq = _ck_step(self._fun, t, self.u, h,
+                                           self.stage1 if self.sigma0 is None
+                                           else None)
+                except SingularGramian:
+                    # walk only onto a singular point ahead, where lambda_1
+                    # falls; where it rises, a stage overshot, and the step
+                    # is halved
+                    if (ds <= max(opts.ds_event, 4.0 * opts.ds_min)
+                            and state.diag.dlambda1_ds < 0.0):
+                        self._approach_singularity(ds)
+                        walked = True
+                        break
+                    h *= 0.5
+                    continue
+                if not np.all(np.isfinite(u5)):
+                    h *= 0.5
+                    if h < opts.ds_min:
+                        self.status = DIVERGED
+                        self.message = "non-finite state produced"
+                        break
+                    continue
+                ratio = _error_ratio(self.u, u5, err, opts)
+                if ratio > 1.0:
+                    h = h * max(0.2, 0.9 * ratio ** -0.25)
+                    continue
+                spec_new = spectral_decompose(gramian(self.oracle, u5),
+                                              prev=self.prev_spec)
+                if spec_new.singular:
+                    if ds <= max(opts.ds_event, 4.0 * opts.ds_min):
+                        self._finish_singular(s_new, u5, spec_new, ds)
+                        break
+                    h *= 0.5
+                    continue
+                self.q += dq
+                state = self._accept_regular(
+                    s_new, u5, spec_new, ds,
+                    "" if self.sigma0 is None else "endgame")
+                if state is None:
                     break
-                h *= 0.5
-                continue
-            tags = [] if self.sigma0 is None else ["endgame"]
-            on_knot = self.b < 1.0 and abs(s_new - self.b) < 1e-14
-            if on_knot:
-                tags.append("knot")
-            state = self._accept_regular(s_new, u5, spec_new, ds,
-                                         " ".join(tags))
-            if state is None:
-                break
-            if on_knot and self.sigma0 is not None:
-                # landed regular on a knot: the next leg continues in s
-                self.sigma0, t, h = None, s_new, ds
-            else:
                 t += h
-            if ratio > 0.0:
-                h = h * min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-            else:
-                h = h * 5.0
+                if ratio > 0.0:
+                    h = h * min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+                else:
+                    h = h * 5.0
+            if self.status is not None:
+                break
         if self.status is None and not walked:
             near = self.trace[-1].spectrum
             if near.lambdas[0] < 1e4 * near.lambda_sing:
@@ -480,7 +476,7 @@ class _Lift:
             # stopped less than ds_min short of the end: reached only if
             # the state already maps onto gamma(1)
             res_end = float(np.linalg.norm(
-                self.oracle.eval(self.u) - self.path.gamma(1.0)))
+                self.oracle.eval(self.u) - self.leg.gamma(1.0)))
             if res_end <= opts.tol_residual:
                 self.status = REACHED
             else:
@@ -501,36 +497,19 @@ class _Lift:
         trace = self.trace
         final = trace[-1]
         n = self.oracle.dim_codomain
-        # trapezoid of |g| over states where g is defined; in sigma over a
-        # pair that ends on an endgame state, where |g| ds = 2 sigma |g| dsigma
-        # stays bounded
-        pts = [(st.s, abs(st.diag.g), "endgame" in st.flags.split())
-               for st in trace if np.isfinite(st.diag.g)]
-        g_integral = 0.0
-        for (s0, g0, _), (s1, g1, endgame) in zip(pts, pts[1:]):
-            if endgame:
-                b = next(x for x in self.boundaries if x >= s1)
-                sig0, sig1 = (b - s0) ** 0.5, (b - s1) ** 0.5
-                g_integral += (sig0 * g0 + sig1 * g1) * (sig0 - sig1)
-            else:
-                g_integral += 0.5 * (g0 + g1) * (s1 - s0)
         norms = [self.oracle.norm(st.u) for st in trace]
-        variation = float(np.sum(np.abs(np.diff(norms)))) if len(norms) > 1 \
-            else 0.0
+        variation = float(np.sum(np.abs(np.diff(norms))))
         lam0 = min(st.spectrum.floor for st in trace)
         max_speed = self.path.max_speed()
         cbar = (n - 1) * max_speed / np.sqrt(lam0) if n > 1 else 0.0
-        bound_max = -np.inf
-        for st in trace:
-            if not np.isfinite(st.udot_norm) or st.spectrum.singular:
-                continue
-            lhs = st.udot_norm
-            rhs = (abs(st.diag.a[0]) / np.sqrt(st.spectrum.lambdas[0])
-                   + cbar)
-            bound_max = max(bound_max, lhs - rhs)
+        # |udot| <= |g| + cbar at every regular state (udot_norm is NaN at
+        # singular ones)
+        bound_max = max((st.udot_norm - (abs(st.diag.g) + cbar)
+                         for st in trace if np.isfinite(st.udot_norm)),
+                        default=-np.inf)
         return ContinuationReport(
             trace=trace, status=self.status, final_u=final.u,
-            final_residual=final.residual, g_integral=g_integral,
+            final_residual=final.residual, g_integral=self.q,
             u_norm_variation=variation, bound_check_max=float(bound_max),
             lambda0_measured=float(lam0), max_gamma_dot=float(max_speed),
             message=self.message)

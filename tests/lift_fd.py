@@ -9,12 +9,15 @@ from pathlift.spectrum import gramian, spectral_decompose
 
 def rk4_flow(oracle, path, s, u, ds, nsub=2):
     """Short classical RK4 flow of the lifting equation from (s, u)."""
+    def rhs(ss, uu):
+        return ple_rhs(oracle, uu, path.gamma_dot(ss))[0]
+
     h = ds / nsub
     for _ in range(nsub):
-        k1 = ple_rhs(oracle, u, path.gamma_dot(s))
-        k2 = ple_rhs(oracle, u + 0.5 * h * k1, path.gamma_dot(s + 0.5 * h))
-        k3 = ple_rhs(oracle, u + 0.5 * h * k2, path.gamma_dot(s + 0.5 * h))
-        k4 = ple_rhs(oracle, u + h * k3, path.gamma_dot(s + h))
+        k1 = rhs(s, u)
+        k2 = rhs(s + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(s + h, u + h * k3)
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         s = s + h
     return u

@@ -134,6 +134,18 @@ def test_endgame_runs_only_on_the_singular_sphere():
     assert abs(rep.g_integral - 1.0) < 0.0024
 
 
+def test_g_integral_of_regular_lifts():
+    # the g integral comes from the Cash-Karp stages: the fold line has the
+    # exact value sqrt(0.2025) - sqrt(0.01) = 0.35, and Brockett-20's value
+    # does not move under a tighter rerun
+    _, _, _, rep = _scenario("fold")
+    assert abs(rep.g_integral - 0.35) <= 1e-6
+    o, path, u0, rep = _scenario("brockett")
+    tight = pl.lift(o, path, u0, pl.SolverOptions(tol_ode=1e-12))
+    assert tight.status == pl.REACHED
+    assert abs(tight.g_integral - rep.g_integral) <= 1e-6
+
+
 def test_criterion_4_velocity_bound():
     worst = -np.inf
     for name in ("linear", "fold", "sphere", "unicycle", "brockett"):

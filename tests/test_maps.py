@@ -218,13 +218,20 @@ def test_line_path():
     p = pl.LinePath([1.0, 0.0], [0.0, 2.0])
     np.testing.assert_allclose(p.gamma(0.5), [0.5, 1.0])
     np.testing.assert_allclose(p.gamma_dot(0.3), [-1.0, 2.0])
-    assert p.knots == ()
+    assert p.legs == ((0.0, 1.0, p),)
     assert p.max_speed() == pytest.approx(np.sqrt(5.0))
 
 
 def test_polyline_path_knots_and_slopes():
     p = pl.PolylinePath([[0.0], [1.0], [3.0]])
-    assert p.knots == (0.5,)
+    assert [(a, b) for a, b, _ in p.legs] == [(0.0, 0.5), (0.5, 1.0)]
+    # each leg keeps its own slope up to and including its end, and hits
+    # the waypoints exactly at its ends
+    first, second = (leg for _, _, leg in p.legs)
+    np.testing.assert_array_equal(first.gamma_dot(0.5), [2.0])
+    np.testing.assert_array_equal(second.gamma_dot(0.5), [4.0])
+    assert first.gamma(0.5) == second.gamma(0.5) == [1.0]
+    assert first.gamma(0.0) == [0.0] and second.gamma(1.0) == [3.0]
     np.testing.assert_allclose(p.gamma(0.25), [0.5])
     np.testing.assert_allclose(p.gamma(0.75), [2.0])
     # right-continuous slope at the knot
@@ -233,9 +240,26 @@ def test_polyline_path_knots_and_slopes():
     np.testing.assert_allclose(p.gamma(1.0), [3.0])
 
 
+def test_polyline_legs_hit_their_waypoints_exactly():
+    # at knots k/n the s * n floor of gamma's segment lookup can land on
+    # either side (1/49 * 49 < 1); a leg's own ends are exact, so the lift,
+    # which steps leg by leg, meets every waypoint on its knot
+    rng = np.random.default_rng(11)
+    for n in range(1, 200):
+        p = pl.PolylinePath(rng.standard_normal((n + 1, 2)))
+        assert [(a, b) for a, b, _ in p.legs] == [
+            (k / n, (k + 1) / n) for k in range(n)]
+        assert np.array_equal([leg.gamma(a) for a, _, leg in p.legs],
+                              p.points[:-1])
+        assert np.array_equal([leg.gamma(b) for _, b, leg in p.legs],
+                              p.points[1:])
+        assert np.array_equal([leg.gamma_dot(b) for _, b, leg in p.legs],
+                              p.slopes)
+
+
 def test_polyline_path_just_below_zero_takes_the_first_segment():
-    # b - sigma^2 at the anchor of an endgame rounds to about -1e-16; that
-    # is the first segment, not the last one wrapped around
+    # s a rounding below 0 is on the first segment, not the last one
+    # wrapped around
     p = pl.PolylinePath([[0.25, 0.0], [0.0, 0.3], [0.25, 0.6]])
     np.testing.assert_allclose(p.gamma_dot(-1e-16), [-0.5, 0.6])
     np.testing.assert_allclose(p.gamma(-1e-16), [0.25, 0.0], atol=1e-15)

@@ -1,6 +1,8 @@
 """Continuation solver: exactness, singular termination, diagnostics."""
 
 import dataclasses
+import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -173,9 +175,15 @@ def test_polyline_knot_restarts():
     assert rep.status == pl.REACHED
     knot_states = [st for st in rep.trace if "knot" in st.flags]
     assert len(knot_states) == 1
-    assert knot_states[0].s == pytest.approx(0.5)
+    assert knot_states[0].s == 0.5
     np.testing.assert_allclose(o.eval(rep.final_u), path.gamma(1.0),
                                atol=1e-9)
+    # the knot state starts the second leg: its diagnostics and velocity
+    # are that leg's
+    knot = knot_states[0]
+    slope = path.legs[1][2].gamma_dot(0.5)
+    np.testing.assert_array_equal(knot.diag.a, knot.spectrum.vectors.T @ slope)
+    assert knot.udot_norm == o.norm(pl.ple_rhs(o, knot.u, slope)[0])
 
 
 def _fold_line_lift(**options):
@@ -185,12 +193,20 @@ def _fold_line_lift(**options):
     return pl.lift(o, path, u0, pl.SolverOptions(**options))
 
 
-def test_correction_stalled_near_tolerance_warns_and_continues():
-    # 1e-17 is below what roundoff lets some states reach, but within 10x
-    with pytest.warns(RuntimeWarning, match="residual correction stalled"):
-        rep = _fold_line_lift(tol_residual=1e-17)
+def test_correction_stalled_near_tolerance_warns_and_continues(caplog):
+    # 1e-17 is below what roundoff lets some states reach, but within 10x;
+    # a stall is a log record and a trace flag, not a Python warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.WARNING, logger="pathlift.solver"):
+            rep = _fold_line_lift(tol_residual=1e-17)
     assert rep.status == pl.REACHED
-    assert any("corr-warn" in st.flags.split() for st in rep.trace)
+    stalled = [st for st in rep.trace if "corr-warn" in st.flags.split()]
+    assert stalled
+    records = [r for r in caplog.records
+               if r.getMessage().startswith("residual correction stalled")]
+    assert len(records) == len(stalled)
+    assert all(r.levelno == logging.WARNING for r in records)
 
 
 def test_failed_correction_ends_diverged_and_keeps_the_trace():
@@ -238,14 +254,15 @@ def test_non_finite_state_ends_diverged():
     assert len(rep.trace) == 1
 
 
-def test_final_residual_above_tolerance_is_diverged():
+def test_final_residual_above_tolerance_is_diverged(caplog):
     # every correction stalls within 10x of tol_residual, so each state is
     # accepted corr-warn, and the last one is still off gamma(1)
     o = pl.FoldMap()
     u0 = np.array([0.2, 0.1])
-    with pytest.warns(RuntimeWarning, match="residual correction stalled"):
+    with caplog.at_level(logging.WARNING, logger="pathlift.solver"):
         rep = pl.lift(o, pl.line_to_target(o, u0, [0.3, -0.2]), u0,
                       pl.SolverOptions(tol_residual=2e-17))
+    assert "residual correction stalled" in caplog.text
     assert rep.status == pl.DIVERGED
     assert rep.message.startswith("final residual")
     assert rep.final_state.s == 1.0
@@ -271,10 +288,21 @@ def test_singular_state_after_regular_stages_ends_the_lift(monkeypatch):
     assert final.step_size <= pl.SolverOptions().ds_event
 
 
-def test_approach_walk_out_of_steps_is_step_underflow():
+def test_approach_walk_out_of_steps_is_step_underflow(monkeypatch):
     # the fold line leaves the fold's image mid-leg (u1^2 cannot go
     # negative): the walk ends a hair past s = 0.5 with lambda_1 just
-    # above the threshold, and each later Euler step overshoots u1 = 0
+    # above the threshold, and each later Euler step overshoots u1 = 0.
+    # Once its step is capped at ds_event, the next attempt would repeat
+    # the last one, so the walk stops there instead of retrying it until
+    # its 300 steps run out
+    calls = []
+    real = solver.spectral_decompose
+
+    def decompose(grammat, prev=None):
+        calls.append(1)
+        return real(grammat, prev=prev)
+
+    monkeypatch.setattr(solver, "spectral_decompose", decompose)
     o = pl.FoldMap()
     u0 = np.array([0.5, 0.0])
     rep = pl.lift(o, pl.line_to_target(o, u0, [-0.25, 0.5]), u0)
@@ -282,6 +310,8 @@ def test_approach_walk_out_of_steps_is_step_underflow():
     assert rep.message == "could not cross the singular threshold"
     assert rep.final_state.flags == "approach"
     assert not rep.final_state.spectrum.singular
+    assert len(rep.trace) == 78
+    assert len(calls) <= 1000
 
 
 _FLOAT_OPTIONS = [f.name for f in dataclasses.fields(pl.SolverOptions)
@@ -421,6 +451,30 @@ def test_endgame_near_miss_walks_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_approach_walk_adds_h_g_at_each_euler_steps_start(monkeypatch):
+    # an Euler step of the walk from (s, u) to (s + h, u') adds h |g(s)| to
+    # the g integral; a pinned contraction at s = 1 adds nothing
+    walks = []
+    real = solver._Lift._approach_singularity
+
+    def walk(self, *args, **kwargs):
+        start, q = len(self.trace) - 1, self.q
+        real(self, *args, **kwargs)
+        walks.append((self.trace[start:], self.q - q))
+
+    monkeypatch.setattr(solver._Lift, "_approach_singularity", walk)
+    rep = pl.lift(pl.FoldMap(), pl.LinePath([0.25, 0.0], [1e-10, 0.3]),
+                  np.array([0.5, 0.0]))
+    assert rep.status == pl.REACHED, rep.message
+    (states, added), = walks
+    expect = 0.0
+    for before, after in zip(states, states[1:]):
+        if after.s > before.s:
+            expect += after.step_size * abs(before.diag.g)
+    assert expect > 0.0
+    assert added == pytest.approx(expect, rel=1e-9)
+
+
 _FOLD_POLYLINE = [[0.25, 0.0], [0.0, 0.3], [0.25, 0.6]]
 
 
@@ -483,16 +537,81 @@ def test_fold_polyline_near_miss_passes_its_knot(gap):
     assert any(state.s == 0.5 for state in rep.trace)
 
 
+def _endpoint_polyline(system, control, offsets):
+    o = pl.endpoint_problem(system, [0.0, 0.0, 0.0], 1.0, 10)
+    u0 = o.grid.constant(control)
+    y0 = o.eval(u0)
+    return o, pl.PolylinePath([y0] + [y0 + offset for offset in offsets]), u0
+
+
+_REGULAR_POLYLINES = {
+    # name -> (oracle, path, anchor)
+    "fold-3-legs": lambda: (pl.FoldMap(), pl.PolylinePath(
+        [[0.04, 0.0], [0.09, 0.3], [0.01, 0.6], [0.16, 0.9]]), [0.2, 0.0]),
+    "fold-2-legs": lambda: (pl.FoldMap(), pl.PolylinePath(
+        [[0.25, 0.0], [0.36, 0.3], [0.16, 0.6]]), [0.5, 0.0]),
+    "brockett-10": lambda: _endpoint_polyline(
+        "brockett", [1.0, 1.0],
+        [[0.2, -0.1, 0.1], [0.3, 0.1, -0.1], [0.1, 0.2, 0.1]]),
+    "unicycle-10": lambda: _endpoint_polyline(
+        "unicycle", [1.0, 0.3], [[0.05, -0.04, 0.08], [0.1, 0.0, 0.1]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_REGULAR_POLYLINES))
+def test_regular_polyline_knots_cost_no_states(name):
+    # every stage reads the slope of the leg it steps on, so a step that
+    # ends on a knot sees no slope jump and is not shrunk toward it
+    o, path, u0 = _REGULAR_POLYLINES[name]()
+    rep = pl.lift(o, path, u0)
+    assert rep.status == pl.REACHED, rep.message
+    assert len(rep.trace) <= 40
+    knots = [state.s for state in rep.trace if "knot" in state.flags.split()]
+    assert knots == [a for a, _, _ in path.legs[1:]]
+    np.testing.assert_allclose(o.eval(rep.final_u), path.gamma(1.0),
+                               atol=1e-9)
+
+
+def test_three_leg_fold_polyline_integrates_g_exactly():
+    # |g| ds = |d sqrt(F_1)| on the fold below its eigenvalue crossing, so
+    # the g integral is 0.1 + 0.2 + 0.3
+    o, path, u0 = _REGULAR_POLYLINES["fold-3-legs"]()
+    assert abs(pl.lift(o, path, u0).g_integral - 0.6) <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_g_integral_on_regular_fold_polylines_is_the_variation_of_sqrt_f1(
+        data):
+    # with 0 < F_1 < 0.25, lambda_1 = 4 F_1 stays below lambda_2 = 1, so
+    # z_1 = e_1 and |g| = |dF_1/ds| / (2 sqrt(F_1)); F_1 is linear on each
+    # leg, so the integral is the sum of |delta sqrt(F_1)| over the legs
+    count = data.draw(st.integers(2, 5), label="waypoints")
+    f1 = np.array(data.draw(st.lists(st.floats(0.01, 0.24), min_size=count,
+                                     max_size=count), label="F_1"))
+    f2 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=count,
+                                     max_size=count), label="F_2"))
+    rep = pl.lift(pl.FoldMap(), pl.PolylinePath(np.column_stack([f1, f2])),
+                  [np.sqrt(f1[0]), f2[0]])
+    assert rep.status == pl.REACHED, rep.message
+    exact = float(np.sum(np.abs(np.diff(np.sqrt(f1)))))
+    assert abs(rep.g_integral - exact) <= 1e-5
+
+
 def test_endgame_started_on_a_knot_takes_the_new_legs_slope():
-    # b - sigma0^2 rounds to 0.4999999999999999 at the knot s = 0.5; the
-    # first stage must still see the second leg's slope
+    # b - sigma0^2 rounds to 0.4999999999999999 at the knot s = 0.5, on
+    # the first leg's side; the first stage still sees the second leg's
+    # slope, because it reads the leg it steps on
     o = pl.FoldMap()
     path = pl.PolylinePath([[0.25, 0.0], [0.25, 0.3], [0.0, 0.6]])
     run = solver._Lift(o, path, [0.5, 0.3], pl.SolverOptions())
-    run.s, run.b, run.sigma0 = 0.5, 1.0, float(np.sqrt(0.5))
+    _, run.b, run.leg = path.legs[1]
+    run.s, run.sigma0 = 0.5, float(np.sqrt(0.5))
     assert run.b - run.sigma0**2 < run.s
-    expect = 2.0 * run.sigma0 * solver.ple_rhs(o, run.u, path.gamma_dot(0.5))
-    np.testing.assert_array_equal(run._fun(0.0, run.u), expect)
+    udot, g = solver.ple_rhs(o, run.u, [-0.5, 0.6])
+    k1, q1 = run._fun(0.0, run.u)
+    np.testing.assert_array_equal(k1, 2.0 * run.sigma0 * udot)
+    assert q1 == 2.0 * run.sigma0 * g
 
 
 def _short_brockett_lift(opts=None):
@@ -528,9 +647,11 @@ def test_small_ds_init_keeps_the_growing_step_sequence():
 def test_ple_rhs_matches_closed_form_on_sphere():
     o = pl.SphereMap(2)
     u = np.array([0.6, 0.8])
-    rhs = pl.ple_rhs(o, u, np.array([-1.0]))
-    # dF^* G^-1 (-1) = -2u / (4 ||u||^2) = -u/2 on the unit shell
+    rhs, g = pl.ple_rhs(o, u, np.array([-1.0]))
+    # dF^* G^-1 (-1) = -2u / (4 ||u||^2) = -u/2 on the unit shell, and
+    # |g| = 1 / sqrt(lambda_1) = 1/2
     np.testing.assert_allclose(rhs, -u / 2.0, atol=1e-12)
+    assert g == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ple_rhs_raises_on_singular():
@@ -552,8 +673,12 @@ def test_ple_rhs_matches_a_dense_solve(seed, n, extra):
     assume(np.linalg.cond(G) <= 1e3)
     gd, u = rng.standard_normal(n), rng.standard_normal(n + extra)
     expect = (mat.T @ np.linalg.solve(G, gd)) / w
-    rhs = pl.ple_rhs(pl.LinearMap(mat, weights=w), u, gd)
+    rhs, g = pl.ple_rhs(pl.LinearMap(mat, weights=w), u, gd)
     assert np.linalg.norm(rhs - expect) <= 1e-12 * np.linalg.norm(expect)
+    # |g| = |<gamma_dot, z_1>| / sqrt(lambda_1) for the least eigenpair
+    lam, vecs = np.linalg.eigh(G)
+    assert g == pytest.approx(abs(vecs[:, 0] @ gd) / np.sqrt(lam[0]),
+                              rel=1e-9)
 
 
 def _fold_lift():
@@ -579,9 +704,9 @@ def test_step_in_s_reuses_the_state_velocity_as_its_first_stage(
         calls.append(1)
         return real_rhs(*args)
 
-    def step(fun, t, u, h, k1=None):
+    def step(fun, t, u, h, first=None):
         start = len(calls)
-        result = real_step(fun, t, u, h, k1)
+        result = real_step(fun, t, u, h, first)
         mode = "s" if fun.__self__.sigma0 is None else "tau"
         attempts.append((mode, t, len(calls) - start))
         return result
@@ -607,14 +732,20 @@ def _trace_bits(report):
             for st in report.trace]
 
 
+def _lift_bits(problem):
+    report = pl.lift(*problem())
+    return _trace_bits(report), report.g_integral
+
+
 def test_first_stage_from_the_state_moves_no_bit(monkeypatch):
+    # the state's velocity and |g| are the first stage's, bit for bit
     problems = (_fold_lift, _brockett10_lift)
-    before = [_trace_bits(pl.lift(*problem())) for problem in problems]
+    before = [_lift_bits(problem) for problem in problems]
     real_step = solver._ck_step
-    monkeypatch.setattr(solver, "_ck_step",
-                        lambda fun, t, u, h, k1=None: real_step(fun, t, u, h))
-    after = [_trace_bits(pl.lift(*problem())) for problem in problems]
-    assert min(len(bits) for bits in before) > 10
+    monkeypatch.setattr(solver, "_ck_step", lambda fun, t, u, h, first=None:
+                        real_step(fun, t, u, h))
+    after = [_lift_bits(problem) for problem in problems]
+    assert min(len(bits) for bits, _ in before) > 10
     assert after == before
 
 

@@ -252,7 +252,8 @@ def test_dlambda1_formula_matches_fd():
     spec = pl.spectral_decompose(pl.gramian(o, u))
     gd = np.array([0.7, -0.4])
     d = pl.diagnostics(o, u, spec, gd)
-    udot = pl.ple_rhs(o, u, gd)
+    udot, g = pl.ple_rhs(o, u, gd)
+    assert g == abs(d.g)
     eps = 1e-6
     lp = pl.spectral_decompose(pl.gramian(o, u + eps * udot)).lambdas[0]
     lm = pl.spectral_decompose(pl.gramian(o, u - eps * udot)).lambdas[0]
