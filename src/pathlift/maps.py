@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, finite
 
-# Central finite-difference step scales, relative to 1 + ||u||_X.
-FIRST_FD_SCALE = 1e-5
+# Central finite-difference step scale, relative to 1 + ||u||_X.
 SECOND_FD_SCALE = 1e-5
 
 
@@ -27,8 +26,9 @@ class MapOracle:
     closed-form second differential override it.  Callers with many
     (u, v) pairs use :meth:`jacobian_derivative_many`, which loops over it
     unless overridden too (``EndpointOracle`` takes a stack in one pass).
-    The checks in :mod:`pathlift.oracle_checks` hold every oracle to the
-    same tolerances, whichever way its second differential is computed.
+    The checks in :mod:`pathlift.oracle_checks` hold J and dJ to
+    :meth:`eval` through Taylor remainders, with the same tolerances
+    whichever way an oracle computes its derivatives.
 
     Oracles are not thread-safe: an oracle may memoize results in
     unlocked state that every call updates (see ``EndpointOracle``), so
@@ -177,17 +177,6 @@ class MapOracle:
         z = self._codomain_vec(z)
         v = self._domain_vec(v, "v")
         return z @ self.jacobian_derivative(u, v)
-
-    def fd_jacobian(self, u):
-        """Central finite-difference Jacobian from one :meth:`eval_many`
-        of the 2N points u +- eps e_k, eps = FIRST_FD_SCALE (1 + ||u||_X);
-        validation use only."""
-        u = self._domain_vec(u)
-        eps = FIRST_FD_SCALE * (1.0 + self.norm(u))
-        steps = eps * np.eye(self.dim_domain)
-        vals = self.eval_many(np.concatenate([u + steps, u - steps]))
-        plus, minus = np.split(vals, 2)
-        return ((plus - minus) / (2.0 * eps)).T
 
 
 class LinearMap(MapOracle):

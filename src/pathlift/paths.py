@@ -1,5 +1,7 @@
 """Target paths gamma: [0, 1] -> R^n for the lift to follow."""
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import ConfigurationError, finite
@@ -71,21 +73,22 @@ class PolylinePath(TargetPath):
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ConfigurationError("polyline needs >= 2 waypoints")
         self.points = pts
-        self.nseg = n = pts.shape[0] - 1
+        n = pts.shape[0] - 1
         self.slopes = np.diff(pts, axis=0) * n
         self._legs = tuple(
             (k / n, (k + 1) / n,
              _Segment(k / n, (k + 1) / n, pts[k], pts[k + 1], self.slopes[k]))
             for k in range(n))
+        self._starts = [a for a, _, _ in self._legs]
 
     @property
     def legs(self):
         return self._legs
 
     def _segment(self, s):
-        # right-continuous: a knot takes the next leg; s a rounding outside
-        # [0, 1] takes the end leg, not a wrapped-around one
-        k = min(max(int(np.floor(s * self.nseg)), 0), self.nseg - 1)
+        # the last leg starting at or before s, so a knot takes the next
+        # leg; s a rounding below 0 takes the first leg
+        k = max(bisect_right(self._starts, s) - 1, 0)
         return self._legs[k][2]
 
     def gamma(self, s):

@@ -63,7 +63,9 @@ LANDING_SING_MULTIPLE = 2.0
 class SolverOptions:
     ds_init: float = 1.0         # cap on the first step
     ds_min: float = 1e-12
-    ds_event: float = 1e-6       # bisection resolution toward the singular set
+    # cap on the approach walk's Euler step; a step this short that meets
+    # the singular set starts the walk, or ends the lift there
+    ds_event: float = 1e-6
     tol_ode: float = 1e-8        # relative local error tolerance
     tol_ode_abs: float = 1e-10
     tol_residual: float = 1e-10
@@ -166,12 +168,15 @@ def _ck_step(fun, s, u, h, first=None):
     """One Cash-Karp step; returns the fifth-order solution, the embedded
     error estimate and the fifth-order increment of q.  ``fun(s, u)``
     returns a stage's velocity and |g| integrand; ``first``, when given, is
-    the first stage fun(s, u), already in hand."""
+    the first stage fun(s, u), already in hand.  A stage point that is not
+    finite is not evaluated: the step returns it as its solution."""
     stages = [] if first is None else [first]
     for i in range(len(stages), 6):
         ui = u
         for aij, (kj, _) in zip(_CK_A[i], stages):
             ui = ui + (h * aij) * kj
+        if not np.isfinite(ui).all():
+            return ui, ui, np.nan
         stages.append(fun(s + _CK_C[i] * h, ui))
     ks, gs = zip(*stages)
     kmat = np.stack(ks, axis=0)

@@ -70,11 +70,6 @@ def gramian(oracle, u):
     return 0.5 * (g + g.T)
 
 
-def _abs_max(values):
-    """max |x| over a list of floats; NaN when one is NaN, as numpy's max."""
-    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
-
-
 def spectral_decompose(grammat, prev=None):
     """Full ascending eigendecomposition with sign continuity.
 
@@ -83,14 +78,17 @@ def spectral_decompose(grammat, prev=None):
     each eigenvector's largest-magnitude component (the first, on a tie)
     is made positive, so the sign does not hang on roundoff in G.
 
-    The checks run on Python floats: numpy's per-call overhead is most of
-    the cost on an n <= 4 matrix.
+    Raises NumericalError on a Gramian that is not finite, not symmetric
+    or not PSD.  The checks run on Python floats: numpy's per-call
+    overhead is most of the cost on an n <= 4 matrix.
     """
     grammat = np.asarray(grammat, dtype=float)
     entries = grammat.ravel().tolist()
-    scale = max(1.0, _abs_max(entries))
-    asym = _abs_max([a - b for a, b in
-                     zip(entries, grammat.T.ravel().tolist())])
+    if not all(map(math.isfinite, entries)):
+        raise NumericalError("Gramian is not finite", matrix=grammat)
+    scale = max(1.0, max(map(abs, entries)))
+    asym = max(abs(a - b) for a, b in
+               zip(entries, grammat.T.ravel().tolist()))
     if asym > 1e-12 * scale:
         raise NumericalError("Gramian is not symmetric", matrix=grammat)
     try:
@@ -99,7 +97,7 @@ def spectral_decompose(grammat, prev=None):
         raise NumericalError(f"eigendecomposition failed: {exc}",
                              matrix=grammat) from exc
     lam = lambdas.tolist()
-    norm = max(1.0, _abs_max(lam))
+    norm = max(1.0, max(map(abs, lam)))
     if lam[0] < -1e-10 * norm:
         raise NumericalError(
             f"Gramian not PSD: least eigenvalue {lam[0]:.3e}",

@@ -264,7 +264,7 @@ def test_validate_exit_0(tmp_path, capsys):
     code = cli.main(["validate", "--config", _cfg(tmp_path, SPHERE_LIFT)])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("pass") == 4
+    assert out.count("pass") == 3
 
 
 def test_validate_exit_5_on_a_flipped_second_differential(

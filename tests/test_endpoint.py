@@ -14,6 +14,8 @@ import pathlift as pl
 from pathlift.endpoint import BLOWUP_NORM, STEPS_PER_SEGMENT
 from pathlift.errors import ConfigurationError, TrajectoryBlowup
 
+from map_fd import central_jacobian
+
 
 def test_control_grid_geometry():
     g = pl.ControlGrid(horizon=2.0, segments=4, control_dim=2)
@@ -65,7 +67,7 @@ def test_jacobian_matches_fd():
         ep = pl.endpoint_problem(name, [0.0, 0.0, 0.0], 1.0, 4)
         u = rng.standard_normal(ep.dim_domain)
         ja = ep.jacobian(u)
-        jf = ep.fd_jacobian(u)
+        jf = central_jacobian(ep, u)
         assert np.linalg.norm(ja - jf) <= 1e-6 * max(np.linalg.norm(ja), 1.0)
 
 
@@ -866,25 +868,11 @@ def test_batch_blowup_reports_the_first_escape():
     assert escape_time("eval_many", us[:3]) == alone[0]
 
 
-def test_fd_jacobian_equals_per_column_loop():
-    ep = _oracle("brockett", 5)
-    u = np.random.default_rng(12).standard_normal(ep.dim_domain)
-    eps = pl.maps.FIRST_FD_SCALE * (1.0 + ep.norm(u))
-    cols = []
-    for k in range(ep.dim_domain):
-        e = np.zeros(ep.dim_domain)
-        e[k] = eps
-        cols.append((ep.eval(u + e) - ep.eval(u - e)) / (2.0 * eps))
-    fresh = _oracle("brockett", 5)
-    np.testing.assert_array_equal(fresh.fd_jacobian(u),
-                                  np.stack(cols, axis=1))
-
-
 def test_validate_integrates_each_check_as_one_batch(monkeypatch):
     calls = _count_integrate(monkeypatch)
     results = pl.validate_oracle(_oracle("brockett", 6), seed=0)
     assert all(r.passed for r in results)
-    assert len(calls) <= 13     # one trajectory per call: 215
+    assert len(calls) <= 2      # one trajectory per call: 205
 
 
 def test_non_conforming_f_fails_on_a_batch():
@@ -964,7 +952,7 @@ def test_fd_second_differential_integrates_its_pair_as_one_batch(
 
 def test_validate_passes_the_fd_second_differential():
     results = pl.validate_oracle(_unicycle(), seed=0)
-    assert len(results) == 4
+    assert len(results) == 3
     assert all(r.passed for r in results), [r.line() for r in results]
     symmetry = [r for r in results
                 if r.name == "second-differential symmetry"]
@@ -1007,4 +995,3 @@ def test_dropped_second_partial_fails_the_taylor_row(dropped):
     assert not rows["second-differential Taylor order deficit"].passed
     assert rows["second-differential symmetry"].passed
     assert rows["jacobian Taylor order deficit"].passed
-    assert rows["jacobian vs finite differences"].passed

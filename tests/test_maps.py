@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import pathlift as pl
 from pathlift.errors import ConfigurationError
 
+from map_fd import central_jacobian
+
 
 def test_weighted_inner_and_norm():
     rng = np.random.default_rng(0)
@@ -182,12 +184,12 @@ def test_second_operator_represents_bilinear():
             o.bilinear_second(u, z, v, probe), abs=1e-7)
 
 
-def test_fd_jacobian_matches_analytic():
+def test_central_jacobian_matches_analytic():
     rng = np.random.default_rng(8)
     for o in (pl.SphereMap(3), pl.FoldMap(),
               pl.LinearMap(rng.standard_normal((2, 4)))):
         u = rng.standard_normal(o.dim_domain)
-        np.testing.assert_allclose(o.fd_jacobian(u), o.jacobian(u),
+        np.testing.assert_allclose(central_jacobian(o, u), o.jacobian(u),
                                    atol=1e-7)
 
 
@@ -241,9 +243,9 @@ def test_polyline_path_knots_and_slopes():
 
 
 def test_polyline_legs_hit_their_waypoints_exactly():
-    # at knots k/n the s * n floor of gamma's segment lookup can land on
-    # either side (1/49 * 49 < 1); a leg's own ends are exact, so the lift,
-    # which steps leg by leg, meets every waypoint on its knot
+    # a leg's own ends are exact, so the lift, which steps leg by leg,
+    # meets every waypoint on its knot; the path's own lookup takes the
+    # leg that starts at a knot, so it is exact there too
     rng = np.random.default_rng(11)
     for n in range(1, 200):
         p = pl.PolylinePath(rng.standard_normal((n + 1, 2)))
@@ -254,6 +256,10 @@ def test_polyline_legs_hit_their_waypoints_exactly():
         assert np.array_equal([leg.gamma(b) for _, b, leg in p.legs],
                               p.points[1:])
         assert np.array_equal([leg.gamma_dot(b) for _, b, leg in p.legs],
+                              p.slopes)
+        assert np.array_equal([p.gamma(a) for a, _, _ in p.legs],
+                              p.points[:-1])
+        assert np.array_equal([p.gamma_dot(a) for a, _, _ in p.legs],
                               p.slopes)
 
 
@@ -359,7 +365,6 @@ def _rows(oracle, seed=0):
 TAYLOR_J = "jacobian Taylor order deficit"
 TAYLOR_DJ = "second-differential Taylor order deficit"
 SYMMETRY = "second-differential symmetry"
-JACOBIAN_FD = "jacobian vs finite differences"
 
 
 def test_polynomial_maps_leave_only_roundoff_in_their_exact_rows():
@@ -387,7 +392,7 @@ def test_sign_flipped_second_differential_fails_the_taylor_row():
     assert not rows[TAYLOR_DJ].passed
     assert rows[TAYLOR_DJ].worst == pytest.approx(1.0, abs=1e-6)
     assert rows[SYMMETRY].passed
-    assert rows[TAYLOR_J].passed and rows[JACOBIAN_FD].passed
+    assert rows[TAYLOR_J].passed
 
 
 class _Scaled(pl.MapOracle):
@@ -416,13 +421,72 @@ class _DoubledJacobian(pl.LinearMap):
 
 
 def test_doubled_jacobian_fails_at_small_scale():
-    """The FD row is relative to |J|: at F scaled by 1e-6 a Jacobian off
-    by a factor 2 fails it, as it does at scale 1."""
+    """The Taylor row is relative to the remainders' own scale: at F
+    scaled by 1e-6 a Jacobian off by a factor 2 leaves a remainder of
+    order 1 where 2 is due, as it does at scale 1."""
     mat = np.random.default_rng(4).standard_normal((2, 4))
     for c in (1.0, 1e-6):
         rows = _rows(_Scaled(_DoubledJacobian(mat), c))
-        assert rows[JACOBIAN_FD].worst == pytest.approx(0.5, rel=1e-6)
-        assert not rows[JACOBIAN_FD].passed and not rows[TAYLOR_J].passed
+        assert rows[TAYLOR_J].worst == pytest.approx(1.0, abs=1e-6)
+        assert not rows[TAYLOR_J].passed
+
+
+_PERTURBED_BASES = {
+    "linear": lambda: pl.LinearMap([[1.0, 2.0, 0.0, 1.0],
+                                    [0.0, 1.0, 3.0, -1.0]]),
+    "sphere": lambda: pl.SphereMap(3),
+    "fold": lambda: pl.FoldMap(),
+    "brockett": lambda: pl.endpoint_problem("brockett", [0.0, 0.0, 0.0],
+                                            1.0, 6),
+    "unicycle": lambda: pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0],
+                                            1.0, 6),
+    "lti": lambda: pl.endpoint_problem(
+        "lti", [1.0, -0.5], 1.0, 6,
+        system_params={"A": [[0.0, 1.0], [-2.0, -0.3]], "B": [[0.0], [1.0]]}),
+}
+
+
+class _PerturbedJacobian(pl.MapOracle):
+    """A wrong oracle: F with J replaced by J + e |J| E / |E| (Frobenius
+    norms), E a fixed Gaussian matrix or its first or last column alone;
+    F and dJ are the base oracle's own."""
+
+    def __init__(self, base, e, pattern):
+        super().__init__(base.dim_domain, base.dim_codomain, base.weights)
+        self.base = base
+        big_e = np.random.default_rng(5).standard_normal(
+            (base.dim_codomain, base.dim_domain))
+        if pattern != "dense":
+            keep = {"first": 0, "last": -1}[pattern]
+            big_e[:, np.arange(base.dim_domain) != keep % base.dim_domain] = 0
+        self.delta = e * big_e / np.linalg.norm(big_e)
+
+    def eval(self, u):
+        return self.base.eval(u)
+
+    def eval_many(self, us):
+        return self.base.eval_many(us)
+
+    def jacobian(self, u):
+        jac = self.base.jacobian(u)
+        return jac + np.linalg.norm(jac) * self.delta
+
+    def jacobian_derivative_many(self, us, vs):
+        return self.base.jacobian_derivative_many(us, vs)
+
+
+@pytest.mark.parametrize("e", [0.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("pattern", ["dense", "first", "last"])
+@pytest.mark.parametrize("name", sorted(_PERTURBED_BASES))
+def test_every_jacobian_perturbation_fails_a_remaining_row(name, pattern, e):
+    """A Jacobian off by a relative 1e-2 down to 1e-6, over all of J or
+    one column, fails at least one of the Taylor and symmetry rows at
+    every seed; the exact J (e = 0) passes them all."""
+    oracle = _PerturbedJacobian(_PERTURBED_BASES[name](), e, pattern)
+    for seed in range(3):
+        rows = pl.validate_oracle(oracle, seed=seed)
+        assert all(r.passed for r in rows) == (e == 0.0), \
+            [r.line() for r in rows]
 
 
 @settings(max_examples=40, deadline=None)

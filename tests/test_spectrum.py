@@ -56,6 +56,8 @@ def _spectral_reference(grammat, prev=None):
     Python-float checks must equal bit for bit.  Without ``prev`` it keeps
     the eigenvector signs ``eigh`` returns; see ``_canonical``."""
     grammat = np.asarray(grammat, dtype=float)
+    if not np.all(np.isfinite(grammat)):
+        raise NumericalError("Gramian is not finite", matrix=grammat)
     scale = max(1.0, float(np.max(np.abs(grammat))))
     if np.max(np.abs(grammat - grammat.T)) > 1e-12 * scale:
         raise NumericalError("Gramian is not symmetric", matrix=grammat)
@@ -156,6 +158,9 @@ def test_spectral_decompose_equals_spectral_reference(data):
     (np.array([[1.0, 1e-9], [0.0, 1.0]]), "Gramian is not symmetric"),
     (np.diag([-1e-9, 1.0]), "Gramian not PSD: least eigenvalue -1.000e-09"),
     (np.diag([0.5, 2.0, 2.0]), "degenerate eigenvalues above lambda_1"),
+    # max(1, |G|) alone would read 1 for a NaN entry and pass it on
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "Gramian is not finite"),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), "Gramian is not finite"),
 ])
 def test_spectral_reference_pins_the_warning_and_the_raises(grammat,
                                                              message):
