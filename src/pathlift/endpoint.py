@@ -20,7 +20,12 @@ its four stage states: with the control frozen as a state (udot = 0),
 ``_propagators`` of the stage blocks [[f_x, f_u], [0, 0]] gives the step
 block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
 partials broadcast over leading axes).  J sums K_{j+1} N_j over the
-steps, with K_j = K_{j+1} M_j and K = I at T.
+steps, with K_j = K_{j+1} M_j and K = I at T.  The recurrences across
+the P segments, this pullback and the forward tangent below, are
+doubling scans (Hillis & Steele, CACM 29 (1986); Blelloch,
+CMU-CS-90-190 (1990)): ceil(log2 P) batched compositions of the
+segments' [A | C] blocks, not one Python iteration per segment; only
+the STEPS_PER_SEGMENT steps within a segment are a loop.
 
 Second differentials are exact for systems that give ``d_partials``, the
 derivatives (dA, dB) of f_x and f_u along a direction (dx, du):
@@ -34,8 +39,12 @@ polynomial's intermediates.  Per member, the tangent y_v steps with
 rows' derivatives, and differentiating the same polynomial line by line
 gives [dM_j | dN_j].  The pullback of the step rows
 [[M_j, dM_j, N_j, dN_j], [0, M_j, 0, N_j]] (the block-triangular identity
-for Frechet derivatives) carries dJ(v) next to J.  A system without
-``d_partials`` keeps the base-class central finite difference.
+for Frechet derivatives) carries dJ(v) next to J.  ``jacobian`` keeps
+its u's stage states, stage rows, step rows and intermediates in a
+one-entry read-only slot, so dJ at the control whose Jacobian was formed
+last (a lift's diagnostics) evaluates no ``f``, ``f_x`` or ``f_u``.  A
+system without ``d_partials`` keeps the base-class central finite
+difference.
 """
 
 from collections import OrderedDict
@@ -291,9 +300,9 @@ def _check_stacked(f, x, u):
         raise ConfigurationError(
             f"f fails on stacked (n, B) states: {exc}") from exc
     # a stacked A @ x may round differently from one column's A @ x; equal
-    # bits, the common case, need no tolerance test
+    # bytes, the common case, need no elementwise test
     if stacked.shape != x.shape or not (
-            np.array_equal(stacked, members, equal_nan=True)
+            stacked.tobytes() == members.tobytes()
             or np.allclose(stacked, members, rtol=1e-9, atol=1e-9,
                            equal_nan=True)):
         raise ConfigurationError(
@@ -434,6 +443,16 @@ def _propagator_derivatives(a, da, b2, b3, h):
     return db4
 
 
+def _compose(later, earlier):
+    """[A_l | C_l] o [A_e | C_e] = [A_l A_e | A_l C_e + C_l]: the nonzero
+    rows (..., r, c) of two affine maps' blocks [[A, C], [0, I]] composed,
+    the later on the left."""
+    r = later.shape[-2]
+    out = later[..., :r] @ earlier
+    out[..., r:] += later[..., r:]
+    return out
+
+
 def _chain(steps):
     """Running products of each segment's step blocks, for all segments
     at once: entry j of the (..., P, S + 1, r, c) result holds the nonzero
@@ -442,9 +461,59 @@ def _chain(steps):
     out = np.zeros((*lead, count + 1, r, c))
     out[..., 0, :, :r] = np.eye(r)
     for j in range(count):
-        out[..., j + 1, :, :] = steps[..., j, :, :r] @ out[..., j, :, :]
-        out[..., j + 1, :, r:] += steps[..., j, :, r:]
+        out[..., j + 1, :, :] = _compose(steps[..., j, :, :],
+                                         out[..., j, :, :])
     return out
+
+
+def _scan(blocks, reverse=False):
+    """Inclusive scan of ``blocks`` (..., P, r, c) along the segment axis
+    under :func:`_compose`: entry p of the result composes blocks p, ...,
+    0 (blocks P - 1, ..., p with ``reverse``).  Doubling (Hillis &
+    Steele, CACM 29 (1986)): ceil(log2 P) batched compositions, level d
+    composing each entry with the one d segments before it (after it,
+    with ``reverse``)."""
+    out = blocks.copy()
+    d = 1
+    while d < blocks.shape[-3]:
+        later, earlier = out[..., d:, :, :], out[..., :-d, :, :]
+        (earlier if reverse else later)[...] = _compose(later, earlier)
+        d *= 2
+    return out
+
+
+def _pullback(steps):
+    """sum_j K_{j+1} N_j over each segment's steps, (..., P, r, c - r),
+    for step rows [M_j | N_j] (..., P, S, r, c), K_j = K_{j+1} M_j and
+    K = I at T.  Each segment's steps composed give its map and own sum
+    [A_p | C_p] (the last entry of :func:`_chain`, bit for bit); a
+    reverse :func:`_scan` of the maps gives every kernel
+    A_{P-1} ... A_{p+1} at a segment's end; and one batched product
+    kernel @ C_p gives every segment's block."""
+    ends = steps[..., 0, :, :]
+    for j in range(1, steps.shape[-3]):
+        ends = _compose(steps[..., j, :, :], ends)
+    r = steps.shape[-2]
+    gains = ends[..., r:]
+    out = np.empty(gains.shape)
+    out[..., -1, :, :] = gains[..., -1, :, :]
+    out[..., :-1, :, :] = (_scan(ends[..., 1:, :, :r], reverse=True)
+                           @ gains[..., :-1, :, :])
+    return out
+
+
+def _tangent(steps):
+    """Tangent y = dx along v at every step start, (..., P, S, n), from
+    the step rows [M_j | c_j] (..., P, S, n, n + 1) of
+    y_{j+1} = M_j y_j + c_j, y = 0 at t = 0.  :func:`_chain` gives each
+    segment's running flows; a :func:`_scan` of the segment-end flows
+    gives y at every segment's start; and one batched product gives y at
+    every step."""
+    flows = _chain(steps)
+    n = steps.shape[-2]
+    starts = np.zeros(steps.shape[:-3] + (1, n, 1))
+    starts[..., 1:, 0, :, :] = _scan(flows[..., :-1, -1, :, :])[..., n:]
+    return (flows[..., :-1, :, :n] @ starts + flows[..., :-1, :, n:])[..., 0]
 
 
 class EndpointOracle(MapOracle):
@@ -472,6 +541,9 @@ class EndpointOracle(MapOracle):
         self.grid = grid
         self._h = grid.dt / STEPS_PER_SEGMENT
         self._cache = OrderedDict()
+        # (key, arrays) of _linearization at the control whose Jacobian
+        # was formed last
+        self._linear = (None, ())
 
     # -- caching -----------------------------------------------------------
 
@@ -552,54 +624,33 @@ class EndpointOracle(MapOracle):
         return x, np.broadcast_to(controls[:, :, None, None],
                                   x.shape[:-1] + controls.shape[-1:])
 
-    def _pullback(self, steps):
-        """sum_j K_{j+1} N_j over each segment's steps, (..., P, r, c - r),
-        for step rows [M_j | N_j] (..., P, S, r, c), K_j = K_{j+1} M_j and
-        K = I at T: the segment products come from :func:`_chain`, then
-        one backward pass over the segments."""
-        ends = _chain(steps)[..., -1, :, :].swapaxes(-3, 0)
-        r = steps.shape[-2]
-        gains, maps = ends[..., r:], ends[..., :r]
-        out = np.empty(gains.shape)
-        kernel = np.eye(r)
-        for seg in range(self.grid.segments - 1, -1, -1):
-            out[seg] = kernel @ gains[seg]
-            kernel = kernel @ maps[seg]
-        return out.swapaxes(0, -3)
+    def _linearization(self, us):
+        """At each row of ``us`` (K, N): the stage states x (K, P, S, 4, n),
+        the stage rows a = [f_x | f_u] there, and :func:`_propagators`'
+        step rows [M_j | N_j] with its b_2 and b_3."""
+        x, uu = self._stage_states(us)
+        a = np.concatenate([self.system.f_x(x, uu), self.system.f_u(x, uu)],
+                           axis=-1)
+        return (x, a, *_propagators(a, self._h))
 
     def jacobian(self, u):
-        """J = dF/du of the computed RK4 map: the pullback of the step
-        partials [M_j | N_j], from :func:`_propagators` of [f_x | f_u] at
-        each step's stage states."""
+        """J = dF/du of the computed RK4 map: the :func:`_pullback` of the
+        step partials [M_j | N_j], from :func:`_propagators` of
+        [f_x | f_u] at each step's stage states.  That linearization stays
+        in a one-entry slot, read-only, for a second variation at u."""
         u = self._domain_vec(u)
         entry = self._entry(u)
         if "jac" in entry:
             return entry["jac"]
-        x, uu = self._stage_states(u[None])
-        stage = np.concatenate([self.system.f_x(x[0], uu[0]),
-                                self.system.f_u(x[0], uu[0])], axis=-1)
-        jac = self._pullback(_propagators(stage, self._h)[0])
+        linear = self._linearization(u[None])
+        for arr in linear:
+            arr.flags.writeable = False
+        self._linear = (u.tobytes(), linear)
+        jac = _pullback(linear[2])[0]
         jac = jac.transpose(1, 0, 2).reshape(self.dim_codomain, -1)
         jac.flags.writeable = False
         entry["jac"] = jac
         return jac
-
-    def _tangent(self, steps):
-        """Tangent y = dx along v at every step start, (..., P, S, n), from
-        the step rows [M_j | c_j] (..., P, S, n, n + 1) of
-        y_{j+1} = M_j y_j + c_j, y = 0 at t = 0: each segment's running
-        products, then a forward pass over the segments."""
-        flows = _chain(steps)
-        n = steps.shape[-2]
-        y = np.empty(steps.shape[:-1])
-        start = np.zeros(steps.shape[:-4] + (1, n, 1))
-        for seg in range(self.grid.segments):
-            # y at the segment's step starts, and at its end: the next start
-            flow = flows[..., seg, :, :, :]
-            ys = flow[..., :n] @ start + flow[..., n:]
-            y[..., seg, :, :] = ys[..., :-1, :, 0]
-            start = ys[..., -1:, :, :]
-        return y
 
     def jacobian_derivative(self, u, v):
         """Second variation dJ(v): the stack of one."""
@@ -628,8 +679,9 @@ class EndpointOracle(MapOracle):
 
         Per distinct u: the stage states, the stage rows a_i = [f_x | f_u]
         and from them the step rows [M_j | N_j] with the intermediates of
-        :func:`_propagators`.  Per member: the step tangent y_j from
-        :meth:`_tangent` on [M_j | N_j v], the stage tangents Y_1 = y_j and
+        :func:`_propagators`, read from :meth:`jacobian`'s slot for its u.
+        Per member: the step tangent y_j from
+        :func:`_tangent` on [M_j | N_j v], the stage tangents Y_1 = y_j and
         Y_{i+1} = y_j + c_i h a_i [Y_i; v], c = (1/2, 1/2, 1), the stage
         rows' derivatives [dA_i | dB_i] from ``d_partials`` along (Y_i, v),
         and from those :func:`_propagator_derivatives`' [dM_j | dN_j].  The
@@ -640,20 +692,26 @@ class EndpointOracle(MapOracle):
         """
         system, h = self.system, self._h
         keys = [u.tobytes() for u in us]
-        slot = {key: j for j, key in enumerate(dict.fromkeys(keys))}
-        distinct = us if len(slot) == len(us) else us[
-            [keys.index(key) for key in slot]]
-        x, uu = self._stage_states(distinct)
-        a = np.concatenate([system.f_x(x, uu), system.f_u(x, uu)], axis=-1)
-        steps, b2, b3 = _propagators(a, h)
-        if len(slot) < len(us):
-            inverse = [slot[key] for key in keys]
-            x, a, steps, b2, b3 = (arr[inverse]
-                                   for arr in (x, a, steps, b2, b3))
+        held_key, held = self._linear
+        # the distinct u, the held one first
+        order = sorted(dict.fromkeys(keys), key=lambda key: key != held_key)
+        hit = order[0] == held_key
+        fresh = order[1:] if hit else order
+        parts = [held] if hit else []
+        if fresh:
+            parts.append(self._linearization(
+                us[[keys.index(key) for key in fresh]]))
+        linear = parts[0] if len(parts) == 1 else [
+            np.concatenate(arrs) for arrs in zip(*parts)]
+        row = {key: j for j, key in enumerate(order)}
+        inverse = [row[key] for key in keys]
+        if inverse != list(range(len(us))):
+            linear = [arr[inverse] for arr in linear]
+        x, a, steps, b2, b3 = linear
         n, m = self.dim_codomain, self.grid.control_dim
         # each segment's v and u, broadcast over its steps
         v = vs.reshape(len(us), self.grid.segments, 1, m)
-        y = self._tangent(np.concatenate(
+        y = _tangent(np.concatenate(
             [steps[..., :n], steps[..., n:] @ v[..., None]], axis=-1))
         # stage tangents next to v: each stage's slope is one product
         yv = np.empty(x.shape[:-1] + (n + m,))
@@ -667,7 +725,7 @@ class EndpointOracle(MapOracle):
         da = np.concatenate(system.d_partials(x, controls, yv[..., :n],
                                               yv[..., n:]), axis=-1)
         dsteps = _propagator_derivatives(a, da, b2, b3, h)
-        del a, da, b2, b3   # free the stage rows for the block pass
+        del linear, a, da, b2, b3   # free the stage rows for the blocks
         dual = np.zeros(steps.shape[:-2] + (2 * n, 2 * (n + m)))
         dual[..., :n, :n] = dual[..., n:, n:2 * n] = steps[..., :n]
         dual[..., :n, n:2 * n] = dsteps[..., :n]
@@ -675,7 +733,7 @@ class EndpointOracle(MapOracle):
         dual[..., n:, 2 * n + m:] = steps[..., n:]
         dual[..., :n, 2 * n + m:] = dsteps[..., n:]
         del steps, dsteps
-        rows = self._pullback(dual)
+        rows = _pullback(dual)
         return rows[..., :n, m:].swapaxes(-2, -3).reshape(len(us), n, -1)
 
 

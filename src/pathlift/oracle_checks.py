@@ -6,8 +6,9 @@ alone (Farrell, Ham, Funke & Rognes, SIAM J. Sci. Comput. 35 (2013)):
 taken off too.  The second differential must also be symmetric.  Every
 check is relative to its own operands' scale, so F and c F get the same
 verdicts, whichever way an oracle computes its derivatives.  Each check
-evaluates its base points in one :meth:`MapOracle.eval_many` and its dJ
-in one stack.
+takes its dJ in one :meth:`MapOracle.jacobian_derivative_many` stack,
+and the Taylor rows their points u + t v in one
+:meth:`MapOracle.eval_many`.
 """
 
 from dataclasses import dataclass
@@ -36,12 +37,9 @@ class CheckResult:
 
 
 def _draws(oracle, seed, count, *dims):
-    """``count`` tuples of standard normal vectors of lengths ``dims``,
-    with every first vector evaluated in one batch."""
+    """``count`` tuples of standard normal vectors of lengths ``dims``."""
     rng = np.random.default_rng(seed)
-    draws = [[rng.standard_normal(d) for d in dims] for _ in range(count)]
-    oracle.eval_many([d[0] for d in draws])
-    return draws
+    return [[rng.standard_normal(d) for d in dims] for _ in range(count)]
 
 
 def _order_deficit(rows, floor, expected):

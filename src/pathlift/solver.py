@@ -191,11 +191,14 @@ def _error_ratio(u, u5, err, opts):
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def gauss_newton_correct(oracle, u, target, tol_residual):
+def gauss_newton_correct(oracle, u, target, tol_residual, spec=None):
     """Project u back onto the fiber F(u) = target.
 
     Returns (u, residual, converged).  Each of at most 10 iterations
-    applies the least-norm update dF^* G^-1 (target - F(u)).
+    applies the least-norm update dF^* G^-1 (target - F(u)).  ``spec``,
+    when given, is the spectrum of G at u, which the first iteration
+    uses instead of decomposing G again (the update does not depend on
+    the eigenvector signs).
     """
     u = np.asarray(u, dtype=float)
     r = target - oracle.eval(u)
@@ -203,13 +206,14 @@ def gauss_newton_correct(oracle, u, target, tol_residual):
     for _ in range(10):
         if res <= tol_residual:
             return u, res, True
-        spec = spectral_decompose(gramian(oracle, u))
+        if spec is None:
+            spec = spectral_decompose(gramian(oracle, u))
         u_try = u + _rhs_from_spectrum(oracle, u, r, spec, clamp=True)[0]
         r_try = target - oracle.eval(u_try)
         res_try = float(np.linalg.norm(r_try))
         if not np.isfinite(res_try) or res_try >= res:
             break
-        u, r, res = u_try, r_try, res_try
+        u, r, res, spec = u_try, r_try, res_try, None
     return u, res, res <= tol_residual
 
 
@@ -299,7 +303,7 @@ class _Lift:
         correction moved u5."""
         tol = self.opts.tol_residual
         u_new, res, ok = gauss_newton_correct(
-            self.oracle, u5, self.leg.gamma(s_new), tol)
+            self.oracle, u5, self.leg.gamma(s_new), tol, spec)
         if u_new is not u5:
             spec = spectral_decompose(gramian(self.oracle, u_new),
                                       prev=self.prev_spec)

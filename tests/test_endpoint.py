@@ -402,12 +402,30 @@ def test_jacobian_derivative_matches_loop_form_reference(data):
         atol=1e-12 * max(1.0, np.abs(expect).max()))
 
 
+@pytest.mark.parametrize("name", ["brockett", "unicycle", "mixed"])
+@pytest.mark.parametrize("segments", [40, 80])
+def test_long_grids_match_the_step_at_a_time_forward_mode(name, segments):
+    """J and dJ(v) on long grids, where the doubling scans over the
+    segments take 6 and 7 levels (the draws above, at most 12 segments,
+    take at most 4), against forward mode one step at a time."""
+    ep = _oracle(name, segments)
+    rng = np.random.default_rng([segments, len(name)])
+    u = rng.uniform(-2.0, 2.0, ep.dim_domain)
+    v = rng.uniform(-1.0, 1.0, ep.dim_domain)
+    for got, expect in zip((ep.jacobian(u), ep.jacobian_derivative(u, v)),
+                           _forward_mode(ep, u, v)):
+        np.testing.assert_allclose(
+            got, expect, rtol=0,
+            atol=1e-12 * max(1.0, np.abs(expect).max()))
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_stacked_second_variations_equal_single_calls(data):
     """Each member of a stack is bit for bit the single call, for stacks
     that do and do not cross the STACK_LIMIT split, with distinct and
-    repeated u."""
+    repeated u, with and without one u's linearization held from
+    ``jacobian``."""
     name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
                      label="system")
     fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
@@ -420,6 +438,9 @@ def test_stacked_second_variations_equal_single_calls(data):
     if data.draw(st.booleans(), label="repeated u"):
         us = us[rng.integers(0, max(1, count // 3), count)]
     vs = rng.uniform(-1.0, 1.0, (count, ep.dim_domain))
+    held = data.draw(st.integers(-1, count - 1), label="jacobian first at")
+    if held >= 0:       # that u's linearization comes from the slot
+        ep.jacobian(us[held])
     stack = ep.jacobian_derivative_many(us, vs)
     assert stack.shape == (count, ep.dim_codomain, ep.dim_domain)
     single = _oracle(name, segments)
@@ -456,12 +477,9 @@ def test_stack_split_bounds_the_working_memory(monkeypatch):
     assert working_memory(10, 40) > 5 * single
 
 
-def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
-    """In one pass, the stage states (``f``), ``f_x`` and ``f_u`` are
-    evaluated at each distinct u's stages once, however many members
-    share that u; only ``d_partials`` is evaluated per member."""
-    points = dict.fromkeys(["f", "f_x", "f_u", "d_partials"], 0)
-
+def _counted_unicycle(points):
+    """The unicycle, with each function named in ``points`` adding the
+    number of points it is evaluated at to that entry."""
     def counted(name, fn):
         def wrapper(x, *args):
             points[name] += (np.shape(x)[-1] if name == "f"
@@ -470,11 +488,19 @@ def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
         return wrapper
 
     base = pl.make_system("unicycle")
-    system = dataclasses.replace(base, **{
+    return dataclasses.replace(base, **{
         name: counted(name, getattr(base, name)) for name in points})
+
+
+def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
+    """In one pass, the stage states (``f``), ``f_x`` and ``f_u`` are
+    evaluated at each distinct u's stages once, however many members
+    share that u; only ``d_partials`` is evaluated per member."""
+    points = dict.fromkeys(["f", "f_x", "f_u", "d_partials"], 0)
     segments = 4
     grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
-    ep = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid)
+    ep = pl.EndpointOracle(_counted_unicycle(points), [0.1, -0.2, 0.3],
+                           grid)
     rng = np.random.default_rng(15)
     distinct = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
     us = distinct[[0, 1, 0, 2, 2, 1, 0, 2]]
@@ -488,6 +514,45 @@ def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
                       "f_x": 4 * steps * len(distinct),
                       "f_u": 4 * steps * len(distinct),
                       "d_partials": 4 * steps * len(us)}
+
+
+def test_second_variation_reads_the_linearization_of_the_last_jacobian():
+    """dJ right after ``jacobian`` at the same u evaluates no ``f``,
+    ``f_x`` or ``f_u``, and is bit for bit the dJ of an oracle that
+    linearizes afresh.  The slot holds the last u whose Jacobian was
+    formed, read-only: ``jacobian`` at a new u refills it, and a stack
+    linearizes only its other u."""
+    points = dict.fromkeys(["f", "f_x", "f_u"], 0)
+    grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
+    x0 = [0.1, -0.2, 0.3]
+    ep = pl.EndpointOracle(_counted_unicycle(points), x0, grid)
+    fresh = pl.EndpointOracle(pl.make_system("unicycle"), x0, grid)
+    rng = np.random.default_rng(16)
+    u, w, v = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
+    per_u = 4 * grid.segments * STEPS_PER_SEGMENT     # f_x points at one u
+
+    def same_bits(got, expect):
+        return np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    for point in (u, w):
+        ep.jacobian(point)
+        points.update(dict.fromkeys(points, 0))
+        assert same_bits(ep.jacobian_derivative(point, v),
+                         fresh.jacobian_derivative(point, v))
+        assert points == dict.fromkeys(points, 0)
+    key, held = ep._linear
+    assert key == w.tobytes() and len(held) == 5
+    for arr in held:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    # u left the slot when w came in
+    ep.jacobian_derivative(u, v)
+    assert points["f_x"] == per_u
+    points.update(dict.fromkeys(points, 0))
+    stack = ep.jacobian_derivative_many([u, w, u, w], [v, v, -v, -v])
+    assert points["f_x"] == per_u
+    for got, point, sign in zip(stack, (u, w, u, w), (1, 1, -1, -1)):
+        assert same_bits(got, fresh.jacobian_derivative(point, sign * v))
 
 
 def test_jacobian_derivative_many_checks_its_rows():

@@ -749,6 +749,36 @@ def test_first_stage_from_the_state_moves_no_bit(monkeypatch):
     assert after == before
 
 
+def test_correction_starts_from_the_spectrum_at_u5(monkeypatch):
+    # the correction's first update solves through the spectrum the step
+    # loop took at u5, which it would otherwise take again: one
+    # decomposition fewer per state whose u5 needed correcting, and not
+    # one bit of the trace moves, as the update ignores eigenvector signs
+    real_decompose, real_correct = (solver.spectral_decompose,
+                                    solver.gauss_newton_correct)
+    decompositions, corrected = [], []
+
+    def decompose(grammat, prev=None):
+        decompositions.append(1)
+        return real_decompose(grammat, prev=prev)
+
+    def run(problem, reuse):
+        def correct(oracle, u, target, tol, spec=None):
+            corrected.append(np.linalg.norm(target - oracle.eval(u)) > tol)
+            return real_correct(oracle, u, target, tol,
+                                spec if reuse else None)
+
+        monkeypatch.setattr(solver, "gauss_newton_correct", correct)
+        del decompositions[:], corrected[:]
+        return _lift_bits(problem), len(decompositions), sum(corrected)
+
+    monkeypatch.setattr(solver, "spectral_decompose", decompose)
+    for problem in (_fold_lift, _brockett10_lift):
+        bits, fewer, count = run(problem, True)
+        assert run(problem, False) == (bits, fewer + count, count)
+        assert count > 0
+
+
 def test_lambda_1_at_the_singular_threshold_is_regular():
     # G = diag(1e-10, 1): lambda_1 equals lambda_sing exactly, which the
     # anchor check, the step loop and the right-hand side all call regular
