@@ -7,9 +7,9 @@ falsification), ``validate`` (oracle self-checks), ``list-problems``.
 Config files are INI-style sectioned key/value text.  Parsing checks only
 the text (known and required keys, finite numbers); each rule on a value
 lives on the library type that holds it.  Exit codes: 0 success / Reached,
-1 configuration or setup error, 2 singular terminal lift, 3 other lift
-termination, 4 a checked condition was falsified on the sample, 5
-validation failure, 6 a numerical failure such as a trajectory blowup.
+1 configuration, setup or command-line error, 2 singular terminal lift, 3
+other lift termination, 4 a checked condition was falsified on the sample,
+5 validation failure, 6 a numerical failure such as a trajectory blowup.
 
 Artifacts are written to a temporary file and atomically renamed, so a
 failed run never leaves a partial file behind.
@@ -388,15 +388,20 @@ def _parser():
     for name in ("lift", "check", "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out-dir", default=".")
-        p.add_argument("--seed", type=int, default=None)
+        if name != "validate":      # validate writes no file
+            p.add_argument("--out-dir", default=".")
+        if name != "lift":          # a lift draws no samples
+            p.add_argument("--seed", type=int)
     sub.add_parser("list-problems")
     return parser
 
 
 def main(argv=None):
     _setup_logging()
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # argparse's 2 would read as a singular lift
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
     if args.command == "list-problems":
         return run_list_problems()

@@ -293,9 +293,30 @@ def test_main_builds_its_parser_once_per_process(capsys):
     for _ in range(3):
         assert cli.main(["list-problems"]) == 0
     assert cli._parser.cache_info().misses == 1
-    with pytest.raises(SystemExit):     # a bad command line still fails
-        cli.main(["lift"])
+    # a bad command line fails as a configuration error
+    assert cli.main(["lift"]) == cli.EXIT_CONFIG == 1
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([], "command"), (["lift", "--config", "x.ini", "--bogus"], "--bogus"),
+    (["lift", "--config", "x.ini", "--seed", "3"], "--seed"),
+    (["validate", "--config", "x.ini", "--out-dir", "o"], "--out-dir"),
+    (["check", "--config", "x.ini", "--seed", "abc"], "--seed"),
+], ids=["bare", "unknown-flag", "lift-seed",
+        "validate-out-dir", "seed-not-int"])
+def test_malformed_command_line_exits_1(capsys, argv, flag):
+    """Not 2, the code of a singular terminal lift; argparse's message
+    stays on stderr."""
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pathlift") and flag in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: pathlift")
 
 
 def test_endpoint_problem_from_config(tmp_path):
@@ -339,8 +360,10 @@ target = 2
 @pytest.mark.parametrize("command", ["lift", "check", "validate"])
 def test_numerical_failure_exits_6_without_traceback(tmp_path, capsys,
                                                      command):
-    code = cli.main([command, "--config", _cfg(tmp_path, LTI_BLOWUP),
-                     "--out-dir", str(tmp_path / "out")])
+    argv = [command, "--config", _cfg(tmp_path, LTI_BLOWUP)]
+    if command != "validate":   # validate writes no file, so takes no dir
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == cli.EXIT_NUMERICAL == 6
     assert err.startswith("error: ") and "escape" in err
@@ -383,11 +406,12 @@ def test_negative_seed_exits_1_without_traceback(tmp_path, command, seed,
     argv = [command, "--config", _cfg(tmp_path, text)]
     if seed is not None:
         argv += ["--seed", seed]
+    if command == "check":      # validate writes no file, so takes no dir
+        argv += ["--out-dir", str(tmp_path / "out")]
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "pathlift.cli"] + argv
-        + ["--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-m", "pathlift.cli"] + argv,
         env=env, capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_CONFIG == 1
     assert proc.stderr == (f"error: seed must be >= 0, got "

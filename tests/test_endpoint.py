@@ -934,10 +934,12 @@ def test_batch_blowup_reports_the_first_escape():
 
 
 def test_validate_integrates_each_check_as_one_batch(monkeypatch):
+    """The 50 Taylor line points in one trajectory call; dJ and J at the
+    five base points read their cached trajectories."""
     calls = _count_integrate(monkeypatch)
     results = pl.validate_oracle(_oracle("brockett", 6), seed=0)
     assert all(r.passed for r in results)
-    assert len(calls) <= 2      # one trajectory per call: 205
+    assert calls == [(6, 2, 50)]
 
 
 def test_non_conforming_f_fails_on_a_batch():
@@ -1032,7 +1034,8 @@ def test_fd_second_differential_is_symmetric_on_a_coarse_grid(x0_seed):
     x0 = np.random.default_rng(x0_seed).uniform(-0.5, 0.5, 3)
     ep = _unicycle(segments=2, x0=x0)
     for seed in range(1, 16):
-        row = pl.oracle_checks.check_second_symmetry(ep, seed=seed)
+        row = pl.validate_oracle(ep, seed=seed)[2]
+        assert row.name == "second-differential symmetry"
         assert row.passed, row.line()
 
 

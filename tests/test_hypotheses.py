@@ -548,24 +548,28 @@ def test_check_report_equals_the_per_pair_loops(kind):
 
 
 def _symmetry_reference(oracle, seed):
-    """check_second_symmetry's worst value from one second_operator call
-    per (u, z, direction), draw by draw."""
-    n, big_n = oracle.dim_codomain, oracle.dim_domain
+    """The validate symmetry row's worst value from one second_operator
+    call per (u, z, direction), sample by sample over the sample table:
+    every pair of directions at each base point, each with its own z."""
     worst = 0.0
-    for u, v, w, z in pl.oracle_checks._draws(oracle, seed, 20, big_n,
-                                              big_n, big_n, n):
-        bv = oracle.second_operator(u, z, v)
-        bw = oracle.second_operator(u, z, w)
-        scale = max(oracle.norm(bv) * oracle.norm(w),
-                    oracle.norm(bw) * oracle.norm(v))
-        if scale > 0.0:
-            worst = max(worst, abs(oracle.inner(bv, w)
-                                   - oracle.inner(bw, v)) / scale)
+    for u, directions, zs in zip(*pl.oracle_checks.sample_table(oracle,
+                                                                  seed)):
+        for i, j, z in zip(*pl.oracle_checks.PAIRS, zs):
+            v, w = directions[i], directions[j]
+            bv = oracle.second_operator(u, z, v)
+            bw = oracle.second_operator(u, z, w)
+            scale = max(oracle.norm(bv) * oracle.norm(w),
+                        oracle.norm(bw) * oracle.norm(v))
+            if scale > 0.0:
+                worst = max(worst, abs(oracle.inner(bv, w)
+                                       - oracle.inner(bw, v)) / scale)
     return worst
 
 
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("seed", [1, 6])
 def test_second_symmetry_equals_the_per_draw_loop(kind, seed):
-    row = pl.oracle_checks.check_second_symmetry(_problem(kind), seed=seed)
+    row = pl.validate_oracle(_problem(kind), seed=seed)[2]
+    assert row.name == "second-differential symmetry"
+    assert 5 * len(pl.oracle_checks.PAIRS[0]) >= 20     # samples checked
     assert row.worst == _symmetry_reference(_problem(kind), seed)

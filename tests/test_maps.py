@@ -352,7 +352,8 @@ def test_check_result_line_format():
 
 
 def test_vacuous_identity_checks_and_tolerance_flag_are_gone():
-    for gone in ("check_adjoint_identity", "check_jacobian_linearity"):
+    for gone in ("check_adjoint_identity", "check_jacobian_linearity",
+                 "check_second_symmetry", "_draws"):
         assert not hasattr(pl.oracle_checks, gone), gone
     for cls in (pl.MapOracle, pl.LinearMap, pl.SphereMap, pl.FoldMap):
         assert not hasattr(cls, "has_analytic_second"), cls
@@ -374,6 +375,7 @@ def test_polynomial_maps_leave_only_roundoff_in_their_exact_rows():
     linear = _rows(pl.LinearMap(rng.standard_normal((2, 5))))
     assert linear[TAYLOR_J].worst == 0.0
     assert linear[TAYLOR_DJ].worst == 0.0
+    assert linear[SYMMETRY].worst == 0.0        # every bound is 0: skipped
     for o in (pl.SphereMap(4), pl.FoldMap()):
         rows = _rows(o)
         assert rows[TAYLOR_DJ].worst == 0.0
@@ -487,6 +489,102 @@ def test_every_jacobian_perturbation_fails_a_remaining_row(name, pattern, e):
         rows = pl.validate_oracle(oracle, seed=seed)
         assert all(r.passed for r in rows) == (e == 0.0), \
             [r.line() for r in rows]
+
+
+class _AntisymmetricCurvature(pl.MapOracle):
+    """A wrong oracle: dJ(v) with row i replaced by dJ(v)_i + e s (S_i v)^T,
+    each S_i a fixed antisymmetric matrix (the stack of them of unit
+    Frobenius norm) and s the operand scale |dJ(v)| / |v|, or |J| where
+    dJ(v) = 0.  (S_i v)^T v = 0, so the Taylor remainders cannot see the
+    change; only the symmetry row can."""
+
+    def __init__(self, base, e):
+        super().__init__(base.dim_domain, base.dim_codomain, base.weights)
+        self.base = base
+        big_s = np.random.default_rng(5).standard_normal(
+            (base.dim_codomain, base.dim_domain, base.dim_domain))
+        big_s -= big_s.swapaxes(1, 2)
+        self.delta = e * big_s / np.linalg.norm(big_s)
+
+    def eval(self, u):
+        return self.base.eval(u)
+
+    def eval_many(self, us):
+        return self.base.eval_many(us)
+
+    def jacobian(self, u):
+        return self.base.jacobian(u)
+
+    def jacobian_derivative_many(self, us, vs):
+        out = self.base.jacobian_derivative_many(us, vs)
+        for dj, u, v in zip(out, us, vs):
+            scale = np.linalg.norm(dj) / np.linalg.norm(v)
+            if scale == 0.0:
+                scale = np.linalg.norm(self.base.jacobian(u))
+            dj += scale * (self.delta @ v)
+        return out
+
+
+@pytest.mark.parametrize("e", [0.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("name", ["sphere", "fold", "brockett", "unicycle",
+                                  "lti"])
+def test_every_antisymmetric_curvature_fails_the_symmetry_row(name, e):
+    """A dJ off by an antisymmetric relative 1e-2 down to 1e-6 passes both
+    Taylor rows and fails the symmetry row at every seed; the exact dJ
+    (e = 0) passes all three."""
+    oracle = _AntisymmetricCurvature(_PERTURBED_BASES[name](), e)
+    for seed in range(3):
+        rows = {r.name: r for r in pl.validate_oracle(oracle, seed=seed)}
+        assert rows[TAYLOR_J].passed and rows[TAYLOR_DJ].passed
+        assert rows[SYMMETRY].passed == (e == 0.0), rows[SYMMETRY].line()
+
+
+class _NanFold(pl.FoldMap):
+    """A fold whose ``eval``, ``jacobian`` or ``jacobian_derivative``
+    (``broken``) returns all NaN."""
+
+    def __init__(self, broken):
+        super().__init__()
+        self.broken = broken
+
+    def eval(self, u):
+        return self._maybe_nan("eval", super().eval(u))
+
+    def jacobian(self, u):
+        return self._maybe_nan("jacobian", super().jacobian(u))
+
+    def jacobian_derivative(self, u, v):
+        return self._maybe_nan("jacobian_derivative",
+                               super().jacobian_derivative(u, v))
+
+    def _maybe_nan(self, name, value):
+        return np.full_like(value, np.nan) if name == self.broken else value
+
+
+@pytest.mark.parametrize("broken, failing", [
+    ("eval", {TAYLOR_J, TAYLOR_DJ}),
+    ("jacobian", {TAYLOR_J, TAYLOR_DJ}),
+    ("jacobian_derivative", {TAYLOR_DJ, SYMMETRY}),
+])
+def test_non_finite_values_fail_their_rows(broken, failing):
+    """A NaN remainder or asymmetry is not below the floor or the
+    tolerance: its row fails, and reads inf."""
+    rows = _rows(_NanFold(broken))
+    assert {name for name, r in rows.items() if not r.passed} == failing
+    assert all(rows[name].worst == np.inf for name in failing)
+
+
+@pytest.mark.parametrize("name", sorted(_PERTURBED_BASES))
+def test_validate_takes_one_eval_stack_and_one_curvature_stack(name):
+    oracle = _PERTURBED_BASES[name]()
+    calls = []
+    for method in ("eval_many", "jacobian_derivative_many"):
+        def counting(*args, _real=getattr(oracle, method), _name=method):
+            calls.append(_name)
+            return _real(*args)
+        setattr(oracle, method, counting)
+    assert all(r.passed for r in pl.validate_oracle(oracle, seed=0))
+    assert sorted(calls) == ["eval_many", "jacobian_derivative_many"]
 
 
 @settings(max_examples=40, deadline=None)
