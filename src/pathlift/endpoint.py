@@ -30,7 +30,7 @@ the STEPS_PER_SEGMENT steps within a segment are a loop.
 Second differentials are exact for systems that give ``d_partials``, the
 derivatives (dA, dB) of f_x and f_u along a direction (dx, du):
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
-u on the cached trajectories for a stack of (u, v) pairs on a leading
+u on one batch of trajectories for a stack of (u, v) pairs on a leading
 axis, and ``jacobian_derivative`` is the stack of one.  It works in
 forward mode through the fixed scheme.  Per distinct u of a pass, the
 stage rows [f_x | f_u] give the step rows [M_j | N_j] once, with the
@@ -40,20 +40,19 @@ rows' derivatives, and differentiating the same polynomial line by line
 gives [dM_j | dN_j].  The pullback of the step rows
 [[M_j, dM_j, N_j, dN_j], [0, M_j, 0, N_j]] (the block-triangular identity
 for Frechet derivatives) carries dJ(v) next to J.  ``jacobian`` keeps
-its u's stage states, stage rows, step rows and intermediates in a
-one-entry read-only slot, so dJ at the control whose Jacobian was formed
-last (a lift's diagnostics) evaluates no ``f``, ``f_x`` or ``f_u``.  A
-system without ``d_partials`` keeps the base-class central finite
-difference.
+J with its u's stage states, stage rows, step rows and intermediates in
+a one-entry read-only slot: J again at the control whose Jacobian was
+formed last costs nothing, and dJ there (a lift's diagnostics) evaluates
+no ``f``, ``f_x`` or ``f_u``.  A system without ``d_partials`` keeps the
+base-class central finite difference.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, TrajectoryBlowup, finite
+from .errors import ConfigurationError, TrajectoryBlowup, finite, integer
 from .maps import MapOracle
 
 BLOWUP_NORM = 1e8
@@ -64,8 +63,6 @@ STEPS_PER_SEGMENT = 6
 # with members x segments, so a longer stack is split to bound its working
 # memory by that of one member at STACK_LIMIT segments
 STACK_LIMIT = 40
-# control vectors whose trajectory and Jacobian an EndpointOracle keeps
-CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,7 @@ def _zero_d_partials(n, m):
 
 
 def single_integrator(dim=1):
-    dim = int(dim)
+    dim = integer(dim, "dim")
     return ControlSystem(
         name="single-integrator", state_dim=dim, control_dim=dim,
         f=lambda x, u: np.asarray(u, float),
@@ -234,8 +231,9 @@ class ControlGrid:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise ConfigurationError("horizon must be positive and finite")
-        if self.segments < 1:
+        if integer(self.segments, "segments") < 1:
             raise ConfigurationError("segments must be >= 1")
+        integer(self.control_dim, "control_dim")
 
     @property
     def dim(self):
@@ -337,7 +335,7 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
         raise ConfigurationError(
             "u_values must be (segments, control_dim) or "
             "(segments, control_dim, batch)")
-    if substeps < 1:
+    if integer(substeps, "substeps") < 1:
         raise ConfigurationError(f"substeps must be >= 1, got {substeps}")
     single = u_values.ndim == 2
     u_values = u_values[..., None] if single else u_values
@@ -519,12 +517,12 @@ def _tangent(steps):
 class EndpointOracle(MapOracle):
     """Map oracle for the endpoint map of a control system.
 
-    Trajectory and Jacobian results are memoized per control vector in an
-    LRU cache of CACHE_SIZE entries, so repeated oracle calls at the same
-    point (spectral assembly, adjoints, correction) cost one forward and
-    one backward pass.  Every call may reorder or extend that cache, which
-    has no lock: use one oracle from one thread at a time.  The cached
-    times, states and Jacobian are returned read-only.
+    It keeps the trajectories of the last request that integrated, and
+    the linearization and J of the control whose Jacobian was formed
+    last, so repeated calls at the point a caller has reached (spectral
+    assembly, adjoints, correction) cost one forward and one backward
+    pass.  Any call may replace them, with no lock: use one oracle from
+    one thread at a time.  The kept times, states and J are read-only.
     """
 
     def __init__(self, system, x0, grid):
@@ -540,24 +538,11 @@ class EndpointOracle(MapOracle):
         self.x0 = x0
         self.grid = grid
         self._h = grid.dt / STEPS_PER_SEGMENT
-        self._cache = OrderedDict()
-        # (key, arrays) of _linearization at the control whose Jacobian
+        # control bytes -> (times, states), the last request to integrate
+        self._batch = {}
+        # (key, arrays of _linearization, J) at the control whose Jacobian
         # was formed last
-        self._linear = (None, ())
-
-    # -- caching -----------------------------------------------------------
-
-    def _entry(self, u):
-        key = u.tobytes()
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = {}
-            self._cache[key] = entry
-            if len(self._cache) > CACHE_SIZE:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(key)
-        return entry
+        self._linear = (None, (), None)
 
     def trajectory(self, u):
         """(times, states) of the controlled flow at the RK4 step starts."""
@@ -571,11 +556,10 @@ class EndpointOracle(MapOracle):
 
     def _trajectories(self, us):
         """Read-only (times, states) at each row of ``us`` (B, N), the rows
-        not in the cache integrated in one stacked call and cached."""
+        not in the kept batch integrated in one stacked call; if there
+        are any, the request's rows become the kept batch."""
         keys = [u.tobytes() for u in us]
-        trajs = {key: self._cache[key]["traj"] for key in keys
-                 if "traj" in self._cache.get(key, {})}
-        todo = {key: u for key, u in zip(keys, us) if key not in trajs}
+        todo = {key: u for key, u in zip(keys, us) if key not in self._batch}
         if todo:
             times, states = integrate(
                 self.system, self.x0,
@@ -584,12 +568,10 @@ class EndpointOracle(MapOracle):
                 self.grid.horizon)
             times.flags.writeable = False
             states.flags.writeable = False
-            trajs.update((key, (times, member))
-                         for key, member in zip(todo, states))
-        # touch the cache in row order, as one trajectory call per row would
-        for key, u in zip(keys, us):
-            self._entry(u)["traj"] = trajs[key]
-        return [trajs[key] for key in keys]
+            new = {key: (times, member) for key, member in zip(todo, states)}
+            self._batch = {key: self._batch.get(key) or new[key]
+                           for key in keys}
+        return [self._batch[key] for key in keys]
 
     def eval_many(self, us):
         """F at each row of ``us`` (B, N), shape (B, n), from
@@ -601,7 +583,7 @@ class EndpointOracle(MapOracle):
 
     def endpoint_refined(self, u, refine=4):
         """Terminal state re-integrated with refine times as many steps."""
-        if refine < 1:
+        if integer(refine, "refine") < 1:
             raise ConfigurationError(f"refine must be >= 1, got {refine}")
         _, states = integrate(self.system, self.x0,
                               self.grid.unpack(self._domain_vec(u)),
@@ -636,21 +618,18 @@ class EndpointOracle(MapOracle):
     def jacobian(self, u):
         """J = dF/du of the computed RK4 map: the :func:`_pullback` of the
         step partials [M_j | N_j], from :func:`_propagators` of
-        [f_x | f_u] at each step's stage states.  That linearization stays
-        in a one-entry slot, read-only, for a second variation at u."""
+        [f_x | f_u] at each step's stage states.  That linearization and J
+        stay in a one-entry read-only slot for J and dJ again at u."""
         u = self._domain_vec(u)
-        entry = self._entry(u)
-        if "jac" in entry:
-            return entry["jac"]
-        linear = self._linearization(u[None])
-        for arr in linear:
-            arr.flags.writeable = False
-        self._linear = (u.tobytes(), linear)
-        jac = _pullback(linear[2])[0]
-        jac = jac.transpose(1, 0, 2).reshape(self.dim_codomain, -1)
-        jac.flags.writeable = False
-        entry["jac"] = jac
-        return jac
+        key = u.tobytes()
+        if self._linear[0] != key:
+            linear = self._linearization(u[None])
+            jac = _pullback(linear[2])[0]
+            jac = jac.transpose(1, 0, 2).reshape(self.dim_codomain, -1)
+            for arr in (*linear, jac):
+                arr.flags.writeable = False
+            self._linear = (key, linear, jac)
+        return self._linear[2]
 
     def jacobian_derivative(self, u, v):
         """Second variation dJ(v): the stack of one."""
@@ -666,7 +645,7 @@ class EndpointOracle(MapOracle):
         us, vs = self._pair_rows(us, vs)
         if self.system.d_partials is None:
             return self._fd_second_many(us, vs)
-        self._trajectories(us)      # the rows not in the cache, in one batch
+        self._trajectories(us)      # rows not yet integrated, one batch
         out = np.empty((len(us), self.dim_codomain, self.dim_domain))
         size = max(1, STACK_LIMIT // self.grid.segments)
         for k in range(0, len(us), size):
@@ -692,7 +671,7 @@ class EndpointOracle(MapOracle):
         """
         system, h = self.system, self._h
         keys = [u.tobytes() for u in us]
-        held_key, held = self._linear
+        held_key, held, _ = self._linear
         # the distinct u, the held one first
         order = sorted(dict.fromkeys(keys), key=lambda key: key != held_key)
         hit = order[0] == held_key
@@ -740,6 +719,6 @@ class EndpointOracle(MapOracle):
 def endpoint_problem(system_name, x0, horizon, segments, system_params=None):
     """Convenience builder: registered system -> EndpointOracle."""
     system = make_system(system_name, **(system_params or {}))
-    grid = ControlGrid(horizon=float(horizon), segments=int(segments),
+    grid = ControlGrid(horizon=float(horizon), segments=segments,
                        control_dim=system.control_dim)
     return EndpointOracle(system, x0, grid)

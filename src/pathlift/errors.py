@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness check
-that input rules raise them from."""
+"""Exception types shared across the package, and the finiteness and
+integer checks that input rules raise them from."""
 
 import numpy as np
 
@@ -56,3 +56,11 @@ def finite(values, what, error=ConfigurationError):
     if not np.isfinite(out).all():
         raise error(f"{what} must be finite")
     return out
+
+
+def integer(value, what):
+    """``value`` as an int; ConfigurationError unless it is a Python or
+    numpy integer (not a bool, a float or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidXi
+from .errors import ConfigurationError, InvalidXi, integer
 from .spectrum import gramian, spectral_decompose
 
 POWER_ITERATIONS = 12
@@ -42,7 +42,7 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
+        if integer(self.seed, "seed") < 0:
             raise ConfigurationError(
                 f"seed must be >= 0, got {self.seed}")
         radii = tuple(float(r) for r in self.radii)
@@ -50,7 +50,8 @@ class SamplingPlan:
             raise ConfigurationError("radii must be positive and finite")
         if list(radii) != sorted(radii):
             raise ConfigurationError("radii must be increasing")
-        if self.per_radius < 1 or self.z_samples < 1:
+        if (integer(self.per_radius, "per_radius") < 1
+                or integer(self.z_samples, "z_samples") < 1):
             raise ConfigurationError(
                 "per_radius and z_samples must be >= 1")
         object.__setattr__(self, "radii", radii)
@@ -278,12 +279,12 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     return float(best[0]) if np.ndim(u) == 1 else best
 
 
-def _switching_samples(oracle, us, zs):
-    """||phi_z||_X and the coercivity ratio at each sample (u, z), the
-    ratio NaN where phi_z is degenerate: one adjoint per sample and one
-    stack of dJ."""
+def _switching_samples(oracle, us, zs, phis):
+    """||phi_z||_X and the coercivity ratio at each sample (u, z) with its
+    switching function phi_z, the ratio NaN where phi_z is degenerate:
+    one stack of dJ."""
     us, zs = np.asarray(us, dtype=float), np.asarray(zs, dtype=float)
-    phis = np.array([oracle.apply_adjoint(u, z) for u, z in zip(us, zs)])
+    phis = np.asarray(phis, dtype=float)
     nphi2 = np.array([oracle.inner(phi, phi) for phi in phis])
     keep = np.flatnonzero(nphi2 > DEGENERATE_SWITCHING ** 2)
     ratio = np.full(len(phis), np.nan)
@@ -297,14 +298,16 @@ def _switching_samples(oracle, us, zs):
 def coercivity_ratio(oracle, u, z):
     """|z^* d2F(phi_z, phi_z)| / ||phi_z||_X^2, or None when the
     switching function is degenerate at the sample."""
-    (ratio,) = _switching_samples(oracle, [u], [z])[1]
+    (ratio,) = _switching_samples(oracle, [u], [z],
+                                  [oracle.apply_adjoint(u, z)])[1]
     return None if np.isnan(ratio) else float(ratio)
 
 
 def xi_margin(oracle, u, z, xi):
     """Margin ratio * ||phi_z|| * xi(||u||)^2 of the product condition at
     one sample; pass is >= 1."""
-    (nphi,), (ratio,) = _switching_samples(oracle, [u], [z])
+    (nphi,), (ratio,) = _switching_samples(oracle, [u], [z],
+                                           [oracle.apply_adjoint(u, z)])
     if np.isnan(ratio):
         return None
     return float(ratio * nphi * xi(oracle.norm(u)) ** 2)
@@ -358,12 +361,18 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     shape = (len(radii), plan.per_radius)
     index = list(np.ndindex(shape))
     points = np.array([_sample_u(oracle, plan, si, k) for si, k in index])
+    zs = np.array([[_sample_z(oracle, plan, si, k, j)
+                    for j in range(plan.z_samples)] for si, k in index])
     oracle.eval_many(points)
-    # sampling only reads eigenvalues, so basis ambiguity in a repeated
+    # each point's Gramian and its z samples' switching functions from one
+    # J; sampling only reads eigenvalues, so basis ambiguity in a repeated
     # spectrum is harmless
+    specs, phis = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        specs = [spectral_decompose(gramian(oracle, u)) for u in points]
+        for u, u_zs in zip(points, zs):
+            specs.append(spectral_decompose(gramian(oracle, u)))
+            phis.extend(oracle.apply_adjoint(u, z) for z in u_zs)
     lam1 = np.reshape([s.lambdas[0] for s in specs], shape)
     singular = np.reshape([s.singular for s in specs], shape)
     gap = np.reshape([s.floor for s in specs], shape) - lambda0
@@ -372,10 +381,9 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
         oracle, points, v_count=plan.z_samples,
         seed=[plan.seed + 104729 * si + 1299721 * k for si, k in index]
     ).reshape(shape)
-    zs = [_sample_z(oracle, plan, si, k, j) for si, k in index
-          for j in range(plan.z_samples)]
     nphi, ratio = _switching_samples(
-        oracle, np.repeat(points, plan.z_samples, axis=0), zs)
+        oracle, np.repeat(points, plan.z_samples, axis=0),
+        zs.reshape(-1, oracle.dim_codomain), phis)
     nphi, ratio = nphi.reshape(shape + (-1,)), ratio.reshape(shape + (-1,))
     xi_u2 = [np.nan if xi is None else xi(oracle.norm(u)) ** 2
              for u in points]

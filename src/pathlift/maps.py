@@ -11,7 +11,7 @@ import inspect
 
 import numpy as np
 
-from .errors import ConfigurationError, finite
+from .errors import ConfigurationError, finite, integer
 
 # Central finite-difference step scale, relative to 1 + ||u||_X.
 SECOND_FD_SCALE = 1e-5
@@ -30,17 +30,17 @@ class MapOracle:
     :meth:`eval` through Taylor remainders, with the same tolerances
     whichever way an oracle computes its derivatives.
 
-    Oracles are not thread-safe: an oracle may memoize results in
-    unlocked state that every call updates (see ``EndpointOracle``), so
+    Oracles are not thread-safe: an oracle may keep its last results in
+    unlocked state that any call may replace (see ``EndpointOracle``), so
     use each one from one thread at a time.  The weights and
     ``LinearMap``'s matrix are private copies of the caller's arrays.
-    They, and ``EndpointOracle``'s cached trajectory and Jacobian, are
+    They, and ``EndpointOracle``'s kept trajectories and Jacobian, are
     read-only; writing to them raises ValueError.
     """
 
     def __init__(self, dim_domain, dim_codomain, weights=None):
-        dim_domain = int(dim_domain)
-        dim_codomain = int(dim_codomain)
+        dim_domain = integer(dim_domain, "dim_domain")
+        dim_codomain = integer(dim_codomain, "dim_codomain")
         if dim_codomain < 1:
             raise ConfigurationError("codomain dimension must be >= 1")
         if dim_codomain > dim_domain:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (BadAnchor, ConfigurationError, SingularGramian,
-                     SingularStart, finite)
+                     SingularStart, finite, integer)
 from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
                        gramian, spectral_decompose)
 
@@ -79,7 +79,7 @@ class SolverOptions:
         for f in fields(self):
             if f.type is float and not 0 < getattr(self, f.name) < np.inf:
                 raise ConfigurationError(f"solver.{f.name} must be positive")
-        if self.max_steps < 1:
+        if integer(self.max_steps, "solver.max_steps") < 1:
             raise ConfigurationError("solver.max_steps must be >= 1")
 
 

@@ -449,6 +449,47 @@ def test_stacked_second_variations_equal_single_calls(data):
         assert np.array_equal(stack[k].view(np.int64), one.view(np.int64))
 
 
+_CALLS = ("eval", "eval_many", "trajectory", "jacobian",
+          "jacobian_derivative", "jacobian_derivative_many")
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_results_do_not_depend_on_the_call_history(data):
+    """A sequence of calls on one oracle, over four controls so that they
+    meet its kept batch and linearization, rows repeated within a stack:
+    each result is bit for bit the same call on a fresh oracle.  lti's
+    to roundoff only: a row the oracle still keeps is not integrated
+    again, and a stacked A @ x may round differently from the batch a
+    fresh oracle integrates."""
+    name = data.draw(st.sampled_from(["brockett", "lti", "unicycle"]),
+                     label="system")
+    segments = data.draw(st.integers(2, 6), label="segments")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    ep = _oracle(name, segments)
+    us = rng.uniform(-2.0, 2.0, (4, ep.dim_domain))
+    vs = rng.uniform(-1.0, 1.0, (4, ep.dim_domain))
+    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+        call = data.draw(st.sampled_from(_CALLS), label="call")
+        rows = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)
+                         if call.endswith("_many") else
+                         st.integers(0, 3), label="rows")
+        args = (us[rows],)
+        if call.startswith("jacobian_derivative"):
+            args += (vs[rng.integers(0, 4, np.shape(rows))],)
+        got = getattr(ep, call)(*args)
+        expect = getattr(_oracle(name, segments), call)(*args)
+        if call != "trajectory":
+            got, expect = (got,), (expect,)
+        for a, b in zip(got, expect):
+            if name == "lti":
+                np.testing.assert_allclose(a, b, rtol=1e-15,
+                                           atol=1e-15 * np.abs(b).max())
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), call
+
+
 def test_stack_split_bounds_the_working_memory(monkeypatch):
     """40 pairs at 10 segments go through passes of STACK_LIMIT // 10 = 4
     members, so they need no more working memory (the traced peak above
@@ -475,6 +516,31 @@ def test_stack_split_bounds_the_working_memory(monkeypatch):
     assert working_memory(10, 40) <= 1.01 * single
     monkeypatch.setattr(pl.endpoint, "STACK_LIMIT", 10**6)
     assert working_memory(10, 40) > 5 * single
+
+
+def test_retained_memory_does_not_grow_with_the_controls_seen():
+    """``eval`` then ``jacobian`` at one control after another: the oracle
+    keeps its last batch and its last linearization, so what it retains
+    after 100 controls exceeds what it retains after 10 by far less than
+    the 90 extra trajectories and Jacobians would occupy."""
+    def retained(count):
+        ep = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 20)
+        us = np.random.default_rng(17).uniform(-1.0, 1.0,
+                                               (count, ep.dim_domain))
+        tracemalloc.start()
+        try:
+            for u in us:
+                ep.eval(u)
+                jac = ep.jacobian(u)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        times, states = ep.trajectory(us[-1])
+        return held, times.nbytes + states.nbytes + jac.nbytes
+
+    few, per_control = retained(10)
+    many, _ = retained(100)
+    assert many - few <= 0.25 * 90 * per_control
 
 
 def _counted_unicycle(points):
@@ -540,9 +606,10 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
         assert same_bits(ep.jacobian_derivative(point, v),
                          fresh.jacobian_derivative(point, v))
         assert points == dict.fromkeys(points, 0)
-    key, held = ep._linear
+    key, held, jac = ep._linear
     assert key == w.tobytes() and len(held) == 5
-    for arr in held:
+    assert ep.jacobian(w) is jac
+    for arr in (*held, jac):
         with pytest.raises(ValueError):
             arr[...] = 0.0
     # u left the slot when w came in
@@ -896,14 +963,15 @@ def test_eval_many_matches_eval_with_duplicates_and_small_cache(
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((6, grid.dim))
     us = rows[[0, 1, 0, 2, 3, 4, 5, 1, 5]]
-    monkeypatch.setattr(pl.endpoint, "CACHE_SIZE", 3)
     small = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid)
     got = small.eval_many(us)
     assert calls == [(4, 2, 6)]     # one stacked call, duplicates merged
     ref = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid)
     np.testing.assert_array_equal(got, [ref.eval(u) for u in us])
-    assert len(small._cache) == 3
-    # the last rows are cached read-only; their Jacobian integrates nothing
+    kept = [row.tobytes() for row in rows]
+    assert list(small._batch) == kept      # the distinct rows, once each
+    # the batch's rows are kept read-only; their Jacobian integrates
+    # nothing, and requests that integrate nothing leave the batch as is
     del calls[:]
     _, states = small.trajectory(us[-1])
     with pytest.raises(ValueError):
@@ -912,6 +980,14 @@ def test_eval_many_matches_eval_with_duplicates_and_small_cache(
                                   ref.jacobian(us[-1]))
     np.testing.assert_array_equal(small.eval_many(us[-2:]), got[-2:])
     assert calls == []
+    assert list(small._batch) == kept
+    # a request with a new row integrates that row alone, and its rows
+    # become the batch
+    new = rng.standard_normal(grid.dim)
+    pair = small.eval_many([us[0], new])
+    assert calls == [(4, 2, 1)]
+    np.testing.assert_array_equal(pair, [got[0], ref.eval(new)])
+    assert list(small._batch) == [us[0].tobytes(), new.tobytes()]
 
 
 def test_batch_blowup_reports_the_first_escape():

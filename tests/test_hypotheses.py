@@ -378,6 +378,27 @@ def test_check_report_decomposes_and_evaluates_each_plan_point_once(
     assert counts["eval_many"] == 1
 
 
+def test_check_report_forms_each_plan_points_jacobian_once(monkeypatch):
+    """The oracle keeps one Jacobian, so each plan point's Gramian and
+    its z samples' switching functions are taken together: one backward
+    pass over the step rows [M | N] per point (a second variation's
+    pullback runs over wider dual rows and is not counted)."""
+    o = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 6)
+    plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=1, z_samples=2)
+    widths = []
+    real = pl.endpoint._pullback
+
+    def counting(steps):
+        widths.append(steps.shape[-1])
+        return real(steps)
+
+    monkeypatch.setattr(pl.endpoint, "_pullback", counting)
+    pl.check_report(o, plan)
+    jacobians = widths.count(o.dim_codomain + o.grid.control_dim)
+    assert jacobians == len(plan.radii) * plan.per_radius == 3
+    assert len(widths) > jacobians      # the dJ passes were seen too
+
+
 def test_report_text_and_rows():
     o = pl.SphereMap(2)
     rep = pl.check_report(o, _plan(radii=(1.0, 2.0)),

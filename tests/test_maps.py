@@ -104,6 +104,47 @@ def test_map_oracle_rejects_non_positive_or_non_finite_weights(bad):
         pl.SphereMap(2, weights=[1.0, bad])
 
 
+def _refined(refine):
+    ep = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 2)
+    return ep.endpoint_refined(np.zeros(ep.dim_domain), refine=refine)
+
+
+# (field named in the error, build from one count); each count is
+# checked where its value is held
+_COUNTS = {
+    "sphere-dim": ("dim_domain", lambda k: pl.SphereMap(k)),
+    "codomain": ("dim_codomain", lambda k: pl.MapOracle(3, k)),
+    "grid-segments": ("segments", lambda k: pl.ControlGrid(1.0, k, 2)),
+    "problem-segments": ("segments", lambda k: pl.endpoint_problem(
+        "brockett", [0.0, 0.0, 0.0], 1.0, k)),
+    "control-dim": ("control_dim", lambda k: pl.ControlGrid(1.0, 2, k)),
+    "integrator-dim": ("dim", lambda k: pl.single_integrator(k)),
+    "per-radius": ("per_radius",
+                   lambda k: pl.SamplingPlan((1.0,), per_radius=k)),
+    "z-samples": ("z_samples",
+                  lambda k: pl.SamplingPlan((1.0,), z_samples=k)),
+    "seed": ("seed", lambda k: pl.SamplingPlan((1.0,), seed=k)),
+    "max-steps": ("solver.max_steps",
+                  lambda k: pl.SolverOptions(max_steps=k)),
+    "refine": ("refine", _refined),
+    "substeps": ("substeps", lambda k: pl.integrate(
+        pl.brockett(), [0.0, 0.0, 0.0], np.zeros((2, 2)), 1.0, k)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_counts_must_be_integers(name):
+    """A count is an int or a numpy integer; a float (even a whole one),
+    a bool, a string or None is a ConfigurationError naming the field."""
+    field, build = _COUNTS[name]
+    for good in (2, np.int64(2), np.int32(2)):
+        build(good)
+    for bad in (2.0, 2.5, np.float64(2.0), True, "2", None):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be an integer, got "):
+            build(bad)
+
+
 def test_fd_second_matches_analytic():
     rng = np.random.default_rng(5)
     o = pl.SphereMap(3)
