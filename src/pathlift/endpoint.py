@@ -12,11 +12,12 @@ RK4 steps per segment.  It takes B independent trajectories at once with
 the batch on the last axis, one trajectory as a batch of one: ``f`` is
 written on components, so one call steps every member.  The steps are
 taken in exact Picard sweeps over the whole grid (see ``integrate``):
-the states are bit for bit those of stepping one step at a time.  J and
-dJ are the exact derivatives of that computed map, on the same
-grid (discretise, then differentiate).  An RK4 step Phi(x, u) has
-partials M_j = dPhi/dx and N_j = dPhi/du, a polynomial in f_x and f_u at
-its four stage states: with the control frozen as a state (udot = 0),
+the states are bit for bit those of stepping one step at a time, and
+``integrate`` returns the stage states it stepped through.  J and dJ are
+the exact derivatives of that computed map, on the same grid (discretise,
+then differentiate).  An RK4 step Phi(x, u) has partials M_j = dPhi/dx
+and N_j = dPhi/du, a polynomial in f_x and f_u at those stage states (no
+``f`` call): with the control frozen as a state (udot = 0),
 ``_propagators`` of the stage blocks [[f_x, f_u], [0, 0]] gives the step
 block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
 partials broadcast over leading axes).  J sums K_{j+1} N_j over the
@@ -264,25 +265,22 @@ class ControlGrid:
         return np.tile(per_channel, self.segments)
 
 
-def _stages(f, x, u, h):
-    """An RK4 step's four stage states from x."""
-    x2 = x + 0.5 * h * f(x, u)
-    x3 = x + 0.5 * h * f(x2, u)
-    return x, x2, x3, x + h * f(x3, u)
-
-
-def _increments(f, x, u, h):
-    """RK4 increments h/6 (k1 + 2 k2 + 2 k3 + k4) at states x (n, K) and
-    controls u (m, K): the stage states of :func:`_stages`, each dropped
-    once used, and the sum in that order, in place."""
+def _stages(f, x, u, h, stages):
+    """One RK4 step at states x (n, K) and controls u (m, K): writes its
+    four stage states into ``stages`` (4, n, K) and returns the increment
+    h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, in place."""
+    stages[0] = x
     k1 = f(x, u)
-    k2 = f(x + 0.5 * h * k1, u)
+    stages[1] = x + 0.5 * h * k1
+    k2 = f(stages[1], u)
     total = k1 + 2 * k2
     del k1
-    k3 = f(x + 0.5 * h * k2, u)
+    stages[2] = x + 0.5 * h * k2
+    k3 = f(stages[2], u)
     del k2
     total += 2 * k3
-    total += f(x + h * k3, u)
+    stages[3] = x + h * k3
+    total += f(stages[3], u)
     total *= h / 6.0
     return total
 
@@ -313,22 +311,23 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
     segment, in exact Picard sweeps over the whole grid.
 
     ``u_values`` has shape (P, m) for one trajectory, or (P, m, B) for B
-    independent trajectories from the same x0.  Returns (times, states) at
-    the step starts, states of shape (T, n), T = P * substeps + 1, or
-    (B, T, n) for a batch.  ``f`` is checked against single-member calls
-    at the first and last states; the escape time is the first non-finite
-    or too-large state's, over all members.
+    independent trajectories from the same x0.  Returns (times, states,
+    stages): the states at the step starts, (T, n), T = P * substeps + 1,
+    and each step's four stage states, (T - 1, 4, n); (B, T, n) and
+    (B, T - 1, 4, n) for a batch.  ``f`` is checked against single-member
+    calls at the first and last states; the escape time is the first
+    non-finite or too-large state's, over all members.
 
     The states are bit for bit those of stepping x_{j+1} = x_j + inc(x_j)
     one step at a time.  States up to x_d are exact, the later ones are
-    guesses (x0 at first).  A sweep takes the increments of the steps from
-    d on at their guessed starts, in four ``f`` calls on an (n, L*B) stack,
-    and accumulates them in order from x_d.  Up to the first state whose
-    bits differ from its guess, each increment was taken at the state
-    itself, so those states are exact: at least one more per sweep.  A
-    cascade (each component driven only by the controls and earlier ones)
-    is exact after n sweeps, confirmed by sweep n + 1; after n + 1 sweeps
-    the steps left are taken one at a time.
+    guesses (x0 at first).  A sweep takes the steps from d on at their
+    guessed starts, one :func:`_stages` on an (n, L*B) stack, and
+    accumulates their increments in order from x_d.  Up to the first state
+    whose bits differ from its guess, each step was taken at its true
+    start, so those states and their steps' stages are exact: at least one
+    more per sweep.  A cascade (each component driven only by the controls
+    and earlier ones) is exact after n sweeps, confirmed by sweep n + 1;
+    after n + 1 sweeps the steps left are taken one at a time.
     """
     u_values = np.asarray(u_values, dtype=float)
     if u_values.ndim not in (2, 3) or u_values.shape[1] != system.control_dim:
@@ -347,6 +346,7 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
     _check_stacked(system.f, x, u_values[0])
     # column j*B + b holds member b at step j: a run of steps is a slice
     states = np.tile(x, steps + 1)
+    stages = np.empty((4, n, steps * batch))
     controls = np.repeat(u_values, substeps, axis=0).transpose(1, 0, 2)
     controls = controls.reshape(m, -1)
     times = np.linspace(0.0, horizon, steps + 1)
@@ -357,7 +357,8 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
             stop = steps if sweeps <= n else done + 1
             sweeps += 1
             a, b = done * batch, stop * batch
-            new = _increments(system.f, states[:, a:b], controls[:, a:b], h)
+            new = _stages(system.f, states[:, a:b], controls[:, a:b], h,
+                          stages[:, :, a:b])
             new[:, :batch] += states[:, a:a + batch]
             if stop > done + 1:
                 runs = new.reshape(n, -1, batch)
@@ -377,8 +378,9 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
         raise TrajectoryBlowup(
             f"trajectory escaped near t = {t:.4f}", escape_time=t)
     _check_stacked(system.f, states[:, -1], u_values[-1])
-    states = states.transpose(2, 1, 0)
-    return times, np.ascontiguousarray(states[0] if single else states)
+    out = (states.transpose(2, 1, 0),
+           stages.reshape(4, n, steps, batch).transpose(3, 2, 0, 1))
+    return times, *(np.ascontiguousarray(a[0] if single else a) for a in out)
 
 
 def _propagators(a, h):
@@ -517,12 +519,13 @@ def _tangent(steps):
 class EndpointOracle(MapOracle):
     """Map oracle for the endpoint map of a control system.
 
-    It keeps the trajectories of the last request that integrated, and
-    the linearization and J of the control whose Jacobian was formed
-    last, so repeated calls at the point a caller has reached (spectral
-    assembly, adjoints, correction) cost one forward and one backward
-    pass.  Any call may replace them, with no lock: use one oracle from
-    one thread at a time.  The kept times, states and J are read-only.
+    It keeps the trajectories and stage states of the last request that
+    integrated, and the linearization and J of the control whose Jacobian
+    was formed last, so repeated calls at the point a caller has reached
+    (spectral assembly, adjoints, correction) cost one forward and one
+    backward pass, and the backward pass calls no ``f``.  Any call may
+    replace them, with no lock: use one oracle from one thread at a time.
+    What it keeps is read-only.
     """
 
     def __init__(self, system, x0, grid):
@@ -538,7 +541,7 @@ class EndpointOracle(MapOracle):
         self.x0 = x0
         self.grid = grid
         self._h = grid.dt / STEPS_PER_SEGMENT
-        # control bytes -> (times, states), the last request to integrate
+        # control bytes -> (times, states, stages) of the last integration
         self._batch = {}
         # (key, arrays of _linearization, J) at the control whose Jacobian
         # was formed last
@@ -546,7 +549,7 @@ class EndpointOracle(MapOracle):
 
     def trajectory(self, u):
         """(times, states) of the controlled flow at the RK4 step starts."""
-        return self._trajectories(self._domain_vec(u)[None])[0]
+        return self._trajectories(self._domain_vec(u)[None])[0][:2]
 
     # -- oracle contract ---------------------------------------------------
 
@@ -555,20 +558,21 @@ class EndpointOracle(MapOracle):
         return states[-1].copy()
 
     def _trajectories(self, us):
-        """Read-only (times, states) at each row of ``us`` (B, N), the rows
-        not in the kept batch integrated in one stacked call; if there
-        are any, the request's rows become the kept batch."""
+        """Read-only (times, states, stages) of :func:`integrate` at each
+        row of ``us`` (B, N), the rows not in the kept batch integrated in
+        one stacked call; if there are any, the request's rows become the
+        kept batch."""
         keys = [u.tobytes() for u in us]
         todo = {key: u for key, u in zip(keys, us) if key not in self._batch}
         if todo:
-            times, states = integrate(
+            times, states, stages = integrate(
                 self.system, self.x0,
                 np.stack([self.grid.unpack(u) for u in todo.values()],
                          axis=-1),
                 self.grid.horizon)
-            times.flags.writeable = False
-            states.flags.writeable = False
-            new = {key: (times, member) for key, member in zip(todo, states)}
+            for arr in (times, states, stages):
+                arr.flags.writeable = False
+            new = {k: (times, s, x) for k, s, x in zip(todo, states, stages)}
             self._batch = {key: self._batch.get(key) or new[key]
                            for key in keys}
         return [self._batch[key] for key in keys]
@@ -578,39 +582,26 @@ class EndpointOracle(MapOracle):
         :meth:`_trajectories`: a later :meth:`jacobian` costs no
         integration."""
         us = self._domain_rows(us)
-        return np.array([states[-1] for _, states in self._trajectories(us)]
-                        ).reshape(len(us), self.dim_codomain)
+        ends = [states[-1] for _, states, _ in self._trajectories(us)]
+        return np.array(ends).reshape(len(us), self.dim_codomain)
 
     def endpoint_refined(self, u, refine=4):
         """Terminal state re-integrated with refine times as many steps."""
         if integer(refine, "refine") < 1:
             raise ConfigurationError(f"refine must be >= 1, got {refine}")
-        _, states = integrate(self.system, self.x0,
-                              self.grid.unpack(self._domain_vec(u)),
-                              self.grid.horizon, STEPS_PER_SEGMENT * refine)
+        _, states, _ = integrate(self.system, self.x0,
+                                 self.grid.unpack(self._domain_vec(u)),
+                                 self.grid.horizon, STEPS_PER_SEGMENT * refine)
         return states[-1].copy()
 
-    def _stage_states(self, us):
-        """Stage states (K, P, S, 4, n) of every RK4 step of the
-        trajectories at the controls ``us`` (K, N), and the control at
-        them (K, P, S, 4, m): three ``f`` calls over all step starts."""
-        controls = us.reshape(len(us), self.grid.segments, -1)
-        starts = np.concatenate([self.trajectory(u)[1][:-1] for u in us])
-        stages = _stages(self.system.f, starts.T, np.repeat(
-            controls, STEPS_PER_SEGMENT, axis=1).reshape(len(starts), -1).T,
-            self._h)
-        # contiguous, as a member gathered from a stack is: the same layout
-        # takes the same arithmetic path, bit for bit
-        x = np.ascontiguousarray(np.stack(stages, axis=1).T).reshape(
-            controls.shape[:2] + (STEPS_PER_SEGMENT, 4, -1))
-        return x, np.broadcast_to(controls[:, :, None, None],
-                                  x.shape[:-1] + controls.shape[-1:])
-
     def _linearization(self, us):
-        """At each row of ``us`` (K, N): the stage states x (K, P, S, 4, n),
-        the stage rows a = [f_x | f_u] there, and :func:`_propagators`'
-        step rows [M_j | N_j] with its b_2 and b_3."""
-        x, uu = self._stage_states(us)
+        """At each row of ``us`` (K, N): the kept stage states x (K, P, S,
+        4, n), with no ``f`` call; the stage rows a = [f_x | f_u] there; and
+        :func:`_propagators`' step rows [M_j | N_j] with its b_2 and b_3."""
+        controls = us.reshape(len(us), self.grid.segments, 1, 1, -1)
+        x = np.stack([stages for *_, stages in self._trajectories(us)])
+        x = x.reshape(controls.shape[:2] + (STEPS_PER_SEGMENT, 4, -1))
+        uu = np.broadcast_to(controls, x.shape[:-1] + controls.shape[-1:])
         a = np.concatenate([self.system.f_x(x, uu), self.system.f_u(x, uu)],
                            axis=-1)
         return (x, a, *_propagators(a, self._h))

@@ -48,7 +48,7 @@ class SamplingPlan:
         radii = tuple(float(r) for r in self.radii)
         if not radii or not all(0 < r < np.inf for r in radii):
             raise ConfigurationError("radii must be positive and finite")
-        if list(radii) != sorted(radii):
+        if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigurationError("radii must be increasing")
         if (integer(self.per_radius, "per_radius") < 1
                 or integer(self.z_samples, "z_samples") < 1):
@@ -243,14 +243,18 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     us = np.atleast_2d(np.asarray(u, dtype=float))
     scale = 1.0 / np.sqrt(oracle.weights)
     count, big_n = us.shape
+    if integer(v_count, "v_count") < 1:
+        raise ConfigurationError(f"v_count must be >= 1, got {v_count}")
+    seeds = np.broadcast_to(np.array(seed, dtype=object), count)
+    if any(integer(s, "seed") < 0 for s in seeds):
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
     def sweep(points, ps):
         form = oracle.jacobian_derivative_many(points, ps * scale) * scale
         left, sigma, _ = np.linalg.svd(form, full_matrices=False)
         return form, sigma[:, 0], left[..., 0]
 
-    rngs = [np.random.default_rng([s, 7])
-            for s in np.broadcast_to(seed, count)]
+    rngs = [np.random.default_rng([s, 7]) for s in seeds]
     starts = np.array([_unit(rng, big_n, oracle.norm) for rng in rngs
                        for _ in range(v_count)]).reshape(-1, big_n) / scale
     form, sigma, z = sweep(np.repeat(us, v_count, axis=0), starts)

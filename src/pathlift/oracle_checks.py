@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer
 
 TAYLOR_STEPS = 2.0 ** -np.arange(4, 13)
 # remainders below this fraction of |F(u)| + t |J v| are roundoff: all a
@@ -72,7 +72,7 @@ def validate_oracle(oracle, seed=0):
     and 3, and the asymmetry of z^* d2F(v, w) over its Cauchy-Schwarz
     bound max(|B(v)| |w|, |B(w)| |v|), B(v) = W^-1 dJ(v)^T z, at every
     pair of a base point's directions; a zero bound is skipped."""
-    if seed < 0:
+    if integer(seed, "seed") < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     big_n, n = oracle.dim_domain, oracle.dim_codomain
     base, directions, zs = sample_table(oracle, seed)

@@ -527,14 +527,16 @@ class _Lift:
 def lift(oracle, path, u0, options=None):
     """Lift the target path through the map, from anchor u0.
 
-    Preconditions: u0 must be finite and F(u0) match gamma(0) within
+    Preconditions: gamma(0) must lie in the map's codomain (else
+    ConfigurationError), u0 must be finite and F(u0) match gamma(0) within
     tol_init (else BadAnchor), and u0 must be nonsingular (else
     SingularStart).  Returns a ContinuationReport whose trace holds every
     accepted state.
     """
     opts = options or SolverOptions()
     u0 = oracle._domain_vec(finite(u0, "anchor u0", BadAnchor), "u0")
-    res0 = float(np.linalg.norm(oracle.eval(u0) - path.gamma(0.0)))
+    start = oracle._codomain_vec(path.gamma(0.0), "path point gamma(0)")
+    res0 = float(np.linalg.norm(oracle.eval(u0) - start))
     if not res0 <= opts.tol_init:  # NaN fails too
         raise BadAnchor(
             f"initial residual {res0:.3e} exceeds tol_init {opts.tol_init:.1e}")

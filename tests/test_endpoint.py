@@ -559,9 +559,10 @@ def _counted_unicycle(points):
 
 
 def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
-    """In one pass, the stage states (``f``), ``f_x`` and ``f_u`` are
-    evaluated at each distinct u's stages once, however many members
-    share that u; only ``d_partials`` is evaluated per member."""
+    """In one pass, ``f_x`` and ``f_u`` are evaluated at each distinct u's
+    stages once, however many members share that u, and ``f`` not at
+    all: the stage states are the ones ``integrate`` stepped through.
+    Only ``d_partials`` is evaluated per member."""
     points = dict.fromkeys(["f", "f_x", "f_u", "d_partials"], 0)
     segments = 4
     grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
@@ -576,10 +577,27 @@ def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
     points.update(dict.fromkeys(points, 0))
     ep.jacobian_derivative_many(us, vs)
     steps = segments * STEPS_PER_SEGMENT
-    assert points == {"f": 3 * steps * len(distinct),
+    assert points == {"f": 0,
                       "f_x": 4 * steps * len(distinct),
                       "f_u": 4 * steps * len(distinct),
                       "d_partials": 4 * steps * len(us)}
+
+
+def test_jacobian_after_eval_makes_no_f_call():
+    """``jacobian`` at a control that ``eval`` has integrated reads the
+    stage states the trajectory kept: no ``f`` call, and J bit for bit
+    that of an oracle that integrates inside ``jacobian``."""
+    points = dict.fromkeys(["f", "f_x"], 0)
+    grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
+    x0 = [0.1, -0.2, 0.3]
+    ep = pl.EndpointOracle(_counted_unicycle(points), x0, grid)
+    u = np.random.default_rng(18).uniform(-1.0, 1.0, ep.dim_domain)
+    ep.eval(u)
+    points.update(dict.fromkeys(points, 0))
+    jac = ep.jacobian(u)
+    assert points == {"f": 0, "f_x": 4 * grid.segments * STEPS_PER_SEGMENT}
+    fresh = pl.EndpointOracle(pl.make_system("unicycle"), x0, grid)
+    assert jac.tobytes() == fresh.jacobian(u).tobytes()
 
 
 def test_second_variation_reads_the_linearization_of_the_last_jacobian():
@@ -799,10 +817,10 @@ def test_stacked_integrate_equals_per_member_integrate(data):
     ep = _oracle(name, segments)
     us = np.random.default_rng(seed).uniform(
         -2.0, 2.0, (segments, ep.system.control_dim, batch))
-    times, states = pl.integrate(ep.system, ep.x0, us, 1.0)
+    times, states, _ = pl.integrate(ep.system, ep.x0, us, 1.0)
     assert states.shape == (batch,) + times.shape + (ep.system.state_dim,)
     for b in range(batch):
-        t_one, s_one = pl.integrate(ep.system, ep.x0, us[..., b], 1.0)
+        t_one, s_one, _ = pl.integrate(ep.system, ep.x0, us[..., b], 1.0)
         np.testing.assert_array_equal(times, t_one)
         if name == "lti":
             np.testing.assert_allclose(states[b], s_one, rtol=1e-15,
@@ -814,31 +832,38 @@ def test_stacked_integrate_equals_per_member_integrate(data):
 def _loop_integrate(system, x0, u_values, horizon):
     """Reference flow: the RK4 recurrence x_{j+1} = x_j + h/6 (k1 + 2 k2 +
     2 k3 + k4), one step at a time on the (n, B) stack of members, stepping
-    on past any escape.  Returns (times, states) shaped as ``integrate``'s."""
+    on past any escape.  Returns (times, states, stages) shaped as
+    ``integrate``'s, stages the states x, x + h/2 k1, x + h/2 k2 and
+    x + h k3 that each step evaluates ``f`` at."""
     u_values = np.asarray(u_values, dtype=float)
     single = u_values.ndim == 2
     u_values = u_values[..., None] if single else u_values
     h = horizon / u_values.shape[0] / STEPS_PER_SEGMENT
     x = np.repeat(np.asarray(x0, dtype=float)[:, None], u_values.shape[2],
                   axis=1)
-    states = [x]
+    states, stages = [x], []
     with np.errstate(all="ignore"):
         for u in np.repeat(u_values, STEPS_PER_SEGMENT, axis=0):
             k1 = system.f(x, u)
-            k2 = system.f(x + 0.5 * h * k1, u)
-            k3 = system.f(x + 0.5 * h * k2, u)
-            k4 = system.f(x + h * k3, u)
+            x2 = x + 0.5 * h * k1
+            k2 = system.f(x2, u)
+            x3 = x + 0.5 * h * k2
+            k3 = system.f(x3, u)
+            x4 = x + h * k3
+            k4 = system.f(x4, u)
+            stages.append([x, x2, x3, x4])
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             states.append(x)
     states = np.moveaxis(np.stack(states), -1, 0)
+    stages = np.moveaxis(np.array(stages), -1, 0)
     times = np.linspace(0.0, horizon, states.shape[1])
-    return times, states[0] if single else states
+    return (times, *((states[0], stages[0]) if single else (states, stages)))
 
 
 def _loop_escape_time(system, x0, u_values, horizon):
     """Time of the reference flow's first state, over all members, that is
     non-finite or has norm above BLOWUP_NORM; None if there is none."""
-    times, states = _loop_integrate(system, x0, u_values, horizon)
+    times, states, _ = _loop_integrate(system, x0, u_values, horizon)
     with np.errstate(all="ignore"):
         bad = (~np.isfinite(states).all(axis=-1)
                | (np.linalg.norm(states, axis=-1) > BLOWUP_NORM))
@@ -849,9 +874,10 @@ def _loop_escape_time(system, x0, u_values, horizon):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_integrate_equals_the_step_by_step_reference(data):
-    """The sweeps reproduce the step-by-step recurrence bit for bit, for a
-    single trajectory and for a batch.  lti's stacked A @ x on a sweep's
-    (n, L*B) stack may round differently from the (n, B) one."""
+    """The sweeps reproduce the step-by-step recurrence bit for bit, the
+    states and the stage states of every step, for a single trajectory
+    and for a batch.  lti's stacked A @ x on a sweep's (n, L*B) stack may
+    round differently from the (n, B) one."""
     name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
                      label="system")
     fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
@@ -862,15 +888,16 @@ def test_integrate_equals_the_step_by_step_reference(data):
     shape = (segments, ep.system.control_dim) + (
         () if batch is None else (batch,))
     us = np.random.default_rng(seed).uniform(-2.0, 2.0, shape)
-    times, states = pl.integrate(ep.system, ep.x0, us, 1.0)
-    t_ref, ref = _loop_integrate(ep.system, ep.x0, us, 1.0)
+    times, *got = pl.integrate(ep.system, ep.x0, us, 1.0)
+    t_ref, *expect = _loop_integrate(ep.system, ep.x0, us, 1.0)
     np.testing.assert_array_equal(times, t_ref)
-    assert states.shape == ref.shape
-    if name == "lti":
-        np.testing.assert_allclose(states, ref, rtol=1e-15,
-                                   atol=1e-15 * np.abs(ref).max())
-    else:
-        assert states.tobytes() == ref.tobytes()
+    for arr, ref in zip(got, expect):
+        assert arr.shape == ref.shape
+        if name == "lti":
+            np.testing.assert_allclose(arr, ref, rtol=1e-15,
+                                       atol=1e-15 * np.abs(ref).max())
+        else:
+            assert arr.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("batch", [None, 3])
@@ -933,9 +960,9 @@ def test_a_cascade_takes_at_most_n_plus_one_sweeps(name, params):
     n = system.state_dim
     us = np.random.default_rng(14).uniform(
         -1.0, 1.0, (80, system.control_dim))
-    _, states = pl.integrate(system, np.full(n, 0.1), us, 1.0)
+    _, states, _ = pl.integrate(system, np.full(n, 0.1), us, 1.0)
     assert len(shapes) <= 4 * (n + 1) + 4
-    _, ref = _loop_integrate(system, np.full(n, 0.1), us, 1.0)
+    _, ref, _ = _loop_integrate(system, np.full(n, 0.1), us, 1.0)
     assert states.tobytes() == ref.tobytes()
 
 
@@ -946,11 +973,11 @@ def test_lti_falls_back_to_single_steps_after_n_plus_one_sweeps():
     system, shapes = _counting_f(pl.lti(a, [[0.0, 0.5], [1.0, 0.0]]))
     batch, steps = 4, 10 * STEPS_PER_SEGMENT
     us = np.random.default_rng(15).uniform(-1.0, 1.0, (10, 2, batch))
-    _, states = pl.integrate(system, [1.0, -0.5], us, 1.0)
+    _, states, _ = pl.integrate(system, [1.0, -0.5], us, 1.0)
     stages = [shape[1] for shape in shapes[1 + batch:-1 - batch]]
     assert stages == ([(steps - i) * batch for i in range(3) for _ in "1234"]
                       + [batch] * 4 * (steps - 3))
-    _, ref = _loop_integrate(system, [1.0, -0.5], us, 1.0)
+    _, ref, _ = _loop_integrate(system, [1.0, -0.5], us, 1.0)
     np.testing.assert_allclose(states, ref, rtol=1e-15,
                                atol=1e-15 * np.abs(ref).max())
 

@@ -32,6 +32,27 @@ def test_sampling_plan_validation():
             pl.SamplingPlan(radii=(1.0, bad))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda o, u: pl.estimate_bilinear_norm(o, u, v_count=2.5),
+     "v_count must be an integer"),
+    (lambda o, u: pl.estimate_bilinear_norm(o, u, v_count=0),
+     "v_count must be >= 1"),
+    (lambda o, u: pl.estimate_bilinear_norm(o, u, seed=-1),
+     "seed must be >= 0"),
+    (lambda o, u: pl.estimate_bilinear_norm(o, [u, u], seed=[1, 2.5]),
+     "seed must be an integer"),
+    (lambda o, u: pl.validate_oracle(o, seed=2.5), "seed must be an integer"),
+    (lambda o, u: pl.validate_oracle(o, seed=True), "seed must be an integer"),
+    (lambda o, u: pl.SamplingPlan(radii=(1.0, 1.0)),
+     "radii must be increasing"),
+], ids=["v_count-float", "v_count-zero", "seed-negative", "seed-float-row",
+        "validate-seed-float", "validate-seed-bool", "radii-repeated"])
+def test_sampling_inputs_raise_configuration_error(call, message):
+    o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 3)
+    with pytest.raises(ConfigurationError, match=message):
+        call(o, np.full(o.dim_domain, 0.1))
+
+
 def test_power_law_xi():
     xi = pl.PowerLawXi(c=2.0, p=0.5)
     assert xi(4.0) == pytest.approx(4.0)

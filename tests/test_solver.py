@@ -113,6 +113,21 @@ def test_bad_anchor_raises():
         pl.lift(o, path, np.array([1.0, 0.0]))  # F(u0) = 1 != 2
 
 
+@pytest.mark.parametrize("path", [
+    pl.LinePath([0.25], [0.25]),
+    pl.LinePath([0.25, 0.25, 0.0], [0.5, 0.25, 0.0]),
+    pl.PolylinePath([[0.25], [0.5], [0.75]]),
+], ids=["line-1", "line-3", "polyline-1"])
+def test_path_outside_the_codomain_raises_configuration_error(path):
+    """The fold maps into R^2.  A 1-d line's gamma(0) broadcasts against
+    F(u0) and passes the anchor check; every such path is refused before
+    it, naming both lengths."""
+    got = rf"\({len(path.gamma(0.0))},\)"
+    with pytest.raises(ConfigurationError,
+                       match=rf"gamma\(0\) must have length 2, got {got}"):
+        pl.lift(pl.FoldMap(), path, [0.5, 0.25])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_anchor_raises_bad_anchor(bad):
     path = pl.LinePath([0.01, 0.0], [0.02, 0.1])
