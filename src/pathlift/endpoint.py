@@ -22,7 +22,7 @@ and N_j = dPhi/du, a polynomial in f_x and f_u at those stage states (no
 block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
 partials broadcast over leading axes).  J sums K_{j+1} N_j over the
 steps, with K_j = K_{j+1} M_j and K = I at T.  The recurrences across
-the P segments, this pullback and the forward tangent below, are
+the P segments, this pullback and the second variation's two below, are
 doubling scans (Hillis & Steele, CACM 29 (1986); Blelloch,
 CMU-CS-90-190 (1990)): ceil(log2 P) batched compositions of the
 segments' [A | C] blocks, not one Python iteration per segment; only
@@ -31,21 +31,20 @@ the STEPS_PER_SEGMENT steps within a segment are a loop.
 Second differentials are exact for systems that give ``d_partials``, the
 derivatives (dA, dB) of f_x and f_u along a direction (dx, du):
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
-u on one batch of trajectories for a stack of (u, v) pairs on a leading
-axis, and ``jacobian_derivative`` is the stack of one.  It works in
-forward mode through the fixed scheme.  Per distinct u of a pass, the
-stage rows [f_x | f_u] give the step rows [M_j | N_j] once, with the
-polynomial's intermediates.  Per member, the tangent y_v steps with
-[M_j | N_j v]; along the stage tangents ``d_partials`` gives the stage
-rows' derivatives, and differentiating the same polynomial line by line
-gives [dM_j | dN_j].  The pullback of the step rows
-[[M_j, dM_j, N_j, dN_j], [0, M_j, 0, N_j]] (the block-triangular identity
-for Frechet derivatives) carries dJ(v) next to J.  ``jacobian`` keeps
-J with its u's stage states, stage rows, step rows and intermediates in
-a one-entry read-only slot: J again at the control whose Jacobian was
-formed last costs nothing, and dJ there (a lift's diagnostics) evaluates
-no ``f``, ``f_x`` or ``f_u``.  A system without ``d_partials`` keeps the
-base-class central finite difference.
+u for a stack of (u, v) pairs on a leading axis, in forward mode through
+the fixed scheme, and ``jacobian_derivative`` is the stack of one.  What
+does not depend on v is formed once per control: the step rows with the
+polynomial's intermediates and :func:`_flows`.  Each member pays only for
+its tangent, its stage rows' derivatives and two scans over the segments
+(see ``EndpointOracle._second_variations``).
+
+The oracle keeps one read-only memo keyed by control bytes, holding the
+rows of its last request that integrated and those of its last request
+for J or dJ: each control's trajectory and stage states, and, once asked
+there, its linearization, J and the per-control flows above.  J and dJ
+at a kept control integrate nothing, evaluate no ``f``, ``f_x`` or
+``f_u``, and a dJ pass there pays only for its members.  A system
+without ``d_partials`` keeps the base-class central finite difference.
 """
 
 from dataclasses import dataclass
@@ -502,30 +501,70 @@ def _pullback(steps):
     return out
 
 
-def _tangent(steps):
-    """Tangent y = dx along v at every step start, (..., P, S, n), from
-    the step rows [M_j | c_j] (..., P, S, n, n + 1) of
-    y_{j+1} = M_j y_j + c_j, y = 0 at t = 0.  :func:`_chain` gives each
-    segment's running flows; a :func:`_scan` of the segment-end flows
-    gives y at every segment's start; and one batched product gives y at
-    every step."""
-    flows = _chain(steps)
-    n = steps.shape[-2]
-    starts = np.zeros(steps.shape[:-3] + (1, n, 1))
-    starts[..., 1:, 0, :, :] = _scan(flows[..., :-1, -1, :, :])[..., n:]
-    return (flows[..., :-1, :, :n] @ starts + flows[..., :-1, :, n:])[..., 0]
+def _flows(steps):
+    """What every second variation at a control needs of its step rows
+    [M_j | N_j] (..., P, S, n, n + m), whatever the direction: the
+    running products [Phi_s | C_s] (..., P, S + 1, n, n + m) of
+    :func:`_chain`, whose last entries are the segment maps [A_p | C_p],
+    and the kernels K_{p,s+1} = A_{P-1} ... A_{p+1} M_{p,S-1} ... M_{p,s+1}
+    from the end of each step to T, side by side: (..., P, n, S n)."""
+    chain = _chain(steps)
+    *lead, count, substeps, n, _ = steps.shape
+    kernels = np.empty((*lead, count, substeps, n, n))
+    kernels[..., -1, -1, :, :] = np.eye(n)
+    kernels[..., :-1, -1, :, :] = _scan(chain[..., 1:, -1, :, :n],
+                                        reverse=True)
+    for s in range(substeps - 1, 0, -1):
+        kernels[..., s - 1, :, :] = (kernels[..., s, :, :]
+                                     @ steps[..., s, :, :n])
+    return chain, kernels.swapaxes(-3, -2).reshape(
+        *lead, count, n, substeps * n)
+
+
+class _Kept:
+    """What an oracle keeps for one control u (read-only, as are all its
+    arrays): u's trajectory (times, states, stages); once J is asked at u,
+    J, and for a system with ``d_partials`` the arrays of
+    :meth:`EndpointOracle._linearization`; once dJ is asked, those arrays
+    and the :func:`_flows` of its step rows."""
+
+    __slots__ = ("u", "trajectory", "linear", "jac", "flows")
+
+    def __init__(self, key, trajectory):
+        self.u = np.frombuffer(key)
+        self.trajectory = trajectory
+        self.linear = self.jac = self.flows = None
+
+
+def _read_only(arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _stacked(arrays):
+    """``arrays`` stacked on a new leading axis: a view of one array, a
+    copy of several."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _unformed(kept, field):
+    """The distinct entries of ``kept`` whose ``field`` is not yet formed."""
+    return [e for e in dict.fromkeys(kept) if getattr(e, field) is None]
 
 
 class EndpointOracle(MapOracle):
     """Map oracle for the endpoint map of a control system.
 
-    It keeps the trajectories and stage states of the last request that
-    integrated, and the linearization and J of the control whose Jacobian
-    was formed last, so repeated calls at the point a caller has reached
-    (spectral assembly, adjoints, correction) cost one forward and one
-    backward pass, and the backward pass calls no ``f``.  Any call may
-    replace them, with no lock: use one oracle from one thread at a time.
-    What it keeps is read-only.
+    It keeps one memo keyed by control bytes: the rows of the last
+    request that integrated and those of the last request for J or dJ,
+    each with its trajectory and stage states, and, where J or dJ was
+    asked, its linearization, J and the flows of :func:`_flows`.  So
+    repeated calls at the points a caller has reached (spectral assembly,
+    adjoints, correction, C_est sweeps) integrate and linearize each
+    control once, and the backward pass calls no ``f``.  Any call may
+    replace the memo, with no lock: use one oracle from one thread at a
+    time.  What it keeps is read-only.
     """
 
     def __init__(self, system, x0, grid):
@@ -541,15 +580,14 @@ class EndpointOracle(MapOracle):
         self.x0 = x0
         self.grid = grid
         self._h = grid.dt / STEPS_PER_SEGMENT
-        # control bytes -> (times, states, stages) of the last integration
-        self._batch = {}
-        # (key, arrays of _linearization, J) at the control whose Jacobian
-        # was formed last
-        self._linear = (None, (), None)
+        # control bytes -> _Kept, for the rows of the last request that
+        # integrated and those of the last request for J or dJ
+        self._memo = {}
+        self._asked = []    # keys of the last request for J or dJ
 
     def trajectory(self, u):
         """(times, states) of the controlled flow at the RK4 step starts."""
-        return self._trajectories(self._domain_vec(u)[None])[0][:2]
+        return self._kept(self._domain_vec(u)[None])[0].trajectory[:2]
 
     # -- oracle contract ---------------------------------------------------
 
@@ -557,32 +595,32 @@ class EndpointOracle(MapOracle):
         _, states = self.trajectory(u)
         return states[-1].copy()
 
-    def _trajectories(self, us):
-        """Read-only (times, states, stages) of :func:`integrate` at each
-        row of ``us`` (B, N), the rows not in the kept batch integrated in
-        one stacked call; if there are any, the request's rows become the
-        kept batch."""
+    def _kept(self, us, ask=False):
+        """The memo's entries for the rows of ``us`` (B, N), the rows it
+        lacks integrated by :func:`integrate` in one stacked call; if there
+        are any, the memo becomes the request's rows and those of the last
+        request for J or dJ, which the request becomes if ``ask``."""
         keys = [u.tobytes() for u in us]
-        todo = {key: u for key, u in zip(keys, us) if key not in self._batch}
+        todo = {key: u for key, u in zip(keys, us) if key not in self._memo}
         if todo:
-            times, states, stages = integrate(
+            out = _read_only(integrate(
                 self.system, self.x0,
                 np.stack([self.grid.unpack(u) for u in todo.values()],
                          axis=-1),
-                self.grid.horizon)
-            for arr in (times, states, stages):
-                arr.flags.writeable = False
-            new = {k: (times, s, x) for k, s, x in zip(todo, states, stages)}
-            self._batch = {key: self._batch.get(key) or new[key]
-                           for key in keys}
-        return [self._batch[key] for key in keys]
+                self.grid.horizon))
+            new = {key: _Kept(key, (out[0], states, stages))
+                   for key, states, stages in zip(todo, *out[1:])}
+            self._memo = {key: self._memo.get(key) or new[key]
+                          for key in keys + self._asked}
+        if ask:
+            self._asked = keys
+        return [self._memo[key] for key in keys]
 
     def eval_many(self, us):
         """F at each row of ``us`` (B, N), shape (B, n), from
-        :meth:`_trajectories`: a later :meth:`jacobian` costs no
-        integration."""
+        :meth:`_kept`: a later :meth:`jacobian` costs no integration."""
         us = self._domain_rows(us)
-        ends = [states[-1] for _, states, _ in self._trajectories(us)]
+        ends = [e.trajectory[1][-1] for e in self._kept(us)]
         return np.array(ends).reshape(len(us), self.dim_codomain)
 
     def endpoint_refined(self, u, refine=4):
@@ -594,33 +632,75 @@ class EndpointOracle(MapOracle):
                                  self.grid.horizon, STEPS_PER_SEGMENT * refine)
         return states[-1].copy()
 
-    def _linearization(self, us):
-        """At each row of ``us`` (K, N): the kept stage states x (K, P, S,
-        4, n), with no ``f`` call; the stage rows a = [f_x | f_u] there; and
+    def _stage_controls(self, kept):
+        """Each entry's control at every stage of its steps, (K, P, S, 4,
+        m), the shape of the stage states."""
+        controls = np.array([e.u for e in kept]).reshape(
+            len(kept), self.grid.segments, 1, -1)
+        return controls.repeat(4 * STEPS_PER_SEGMENT, axis=2).reshape(
+            controls.shape[:2] + (STEPS_PER_SEGMENT, 4, -1))
+
+    def _linearization(self, kept):
+        """At each entry's control: its kept stage states x (K, P, S, 4,
+        n), with no ``f`` call; the stage rows a = [f_x | f_u] there; and
         :func:`_propagators`' step rows [M_j | N_j] with its b_2 and b_3."""
-        controls = us.reshape(len(us), self.grid.segments, 1, 1, -1)
-        x = np.stack([stages for *_, stages in self._trajectories(us)])
-        x = x.reshape(controls.shape[:2] + (STEPS_PER_SEGMENT, 4, -1))
-        uu = np.broadcast_to(controls, x.shape[:-1] + controls.shape[-1:])
+        x = np.array([e.trajectory[2] for e in kept])
+        x = x.reshape(len(kept), self.grid.segments, STEPS_PER_SEGMENT, 4, -1)
+        uu = self._stage_controls(kept)
         a = np.concatenate([self.system.f_x(x, uu), self.system.f_u(x, uu)],
                            axis=-1)
         return (x, a, *_propagators(a, self._h))
 
+    def _linearized(self, kept):
+        """The arrays of :meth:`_linearization` at the entries ``kept``,
+        stacked, the entries not yet linearized linearized in one stacked
+        call."""
+        todo = _unformed(kept, "linear")
+        if todo:
+            linear = _read_only(self._linearization(todo))
+            # without d_partials, nothing reads a linearization after J
+            if self.system.d_partials is not None:
+                for k, e in enumerate(todo):
+                    e.linear = tuple(arr[k] for arr in linear)
+            if len(todo) == len(kept):
+                return linear
+        return tuple(map(_stacked, zip(*(e.linear for e in kept))))
+
+    def _jacobians(self, us):
+        """The kept J at each row of ``us`` (B, N): the :func:`_pullback`
+        of the step partials [M_j | N_j], from :func:`_propagators` of
+        [f_x | f_u] at each step's stage states, for the rows without one
+        in one stacked call."""
+        kept = self._kept(us, ask=True)
+        todo = _unformed(kept, "jac")
+        if todo:
+            jacs = _pullback(self._linearized(todo)[2])
+            jacs = jacs.transpose(0, 2, 1, 3).reshape(
+                len(todo), self.dim_codomain, -1)
+            jacs.flags.writeable = False
+            for e, jac in zip(todo, jacs):
+                e.jac = jac
+        return [e.jac for e in kept]
+
     def jacobian(self, u):
-        """J = dF/du of the computed RK4 map: the :func:`_pullback` of the
-        step partials [M_j | N_j], from :func:`_propagators` of
-        [f_x | f_u] at each step's stage states.  That linearization and J
-        stay in a one-entry read-only slot for J and dJ again at u."""
+        """J = dF/du of the computed RK4 map, kept read-only in the memo
+        with u's linearization for J and dJ again at u."""
         u = self._domain_vec(u)
         key = u.tobytes()
-        if self._linear[0] != key:
-            linear = self._linearization(u[None])
-            jac = _pullback(linear[2])[0]
-            jac = jac.transpose(1, 0, 2).reshape(self.dim_codomain, -1)
-            for arr in (*linear, jac):
-                arr.flags.writeable = False
-            self._linear = (key, linear, jac)
-        return self._linear[2]
+        kept = self._memo.get(key)
+        if kept is None or kept.jac is None:
+            return self._jacobians(u[None])[0]
+        self._asked = [key]     # J again, the common case, in one lookup
+        return kept.jac
+
+    def jacobian_many(self, us):
+        """J at each row of ``us`` (B, N), shape (B, n, N), each bit for
+        bit :meth:`jacobian` of a row integrated in the same batch: the
+        rows the memo lacks integrated, linearized and pulled back in one
+        stacked call."""
+        us = self._domain_rows(us)
+        return np.array(self._jacobians(us)).reshape(
+            len(us), self.dim_codomain, self.dim_domain)
 
     def jacobian_derivative(self, u, v):
         """Second variation dJ(v): the stack of one."""
@@ -636,53 +716,59 @@ class EndpointOracle(MapOracle):
         us, vs = self._pair_rows(us, vs)
         if self.system.d_partials is None:
             return self._fd_second_many(us, vs)
-        self._trajectories(us)      # rows not yet integrated, one batch
+        kept = self._kept(us, ask=True)     # one batch for the new rows
         out = np.empty((len(us), self.dim_codomain, self.dim_domain))
         size = max(1, STACK_LIMIT // self.grid.segments)
         for k in range(0, len(us), size):
-            out[k:k + size] = self._second_variations(us[k:k + size],
+            out[k:k + size] = self._second_variations(kept[k:k + size],
                                                       vs[k:k + size])
         return out
 
-    def _second_variations(self, us, vs):
-        """dJ(v_k) at u_k (K, n, N) in one pass, the stack leading.
+    def _second_variations(self, kept, vs):
+        """dJ(v_k) at the controls of the entries ``kept`` (K, n, N) in one
+        pass, the stack leading.
 
-        Per distinct u: the stage states, the stage rows a_i = [f_x | f_u]
-        and from them the step rows [M_j | N_j] with the intermediates of
-        :func:`_propagators`, read from :meth:`jacobian`'s slot for its u.
-        Per member: the step tangent y_j from
-        :func:`_tangent` on [M_j | N_j v], the stage tangents Y_1 = y_j and
-        Y_{i+1} = y_j + c_i h a_i [Y_i; v], c = (1/2, 1/2, 1), the stage
-        rows' derivatives [dA_i | dB_i] from ``d_partials`` along (Y_i, v),
-        and from those :func:`_propagator_derivatives`' [dM_j | dN_j].  The
-        pullback of the step rows [[M, dM, N, dN], [0, M, 0, N]] (the
-        block-triangular identity for Frechet derivatives, in coordinates
-        (x, dx | u, du)) then carries dJ(v) = sum_j (K_{j+1} dN_j
-        + dK_{j+1} N_j) next to J.
+        Per control, from the memo (formed at its first J or dJ): the
+        stage states x, the stage rows a_i = [f_x | f_u], the step rows'
+        intermediates b_2 and b_3, and the :func:`_flows` [Phi | C] and
+        K_{p,s+1}.  Per member: the tangent y = Phi y_p + C v_p at every
+        step, y_p at segment p's start from a :func:`_scan` of
+        [A_p | C_p v_p]; the stage tangents Y_1 = y_j and
+        Y_{i+1} = y_j + c_i h a_i [Y_i; v], c = (1/2, 1/2, 1); the stage
+        rows' derivatives [dA_i | dB_i] from ``d_partials`` along
+        (Y_i, v); and from those :func:`_propagator_derivatives`'
+        [dM_j | dN_j].  With Q_p = sum_s K_{p,s+1} [dM Phi | dM C + dN]
+        (the derivatives of [A_p | C_p], carried to T), dJ(v)'s block on
+        segment p's controls is Q_p[:, n:] + L_{p+1} C_p, where
+        L_q = Q_q[:, :n] + L_{q+1} A_q, L_P = 0, is the derivative of
+        A_{P-1} ... A_q: one affine scan, transposed, over the reversed
+        segments, so that it composes g_q o ... o g_{P-1}.
         """
         system, h = self.system, self._h
-        keys = [u.tobytes() for u in us]
-        held_key, held, _ = self._linear
-        # the distinct u, the held one first
-        order = sorted(dict.fromkeys(keys), key=lambda key: key != held_key)
-        hit = order[0] == held_key
-        fresh = order[1:] if hit else order
-        parts = [held] if hit else []
-        if fresh:
-            parts.append(self._linearization(
-                us[[keys.index(key) for key in fresh]]))
-        linear = parts[0] if len(parts) == 1 else [
-            np.concatenate(arrs) for arrs in zip(*parts)]
-        row = {key: j for j, key in enumerate(order)}
-        inverse = [row[key] for key in keys]
-        if inverse != list(range(len(us))):
-            linear = [arr[inverse] for arr in linear]
-        x, a, steps, b2, b3 = linear
+        todo = _unformed(kept, "flows")
+        if todo:
+            linear = self._linearized(todo)
+            flows = _read_only(_flows(linear[2]))
+            for k, e in enumerate(todo):
+                e.flows = tuple(arr[k] for arr in flows)
+        if todo == kept:    # each member a control first met here
+            (x, a, _, b2, b3), (chain, kernels) = linear, flows
+        else:
+            x, a, b2, b3, chain, kernels = map(_stacked, zip(*(
+                (e.linear[0], e.linear[1], e.linear[3], e.linear[4],
+                 *e.flows) for e in kept)))
         n, m = self.dim_codomain, self.grid.control_dim
-        # each segment's v and u, broadcast over its steps
-        v = vs.reshape(len(us), self.grid.segments, 1, m)
-        y = _tangent(np.concatenate(
-            [steps[..., :n], steps[..., n:] @ v[..., None]], axis=-1))
+        count, segments = len(kept), self.grid.segments
+        # each segment's v, broadcast over its steps
+        v = vs.reshape(count, segments, 1, m)
+        ends = chain[:, :, -1]      # [A_p | C_p]
+        # [y_p; v_p] at each segment's start, then y at every step start
+        starts = np.zeros((count, segments, n + m, 1))
+        starts[:, :, n:] = v.swapaxes(-1, -2)
+        starts[:, 1:, :n] = _scan(np.concatenate(
+            [ends[..., :n], ends[..., n:] @ starts[:, :, n:]],
+            axis=-1))[:, :-1, :, n:]
+        y = (chain[:, :, :-1] @ starts[:, :, None])[..., 0]
         # stage tangents next to v: each stage's slope is one product
         yv = np.empty(x.shape[:-1] + (n + m,))
         yv[..., n:] = v[..., None, :]
@@ -690,21 +776,21 @@ class EndpointOracle(MapOracle):
         for i, c in enumerate((0.5, 0.5, 1.0)):
             slope = a[..., i, :, :] @ yv[..., i, :, None]
             yv[..., i + 1, :n] = y + c * h * slope[..., 0]
-        controls = np.broadcast_to(us.reshape(v.shape)[..., None, :],
-                                   yv[..., n:].shape)
-        da = np.concatenate(system.d_partials(x, controls, yv[..., :n],
-                                              yv[..., n:]), axis=-1)
+        da = np.concatenate(system.d_partials(
+            x, self._stage_controls(kept), yv[..., :n], yv[..., n:]), axis=-1)
         dsteps = _propagator_derivatives(a, da, b2, b3, h)
-        del linear, a, da, b2, b3   # free the stage rows for the blocks
-        dual = np.zeros(steps.shape[:-2] + (2 * n, 2 * (n + m)))
-        dual[..., :n, :n] = dual[..., n:, n:2 * n] = steps[..., :n]
-        dual[..., :n, n:2 * n] = dsteps[..., :n]
-        dual[..., :n, 2 * n:2 * n + m] = steps[..., n:]
-        dual[..., n:, 2 * n + m:] = steps[..., n:]
-        dual[..., :n, 2 * n + m:] = dsteps[..., n:]
-        del steps, dsteps
-        rows = _pullback(dual)
-        return rows[..., :n, m:].swapaxes(-2, -3).reshape(len(us), n, -1)
+        del x, a, da, b2, b3    # free the stage rows for the sums
+        terms = dsteps[..., :n] @ chain[:, :, :-1]
+        terms[..., n:] += dsteps[..., n:]
+        del dsteps
+        q = kernels @ terms.reshape(count, segments, -1, n + m)
+        # g_q = [A_q^T | Q_q[:, :n]^T] maps L_{q+1}^T to L_q^T
+        g = np.concatenate([ends[..., :n].swapaxes(-1, -2),
+                            q[..., :n].swapaxes(-1, -2)], axis=-1)
+        dtail = _scan(g[:, ::-1])[:, ::-1, :, n:].swapaxes(-1, -2)   # L_q
+        out = q[..., n:]
+        out[:, :-1] += dtail[:, 1:] @ ends[:, :-1, :, n:]
+        return out.swapaxes(-2, -3).reshape(count, n, -1)
 
 
 def endpoint_problem(system_name, x0, horizon, segments, system_params=None):

@@ -351,12 +351,12 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     Deterministic given (oracle, plan): each sample draws from its own
     hashed substream, so doubling the counts extends the sample set
     without disturbing earlier draws.  The samples form one table of
-    shells x points x z samples: per plan point (all evaluated in one
-    :meth:`MapOracle.eval_many`, each Gramian decomposed once) its least
-    eigenvalue, singular flag, eigenvalue floor and C_est, and per (u, z)
-    ||phi_z|| and the coercivity ratio, NaN where phi_z is degenerate and
-    the sample skipped.  Every shell row and every aggregate is a
-    reduction of the table over its axes.
+    shells x points x z samples: per plan point (every J formed in one
+    :meth:`MapOracle.jacobian_many`, each Gramian decomposed once) its
+    least eigenvalue, singular flag, eigenvalue floor and C_est, and per
+    (u, z) ||phi_z|| and the coercivity ratio, NaN where phi_z is
+    degenerate and the sample skipped.  Every shell row and every
+    aggregate is a reduction of the table over its axes.
     """
     if not 0 < lambda0 < np.inf:
         raise ConfigurationError(
@@ -367,10 +367,10 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     points = np.array([_sample_u(oracle, plan, si, k) for si, k in index])
     zs = np.array([[_sample_z(oracle, plan, si, k, j)
                     for j in range(plan.z_samples)] for si, k in index])
-    oracle.eval_many(points)
-    # each point's Gramian and its z samples' switching functions from one
-    # J; sampling only reads eigenvalues, so basis ambiguity in a repeated
-    # spectrum is harmless
+    oracle.jacobian_many(points)
+    # each point's Gramian and its z samples' switching functions from the
+    # J an endpoint oracle keeps; sampling only reads eigenvalues, so basis
+    # ambiguity in a repeated spectrum is harmless
     specs, phis = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

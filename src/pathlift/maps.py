@@ -24,8 +24,9 @@ class MapOracle:
     second-order quantity derives from :meth:`jacobian_derivative`, which
     defaults to a central finite difference of the Jacobian; maps with a
     closed-form second differential override it.  Callers with many
-    (u, v) pairs use :meth:`jacobian_derivative_many`, which loops over it
-    unless overridden too (``EndpointOracle`` takes a stack in one pass).
+    points or (u, v) pairs use :meth:`jacobian_many` and
+    :meth:`jacobian_derivative_many`, which loop unless overridden
+    (``EndpointOracle`` takes a stack in one pass).
     The checks in :mod:`pathlift.oracle_checks` hold J and dJ to
     :meth:`eval` through Taylor remainders, with the same tolerances
     whichever way an oracle computes its derivatives.
@@ -118,6 +119,13 @@ class MapOracle:
         us = self._domain_rows(us)
         return np.array([self.eval(u) for u in us]).reshape(
             len(us), self.dim_codomain)
+
+    def jacobian_many(self, us):
+        """:meth:`jacobian` at each row of ``us`` (B, N), shape (B, n, N),
+        by default one call per row."""
+        us = self._domain_rows(us)
+        return np.array([self.jacobian(u) for u in us]).reshape(
+            len(us), self.dim_codomain, self.dim_domain)
 
     def apply_adjoint(self, u, z):
         """Switching function dF|_u^* z, i.e. W^-1 J^T z in coordinates."""

@@ -6,8 +6,8 @@ alone (Farrell, Ham, Funke & Rognes, SIAM J. Sci. Comput. 35 (2013)):
 taken off too.  The second differential must also be symmetric.  Each
 check is relative to its own operands' scale, so F and c F get the same
 verdicts, and fails on a value that is not finite.  All read one
-:func:`sample_table`, through one ``eval_many`` and one
-``jacobian_derivative_many`` call.
+:func:`sample_table`, through one ``eval_many``, one ``jacobian_many``
+and one ``jacobian_derivative_many`` call.
 """
 
 from dataclasses import dataclass
@@ -82,10 +82,11 @@ def validate_oracle(oracle, seed=0):
     curvatures = oracle.jacobian_derivative_many(
         np.repeat(base, DIRECTIONS, axis=0), directions.reshape(-1, big_n))
     deficits, samples = [], []
-    for u, d, f, dj, z_pairs in zip(
-            base, directions, values.reshape(len(base), -1, n),
+    for jac, d, f, dj, z_pairs in zip(
+            oracle.jacobian_many(base), directions,
+            values.reshape(len(base), -1, n),
             curvatures.reshape(directions.shape[:2] + (n, big_n)), zs):
-        jv = oracle.jacobian(u) @ d[0]
+        jv = jac @ d[0]
         first = f[1:] - f[0] - t * jv
         second = first - 0.5 * t ** 2 * (dj[0] @ d[0])
         floor = TAYLOR_FLOOR * (np.linalg.norm(f[0])

@@ -326,6 +326,9 @@ def test_system_without_second_partials_uses_fd():
     u, v = rng.standard_normal((2, ep.dim_domain))
     np.testing.assert_array_equal(ep.jacobian_derivative(u, v),
                                   pl.MapOracle.jacobian_derivative(ep, u, v))
+    # no dJ reads a linearization, so the memo keeps only J
+    assert all(e.linear is None and e.jac is not None
+               for e in ep._memo.values())
 
 
 def _forward_mode(ep, u, v):
@@ -425,7 +428,7 @@ def test_stacked_second_variations_equal_single_calls(data):
     """Each member of a stack is bit for bit the single call, for stacks
     that do and do not cross the STACK_LIMIT split, with distinct and
     repeated u, with and without one u's linearization held from
-    ``jacobian``."""
+    ``jacobian``, and again once the memo holds every u's flows."""
     name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
                      label="system")
     fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
@@ -439,17 +442,18 @@ def test_stacked_second_variations_equal_single_calls(data):
         us = us[rng.integers(0, max(1, count // 3), count)]
     vs = rng.uniform(-1.0, 1.0, (count, ep.dim_domain))
     held = data.draw(st.integers(-1, count - 1), label="jacobian first at")
-    if held >= 0:       # that u's linearization comes from the slot
+    if held >= 0:       # that u's linearization comes from the memo
         ep.jacobian(us[held])
     stack = ep.jacobian_derivative_many(us, vs)
     assert stack.shape == (count, ep.dim_codomain, ep.dim_domain)
+    assert ep.jacobian_derivative_many(us, vs).tobytes() == stack.tobytes()
     single = _oracle(name, segments)
     for k in range(count):
         one = single.jacobian_derivative(us[k], vs[k])
         assert np.array_equal(stack[k].view(np.int64), one.view(np.int64))
 
 
-_CALLS = ("eval", "eval_many", "trajectory", "jacobian",
+_CALLS = ("eval", "eval_many", "trajectory", "jacobian", "jacobian_many",
           "jacobian_derivative", "jacobian_derivative_many")
 
 
@@ -520,9 +524,9 @@ def test_stack_split_bounds_the_working_memory(monkeypatch):
 
 def test_retained_memory_does_not_grow_with_the_controls_seen():
     """``eval`` then ``jacobian`` at one control after another: the oracle
-    keeps its last batch and its last linearization, so what it retains
-    after 100 controls exceeds what it retains after 10 by far less than
-    the 90 extra trajectories and Jacobians would occupy."""
+    keeps the rows of its last request and of its last request for J, so
+    what it retains after 100 controls exceeds what it retains after 10 by
+    far less than the 90 extra trajectories and Jacobians would occupy."""
     def retained(count):
         ep = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 20)
         us = np.random.default_rng(17).uniform(-1.0, 1.0,
@@ -543,9 +547,10 @@ def test_retained_memory_does_not_grow_with_the_controls_seen():
     assert many - few <= 0.25 * 90 * per_control
 
 
-def _counted_unicycle(points):
-    """The unicycle, with each function named in ``points`` adding the
-    number of points it is evaluated at to that entry."""
+def _counted_system(points, name="unicycle"):
+    """The registered system ``name``, with each function named in
+    ``points`` adding the number of points it is evaluated at to that
+    entry."""
     def counted(name, fn):
         def wrapper(x, *args):
             points[name] += (np.shape(x)[-1] if name == "f"
@@ -553,7 +558,7 @@ def _counted_unicycle(points):
             return fn(x, *args)
         return wrapper
 
-    base = pl.make_system("unicycle")
+    base = pl.make_system(name)
     return dataclasses.replace(base, **{
         name: counted(name, getattr(base, name)) for name in points})
 
@@ -566,7 +571,7 @@ def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
     points = dict.fromkeys(["f", "f_x", "f_u", "d_partials"], 0)
     segments = 4
     grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
-    ep = pl.EndpointOracle(_counted_unicycle(points), [0.1, -0.2, 0.3],
+    ep = pl.EndpointOracle(_counted_system(points), [0.1, -0.2, 0.3],
                            grid)
     rng = np.random.default_rng(15)
     distinct = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
@@ -590,7 +595,7 @@ def test_jacobian_after_eval_makes_no_f_call():
     points = dict.fromkeys(["f", "f_x"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
     x0 = [0.1, -0.2, 0.3]
-    ep = pl.EndpointOracle(_counted_unicycle(points), x0, grid)
+    ep = pl.EndpointOracle(_counted_system(points), x0, grid)
     u = np.random.default_rng(18).uniform(-1.0, 1.0, ep.dim_domain)
     ep.eval(u)
     points.update(dict.fromkeys(points, 0))
@@ -603,16 +608,17 @@ def test_jacobian_after_eval_makes_no_f_call():
 def test_second_variation_reads_the_linearization_of_the_last_jacobian():
     """dJ right after ``jacobian`` at the same u evaluates no ``f``,
     ``f_x`` or ``f_u``, and is bit for bit the dJ of an oracle that
-    linearizes afresh.  The slot holds the last u whose Jacobian was
-    formed, read-only: ``jacobian`` at a new u refills it, and a stack
-    linearizes only its other u."""
+    linearizes afresh.  The memo keeps the controls of the last request
+    for J or dJ, read-only, across a request that integrates others, so a
+    stack over them linearizes nothing; a control that has left the memo
+    is linearized again, once."""
     points = dict.fromkeys(["f", "f_x", "f_u"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
     x0 = [0.1, -0.2, 0.3]
-    ep = pl.EndpointOracle(_counted_unicycle(points), x0, grid)
+    ep = pl.EndpointOracle(_counted_system(points), x0, grid)
     fresh = pl.EndpointOracle(pl.make_system("unicycle"), x0, grid)
     rng = np.random.default_rng(16)
-    u, w, v = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
+    u, w, z, v = rng.uniform(-1.0, 1.0, (4, ep.dim_domain))
     per_u = 4 * grid.segments * STEPS_PER_SEGMENT     # f_x points at one u
 
     def same_bits(got, expect):
@@ -624,20 +630,73 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
         assert same_bits(ep.jacobian_derivative(point, v),
                          fresh.jacobian_derivative(point, v))
         assert points == dict.fromkeys(points, 0)
-    key, held, jac = ep._linear
-    assert key == w.tobytes() and len(held) == 5
-    assert ep.jacobian(w) is jac
-    for arr in (*held, jac):
-        with pytest.raises(ValueError):
-            arr[...] = 0.0
-    # u left the slot when w came in
-    ep.jacobian_derivative(u, v)
-    assert points["f_x"] == per_u
-    points.update(dict.fromkeys(points, 0))
+    # jacobian(w) integrated w, and u, whose J was the last asked, stayed
     stack = ep.jacobian_derivative_many([u, w, u, w], [v, v, -v, -v])
-    assert points["f_x"] == per_u
+    assert points == dict.fromkeys(points, 0)
     for got, point, sign in zip(stack, (u, w, u, w), (1, 1, -1, -1)):
         assert same_bits(got, fresh.jacobian_derivative(point, sign * v))
+    kept = ep._memo[u.tobytes()]
+    assert ep.jacobian(u) is kept.jac
+    for arr in (*kept.trajectory, *kept.linear, kept.jac, *kept.flows):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    # J at z becomes the last request, so integrating -z drops u and w
+    ep.jacobian(z)
+    ep.eval(-z)
+    points.update(dict.fromkeys(points, 0))
+    ep.jacobian_derivative(u, v)
+    ep.jacobian_derivative(u, -v)
+    assert points["f_x"] == per_u
+
+
+def test_repeated_stacks_linearize_each_control_once():
+    """Eight ``jacobian_derivative_many`` calls over the same three
+    controls, as the C_est sweeps make them, evaluate ``f_x`` and
+    ``f_u`` at each control's stage states once."""
+    points = dict.fromkeys(["f_x", "f_u"], 0)
+    grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
+    ep = pl.EndpointOracle(_counted_system(points), [0.1, -0.2, 0.3],
+                           grid)
+    rng = np.random.default_rng(19)
+    distinct = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
+    for _ in range(8):
+        us = distinct[rng.integers(0, 3, 5)]
+        ep.jacobian_derivative_many(us, rng.uniform(-1.0, 1.0, us.shape))
+    per_u = 4 * grid.segments * STEPS_PER_SEGMENT
+    assert points == dict.fromkeys(points, 3 * per_u)
+
+
+def test_validate_linearizes_each_base_point_once():
+    """Brockett-10 ``validate``: its curvature stack and its Taylor
+    rows' Jacobians read one linearization of each of the five base
+    points, 5 x 10 segments x 6 steps x 4 stages = 1200 stage rows."""
+    points = dict.fromkeys(["f_x", "f_u"], 0)
+    grid = pl.ControlGrid(horizon=1.0, segments=10, control_dim=2)
+    ep = pl.EndpointOracle(_counted_system(points, "brockett"),
+                           [0.0, 0.0, 0.0], grid)
+    assert all(r.passed for r in pl.validate_oracle(ep, seed=0))
+    assert points == dict.fromkeys(points, 1200)
+
+
+@pytest.mark.parametrize("name", ["brockett", "lti", "unicycle"])
+def test_jacobian_many_equals_single_calls(name):
+    """J of a stack, rows repeated and one row's J kept beforehand, is
+    each row's ``jacobian`` on a fresh oracle: bit for bit, lti to
+    roundoff (a fresh oracle integrates the row alone, and a stacked
+    A @ x may round differently)."""
+    ep = _oracle(name, 5)
+    rng = np.random.default_rng(len(name))
+    us = rng.uniform(-2.0, 2.0, (4, ep.dim_domain))[[0, 1, 0, 2, 3]]
+    ep.jacobian(us[1])
+    many = ep.jacobian_many(us)
+    assert many.shape == (len(us), ep.dim_codomain, ep.dim_domain)
+    for got, u in zip(many, us):
+        one = _oracle(name, 5).jacobian(u)
+        if name == "lti":
+            np.testing.assert_allclose(got, one, rtol=1e-15,
+                                       atol=1e-15 * np.abs(one).max())
+        else:
+            assert got.tobytes() == one.tobytes()
 
 
 def test_jacobian_derivative_many_checks_its_rows():
@@ -996,7 +1055,7 @@ def test_eval_many_matches_eval_with_duplicates_and_small_cache(
     ref = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid)
     np.testing.assert_array_equal(got, [ref.eval(u) for u in us])
     kept = [row.tobytes() for row in rows]
-    assert list(small._batch) == kept      # the distinct rows, once each
+    assert list(small._memo) == kept      # the distinct rows, once each
     # the batch's rows are kept read-only; their Jacobian integrates
     # nothing, and requests that integrate nothing leave the batch as is
     del calls[:]
@@ -1007,14 +1066,15 @@ def test_eval_many_matches_eval_with_duplicates_and_small_cache(
                                   ref.jacobian(us[-1]))
     np.testing.assert_array_equal(small.eval_many(us[-2:]), got[-2:])
     assert calls == []
-    assert list(small._batch) == kept
+    assert list(small._memo) == kept
     # a request with a new row integrates that row alone, and its rows
-    # become the batch
+    # become the memo, with the row whose Jacobian was asked last
     new = rng.standard_normal(grid.dim)
     pair = small.eval_many([us[0], new])
     assert calls == [(4, 2, 1)]
     np.testing.assert_array_equal(pair, [got[0], ref.eval(new)])
-    assert list(small._batch) == [us[0].tobytes(), new.tobytes()]
+    assert list(small._memo) == [us[0].tobytes(), new.tobytes(),
+                                 us[-1].tobytes()]
 
 
 def test_batch_blowup_reports_the_first_escape():

@@ -385,7 +385,7 @@ def test_check_report_decomposes_and_evaluates_each_plan_point_once(
         monkeypatch):
     o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4)
     plan = _plan(per_radius=2, z_samples=2)
-    counts = _count_calls(o, "eval_many")
+    counts = _count_calls(o, "eval_many", "jacobian_many")
     decompositions = []
     real = hyp.spectral_decompose
 
@@ -396,28 +396,28 @@ def test_check_report_decomposes_and_evaluates_each_plan_point_once(
     monkeypatch.setattr(hyp, "spectral_decompose", counting)
     pl.check_report(o, plan)
     assert len(decompositions) == len(plan.radii) * plan.per_radius
-    assert counts["eval_many"] == 1
+    assert counts == {"eval_many": 0, "jacobian_many": 1}
 
 
-def test_check_report_forms_each_plan_points_jacobian_once(monkeypatch):
-    """The oracle keeps one Jacobian, so each plan point's Gramian and
-    its z samples' switching functions are taken together: one backward
-    pass over the step rows [M | N] per point (a second variation's
-    pullback runs over wider dual rows and is not counted)."""
-    o = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 6)
+def test_check_report_forms_each_plan_points_jacobian_once():
+    """The oracle keeps each plan point's linearization with its J, so the
+    Gramians, the switching functions and every second-variation pass
+    (C_est sweeps, coercivity samples) read it: ``f_x`` is evaluated at
+    each plan point's stage states once."""
+    base = pl.make_system("unicycle")
+    points = [0]
+
+    def f_x(x, u):
+        points[0] += int(np.prod(np.shape(x)[:-1]))
+        return base.f_x(x, u)
+
+    grid = pl.ControlGrid(horizon=1.0, segments=6, control_dim=2)
+    o = pl.EndpointOracle(dataclasses.replace(base, f_x=f_x),
+                          [0.1, -0.2, 0.3], grid)
     plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=1, z_samples=2)
-    widths = []
-    real = pl.endpoint._pullback
-
-    def counting(steps):
-        widths.append(steps.shape[-1])
-        return real(steps)
-
-    monkeypatch.setattr(pl.endpoint, "_pullback", counting)
     pl.check_report(o, plan)
-    jacobians = widths.count(o.dim_codomain + o.grid.control_dim)
-    assert jacobians == len(plan.radii) * plan.per_radius == 3
-    assert len(widths) > jacobians      # the dJ passes were seen too
+    stage_rows = grid.segments * pl.endpoint.STEPS_PER_SEGMENT * 4
+    assert points[0] == len(plan.radii) * plan.per_radius * stage_rows
 
 
 def test_report_text_and_rows():

@@ -652,6 +652,28 @@ def test_short_lift_takes_one_cash_karp_step(monkeypatch):
     assert len(calls) <= 8
 
 
+def test_rejected_correction_integrates_no_control_twice(monkeypatch):
+    # tol_residual = 1e-30 makes every correction try until one fails to
+    # reduce the residual; that try integrates its control, and the
+    # accepted one (whose J was the last asked) stays in the oracle's
+    # memo for the state's log: each control is integrated once
+    controls = []
+    real = endpoint.integrate
+
+    def integrate(system, x0, u_values, *args):
+        batch = np.asarray(u_values)
+        batch = batch[..., None] if batch.ndim == 2 else batch
+        controls.extend(batch[..., b].tobytes()
+                        for b in range(batch.shape[-1]))
+        return real(system, x0, u_values, *args)
+
+    monkeypatch.setattr(endpoint, "integrate", integrate)
+    rep = _short_brockett_lift(pl.SolverOptions(tol_residual=1e-30))
+    assert rep.status == pl.DIVERGED
+    assert len(controls) >= 10
+    assert len(controls) == len(set(controls))
+
+
 def test_small_ds_init_keeps_the_growing_step_sequence():
     rep = _short_brockett_lift(pl.SolverOptions(ds_init=0.01))
     assert rep.status == pl.REACHED, rep.message
