@@ -20,31 +20,33 @@ and N_j = dPhi/du, a polynomial in f_x and f_u at those stage states (no
 ``f`` call): with the control frozen as a state (udot = 0),
 ``_propagators`` of the stage blocks [[f_x, f_u], [0, 0]] gives the step
 block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
-partials broadcast over leading axes).  J sums K_{j+1} N_j over the
-steps, with K_j = K_{j+1} M_j and K = I at T.  The recurrences across
-the P segments, this pullback and the second variation's two below, are
-doubling scans (Hillis & Steele, CACM 29 (1986); Blelloch,
-CMU-CS-90-190 (1990)): ceil(log2 P) batched compositions of the
-segments' [A | C] blocks, not one Python iteration per segment; only
-the STEPS_PER_SEGMENT steps within a segment are a loop.
+partials broadcast over leading axes).  One backward pass, :func:`_flows`,
+composes each segment's steps into its map [A_p | C_p] and scans the maps
+back from T: J's block on segment p is K_{p,S} C_p, K_{p,S} = A_{P-1}
+... A_{p+1}.  The recurrences across the P segments, this scan and the
+second variation's two below, are doubling scans (Hillis & Steele, CACM
+29 (1986); Blelloch, CMU-CS-90-190 (1990)): ceil(log2 P) batched
+compositions of the segments' [A | C] blocks, not one Python iteration
+per segment; only the STEPS_PER_SEGMENT steps within a segment are a loop.
 
 Second differentials are exact for systems that give ``d_partials``, the
 derivatives (dA, dB) of f_x and f_u along a direction (dx, du):
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
 u for a stack of (u, v) pairs on a leading axis, in forward mode through
 the fixed scheme, and ``jacobian_derivative`` is the stack of one.  What
-does not depend on v is formed once per control: the step rows with the
-polynomial's intermediates and :func:`_flows`.  Each member pays only for
-its tangent, its stage rows' derivatives and two scans over the segments
-(see ``EndpointOracle._second_variations``).
+does not depend on v is formed once per control, with J: the stage
+states and rows, the step rows' intermediates and the flows.  Each member
+pays only for its tangent, its stage rows' derivatives and two scans
+over the segments (see ``EndpointOracle._second_variations``).
 
 The oracle keeps one read-only memo keyed by control bytes, holding the
 rows of its last request that integrated and those of its last request
-for J or dJ: each control's trajectory and stage states, and, once asked
-there, its linearization, J and the per-control flows above.  J and dJ
-at a kept control integrate nothing, evaluate no ``f``, ``f_x`` or
-``f_u``, and a dJ pass there pays only for its members.  A system
-without ``d_partials`` keeps the base-class central finite difference.
+for J or dJ: each control's trajectory and stage states, and, once J or
+dJ is asked there, J and, with ``d_partials``, its linearization and
+flows.  J and dJ at a kept control integrate nothing, evaluate no
+``f``, ``f_x`` or ``f_u``, form no flows, and a dJ pass there pays only
+for its members.  A system without ``d_partials`` keeps the base-class
+central finite difference.
 """
 
 from dataclasses import dataclass
@@ -52,7 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, TrajectoryBlowup, finite, integer
+from .errors import (ConfigurationError, TrajectoryBlowup, finite, integer,
+                     positive)
 from .maps import MapOracle
 
 BLOWUP_NORM = 1e8
@@ -220,6 +223,15 @@ def make_system(name, **params):
     return builder(**params)
 
 
+def _initial_state(system, x0):
+    """``x0`` as a new float array; ConfigurationError unless it is finite
+    and of length ``system.state_dim``."""
+    x0 = finite(x0, "x0")
+    if x0.shape != (system.state_dim,):
+        raise ConfigurationError(f"x0 must have length {system.state_dim}")
+    return x0
+
+
 @dataclass(frozen=True)
 class ControlGrid:
     """Uniform piecewise-constant control discretization."""
@@ -229,8 +241,7 @@ class ControlGrid:
     control_dim: int
 
     def __post_init__(self):
-        if not 0 < self.horizon < np.inf:
-            raise ConfigurationError("horizon must be positive and finite")
+        object.__setattr__(self, "horizon", positive(self.horizon, "horizon"))
         if integer(self.segments, "segments") < 1:
             raise ConfigurationError("segments must be >= 1")
         integer(self.control_dim, "control_dim")
@@ -315,7 +326,8 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
     and each step's four stage states, (T - 1, 4, n); (B, T, n) and
     (B, T - 1, 4, n) for a batch.  ``f`` is checked against single-member
     calls at the first and last states; the escape time is the first
-    non-finite or too-large state's, over all members.
+    non-finite or too-large state's, over all members.  ``horizon`` and
+    ``x0`` follow the rules of ``ControlGrid`` and ``EndpointOracle``.
 
     The states are bit for bit those of stepping x_{j+1} = x_j + inc(x_j)
     one step at a time.  States up to x_d are exact, the later ones are
@@ -339,8 +351,9 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
     u_values = u_values[..., None] if single else u_values
     segments, m, batch = u_values.shape
     steps = segments * substeps
+    horizon = positive(horizon, "horizon")
     h = horizon / segments / substeps
-    x = np.repeat(np.asarray(x0, dtype=float)[:, None], batch, axis=1)
+    x = np.repeat(_initial_state(system, x0)[:, None], batch, axis=1)
     n = x.shape[0]
     _check_stacked(system.f, x, u_values[0])
     # column j*B + b holds member b at step j: a run of steps is a slice
@@ -481,33 +494,14 @@ def _scan(blocks, reverse=False):
     return out
 
 
-def _pullback(steps):
-    """sum_j K_{j+1} N_j over each segment's steps, (..., P, r, c - r),
-    for step rows [M_j | N_j] (..., P, S, r, c), K_j = K_{j+1} M_j and
-    K = I at T.  Each segment's steps composed give its map and own sum
-    [A_p | C_p] (the last entry of :func:`_chain`, bit for bit); a
-    reverse :func:`_scan` of the maps gives every kernel
-    A_{P-1} ... A_{p+1} at a segment's end; and one batched product
-    kernel @ C_p gives every segment's block."""
-    ends = steps[..., 0, :, :]
-    for j in range(1, steps.shape[-3]):
-        ends = _compose(steps[..., j, :, :], ends)
-    r = steps.shape[-2]
-    gains = ends[..., r:]
-    out = np.empty(gains.shape)
-    out[..., -1, :, :] = gains[..., -1, :, :]
-    out[..., :-1, :, :] = (_scan(ends[..., 1:, :, :r], reverse=True)
-                           @ gains[..., :-1, :, :])
-    return out
-
-
 def _flows(steps):
-    """What every second variation at a control needs of its step rows
-    [M_j | N_j] (..., P, S, n, n + m), whatever the direction: the
-    running products [Phi_s | C_s] (..., P, S + 1, n, n + m) of
-    :func:`_chain`, whose last entries are the segment maps [A_p | C_p],
-    and the kernels K_{p,s+1} = A_{P-1} ... A_{p+1} M_{p,S-1} ... M_{p,s+1}
-    from the end of each step to T, side by side: (..., P, n, S n)."""
+    """The backward pass at a control, from its step rows [M_j | N_j]
+    (..., P, S, n, n + m): the running products [Phi_s | C_s] (..., P,
+    S + 1, n, n + m) of :func:`_chain`, whose last entries are the segment
+    maps [A_p | C_p], and the kernels K_{p,s+1} = A_{P-1} ... A_{p+1}
+    M_{p,S-1} ... M_{p,s+1} from the end of each step to T, side by side:
+    (..., P, n, S n).  J's block on segment p is K_{p,S} C_p, and the
+    second variation along any direction reads both."""
     chain = _chain(steps)
     *lead, count, substeps, n, _ = steps.shape
     kernels = np.empty((*lead, count, substeps, n, n))
@@ -523,10 +517,9 @@ def _flows(steps):
 
 class _Kept:
     """What an oracle keeps for one control u (read-only, as are all its
-    arrays): u's trajectory (times, states, stages); once J is asked at u,
-    J, and for a system with ``d_partials`` the arrays of
-    :meth:`EndpointOracle._linearization`; once dJ is asked, those arrays
-    and the :func:`_flows` of its step rows."""
+    arrays): u's trajectory (times, states, stages); once J or dJ is asked
+    at u, J, and with ``d_partials`` the rest of what
+    :meth:`EndpointOracle._linearized` formed with it."""
 
     __slots__ = ("u", "trajectory", "linear", "jac", "flows")
 
@@ -548,11 +541,6 @@ def _stacked(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _unformed(kept, field):
-    """The distinct entries of ``kept`` whose ``field`` is not yet formed."""
-    return [e for e in dict.fromkeys(kept) if getattr(e, field) is None]
-
-
 class EndpointOracle(MapOracle):
     """Map oracle for the endpoint map of a control system.
 
@@ -571,10 +559,7 @@ class EndpointOracle(MapOracle):
         if grid.control_dim != system.control_dim:
             raise ConfigurationError(
                 "grid control_dim does not match the system")
-        x0 = finite(x0, "x0")
-        if x0.shape != (system.state_dim,):
-            raise ConfigurationError(
-                f"x0 must have length {system.state_dim}")
+        x0 = _initial_state(system, x0)
         super().__init__(grid.dim, system.state_dim, grid.weights)
         self.system = system
         self.x0 = x0
@@ -640,67 +625,61 @@ class EndpointOracle(MapOracle):
         return controls.repeat(4 * STEPS_PER_SEGMENT, axis=2).reshape(
             controls.shape[:2] + (STEPS_PER_SEGMENT, 4, -1))
 
-    def _linearization(self, kept):
-        """At each entry's control: its kept stage states x (K, P, S, 4,
-        n), with no ``f`` call; the stage rows a = [f_x | f_u] there; and
-        :func:`_propagators`' step rows [M_j | N_j] with its b_2 and b_3."""
-        x = np.array([e.trajectory[2] for e in kept])
-        x = x.reshape(len(kept), self.grid.segments, STEPS_PER_SEGMENT, 4, -1)
-        uu = self._stage_controls(kept)
+    def _linearized(self, kept):
+        """J at the distinct entries of ``kept`` that lack it, in one
+        stacked call: at their kept stage states x (K, P, S, 4, n), with no
+        ``f`` call, the stage rows a = [f_x | f_u]; :func:`_propagators`'
+        step rows [M_j | N_j] with its b_2 and b_3; their :func:`_flows`;
+        and J's block on segment p, K_{p,S} C_p (C_{P-1} on the last).
+        With ``d_partials`` each entry keeps (x, a, b_2, b_3) and its flows
+        for dJ.  Returns those six arrays, stacked, if every entry of
+        ``kept`` was formed here, else None."""
+        todo = [e for e in dict.fromkeys(kept) if e.jac is None]
+        if not todo:
+            return None
+        x = np.array([e.trajectory[2] for e in todo])
+        x = x.reshape(len(todo), self.grid.segments, STEPS_PER_SEGMENT, 4, -1)
+        uu = self._stage_controls(todo)
         a = np.concatenate([self.system.f_x(x, uu), self.system.f_u(x, uu)],
                            axis=-1)
-        return (x, a, *_propagators(a, self._h))
-
-    def _linearized(self, kept):
-        """The arrays of :meth:`_linearization` at the entries ``kept``,
-        stacked, the entries not yet linearized linearized in one stacked
-        call."""
-        todo = _unformed(kept, "linear")
-        if todo:
-            linear = _read_only(self._linearization(todo))
-            # without d_partials, nothing reads a linearization after J
+        steps, b2, b3 = _propagators(a, self._h)
+        chain, kernels = _flows(steps)
+        n = self.dim_codomain
+        gains = chain[:, :, -1, :, n:]      # C_p
+        jacs = np.empty(gains.shape)
+        jacs[:, -1] = gains[:, -1]
+        jacs[:, :-1] = kernels[:, :-1, :, -n:] @ gains[:, :-1]
+        jacs = jacs.transpose(0, 2, 1, 3).reshape(len(todo), n, -1)
+        formed = _read_only((x, a, b2, b3, chain, kernels, jacs))
+        for k, e in enumerate(todo):
+            e.jac = jacs[k]
             if self.system.d_partials is not None:
-                for k, e in enumerate(todo):
-                    e.linear = tuple(arr[k] for arr in linear)
-            if len(todo) == len(kept):
-                return linear
-        return tuple(map(_stacked, zip(*(e.linear for e in kept))))
-
-    def _jacobians(self, us):
-        """The kept J at each row of ``us`` (B, N): the :func:`_pullback`
-        of the step partials [M_j | N_j], from :func:`_propagators` of
-        [f_x | f_u] at each step's stage states, for the rows without one
-        in one stacked call."""
-        kept = self._kept(us, ask=True)
-        todo = _unformed(kept, "jac")
-        if todo:
-            jacs = _pullback(self._linearized(todo)[2])
-            jacs = jacs.transpose(0, 2, 1, 3).reshape(
-                len(todo), self.dim_codomain, -1)
-            jacs.flags.writeable = False
-            for e, jac in zip(todo, jacs):
-                e.jac = jac
-        return [e.jac for e in kept]
+                e.linear = (x[k], a[k], b2[k], b3[k])
+                e.flows = (chain[k], kernels[k])
+        return formed[:-1] if len(todo) == len(kept) else None
 
     def jacobian(self, u):
         """J = dF/du of the computed RK4 map, kept read-only in the memo
-        with u's linearization for J and dJ again at u."""
+        with u's linearization and flows for dJ at u."""
         u = self._domain_vec(u)
         key = u.tobytes()
         kept = self._memo.get(key)
         if kept is None or kept.jac is None:
-            return self._jacobians(u[None])[0]
-        self._asked = [key]     # J again, the common case, in one lookup
+            kept = self._kept(u[None], ask=True)[0]
+            self._linearized([kept])
+        else:
+            self._asked = [key]     # J again, the common case, in one lookup
         return kept.jac
 
     def jacobian_many(self, us):
         """J at each row of ``us`` (B, N), shape (B, n, N), each bit for
         bit :meth:`jacobian` of a row integrated in the same batch: the
-        rows the memo lacks integrated, linearized and pulled back in one
-        stacked call."""
-        us = self._domain_rows(us)
-        return np.array(self._jacobians(us)).reshape(
-            len(us), self.dim_codomain, self.dim_domain)
+        rows the memo lacks integrated, then linearized with their flows
+        and J in one stacked call."""
+        kept = self._kept(self._domain_rows(us), ask=True)
+        self._linearized(kept)
+        return np.array([e.jac for e in kept]).reshape(
+            len(kept), self.dim_codomain, self.dim_domain)
 
     def jacobian_derivative(self, u, v):
         """Second variation dJ(v): the stack of one."""
@@ -728,7 +707,7 @@ class EndpointOracle(MapOracle):
         """dJ(v_k) at the controls of the entries ``kept`` (K, n, N) in one
         pass, the stack leading.
 
-        Per control, from the memo (formed at its first J or dJ): the
+        Per control, from :meth:`_linearized` (formed with its J): the
         stage states x, the stage rows a_i = [f_x | f_u], the step rows'
         intermediates b_2 and b_3, and the :func:`_flows` [Phi | C] and
         K_{p,s+1}.  Per member: the tangent y = Phi y_p + C v_p at every
@@ -745,18 +724,10 @@ class EndpointOracle(MapOracle):
         segments, so that it composes g_q o ... o g_{P-1}.
         """
         system, h = self.system, self._h
-        todo = _unformed(kept, "flows")
-        if todo:
-            linear = self._linearized(todo)
-            flows = _read_only(_flows(linear[2]))
-            for k, e in enumerate(todo):
-                e.flows = tuple(arr[k] for arr in flows)
-        if todo == kept:    # each member a control first met here
-            (x, a, _, b2, b3), (chain, kernels) = linear, flows
-        else:
-            x, a, b2, b3, chain, kernels = map(_stacked, zip(*(
-                (e.linear[0], e.linear[1], e.linear[3], e.linear[4],
-                 *e.flows) for e in kept)))
+        # the arrays just formed if each member is a control first met
+        # here, else each member's kept arrays, stacked
+        x, a, b2, b3, chain, kernels = self._linearized(kept) or map(
+            _stacked, zip(*(e.linear + e.flows for e in kept)))
         n, m = self.dim_codomain, self.grid.control_dim
         count, segments = len(kept), self.grid.segments
         # each segment's v, broadcast over its steps
@@ -796,6 +767,6 @@ class EndpointOracle(MapOracle):
 def endpoint_problem(system_name, x0, horizon, segments, system_params=None):
     """Convenience builder: registered system -> EndpointOracle."""
     system = make_system(system_name, **(system_params or {}))
-    grid = ControlGrid(horizon=float(horizon), segments=segments,
+    grid = ControlGrid(horizon=horizon, segments=segments,
                        control_dim=system.control_dim)
     return EndpointOracle(system, x0, grid)

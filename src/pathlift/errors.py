@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the finiteness and
-integer checks that input rules raise them from."""
+"""Exception types shared across the package, and the finiteness,
+positivity and integer checks that input rules raise them from."""
+
+import numbers
 
 import numpy as np
 
@@ -64,3 +66,13 @@ def integer(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def positive(value, what):
+    """``value`` as a float; ConfigurationError unless it is a positive
+    finite real number (not a bool, a string or an array)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < np.inf):
+        raise ConfigurationError(
+            f"{what} must be positive and finite, got {value!r}")
+    return float(value)

@@ -326,9 +326,49 @@ def test_system_without_second_partials_uses_fd():
     u, v = rng.standard_normal((2, ep.dim_domain))
     np.testing.assert_array_equal(ep.jacobian_derivative(u, v),
                                   pl.MapOracle.jacobian_derivative(ep, u, v))
-    # no dJ reads a linearization, so the memo keeps only J
-    assert all(e.linear is None and e.jac is not None
+    ep.jacobian(u)
+    # no dJ reads a linearization or flows, so the memo keeps only J
+    assert all(e.linear is None and e.flows is None and e.jac is not None
                for e in ep._memo.values())
+
+
+def _count_flows(monkeypatch):
+    """Count the calls of the backward pass ``_flows`` and of its
+    running products ``_chain``."""
+    calls = {"_flows": 0, "_chain": 0}
+    for name in calls:
+        real = getattr(pl.endpoint, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(pl.endpoint, name, counting)
+    return calls
+
+
+def test_second_variation_after_jacobian_forms_no_flows(monkeypatch):
+    """J and dJ share one backward pass: dJ right after J at the same
+    control (a lift's diagnostics), or a stack after J at its points
+    (``check_report``'s C_est), forms no flows, and J of a fresh stack
+    forms them once."""
+    calls = _count_flows(monkeypatch)
+
+    def formed(call, *args):
+        before = dict(calls)
+        call(*args)
+        return {name: calls[name] - before[name] for name in calls}
+
+    once, none = {"_flows": 1, "_chain": 1}, {"_flows": 0, "_chain": 0}
+    ep = _oracle("unicycle", 10)
+    rng = np.random.default_rng(23)
+    u, v = rng.uniform(-1.0, 1.0, (2, ep.dim_domain))
+    assert formed(ep.jacobian, u) == once
+    assert formed(ep.jacobian_derivative, u, v) == none
+    points = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
+    assert formed(ep.jacobian_many, points) == once
+    assert formed(ep.jacobian_derivative_many, points[[0, 1, 2, 1]],
+                  rng.uniform(-1.0, 1.0, (4, ep.dim_domain))) == none
 
 
 def _forward_mode(ep, u, v):
@@ -833,6 +873,31 @@ def test_control_grid_rejects_non_finite_horizon(horizon):
     with pytest.raises(ConfigurationError,
                        match="horizon must be positive and finite"):
         pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], horizon, 2)
+
+
+@pytest.mark.parametrize("where,horizon,x0", [
+    ("integrate", np.nan, [0.0, 0.0, 0.0]),
+    ("integrate", -1.0, [0.0, 0.0, 0.0]),
+    ("integrate", True, [0.0, 0.0, 0.0]),
+    ("integrate", 1.0, [0.0, 0.0]),
+    ("integrate", 1.0, [0.0, np.nan, 0.0]),
+    ("grid", "x", None),
+    ("grid", None, None),
+    ("grid", [1.0], None),
+    ("grid", True, None),
+])
+def test_horizon_and_x0_rules_hold_in_integrate_and_the_grid(where, horizon,
+                                                             x0):
+    """``integrate`` and ``ControlGrid`` share one positive-finite horizon
+    rule, and ``integrate`` checks x0 as the oracle does: each bad value
+    is a ConfigurationError, not a blowup, a backward flow, a bare
+    TypeError or a misleading message about ``f``."""
+    with pytest.raises(ConfigurationError, match="horizon|x0"):
+        if where == "grid":
+            pl.ControlGrid(horizon=horizon, segments=2, control_dim=1)
+        else:
+            pl.integrate(pl.make_system("brockett"), x0, np.ones((2, 2)),
+                         horizon)
 
 
 def test_refinement_must_be_at_least_one():
