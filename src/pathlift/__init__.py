@@ -8,9 +8,9 @@ endpoint-map frontend, a sampling-based hypothesis checker, and a
 config-driven command line.
 """
 
-from .endpoint import (ControlGrid, ControlSystem, EndpointOracle,
-                       SYSTEM_NAMES, brockett, endpoint_problem, integrate,
-                       lti, make_system, single_integrator, unicycle)
+from .endpoint import (ControlGrid, ControlSystem, EndpointOracle, brockett,
+                       endpoint_problem, integrate, lti, make_system,
+                       single_integrator, unicycle)
 from .errors import (BadAnchor, ConfigurationError, GapViolation, InvalidXi,
                      NumericalError, SingularGramian, SingularStart,
                      TrajectoryBlowup)
@@ -18,8 +18,7 @@ from .hypotheses import (HypothesisReport, PowerLawXi, SamplingPlan,
                          check_report, coercivity_ratio,
                          estimate_bilinear_norm, gramian_inverse_growth,
                          xi_margin)
-from .maps import (FoldMap, LinearMap, MAP_NAMES, MapOracle, SphereMap,
-                   make_map)
+from .maps import FoldMap, LinearMap, MapOracle, SphereMap
 from .oracle_checks import CheckResult, validate_oracle
 from .paths import LinePath, PolylinePath, TargetPath, line_to_target
 from .solver import (ContinuationReport, DIVERGED, LiftState, REACHED,
@@ -33,16 +32,16 @@ __all__ = [
     "ContinuationReport", "ControlGrid", "ControlSystem",
     "DIVERGED", "EndpointOracle", "FoldMap",
     "GapViolation", "GramianSpectrum", "HypothesisReport",
-    "InvalidXi", "LiftState", "LinePath", "LinearMap", "MAP_NAMES",
+    "InvalidXi", "LiftState", "LinePath", "LinearMap",
     "MapOracle", "NumericalError", "PolylinePath", "PowerLawXi",
     "REACHED", "SINGULAR_INTERIOR", "SINGULAR_TERMINAL", "STEP_UNDERFLOW",
     "SamplingPlan", "SingularGramian", "SingularStart",
-    "SolverOptions", "SpectralDiagnostics", "SphereMap", "SYSTEM_NAMES",
+    "SolverOptions", "SpectralDiagnostics", "SphereMap",
     "TargetPath", "TrajectoryBlowup", "brockett", "check_report",
     "coercivity_ratio", "diagnostics", "endpoint_problem",
     "estimate_bilinear_norm", "gauss_newton_correct", "gramian",
     "gramian_inverse_growth", "integrate", "lift", "line_to_target", "lti",
-    "make_map", "make_system", "ple_rhs", "single_integrator",
+    "make_system", "ple_rhs", "single_integrator",
     "spectral_decompose", "unicycle", "validate_oracle", "xi_margin",
 ]
 

@@ -2,14 +2,16 @@
 
 Subcommands: ``lift`` (integrate the path-lifting equation and write the
 trace CSV plus a summary report), ``check`` (sampling-based hypothesis
-falsification), ``validate`` (oracle self-checks), ``list-problems``.
+falsification), ``validate`` (oracle self-checks), ``list-problems`` (the
+registry ``_PROBLEMS``: each problem and the keys it reads).
 
 Config files are INI-style sectioned key/value text.  Parsing checks only
-the text (known and required keys, finite numbers); each rule on a value
-lives on the library type that holds it.  Exit codes: 0 success / Reached,
-1 configuration, setup or command-line error, 2 singular terminal lift, 3
-other lift termination, 4 a checked condition was falsified on the sample,
-5 validation failure, 6 a numerical failure such as a trajectory blowup.
+the text (known and required keys, finite numbers, no ``[problem]`` key that
+the problem does not read); each rule on a value lives on the library type
+that holds it.  Exit codes: 0 success / Reached, 1 configuration, setup or
+command-line error, 2 singular terminal lift, 3 other lift termination, 4 a
+checked condition was falsified on the sample, 5 validation failure, 6 a
+numerical failure such as a trajectory blowup.
 
 Artifacts are written to a temporary file and atomically renamed, so a
 failed run never leaves a partial file behind.
@@ -19,6 +21,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import inspect
 import logging
 import os
 import sys
@@ -94,25 +97,31 @@ _PARSERS = {
     "matrix": _parse_matrix,
 }
 
+# problem.kind -> (the key naming the problem, name -> builder, and config
+# key -> (type, the parameter it feeds)).  A problem reads the keys whose
+# parameter its builder, or endpoint_problem around a system, takes, and
+# needs those whose parameter has no default; u0_constant feeds none and
+# sets an endpoint problem's u0 on its grid.
+_PROBLEMS = {
+    "builtin-map": ("map", maps.MAP_BUILDERS, {
+        "dim": ("int", "dim"), "weights": ("vector", "weights"),
+        "matrix": ("matrix", "matrix")}),
+    "endpoint": ("system", endpoint.SYSTEM_BUILDERS, {
+        "state_dim": ("int", "dim"), "lti_a": ("matrix", "A"),
+        "lti_b": ("matrix", "B"), "x0": ("vector", "x0"),
+        "horizon": ("float", "horizon"), "segments": ("int", "segments"),
+        "u0_constant": ("vector", None)}),
+}
+
 # section -> key -> (type, default); REQUIRED means no default
 REQUIRED = object()
 
 _SCHEMA = {
     "problem": {
         "kind": ("str", REQUIRED),
-        "map": ("str", None),
-        "dim": ("int", None),
-        "weights": ("vector", None),
-        "matrix": ("matrix", None),
-        "system": ("str", None),
-        "state_dim": ("int", None),
-        "lti_a": ("matrix", None),
-        "lti_b": ("matrix", None),
-        "x0": ("vector", None),
-        "horizon": ("float", None),
-        "segments": ("int", None),
+        **{key: (type_, None) for name_key, _, keys in _PROBLEMS.values()
+           for key, (type_, _) in {name_key: ("str", None), **keys}.items()},
         "u0": ("vector", None),
-        "u0_constant": ("vector", None),
     },
     "path": {
         "kind": ("str", "line"),
@@ -185,41 +194,53 @@ def _require(cfg, section, key):
     return value
 
 
+def _problem_keys(kind, name):
+    """The keys problem ``name`` of ``kind`` reads -> whether required."""
+    _, builders, keys = _PROBLEMS[kind]
+    params = dict(inspect.signature(builders[name]).parameters)
+    if kind == "endpoint":
+        params.update(inspect.signature(endpoint.endpoint_problem).parameters)
+    return {key: param is not None
+            and params[param].default is inspect.Parameter.empty
+            for key, (_, param) in keys.items()
+            if param is None or param in params}
+
+
 def build_problem(cfg):
     """Build (oracle, u0 or None) from the problem section."""
     prob = cfg["problem"]
-    kind = prob["kind"]
-    if kind in ("builtin-map", "linear"):
-        name = "linear" if kind == "linear" else _require(cfg, "problem",
-                                                          "map")
-        if name not in maps.MAP_NAMES:
-            raise ConfigurationError(
-                f"problem.map: unknown builtin map {name!r}")
-        params = {key: _require(cfg, "problem", key)
-                  for key in maps.required_params(name)}
-        oracle = maps.make_map(name, weights=prob["weights"], **params)
-    elif kind == "endpoint":
-        name = _require(cfg, "problem", "system")
-        params = {}
-        if name == "lti":
-            params = {"A": _require(cfg, "problem", "lti_a"),
-                      "B": _require(cfg, "problem", "lti_b")}
-        elif name == "single-integrator" and prob["state_dim"] is not None:
-            params = {"dim": prob["state_dim"]}
-        oracle = endpoint.endpoint_problem(
-            name, _require(cfg, "problem", "x0"),
-            _require(cfg, "problem", "horizon"),
-            _require(cfg, "problem", "segments"),
-            system_params=params)
-    else:
+    kind, name = prob["kind"], None
+    if kind == "linear":
+        kind, name = "builtin-map", "linear"
+    if kind not in _PROBLEMS:
         raise ConfigurationError(
             f"problem.kind must be one of builtin-map | linear | endpoint, "
             f"got {kind!r}")
+    name_key, builders, keys = _PROBLEMS[kind]
+    allowed = {"kind", "u0"}
+    if name is None:
+        allowed.add(name_key)
+        name = _require(cfg, "problem", name_key)
+        if name not in builders:
+            raise ConfigurationError(
+                f"problem.{name_key}: unknown builtin {name_key} {name!r}; "
+                f"known: {', '.join(sorted(builders))}")
+    reads = _problem_keys(kind, name)
+    for key, value in prob.items():
+        if value is not None and key not in allowed | reads.keys():
+            raise ConfigurationError(
+                f"problem.{key} does not apply to {name_key} {name!r}")
+    args = {keys[key][1]: _require(cfg, "problem", key)
+            for key, required in reads.items()
+            if keys[key][1] and (required or prob[key] is not None)}
+    if kind == "endpoint":
+        grid = inspect.signature(endpoint.endpoint_problem).parameters
+        system = {p: args.pop(p) for p in list(args) if p not in grid}
+        oracle = endpoint.endpoint_problem(name, system_params=system, **args)
+    else:
+        oracle = builders[name](**args)
     u0 = prob["u0"]
     if u0 is None and prob["u0_constant"] is not None:
-        if kind != "endpoint":
-            raise ConfigurationError(
-                "problem.u0_constant only applies to endpoint problems")
         u0 = oracle.grid.constant(prob["u0_constant"])
     if u0 is not None and len(u0) != oracle.dim_domain:
         raise ConfigurationError(
@@ -357,12 +378,13 @@ def run_validate(cfg, seed_override=None):
 
 
 def run_list_problems():
-    print("builtin maps:")
-    for name in maps.MAP_NAMES:
-        print(f"  {name}")
-    print("control systems (problem.kind = endpoint):")
-    for name in endpoint.SYSTEM_NAMES:
-        print(f"  {name}")
+    for kind, (name_key, builders, _) in _PROBLEMS.items():
+        print(f"problem.kind = {kind}, by problem.{name_key}:")
+        for name in sorted(builders):
+            keys = _problem_keys(kind, name).items()
+            print(f"  {name}: " + ", ".join(
+                key + "*" * required for key, required in keys))
+    print("* required; all read u0; kind = linear means map = linear")
     return EXIT_OK
 
 

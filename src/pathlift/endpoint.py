@@ -203,22 +203,21 @@ def unicycle():
                          f=f, f_x=f_x, f_u=f_u, d_partials=d_partials)
 
 
-_SYSTEM_BUILDERS = {
+# name -> builder; the CLI feeds config keys to its parameters by name
+SYSTEM_BUILDERS = {
     "single-integrator": single_integrator,
     "lti": lti,
     "brockett": brockett,
     "unicycle": unicycle,
 }
 
-SYSTEM_NAMES = tuple(sorted(_SYSTEM_BUILDERS))
-
 
 def make_system(name, **params):
     try:
-        builder = _SYSTEM_BUILDERS[name]
+        builder = SYSTEM_BUILDERS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown system {name!r}; known: {sorted(_SYSTEM_BUILDERS)}"
+            f"unknown system {name!r}; known: {sorted(SYSTEM_BUILDERS)}"
         ) from None
     return builder(**params)
 

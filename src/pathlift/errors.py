@@ -54,7 +54,10 @@ class InvalidXi(ConfigurationError):
 
 def finite(values, what, error=ConfigurationError):
     """``values`` as a new float array; ``error`` unless all are finite."""
-    out = np.array(values, dtype=float)
+    try:
+        out = np.array(values, dtype=float)
+    except (ValueError, TypeError):
+        raise error(f"{what} must be finite numbers, got {values!r}") from None
     if not np.isfinite(out).all():
         raise error(f"{what} must be finite")
     return out

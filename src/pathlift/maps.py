@@ -7,8 +7,6 @@ this package is taken with respect to that inner product: in coordinates
 the adjoint of the Jacobian J is ``W^-1 J^T``, never the bare transpose.
 """
 
-import inspect
-
 import numpy as np
 
 from .errors import ConfigurationError, finite, integer
@@ -252,31 +250,9 @@ class FoldMap(MapOracle):
         return np.array([[2.0 * v[0], 0.0], [0.0, 0.0]])
 
 
-def make_map(name, **params):
-    """Build a registered analytic map by name.
-
-    Names: ``linear`` (matrix=..., weights=...), ``sphere`` (dim=...,
-    weights=...), ``fold`` (weights=...).  Endpoint maps of control
-    systems are built through :mod:`pathlift.endpoint`.
-    """
-    try:
-        builder = _MAP_BUILDERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown map {name!r}; known: {sorted(_MAP_BUILDERS)}") from None
-    return builder(**params)
-
-
-def required_params(name):
-    """Parameters of the registered map ``name`` that have no default."""
-    params = inspect.signature(_MAP_BUILDERS[name]).parameters.values()
-    return tuple(p.name for p in params if p.default is p.empty)
-
-
-_MAP_BUILDERS = {
+# name -> builder; the CLI feeds config keys to its parameters by name
+MAP_BUILDERS = {
     "linear": LinearMap,
     "sphere": SphereMap,
     "fold": FoldMap,
 }
-
-MAP_NAMES = tuple(sorted(_MAP_BUILDERS))

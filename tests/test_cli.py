@@ -1,5 +1,6 @@
 """Config parsing, subcommands, artifacts, and exit codes."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pathlift import cli
+from pathlift import cli, endpoint
 from pathlift.errors import ConfigurationError
 from pathlift.maps import FoldMap, LinearMap
 
@@ -442,6 +443,90 @@ def test_linear_map_from_config(problem):
     assert isinstance(oracle, LinearMap)
     np.testing.assert_array_equal(oracle.matrix, [[1, 0, 2], [0, 1, 1]])
     np.testing.assert_array_equal(oracle.weights, [1, 2, 3])
+
+
+BROCKETT = ("kind = endpoint\nsystem = brockett\nx0 = 0, 0, 0\n"
+            "horizon = 1.0\nsegments = 2\n")
+
+
+@pytest.mark.parametrize("problem, message", [
+    (BROCKETT + "state_dim = 3", "state_dim does not apply to system "
+     "'brockett'"),
+    (BROCKETT + "lti_a = 0 1; -2 -0.3", "lti_a does not apply to system "
+     "'brockett'"),
+    (BROCKETT + "weights = 1, 2", "weights does not apply to system "
+     "'brockett'"),
+    ("kind = builtin-map\nmap = fold\ndim = 3", "dim does not apply to map "
+     "'fold'"),
+    ("kind = builtin-map\nmap = fold\nx0 = 1, 2", "x0 does not apply to "
+     "map 'fold'"),
+    ("kind = builtin-map\nmap = fold\nsegments = 4\ndim = 3", "dim does "
+     "not apply to map 'fold'"),
+    ("kind = builtin-map\nmap = fold\nu0_constant = 1, 2", "u0_constant "
+     "does not apply to map 'fold'"),
+    ("kind = linear\nmatrix = 1 0\nmap = sphere", "map does not apply to "
+     "map 'linear'"),
+    ("kind = endpoint\nsystem = single-integrator\ndim = 2\nx0 = 0, 0\n"
+     "horizon = 1.0\nsegments = 2", "dim does not apply to system "
+     "'single-integrator'"),
+], ids=["brockett-state_dim", "brockett-lti_a", "brockett-weights",
+        "fold-dim", "fold-x0", "fold-first-in-schema-order",
+        "fold-u0_constant", "linear-alias-map", "single-integrator-dim"])
+def test_key_the_problem_does_not_read_exits_1(tmp_path, capsys, problem,
+                                               message):
+    code = cli.main(["validate", "--config",
+                     _cfg(tmp_path, f"[problem]\n{problem}\n")])
+    assert code == cli.EXIT_CONFIG == 1
+    assert capsys.readouterr().err == f"error: problem.{message}\n"
+
+
+def _signature_required(function):
+    params = inspect.signature(function).parameters.values()
+    return {p.name for p in params if p.default is p.empty}
+
+
+def test_every_registered_problem_can_be_built_from_a_config():
+    """Each builder parameter without a default is fed by a config key of
+    its kind; so is each of endpoint_problem's around a system."""
+    for kind, (_, builders, keys) in cli._PROBLEMS.items():
+        fed = {param for _, param in keys.values()}
+        for name, builder in builders.items():
+            assert _signature_required(builder) <= fed, (kind, name)
+    framed = _signature_required(endpoint.endpoint_problem) - {"system_name"}
+    assert framed <= {param for _, param in cli._PROBLEMS["endpoint"][2]
+                      .values()}
+
+
+def test_every_problem_key_is_read_by_a_registered_problem():
+    read = {"kind", "u0"}
+    for kind, (name_key, builders, _) in cli._PROBLEMS.items():
+        read.add(name_key)
+        for name in builders:
+            read |= cli._problem_keys(kind, name).keys()
+    assert read == set(cli._SCHEMA["problem"])
+
+
+def test_list_problems_prints_the_registry(capsys):
+    assert cli.main(["list-problems"]) == 0
+    out = capsys.readouterr().out
+    listed = dict(line.strip().split(": ") for line in out.splitlines()
+                  if line.startswith("  "))
+    expected = {}
+    for kind, (_, builders, keys) in cli._PROBLEMS.items():
+        for name, builder in builders.items():
+            required = _signature_required(builder)
+            if kind == "endpoint":
+                required |= _signature_required(endpoint.endpoint_problem)
+            expected[name] = {key for key, (_, param) in keys.items()
+                              if param in required}
+    assert {name: {key[:-1] for key in keys.split(", ") if key[-1] == "*"}
+            for name, keys in listed.items()} == expected
+    assert len(listed) == 7
+    assert listed["lti"] == ("lti_a*, lti_b*, x0*, horizon*, segments*, "
+                             "u0_constant")
+    assert listed["single-integrator"] == ("state_dim, x0*, horizon*, "
+                                           "segments*, u0_constant")
+    assert listed["sphere"] == "dim*, weights"
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pathlift as pl
-from pathlift.errors import ConfigurationError
+from pathlift import cli
+from pathlift.errors import BadAnchor, ConfigurationError
 
 from map_fd import central_jacobian
 
@@ -247,11 +248,16 @@ def test_dimension_validation():
 
 
 def test_make_map_registry():
-    assert pl.MAP_NAMES == ("fold", "linear", "sphere")
-    o = pl.make_map("sphere", dim=2)
-    assert isinstance(o, pl.SphereMap)
-    with pytest.raises(ConfigurationError):
-        pl.make_map("nope")
+    """The problem registry builds each analytic map by name."""
+    name_key, builders, _ = cli._PROBLEMS["builtin-map"]
+    assert (name_key, sorted(builders)) == ("map", ["fold", "linear",
+                                                    "sphere"])
+    o, _ = cli.build_problem(cli.parse_config(
+        "[problem]\nkind = builtin-map\nmap = sphere\ndim = 2\n"))
+    assert isinstance(o, pl.SphereMap) and o.dim_domain == 2
+    with pytest.raises(ConfigurationError, match="unknown builtin map"):
+        cli.build_problem(cli.parse_config(
+            "[problem]\nkind = builtin-map\nmap = nope\n"))
 
 
 # -- target paths ----------------------------------------------------------
@@ -357,6 +363,30 @@ def test_paths_reject_non_finite_points(bad):
         pl.PolylinePath([[0.0, 0.0], [bad, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("error, what, build", [
+    (ConfigurationError, "x0",
+     lambda: pl.endpoint_problem("brockett", "abc", 1.0, 2)),
+    (ConfigurationError, "x0",
+     lambda: pl.endpoint_problem("brockett", [[0.0], [0.0, 0.0]], 1.0, 2)),
+    (ConfigurationError, "lti matrix A", lambda: pl.lti("x", [[1.0]])),
+    (ConfigurationError, "linear map matrix", lambda: pl.LinearMap("abc")),
+    (ConfigurationError, "line start", lambda: pl.LinePath("a", "b")),
+    (ConfigurationError, "polyline waypoints",
+     lambda: pl.PolylinePath([[0.0, 0.0], [1.0]])),
+    (ConfigurationError, "x0",
+     lambda: pl.integrate(pl.brockett(), "abc", np.zeros((2, 2)), 1.0)),
+    (BadAnchor, "anchor u0",
+     lambda: pl.lift(pl.FoldMap(), pl.LinePath([0.0, 0.0], [0.1, 0.1]),
+                     "ab")),
+], ids=["x0-string", "x0-ragged", "lti-string", "linear-map-string",
+        "line-string", "polyline-ragged", "integrate-x0-string",
+        "anchor-string"])
+def test_non_numeric_values_raise_the_callers_error(error, what, build):
+    """Not numpy's bare ValueError from the float conversion."""
+    with pytest.raises(error, match=f"^{what} must be finite numbers, got"):
+        build()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_linear_map_rejects_non_finite_matrix(bad):
     with pytest.raises(ConfigurationError,
@@ -369,7 +399,8 @@ def test_public_names_resolve():
         assert hasattr(pl, name), name
     for gone in ("AnalyticPath", "GapReport", "SimplicityLoss", "gap_check",
                  "gramian_derivative_action", "z1_derivative",
-                 "fd_along_lift", "lambda1_fd_along_lift", "coefficients"):
+                 "fd_along_lift", "lambda1_fd_along_lift", "coefficients",
+                 "make_map", "MAP_NAMES", "SYSTEM_NAMES"):
         assert gone not in pl.__all__ and not hasattr(pl, gone), gone
 
 
