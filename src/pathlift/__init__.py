@@ -6,43 +6,54 @@ tracking the Gramian spectrum and the second-order diagnostics that
 govern approach to the singular set.  It also ships a control-system
 endpoint-map frontend, a sampling-based hypothesis checker, and a
 config-driven command line.
+
+``_EXPORTS`` below is the public API: each submodule and the names it
+exports.  ``import pathlift`` loads no submodule; a name, or a submodule
+such as ``pathlift.endpoint``, loads its module on first use (PEP 562), so
+a run compiles only the modules it calls.
 """
 
-from .endpoint import (ControlGrid, ControlSystem, EndpointOracle, brockett,
-                       endpoint_problem, integrate, lti, make_system,
-                       single_integrator, unicycle)
-from .errors import (BadAnchor, ConfigurationError, GapViolation, InvalidXi,
-                     NumericalError, SingularGramian, SingularStart,
-                     TrajectoryBlowup)
-from .hypotheses import (HypothesisReport, PowerLawXi, SamplingPlan,
-                         check_report, coercivity_ratio,
-                         estimate_bilinear_norm, gramian_inverse_growth,
-                         xi_margin)
-from .maps import FoldMap, LinearMap, MapOracle, SphereMap
-from .oracle_checks import CheckResult, validate_oracle
-from .paths import LinePath, PolylinePath, TargetPath, line_to_target
-from .solver import (ContinuationReport, DIVERGED, LiftState, REACHED,
-                     SINGULAR_INTERIOR, SINGULAR_TERMINAL, STEP_UNDERFLOW,
-                     SolverOptions, gauss_newton_correct, lift, ple_rhs)
-from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
-                       gramian, spectral_decompose)
+import importlib
 
-__all__ = [
-    "BadAnchor", "CheckResult", "ConfigurationError",
-    "ContinuationReport", "ControlGrid", "ControlSystem",
-    "DIVERGED", "EndpointOracle", "FoldMap",
-    "GapViolation", "GramianSpectrum", "HypothesisReport",
-    "InvalidXi", "LiftState", "LinePath", "LinearMap",
-    "MapOracle", "NumericalError", "PolylinePath", "PowerLawXi",
-    "REACHED", "SINGULAR_INTERIOR", "SINGULAR_TERMINAL", "STEP_UNDERFLOW",
-    "SamplingPlan", "SingularGramian", "SingularStart",
-    "SolverOptions", "SpectralDiagnostics", "SphereMap",
-    "TargetPath", "TrajectoryBlowup", "brockett", "check_report",
-    "coercivity_ratio", "diagnostics", "endpoint_problem",
-    "estimate_bilinear_norm", "gauss_newton_correct", "gramian",
-    "gramian_inverse_growth", "integrate", "lift", "line_to_target", "lti",
-    "make_system", "ple_rhs", "single_integrator",
-    "spectral_decompose", "unicycle", "validate_oracle", "xi_margin",
-]
+_EXPORTS = {
+    "cli": (),
+    "endpoint": ("ControlGrid", "ControlSystem", "EndpointOracle",
+                 "brockett", "endpoint_problem", "integrate", "lti",
+                 "make_system", "single_integrator", "unicycle"),
+    "errors": ("BadAnchor", "ConfigurationError", "GapViolation",
+               "InvalidXi", "NumericalError", "SingularGramian",
+               "SingularStart", "TrajectoryBlowup"),
+    "hypotheses": ("HypothesisReport", "PowerLawXi", "SamplingPlan",
+                   "check_report", "coercivity_ratio",
+                   "estimate_bilinear_norm", "gramian_inverse_growth",
+                   "xi_margin"),
+    "maps": ("FoldMap", "LinearMap", "MapOracle", "SphereMap"),
+    "oracle_checks": ("CheckResult", "validate_oracle"),
+    "paths": ("LinePath", "PolylinePath", "TargetPath", "line_to_target"),
+    "solver": ("ContinuationReport", "DIVERGED", "LiftState", "REACHED",
+               "SINGULAR_INTERIOR", "SINGULAR_TERMINAL", "STEP_UNDERFLOW",
+               "SolverOptions", "gauss_newton_correct", "lift", "ple_rhs"),
+    "spectrum": ("GramianSpectrum", "SpectralDiagnostics", "diagnostics",
+                 "gramian", "spectral_decompose"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+
+__all__ = sorted(_OWNER)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,12 +15,19 @@ numerical failure such as a trajectory blowup.
 
 Artifacts are written to a temporary file and atomically renamed, so a
 failed run never leaves a partial file behind.
+
+Importing this module loads ``errors``, ``paths``, ``solver`` and
+``spectrum``; each command imports the rest where it calls them.  Building
+or listing a problem loads its module (``maps``, or ``endpoint`` for an
+endpoint problem), a ``[check]`` plan or a PowerLawXi loads ``hypotheses``,
+and ``validate`` loads ``oracle_checks``.
 """
 
 import argparse
 import configparser
 import dataclasses
 import functools
+import importlib
 import inspect
 import logging
 import os
@@ -29,7 +36,7 @@ import tempfile
 
 import numpy as np
 
-from . import endpoint, hypotheses, maps, oracle_checks, paths, solver
+from . import paths, solver
 from .errors import ConfigurationError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -97,16 +104,17 @@ _PARSERS = {
     "matrix": _parse_matrix,
 }
 
-# problem.kind -> (the key naming the problem, name -> builder, and config
-# key -> (type, the parameter it feeds)).  A problem reads the keys whose
-# parameter its builder, or endpoint_problem around a system, takes, and
-# needs those whose parameter has no default; u0_constant feeds none and
-# sets an endpoint problem's u0 on its grid.
+# problem.kind -> (the key naming the problem, the module and its name ->
+# builder table, and config key -> (type, the parameter it feeds)).  A
+# problem reads the keys whose parameter its builder, or endpoint_problem
+# around a system, takes, and needs those whose parameter has no default;
+# u0_constant feeds none and sets an endpoint problem's u0 on its grid.
+# The table names each module, so reading it imports none.
 _PROBLEMS = {
-    "builtin-map": ("map", maps.MAP_BUILDERS, {
+    "builtin-map": ("map", ("maps", "MAP_BUILDERS"), {
         "dim": ("int", "dim"), "weights": ("vector", "weights"),
         "matrix": ("matrix", "matrix")}),
-    "endpoint": ("system", endpoint.SYSTEM_BUILDERS, {
+    "endpoint": ("system", ("endpoint", "SYSTEM_BUILDERS"), {
         "state_dim": ("int", "dim"), "lti_a": ("matrix", "A"),
         "lti_b": ("matrix", "B"), "x0": ("vector", "x0"),
         "horizon": ("float", "horizon"), "segments": ("int", "segments"),
@@ -180,6 +188,7 @@ def parse_config(text):
     sec = cfg["check"]
     sec["xi"] = None
     if sec["xi_c"] is not None or sec["xi_p"] is not None:
+        from . import hypotheses
         sec["xi"] = hypotheses.PowerLawXi(
             c=1.0 if sec["xi_c"] is None else sec["xi_c"],
             p=1.0 if sec["xi_p"] is None else sec["xi_p"])
@@ -194,11 +203,18 @@ def _require(cfg, section, key):
     return value
 
 
+def _builders(kind):
+    """Problem ``kind``'s name -> builder table; imports its module."""
+    module, table = _PROBLEMS[kind][1]
+    return getattr(importlib.import_module(f".{module}", __package__), table)
+
+
 def _problem_keys(kind, name):
     """The keys problem ``name`` of ``kind`` reads -> whether required."""
-    _, builders, keys = _PROBLEMS[kind]
-    params = dict(inspect.signature(builders[name]).parameters)
+    keys = _PROBLEMS[kind][2]
+    params = dict(inspect.signature(_builders(kind)[name]).parameters)
     if kind == "endpoint":
+        from . import endpoint
         params.update(inspect.signature(endpoint.endpoint_problem).parameters)
     return {key: param is not None
             and params[param].default is inspect.Parameter.empty
@@ -216,7 +232,8 @@ def build_problem(cfg):
         raise ConfigurationError(
             f"problem.kind must be one of builtin-map | linear | endpoint, "
             f"got {kind!r}")
-    name_key, builders, keys = _PROBLEMS[kind]
+    name_key, _, keys = _PROBLEMS[kind]
+    builders = _builders(kind)
     allowed = {"kind", "u0"}
     if name is None:
         allowed.add(name_key)
@@ -230,17 +247,21 @@ def build_problem(cfg):
         if value is not None and key not in allowed | reads.keys():
             raise ConfigurationError(
                 f"problem.{key} does not apply to {name_key} {name!r}")
+    if prob["u0"] is not None and prob["u0_constant"] is not None:
+        raise ConfigurationError(
+            "problem.u0 and problem.u0_constant both set u0; give one")
     args = {keys[key][1]: _require(cfg, "problem", key)
             for key, required in reads.items()
             if keys[key][1] and (required or prob[key] is not None)}
     if kind == "endpoint":
+        from . import endpoint
         grid = inspect.signature(endpoint.endpoint_problem).parameters
         system = {p: args.pop(p) for p in list(args) if p not in grid}
         oracle = endpoint.endpoint_problem(name, system_params=system, **args)
     else:
         oracle = builders[name](**args)
     u0 = prob["u0"]
-    if u0 is None and prob["u0_constant"] is not None:
+    if prob["u0_constant"] is not None:
         u0 = oracle.grid.constant(prob["u0_constant"])
     if u0 is not None and len(u0) != oracle.dim_domain:
         raise ConfigurationError(
@@ -268,6 +289,7 @@ def build_path(cfg, oracle, u0):
 def build_plan(cfg, seed_override=None):
     sec = cfg["check"]
     seed = sec["seed"] if seed_override is None else seed_override
+    from . import hypotheses
     plan = hypotheses.SamplingPlan(
         radii=sec["radii"], per_radius=sec["per_radius"],
         z_samples=sec["z_samples"], seed=seed)
@@ -356,6 +378,7 @@ def run_lift(cfg, out_dir):
 def run_check(cfg, out_dir, seed_override=None):
     oracle, _ = build_problem(cfg)
     plan, xi, lambda0 = build_plan(cfg, seed_override)
+    from . import hypotheses
     report = hypotheses.check_report(oracle, plan, lambda0=lambda0, xi=xi)
     _atomic_write(os.path.join(out_dir, cfg["output"]["report"]),
                   report.to_text())
@@ -367,6 +390,7 @@ def run_check(cfg, out_dir, seed_override=None):
 def run_validate(cfg, seed_override=None):
     oracle, _ = build_problem(cfg)
     seed = 0 if seed_override is None else seed_override
+    from . import oracle_checks
     results = oracle_checks.validate_oracle(oracle, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -378,9 +402,9 @@ def run_validate(cfg, seed_override=None):
 
 
 def run_list_problems():
-    for kind, (name_key, builders, _) in _PROBLEMS.items():
+    for kind, (name_key, _, _) in _PROBLEMS.items():
         print(f"problem.kind = {kind}, by problem.{name_key}:")
-        for name in sorted(builders):
+        for name in sorted(_builders(kind)):
             keys = _problem_keys(kind, name).items()
             print(f"  {name}: " + ", ".join(
                 key + "*" * required for key, required in keys))

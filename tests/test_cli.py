@@ -1,6 +1,7 @@
 """Config parsing, subcommands, artifacts, and exit codes."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -480,6 +481,74 @@ def test_key_the_problem_does_not_read_exits_1(tmp_path, capsys, problem,
     assert capsys.readouterr().err == f"error: problem.{message}\n"
 
 
+@pytest.mark.parametrize("command", ["lift", "check", "validate"])
+def test_u0_and_u0_constant_together_exit_1(tmp_path, capsys, command):
+    text = (f"[problem]\n{BROCKETT}u0 = 1, 1, 1, 1\nu0_constant = 5, 5\n"
+            "[path]\ntarget = 0.8, 0.9, 0.4\n")
+    argv = [command, "--config", _cfg(tmp_path, text)]
+    if command != "validate":   # validate writes no file, so takes no dir
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG == 1
+    assert capsys.readouterr().err == (
+        "error: problem.u0 and problem.u0_constant both set u0; give one\n")
+    assert not (tmp_path / "out").exists()
+
+
+# The sphere lift of the CI workflow: an analytic map, no endpoint layer
+CI_SPHERE = """
+[problem]
+kind = builtin-map
+map = sphere
+dim = 3
+u0 = 0.8, -0.36, 0.48
+
+[path]
+kind = line
+target = 0
+"""
+
+LOADS_PROBE = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("pathlift."))
+
+stages = {}
+import pathlift
+stages["import pathlift"] = loaded()
+from pathlift import cli
+stages["import pathlift.cli"] = loaded()
+stages["lift exit"] = cli.main(["lift", "--config", sys.argv[1],
+                                "--out-dir", sys.argv[3]])
+stages["lift"] = loaded()
+stages["validate exit"] = cli.main(["validate", "--config", sys.argv[2]])
+stages["validate"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_each_entry_point_loads_only_the_modules_it_calls(tmp_path):
+    """A fresh interpreter: the package loads no submodule, the CLI none of
+    endpoint, hypotheses and oracle_checks until a command calls them."""
+    sphere = _cfg(tmp_path, CI_SPHERE, "sphere.ini")
+    brockett = _cfg(tmp_path, f"[problem]\n{BROCKETT}", "brockett.ini")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", LOADS_PROBE, sphere, brockett,
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True).stdout
+    stages = json.loads(out.splitlines()[-1])
+    later = {"pathlift.endpoint", "pathlift.hypotheses",
+             "pathlift.oracle_checks"}
+    assert stages["import pathlift"] == []
+    assert not later & set(stages["import pathlift.cli"])
+    assert stages["lift exit"] == cli.EXIT_SINGULAR_TERMINAL
+    assert not later & set(stages["lift"])
+    assert stages["validate exit"] == cli.EXIT_OK
+    assert later - set(stages["validate"]) == {"pathlift.hypotheses"}
+
+
 def _signature_required(function):
     params = inspect.signature(function).parameters.values()
     return {p.name for p in params if p.default is p.empty}
@@ -488,9 +557,9 @@ def _signature_required(function):
 def test_every_registered_problem_can_be_built_from_a_config():
     """Each builder parameter without a default is fed by a config key of
     its kind; so is each of endpoint_problem's around a system."""
-    for kind, (_, builders, keys) in cli._PROBLEMS.items():
+    for kind, (_, _, keys) in cli._PROBLEMS.items():
         fed = {param for _, param in keys.values()}
-        for name, builder in builders.items():
+        for name, builder in cli._builders(kind).items():
             assert _signature_required(builder) <= fed, (kind, name)
     framed = _signature_required(endpoint.endpoint_problem) - {"system_name"}
     assert framed <= {param for _, param in cli._PROBLEMS["endpoint"][2]
@@ -499,9 +568,9 @@ def test_every_registered_problem_can_be_built_from_a_config():
 
 def test_every_problem_key_is_read_by_a_registered_problem():
     read = {"kind", "u0"}
-    for kind, (name_key, builders, _) in cli._PROBLEMS.items():
+    for kind, (name_key, _, _) in cli._PROBLEMS.items():
         read.add(name_key)
-        for name in builders:
+        for name in cli._builders(kind):
             read |= cli._problem_keys(kind, name).keys()
     assert read == set(cli._SCHEMA["problem"])
 
@@ -512,8 +581,8 @@ def test_list_problems_prints_the_registry(capsys):
     listed = dict(line.strip().split(": ") for line in out.splitlines()
                   if line.startswith("  "))
     expected = {}
-    for kind, (_, builders, keys) in cli._PROBLEMS.items():
-        for name, builder in builders.items():
+    for kind, (_, _, keys) in cli._PROBLEMS.items():
+        for name, builder in cli._builders(kind).items():
             required = _signature_required(builder)
             if kind == "endpoint":
                 required |= _signature_required(endpoint.endpoint_problem)

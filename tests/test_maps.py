@@ -1,5 +1,7 @@
 """Map oracles, weighted geometry, and target paths."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,7 +251,9 @@ def test_dimension_validation():
 
 def test_make_map_registry():
     """The problem registry builds each analytic map by name."""
-    name_key, builders, _ = cli._PROBLEMS["builtin-map"]
+    name_key = cli._PROBLEMS["builtin-map"][0]
+    builders = cli._builders("builtin-map")
+    assert builders is pl.maps.MAP_BUILDERS
     assert (name_key, sorted(builders)) == ("map", ["fold", "linear",
                                                     "sphere"])
     o, _ = cli.build_problem(cli.parse_config(
@@ -395,8 +399,12 @@ def test_linear_map_rejects_non_finite_matrix(bad):
 
 
 def test_public_names_resolve():
+    assert set(pl.__all__) <= set(dir(pl))
     for name in pl.__all__:
         assert hasattr(pl, name), name
+    for module in ("cli", "endpoint", "errors", "hypotheses", "maps",
+                   "oracle_checks", "paths", "solver", "spectrum"):
+        assert getattr(pl, module) is sys.modules[f"pathlift.{module}"]
     for gone in ("AnalyticPath", "GapReport", "SimplicityLoss", "gap_check",
                  "gramian_derivative_action", "z1_derivative",
                  "fd_along_lift", "lambda1_fd_along_lift", "coefficients",
