@@ -29,8 +29,8 @@ second variation's two below, are doubling scans (Hillis & Steele, CACM
 compositions of the segments' [A | C] blocks, not one Python iteration
 per segment; only the STEPS_PER_SEGMENT steps within a segment are a loop.
 
-Second differentials are exact for systems that give ``d_partials``, the
-derivatives (dA, dB) of f_x and f_u along a direction (dx, du):
+Second differentials are exact: every system gives ``d_partials``, the
+derivatives (dA, dB) of f_x and f_u along a direction (dx, du), and
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
 u for a stack of (u, v) pairs on a leading axis, in forward mode through
 the fixed scheme, and ``jacobian_derivative`` is the stack of one.  What
@@ -42,11 +42,9 @@ over the segments (see ``EndpointOracle._second_variations``).
 The oracle keeps one read-only memo keyed by control bytes, holding the
 rows of its last request that integrated and those of its last request
 for J or dJ: each control's trajectory and stage states, and, once J or
-dJ is asked there, J and, with ``d_partials``, its linearization and
-flows.  J and dJ at a kept control integrate nothing, evaluate no
-``f``, ``f_x`` or ``f_u``, form no flows, and a dJ pass there pays only
-for its members.  A system without ``d_partials`` keeps the base-class
-central finite difference.
+dJ is asked there, J with its linearization and flows.  J and dJ at a
+kept control integrate nothing, evaluate no ``f``, ``f_x`` or ``f_u``,
+form no flows, and a dJ pass there pays only for its members.
 """
 
 from dataclasses import dataclass
@@ -81,12 +79,12 @@ class ControlSystem:
     ``integrate`` steps even one trajectory as a batch of one, and raises
     ConfigurationError for an ``f`` that does not.
 
-    ``d_partials(x, u, dx, du)`` is optional and broadcasts the same way
-    over the leading axes of its four arguments: it returns (dA, dB), the
-    derivatives of ``f_x`` and ``f_u`` at (x, u) along (dx, du).  A
-    system that gives it gets the exact second variation of its endpoint
-    map; without it ``EndpointOracle`` falls back to the base-class finite
-    difference.
+    ``d_partials(x, u, dx, du)`` broadcasts the same way over the leading
+    axes of its four arguments: it returns (dA, dB), the derivatives of
+    ``f_x`` and ``f_u`` at (x, u) along (dx, du), from which
+    ``EndpointOracle`` forms the exact second variation of the endpoint
+    map.  ``pathlift.validate_oracle`` checks a hand-written one: a wrong
+    term fails its second-order Taylor row.
     """
 
     name: str
@@ -96,7 +94,7 @@ class ControlSystem:
     f_x: Callable        # (..., n), (..., m) -> (..., n, n)
     f_u: Callable        # (..., n), (..., m) -> (..., n, m)
     # (..., n), (..., m), (..., n), (..., m) -> (..., n, n), (..., n, m)
-    d_partials: Callable | None = None
+    d_partials: Callable
 
 
 def _lead(*arrays):
@@ -517,15 +515,16 @@ def _flows(steps):
 class _Kept:
     """What an oracle keeps for one control u (read-only, as are all its
     arrays): u's trajectory (times, states, stages); once J or dJ is asked
-    at u, J, and with ``d_partials`` the rest of what
-    :meth:`EndpointOracle._linearized` formed with it."""
+    at u, J and ``linear``, the rest of what
+    :meth:`EndpointOracle._linearized` formed with it: (x, a, b_2, b_3,
+    chain, kernels)."""
 
-    __slots__ = ("u", "trajectory", "linear", "jac", "flows")
+    __slots__ = ("u", "trajectory", "linear", "jac")
 
     def __init__(self, key, trajectory):
         self.u = np.frombuffer(key)
         self.trajectory = trajectory
-        self.linear = self.jac = self.flows = None
+        self.linear = self.jac = None
 
 
 def _read_only(arrays):
@@ -630,8 +629,8 @@ class EndpointOracle(MapOracle):
         ``f`` call, the stage rows a = [f_x | f_u]; :func:`_propagators`'
         step rows [M_j | N_j] with its b_2 and b_3; their :func:`_flows`;
         and J's block on segment p, K_{p,S} C_p (C_{P-1} on the last).
-        With ``d_partials`` each entry keeps (x, a, b_2, b_3) and its flows
-        for dJ.  Returns those six arrays, stacked, if every entry of
+        Each entry keeps J and, as ``linear`` for dJ, (x, a, b_2, b_3) and
+        its flows.  Returns those six arrays, stacked, if every entry of
         ``kept`` was formed here, else None."""
         todo = [e for e in dict.fromkeys(kept) if e.jac is None]
         if not todo:
@@ -652,9 +651,7 @@ class EndpointOracle(MapOracle):
         formed = _read_only((x, a, b2, b3, chain, kernels, jacs))
         for k, e in enumerate(todo):
             e.jac = jacs[k]
-            if self.system.d_partials is not None:
-                e.linear = (x[k], a[k], b2[k], b3[k])
-                e.flows = (chain[k], kernels[k])
+            e.linear = tuple(arr[k] for arr in formed[:-1])
         return formed[:-1] if len(todo) == len(kept) else None
 
     def jacobian(self, u):
@@ -689,11 +686,8 @@ class EndpointOracle(MapOracle):
         """Exact derivatives of :meth:`jacobian` along v_k at u_k, (K, n,
         N), each bit for bit the stack of one, in passes of at most
         STACK_LIMIT // P members: the memory of one call at STACK_LIMIT
-        segments.  Without ``d_partials``, the base-class central
-        difference with all 2K points u +- eps v in one batch."""
+        segments."""
         us, vs = self._pair_rows(us, vs)
-        if self.system.d_partials is None:
-            return self._fd_second_many(us, vs)
         kept = self._kept(us, ask=True)     # one batch for the new rows
         out = np.empty((len(us), self.dim_codomain, self.dim_domain))
         size = max(1, STACK_LIMIT // self.grid.segments)
@@ -726,7 +720,7 @@ class EndpointOracle(MapOracle):
         # the arrays just formed if each member is a control first met
         # here, else each member's kept arrays, stacked
         x, a, b2, b3, chain, kernels = self._linearized(kept) or map(
-            _stacked, zip(*(e.linear + e.flows for e in kept)))
+            _stacked, zip(*(e.linear for e in kept)))
         n, m = self.dim_codomain, self.grid.control_dim
         count, segments = len(kept), self.grid.segments
         # each segment's v, broadcast over its steps

@@ -11,23 +11,18 @@ import numpy as np
 
 from .errors import ConfigurationError, finite, integer
 
-# Central finite-difference step scale, relative to 1 + ||u||_X.
-SECOND_FD_SCALE = 1e-5
-
 
 class MapOracle:
     """Base class for C^2 maps F: (R^N, W) -> R^n.
 
-    Subclasses implement :meth:`eval` and :meth:`jacobian`.  Every
-    second-order quantity derives from :meth:`jacobian_derivative`, which
-    defaults to a central finite difference of the Jacobian; maps with a
-    closed-form second differential override it.  Callers with many
+    Subclasses implement :meth:`eval`, :meth:`jacobian` and
+    :meth:`jacobian_derivative`, the second differential that the theorem
+    bounds; every second-order quantity derives from it.  Callers with many
     points or (u, v) pairs use :meth:`jacobian_many` and
     :meth:`jacobian_derivative_many`, which loop unless overridden
     (``EndpointOracle`` takes a stack in one pass).
-    The checks in :mod:`pathlift.oracle_checks` hold J and dJ to
-    :meth:`eval` through Taylor remainders, with the same tolerances
-    whichever way an oracle computes its derivatives.
+    :func:`pathlift.validate_oracle` (``pathlift validate``) holds a
+    hand-written J and dJ to :meth:`eval` through Taylor remainders.
 
     Oracles are not thread-safe: an oracle may keep its last results in
     unlocked state that any call may replace (see ``EndpointOracle``), so
@@ -109,6 +104,12 @@ class MapOracle:
         """Coordinate Jacobian of F at u, shape (n, N)."""
         raise NotImplementedError
 
+    def jacobian_derivative(self, u, v):
+        """Derivative of the coordinate Jacobian along v, shape (n, N).
+
+        Row i paired with w is e_i^* d2F|_u(v, w)."""
+        raise NotImplementedError
+
     # -- derived operations --------------------------------------------------
 
     def eval_many(self, us):
@@ -136,32 +137,12 @@ class MapOracle:
         u = self._domain_vec(u)
         return self.jacobian(u).T / self.weights[:, None]
 
-    def jacobian_derivative(self, u, v):
-        """Derivative of the coordinate Jacobian along v, shape (n, N).
-
-        Row i paired with w is e_i^* d2F|_u(v, w).  The default is a
-        central finite difference of :meth:`jacobian` at u +- eps v, both
-        evaluated in one batch.
-        """
-        return self._fd_second_many([u], [v])[0]
-
     def jacobian_derivative_many(self, us, vs):
         """:meth:`jacobian_derivative` at each row pair of ``us`` and
         ``vs`` (K, N), shape (K, n, N), by default one call per pair."""
         us, vs = self._pair_rows(us, vs)
         return np.array([self.jacobian_derivative(u, v)
                          for u, v in zip(us, vs)]).reshape(
-            len(us), self.dim_codomain, self.dim_domain)
-
-    def _fd_second_many(self, us, vs):
-        """Central differences of :meth:`jacobian` at u_k +- eps_k v_k,
-        eps_k = SECOND_FD_SCALE (1 + ||u_k||_X), in one :meth:`eval_many`."""
-        us, vs = self._pair_rows(us, vs)
-        eps = np.array([SECOND_FD_SCALE * (1.0 + self.norm(u)) for u in us])
-        plus, minus = us + eps[:, None] * vs, us - eps[:, None] * vs
-        self.eval_many(np.concatenate([plus, minus]))
-        return np.array([(self.jacobian(p) - self.jacobian(m)) / (2.0 * e)
-                         for p, m, e in zip(plus, minus, eps)]).reshape(
             len(us), self.dim_codomain, self.dim_domain)
 
     def bilinear_second(self, u, z, v, w):

@@ -14,7 +14,7 @@ import pathlift as pl
 from pathlift.endpoint import BLOWUP_NORM, STEPS_PER_SEGMENT
 from pathlift.errors import ConfigurationError, TrajectoryBlowup
 
-from map_fd import central_jacobian
+from map_fd import central_jacobian, central_second
 
 
 def test_control_grid_geometry():
@@ -222,15 +222,16 @@ def test_d_partials_match_differences_of_the_partials(name):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_exact_jacobian_derivative_matches_fd(data):
-    """The exact pass against the base-class central difference D(v).
+    """The exact pass against D(v), the central difference of the
+    oracle's own J of ``map_fd.central_second``.
 
-    D(v) has step eps = 1e-4 (1 + ||u||_X) and truncation error
-    (eps^2 / 6) d3J[v, v, v], up to 5e-6 here at |u| = 2 on the mixed
-    system.  2 D(v / 2) is the same difference with step eps / 2, so the
-    Richardson combination R = (8 D(v / 2) - D(v)) / 3 of two base-class
-    calls cancels that term, leaving O(eps^4) truncation and about
-    1e-11 of roundoff.  Both differentiate the same computed Jacobian,
-    so no discretisation term separates them.
+    D(v) has step eps = 1e-5 (1 + ||u||_X) and truncation error
+    (eps^2 / 6) d3J[v, v, v], about 1.5e-8 at most in a sample at |u|
+    near 2 on the mixed system.  2 D(v / 2) is the same difference with
+    step eps / 2, so the Richardson combination R = (8 D(v / 2) - D(v)) / 3
+    cancels that term, leaving O(eps^4) truncation and under 1e-10 of
+    roundoff.  Both differentiate the same computed Jacobian, so no
+    discretisation term separates them.
     """
     name = data.draw(st.sampled_from(sorted(_SYSTEMS) + ["mixed"]),
                      label="system")
@@ -242,9 +243,8 @@ def test_exact_jacobian_derivative_matches_fd(data):
     v = data.draw(arrays(float, ep.dim_domain,
                          elements=st.floats(-1.0, 1.0)), label="v")
     exact = ep.jacobian_derivative(u, v)
-    fd = pl.MapOracle.jacobian_derivative(ep, u, v)
-    richardson = (8.0 * pl.MapOracle.jacobian_derivative(ep, u, 0.5 * v)
-                  - fd) / 3.0
+    fd = central_second(ep, u, v)
+    richardson = (8.0 * central_second(ep, u, 0.5 * v) - fd) / 3.0
     assert exact.shape == (ep.dim_codomain, ep.dim_domain)
     np.testing.assert_allclose(exact, richardson, rtol=0, atol=1e-9)
 
@@ -316,20 +316,35 @@ def test_jacobian_derivative_at_cached_point_integrates_nothing(monkeypatch):
     assert len(calls) == 1
 
 
-def test_system_without_second_partials_uses_fd():
+class _FirstOrderOnly(pl.MapOracle):
+    """A base oracle's F and J, with no second differential of its own."""
+
+    def __init__(self, base):
+        super().__init__(base.dim_domain, base.dim_codomain, base.weights)
+        self.base = base
+
+    def eval(self, u):
+        return self.base.eval(u)
+
+    def jacobian(self, u):
+        return self.base.jacobian(u)
+
+
+def test_oracle_without_second_differential_is_rejected():
+    """dJ is part of the oracle contract: a system must give
+    ``d_partials``, and a map oracle that gives only F and J has no
+    second differential to differentiate, sample or validate."""
     full = pl.make_system("unicycle")
-    bare = pl.ControlSystem(full.name, full.state_dim, full.control_dim,
-                            full.f, full.f_x, full.f_u)
-    grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
-    ep = pl.EndpointOracle(bare, [0.0, 0.0, 0.0], grid)
-    rng = np.random.default_rng(10)
-    u, v = rng.standard_normal((2, ep.dim_domain))
-    np.testing.assert_array_equal(ep.jacobian_derivative(u, v),
-                                  pl.MapOracle.jacobian_derivative(ep, u, v))
-    ep.jacobian(u)
-    # no dJ reads a linearization or flows, so the memo keeps only J
-    assert all(e.linear is None and e.flows is None and e.jac is not None
-               for e in ep._memo.values())
+    with pytest.raises(TypeError, match="d_partials"):
+        pl.ControlSystem(full.name, full.state_dim, full.control_dim,
+                         full.f, full.f_x, full.f_u)
+    oracle = _FirstOrderOnly(_unicycle(segments=4))
+    u, v = np.random.default_rng(10).standard_normal((2, oracle.dim_domain))
+    for call, args in [(oracle.jacobian_derivative, (u, v)),
+                       (oracle.jacobian_derivative_many, ([u], [v])),
+                       (pl.validate_oracle, (oracle,))]:
+        with pytest.raises(NotImplementedError):
+            call(*args)
 
 
 def _count_flows(monkeypatch):
@@ -677,7 +692,7 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
         assert same_bits(got, fresh.jacobian_derivative(point, sign * v))
     kept = ep._memo[u.tobytes()]
     assert ep.jacobian(u) is kept.jac
-    for arr in (*kept.trajectory, *kept.linear, kept.jac, *kept.flows):
+    for arr in (*kept.trajectory, *kept.linear, kept.jac):
         with pytest.raises(ValueError):
             arr[...] = 0.0
     # J at z becomes the last request, so integrating -z drops u and w
@@ -1031,7 +1046,7 @@ def test_non_cascade_escape_time_matches_the_reference(batch):
     n + 1 sweeps are taken one at a time; the escape time is the reference
     loop's, and in a batch the earliest member's."""
     system = pl.ControlSystem("riccati", 1, 1, lambda x, u: x * x + u,
-                              _zeros(1, 1), _zeros(1, 1))
+                              _zeros(1, 1), _zeros(1, 1), _not_called)
     us = np.ones((40, 1)) if batch is None else np.stack(
         [np.full((40, 1), u) for u in (0.5, 1.0, -1.0)], axis=-1)
     expect = _loop_escape_time(system, [2.0], us, 1.0)
@@ -1050,7 +1065,7 @@ def test_cascade_escape_in_its_second_component_matches_the_reference():
     system = pl.ControlSystem(
         "exp-cascade", 2, 1,
         lambda x, u: np.stack([u[0], np.exp(x[0])]), _zeros(2, 2),
-        _zeros(2, 1))
+        _zeros(2, 1), _not_called)
     us = np.stack([np.full((5, 1), 30.0), np.full((5, 1), 40.0)], axis=-1)
     expect = [_loop_escape_time(system, [0.0, 0.0], us[..., b], 1.0)
               for b in range(2)]
@@ -1178,7 +1193,7 @@ def test_non_conforming_f_fails_on_a_batch():
     bm = np.array([[0.0, 0.5], [1.0, 0.0]])
     good = pl.lti(a, bm)
     bad = pl.ControlSystem("bad", 2, 2, lambda x, u: x @ a.T + u @ bm.T,
-                           good.f_x, good.f_u)
+                           good.f_x, good.f_u, good.d_partials)
     grid = pl.ControlGrid(horizon=1.0, segments=3, control_dim=2)
     us = np.random.default_rng(13).standard_normal((2, grid.dim))
     ep = pl.EndpointOracle(bad, [1.0, -0.5], grid)
@@ -1189,14 +1204,15 @@ def test_non_conforming_f_fails_on_a_batch():
     grid1 = pl.ControlGrid(horizon=1.0, segments=2, control_dim=1)
     scalar_only = pl.ControlSystem(
         "scalar", 1, 1, lambda x, u: np.array([float(x[0]) * u[0]]),
-        good.f_x, good.f_u)
+        good.f_x, good.f_u, _not_called)
     with pytest.raises(ConfigurationError, match="stacked"):
         pl.EndpointOracle(scalar_only, [1.0], grid1).eval_many(
             np.ones((3, 2)))
     # right at the first stage, where every member has the same state and
     # control, and wrong once the second segments' controls differ
     mean_of_batch = pl.ControlSystem(
-        "mean", 1, 1, lambda x, u: x * np.mean(u), good.f_x, good.f_u)
+        "mean", 1, 1, lambda x, u: x * np.mean(u), good.f_x, good.f_u,
+        _not_called)
     with pytest.raises(ConfigurationError, match="stacked"):
         pl.EndpointOracle(mean_of_batch, [1.0], grid1).eval_many(
             [[0.5, 1.0], [0.5, -1.0]])
@@ -1206,10 +1222,11 @@ def test_non_conforming_f_fails_on_a_batch():
 
 
 def _unicycle(segments=6, x0=(0.0, 0.0, 0.0), d_partials=None):
-    """Unicycle endpoint oracle from x0 on [0, 1], with ``d_partials``
-    replaced: by default dropped, so the oracle falls back to FD."""
-    system = dataclasses.replace(pl.make_system("unicycle"),
-                                 d_partials=d_partials)
+    """Unicycle endpoint oracle from x0 on [0, 1], with its own
+    ``d_partials`` or, if given, ``d_partials`` in its place."""
+    system = pl.make_system("unicycle")
+    if d_partials is not None:
+        system = dataclasses.replace(system, d_partials=d_partials)
     grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
     return pl.EndpointOracle(system, x0, grid)
 
@@ -1220,51 +1237,76 @@ def _zeros(*shape):
         np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + shape)
 
 
+def _not_called(x, u, dx, du):
+    """``d_partials`` of a test system whose test takes no second
+    variation."""
+    raise AssertionError("d_partials called")
+
+
+class _DifferencedSecond(_FirstOrderOnly):
+    """A base oracle's F and J, with dJ the central difference of that J
+    (``map_fd.central_second``): a second differential written by
+    differences."""
+
+    def eval_many(self, us):
+        return self.base.eval_many(us)
+
+    def jacobian_derivative(self, u, v):
+        return central_second(self.base, u, v)
+
+
 def test_fd_second_differential_integrates_its_pair_as_one_batch(
         monkeypatch):
+    """The central difference of J integrates u + eps v and u - eps v in
+    one batch, and the exact dJ at a fresh u integrates u alone and
+    agrees with it to the difference's truncation."""
     calls = _count_integrate(monkeypatch)
     ep = _unicycle()
     u, v = np.random.default_rng(13).standard_normal((2, ep.dim_domain))
     got = ep.jacobian_derivative(u, v)
+    assert calls == [(6, 2, 1)]
+    calls.clear()
+    expect = central_second(_unicycle(), u, v)
     assert calls == [(6, 2, 2)]         # u + eps v and u - eps v together
-    fresh = _unicycle()
-    eps = pl.maps.SECOND_FD_SCALE * (1.0 + fresh.norm(u))
-    expect = (fresh.jacobian(u + eps * v)
-              - fresh.jacobian(u - eps * v)) / (2.0 * eps)
-    np.testing.assert_allclose(got, expect, rtol=1e-12,
-                               atol=1e-12 * np.max(np.abs(expect)))
-    # a stack of K pairs, one repeated: all 2K points in one batch, each
-    # member bit for bit its own pair's difference
+    np.testing.assert_allclose(got, expect, rtol=0,
+                               atol=1e-8 * np.max(np.abs(expect)))
+    # a stack of K pairs, one u repeated: its distinct u in one batch,
+    # each member bit for bit its own pair's dJ
     us, vs = np.random.default_rng(14).standard_normal((2, 5, ep.dim_domain))
     us[3] = us[0]
     calls.clear()
     stack = _unicycle().jacobian_derivative_many(us, vs)
-    assert calls == [(6, 2, 10)]
+    assert calls == [(6, 2, 4)]
     for k in range(5):
         one = _unicycle().jacobian_derivative(us[k], vs[k])
         assert np.array_equal(stack[k].view(np.int64), one.view(np.int64))
 
 
 def test_validate_passes_the_fd_second_differential():
-    results = pl.validate_oracle(_unicycle(), seed=0)
-    assert len(results) == 3
-    assert all(r.passed for r in results), [r.line() for r in results]
-    symmetry = [r for r in results
-                if r.name == "second-differential symmetry"]
-    assert symmetry[0].tol == 1e-8
+    """``validate`` passes the exact unicycle dJ, and the same oracle
+    with dJ written as the central difference of its J."""
+    for oracle in (_unicycle(), _DifferencedSecond(_unicycle())):
+        results = pl.validate_oracle(oracle, seed=0)
+        assert len(results) == 3
+        assert all(r.passed for r in results), [r.line() for r in results]
+        symmetry = [r for r in results
+                    if r.name == "second-differential symmetry"]
+        assert symmetry[0].tol == 1e-8
 
 
 @pytest.mark.parametrize("x0_seed", [0, 2, 7])
 def test_fd_second_differential_is_symmetric_on_a_coarse_grid(x0_seed):
-    """The FD step's O(eps^2) truncation shows as asymmetry; at two
-    segments a step of 1e-4 left 1.4e-8 to 3.6e-8, above the 1e-8
+    """At two segments the exact dJ is symmetric to roundoff.  A central
+    difference of J leaves its O(eps^2) truncation as asymmetry: a step
+    of 1e-4 (1 + ||u||_X) left 1.4e-8 to 3.6e-8 there, above the 1e-8
     tolerance, and 1e-5 leaves at most 3.6e-10."""
     x0 = np.random.default_rng(x0_seed).uniform(-0.5, 0.5, 3)
     ep = _unicycle(segments=2, x0=x0)
-    for seed in range(1, 16):
-        row = pl.validate_oracle(ep, seed=seed)[2]
-        assert row.name == "second-differential symmetry"
-        assert row.passed, row.line()
+    for oracle in (ep, _DifferencedSecond(ep)):
+        for seed in range(1, 16):
+            row = pl.validate_oracle(oracle, seed=seed)[2]
+            assert row.name == "second-differential symmetry"
+            assert row.passed, row.line()
 
 
 def _without_f_xx(x, u, dx, du):
