@@ -342,6 +342,8 @@ def integrate(system, x0, u_values, horizon, substeps=STEPS_PER_SEGMENT):
         raise ConfigurationError(
             "u_values must be (segments, control_dim) or "
             "(segments, control_dim, batch)")
+    if len(u_values) < 1:
+        raise ConfigurationError("u_values must hold at least one segment")
     if integer(substeps, "substeps") < 1:
         raise ConfigurationError(f"substeps must be >= 1, got {substeps}")
     single = u_values.ndim == 2

@@ -13,17 +13,9 @@ class ConfigurationError(ValueError):
 class NumericalError(RuntimeError):
     """A numerical routine failed (eigensolver breakdown, non-PSD Gramian)."""
 
-    def __init__(self, message, matrix=None):
-        super().__init__(message)
-        self.matrix = matrix
-
 
 class SingularGramian(NumericalError):
     """The Gramian's least eigenvalue fell below the singular threshold."""
-
-    def __init__(self, message, spectrum=None):
-        super().__init__(message)
-        self.spectrum = spectrum
 
 
 class GapViolation(NumericalError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidXi, integer
+from .errors import ConfigurationError, InvalidXi, finite, integer, positive
 from .spectrum import gramian, spectral_decompose
 
 POWER_ITERATIONS = 12
@@ -45,16 +45,17 @@ class SamplingPlan:
         if integer(self.seed, "seed") < 0:
             raise ConfigurationError(
                 f"seed must be >= 0, got {self.seed}")
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or not all(0 < r < np.inf for r in radii):
-            raise ConfigurationError("radii must be positive and finite")
+        radii = finite(self.radii, "radii")
+        if radii.ndim != 1 or not radii.size or not (radii > 0).all():
+            raise ConfigurationError("radii must be a list of positive "
+                                     f"numbers, got {self.radii!r}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigurationError("radii must be increasing")
         if (integer(self.per_radius, "per_radius") < 1
                 or integer(self.z_samples, "z_samples") < 1):
             raise ConfigurationError(
                 "per_radius and z_samples must be >= 1")
-        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "radii", tuple(radii.tolist()))
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,16 @@ class PowerLawXi:
     p: float
 
     def __post_init__(self):
-        if not 0 < self.c < np.inf:
+        c = finite(self.c, "xi coefficient c", InvalidXi)
+        p = finite(self.p, "xi exponent p", InvalidXi)
+        if c.ndim or not c > 0:
             raise InvalidXi("xi coefficient c must be positive and finite")
-        if not -np.inf < self.p <= 1.0:
+        if p.ndim or not p <= 1.0:
             raise InvalidXi(
                 f"xi exponent p = {self.p}: the reciprocal integral of xi "
                 "must diverge, which requires a finite p <= 1")
+        object.__setattr__(self, "c", float(c))
+        object.__setattr__(self, "p", float(p))
 
     def __call__(self, s):
         return self.c * s ** self.p
@@ -245,7 +250,12 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     count, big_n = us.shape
     if integer(v_count, "v_count") < 1:
         raise ConfigurationError(f"v_count must be >= 1, got {v_count}")
-    seeds = np.broadcast_to(np.array(seed, dtype=object), count)
+    try:
+        seeds = np.broadcast_to(np.array(seed, dtype=object), count)
+    except ValueError:
+        raise ConfigurationError(
+            f"seed must be one integer or one per point ({count} points), "
+            f"got {seed!r}") from None
     if any(integer(s, "seed") < 0 for s in seeds):
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
@@ -358,9 +368,7 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     degenerate and the sample skipped.  Every shell row and every
     aggregate is a reduction of the table over its axes.
     """
-    if not 0 < lambda0 < np.inf:
-        raise ConfigurationError(
-            f"lambda0 must be positive and finite, got {lambda0}")
+    lambda0 = positive(lambda0, "lambda0")
     radii = np.asarray(plan.radii)
     shape = (len(radii), plan.per_radius)
     index = list(np.ndindex(shape))

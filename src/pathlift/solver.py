@@ -21,7 +21,7 @@ h |g| at its start.  q stops at the last regular state.
 
 Endgame.  After each accepted state the loop extrapolates lambda_1
 linearly to s* = s - lambda_1 / dlambda1_ds.  When lambda_1 is falling
-and s* lies within ``terminal_window`` of the leg's end b, the lift up to
+and s* lies within ``TERMINAL_WINDOW`` of the leg's end b, the lift up to
 b runs in sigma = sqrt(b - s) (Morgan, Sommese & Wampler 1992): at a
 corank-1 point |g| grows like 1/sigma, but du/dsigma = -2 sigma du/ds and
 2 sigma |g| stay bounded.  The same step, error control and correction
@@ -57,25 +57,27 @@ DIVERGED = "Diverged"
 # The endgame aims its step at the sigma where lambda_1, extrapolated
 # linearly in s, falls to this multiple of the singular threshold.
 LANDING_SING_MULTIPLE = 2.0
+# Cap on the approach walk's Euler step; a step this short that meets the
+# singular set starts the walk, or ends the lift there.
+DS_EVENT = 1e-6
+# The endgame starts when lambda_1's linear zero lies this close to the
+# leg's end, and a singular state this close to s = 1 is terminal.
+TERMINAL_WINDOW = 1e-3
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     ds_init: float = 1.0         # cap on the first step
     ds_min: float = 1e-12
-    # cap on the approach walk's Euler step; a step this short that meets
-    # the singular set starts the walk, or ends the lift there
-    ds_event: float = 1e-6
     tol_ode: float = 1e-8        # relative local error tolerance
     tol_ode_abs: float = 1e-10
     tol_residual: float = 1e-10
     tol_init: float = 1e-6
-    terminal_window: float = 1e-3
     max_steps: int = 200_000
 
     def __post_init__(self):
-        # every float option is a step size, tolerance or window; checked
-        # in declaration order, so an error names the same field every run
+        # every float option is a step size or tolerance; checked in
+        # declaration order, so an error names the same field every run
         for f in fields(self):
             if f.type is float and not 0 < getattr(self, f.name) < np.inf:
                 raise ConfigurationError(f"solver.{f.name} must be positive")
@@ -143,8 +145,7 @@ def ple_rhs(oracle, u, gamma_dot):
     spec = spectral_decompose(gramian(oracle, u))
     if spec.singular:
         raise SingularGramian(
-            f"Gramian singular: lambda_1 = {spec.lambdas[0]:.3e}",
-            spectrum=spec)
+            f"Gramian singular: lambda_1 = {spec.lambdas[0]:.3e}")
     return _rhs_from_spectrum(oracle, u, gamma_dot, spec)
 
 
@@ -229,7 +230,6 @@ class _Lift:
         _, self.b, self.leg = path.legs[0]  # the leg lifted now, up to b
         self.next_leg = None    # the leg after b, if b is a knot
         self.sigma0 = None      # sqrt(b - s) where the endgame started
-        self.prev_spec = None
         self.stage1 = None      # (velocity, |g|) at the last state
         self.q = 0.0            # integral of |g| ds to the last regular state
         self.trace = []
@@ -259,7 +259,7 @@ class _Lift:
         """Whether lambda_1, extrapolated linearly from ``state``, vanishes
         within the terminal window of the leg's end b."""
         s_star = self._s_where(state, 0.0)
-        return abs(s_star - self.b) <= self.opts.terminal_window
+        return abs(s_star - self.b) <= TERMINAL_WINDOW
 
     def _landing(self, state, sigma):
         """The sigma where lambda_1 is predicted to fall to
@@ -292,7 +292,6 @@ class _Lift:
                           udot_norm=np.nan if self.stage1 is None
                           else self.oracle.norm(self.stage1[0]), flags=flags)
         self.trace.append(state)
-        self.prev_spec = spec
         self.s = s
         self.u = u
         return state
@@ -306,7 +305,7 @@ class _Lift:
             self.oracle, u5, self.leg.gamma(s_new), tol, spec)
         if u_new is not u5:
             spec = spectral_decompose(gramian(self.oracle, u_new),
-                                      prev=self.prev_spec)
+                                      prev=self.trace[-1].spectrum)
         if not ok and not res < 10.0 * tol:    # NaN fails too
             self.status = DIVERGED
             self.message = (f"correction failed: residual {res:.3e} "
@@ -324,7 +323,7 @@ class _Lift:
 
     def _finish_singular(self, s_new, u_new, spec, h_used):
         self._log(s_new, u_new, spec, h_used, "singular")
-        if s_new >= 1.0 - self.opts.terminal_window:
+        if s_new >= 1.0 - TERMINAL_WINDOW:
             self.status = SINGULAR_TERMINAL
         else:
             self.status = SINGULAR_INTERIOR
@@ -362,7 +361,7 @@ class _Lift:
                                                     spec_here, clamp=True)[0]
                 s_try, dq = self.s, 0.0
             spec_try = spectral_decompose(gramian(self.oracle, u_try),
-                                          prev=self.prev_spec)
+                                          prev=spec_here)
             if spec_try.singular:
                 self._finish_singular(s_try, u_try, spec_try, h_use)
                 return
@@ -374,12 +373,12 @@ class _Lift:
             elif h_use <= 1e-15:
                 # pinned contraction stalled: the state is regular
                 return
-            elif min(2.0 * h, opts.ds_event, b - self.s) == h_use:
+            elif min(2.0 * h, DS_EVENT, b - self.s) == h_use:
                 break       # the next attempt would repeat this one
             else:
                 h = h * 2.0
-            if h > opts.ds_event:
-                h = opts.ds_event
+            if h > DS_EVENT:
+                h = DS_EVENT
         if require:
             self.status = STEP_UNDERFLOW
             self.message = "could not cross the singular threshold"
@@ -436,7 +435,7 @@ class _Lift:
                     # walk only onto a singular point ahead, where lambda_1
                     # falls; where it rises, a stage overshot, and the step
                     # is halved
-                    if (ds <= max(opts.ds_event, 4.0 * opts.ds_min)
+                    if (ds <= max(DS_EVENT, 4.0 * opts.ds_min)
                             and state.diag.dlambda1_ds < 0.0):
                         self._approach_singularity(ds)
                         walked = True
@@ -455,9 +454,9 @@ class _Lift:
                     h = h * max(0.2, 0.9 * ratio ** -0.25)
                     continue
                 spec_new = spectral_decompose(gramian(self.oracle, u5),
-                                              prev=self.prev_spec)
+                                              prev=self.trace[-1].spectrum)
                 if spec_new.singular:
-                    if ds <= max(opts.ds_event, 4.0 * opts.ds_min):
+                    if ds <= max(DS_EVENT, 4.0 * opts.ds_min):
                         self._finish_singular(s_new, u5, spec_new, ds)
                         break
                     h *= 0.5

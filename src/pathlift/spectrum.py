@@ -85,23 +85,20 @@ def spectral_decompose(grammat, prev=None):
     grammat = np.asarray(grammat, dtype=float)
     entries = grammat.ravel().tolist()
     if not all(map(math.isfinite, entries)):
-        raise NumericalError("Gramian is not finite", matrix=grammat)
+        raise NumericalError("Gramian is not finite")
     scale = max(1.0, max(map(abs, entries)))
     asym = max(abs(a - b) for a, b in
                zip(entries, grammat.T.ravel().tolist()))
     if asym > 1e-12 * scale:
-        raise NumericalError("Gramian is not symmetric", matrix=grammat)
+        raise NumericalError("Gramian is not symmetric")
     try:
         lambdas, vectors = np.linalg.eigh(0.5 * (grammat + grammat.T))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}",
-                             matrix=grammat) from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     lam = lambdas.tolist()
     norm = max(1.0, max(map(abs, lam)))
     if lam[0] < -1e-10 * norm:
-        raise NumericalError(
-            f"Gramian not PSD: least eigenvalue {lam[0]:.3e}",
-            matrix=grammat)
+        raise NumericalError(f"Gramian not PSD: least eigenvalue {lam[0]:.3e}")
     for i, column in enumerate(vectors.T.tolist()):
         if prev is None:
             flip = max(column, key=abs) < 0.0

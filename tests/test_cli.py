@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pathlift import cli, endpoint
+from pathlift import cli, endpoint, solver
 from pathlift.errors import ConfigurationError
 from pathlift.maps import FoldMap, LinearMap
 
@@ -86,6 +86,23 @@ def test_parse_config_rejects_removed_keys(section, key):
         cli.parse_config(text)
 
 
+@pytest.mark.parametrize("key, value", [("ds_event", "1e-6"),
+                                        ("terminal_window", "1e-3")])
+def test_fixed_solver_constants_are_not_options(tmp_path, capsys, key,
+                                                value):
+    # the approach walk's step cap and the endgame window are module
+    # constants of the solver, not settable values
+    config = _cfg(tmp_path, SPHERE_LIFT + f"\n[solver]\n{key} = {value}\n")
+    code = cli.main(["lift", "--config", config,
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG == 1
+    assert err == f"error: unknown config key solver.{key}\n"
+    assert "Traceback" not in err
+    with pytest.raises(TypeError, match=key):
+        solver.SolverOptions(**{key: float(value)})
+
+
 def test_parse_config_rejects_unknown_section():
     with pytest.raises(ConfigurationError, match="mystery"):
         cli.parse_config(SPHERE_LIFT + "\n[mystery]\nx = 1\n")
@@ -102,8 +119,8 @@ def test_parse_config_rejects_negative_tolerance():
 
 
 @pytest.mark.parametrize("key", [
-    "ds_init", "ds_min", "ds_event", "tol_ode", "tol_ode_abs",
-    "tol_residual", "tol_init", "terminal_window"])
+    "ds_init", "ds_min", "tol_ode", "tol_ode_abs", "tol_residual",
+    "tol_init"])
 def test_parse_config_rejects_zero_solver_float(key):
     with pytest.raises(ConfigurationError,
                        match=f"solver.{key} must be positive"):

@@ -925,6 +925,15 @@ def test_refinement_must_be_at_least_one():
         pl.integrate(ep.system, ep.x0, ep.grid.unpack(u), 1.0, substeps=0)
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (0, 2, 3)])
+def test_integrate_needs_one_segment(shape):
+    # an empty grid has no step length: a ConfigurationError, not a
+    # ZeroDivisionError
+    with pytest.raises(ConfigurationError,
+                       match="u_values must hold at least one segment"):
+        pl.integrate(pl.brockett(), [0.0, 0.0, 0.0], np.zeros(shape), 1.0)
+
+
 def test_endpoint_lift_plans_single_integrator():
     ep = pl.endpoint_problem("single-integrator", [0.0, 0.0], 1.0, 4,
                              system_params={"dim": 2})

@@ -45,8 +45,19 @@ def test_sampling_plan_validation():
     (lambda o, u: pl.validate_oracle(o, seed=True), "seed must be an integer"),
     (lambda o, u: pl.SamplingPlan(radii=(1.0, 1.0)),
      "radii must be increasing"),
+    (lambda o, u: pl.estimate_bilinear_norm(o, np.ones((3, len(u))),
+                                            seed=[1, 2]),
+     r"seed must be one integer or one per point \(3 points\)"),
+    (lambda o, u: pl.check_report(o, _plan(radii=(1.0,)), lambda0="x"),
+     "lambda0 must be positive and finite, got 'x'"),
+    (lambda o, u: pl.SamplingPlan(radii=5),
+     "radii must be a list of positive numbers, got 5"),
+    (lambda o, u: pl.SamplingPlan(radii=("a", 2.0)),
+     "radii must be finite numbers"),
 ], ids=["v_count-float", "v_count-zero", "seed-negative", "seed-float-row",
-        "validate-seed-float", "validate-seed-bool", "radii-repeated"])
+        "validate-seed-float", "validate-seed-bool", "radii-repeated",
+        "seed-row-too-short", "lambda0-string", "radii-scalar",
+        "radii-string"])
 def test_sampling_inputs_raise_configuration_error(call, message):
     o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 3)
     with pytest.raises(ConfigurationError, match=message):
@@ -63,7 +74,9 @@ def test_power_law_xi():
 
 
 @pytest.mark.parametrize("c, p", [(np.nan, 1.0), (np.inf, 1.0),
-                                  (1.0, np.nan), (1.0, -np.inf)])
+                                  (1.0, np.nan), (1.0, -np.inf),
+                                  ("a", 1.0), (1.0, "a"), ([1.0, 2.0], 1.0),
+                                  (1.0, [0.5, 1.0])])
 def test_power_law_xi_rejects_non_finite(c, p):
     with pytest.raises(InvalidXi):
         pl.PowerLawXi(c=c, p=p)

@@ -287,7 +287,7 @@ def test_final_residual_above_tolerance_is_diverged(caplog):
 
 def test_singular_state_after_regular_stages_ends_the_lift(monkeypatch):
     # the fold line crosses u1 = 0 mid-leg; at this loose tolerance a step
-    # of at most ds_event lands on the singular set with every stage
+    # of at most DS_EVENT lands on the singular set with every stage
     # regular, and the lift ends there without the approach walk
     def no_walk(*args, **kwargs):
         raise AssertionError("approach walk entered")
@@ -300,14 +300,14 @@ def test_singular_state_after_regular_stages_ends_the_lift(monkeypatch):
     assert rep.status == pl.SINGULAR_INTERIOR
     final = rep.final_state
     assert final.flags == "singular" and final.spectrum.singular
-    assert final.step_size <= pl.SolverOptions().ds_event
+    assert final.step_size <= solver.DS_EVENT
 
 
 def test_approach_walk_out_of_steps_is_step_underflow(monkeypatch):
     # the fold line leaves the fold's image mid-leg (u1^2 cannot go
     # negative): the walk ends a hair past s = 0.5 with lambda_1 just
     # above the threshold, and each later Euler step overshoots u1 = 0.
-    # Once its step is capped at ds_event, the next attempt would repeat
+    # Once its step is capped at DS_EVENT, the next attempt would repeat
     # the last one, so the walk stops there instead of retrying it until
     # its 300 steps run out
     calls = []

@@ -57,20 +57,18 @@ def _spectral_reference(grammat, prev=None):
     the eigenvector signs ``eigh`` returns; see ``_canonical``."""
     grammat = np.asarray(grammat, dtype=float)
     if not np.all(np.isfinite(grammat)):
-        raise NumericalError("Gramian is not finite", matrix=grammat)
+        raise NumericalError("Gramian is not finite")
     scale = max(1.0, float(np.max(np.abs(grammat))))
     if np.max(np.abs(grammat - grammat.T)) > 1e-12 * scale:
-        raise NumericalError("Gramian is not symmetric", matrix=grammat)
+        raise NumericalError("Gramian is not symmetric")
     try:
         lambdas, vectors = np.linalg.eigh(0.5 * (grammat + grammat.T))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}",
-                             matrix=grammat) from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     norm = max(1.0, float(np.max(np.abs(lambdas))))
     if lambdas[0] < -1e-10 * norm:
         raise NumericalError(
-            f"Gramian not PSD: least eigenvalue {lambdas[0]:.3e}",
-            matrix=grammat)
+            f"Gramian not PSD: least eigenvalue {lambdas[0]:.3e}")
     if prev is not None:
         for i in range(len(lambdas)):
             if np.dot(vectors[:, i], prev.vectors[:, i]) < 0.0:
