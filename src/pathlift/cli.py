@@ -366,8 +366,11 @@ def run_lift(cfg, out_dir):
     report = solver.lift(oracle, path, u0, cfg["solver"])
     _atomic_write(os.path.join(out_dir, cfg["output"]["csv"]),
                   trace_csv_text(report, oracle))
-    _atomic_write(os.path.join(out_dir, cfg["output"]["report"]),
-                  lift_report_text(report))
+    text = lift_report_text(report)
+    if cfg["problem"]["kind"] == "endpoint":
+        error = oracle.discretisation_error(report.final_u)
+        text += f"endpoint discretisation error = {_fmt(error)}\n"
+    _atomic_write(os.path.join(out_dir, cfg["output"]["report"]), text)
     if report.status == solver.REACHED:
         return EXIT_OK
     if report.status == solver.SINGULAR_TERMINAL:

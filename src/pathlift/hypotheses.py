@@ -245,7 +245,10 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     alone: all starts in one stack, then one per sweep of the points still
     sweeping.
     """
-    us = np.atleast_2d(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    us = oracle._domain_vec(u)[None] if u.ndim <= 1 else oracle._domain_rows(u)
+    if not len(us):
+        raise ConfigurationError("u must hold at least one point")
     scale = 1.0 / np.sqrt(oracle.weights)
     count, big_n = us.shape
     if integer(v_count, "v_count") < 1:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (BadAnchor, ConfigurationError, SingularGramian,
-                     SingularStart, finite, integer)
+                     SingularStart, finite, integer, positive)
 from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
                        gramian, spectral_decompose)
 
@@ -79,8 +79,13 @@ class SolverOptions:
         # every float option is a step size or tolerance; checked in
         # declaration order, so an error names the same field every run
         for f in fields(self):
-            if f.type is float and not 0 < getattr(self, f.name) < np.inf:
-                raise ConfigurationError(f"solver.{f.name} must be positive")
+            if f.type is not float:
+                continue
+            try:
+                positive(getattr(self, f.name), f.name)
+            except ConfigurationError:
+                raise ConfigurationError(
+                    f"solver.{f.name} must be positive") from None
         if integer(self.max_steps, "solver.max_steps") < 1:
             raise ConfigurationError("solver.max_steps must be >= 1")
 

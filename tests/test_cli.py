@@ -207,6 +207,33 @@ def test_lift_reached_exit_0(tmp_path):
     assert s_vals[0] == 0.0 and s_vals[-1] == 1.0
 
 
+@pytest.mark.parametrize("system, segments, low, high", [
+    ("brockett", 10, 0.0, 1e-12), ("unicycle", 10, 1e-13, 1e-10),
+    ("unicycle", 40, 1e-13, 1e-10)])
+def test_endpoint_lift_report_states_the_discretisation_error(
+        tmp_path, system, segments, low, high):
+    """An endpoint lift's report ends with (16/15) |F_S - F_2S| at the
+    final control: Brockett's RK4 map is exact, so roundoff; the unicycle's
+    is not, and is a few 1e-11.  A builtin map's
+    report has no such line."""
+    text = "\n".join([
+        "[problem]", "kind = endpoint", f"system = {system}",
+        "x0 = 0, 0, 0", "horizon = 1.0", f"segments = {segments}",
+        "u0_constant = 1, 1", "[path]", "kind = line",
+        "target = 1.05, 0.97, 0.52" if system == "brockett"
+        else "target = 0.55, 0.48, 1.02"])
+    out = tmp_path / "out"
+    assert cli.main(["lift", "--config", _cfg(tmp_path, text),
+                     "--out-dir", str(out)]) == 0
+    last = (out / "report.txt").read_text().splitlines()[-1]
+    name, value = last.split(" = ")
+    assert name == "endpoint discretisation error"
+    assert low <= float(value) <= high
+    cli.main(["lift", "--config", _cfg(tmp_path, FOLD_LIFT),
+              "--out-dir", str(out)])
+    assert "discretisation" not in (out / "report.txt").read_text()
+
+
 def test_lift_stopped_short_of_the_end_exits_3(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["lift", "--config",

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import pathlift as pl
-from pathlift.endpoint import BLOWUP_NORM, STEPS_PER_SEGMENT
+from pathlift.endpoint import BLOWUP_NORM, steps_per_segment
 from pathlift.errors import ConfigurationError, TrajectoryBlowup
 
 from map_fd import central_jacobian, central_second
@@ -44,21 +44,72 @@ def test_single_integrator_endpoint_is_mean_control():
                                atol=1e-12)
 
 
+_LTI_A = np.array([[0.0, 1.0], [-2.0, -0.3]])
+_LTI_B = np.array([[0.0], [1.0]])
+
+
+def _lti_oracle(segments):
+    return pl.endpoint_problem("lti", [1.0, -0.5], 1.0, segments,
+                               system_params={"A": _LTI_A, "B": _LTI_B})
+
+
+def _lti_exact(u):
+    """The lti endpoint from x0 = (1, -0.5) on [0, 1] under the scalar
+    controls ``u``, one per segment, through the matrix exponential of
+    each segment's augmented generator."""
+    x = np.array([1.0, -0.5])
+    dt = 1.0 / len(u)
+    for uk in u:
+        big = expm(np.block([[_LTI_A, _LTI_B * uk], [np.zeros((1, 3))]]) * dt)
+        x = big[:2, :2] @ x + big[:2, 2]
+    return x
+
+
 def test_lti_endpoint_matches_expm():
-    A = np.array([[0.0, 1.0], [-2.0, -0.3]])
-    B = np.array([[0.0], [1.0]])
-    ep = pl.endpoint_problem("lti", [1.0, -0.5], 1.0, 8,
-                             system_params={"A": A, "B": B})
+    ep = _lti_oracle(8)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(8)
-    x = np.array([1.0, -0.5])
-    dt = 1.0 / 8
-    for uk in u:
-        big = expm(np.block([[A, B * uk], [np.zeros((1, 3))]]) * dt)
-        x = big[:2, :2] @ x + big[:2, 2]
+    x = _lti_exact(u)
     np.testing.assert_allclose(ep.eval(u), x, atol=1e-8)
     np.testing.assert_allclose(ep.endpoint_refined(u, refine=4), x,
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("segments", [12, 20, 40, 80])
+def test_lti_long_grids_stay_within_1e_8_of_expm(segments):
+    """Fewer RK4 steps per segment on long grids, never a coarser step
+    than the 10-segment grid's: still test_lti_endpoint_matches_expm's
+    1e-8."""
+    ep = _lti_oracle(segments)
+    assert ep.grid.substeps < 6
+    u = np.random.default_rng(segments).standard_normal(segments)
+    np.testing.assert_allclose(ep.eval(u), _lti_exact(u), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("segments", [8, 20, 80])
+def test_discretisation_error_estimates_the_lti_error(segments):
+    """Richardson's (16/15) |F_S - F_2S| is the error of the computed
+    F_S against the matrix exponential within 1%, at S = 6, 3 and 1."""
+    ep = _lti_oracle(segments)
+    u = np.random.default_rng([segments, 1]).standard_normal(segments)
+    error = np.linalg.norm(ep.eval(u) - _lti_exact(u))
+    assert error > 1e-10
+    assert abs(ep.discretisation_error(u) / error - 1.0) <= 0.01
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=st.integers(1, 10**6))
+def test_steps_per_segment_is_the_least_that_keeps_the_ten_segment_step(
+        segments):
+    """S(P) takes at most 6 steps per segment, no grid steps coarser than
+    T / 60 unless it takes 6, and one step fewer would break one of the
+    two: S is the least value that meets both."""
+    substeps = pl.ControlGrid(1.0, segments, 1).substeps
+    assert substeps == steps_per_segment(segments)
+    assert 1 <= substeps <= 6
+    if substeps < 6:
+        assert segments * substeps >= 60
+    assert substeps == 1 or segments * (substeps - 1) < 60
 
 
 def test_jacobian_matches_fd():
@@ -181,6 +232,39 @@ def _oracle(name, segments):
         return pl.EndpointOracle(_mixed_system(), [0.1, -0.2], grid)
     x0, params, _ = _SYSTEMS[name]
     return pl.endpoint_problem(name, x0, 1.0, segments, system_params=params)
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS) + ["mixed"])
+def test_grids_of_at_most_ten_segments_take_six_steps(name):
+    """An oracle on P <= 10 segments computes the map of 6 RK4 steps per
+    segment bit for bit, and refines from 6."""
+    rng = np.random.default_rng(len(name))
+    fewest = 1 if name == "mixed" else _SYSTEMS[name][2]
+    for segments in range(fewest, 11):
+        ep = _oracle(name, segments)
+        assert ep.grid.substeps == 6
+        u = rng.uniform(-2.0, 2.0, ep.dim_domain)
+        u_values = ep.grid.unpack(u)
+        expect = pl.integrate(ep.system, ep.x0, u_values, 1.0, substeps=6)
+        for got, ref in zip(ep.trajectory(u), expect):
+            assert got.tobytes() == ref.tobytes()
+        refined = pl.integrate(ep.system, ep.x0, u_values, 1.0, substeps=12)
+        assert ep.endpoint_refined(u, refine=2).tobytes() == \
+            refined[1][-1].tobytes()
+
+
+@pytest.mark.parametrize("segments", [12, 20, 40, 80])
+def test_brockett_long_grids_equal_six_steps_to_roundoff(segments):
+    """RK4 integrates Brockett's segment flow exactly (x1 and x2 linear
+    in t, x3 quadratic), so fewer steps per segment change its endpoint
+    by roundoff only."""
+    ep = _oracle("brockett", segments)
+    rng = np.random.default_rng(segments)
+    for _ in range(5):
+        u = rng.uniform(-2.0, 2.0, ep.dim_domain)
+        six = pl.integrate(ep.system, ep.x0, ep.grid.unpack(u), 1.0,
+                           substeps=6)[1][-1]
+        np.testing.assert_allclose(ep.eval(u), six, rtol=0, atol=1e-13)
 
 
 def test_mixed_system_partials_match_differences():
@@ -399,10 +483,10 @@ def _forward_mode(ep, u, v):
     _, states = ep.trajectory(u)
     u_values, v_values = ep.grid.unpack(u), ep.grid.unpack(v)
     n, m, dim = sys_.state_dim, sys_.control_dim, ep.dim_domain
-    h = ep.grid.dt / STEPS_PER_SEGMENT
+    h = ep.grid.dt / ep.grid.substeps
     z, dz, y = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n)
     for k in range(len(states) - 1):
-        seg = k // STEPS_PER_SEGMENT
+        seg = k // ep.grid.substeps
         us, vs = u_values[seg], v_values[seg]
         select = np.zeros((m, dim))     # d(control of this segment) / du
         select[:, seg * m:(seg + 1) * m] = np.eye(m)
@@ -550,12 +634,12 @@ def test_results_do_not_depend_on_the_call_history(data):
 
 
 def test_stack_split_bounds_the_working_memory(monkeypatch):
-    """40 pairs at 10 segments go through passes of STACK_LIMIT // 10 = 4
-    members, so they need no more working memory (the traced peak above
-    what the call leaves allocated: its result) than one pair at 40
-    segments; the 1% covers the split's bookkeeping, a few hundred
-    bytes.  Without the split the same stack needs about ten times as
-    much."""
+    """40 pairs at 10 segments, 60 RK4 steps each, go through passes of
+    STACK_LIMIT // 60 = 4 members, so they need no more working memory
+    (the traced peak above what the call leaves allocated: its result)
+    than one pair at STACK_LIMIT = 240 steps, 240 segments of one step;
+    the 1% covers the split's bookkeeping, a few hundred bytes.  Without
+    the split the same stack needs about ten times as much."""
     def working_memory(segments, count):
         ep = _oracle("unicycle", segments)
         us, vs = np.random.default_rng(segments).uniform(
@@ -570,8 +654,10 @@ def test_stack_split_bounds_the_working_memory(monkeypatch):
         assert result.shape == (count, 3, 2 * segments)
         return peak - held
 
-    assert pl.endpoint.STACK_LIMIT == 40
-    single = working_memory(40, 1)
+    assert pl.endpoint.STACK_LIMIT == 240
+    assert 10 * steps_per_segment(10) == 60
+    assert 240 * steps_per_segment(240) == 240
+    single = working_memory(240, 1)
     assert working_memory(10, 40) <= 1.01 * single
     monkeypatch.setattr(pl.endpoint, "STACK_LIMIT", 10**6)
     assert working_memory(10, 40) > 5 * single
@@ -632,11 +718,11 @@ def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
     distinct = rng.uniform(-1.0, 1.0, (3, ep.dim_domain))
     us = distinct[[0, 1, 0, 2, 2, 1, 0, 2]]
     vs = rng.uniform(-1.0, 1.0, us.shape)
-    assert len(us) <= pl.endpoint.STACK_LIMIT // segments    # one pass
+    steps = segments * grid.substeps
+    assert len(us) <= pl.endpoint.STACK_LIMIT // steps    # one pass
     ep.eval_many(distinct)
     points.update(dict.fromkeys(points, 0))
     ep.jacobian_derivative_many(us, vs)
-    steps = segments * STEPS_PER_SEGMENT
     assert points == {"f": 0,
                       "f_x": 4 * steps * len(distinct),
                       "f_u": 4 * steps * len(distinct),
@@ -655,7 +741,7 @@ def test_jacobian_after_eval_makes_no_f_call():
     ep.eval(u)
     points.update(dict.fromkeys(points, 0))
     jac = ep.jacobian(u)
-    assert points == {"f": 0, "f_x": 4 * grid.segments * STEPS_PER_SEGMENT}
+    assert points == {"f": 0, "f_x": 4 * grid.segments * grid.substeps}
     fresh = pl.EndpointOracle(pl.make_system("unicycle"), x0, grid)
     assert jac.tobytes() == fresh.jacobian(u).tobytes()
 
@@ -674,7 +760,7 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
     fresh = pl.EndpointOracle(pl.make_system("unicycle"), x0, grid)
     rng = np.random.default_rng(16)
     u, w, z, v = rng.uniform(-1.0, 1.0, (4, ep.dim_domain))
-    per_u = 4 * grid.segments * STEPS_PER_SEGMENT     # f_x points at one u
+    per_u = 4 * grid.segments * grid.substeps     # f_x points at one u
 
     def same_bits(got, expect):
         return np.array_equal(got.view(np.int64), expect.view(np.int64))
@@ -717,7 +803,7 @@ def test_repeated_stacks_linearize_each_control_once():
     for _ in range(8):
         us = distinct[rng.integers(0, 3, 5)]
         ep.jacobian_derivative_many(us, rng.uniform(-1.0, 1.0, us.shape))
-    per_u = 4 * grid.segments * STEPS_PER_SEGMENT
+    per_u = 4 * grid.segments * grid.substeps
     assert points == dict.fromkeys(points, 3 * per_u)
 
 
@@ -828,7 +914,7 @@ def test_trajectory_cache_reuses_results():
 def _first_escape(a, x0, horizon, segments):
     """First step time of a plain RK4 loop on xdot = a x whose state is
     non-finite or has norm above BLOWUP_NORM."""
-    steps = segments * STEPS_PER_SEGMENT
+    steps = segments * steps_per_segment(segments)
     h = horizon / steps
     x = np.array([x0])
     for k in range(1, steps + 1):
@@ -934,6 +1020,14 @@ def test_integrate_needs_one_segment(shape):
         pl.integrate(pl.brockett(), [0.0, 0.0, 0.0], np.zeros(shape), 1.0)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 0), (1, 2, 0)])
+def test_integrate_needs_one_trajectory_in_a_batch(shape):
+    # an empty batch is the caller's, not a fault of f
+    with pytest.raises(ConfigurationError,
+                       match="at least one trajectory in its batch axis"):
+        pl.integrate(pl.brockett(), [0.0, 0.0, 0.0], np.zeros(shape), 1.0)
+
+
 def test_endpoint_lift_plans_single_integrator():
     ep = pl.endpoint_problem("single-integrator", [0.0, 0.0], 1.0, 4,
                              system_params={"dim": 2})
@@ -979,19 +1073,21 @@ def test_stacked_integrate_equals_per_member_integrate(data):
 
 def _loop_integrate(system, x0, u_values, horizon):
     """Reference flow: the RK4 recurrence x_{j+1} = x_j + h/6 (k1 + 2 k2 +
-    2 k3 + k4), one step at a time on the (n, B) stack of members, stepping
-    on past any escape.  Returns (times, states, stages) shaped as
+    2 k3 + k4), S(P) steps per segment as ``integrate`` takes by default,
+    one step at a time on the (n, B) stack of members, stepping on past
+    any escape.  Returns (times, states, stages) shaped as
     ``integrate``'s, stages the states x, x + h/2 k1, x + h/2 k2 and
     x + h k3 that each step evaluates ``f`` at."""
     u_values = np.asarray(u_values, dtype=float)
     single = u_values.ndim == 2
     u_values = u_values[..., None] if single else u_values
-    h = horizon / u_values.shape[0] / STEPS_PER_SEGMENT
+    substeps = steps_per_segment(u_values.shape[0])
+    h = horizon / u_values.shape[0] / substeps
     x = np.repeat(np.asarray(x0, dtype=float)[:, None], u_values.shape[2],
                   axis=1)
     states, stages = [x], []
     with np.errstate(all="ignore"):
-        for u in np.repeat(u_values, STEPS_PER_SEGMENT, axis=0):
+        for u in np.repeat(u_values, substeps, axis=0):
             k1 = system.f(x, u)
             x2 = x + 0.5 * h * k1
             k2 = system.f(x2, u)
@@ -1053,11 +1149,12 @@ def test_non_cascade_escape_time_matches_the_reference(batch):
     """x' = x^2 + u from x = 2, at u = 1, escapes near t = pi/2 - atan 2.
     It is no cascade, so the sweeps fix one step each and the steps after
     n + 1 sweeps are taken one at a time; the escape time is the reference
-    loop's, and in a batch the earliest member's."""
+    loop's, and in a batch the earliest member's.  The controls are
+    constant, on 240 segments of one RK4 step each: h = 1/240."""
     system = pl.ControlSystem("riccati", 1, 1, lambda x, u: x * x + u,
                               _zeros(1, 1), _zeros(1, 1), _not_called)
-    us = np.ones((40, 1)) if batch is None else np.stack(
-        [np.full((40, 1), u) for u in (0.5, 1.0, -1.0)], axis=-1)
+    us = np.ones((240, 1)) if batch is None else np.stack(
+        [np.full((240, 1), u) for u in (0.5, 1.0, -1.0)], axis=-1)
     expect = _loop_escape_time(system, [2.0], us, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1103,7 +1200,7 @@ def _counting_f(system):
 def test_a_cascade_takes_at_most_n_plus_one_sweeps(name, params):
     """Four stacked ``f`` calls per sweep, at most n + 1 sweeps, next to
     _check_stacked's 1 + B calls at each end: 4 (n + 1) + 4 calls for one
-    trajectory instead of 4 * 480 at 80 segments."""
+    trajectory instead of 4 * 80 at 80 segments."""
     system, shapes = _counting_f(pl.make_system(name, **(params or {})))
     n = system.state_dim
     us = np.random.default_rng(14).uniform(
@@ -1119,7 +1216,7 @@ def test_lti_falls_back_to_single_steps_after_n_plus_one_sweeps():
     sweeps over the open steps the rest go one at a time."""
     a = [[0.0, 1.0], [-2.0, -0.3]]
     system, shapes = _counting_f(pl.lti(a, [[0.0, 0.5], [1.0, 0.0]]))
-    batch, steps = 4, 10 * STEPS_PER_SEGMENT
+    batch, steps = 4, 10 * steps_per_segment(10)
     us = np.random.default_rng(15).uniform(-1.0, 1.0, (10, 2, batch))
     _, states, _ = pl.integrate(system, [1.0, -0.5], us, 1.0)
     stages = [shape[1] for shape in shapes[1 + batch:-1 - batch]]

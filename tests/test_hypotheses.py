@@ -54,10 +54,14 @@ def test_sampling_plan_validation():
      "radii must be a list of positive numbers, got 5"),
     (lambda o, u: pl.SamplingPlan(radii=("a", 2.0)),
      "radii must be finite numbers"),
+    (lambda o, u: pl.estimate_bilinear_norm(o, np.append(u, 0.1)),
+     r"u must have length 6, got \(7,\)"),
+    (lambda o, u: pl.estimate_bilinear_norm(o, np.ones((0, len(u)))),
+     "u must hold at least one point"),
 ], ids=["v_count-float", "v_count-zero", "seed-negative", "seed-float-row",
         "validate-seed-float", "validate-seed-bool", "radii-repeated",
         "seed-row-too-short", "lambda0-string", "radii-scalar",
-        "radii-string"])
+        "radii-string", "point-wrong-length", "points-empty"])
 def test_sampling_inputs_raise_configuration_error(call, message):
     o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 3)
     with pytest.raises(ConfigurationError, match=message):
@@ -429,7 +433,7 @@ def test_check_report_forms_each_plan_points_jacobian_once():
                           [0.1, -0.2, 0.3], grid)
     plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=1, z_samples=2)
     pl.check_report(o, plan)
-    stage_rows = grid.segments * pl.endpoint.STEPS_PER_SEGMENT * 4
+    stage_rows = grid.segments * grid.substeps * 4
     assert points[0] == len(plan.radii) * plan.per_radius * stage_rows
 
 

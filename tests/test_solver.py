@@ -333,7 +333,8 @@ _FLOAT_OPTIONS = [f.name for f in dataclasses.fields(pl.SolverOptions)
                   if f.type is float]
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, "a", True,
+                                   np.array([1e-8, 1e-8])])
 @pytest.mark.parametrize("name", _FLOAT_OPTIONS)
 def test_solver_options_reject_non_positive_or_non_finite(name, value):
     with pytest.raises(ConfigurationError,
