@@ -34,7 +34,7 @@ _EXPORTS = {
                "SINGULAR_INTERIOR", "SINGULAR_TERMINAL", "STEP_UNDERFLOW",
                "SolverOptions", "gauss_newton_correct", "lift", "ple_rhs"),
     "spectrum": ("GramianSpectrum", "SpectralDiagnostics", "diagnostics",
-                 "gramian", "spectral_decompose"),
+                 "gramian", "spectral_decompose", "spectrum_at"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

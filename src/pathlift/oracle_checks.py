@@ -7,7 +7,7 @@ taken off too.  The second differential must also be symmetric.  Each
 check is relative to its own operands' scale, so F and c F get the same
 verdicts, and fails on a value that is not finite.  All read one
 :func:`sample_table`, through one ``eval_many``, one ``jacobian_many``
-and one ``jacobian_derivative_many`` call.
+and one ``jacobian_derivative_many`` call, in that order.
 """
 
 from dataclasses import dataclass
@@ -79,11 +79,14 @@ def validate_oracle(oracle, seed=0):
     t = TAYLOR_STEPS[:, None]
     values = oracle.eval_many((base[:, None] + np.vstack([[0.0], t])
                                * directions[:, :1]).reshape(-1, big_n))
+    # J first: an endpoint oracle linearizes the five base points in one
+    # stacked call, and the dJ passes read those linearizations
+    jacs = oracle.jacobian_many(base)
     curvatures = oracle.jacobian_derivative_many(
         np.repeat(base, DIRECTIONS, axis=0), directions.reshape(-1, big_n))
     deficits, samples = [], []
     for jac, d, f, dj, z_pairs in zip(
-            oracle.jacobian_many(base), directions,
+            jacs, directions,
             values.reshape(len(base), -1, n),
             curvatures.reshape(directions.shape[:2] + (n, big_n)), zs):
         jv = jac @ d[0]

@@ -6,6 +6,12 @@ correction after each accepted step, and an approach walk onto the
 singular set when the least Gramian eigenvalue collapses.  Every accepted
 state carries the full spectral diagnostics.
 
+One J per point.  Each point the lift reaches, a Cash-Karp stage, a step's
+end, a corrected state or a walk step, takes its spectrum with
+``spectrum_at``: one ``oracle.jacobian`` call, whose J the spectrum
+carries.  The velocity, the correction's first update and the state's
+diagnostics are products of that J, so a point asks the oracle for J once.
+
 Legs.  Every stage of a step reads the gamma_dot of the leg it steps on,
 smooth on the leg's [a, b], and a step in s onto b lands on b exactly.  A
 state on a knot b < 1 starts the next leg: it is flagged ``knot`` and
@@ -43,7 +49,7 @@ import numpy as np
 from .errors import (BadAnchor, ConfigurationError, SingularGramian,
                      SingularStart, finite, integer, positive)
 from .spectrum import (GramianSpectrum, SpectralDiagnostics, diagnostics,
-                       gramian, spectral_decompose)
+                       spectrum_at)
 
 log = logging.getLogger(__name__)
 
@@ -135,28 +141,33 @@ _CK_A = [
 _CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
 _CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296,
                    277 / 14336, 1 / 4])
+_CK_ERR = _CK_B5 - _CK_B4      # weights of the embedded error estimate
 
 
 def ple_rhs(oracle, u, gamma_dot):
     """Right-hand side dF|_u^* G(u)^-1 gamma_dot of the lifting equation,
     and the blowup indicator |g| from the same decomposition.
 
-    G is solved through its eigendecomposition, the one solve that the
-    state's velocity, the correction and the approach walk use too.
-    Raises SingularGramian when lambda_1 is below the singular threshold,
-    the one test of ``GramianSpectrum.singular``.
+    The Gramian and the adjoint step come from the same J, one
+    ``oracle.jacobian`` call at u.  G is solved through its
+    eigendecomposition, the one solve that the state's velocity, the
+    correction and the approach walk use too.  Raises SingularGramian when
+    lambda_1 is below the singular threshold, the one test of
+    ``GramianSpectrum.singular``.
     """
-    u = np.asarray(u, dtype=float)
-    spec = spectral_decompose(gramian(oracle, u))
+    gamma_dot = oracle._codomain_vec(gamma_dot, "gamma_dot")
+    spec = spectrum_at(oracle, u)
     if spec.singular:
         raise SingularGramian(
             f"Gramian singular: lambda_1 = {spec.lambdas[0]:.3e}")
-    return _rhs_from_spectrum(oracle, u, gamma_dot, spec)
+    return _rhs_from_spectrum(oracle, gamma_dot, spec)
 
 
-def _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=False):
-    """dF|_u^* G^-1 gamma_dot with G solved through its eigendecomposition,
-    and |<gamma_dot, z_1>| / sqrt(lambda_1), which is |g| on the path.
+def _rhs_from_spectrum(oracle, gamma_dot, spec, clamp=False):
+    """dF|_u^* G^-1 gamma_dot with G solved through the eigendecomposition
+    ``spec`` at u, and |<gamma_dot, z_1>| / sqrt(lambda_1), which is |g| on
+    the path.  The adjoint step is W^-1 J^T with the J ``spec`` carries,
+    the product ``MapOracle.apply_adjoint`` forms.
 
     Neither depends on the eigenvector signs.  With ``clamp`` the
     eigenvalues are floored at the singular threshold, the
@@ -165,8 +176,9 @@ def _rhs_from_spectrum(oracle, u, gamma_dot, spec, clamp=False):
     lam = spec.lambdas
     if clamp:
         lam = np.maximum(lam, spec.lambda_sing)
-    proj = spec.vectors.T @ np.asarray(gamma_dot, float)
-    return (oracle.apply_adjoint(u, spec.vectors @ (proj / lam)),
+    proj = spec.vectors.T @ gamma_dot
+    return ((spec.jacobian().T @ (spec.vectors @ (proj / lam)))
+            / oracle.weights,
             abs(float(proj[0] / np.sqrt(lam[0]))))
 
 
@@ -187,7 +199,7 @@ def _ck_step(fun, s, u, h, first=None):
     ks, gs = zip(*stages)
     kmat = np.stack(ks, axis=0)
     u5 = u + h * (_CK_B5 @ kmat)
-    err = h * ((_CK_B5 - _CK_B4) @ kmat)
+    err = h * (_CK_ERR @ kmat)
     return u5, err, h * float(_CK_B5 @ gs)
 
 
@@ -202,19 +214,20 @@ def gauss_newton_correct(oracle, u, target, tol_residual, spec=None):
 
     Returns (u, residual, converged).  Each of at most 10 iterations
     applies the least-norm update dF^* G^-1 (target - F(u)).  ``spec``,
-    when given, is the spectrum of G at u, which the first iteration
-    uses instead of decomposing G again (the update does not depend on
-    the eigenvector signs).
+    when given, is the spectrum of G at u from :func:`spectrum_at`, whose
+    J the first iteration uses instead of taking it again (the update
+    does not depend on the eigenvector signs).
     """
     u = np.asarray(u, dtype=float)
+    target = oracle._codomain_vec(target, "target")
     r = target - oracle.eval(u)
     res = float(np.linalg.norm(r))
     for _ in range(10):
         if res <= tol_residual:
             return u, res, True
         if spec is None:
-            spec = spectral_decompose(gramian(oracle, u))
-        u_try = u + _rhs_from_spectrum(oracle, u, r, spec, clamp=True)[0]
+            spec = spectrum_at(oracle, u)
+        u_try = u + _rhs_from_spectrum(oracle, r, spec, clamp=True)[0]
         r_try = target - oracle.eval(u_try)
         res_try = float(np.linalg.norm(r_try))
         if not np.isfinite(res_try) or res_try >= res:
@@ -291,7 +304,7 @@ class _Lift:
         residual = float(np.linalg.norm(self.oracle.eval(u) - leg.gamma(s)))
         # the state's velocity and |g| are also the next s-step's first stage
         self.stage1 = None if spec.singular else _rhs_from_spectrum(
-            self.oracle, u, gd, spec)
+            self.oracle, gd, spec)
         state = LiftState(s=float(s), u=u, spectrum=spec, diag=diag,
                           residual=residual, step_size=float(h_used),
                           udot_norm=np.nan if self.stage1 is None
@@ -309,8 +322,8 @@ class _Lift:
         u_new, res, ok = gauss_newton_correct(
             self.oracle, u5, self.leg.gamma(s_new), tol, spec)
         if u_new is not u5:
-            spec = spectral_decompose(gramian(self.oracle, u_new),
-                                      prev=self.trace[-1].spectrum)
+            spec = spectrum_at(self.oracle, u_new,
+                               prev=self.trace[-1].spectrum)
         if not ok and not res < 10.0 * tol:    # NaN fails too
             self.status = DIVERGED
             self.message = (f"correction failed: residual {res:.3e} "
@@ -353,8 +366,8 @@ class _Lift:
             spec_here = self.trace[-1].spectrum
             if h_use > 1e-15:
                 gd = self.leg.gamma_dot(self.s)
-                udot, g = _rhs_from_spectrum(self.oracle, self.u, gd,
-                                             spec_here, clamp=True)
+                udot, g = _rhs_from_spectrum(self.oracle, gd, spec_here,
+                                             clamp=True)
                 u_try = self.u + h_use * udot
                 s_try = b if h_use == b - self.s else self.s + h_use
                 dq = h_use * g
@@ -362,11 +375,10 @@ class _Lift:
                 # s pinned at b: contract toward the target in u alone with
                 # the clamped least-norm correction
                 r = self.leg.gamma(self.s) - self.oracle.eval(self.u)
-                u_try = self.u + _rhs_from_spectrum(self.oracle, self.u, r,
-                                                    spec_here, clamp=True)[0]
+                u_try = self.u + _rhs_from_spectrum(self.oracle, r, spec_here,
+                                                    clamp=True)[0]
                 s_try, dq = self.s, 0.0
-            spec_try = spectral_decompose(gramian(self.oracle, u_try),
-                                          prev=spec_here)
+            spec_try = spectrum_at(self.oracle, u_try, prev=spec_here)
             if spec_try.singular:
                 self._finish_singular(s_try, u_try, spec_try, h_use)
                 return
@@ -458,8 +470,8 @@ class _Lift:
                 if ratio > 1.0:
                     h = h * max(0.2, 0.9 * ratio ** -0.25)
                     continue
-                spec_new = spectral_decompose(gramian(self.oracle, u5),
-                                              prev=self.trace[-1].spectrum)
+                spec_new = spectrum_at(self.oracle, u5,
+                                       prev=self.trace[-1].spectrum)
                 if spec_new.singular:
                     if ds <= max(DS_EVENT, 4.0 * opts.ds_min):
                         self._finish_singular(s_new, u5, spec_new, ds)
@@ -544,7 +556,7 @@ def lift(oracle, path, u0, options=None):
     if not res0 <= opts.tol_init:  # NaN fails too
         raise BadAnchor(
             f"initial residual {res0:.3e} exceeds tol_init {opts.tol_init:.1e}")
-    spec0 = spectral_decompose(gramian(oracle, u0))
+    spec0 = spectrum_at(oracle, u0)
     if spec0.singular:
         raise SingularStart(
             f"anchor is singular: lambda_1 = {spec0.lambdas[0]:.3e}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapViolation, NumericalError
+from .errors import ConfigurationError, GapViolation, NumericalError
 
 # Relative thresholds: singular-set surrogate and tied upper eigenvalues.
 LAMBDA_SING_REL = 1e-10
@@ -23,10 +23,21 @@ DEGENERACY_REL = 1e-12
 
 @dataclass
 class GramianSpectrum:
-    """Ascending eigenvalues with unit eigenvectors (columns of ``vectors``)."""
+    """Ascending eigenvalues with unit eigenvectors (columns of ``vectors``)
+    and, from :func:`spectrum_at`, the coordinate Jacobian ``jac`` that G
+    was formed from."""
 
     lambdas: np.ndarray
     vectors: np.ndarray  # column i is z_i
+    jac: np.ndarray | None = None
+
+    def jacobian(self):
+        """The J this spectrum was taken from; ConfigurationError for a
+        spectrum decomposed from a bare matrix, which carries none."""
+        if self.jac is None:
+            raise ConfigurationError(
+                "spectrum carries no Jacobian: take it with spectrum_at")
+        return self.jac
 
     @property
     def n(self):
@@ -63,11 +74,25 @@ class SpectralDiagnostics:
     dlambda1_ds: float
 
 
+def _gramian(jac, weights):
+    """J W^-1 J^T, symmetric bit for bit."""
+    g = (jac / weights[None, :]) @ jac.T
+    return 0.5 * (g + g.T)
+
+
 def gramian(oracle, u):
     """Gramian matrix J W^-1 J^T at u."""
+    return _gramian(oracle.jacobian(np.asarray(u, dtype=float)),
+                    oracle.weights)
+
+
+def spectrum_at(oracle, u, prev=None):
+    """:func:`spectral_decompose` of the Gramian at u, formed from one
+    ``oracle.jacobian`` call; the spectrum carries that J."""
     jac = oracle.jacobian(np.asarray(u, dtype=float))
-    g = (jac / oracle.weights[None, :]) @ jac.T
-    return 0.5 * (g + g.T)
+    spec = spectral_decompose(_gramian(jac, oracle.weights), prev)
+    spec.jac = jac
+    return spec
 
 
 def spectral_decompose(grammat, prev=None):
@@ -80,19 +105,23 @@ def spectral_decompose(grammat, prev=None):
 
     Raises NumericalError on a Gramian that is not finite, not symmetric
     or not PSD.  The checks run on Python floats: numpy's per-call
-    overhead is most of the cost on an n <= 4 matrix.
+    overhead is most of the cost on an n <= 4 matrix.  A matrix equal to
+    its transpose bit for bit, as :func:`gramian` builds it, goes to
+    ``eigh`` as it is; any other is symmetrized first.
     """
     grammat = np.asarray(grammat, dtype=float)
-    entries = grammat.ravel().tolist()
-    if not all(map(math.isfinite, entries)):
+    if not all(map(math.isfinite, grammat.ravel().tolist())):
         raise NumericalError("Gramian is not finite")
-    scale = max(1.0, max(map(abs, entries)))
-    asym = max(abs(a - b) for a, b in
-               zip(entries, grammat.T.ravel().tolist()))
-    if asym > 1e-12 * scale:
-        raise NumericalError("Gramian is not symmetric")
+    if grammat.tobytes() != grammat.T.tobytes():
+        entries = grammat.ravel().tolist()
+        scale = max(1.0, max(map(abs, entries)))
+        asym = max(abs(a - b) for a, b in
+                   zip(entries, grammat.T.ravel().tolist()))
+        if asym > 1e-12 * scale:
+            raise NumericalError("Gramian is not symmetric")
+        grammat = 0.5 * (grammat + grammat.T)
     try:
-        lambdas, vectors = np.linalg.eigh(0.5 * (grammat + grammat.T))
+        lambdas, vectors = np.linalg.eigh(grammat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     lam = lambdas.tolist()
@@ -123,10 +152,12 @@ def diagnostics(oracle, u, spec, gamma_dot):
 
     Raises GapViolation when lambda_2 itself sits below the singular
     threshold, since the cross terms in f are then not stably defined.
+    The switching functions are products of the J that ``spec`` carries
+    (see :func:`spectrum_at`).
     """
     u = np.asarray(u, dtype=float)
     # coefficients a_i = <gamma_dot, z_i> of the path velocity
-    a = spec.vectors.T @ np.asarray(gamma_dot, dtype=float)
+    a = spec.vectors.T @ oracle._codomain_vec(gamma_dot, "gamma_dot")
     lam = spec.lambdas
     lam_sing = spec.lambda_sing
     if spec.n > 1 and lam[1] <= lam_sing:
@@ -136,7 +167,8 @@ def diagnostics(oracle, u, spec, gamma_dot):
     if spec.singular:
         return SpectralDiagnostics(a=a, h=np.nan, f=np.nan, g=np.nan,
                                    dlambda1_ds=np.nan)
-    phis = oracle.adjoint_matrix(u)          # column i = dF^* z_i in basis e
+    # column i = dF^* e_i, as MapOracle.adjoint_matrix forms it
+    phis = spec.jacobian().T / oracle.weights[:, None]
     phis = phis @ spec.vectors               # column i = dF^* z_i
     vs = phis / np.sqrt(lam)[None, :]        # normalized switching functions
     v1 = vs[:, 0]

@@ -4,7 +4,7 @@ the eigenvalue- and eigenvector-derivative formulas in the tests."""
 import numpy as np
 
 from pathlift.solver import ple_rhs
-from pathlift.spectrum import gramian, spectral_decompose
+from pathlift.spectrum import spectrum_at
 
 
 def rk4_flow(oracle, path, s, u, ds, nsub=2):
@@ -30,7 +30,7 @@ def fd_along_lift(oracle, path, state, quantity, delta=1e-3):
     base state.
     """
     def evaluate(ss, uu):
-        spec = spectral_decompose(gramian(oracle, uu), prev=state.spectrum)
+        spec = spectrum_at(oracle, uu, prev=state.spectrum)
         return quantity(ss, uu, spec)
 
     u_p = rk4_flow(oracle, path, state.s, state.u, delta)

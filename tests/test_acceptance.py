@@ -12,7 +12,8 @@ import pytest
 
 import pathlift as pl
 from pathlift import cli
-from pathlift.spectrum import diagnostics, gramian, spectral_decompose
+from pathlift.spectrum import (diagnostics, gramian, spectral_decompose,
+                              spectrum_at)
 
 from lift_fd import lambda1_fd_along_lift, rk4_flow
 
@@ -68,7 +69,7 @@ def _resampled_states(oracle, path, report, s_values):
     for s in s_values:
         base = min(regular, key=lambda st: abs(st.s - s))
         u = rk4_flow(oracle, path, base.s, base.u, s - base.s, nsub=4)
-        spec = spectral_decompose(gramian(oracle, u), prev=base.spectrum)
+        spec = spectrum_at(oracle, u, prev=base.spectrum)
         out.append(SimpleNamespace(s=s, u=u, spectrum=spec))
     return out
 

@@ -1,5 +1,6 @@
 """Map oracles, weighted geometry, and target paths."""
 
+import re
 import sys
 
 import numpy as np
@@ -247,6 +248,21 @@ def test_dimension_validation():
         pl.SphereMap(3, weights=np.zeros(3))
     with pytest.raises(ConfigurationError):
         pl.LinearMap(np.ones((5, 3)))  # codomain larger than domain
+    # a target vector the fold's R^2 does not hold, named by its role
+    fold, u = pl.FoldMap(), np.array([0.5, 0.1])
+    spec = pl.spectrum_at(fold, u)
+    for name, got, call in [
+        ("gamma_dot", "(3,)", lambda: pl.ple_rhs(fold, u, np.ones(3))),
+        ("gamma_dot", "(2, 1)", lambda: pl.ple_rhs(fold, u, np.ones((2, 1)))),
+        ("gamma_dot", "(3,)",
+         lambda: pl.diagnostics(fold, u, spec, np.ones(3))),
+        ("target", "(3,)",
+         lambda: pl.gauss_newton_correct(fold, u, np.ones(3), 1e-10)),
+    ]:
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name} must have length 2, got "
+                                 rf"{re.escape(got)}$"):
+            call()
 
 
 def test_make_map_registry():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
-from pathlift import endpoint, solver
+from pathlift import endpoint, solver, spectrum
 from pathlift.errors import BadAnchor, ConfigurationError, SingularStart
 
 from lift_fd import fd_along_lift, lambda1_fd_along_lift
@@ -162,7 +162,8 @@ def test_lift_decomposes_the_anchor_gramian_once(monkeypatch):
     o, path, u0 = _sphere_problem(3)
     decompositions = []
     before_first_rhs = []
-    real_decompose, real_rhs = solver.spectral_decompose, solver.ple_rhs
+    # spectrum_at is where every point's Gramian is decomposed
+    real_decompose, real_rhs = spectrum.spectral_decompose, solver.ple_rhs
 
     def decompose(grammat, prev=None):
         decompositions.append(grammat)
@@ -172,7 +173,7 @@ def test_lift_decomposes_the_anchor_gramian_once(monkeypatch):
         before_first_rhs.append(len(decompositions))
         return real_rhs(*args)
 
-    monkeypatch.setattr(solver, "spectral_decompose", decompose)
+    monkeypatch.setattr(spectrum, "spectral_decompose", decompose)
     monkeypatch.setattr(solver, "ple_rhs", rhs)
     pl.lift(o, path, u0)
     assert before_first_rhs[0] == 1
@@ -250,20 +251,19 @@ def test_step_below_ds_min_is_step_underflow():
     assert len(rep.trace) == 1
 
 
-class _FoldNaNOffAnchor(pl.FoldMap):
-    """The fold map whose adjoint is NaN everywhere but at the anchor."""
+class _LineNaNOffStart(pl.LinePath):
+    """A line whose slope is NaN everywhere but at s = 0."""
 
-    anchor = np.array([0.5, 0.0])
-
-    def apply_adjoint(self, u, z):
-        phi = super().apply_adjoint(u, z)
-        return phi if np.array_equal(u, self.anchor) else phi * np.nan
+    def gamma_dot(self, s):
+        slope = super().gamma_dot(s)
+        return slope if s == 0.0 else slope * np.nan
 
 
 def test_non_finite_state_ends_diverged():
     # every step's later stages are NaN: the step is halved below ds_min
-    o = _FoldNaNOffAnchor()
-    rep = pl.lift(o, pl.line_to_target(o, o.anchor, [0.04, 0.9]), o.anchor)
+    o = pl.FoldMap()
+    u0 = np.array([0.5, 0.0])
+    rep = pl.lift(o, _LineNaNOffStart(o.eval(u0), [0.04, 0.9]), u0)
     assert rep.status == pl.DIVERGED
     assert rep.message == "non-finite state produced"
     assert len(rep.trace) == 1
@@ -311,13 +311,13 @@ def test_approach_walk_out_of_steps_is_step_underflow(monkeypatch):
     # the last one, so the walk stops there instead of retrying it until
     # its 300 steps run out
     calls = []
-    real = solver.spectral_decompose
+    real = spectrum.spectral_decompose
 
     def decompose(grammat, prev=None):
         calls.append(1)
         return real(grammat, prev=prev)
 
-    monkeypatch.setattr(solver, "spectral_decompose", decompose)
+    monkeypatch.setattr(spectrum, "spectral_decompose", decompose)
     o = pl.FoldMap()
     u0 = np.array([0.5, 0.0])
     rep = pl.lift(o, pl.line_to_target(o, u0, [-0.25, 0.5]), u0)
@@ -719,6 +719,71 @@ def test_ple_rhs_matches_a_dense_solve(seed, n, extra):
                               rel=1e-9)
 
 
+# one oracle per kind; an endpoint oracle's memo may hold any earlier u
+_ONE_J_ORACLES = {
+    "fold": pl.FoldMap(weights=[0.7, 1.6]),
+    "sphere": pl.SphereMap(3, weights=[0.5, 1.0, 2.0]),
+    "linear": pl.LinearMap(np.random.default_rng(5).standard_normal((2, 4)),
+                           weights=[0.6, 1.2, 0.9, 1.8]),
+    "brockett": pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4),
+    "unicycle": pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0], 1.0, 4),
+}
+
+
+@pytest.mark.filterwarnings("ignore:degenerate eigenvalues")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ple_rhs_takes_one_jacobian_for_the_gramian_and_the_adjoint(data):
+    # the velocity is apply_adjoint(u, V (V^T gamma_dot / lambda)) bit for
+    # bit, from the one J that also formed G
+    name = data.draw(st.sampled_from(sorted(_ONE_J_ORACLES)), label="map")
+    o = _ONE_J_ORACLES[name]
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    u = data.draw(arrays(float, o.dim_domain, elements=entries), label="u")
+    gd = data.draw(arrays(float, o.dim_codomain, elements=entries),
+                   label="gamma_dot")
+    spec = pl.spectral_decompose(pl.gramian(o, u))
+    assume(not spec.singular)
+    expect = o.apply_adjoint(
+        u, spec.vectors @ ((spec.vectors.T @ gd) / spec.lambdas))
+    calls = []
+    real = o.jacobian
+    o.jacobian = lambda uu: calls.append(1) or real(uu)
+    try:
+        rhs, g = pl.ple_rhs(o, u, gd)
+    finally:
+        del o.jacobian
+    assert len(calls) == 1
+    assert rhs.tobytes() == expect.tobytes()
+    assert g == abs(float((spec.vectors.T @ gd)[0]
+                          / np.sqrt(spec.lambdas[0])))
+
+
+def test_a_lift_takes_one_jacobian_per_point(monkeypatch):
+    # every point the lift reaches, a Cash-Karp stage in ple_rhs or a
+    # step's end, a corrected state or the anchor, takes its spectrum
+    # with spectrum_at, which asks for J once; nothing else asks for it
+    calls = {"jacobian": 0, "spectrum_at": 0, "ple_rhs": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(pl.FoldMap, "jacobian")
+    counted(solver, "spectrum_at")
+    counted(solver, "ple_rhs")
+    o = pl.FoldMap()
+    u0 = np.array([0.4, 0.1])
+    rep = pl.lift(o, pl.line_to_target(o, u0, [0.05, 0.3]), u0)
+    assert rep.status == pl.REACHED and len(rep.trace) == 7
+    assert calls == {"jacobian": 66, "spectrum_at": 66, "ple_rhs": 55}
+
+
 def _fold_lift():
     o = pl.FoldMap()
     u0 = np.array([0.1, 0.0])
@@ -792,7 +857,7 @@ def test_correction_starts_from_the_spectrum_at_u5(monkeypatch):
     # loop took at u5, which it would otherwise take again: one
     # decomposition fewer per state whose u5 needed correcting, and not
     # one bit of the trace moves, as the update ignores eigenvector signs
-    real_decompose, real_correct = (solver.spectral_decompose,
+    real_decompose, real_correct = (spectrum.spectral_decompose,
                                     solver.gauss_newton_correct)
     decompositions, corrected = [], []
 
@@ -810,7 +875,7 @@ def test_correction_starts_from_the_spectrum_at_u5(monkeypatch):
         del decompositions[:], corrected[:]
         return _lift_bits(problem), len(decompositions), sum(corrected)
 
-    monkeypatch.setattr(solver, "spectral_decompose", decompose)
+    monkeypatch.setattr(spectrum, "spectral_decompose", decompose)
     for problem in (_fold_lift, _brockett10_lift):
         bits, fewer, count = run(problem, True)
         assert run(problem, False) == (bits, fewer + count, count)

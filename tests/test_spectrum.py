@@ -8,7 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
-from pathlift.errors import GapViolation, NumericalError
+from pathlift.errors import ConfigurationError, GapViolation, NumericalError
 from pathlift.spectrum import DEGENERACY_REL, GramianSpectrum
 
 
@@ -192,11 +192,35 @@ def test_spectrum_floor():
     assert pl.spectral_decompose(np.array([[0.3]])).floor == np.inf
 
 
+def test_a_spectrum_without_its_jacobian_is_refused():
+    # what needs J reads it from the spectrum, never from the oracle again
+    o = pl.FoldMap()
+    u = np.array([0.5, 0.1])
+    bare = pl.spectral_decompose(pl.gramian(o, u))
+    assert bare.jac is None
+    assert pl.spectrum_at(o, u).jacobian().tobytes() == \
+        o.jacobian(u).tobytes()
+    for call in (lambda: pl.diagnostics(o, u, bare, np.ones(2)),
+                 lambda: pl.gauss_newton_correct(o, u, [0.2, 0.3], 1e-10,
+                                                 bare)):
+        with pytest.raises(ConfigurationError,
+                           match="^spectrum carries no Jacobian"):
+            call()
+
+
+def test_a_symmetric_matrix_goes_to_eigh_as_it_is():
+    # 0.5 (G + G^T) would overflow above 2^1023 and hand eigh infinities
+    grammat = np.array([[1.5e308, 1e307], [1e307, 1.2e308]])
+    spec = pl.spectral_decompose(grammat)
+    assert spec.lambdas.tobytes() == np.linalg.eigvalsh(grammat).tobytes()
+    assert np.isfinite(spec.vectors).all()
+
+
 def test_coefficients_are_eigenbasis_components():
     rng = np.random.default_rng(3)
     o = pl.LinearMap(rng.standard_normal((3, 3)))
     u = np.zeros(3)
-    spec = pl.spectral_decompose(pl.gramian(o, u))
+    spec = pl.spectrum_at(o, u)
     gd = rng.standard_normal(3)
     coef = pl.diagnostics(o, u, spec, gd).a
     np.testing.assert_allclose(spec.vectors @ coef, gd, atol=1e-12)
@@ -205,7 +229,7 @@ def test_coefficients_are_eigenbasis_components():
 def test_sphere_diagnostics_closed_form():
     o = pl.SphereMap(2)
     u = np.array([0.6, 0.8])  # ||u|| = 1
-    spec = pl.spectral_decompose(pl.gramian(o, u))
+    spec = pl.spectrum_at(o, u)
     d = pl.diagnostics(o, u, spec, np.array([-1.0]))
     assert spec.lambdas[0] == pytest.approx(4.0)
     assert d.h == pytest.approx(2.0)
@@ -218,7 +242,7 @@ def test_sphere_diagnostics_closed_form():
 def test_fold_diagnostics_closed_form():
     o = pl.FoldMap()
     u = np.array([0.2, 0.0])  # G = diag(0.16, 1), lambda_1 branch = u1^2 axis
-    spec = pl.spectral_decompose(pl.gramian(o, u))
+    spec = pl.spectrum_at(o, u)
     gd = np.array([0.5, 0.3])
     d = pl.diagnostics(o, u, spec, gd)
     assert spec.lambdas[0] == pytest.approx(0.16)
@@ -252,7 +276,7 @@ def test_dlambda1_formula_matches_fd():
     # move along the lifting direction and difference lambda_1 directly
     o = pl.FoldMap()
     u = np.array([0.25, 0.1])
-    spec = pl.spectral_decompose(pl.gramian(o, u))
+    spec = pl.spectrum_at(o, u)
     gd = np.array([0.7, -0.4])
     d = pl.diagnostics(o, u, spec, gd)
     udot, g = pl.ple_rhs(o, u, gd)
