@@ -159,7 +159,9 @@ def parse_config(text):
     """Parse sectioned key/value config text.  ``cfg["solver"]`` is the
     built SolverOptions and ``cfg["check"]["xi"]`` the PowerLawXi or None,
     so their rules reject a bad value for every command."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal text: a "%" is no interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -60,6 +60,7 @@ kept control integrate nothing, evaluate no ``f``, ``f_x`` or ``f_u``,
 form no flows, and a dJ pass there pays only for its members.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,7 +117,10 @@ class ControlSystem:
 
 def _lead(*arrays):
     """Broadcast leading shape of stacked states and controls."""
-    return np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
+    shapes = [np.shape(a)[:-1] for a in arrays]
+    if shapes.count(shapes[0]) == len(shapes):
+        return shapes[0]
+    return np.broadcast_shapes(*shapes)
 
 
 def _constant(mat):
@@ -303,20 +307,20 @@ def steps_per_segment(segments):
 
 def _stages(f, x, u, h, stages):
     """One RK4 step at states x (n, K) and controls u (m, K): writes its
-    four stage states into ``stages`` (4, n, K) and returns the increment
-    h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, in place."""
-    stages[0] = x
+    stage states x + h/2 k1, x + h/2 k2 and x + h k3 into ``stages`` (3,
+    n, K) and returns the increment h/6 (k1 + 2 k2 + 2 k3 + k4), summed in
+    that order, in place."""
     k1 = f(x, u)
-    stages[1] = x + 0.5 * h * k1
-    k2 = f(stages[1], u)
+    np.add(x, 0.5 * h * k1, out=stages[0])
+    k2 = f(stages[0], u)
     total = k1 + 2 * k2
     del k1
-    stages[2] = x + 0.5 * h * k2
-    k3 = f(stages[2], u)
+    np.add(x, 0.5 * h * k2, out=stages[1])
+    k3 = f(stages[1], u)
     del k2
     total += 2 * k3
-    stages[3] = x + h * k3
-    total += f(stages[3], u)
+    np.add(x, h * k3, out=stages[2])
+    total += f(stages[2], u)
     total *= h / 6.0
     return total
 
@@ -326,8 +330,11 @@ def _check_stacked(f, x, u):
     (m, B) controls equals ``f`` at each member's own state and control."""
     try:
         stacked = np.asarray(f(x, u), dtype=float)
-        members = np.stack([np.asarray(f(x[:, b], u[:, b]), dtype=float)
-                            for b in range(x.shape[1])], axis=-1)
+        if x.shape[1] == 1:
+            members = np.asarray(f(x[:, 0], u[:, 0]), dtype=float)[..., None]
+        else:
+            members = np.stack([np.asarray(f(x[:, b], u[:, b]), dtype=float)
+                                for b in range(x.shape[1])], axis=-1)
     except (ValueError, IndexError, TypeError) as exc:
         raise ConfigurationError(
             f"f fails on stacked (n, B) states: {exc}") from exc
@@ -340,6 +347,29 @@ def _check_stacked(f, x, u):
         raise ConfigurationError(
             "f must map stacked (n, B) states and (m, B) controls column "
             "by column, as it maps one (n,) state and (m,) control")
+
+
+@functools.lru_cache(maxsize=64)
+def _step_times(horizon, steps):
+    """The step-start times of ``steps`` uniform steps over [0, horizon],
+    made once per (horizon, steps) and shared read-only."""
+    times = np.linspace(0.0, horizon, steps + 1)
+    times.flags.writeable = False
+    return times
+
+
+@functools.lru_cache(maxsize=16)
+def _eye(r, c=None, signed=False):
+    """The identity's rows [I | Z] (r, c), made once per shape and shared
+    read-only: Z = 0, or with ``signed`` Z = -0.0, which added to any float
+    leaves it as it is, so adding [I | -0] to a block adds I to its first r
+    columns alone, in one contiguous pass."""
+    eye = np.zeros((r, c or r))
+    if signed:
+        eye[:, r:] = -0.0
+    eye[:, :r] = np.eye(r)
+    eye.flags.writeable = False
+    return eye
 
 
 # integrate's default substeps: steps_per_segment of the grid's segments
@@ -391,15 +421,15 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
     steps = segments * substeps
     horizon = positive(horizon, "horizon")
     h = horizon / segments / substeps
-    x = np.repeat(_initial_state(system, x0)[:, None], batch, axis=1)
-    n = x.shape[0]
-    _check_stacked(system.f, x, u_values[0])
+    x0 = _initial_state(system, x0)
+    n = len(x0)
     # column j*B + b holds member b at step j: a run of steps is a slice
-    states = np.tile(x, steps + 1)
+    states = np.empty((n, (steps + 1) * batch))
+    states.reshape(n, steps + 1, batch)[...] = x0[:, None, None]
+    _check_stacked(system.f, states[:, :batch], u_values[0])
     stages = np.empty((4, n, steps * batch))
     controls = np.repeat(u_values, substeps, axis=0).transpose(1, 0, 2)
     controls = controls.reshape(m, -1)
-    times = np.linspace(0.0, horizon, steps + 1)
     done = sweeps = 0
     # flags raised at guesses mean nothing; a real escape fails the test below
     with np.errstate(all="ignore"):
@@ -408,25 +438,33 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
             sweeps += 1
             a, b = done * batch, stop * batch
             new = _stages(system.f, states[:, a:b], controls[:, a:b], h,
-                          stages[:, :, a:b])
+                          stages[1:, :, a:b])
             new[:, :batch] += states[:, a:a + batch]
             if stop > done + 1:
                 runs = new.reshape(n, -1, batch)
                 np.add.accumulate(runs, axis=1, out=runs)
-                moved = (new[:, :-batch].view(np.int64)
-                         != states[:, a + batch:b].view(np.int64))
-                moved = moved.reshape(n, -1, batch).any(axis=(0, 2))
-                if moved.any():
-                    stop = done + 1 + int(np.argmax(moved))
+                moved = np.logical_or.reduce(
+                    new[:, :-batch].view(np.int64)
+                    != states[:, a + batch:b].view(np.int64), axis=0)
+                if batch > 1:
+                    moved = moved.reshape(-1, batch).any(axis=1)
+                first = int(moved.argmax())
+                if moved[first]:
+                    stop = done + 1 + first
             states[:, a + batch:b + batch] = new
             done = stop
-        states = states.reshape(n, steps + 1, batch)
-        bad = (~np.isfinite(states[:, 1:]).all(axis=0)
-               | (np.linalg.norm(states[:, 1:], axis=0) > BLOWUP_NORM))
-    if bad.any():
-        t = float(times[1 + np.argmax(bad.any(axis=1))])
+        # each step's first stage is its start, exact once the step is
+        stages[0] = states[:, :-batch]
+        # |x| <= BLOWUP_NORM as |x|^2 <= BLOWUP_NORM^2, the same test for
+        # every float; NaN, inf and large states alike fail it
+        ends = states[:, batch:]
+        fine = np.add.reduce(ends * ends, axis=0) <= BLOWUP_NORM ** 2
+    times = _step_times(horizon, steps)
+    if not fine.all():
+        t = float(times[1 + int(fine.argmin()) // batch])
         raise TrajectoryBlowup(
             f"trajectory escaped near t = {t:.4f}", escape_time=t)
+    states = states.reshape(n, steps + 1, batch)
     _check_stacked(system.f, states[:, -1], u_values[-1])
     out = (states.transpose(2, 1, 0),
            stages.reshape(4, n, steps, batch).transpose(3, 2, 0, 1))
@@ -436,8 +474,9 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
 def _propagators(a, h):
     """RK4 step blocks of a linear flow, from its four stage matrices.
 
-    ``a`` (..., 4, r, c), c >= r, holds the nonzero rows [A_i | C_i] of
-    the stage blocks [[A_i, C_i], [0, 0]] at a step's stage states i = 1..4.
+    ``a`` (4, ..., r, c), c >= r, holds the nonzero rows [A_i | C_i] of
+    the stage blocks [[A_i, C_i], [0, 0]] at a step's stage states i = 1..4,
+    stage i in ``a[i - 1]``.
     Returns [M | N] (..., r, c), the nonzero rows of the step block
     [[M, N], [0, I]] = I + h/6 (a_4 + 2 b_2 + 2 b_3 + b_4) with
     b_2 = (I + h/2 a_4) a_3, b_3 = (I + h/2 b_2) a_2, b_4 = (I + h b_3) a_1:
@@ -447,32 +486,34 @@ def _propagators(a, h):
     the intermediates :func:`_propagator_derivatives` differentiates.
     """
     r = a.shape[-2]
-    a1, a2, a3, a4 = (a[..., i, :, :] for i in range(4))
-    # every sum in place, in the order of the formula: dJ's peak memory
-    b2 = 0.5 * h * a4[..., :r] @ a3
+    a1, a2, a3, a4 = a
+    # every sum in place, in the order of the formula: dJ's peak memory.
+    # Each scaling runs over whole blocks, not their strided first r
+    # columns: the same products, in fewer inner loops
+    b2 = (0.5 * h * a4)[..., :r] @ a3
     b2 += a3
-    b3 = 0.5 * h * b2[..., :r] @ a2
+    b3 = (0.5 * h * b2)[..., :r] @ a2
     b3 += a2
-    b4 = h * b3[..., :r] @ a1
+    b4 = (h * b3)[..., :r] @ a1
     b4 += a1
     b4 += a4    # h/6 (a4 + 2 (b2 + b3) + b4)
     twice = b3 + b2
     twice *= 2
     b4 += twice
     b4 *= h / 6.0
-    b4[..., :r] += np.eye(r)
+    b4 += _eye(r, b4.shape[-1], signed=True)
     return b4, b2, b3
 
 
 def _propagator_derivatives(a, da, b2, b3, h):
     """[dM | dN] (..., r, c), the derivative of :func:`_propagators`' step
-    rows along stage rows ``da`` (..., 4, r, c), from its stage rows ``a``
+    rows along stage rows ``da`` (4, ..., r, c), from its stage rows ``a``
     and intermediates ``b2``, ``b3``: each line of the polynomial
     differentiated, db_2 = h/2 (da_4 a_3 + a_4 da_3) + da_3 and so on
     (forward mode through the fixed scheme)."""
     r = a.shape[-2]
-    a1, a2, a3, a4 = (a[..., i, :, :] for i in range(4))
-    d1, d2, d3, d4 = (da[..., i, :, :] for i in range(4))
+    a1, a2, a3, a4 = a
+    d1, d2, d3, d4 = da
     db2 = d4[..., :r] @ a3
     db2 += a4[..., :r] @ d3
     db2 *= 0.5 * h
@@ -499,7 +540,8 @@ def _compose(later, earlier):
     the later on the left."""
     r = later.shape[-2]
     out = later[..., :r] @ earlier
-    out[..., r:] += later[..., r:]
+    if out.shape[-1] > r:
+        out[..., r:] += later[..., r:]
     return out
 
 
@@ -508,11 +550,12 @@ def _chain(steps):
     at once: entry j of the (..., P, S + 1, r, c) result holds the nonzero
     rows of the product of the first j blocks ``steps`` (..., P, S, r, c)."""
     *lead, count, r, c = steps.shape
-    out = np.zeros((*lead, count + 1, r, c))
-    out[..., 0, :, :r] = np.eye(r)
+    out = np.empty((*lead, count + 1, r, c))
+    out[..., 0, :, :] = _eye(r, c)
+    # the step axis leading, so that step j is one index
+    later, chain = steps.swapaxes(-3, 0), out.swapaxes(-3, 0)
     for j in range(count):
-        out[..., j + 1, :, :] = _compose(steps[..., j, :, :],
-                                         out[..., j, :, :])
+        chain[j + 1] = _compose(later[j], chain[j])
     return out
 
 
@@ -524,48 +567,58 @@ def _scan(blocks, reverse=False):
     composing each entry with the one d segments before it (after it,
     with ``reverse``)."""
     out = blocks.copy()
+    segments = out.swapaxes(-3, 0)      # the segment axis leading
     d = 1
-    while d < blocks.shape[-3]:
-        later, earlier = out[..., d:, :, :], out[..., :-d, :, :]
+    while d < len(segments):
+        later, earlier = segments[d:], segments[:-d]
         (earlier if reverse else later)[...] = _compose(later, earlier)
         d *= 2
     return out
 
 
 def _flows(steps):
-    """The backward pass at a control, from its step rows [M_j | N_j]
+    """J's backward pass at a control, from its step rows [M_j | N_j]
     (..., P, S, n, n + m): the running products [Phi_s | C_s] (..., P,
     S + 1, n, n + m) of :func:`_chain`, whose last entries are the segment
-    maps [A_p | C_p], and the kernels K_{p,s+1} = A_{P-1} ... A_{p+1}
-    M_{p,S-1} ... M_{p,s+1} from the end of each step to T, side by side:
-    (..., P, n, S n).  J's block on segment p is K_{p,S} C_p, and the
-    second variation along any direction reads both."""
+    maps [A_p | C_p], and their reverse :func:`_scan` K_{p,S} = A_{P-1}
+    ... A_{p+1} from the end of segment p to T, (..., P - 1, n, n), for
+    p < P - 1 (K_{P-1,S} = I).  J's block on segment p is K_{p,S} C_p."""
     chain = _chain(steps)
+    n = steps.shape[-2]
+    return chain, _scan(chain[..., 1:, -1, :, :n], reverse=True)
+
+
+def _kernels(steps, ends):
+    """The kernels K_{p,s+1} = K_{p,S} M_{p,S-1} ... M_{p,s+1} from the
+    end of each step to T, side by side, (..., P, n, S n), from the step
+    rows ``steps`` (..., P, S, n, n + m) and :func:`_flows`' segment
+    kernels ``ends`` = K_{p,S} (..., P - 1, n, n): only the second
+    variation reads them."""
     *lead, count, substeps, n, _ = steps.shape
     kernels = np.empty((*lead, count, substeps, n, n))
-    kernels[..., -1, -1, :, :] = np.eye(n)
-    kernels[..., :-1, -1, :, :] = _scan(chain[..., 1:, -1, :, :n],
-                                        reverse=True)
+    kernels[..., -1, -1, :, :] = _eye(n)
+    kernels[..., :-1, -1, :, :] = ends
     for s in range(substeps - 1, 0, -1):
-        kernels[..., s - 1, :, :] = (kernels[..., s, :, :]
-                                     @ steps[..., s, :, :n])
-    return chain, kernels.swapaxes(-3, -2).reshape(
+        np.matmul(kernels[..., s, :, :], steps[..., s, :, :n],
+                  out=kernels[..., s - 1, :, :])
+    return kernels.swapaxes(-3, -2).reshape(
         *lead, count, n, substeps * n)
 
 
 class _Kept:
     """What an oracle keeps for one control u (read-only, as are all its
     arrays): u's trajectory (times, states, stages); once J or dJ is asked
-    at u, J and ``linear``, the rest of what
-    :meth:`EndpointOracle._linearized` formed with it: (x, a, b_2, b_3,
-    chain, kernels)."""
+    at u, J and ``linear``, what :meth:`EndpointOracle._linearized` formed
+    with it for dJ: (x, a, b_2, b_3, chain).  ``kernels``, :func:`_kernels`
+    of ``steps`` = (step rows, K_{p,S}), is formed at the first dJ at u,
+    and ``steps`` then let go."""
 
-    __slots__ = ("u", "trajectory", "linear", "jac")
+    __slots__ = ("u", "trajectory", "jac", "linear", "steps", "kernels")
 
     def __init__(self, key, trajectory):
         self.u = np.frombuffer(key)
         self.trajectory = trajectory
-        self.linear = self.jac = None
+        self.jac = self.linear = self.steps = self.kernels = None
 
 
 def _read_only(arrays):
@@ -627,10 +680,11 @@ class EndpointOracle(MapOracle):
         keys = [u.tobytes() for u in us]
         todo = {key: u for key, u in zip(keys, us) if key not in self._memo}
         if todo:
+            rows = _stacked(list(todo.values()))
             out = _read_only(integrate(
                 self.system, self.x0,
-                np.stack([self.grid.unpack(u) for u in todo.values()],
-                         axis=-1),
+                rows.reshape(len(rows), self.grid.segments, -1).transpose(
+                    1, 2, 0),
                 self.grid.horizon, self.grid.substeps))
             new = {key: _Kept(key, (out[0], states, stages))
                    for key, states, stages in zip(todo, *out[1:])}
@@ -667,45 +721,67 @@ class EndpointOracle(MapOracle):
             self.eval(u) - self.endpoint_refined(u, refine=2)))
 
     def _stage_controls(self, kept):
-        """Each entry's control at every stage of its steps, (K, P, S, 4,
-        m), the shape of the stage states."""
+        """Each entry's control at every stage of its steps, (4, K, P, S,
+        m), stage-major as the stage states."""
         substeps = self.grid.substeps
-        controls = np.array([e.u for e in kept]).reshape(
+        controls = _stacked([e.u for e in kept]).reshape(
             len(kept), self.grid.segments, 1, -1)
         return controls.repeat(4 * substeps, axis=2).reshape(
-            controls.shape[:2] + (substeps, 4, -1))
+            controls.shape[:2] + (substeps, 4, -1)).transpose(3, 0, 1, 2, 4)
 
     def _linearized(self, kept):
         """J at the distinct entries of ``kept`` that lack it, in one
-        stacked call: at their kept stage states x (K, P, S, 4, n), with no
-        ``f`` call, the stage rows a = [f_x | f_u]; :func:`_propagators`'
-        step rows [M_j | N_j] with its b_2 and b_3; their :func:`_flows`;
-        and J's block on segment p, K_{p,S} C_p (C_{P-1} on the last).
-        Each entry keeps J and, as ``linear`` for dJ, (x, a, b_2, b_3) and
-        its flows.  Returns those six arrays, stacked, if every entry of
-        ``kept`` was formed here, else None."""
+        stacked call: at their kept stage states x (4, K, P, S, n), stage
+        i of every step in ``x[i - 1]``, with no ``f`` call, the stage rows
+        a = [f_x | f_u]; :func:`_propagators`'
+        step rows [M_j | N_j] with its b_2 and b_3; their :func:`_flows`
+        [Phi_s | C_s] and K_{p,S}; and J's block on segment p, K_{p,S} C_p
+        (C_{P-1} on the last).  Only J reads no more: the kernels of every
+        step wait for the first dJ (:meth:`_with_kernels`).  Each entry
+        keeps J, ``linear`` = (x, a, b_2, b_3, chain) and ``steps`` =
+        (step rows, K_{p,S}).  Returns those seven arrays, stacked, if every
+        entry of ``kept`` was formed here, else None."""
         todo = [e for e in dict.fromkeys(kept) if e.jac is None]
         if not todo:
             return None
-        x = np.array([e.trajectory[2] for e in todo])
-        x = x.reshape(len(todo), self.grid.segments, self.grid.substeps, 4,
-                      -1)
+        count, n = len(todo), self.dim_codomain
+        x = _stacked([e.trajectory[2] for e in todo]).reshape(
+            count, self.grid.segments, self.grid.substeps, 4, n).transpose(
+                3, 0, 1, 2, 4)
         uu = self._stage_controls(todo)
         a = np.concatenate([self.system.f_x(x, uu), self.system.f_u(x, uu)],
                            axis=-1)
         steps, b2, b3 = _propagators(a, self._h)
-        chain, kernels = _flows(steps)
-        n = self.dim_codomain
+        chain, ends = _flows(steps)
         gains = chain[:, :, -1, :, n:]      # C_p
-        jacs = np.empty(gains.shape)
-        jacs[:, -1] = gains[:, -1]
-        jacs[:, :-1] = kernels[:, :-1, :, -n:] @ gains[:, :-1]
-        jacs = jacs.transpose(0, 2, 1, 3).reshape(len(todo), n, -1)
-        formed = _read_only((x, a, b2, b3, chain, kernels, jacs))
+        jacs = np.empty((count, n, self.grid.segments, gains.shape[-1]))
+        blocks = jacs.transpose(0, 2, 1, 3)     # segment p's block
+        blocks[:, -1] = gains[:, -1]
+        np.matmul(ends, gains[:, :-1], out=blocks[:, :-1])
+        jacs = jacs.reshape(count, n, -1)
+        formed = _read_only((x, a, b2, b3, chain, steps, ends, jacs))
         for k, e in enumerate(todo):
             e.jac = jacs[k]
-            e.linear = tuple(arr[k] for arr in formed[:-1])
-        return formed[:-1] if len(todo) == len(kept) else None
+            e.linear = (x[:, k], a[:, k], b2[k], b3[k], chain[k])
+            e.steps = (steps[k], ends[k])
+        return formed[:-1] if count == len(kept) else None
+
+    @staticmethod
+    def _with_kernels(kept, steps=None):
+        """:func:`_kernels` of the entries ``kept``, stacked: formed, in one
+        batch, for the distinct entries that lack them, from ``steps`` =
+        their (step rows, K_{p,S}) stacked if the caller has it (every
+        entry formed by one :meth:`_linearized`), and kept with each."""
+        todo = [e for e in dict.fromkeys(kept) if e.kernels is None]
+        if todo:
+            formed = _kernels(*(steps or map(
+                _stacked, zip(*(e.steps for e in todo)))))
+            formed.flags.writeable = False
+            for k, e in enumerate(todo):
+                e.kernels, e.steps = formed[k], None
+            if len(todo) == len(kept):
+                return formed
+        return _stacked([e.kernels for e in kept])
 
     def jacobian(self, u):
         """J = dF/du of the computed RK4 map, kept read-only in the memo
@@ -773,8 +849,15 @@ class EndpointOracle(MapOracle):
         system, h = self.system, self._h
         # the arrays just formed if each member is a control first met
         # here, else each member's kept arrays, stacked
-        x, a, b2, b3, chain, kernels = self._linearized(kept) or map(
-            _stacked, zip(*(e.linear for e in kept)))
+        formed = self._linearized(kept)
+        if formed is None:
+            x, a, b2, b3, chain = map(_stacked,
+                                      zip(*(e.linear for e in kept)))
+            x, a = x.swapaxes(0, 1), a.swapaxes(0, 1)     # stage-major
+            kernels = self._with_kernels(kept)
+        else:
+            x, a, b2, b3, chain = formed[:5]
+            kernels = self._with_kernels(kept, formed[5:])
         n, m = self.dim_codomain, self.grid.control_dim
         count, segments = len(kept), self.grid.segments
         # each segment's v, broadcast over its steps
@@ -789,11 +872,11 @@ class EndpointOracle(MapOracle):
         y = (chain[:, :, :-1] @ starts[:, :, None])[..., 0]
         # stage tangents next to v: each stage's slope is one product
         yv = np.empty(x.shape[:-1] + (n + m,))
-        yv[..., n:] = v[..., None, :]
-        yv[..., 0, :n] = y
+        yv[..., n:] = v
+        yv[0, ..., :n] = y
         for i, c in enumerate((0.5, 0.5, 1.0)):
-            slope = a[..., i, :, :] @ yv[..., i, :, None]
-            yv[..., i + 1, :n] = y + c * h * slope[..., 0]
+            slope = a[i] @ yv[i, ..., None]
+            yv[i + 1, ..., :n] = y + c * h * slope[..., 0]
         da = np.concatenate(system.d_partials(
             x, self._stage_controls(kept), yv[..., :n], yv[..., n:]), axis=-1)
         dsteps = _propagator_derivatives(a, da, b2, b3, h)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidXi, finite, integer, positive
-from .spectrum import gramian, spectral_decompose
+from .spectrum import spectrum_at
 
 POWER_ITERATIONS = 12
 GROWTH_SLOPE_LIMIT = 2.0
@@ -365,7 +365,9 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     hashed substream, so doubling the counts extends the sample set
     without disturbing earlier draws.  The samples form one table of
     shells x points x z samples: per plan point (every J formed in one
-    :meth:`MapOracle.jacobian_many`, each Gramian decomposed once) its
+    :meth:`MapOracle.jacobian_many` and taken once, by
+    :func:`~pathlift.spectrum.spectrum_at`, for its Gramian and its
+    switching functions; each Gramian decomposed once) its
     least eigenvalue, singular flag, eigenvalue floor and C_est, and per
     (u, z) ||phi_z|| and the coercivity ratio, NaN where phi_z is
     degenerate and the sample skipped.  Every shell row and every
@@ -379,15 +381,17 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     zs = np.array([[_sample_z(oracle, plan, si, k, j)
                     for j in range(plan.z_samples)] for si, k in index])
     oracle.jacobian_many(points)
-    # each point's Gramian and its z samples' switching functions from the
-    # J an endpoint oracle keeps; sampling only reads eigenvalues, so basis
-    # ambiguity in a repeated spectrum is harmless
+    # each point's spectrum and its z samples' switching functions
+    # W^-1 J^T z from one J, which an endpoint oracle keeps; sampling only
+    # reads eigenvalues, so basis ambiguity in a repeated spectrum is
+    # harmless
     specs, phis = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for u, u_zs in zip(points, zs):
-            specs.append(spectral_decompose(gramian(oracle, u)))
-            phis.extend(oracle.apply_adjoint(u, z) for z in u_zs)
+            specs.append(spectrum_at(oracle, u))
+            phis.extend((specs[-1].jac.T @ z) / oracle.weights
+                        for z in u_zs)
     lam1 = np.reshape([s.lambdas[0] for s in specs], shape)
     singular = np.reshape([s.singular for s in specs], shape)
     gap = np.reshape([s.floor for s in specs], shape) - lambda0

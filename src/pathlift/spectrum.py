@@ -104,7 +104,7 @@ def spectral_decompose(grammat, prev=None):
     is made positive, so the sign does not hang on roundoff in G.
 
     Raises NumericalError on a Gramian that is not finite, not symmetric
-    or not PSD.  The checks run on Python floats: numpy's per-call
+    or not PSD, or whose eigenvalues are not finite.  The checks run on Python floats: numpy's per-call
     overhead is most of the cost on an n <= 4 matrix.  A matrix equal to
     its transpose bit for bit, as :func:`gramian` builds it, goes to
     ``eigh`` as it is; any other is symmetrized first.
@@ -119,12 +119,15 @@ def spectral_decompose(grammat, prev=None):
                    zip(entries, grammat.T.ravel().tolist()))
         if asym > 1e-12 * scale:
             raise NumericalError("Gramian is not symmetric")
-        grammat = 0.5 * (grammat + grammat.T)
+        # halving first is exact and cannot overflow near 2^1024
+        grammat = 0.5 * grammat + 0.5 * grammat.T
     try:
         lambdas, vectors = np.linalg.eigh(grammat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     lam = lambdas.tolist()
+    if not all(map(math.isfinite, lam)):
+        raise NumericalError("Gramian eigenvalues are not finite")
     norm = max(1.0, max(map(abs, lam)))
     if lam[0] < -1e-10 * norm:
         raise NumericalError(f"Gramian not PSD: least eigenvalue {lam[0]:.3e}")

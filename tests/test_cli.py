@@ -525,6 +525,34 @@ def test_key_the_problem_does_not_read_exits_1(tmp_path, capsys, problem,
     assert capsys.readouterr().err == f"error: problem.{message}\n"
 
 
+def _cli_subprocess(argv):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "pathlift.cli"] + argv,
+                          env=env, capture_output=True, text=True)
+
+
+def test_percent_in_a_config_value_is_literal_text(tmp_path):
+    """Config values are not interpolated: a "%" in a number list is a bad
+    number (exit 1, one error line), and in a file name it is a
+    character of the name."""
+    config = _cfg(tmp_path, f"[problem]\n{BROCKETT}".replace(
+        "x0 = 0, 0, 0", "x0 = 0.1, 0.2, 50%"))
+    proc = _cli_subprocess(["validate", "--config", config])
+    assert proc.returncode == cli.EXIT_CONFIG == 1
+    assert proc.stderr == ("error: problem.x0: expected a list of finite "
+                           "numbers, got '0.1, 0.2, 50%'\n")
+    assert "Traceback" not in proc.stderr
+    out = tmp_path / "out"
+    config = _cfg(tmp_path, FOLD_LIFT + "\n[output]\nreport = a%b.txt\n",
+                  "percent.ini")
+    proc = _cli_subprocess(["lift", "--config", config,
+                            "--out-dir", str(out)])
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == ""
+    assert sorted(p.name for p in out.iterdir()) == ["a%b.txt", "trace.csv"]
+
+
 @pytest.mark.parametrize("command", ["lift", "check", "validate"])
 def test_u0_and_u0_constant_together_exit_1(tmp_path, capsys, command):
     text = (f"[problem]\n{BROCKETT}u0 = 1, 1, 1, 1\nu0_constant = 5, 5\n"

@@ -470,6 +470,71 @@ def test_second_variation_after_jacobian_forms_no_flows(monkeypatch):
                   rng.uniform(-1.0, 1.0, (4, ep.dim_domain))) == none
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["brockett", "unicycle", "lti"]),
+       segments=st.sampled_from([2, 6, 10, 20, 80]),
+       seed=st.integers(0, 2**32 - 1))
+def test_j_only_linearization_gives_dj_bit_for_bit(name, segments, seed):
+    """J forms only what J reads; the kernels of every step wait for the
+    first dJ at a control and are kept with it.  dJ after a J-only
+    formation, in a stacked pass with repeated controls, or at a control
+    kept from a ``jacobian_many`` batch equals, bit for bit, the dJ of a
+    pass that forms J itself, and each control's kernels are formed
+    once."""
+    rng = np.random.default_rng(seed)
+    dim = _oracle(name, segments).dim_domain
+    u, w, v, z = rng.uniform(-1.5, 1.5, (4, dim))
+
+    def one_pass(us, vs):
+        # a fresh oracle forms J inside the dJ pass, in one batch
+        return _oracle(name, segments).jacobian_derivative_many(us, vs)
+
+    single = {(k, j): one_pass([point], [direction])[0]
+              for k, point in enumerate((u, w))
+              for j, direction in enumerate((v, z))}
+    batch = one_pass([u, w], [v, z])
+
+    def same_bits(got, expect):
+        return got.tobytes() == expect.tobytes()
+
+    formed = []     # controls of each _kernels call
+    real = pl.endpoint._kernels
+
+    def counting(steps, ends):
+        formed.append(len(steps))
+        return real(steps, ends)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl.endpoint, "_kernels", counting)
+        # J alone, then dJ at its control
+        ep = _oracle(name, segments)
+        ep.jacobian(u)
+        assert formed == []
+        assert same_bits(ep.jacobian_derivative(u, v), single[0, 0])
+        assert formed == [1]
+        # a stack over that control and a fresh one, each repeated
+        stack = ep.jacobian_derivative_many([u, w, u, w], [z, v, v, z])
+        assert formed == [1, 1]     # w's kernels; u's are kept
+        for got, key in zip(stack, [(0, 1), (1, 0), (0, 0), (1, 1)]):
+            assert same_bits(got, single[key])
+        ep.jacobian_derivative_many([w, u], [z, z])
+        assert formed == [1, 1]
+        # controls kept from a jacobian_many batch, integrated with it
+        formed.clear()
+        ep = _oracle(name, segments)
+        ep.jacobian_many([u, w])
+        assert same_bits(ep.jacobian_derivative(w, z), batch[1])
+        assert same_bits(ep.jacobian_derivative_many([u, w], [v, z]), batch)
+        assert formed == [1, 1]
+        # a pass at fresh controls forms them in one batch, repeats or not
+        formed.clear()
+        got = _oracle(name, segments).jacobian_derivative_many(
+            [u, w, u], [v, z, v])
+        assert same_bits(got, batch[[0, 1, 0]])
+        assert same_bits(one_pass([u, w], [v, z]), batch)
+        assert formed == [2, 2]
+
+
 def _forward_mode(ep, u, v):
     """Reference J and dJ(v) of the computed RK4 map in forward mode, one
     step at a time on single states.

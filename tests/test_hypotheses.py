@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pathlift as pl
-from pathlift import hypotheses as hyp
+from pathlift import hypotheses as hyp, spectrum
 from pathlift.errors import ConfigurationError, InvalidXi
 
 
@@ -250,12 +250,15 @@ def test_check_report_stacks_one_second_differential_per_pair():
     o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4)
     plan = _plan(per_radius=2, z_samples=3)
     sizes = _record_stacks(o)
-    counts = _count_calls(o, "apply_adjoint", "second_operator",
+    counts = _count_calls(o, "jacobian", "apply_adjoint", "second_operator",
                           "jacobian_derivative")
     rep = pl.check_report(o, plan, xi=pl.PowerLawXi(c=1.0, p=0.5))
     samples = len(plan.radii) * plan.per_radius
     pairs = samples * plan.z_samples - rep.skipped_samples
-    assert counts["apply_adjoint"] == samples * plan.z_samples
+    # one J per plan point gives its Gramian and its z samples' switching
+    # functions
+    assert counts["jacobian"] == samples
+    assert counts["apply_adjoint"] == 0
     assert counts["second_operator"] == counts["jacobian_derivative"] == 0
     # the estimator's starts of every point, its sweeps over the points
     # still sweeping, then every non-degenerate (u, z) pair in one stack
@@ -404,13 +407,14 @@ def test_check_report_decomposes_and_evaluates_each_plan_point_once(
     plan = _plan(per_radius=2, z_samples=2)
     counts = _count_calls(o, "eval_many", "jacobian_many")
     decompositions = []
-    real = hyp.spectral_decompose
+    real = spectrum.spectral_decompose
 
     def counting(*args, **kwargs):
         decompositions.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(hyp, "spectral_decompose", counting)
+    # spectrum_at decomposes in its own module
+    monkeypatch.setattr(spectrum, "spectral_decompose", counting)
     pl.check_report(o, plan)
     assert len(decompositions) == len(plan.radii) * plan.per_radius
     assert counts == {"eval_many": 0, "jacobian_many": 1}

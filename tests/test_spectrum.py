@@ -61,10 +61,16 @@ def _spectral_reference(grammat, prev=None):
     scale = max(1.0, float(np.max(np.abs(grammat))))
     if np.max(np.abs(grammat - grammat.T)) > 1e-12 * scale:
         raise NumericalError("Gramian is not symmetric")
+    # a matrix equal to its transpose bit for bit goes as it is: halving
+    # first is exact only above the subnormal range
+    if np.any(grammat.view(np.int64) != grammat.T.view(np.int64)):
+        grammat = 0.5 * grammat + 0.5 * grammat.T
     try:
-        lambdas, vectors = np.linalg.eigh(0.5 * (grammat + grammat.T))
+        lambdas, vectors = np.linalg.eigh(grammat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    if not np.all(np.isfinite(lambdas)):
+        raise NumericalError("Gramian eigenvalues are not finite")
     norm = max(1.0, float(np.max(np.abs(lambdas))))
     if lambdas[0] < -1e-10 * norm:
         raise NumericalError(
@@ -214,6 +220,34 @@ def test_a_symmetric_matrix_goes_to_eigh_as_it_is():
     spec = pl.spectral_decompose(grammat)
     assert spec.lambdas.tobytes() == np.linalg.eigvalsh(grammat).tobytes()
     assert np.isfinite(spec.vectors).all()
+
+
+def test_a_near_symmetric_matrix_above_2_1023_has_a_finite_spectrum():
+    # symmetric only within the tolerance: 0.5 (G + G^T) overflowed here to
+    # a NaN spectrum that passed every check and read regular
+    grammat = np.array([[1.5e308, 1e307], [1e307 * (1 + 1e-15), 1.2e308]])
+    assert grammat.tobytes() != grammat.T.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prev in (None, pl.spectral_decompose(np.diag([1.0, 2.0]))):
+            spec = pl.spectral_decompose(grammat, prev)
+            assert np.isfinite(spec.lambdas).all()
+            assert np.isfinite(spec.vectors).all()
+            _assert_same_outcome(grammat, prev)
+
+
+def test_non_finite_eigenvalues_are_a_numerical_error(monkeypatch):
+    real = np.linalg.eigh
+
+    def nan_eigh(a):
+        lambdas, vectors = real(a)
+        return np.full_like(lambdas, np.nan), vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+    for decompose in (pl.spectral_decompose, _spectral_reference):
+        with pytest.raises(NumericalError,
+                           match="^Gramian eigenvalues are not finite$"):
+            decompose(np.diag([1.0, 2.0]))
 
 
 def test_coefficients_are_eigenbasis_components():
