@@ -36,28 +36,32 @@ block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
 partials broadcast over leading axes).  One backward pass, :func:`_flows`,
 composes each segment's steps into its map [A_p | C_p] and scans the maps
 back from T: J's block on segment p is K_{p,S} C_p, K_{p,S} = A_{P-1}
-... A_{p+1}.  The recurrences across the P segments, this scan and the
-second variation's two below, are doubling scans (Hillis & Steele, CACM
-29 (1986); Blelloch, CMU-CS-90-190 (1990)): ceil(log2 P) batched
-compositions of the segments' [A | C] blocks, not one Python iteration
-per segment; only the S steps within a segment are a loop.
+... A_{p+1}, and that is all J reads.  The recurrences across the P
+segments, this scan and the second variation's two below, are doubling
+scans (Hillis & Steele, CACM 29 (1986); Blelloch, CMU-CS-90-190 (1990)):
+ceil(log2 P) batched compositions of the segments' [A | C] blocks, not
+one Python iteration per segment; only the S steps within a segment are
+a loop.
 
 Second differentials are exact: every system gives ``d_partials``, the
 derivatives (dA, dB) of f_x and f_u along a direction (dx, du), and
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
 u for a stack of (u, v) pairs on a leading axis, in forward mode through
 the fixed scheme, and ``jacobian_derivative`` is the stack of one.  What
-does not depend on v is formed once per control, with J: the stage
-states and rows, the step rows' intermediates and the flows.  Each member
-pays only for its tangent, its stage rows' derivatives and two scans
-over the segments (see ``EndpointOracle._second_variations``).
+does not depend on v is formed once per control: with J, the stage
+states and rows, the step rows and their intermediates and the flows; at
+the first dJ there, the kernels K_{p,s} from the end of each step to T
+(:func:`_kernels`), which J does not read.  Each member pays only for
+its tangent, its stage rows' derivatives and two scans over the segments
+(see ``EndpointOracle._second_variations``).
 
 The oracle keeps one read-only memo keyed by control bytes, holding the
 rows of its last request that integrated and those of its last request
 for J or dJ: each control's trajectory and stage states, and, once J or
-dJ is asked there, J with its linearization and flows.  J and dJ at a
-kept control integrate nothing, evaluate no ``f``, ``f_x`` or ``f_u``,
-form no flows, and a dJ pass there pays only for its members.
+dJ is asked there, J with its linearization and flows, and from the
+first dJ its kernels.  J and dJ at a kept control integrate nothing,
+evaluate no ``f``, ``f_x`` or ``f_u``, form no flows, and a dJ pass
+there pays only for its members (and, the first time, for the kernels).
 """
 
 import functools
@@ -383,9 +387,11 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
 
     ``u_values`` has shape (P, m) for one trajectory, or (P, m, B) for B
     independent trajectories from the same x0.  Returns (times, states,
-    stages): the states at the step starts, (T, n), T = P * substeps + 1,
-    and each step's four stage states, (T - 1, 4, n); (B, T, n) and
-    (B, T - 1, 4, n) for a batch.  ``f`` is checked against single-member
+    stages): the step-start times, (T,), T = P * substeps + 1, one
+    read-only array shared by every call on the same (horizon, steps); the
+    states at the step starts, (T, n), and each step's four stage states,
+    (T - 1, 4, n); (B, T, n) and (B, T - 1, 4, n) for a batch.  ``f`` is
+    checked against single-member
     calls at the first and last states; the escape time is the first
     non-finite or too-large state's, over all members.  ``horizon`` and
     ``x0`` follow the rules of ``ControlGrid`` and ``EndpointOracle``.
@@ -595,23 +601,28 @@ def _kernels(steps, ends):
     kernels ``ends`` = K_{p,S} (..., P - 1, n, n): only the second
     variation reads them."""
     *lead, count, substeps, n, _ = steps.shape
-    kernels = np.empty((*lead, count, substeps, n, n))
+    out = np.empty((*lead, count, n, substeps * n))
+    # K_{p,s+1} written in place as block s of segment p's row
+    kernels = out.reshape(*lead, count, n, substeps, n).swapaxes(-3, -2)
     kernels[..., -1, -1, :, :] = _eye(n)
     kernels[..., :-1, -1, :, :] = ends
     for s in range(substeps - 1, 0, -1):
         np.matmul(kernels[..., s, :, :], steps[..., s, :, :n],
                   out=kernels[..., s - 1, :, :])
-    return kernels.swapaxes(-3, -2).reshape(
-        *lead, count, n, substeps * n)
+    return out
 
 
 class _Kept:
     """What an oracle keeps for one control u (read-only, as are all its
     arrays): u's trajectory (times, states, stages); once J or dJ is asked
-    at u, J and ``linear``, what :meth:`EndpointOracle._linearized` formed
-    with it for dJ: (x, a, b_2, b_3, chain).  ``kernels``, :func:`_kernels`
-    of ``steps`` = (step rows, K_{p,S}), is formed at the first dJ at u,
-    and ``steps`` then let go."""
+    at u, J and what :meth:`EndpointOracle._linearized` formed with it:
+    ``linear`` = (x, a, b_2, b_3, chain), which every dJ reads, and
+    ``steps`` = (step rows, K_{p,S}); at the first dJ at u, ``kernels``,
+    :func:`_kernels` of ``steps``, which are then let go.  A unicycle
+    control on 80 segments (80 RK4 steps) keeps 10 KB of trajectory, 4 KB
+    of J and 77 KB of linearization (x is a view of the stage states),
+    with 15 KB of step rows and K_{p,S} until its first dJ and 6 KB of
+    kernels after it."""
 
     __slots__ = ("u", "trajectory", "jac", "linear", "steps", "kernels")
 
@@ -623,7 +634,7 @@ class _Kept:
 
 def _read_only(arrays):
     for arr in arrays:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return arrays
 
 
@@ -731,16 +742,16 @@ class EndpointOracle(MapOracle):
 
     def _linearized(self, kept):
         """J at the distinct entries of ``kept`` that lack it, in one
-        stacked call: at their kept stage states x (4, K, P, S, n), stage
-        i of every step in ``x[i - 1]``, with no ``f`` call, the stage rows
-        a = [f_x | f_u]; :func:`_propagators`'
-        step rows [M_j | N_j] with its b_2 and b_3; their :func:`_flows`
-        [Phi_s | C_s] and K_{p,S}; and J's block on segment p, K_{p,S} C_p
-        (C_{P-1} on the last).  Only J reads no more: the kernels of every
-        step wait for the first dJ (:meth:`_with_kernels`).  Each entry
-        keeps J, ``linear`` = (x, a, b_2, b_3, chain) and ``steps`` =
-        (step rows, K_{p,S}).  Returns those seven arrays, stacked, if every
-        entry of ``kept`` was formed here, else None."""
+        stacked call that forms only what J reads: at their kept stage
+        states x (4, K, P, S, n), stage i of every step in ``x[i - 1]``,
+        with no ``f`` call, the stage rows a = [f_x | f_u];
+        :func:`_propagators`' step rows [M_j | N_j] with its b_2 and b_3;
+        their :func:`_flows` [Phi_s | C_s] and K_{p,S}; and J's block on
+        segment p, K_{p,S} C_p (C_{P-1} on the last).  The kernels of
+        every step, which only dJ reads, wait for :meth:`_with_kernels`.
+        Each entry keeps J, ``linear`` = (x, a, b_2, b_3, chain) and
+        ``steps`` = (step rows, K_{p,S}).  Returns those seven arrays,
+        stacked, if every entry of ``kept`` was formed here, else None."""
         todo = [e for e in dict.fromkeys(kept) if e.jac is None]
         if not todo:
             return None
@@ -776,7 +787,7 @@ class EndpointOracle(MapOracle):
         if todo:
             formed = _kernels(*(steps or map(
                 _stacked, zip(*(e.steps for e in todo)))))
-            formed.flags.writeable = False
+            formed.setflags(write=False)
             for k, e in enumerate(todo):
                 e.kernels, e.steps = formed[k], None
             if len(todo) == len(kept):
@@ -832,8 +843,8 @@ class EndpointOracle(MapOracle):
 
         Per control, from :meth:`_linearized` (formed with its J): the
         stage states x, the stage rows a_i = [f_x | f_u], the step rows'
-        intermediates b_2 and b_3, and the :func:`_flows` [Phi | C] and
-        K_{p,s+1}.  Per member: the tangent y = Phi y_p + C v_p at every
+        intermediates b_2 and b_3 and the :func:`_flows` [Phi | C]; from
+        :meth:`_with_kernels` (formed at its first dJ) the K_{p,s+1}.  Per member: the tangent y = Phi y_p + C v_p at every
         step, y_p at segment p's start from a :func:`_scan` of
         [A_p | C_p v_p]; the stage tangents Y_1 = y_j and
         Y_{i+1} = y_j + c_i h a_i [Y_i; v], c = (1/2, 1/2, 1); the stage
