@@ -619,10 +619,10 @@ class _Kept:
     ``linear`` = (x, a, b_2, b_3, chain), which every dJ reads, and
     ``steps`` = (step rows, K_{p,S}); at the first dJ at u, ``kernels``,
     :func:`_kernels` of ``steps``, which are then let go.  A unicycle
-    control on 80 segments (80 RK4 steps) keeps 10 KB of trajectory, 4 KB
-    of J and 77 KB of linearization (x is a view of the stage states),
-    with 15 KB of step rows and K_{p,S} until its first dJ and 6 KB of
-    kernels after it."""
+    control on 80 segments (80 RK4 steps), linearized alone, keeps 10 KB
+    of trajectory, 4 KB of J and 77 KB of linearization (its x is a view
+    of the stage states), with 15 KB of step rows and K_{p,S} until its
+    first dJ and 6 KB of kernels after it."""
 
     __slots__ = ("u", "trajectory", "jac", "linear", "steps", "kernels")
 
@@ -750,8 +750,8 @@ class EndpointOracle(MapOracle):
         segment p, K_{p,S} C_p (C_{P-1} on the last).  The kernels of
         every step, which only dJ reads, wait for :meth:`_with_kernels`.
         Each entry keeps J, ``linear`` = (x, a, b_2, b_3, chain) and
-        ``steps`` = (step rows, K_{p,S}).  Returns those seven arrays,
-        stacked, if every entry of ``kept`` was formed here, else None."""
+        ``steps`` = (step rows, K_{p,S}).  Returns ``linear`` stacked if
+        every entry of ``kept`` was formed here, else None."""
         todo = [e for e in dict.fromkeys(kept) if e.jac is None]
         if not todo:
             return None
@@ -770,23 +770,21 @@ class EndpointOracle(MapOracle):
         blocks[:, -1] = gains[:, -1]
         np.matmul(ends, gains[:, :-1], out=blocks[:, :-1])
         jacs = jacs.reshape(count, n, -1)
-        formed = _read_only((x, a, b2, b3, chain, steps, ends, jacs))
+        _read_only((x, a, b2, b3, chain, steps, ends, jacs))
         for k, e in enumerate(todo):
             e.jac = jacs[k]
             e.linear = (x[:, k], a[:, k], b2[k], b3[k], chain[k])
             e.steps = (steps[k], ends[k])
-        return formed[:-1] if count == len(kept) else None
+        return (x, a, b2, b3, chain) if count == len(kept) else None
 
     @staticmethod
-    def _with_kernels(kept, steps=None):
+    def _with_kernels(kept):
         """:func:`_kernels` of the entries ``kept``, stacked: formed, in one
-        batch, for the distinct entries that lack them, from ``steps`` =
-        their (step rows, K_{p,S}) stacked if the caller has it (every
-        entry formed by one :meth:`_linearized`), and kept with each."""
+        batch, for the distinct entries that lack them, and kept with
+        each."""
         todo = [e for e in dict.fromkeys(kept) if e.kernels is None]
         if todo:
-            formed = _kernels(*(steps or map(
-                _stacked, zip(*(e.steps for e in todo)))))
+            formed = _kernels(*map(_stacked, zip(*(e.steps for e in todo))))
             formed.setflags(write=False)
             for k, e in enumerate(todo):
                 e.kernels, e.steps = formed[k], None
@@ -844,7 +842,8 @@ class EndpointOracle(MapOracle):
         Per control, from :meth:`_linearized` (formed with its J): the
         stage states x, the stage rows a_i = [f_x | f_u], the step rows'
         intermediates b_2 and b_3 and the :func:`_flows` [Phi | C]; from
-        :meth:`_with_kernels` (formed at its first dJ) the K_{p,s+1}.  Per member: the tangent y = Phi y_p + C v_p at every
+        :meth:`_with_kernels` (formed at its first dJ) the K_{p,s+1}.
+        Per member: the tangent y = Phi y_p + C v_p at every
         step, y_p at segment p's start from a :func:`_scan` of
         [A_p | C_p v_p]; the stage tangents Y_1 = y_j and
         Y_{i+1} = y_j + c_i h a_i [Y_i; v], c = (1/2, 1/2, 1); the stage
@@ -865,10 +864,9 @@ class EndpointOracle(MapOracle):
             x, a, b2, b3, chain = map(_stacked,
                                       zip(*(e.linear for e in kept)))
             x, a = x.swapaxes(0, 1), a.swapaxes(0, 1)     # stage-major
-            kernels = self._with_kernels(kept)
         else:
-            x, a, b2, b3, chain = formed[:5]
-            kernels = self._with_kernels(kept, formed[5:])
+            x, a, b2, b3, chain = formed
+        kernels = self._with_kernels(kept)
         n, m = self.dim_codomain, self.grid.control_dim
         count, segments = len(kept), self.grid.segments
         # each segment's v, broadcast over its steps

@@ -104,10 +104,11 @@ def spectral_decompose(grammat, prev=None):
     is made positive, so the sign does not hang on roundoff in G.
 
     Raises NumericalError on a Gramian that is not finite, not symmetric
-    or not PSD, or whose eigenvalues are not finite.  The checks run on Python floats: numpy's per-call
-    overhead is most of the cost on an n <= 4 matrix.  A matrix equal to
-    its transpose bit for bit, as :func:`gramian` builds it, goes to
-    ``eigh`` as it is; any other is symmetrized first.
+    or not PSD, or whose eigenvalues are not finite.  The checks run on
+    Python floats: numpy's per-call overhead is most of the cost on an
+    n <= 4 matrix.  A matrix equal to its transpose bit for bit, as
+    :func:`gramian` builds it, goes to ``eigh`` as it is; any other is
+    symmetrized first.
     """
     grammat = np.asarray(grammat, dtype=float)
     if not all(map(math.isfinite, grammat.ravel().tolist())):
@@ -119,7 +120,8 @@ def spectral_decompose(grammat, prev=None):
                    zip(entries, grammat.T.ravel().tolist()))
         if asym > 1e-12 * scale:
             raise NumericalError("Gramian is not symmetric")
-        # halving first is exact and cannot overflow near 2^1024
+        # halving first cannot overflow near 2^1024, and is exact above
+        # the subnormal range
         grammat = 0.5 * grammat + 0.5 * grammat.T
     try:
         lambdas, vectors = np.linalg.eigh(grammat)
