@@ -546,7 +546,7 @@ def _compose(later, earlier):
     the later on the left."""
     r = later.shape[-2]
     out = later[..., :r] @ earlier
-    if out.shape[-1] > r:
+    if out.shape[-1] > r:   # linear blocks, as J's segment scan has, skip
         out[..., r:] += later[..., r:]
     return out
 
