@@ -540,14 +540,24 @@ def _propagator_derivatives(a, da, b2, b3, h):
     return db4
 
 
-def _compose(later, earlier):
+def _gains(blocks):
+    """[-0 | C] (..., r, c): ``blocks``' C columns next to -0.0.  Added to
+    a block it adds C to the C columns alone, since adding -0.0 leaves
+    every float as it is, in one contiguous pass."""
+    gains = blocks.copy()
+    gains[..., :blocks.shape[-2]].fill(-0.0)
+    return gains
+
+
+def _compose(later, earlier, gains=None):
     """[A_l | C_l] o [A_e | C_e] = [A_l A_e | A_l C_e + C_l]: the nonzero
     rows (..., r, c) of two affine maps' blocks [[A, C], [0, I]] composed,
-    the later on the left."""
+    the later on the left; ``gains`` is :func:`_gains` of ``later`` where
+    the caller has it."""
     r = later.shape[-2]
     out = later[..., :r] @ earlier
     if out.shape[-1] > r:   # linear blocks, as J's segment scan has, skip
-        out[..., r:] += later[..., r:]
+        out += _gains(later) if gains is None else gains
     return out
 
 
@@ -560,8 +570,9 @@ def _chain(steps):
     out[..., 0, :, :] = _eye(r, c)
     # the step axis leading, so that step j is one index
     later, chain = steps.swapaxes(-3, 0), out.swapaxes(-3, 0)
+    gains = _gains(later)
     for j in range(count):
-        chain[j + 1] = _compose(later[j], chain[j])
+        chain[j + 1] = _compose(later[j], chain[j], gains[j])
     return out
 
 
@@ -891,7 +902,8 @@ class EndpointOracle(MapOracle):
         dsteps = _propagator_derivatives(a, da, b2, b3, h)
         del x, a, da, b2, b3    # free the stage rows for the sums
         terms = dsteps[..., :n] @ chain[:, :, :-1]
-        terms[..., n:] += dsteps[..., n:]
+        dsteps[..., :n].fill(-0.0)      # as _gains: adds dN alone
+        terms += dsteps
         del dsteps
         q = kernels @ terms.reshape(count, segments, -1, n + m)
         # g_q = [A_q^T | Q_q[:, :n]^T] maps L_{q+1}^T to L_q^T
