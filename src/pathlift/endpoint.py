@@ -48,20 +48,21 @@ derivatives (dA, dB) of f_x and f_u along a direction (dx, du), and
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
 u for a stack of (u, v) pairs on a leading axis, in forward mode through
 the fixed scheme, and ``jacobian_derivative`` is the stack of one.  What
-does not depend on v is formed once per control: with J, the stage
-states and rows, the step rows and their intermediates and the flows; at
-the first dJ there, the kernels K_{p,s} from the end of each step to T
-(:func:`_kernels`), which J does not read.  Each member pays only for
-its tangent, its stage rows' derivatives and two scans over the segments
-(see ``EndpointOracle._second_variations``).
+does not depend on v is formed once per control, with J: the stage
+states and rows, the step rows and their intermediates and the flows.
+dJ reads only those.  Each member pays for its tangent, its stage rows'
+derivatives, the tangent of J's running products within each segment,
+D_{s+1} = M_s D_s + T_s over its S steps (one batched product per step),
+and two scans over the segments (see
+``EndpointOracle._second_variations``).
 
 The oracle keeps one read-only memo keyed by control bytes, holding the
 rows of its last request that integrated and those of its last request
 for J or dJ: each control's trajectory and stage states, and, once J or
-dJ is asked there, J with its linearization and flows, and from the
-first dJ its kernels.  J and dJ at a kept control integrate nothing,
-evaluate no ``f``, ``f_x`` or ``f_u``, form no flows, and a dJ pass
-there pays only for its members (and, the first time, for the kernels).
+dJ is asked there, J with its linearization and flows.  J and dJ at a
+kept control integrate nothing, evaluate no ``f``, ``f_x`` or ``f_u``,
+form no flows and keep nothing new, and a dJ pass there pays only for
+its members.
 """
 
 import functools
@@ -605,42 +606,22 @@ def _flows(steps):
     return chain, _scan(chain[..., 1:, -1, :, :n], reverse=True)
 
 
-def _kernels(steps, ends):
-    """The kernels K_{p,s+1} = K_{p,S} M_{p,S-1} ... M_{p,s+1} from the
-    end of each step to T, side by side, (..., P, n, S n), from the step
-    rows ``steps`` (..., P, S, n, n + m) and :func:`_flows`' segment
-    kernels ``ends`` = K_{p,S} (..., P - 1, n, n): only the second
-    variation reads them."""
-    *lead, count, substeps, n, _ = steps.shape
-    out = np.empty((*lead, count, n, substeps * n))
-    # K_{p,s+1} written in place as block s of segment p's row
-    kernels = out.reshape(*lead, count, n, substeps, n).swapaxes(-3, -2)
-    kernels[..., -1, -1, :, :] = _eye(n)
-    kernels[..., :-1, -1, :, :] = ends
-    for s in range(substeps - 1, 0, -1):
-        np.matmul(kernels[..., s, :, :], steps[..., s, :, :n],
-                  out=kernels[..., s - 1, :, :])
-    return out
-
-
 class _Kept:
     """What an oracle keeps for one control u (read-only, as are all its
     arrays): u's trajectory (times, states, stages); once J or dJ is asked
-    at u, J and what :meth:`EndpointOracle._linearized` formed with it:
-    ``linear`` = (x, a, b_2, b_3, chain), which every dJ reads, and
-    ``steps`` = (step rows, K_{p,S}); at the first dJ at u, ``kernels``,
-    :func:`_kernels` of ``steps``, which are then let go.  A unicycle
-    control on 80 segments (80 RK4 steps), linearized alone, keeps 10 KB
-    of trajectory, 4 KB of J and 77 KB of linearization (its x is a view
-    of the stage states), with 15 KB of step rows and K_{p,S} until its
-    first dJ and 6 KB of kernels after it."""
+    at u, J and what :meth:`EndpointOracle._linearized` formed with it,
+    ``linear`` = (x, a, b_2, b_3, chain, step rows, K_{p,S}), which every
+    dJ at u reads and none changes.  A unicycle control on 80 segments
+    (80 RK4 steps), linearized alone, keeps 10 KB of trajectory, 4 KB of
+    J and 92 KB of linearization (its x is a view of the stage
+    states)."""
 
-    __slots__ = ("u", "trajectory", "jac", "linear", "steps", "kernels")
+    __slots__ = ("u", "trajectory", "jac", "linear")
 
     def __init__(self, key, trajectory):
         self.u = np.frombuffer(key)
         self.trajectory = trajectory
-        self.jac = self.linear = self.steps = self.kernels = None
+        self.jac = self.linear = None
 
 
 def _read_only(arrays):
@@ -758,11 +739,10 @@ class EndpointOracle(MapOracle):
         with no ``f`` call, the stage rows a = [f_x | f_u];
         :func:`_propagators`' step rows [M_j | N_j] with its b_2 and b_3;
         their :func:`_flows` [Phi_s | C_s] and K_{p,S}; and J's block on
-        segment p, K_{p,S} C_p (C_{P-1} on the last).  The kernels of
-        every step, which only dJ reads, wait for :meth:`_with_kernels`.
-        Each entry keeps J, ``linear`` = (x, a, b_2, b_3, chain) and
-        ``steps`` = (step rows, K_{p,S}).  Returns ``linear`` stacked if
-        every entry of ``kept`` was formed here, else None."""
+        segment p, K_{p,S} C_p (C_{P-1} on the last).  Each entry keeps J
+        and ``linear`` = (x, a, b_2, b_3, chain, step rows, K_{p,S}), all
+        that dJ reads there.  Returns ``linear`` stacked if every entry of
+        ``kept`` was formed here, else None."""
         todo = [e for e in dict.fromkeys(kept) if e.jac is None]
         if not todo:
             return None
@@ -781,27 +761,13 @@ class EndpointOracle(MapOracle):
         blocks[:, -1] = gains[:, -1]
         np.matmul(ends, gains[:, :-1], out=blocks[:, :-1])
         jacs = jacs.reshape(count, n, -1)
-        _read_only((x, a, b2, b3, chain, steps, ends, jacs))
+        linear = (x, a, b2, b3, chain, steps, ends)
+        _read_only((*linear, jacs))
         for k, e in enumerate(todo):
             e.jac = jacs[k]
-            e.linear = (x[:, k], a[:, k], b2[k], b3[k], chain[k])
-            e.steps = (steps[k], ends[k])
-        return (x, a, b2, b3, chain) if count == len(kept) else None
-
-    @staticmethod
-    def _with_kernels(kept):
-        """:func:`_kernels` of the entries ``kept``, stacked: formed, in one
-        batch, for the distinct entries that lack them, and kept with
-        each."""
-        todo = [e for e in dict.fromkeys(kept) if e.kernels is None]
-        if todo:
-            formed = _kernels(*map(_stacked, zip(*(e.steps for e in todo))))
-            formed.setflags(write=False)
-            for k, e in enumerate(todo):
-                e.kernels, e.steps = formed[k], None
-            if len(todo) == len(kept):
-                return formed
-        return _stacked([e.kernels for e in kept])
+            e.linear = (x[:, k], a[:, k], b2[k], b3[k], chain[k], steps[k],
+                        ends[k])
+        return linear if count == len(kept) else None
 
     def jacobian(self, u):
         """J = dF/du of the computed RK4 map, kept read-only in the memo
@@ -851,17 +817,20 @@ class EndpointOracle(MapOracle):
         pass, the stack leading.
 
         Per control, from :meth:`_linearized` (formed with its J): the
-        stage states x, the stage rows a_i = [f_x | f_u], the step rows'
-        intermediates b_2 and b_3 and the :func:`_flows` [Phi | C]; from
-        :meth:`_with_kernels` (formed at its first dJ) the K_{p,s+1}.
-        Per member: the tangent y = Phi y_p + C v_p at every
-        step, y_p at segment p's start from a :func:`_scan` of
-        [A_p | C_p v_p]; the stage tangents Y_1 = y_j and
+        stage states x, the stage rows a_i = [f_x | f_u], the step rows
+        [M_s | N_s] and their intermediates b_2 and b_3, and the
+        :func:`_flows` [Phi_s | C_s] and K_{p,S}.  Per member: the tangent
+        y = Phi y_p + C v_p at every step, y_p at segment p's start from a
+        :func:`_scan` of [A_p | C_p v_p]; the stage tangents Y_1 = y_j and
         Y_{i+1} = y_j + c_i h a_i [Y_i; v], c = (1/2, 1/2, 1); the stage
         rows' derivatives [dA_i | dB_i] from ``d_partials`` along
         (Y_i, v); and from those :func:`_propagator_derivatives`'
-        [dM_j | dN_j].  With Q_p = sum_s K_{p,s+1} [dM Phi | dM C + dN]
-        (the derivatives of [A_p | C_p], carried to T), dJ(v)'s block on
+        [dM_s | dN_s].  The tangent of :func:`_chain`'s recurrence,
+        D_{s+1} = M_s D_s + T_s from D_0 = 0 with
+        T_s = [dM_s Phi_s | dM_s C_s + dN_s], gives in D_p = D_S the
+        derivative of [A_p | C_p]: S - 1 batched products over the
+        stack's segments, one per step.  With Q_p = K_{p,S} D_p (D_{P-1}
+        on the last), that derivative carried to T, dJ(v)'s block on
         segment p's controls is Q_p[:, n:] + L_{p+1} C_p, where
         L_q = Q_q[:, :n] + L_{q+1} A_q, L_P = 0, is the derivative of
         A_{P-1} ... A_q: one affine scan, transposed, over the reversed
@@ -872,12 +841,11 @@ class EndpointOracle(MapOracle):
         # here, else each member's kept arrays, stacked
         formed = self._linearized(kept)
         if formed is None:
-            x, a, b2, b3, chain = map(_stacked,
-                                      zip(*(e.linear for e in kept)))
+            x, a, b2, b3, chain, steps, kernels = map(
+                _stacked, zip(*(e.linear for e in kept)))
             x, a = x.swapaxes(0, 1), a.swapaxes(0, 1)     # stage-major
         else:
-            x, a, b2, b3, chain = formed
-        kernels = self._with_kernels(kept)
+            x, a, b2, b3, chain, steps, kernels = formed
         n, m = self.dim_codomain, self.grid.control_dim
         count, segments = len(kept), self.grid.segments
         # each segment's v, broadcast over its steps
@@ -905,7 +873,14 @@ class EndpointOracle(MapOracle):
         dsteps[..., :n].fill(-0.0)      # as _gains: adds dN alone
         terms += dsteps
         del dsteps
-        q = kernels @ terms.reshape(count, segments, -1, n + m)
+        # D_{s+1} = M_s D_s + T_s from D_1 = T_0, each D_{s+1} in place of
+        # T_s: the last is D_p, the derivative of [A_p | C_p]
+        product = np.empty_like(terms[:, :, 0])
+        for s in range(1, self.grid.substeps):
+            np.matmul(steps[:, :, s, :, :n], terms[:, :, s - 1], out=product)
+            terms[:, :, s] += product
+        q = terms[:, :, -1]     # Q_p = K_{p,S} D_p, carried to T
+        q[:, :-1] = kernels @ q[:, :-1]
         # g_q = [A_q^T | Q_q[:, :n]^T] maps L_{q+1}^T to L_q^T
         g = np.concatenate([ends[..., :n].swapaxes(-1, -2),
                             q[..., :n].swapaxes(-1, -2)], axis=-1)

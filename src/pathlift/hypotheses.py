@@ -78,7 +78,9 @@ class PowerLawXi:
         object.__setattr__(self, "p", float(p))
 
     def __call__(self, s):
-        return self.c * s ** self.p
+        """c * s^p in float64: inf where it overflows."""
+        with np.errstate(over="ignore"):
+            return self.c * np.float64(s) ** self.p
 
 
 @dataclass
@@ -322,12 +324,14 @@ def coercivity_ratio(oracle, u, z):
 
 def xi_margin(oracle, u, z, xi):
     """Margin ratio * ||phi_z|| * xi(||u||)^2 of the product condition at
-    one sample; pass is >= 1."""
+    one sample; pass is >= 1.  In float64: inf where xi^2 overflows, NaN
+    where the ratio is 0 there."""
     (nphi,), (ratio,) = _switching_samples(oracle, [u], [z],
                                            [oracle.apply_adjoint(u, z)])
     if np.isnan(ratio):
         return None
-    return float(ratio * nphi * xi(oracle.norm(u)) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(ratio * nphi * xi(oracle.norm(u)) ** 2)
 
 
 def _sample_u(oracle, plan, shell_idx, sample_idx):
@@ -404,9 +408,12 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
         oracle, np.repeat(points, plan.z_samples, axis=0),
         zs.reshape(-1, oracle.dim_codomain), phis)
     nphi, ratio = nphi.reshape(shape + (-1,)), ratio.reshape(shape + (-1,))
-    xi_u2 = [np.nan if xi is None else xi(oracle.norm(u)) ** 2
-             for u in points]
-    margin = ratio * nphi * np.reshape(xi_u2, shape)[..., None]
+    # in float64: a margin is inf where xi^2 overflows, and NaN, so
+    # skipped, where the ratio is 0 there
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_u2 = [np.nan if xi is None else xi(oracle.norm(u)) ** 2
+                 for u in points]
+        margin = ratio * nphi * np.reshape(xi_u2, shape)[..., None]
     kept = ~np.isnan(ratio)
     inv_max = (1.0 / np.where(singular, np.inf, lam1)).max(axis=1)
     # ShellStats columns after radius and samples, in field order

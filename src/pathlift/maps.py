@@ -132,11 +132,6 @@ class MapOracle:
         z = self._codomain_vec(z)
         return (self.jacobian(u).T @ z) / self.weights
 
-    def adjoint_matrix(self, u):
-        """All switching functions at once: column i is dF|_u^* e_i."""
-        u = self._domain_vec(u)
-        return self.jacobian(u).T / self.weights[:, None]
-
     def jacobian_derivative_many(self, us, vs):
         """:meth:`jacobian_derivative` at each row pair of ``us`` and
         ``vs`` (K, N), shape (K, n, N), by default one call per pair."""

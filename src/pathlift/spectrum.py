@@ -172,7 +172,7 @@ def diagnostics(oracle, u, spec, gamma_dot):
     if spec.singular:
         return SpectralDiagnostics(a=a, h=np.nan, f=np.nan, g=np.nan,
                                    dlambda1_ds=np.nan)
-    # column i = dF^* e_i, as MapOracle.adjoint_matrix forms it
+    # column i = dF^* e_i = W^-1 J^T e_i
     phis = spec.jacobian().T / oracle.weights[:, None]
     phis = phis @ spec.vectors               # column i = dF^* z_i
     vs = phis / np.sqrt(lam)[None, :]        # normalized switching functions

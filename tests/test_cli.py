@@ -553,6 +553,24 @@ def test_percent_in_a_config_value_is_literal_text(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["a%b.txt", "trace.csv"]
 
 
+@pytest.mark.parametrize("config", [
+    LINEAR_CHECK + "\n[check]\nxi_c = 1e170\nxi_p = 1.0\n",
+    "[problem]\nkind = builtin-map\nmap = fold\n\n[check]\n"
+    "radii = 1e-3, 2\nxi_c = 1.0\nxi_p = -200\n",
+], ids=["linear-xi_c-1e170", "fold-xi_p-minus-200"])
+def test_check_with_overflowing_xi_exits_cleanly(tmp_path, config):
+    """A xi whose square passes the largest float gives inf margins (NaN,
+    so skipped, where the coercivity ratio is 0): the report is written,
+    with no traceback and no warning."""
+    out = tmp_path / "out"
+    proc = _cli_subprocess(["check", "--config", _cfg(tmp_path, config),
+                            "--out-dir", str(out)])
+    assert proc.returncode in (cli.EXIT_OK, cli.EXIT_FALSIFIED)
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "product condition" in (out / "report.txt").read_text()
+
+
 @pytest.mark.parametrize("command", ["lift", "check", "validate"])
 def test_u0_and_u0_constant_together_exit_1(tmp_path, capsys, command):
     text = (f"[problem]\n{BROCKETT}u0 = 1, 1, 1, 1\nu0_constant = 5, 5\n"

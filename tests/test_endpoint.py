@@ -475,12 +475,9 @@ def test_second_variation_after_jacobian_forms_no_flows(monkeypatch):
        segments=st.sampled_from([2, 6, 10, 20, 80]),
        seed=st.integers(0, 2**32 - 1))
 def test_j_only_linearization_gives_dj_bit_for_bit(name, segments, seed):
-    """J forms only what J reads; the kernels of every step wait for the
-    first dJ at a control and are kept with it.  dJ after a J-only
-    formation, in a stacked pass with repeated controls, or at a control
-    kept from a ``jacobian_many`` batch equals, bit for bit, the dJ of a
-    pass that forms J itself, and each control's kernels are formed
-    once."""
+    """dJ after a J-only formation, in a stacked pass with repeated
+    controls, or at a control kept from a ``jacobian_many`` batch equals,
+    bit for bit, the dJ of a pass that forms J itself."""
     rng = np.random.default_rng(seed)
     dim = _oracle(name, segments).dim_domain
     u, w, v, z = rng.uniform(-1.5, 1.5, (4, dim))
@@ -497,42 +494,40 @@ def test_j_only_linearization_gives_dj_bit_for_bit(name, segments, seed):
     def same_bits(got, expect):
         return got.tobytes() == expect.tobytes()
 
-    formed = []     # controls of each _kernels call
-    real = pl.endpoint._kernels
+    # J alone, then dJ at its control
+    ep = _oracle(name, segments)
+    ep.jacobian(u)
+    assert same_bits(ep.jacobian_derivative(u, v), single[0, 0])
+    # a stack over that control and a fresh one, each repeated
+    stack = ep.jacobian_derivative_many([u, w, u, w], [z, v, v, z])
+    for got, key in zip(stack, [(0, 1), (1, 0), (0, 0), (1, 1)]):
+        assert same_bits(got, single[key])
+    # controls kept from a jacobian_many batch, integrated with it
+    ep = _oracle(name, segments)
+    ep.jacobian_many([u, w])
+    assert same_bits(ep.jacobian_derivative(w, z), batch[1])
+    assert same_bits(ep.jacobian_derivative_many([u, w], [v, z]), batch)
+    # a pass at fresh controls forms them in one batch, repeats or not
+    got = _oracle(name, segments).jacobian_derivative_many(
+        [u, w, u], [v, z, v])
+    assert same_bits(got, batch[[0, 1, 0]])
+    assert same_bits(one_pass([u, w], [v, z]), batch)
 
-    def counting(steps, ends):
-        formed.append(len(steps))
-        return real(steps, ends)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pl.endpoint, "_kernels", counting)
-        # J alone, then dJ at its control
-        ep = _oracle(name, segments)
-        ep.jacobian(u)
-        assert formed == []
-        assert same_bits(ep.jacobian_derivative(u, v), single[0, 0])
-        assert formed == [1]
-        # a stack over that control and a fresh one, each repeated
-        stack = ep.jacobian_derivative_many([u, w, u, w], [z, v, v, z])
-        assert formed == [1, 1]     # w's kernels; u's are kept
-        for got, key in zip(stack, [(0, 1), (1, 0), (0, 0), (1, 1)]):
-            assert same_bits(got, single[key])
-        ep.jacobian_derivative_many([w, u], [z, z])
-        assert formed == [1, 1]
-        # controls kept from a jacobian_many batch, integrated with it
-        formed.clear()
-        ep = _oracle(name, segments)
-        ep.jacobian_many([u, w])
-        assert same_bits(ep.jacobian_derivative(w, z), batch[1])
-        assert same_bits(ep.jacobian_derivative_many([u, w], [v, z]), batch)
-        assert formed == [1, 1]
-        # a pass at fresh controls forms them in one batch, repeats or not
-        formed.clear()
-        got = _oracle(name, segments).jacobian_derivative_many(
-            [u, w, u], [v, z, v])
-        assert same_bits(got, batch[[0, 1, 0]])
-        assert same_bits(one_pass([u, w], [v, z]), batch)
-        assert formed == [2, 2]
+def test_second_variation_leaves_the_kept_linearization_as_j_left_it():
+    """dJ reads what J formed at a control and forms nothing to keep: after
+    dJ there, each slot of the control's kept entry holds the object J
+    left in it."""
+    ep = _oracle("unicycle", 6)
+    u, v = np.random.default_rng(6).uniform(-1.0, 1.0, (2, ep.dim_domain))
+    ep.jacobian(u)
+    kept = ep._memo[u.tobytes()]
+    slots = {name: getattr(kept, name) for name in kept.__slots__}
+    ep.jacobian_derivative(u, v)
+    ep.jacobian_derivative_many([u, u], [v, -v])
+    assert ep._memo[u.tobytes()] is kept
+    for name, value in slots.items():
+        assert getattr(kept, name) is value, name
 
 
 def _forward_mode(ep, u, v):
@@ -610,11 +605,13 @@ def test_jacobian_derivative_matches_loop_form_reference(data):
 
 
 @pytest.mark.parametrize("name", ["brockett", "unicycle", "mixed"])
-@pytest.mark.parametrize("segments", [40, 80])
+@pytest.mark.parametrize("segments", [20, 40, 80])
 def test_long_grids_match_the_step_at_a_time_forward_mode(name, segments):
     """J and dJ(v) on long grids, where the doubling scans over the
-    segments take 6 and 7 levels (the draws above, at most 12 segments,
-    take at most 4), against forward mode one step at a time."""
+    segments take 5 to 7 levels (the draws above, at most 12 segments,
+    take at most 4), against forward mode one step at a time; with the
+    draws above, this pins the tangent recurrence within a segment at
+    S = 1, 2, 3 and 6 steps."""
     ep = _oracle(name, segments)
     rng = np.random.default_rng([segments, len(name)])
     u = rng.uniform(-2.0, 2.0, ep.dim_domain)

@@ -77,6 +77,14 @@ def test_power_law_xi():
         pl.PowerLawXi(c=-1.0, p=1.0)
 
 
+def test_power_law_xi_overflows_to_inf():
+    """xi is evaluated in float64: a value past the largest float is inf,
+    not an OverflowError, and raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pl.PowerLawXi(1.0, -2000.0)(0.5) == np.inf
+
+
 @pytest.mark.parametrize("c, p", [(np.nan, 1.0), (np.inf, 1.0),
                                   (1.0, np.nan), (1.0, -np.inf),
                                   ("a", 1.0), (1.0, "a"), ([1.0, 2.0], 1.0),

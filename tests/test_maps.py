@@ -37,19 +37,6 @@ def test_adjoint_is_weighted_transpose():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_adjoint_matrix_columns():
-    rng = np.random.default_rng(2)
-    mat = rng.standard_normal((2, 4))
-    w = rng.uniform(0.5, 2.0, 4)
-    o = pl.LinearMap(mat, weights=w)
-    u = rng.standard_normal(4)
-    cols = o.adjoint_matrix(u)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        np.testing.assert_allclose(cols[:, i], o.apply_adjoint(u, e))
-
-
 def test_sphere_closed_forms():
     rng = np.random.default_rng(3)
     o = pl.SphereMap(4)

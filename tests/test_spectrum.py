@@ -362,7 +362,7 @@ def test_normalized_switching_functions_orthonormal():
     o = pl.LinearMap(mat, weights=w)
     u = np.zeros(6)
     spec = pl.spectral_decompose(pl.gramian(o, u))
-    phis = o.adjoint_matrix(u) @ spec.vectors
+    phis = (o.jacobian(u).T / w[:, None]) @ spec.vectors
     vs = phis / np.sqrt(spec.lambdas)[None, :]
     gram = vs.T @ (w[:, None] * vs)
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
