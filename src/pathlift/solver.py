@@ -96,6 +96,10 @@ class SolverOptions:
             raise ConfigurationError("solver.max_steps must be >= 1")
 
 
+# what ``lift`` runs with when given no options; frozen, so it is shared
+_DEFAULT_OPTIONS = SolverOptions()
+
+
 @dataclass
 class LiftState:
     """Accepted solver state at parameter s."""
@@ -128,16 +132,17 @@ class ContinuationReport:
         return self.trace[-1]
 
 
-# Cash-Karp 5(4) tableau: six stages, fifth-order propagation.
+# Cash-Karp 5(4) tableau: six stages, fifth-order propagation.  Row i of
+# _CK_A holds a_i1 ... a_ii, padded with zeros.
 _CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
-_CK_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [3 / 10, -9 / 10, 6 / 5],
-    [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
+_CK_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [3 / 10, -9 / 10, 6 / 5, 0.0, 0.0],
+    [-11 / 54, 5 / 2, -70 / 27, 35 / 27, 0.0],
     [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
-]
+])
 _CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
 _CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296,
                    277 / 14336, 1 / 4])
@@ -187,19 +192,31 @@ def _ck_step(fun, s, u, h, first=None):
     error estimate and the fifth-order increment of q.  ``fun(s, u)``
     returns a stage's velocity and |g| integrand; ``first``, when given, is
     the first stage fun(s, u), already in hand.  A stage point that is not
-    finite is not evaluated: the step returns it as its solution."""
-    stages = [] if first is None else [first]
-    for i in range(len(stages), 6):
-        ui = u
-        for aij, (kj, _) in zip(_CK_A[i], stages):
-            ui = ui + (h * aij) * kj
+    finite is not evaluated: the step returns it as its solution.
+
+    Stage i's point is ``np.add.reduce`` down the rows of one buffer
+    [u; (h a_i1) k_1; ...; (h a_ii) k_i], the same left-to-right sum as
+    ``u + (h a_i1) k_1 + ...`` bit for bit, in two array calls per stage
+    where that sum takes 2i: on the small u of a lift each numpy call
+    costs more than its arithmetic.
+    """
+    rows = np.empty((7, len(u)))
+    rows[0] = u
+    ks = np.empty((6, len(u)))
+    gs = np.empty(6)
+    ha = h * _CK_A
+    start = 0
+    if first is not None:
+        ks[0], gs[0] = first
+        start = 1
+    for i in range(start, 6):
+        np.multiply(ha[i, :i, None], ks[:i], out=rows[1:i + 1])
+        ui = np.add.reduce(rows[:i + 1], axis=0)
         if not np.isfinite(ui).all():
             return ui, ui, np.nan
-        stages.append(fun(s + _CK_C[i] * h, ui))
-    ks, gs = zip(*stages)
-    kmat = np.stack(ks, axis=0)
-    u5 = u + h * (_CK_B5 @ kmat)
-    err = h * (_CK_ERR @ kmat)
+        ks[i], gs[i] = fun(s + _CK_C[i] * h, ui)
+    u5 = u + h * (_CK_B5 @ ks)
+    err = h * (_CK_ERR @ ks)
     return u5, err, h * float(_CK_B5 @ gs)
 
 
@@ -549,7 +566,7 @@ def lift(oracle, path, u0, options=None):
     SingularStart).  Returns a ContinuationReport whose trace holds every
     accepted state.
     """
-    opts = options or SolverOptions()
+    opts = options or _DEFAULT_OPTIONS
     u0 = oracle._domain_vec(finite(u0, "anchor u0", BadAnchor), "u0")
     start = oracle._codomain_vec(path.gamma(0.0), "path point gamma(0)")
     res0 = float(np.linalg.norm(oracle.eval(u0) - start))

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
@@ -850,6 +850,67 @@ def test_first_stage_from_the_state_moves_no_bit(monkeypatch):
     after = [_lift_bits(problem) for problem in problems]
     assert min(len(bits) for bits, _ in before) > 10
     assert after == before
+
+
+def _ck_step_loop_form(fun, s, u, h, first=None):
+    """``_ck_step`` with each stage point summed term by term and the
+    velocities stacked after the loop, which the stage buffer must equal
+    bit for bit."""
+    stages = [] if first is None else [first]
+    for i in range(len(stages), 6):
+        ui = u
+        for aij, (kj, _) in zip(solver._CK_A[i], stages):
+            ui = ui + (h * aij) * kj
+        if not np.isfinite(ui).all():
+            return ui, ui, np.nan
+        stages.append(fun(s + solver._CK_C[i] * h, ui))
+    ks, gs = zip(*stages)
+    kmat = np.stack(ks, axis=0)
+    u5 = u + h * (solver._CK_B5 @ kmat)
+    err = h * (solver._CK_ERR @ kmat)
+    return u5, err, h * float(solver._CK_B5 @ gs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ck_step_equals_the_loop_form_reference(data):
+    # the stage points from the row buffer are the loop's left-to-right
+    # sums, bit for bit; a stage point that is not finite is returned at
+    # once, with no call to fun for it
+    n = data.draw(st.integers(1, 6), label="N")
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    mat = data.draw(arrays(float, (n, n), elements=entries), label="A")
+    c = data.draw(arrays(float, n, elements=entries), label="c")
+    u = data.draw(arrays(float, n, elements=entries), label="u")
+    kind = data.draw(st.sampled_from(["linear", "quadratic", "blowup"]))
+    blowup = data.draw(st.integers(0, 5)) if kind == "blowup" else None
+    s = data.draw(st.floats(0.0, 1.0))
+    h = data.draw(st.floats(1e-9, 2.0))
+
+    def fun(t, uu, calls):
+        calls.append(t)
+        k = mat @ uu + t * c
+        if kind == "quadratic":
+            k = k + uu * uu
+        if len(calls) - 1 == blowup:
+            k = k + np.inf
+        return k, abs(float(c @ uu))
+
+    calls, ref_calls = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = fun(s, u, []) if data.draw(st.booleans()) else None
+        got = solver._ck_step(lambda t, uu: fun(t, uu, calls), s, u, h,
+                              first)
+        ref = _ck_step_loop_form(lambda t, uu: fun(t, uu, ref_calls), s, u,
+                                 h, first)
+    event(kind if np.isfinite(ref[2]) else "non-finite stage point")
+
+    def bits(step):
+        u5, err, dq = step
+        return u5.tobytes(), err.tobytes(), np.float64(dq).tobytes()
+
+    assert calls == ref_calls
+    assert bits(got) == bits(ref)
 
 
 def test_correction_starts_from_the_spectrum_at_u5(monkeypatch):

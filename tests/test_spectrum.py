@@ -1,6 +1,7 @@
 """Gramian spectrum, diagnostics, and derivative formulas."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pathlift as pl
+from pathlift import spectrum
 from pathlift.errors import ConfigurationError, GapViolation, NumericalError
 from pathlift.spectrum import DEGENERACY_REL, GramianSpectrum
 
@@ -49,6 +51,20 @@ def test_spectral_decompose_rejects_bad_input():
         pl.spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NumericalError):
         pl.spectral_decompose(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("grammat, prev, shape", [
+    (np.ones((2, 3)), None, r"\(2, 3\)"),
+    (np.ones(3), None, r"\(3,\)"),
+    (np.ones((0, 0)), None, r"\(0, 0\)"),
+    (np.ones((1, 2, 2)), None, r"\(1, 2, 2\)"),
+    (np.eye(2), pl.spectral_decompose(np.diag([1.0, 2.0, 3.0])),
+     r"\(3, 3\)"),
+], ids=["2x3", "vector", "empty", "stacked", "prev-of-3"])
+def test_spectral_decompose_names_a_bad_shape(grammat, prev, shape):
+    # a caller's shape error, not a numerical failure or a bare numpy one
+    with pytest.raises(ConfigurationError, match=shape):
+        pl.spectral_decompose(grammat, prev)
 
 
 def _spectral_reference(grammat, prev=None):
@@ -237,17 +253,44 @@ def test_a_near_symmetric_matrix_above_2_1023_has_a_finite_spectrum():
 
 
 def test_non_finite_eigenvalues_are_a_numerical_error(monkeypatch):
-    real = np.linalg.eigh
+    real, real_lapack = np.linalg.eigh, spectrum._umath_linalg.eigh_lo
 
     def nan_eigh(a):
         lambdas, vectors = real(a)
         return np.full_like(lambdas, np.nan), vectors
 
+    def nan_lapack(a, signature):
+        lambdas, vectors = real_lapack(a, signature=signature)
+        return np.full_like(lambdas, np.nan), vectors
+
+    # the LAPACK entry that spectral_decompose calls, and the public eigh
+    # that the reference calls
+    monkeypatch.setattr(spectrum, "_umath_linalg",
+                        SimpleNamespace(eigh_lo=nan_lapack))
     monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
     for decompose in (pl.spectral_decompose, _spectral_reference):
         with pytest.raises(NumericalError,
                            match="^Gramian eigenvalues are not finite$"):
             decompose(np.diag([1.0, 2.0]))
+
+
+def test_a_lapack_failure_is_a_numerical_error(monkeypatch):
+    # LAPACK reports a failure through the invalid flag, which the
+    # errstate of np.linalg.eigh turns into its LinAlgError, with no
+    # RuntimeWarning
+    real_lapack = spectrum._umath_linalg.eigh_lo
+
+    def failing(a, signature):
+        np.sqrt(np.array(-1.0))
+        return real_lapack(a, signature=signature)
+
+    monkeypatch.setattr(spectrum, "_umath_linalg",
+                        SimpleNamespace(eigh_lo=failing))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^eigendecomposition "
+                           "failed: Eigenvalues did not converge$"):
+            pl.spectral_decompose(np.diag([1.0, 2.0]))
 
 
 def test_coefficients_are_eigenbasis_components():
