@@ -29,22 +29,22 @@ the states are bit for bit those of stepping one step at a time, and
 ``integrate`` returns the stage states it stepped through.  J and dJ are
 the exact derivatives of that computed map, on the same grid (discretise,
 then differentiate).  An RK4 step Phi(x, u) has partials M_j = dPhi/dx
-and N_j = dPhi/du, a polynomial in f_x and f_u at those stage states (no
-``f`` call): with the control frozen as a state (udot = 0),
-``_propagators`` of the stage blocks [[f_x, f_u], [0, 0]] gives the step
-block [[M_j, N_j], [0, I]], in one batch over the whole control grid (the
-partials broadcast over leading axes).  One backward pass, :func:`_flows`,
-composes each segment's steps into its map [A_p | C_p] and scans the maps
-back from T: J's block on segment p is K_{p,S} C_p, K_{p,S} = A_{P-1}
-... A_{p+1}, and that is all J reads.  The recurrences across the P
-segments, this scan and the second variation's two below, are doubling
-scans (Hillis & Steele, CACM 29 (1986); Blelloch, CMU-CS-90-190 (1990)):
-ceil(log2 P) batched compositions of the segments' [A | C] blocks, not
-one Python iteration per segment; only the S steps within a segment are
-a loop.
+and N_j = dPhi/du, a polynomial in the system's ``partials``, the stage
+rows [df/dx | df/du], at those stage states (no ``f`` call): with the
+control frozen as a state (udot = 0), ``_propagators`` of the stage
+blocks [[df/dx, df/du], [0, 0]] gives the step block [[M_j, N_j], [0, I]],
+in one batch over the whole control grid (the partials broadcast over
+leading axes).  One backward pass, :func:`_flows`, composes each
+segment's steps into its map [A_p | C_p] and scans the maps back from T:
+J's block on segment p is K_{p,S} C_p, K_{p,S} = A_{P-1} ... A_{p+1},
+and that is all J reads.  The recurrences across the P segments, this
+scan and the second variation's two below, are doubling scans (Hillis &
+Steele, CACM 29 (1986); Blelloch, CMU-CS-90-190 (1990)): ceil(log2 P)
+batched compositions of the segments' [A | C] blocks, not one Python
+iteration per segment; only the S steps within a segment are a loop.
 
 Second differentials are exact: every system gives ``d_partials``, the
-derivatives (dA, dB) of f_x and f_u along a direction (dx, du), and
+derivative [dA | dB] of its stage rows along a direction (dx, du), and
 ``EndpointOracle.jacobian_derivative_many`` differentiates J along v at
 u for a stack of (u, v) pairs on a leading axis, in forward mode through
 the fixed scheme, and ``jacobian_derivative`` is the stack of one.  What
@@ -56,13 +56,10 @@ D_{s+1} = M_s D_s + T_s over its S steps (one batched product per step),
 and two scans over the segments (see
 ``EndpointOracle._second_variations``).
 
-The oracle keeps one read-only memo keyed by control bytes, holding the
-rows of its last request that integrated and those of its last request
-for J or dJ: each control's trajectory and stage states, and, once J or
-dJ is asked there, J with its linearization and flows.  J and dJ at a
-kept control integrate nothing, evaluate no ``f``, ``f_x`` or ``f_u``,
-form no flows and keep nothing new, and a dJ pass there pays only for
-its members.
+The oracle keeps a read-only memo keyed by control bytes (see
+``EndpointOracle``).  J and dJ at a kept control integrate nothing,
+evaluate no ``f`` or ``partials``, form no flows and keep nothing new,
+and a dJ pass there pays only for its members.
 """
 
 import functools
@@ -91,9 +88,8 @@ STACK_LIMIT = 240
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Dynamics f written on components, and partials that broadcast over
-    leading axes, ``f_x(X, U)[i] == f_x(X[i], U[i])``, for the whole-grid
-    backward pass.
+    """Dynamics f written on components, and its partials, which
+    broadcast over leading axes for the whole-grid backward pass.
 
     ``f`` takes one state (n,) and control (m,), or B of each stacked on
     the last axis, (n, B) and (m, B), and returns (n,) or (n, B) with
@@ -102,21 +98,23 @@ class ControlSystem:
     ``integrate`` steps even one trajectory as a batch of one, and raises
     ConfigurationError for an ``f`` that does not.
 
-    ``d_partials(x, u, dx, du)`` broadcasts the same way over the leading
-    axes of its four arguments: it returns (dA, dB), the derivatives of
-    ``f_x`` and ``f_u`` at (x, u) along (dx, du), from which
-    ``EndpointOracle`` forms the exact second variation of the endpoint
-    map.  ``pathlift.validate_oracle`` checks a hand-written one: a wrong
-    term fails its second-order Taylor row.
+    ``partials(x, u)`` returns f's Jacobian, the stage rows [df/dx |
+    df/du], as one (..., n, n + m) array, ``partials(X, U)[i] ==
+    partials(X[i], U[i])``.  ``d_partials(x, u, dx, du)`` returns its
+    derivative [dA | dB] along (dx, du), shaped and broadcast the same
+    way, from which ``EndpointOracle`` forms the exact second variation of
+    the endpoint map.  The oracle keeps both read-only and raises
+    ConfigurationError for another shape.  ``pathlift.validate_oracle``
+    checks a hand-written ``d_partials``: a wrong term fails its
+    second-order Taylor row.
     """
 
     name: str
     state_dim: int
     control_dim: int
     f: Callable          # (n,), (m,) -> (n,); (n, B), (m, B) -> (n, B)
-    f_x: Callable        # (..., n), (..., m) -> (..., n, n)
-    f_u: Callable        # (..., n), (..., m) -> (..., n, m)
-    # (..., n), (..., m), (..., n), (..., m) -> (..., n, n), (..., n, m)
+    partials: Callable   # (..., n), (..., m) -> (..., n, n + m)
+    # (..., n), (..., m), (..., n), (..., m) -> (..., n, n + m)
     d_partials: Callable
 
 
@@ -129,16 +127,13 @@ def _lead(*arrays):
 
 
 def _constant(mat):
-    """Partial equal to ``mat`` at every (x, u)."""
+    """Partials equal to ``mat`` at every (x, u)."""
     return lambda x, u: np.broadcast_to(mat, _lead(x, u) + mat.shape)
 
 
 def _zero_d_partials(n, m):
     """d_partials of a system that is affine in (x, u)."""
-    def d_partials(x, u, dx, du):
-        lead = _lead(x, u, dx, du)
-        return np.zeros(lead + (n, n)), np.zeros(lead + (n, m))
-    return d_partials
+    return lambda x, u, dx, du: np.zeros(_lead(x, u, dx, du) + (n, n + m))
 
 
 def single_integrator(dim=1):
@@ -146,7 +141,7 @@ def single_integrator(dim=1):
     return ControlSystem(
         name="single-integrator", state_dim=dim, control_dim=dim,
         f=lambda x, u: np.asarray(u, float),
-        f_x=_constant(np.zeros((dim, dim))), f_u=_constant(np.eye(dim)),
+        partials=_constant(np.eye(dim, 2 * dim, dim)),      # [0 | I]
         d_partials=_zero_d_partials(dim, dim))
 
 
@@ -159,8 +154,7 @@ def lti(A, B):
         raise ConfigurationError("B must have the same row count as A")
     return ControlSystem(
         name="lti", state_dim=A.shape[0], control_dim=B.shape[1],
-        f=lambda x, u: A @ x + B @ u,
-        f_x=_constant(A), f_u=_constant(B),
+        f=lambda x, u: A @ x + B @ u, partials=_constant(np.hstack([A, B])),
         d_partials=_zero_d_partials(*B.shape))
 
 
@@ -174,57 +168,48 @@ def brockett():
     def f(x, u):
         return np.array([u[0], u[1], x[0] * u[1]])
 
-    def f_x(x, u):
-        out = np.zeros(_lead(x, u) + (3, 3))
+    def partials(x, u):
+        out = np.zeros(_lead(x, u) + (3, 5))
         out[..., 2, 0] = u[..., 1]
-        return out
-
-    def f_u(x, u):
-        out = np.zeros(_lead(x, u) + (3, 2))
-        out[..., 0, 0] = out[..., 1, 1] = 1.0
-        out[..., 2, 1] = x[..., 0]
+        out[..., 0, 3] = out[..., 1, 4] = 1.0
+        out[..., 2, 4] = x[..., 0]
         return out
 
     def d_partials(x, u, dx, du):
-        lead = _lead(x, u, dx, du)
-        da, db = np.zeros(lead + (3, 3)), np.zeros(lead + (3, 2))
-        da[..., 2, 0] = du[..., 1]
-        db[..., 2, 1] = dx[..., 0]
-        return da, db
+        out = np.zeros(_lead(x, u, dx, du) + (3, 5))
+        out[..., 2, 0] = du[..., 1]
+        out[..., 2, 4] = dx[..., 0]
+        return out
 
-    return ControlSystem(name="brockett", state_dim=3, control_dim=2,
-                         f=f, f_x=f_x, f_u=f_u, d_partials=d_partials)
+    return ControlSystem(name="brockett", state_dim=3, control_dim=2, f=f,
+                         partials=partials, d_partials=d_partials)
 
 
 def unicycle():
     def f(x, u):
         return np.array([u[0] * np.cos(x[2]), u[0] * np.sin(x[2]), u[1]])
 
-    def f_x(x, u):
-        out = np.zeros(_lead(x, u) + (3, 3))
-        out[..., 0, 2] = -u[..., 0] * np.sin(x[..., 2])
-        out[..., 1, 2] = u[..., 0] * np.cos(x[..., 2])
-        return out
-
-    def f_u(x, u):
-        out = np.zeros(_lead(x, u) + (3, 2))
-        out[..., 0, 0], out[..., 1, 0] = np.cos(x[..., 2]), np.sin(x[..., 2])
-        out[..., 2, 1] = 1.0
+    def partials(x, u):
+        out = np.zeros(_lead(x, u) + (3, 5))
+        cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
+        out[..., 0, 2] = -u[..., 0] * sin
+        out[..., 1, 2] = u[..., 0] * cos
+        out[..., 0, 3], out[..., 1, 3] = cos, sin
+        out[..., 2, 4] = 1.0
         return out
 
     def d_partials(x, u, dx, du):
-        lead = _lead(x, u, dx, du)
-        da, db = np.zeros(lead + (3, 3)), np.zeros(lead + (3, 2))
+        out = np.zeros(_lead(x, u, dx, du) + (3, 5))
         cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
         turn = u[..., 0] * dx[..., 2]
-        da[..., 0, 2] = -du[..., 0] * sin - turn * cos
-        da[..., 1, 2] = du[..., 0] * cos - turn * sin
-        db[..., 0, 0] = -sin * dx[..., 2]
-        db[..., 1, 0] = cos * dx[..., 2]
-        return da, db
+        out[..., 0, 2] = -du[..., 0] * sin - turn * cos
+        out[..., 1, 2] = du[..., 0] * cos - turn * sin
+        out[..., 0, 3] = -sin * dx[..., 2]
+        out[..., 1, 3] = cos * dx[..., 2]
+        return out
 
-    return ControlSystem(name="unicycle", state_dim=3, control_dim=2,
-                         f=f, f_x=f_x, f_u=f_u, d_partials=d_partials)
+    return ControlSystem(name="unicycle", state_dim=3, control_dim=2, f=f,
+                         partials=partials, d_partials=d_partials)
 
 
 # name -> builder; the CLI feeds config keys to its parameters by name
@@ -267,7 +252,8 @@ class ControlGrid:
         object.__setattr__(self, "horizon", positive(self.horizon, "horizon"))
         if integer(self.segments, "segments") < 1:
             raise ConfigurationError("segments must be >= 1")
-        integer(self.control_dim, "control_dim")
+        if integer(self.control_dim, "control_dim") < 1:
+            raise ConfigurationError("control_dim must be >= 1")
 
     @property
     def dim(self):
@@ -488,7 +474,7 @@ def _propagators(a, h):
     [[M, N], [0, I]] = I + h/6 (a_4 + 2 b_2 + 2 b_3 + b_4) with
     b_2 = (I + h/2 a_4) a_3, b_3 = (I + h/2 b_2) a_2, b_4 = (I + h b_3) a_1:
     the forward RK4 step (y, w) -> (M y + N w, w) of ydot = A y + C w,
-    wdot = 0, expanded.  Fed [f_x | f_u] it gives the partials M = dPhi/dx
+    wdot = 0, expanded.  Fed a system's ``partials`` it gives M = dPhi/dx
     and N = dPhi/du of the RK4 step Phi(x, u).  Also returns b_2 and b_3,
     the intermediates :func:`_propagator_derivatives` differentiates.
     """
@@ -624,6 +610,19 @@ class _Kept:
         self.jac = self.linear = None
 
 
+def _stage_rows(system, name, x, u, *tangent):
+    """``system``'s ``partials`` (``name``), or its ``d_partials`` along
+    ``tangent``, at stage states x (..., n) and controls u (..., m);
+    ConfigurationError unless they are one (..., n, n + m) array."""
+    rows = getattr(system, name)(x, u, *tangent)
+    shape = x.shape[:-1] + (x.shape[-1], x.shape[-1] + u.shape[-1])
+    if getattr(rows, "shape", None) != shape:
+        raise ConfigurationError(
+            f"{name} must return one (..., n, n + m) array, {shape} here, "
+            f"got {getattr(rows, 'shape', type(rows).__name__)}")
+    return rows
+
+
 def _read_only(arrays):
     for arr in arrays:
         arr.setflags(write=False)
@@ -736,7 +735,8 @@ class EndpointOracle(MapOracle):
         """J at the distinct entries of ``kept`` that lack it, in one
         stacked call that forms only what J reads: at their kept stage
         states x (4, K, P, S, n), stage i of every step in ``x[i - 1]``,
-        with no ``f`` call, the stage rows a = [f_x | f_u];
+        with no ``f`` call, the stage rows a = [df/dx | df/du] as the
+        system's ``partials`` return them;
         :func:`_propagators`' step rows [M_j | N_j] with its b_2 and b_3;
         their :func:`_flows` [Phi_s | C_s] and K_{p,S}; and J's block on
         segment p, K_{p,S} C_p (C_{P-1} on the last).  Each entry keeps J
@@ -750,9 +750,7 @@ class EndpointOracle(MapOracle):
         x = _stacked([e.trajectory[2] for e in todo]).reshape(
             count, self.grid.segments, self.grid.substeps, 4, n).transpose(
                 3, 0, 1, 2, 4)
-        uu = self._stage_controls(todo)
-        a = np.concatenate([self.system.f_x(x, uu), self.system.f_u(x, uu)],
-                           axis=-1)
+        a = _stage_rows(self.system, "partials", x, self._stage_controls(todo))
         steps, b2, b3 = _propagators(a, self._h)
         chain, ends = _flows(steps)
         gains = chain[:, :, -1, :, n:]      # C_p
@@ -817,7 +815,7 @@ class EndpointOracle(MapOracle):
         pass, the stack leading.
 
         Per control, from :meth:`_linearized` (formed with its J): the
-        stage states x, the stage rows a_i = [f_x | f_u], the step rows
+        stage states x, the stage rows a_i = [df/dx | df/du], the step rows
         [M_s | N_s] and their intermediates b_2 and b_3, and the
         :func:`_flows` [Phi_s | C_s] and K_{p,S}.  Per member: the tangent
         y = Phi y_p + C v_p at every step, y_p at segment p's start from a
@@ -836,7 +834,7 @@ class EndpointOracle(MapOracle):
         A_{P-1} ... A_q: one affine scan, transposed, over the reversed
         segments, so that it composes g_q o ... o g_{P-1}.
         """
-        system, h = self.system, self._h
+        h = self._h
         # the arrays just formed if each member is a control first met
         # here, else each member's kept arrays, stacked
         formed = self._linearized(kept)
@@ -865,8 +863,8 @@ class EndpointOracle(MapOracle):
         for i, c in enumerate((0.5, 0.5, 1.0)):
             slope = a[i] @ yv[i, ..., None]
             yv[i + 1, ..., :n] = y + c * h * slope[..., 0]
-        da = np.concatenate(system.d_partials(
-            x, self._stage_controls(kept), yv[..., :n], yv[..., n:]), axis=-1)
+        da = _stage_rows(self.system, "d_partials", x,
+                         self._stage_controls(kept), yv[..., :n], yv[..., n:])
         dsteps = _propagator_derivatives(a, da, b2, b3, h)
         del x, a, da, b2, b3    # free the stage rows for the sums
         terms = dsteps[..., :n] @ chain[:, :, :-1]

@@ -1,6 +1,7 @@
 """Endpoint maps of control systems as oracles."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -166,62 +167,55 @@ def test_partials_broadcast_over_leading_axes(name):
     n, m = system.state_dim, system.control_dim
     xs, dxs = rng.standard_normal((2, 5, n))
     us, dus = rng.standard_normal((2, 5, m))
-    for fn, args, shapes in [
-            (system.f_x, (xs, us), [(n, n)]),
-            (system.f_u, (xs, us), [(n, m)]),
-            (system.d_partials, (xs, us, dxs, dus), [(n, n), (n, m)])]:
+    for fn, args in [(system.partials, (xs, us)),
+                     (system.d_partials, (xs, us, dxs, dus))]:
         stacked = fn(*args)
-        stacked = stacked if isinstance(stacked, tuple) else (stacked,)
-        assert [s.shape for s in stacked] == [(5,) + sh for sh in shapes]
+        assert stacked.shape == (5, n, n + m)
         for i in range(5):
-            one = fn(*(arg[i] for arg in args))
-            one = one if isinstance(one, tuple) else (one,)
-            for got, expect in zip(stacked, one):
-                np.testing.assert_array_equal(got[i], expect)
+            np.testing.assert_array_equal(stacked[i],
+                                          fn(*(arg[i] for arg in args)))
+
+
+def _stage_zeros(*arrays, shape):
+    """Zeros of ``shape`` at each point of the broadcast leading axes of
+    stacked states and controls ``arrays``."""
+    lead = np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
+    return np.zeros(lead + shape)
 
 
 def _mixed_system():
     """Two states, two controls, with every second partial nonzero:
     x1' = x2 u1^2 / 2 + sin(x1) u2,  x2' = x1 x2 / 2 + u1 u2 - x2."""
-    def zeros(*arrays, shape):
-        lead = np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
-        return np.zeros(lead + shape)
-
     def f(x, u):
         return np.array([0.5 * x[1] * u[0] ** 2 + np.sin(x[0]) * u[1],
                          0.5 * x[0] * x[1] + u[0] * u[1] - x[1]])
 
-    def f_x(x, u):
-        out = zeros(x, u, shape=(2, 2))
+    def partials(x, u):
+        out = _stage_zeros(x, u, shape=(2, 4))
         out[..., 0, 0] = np.cos(x[..., 0]) * u[..., 1]
         out[..., 0, 1] = 0.5 * u[..., 0] ** 2
         out[..., 1, 0] = 0.5 * x[..., 1]
         out[..., 1, 1] = 0.5 * x[..., 0] - 1.0
-        return out
-
-    def f_u(x, u):
-        out = zeros(x, u, shape=(2, 2))
-        out[..., 0, 0] = x[..., 1] * u[..., 0]
-        out[..., 0, 1] = np.sin(x[..., 0])
-        out[..., 1, 0] = u[..., 1]
-        out[..., 1, 1] = u[..., 0]
+        out[..., 0, 2] = x[..., 1] * u[..., 0]
+        out[..., 0, 3] = np.sin(x[..., 0])
+        out[..., 1, 2] = u[..., 1]
+        out[..., 1, 3] = u[..., 0]
         return out
 
     def d_partials(x, u, dx, du):
-        da = zeros(x, u, dx, du, shape=(2, 2))
-        db = zeros(x, u, dx, du, shape=(2, 2))
+        out = _stage_zeros(x, u, dx, du, shape=(2, 4))
         sin, cos = np.sin(x[..., 0]), np.cos(x[..., 0])
-        da[..., 0, 0] = cos * du[..., 1] - sin * u[..., 1] * dx[..., 0]
-        da[..., 0, 1] = u[..., 0] * du[..., 0]
-        da[..., 1, 0] = 0.5 * dx[..., 1]
-        da[..., 1, 1] = 0.5 * dx[..., 0]
-        db[..., 0, 0] = u[..., 0] * dx[..., 1] + x[..., 1] * du[..., 0]
-        db[..., 0, 1] = cos * dx[..., 0]
-        db[..., 1, 0] = du[..., 1]
-        db[..., 1, 1] = du[..., 0]
-        return da, db
+        out[..., 0, 0] = cos * du[..., 1] - sin * u[..., 1] * dx[..., 0]
+        out[..., 0, 1] = u[..., 0] * du[..., 0]
+        out[..., 1, 0] = 0.5 * dx[..., 1]
+        out[..., 1, 1] = 0.5 * dx[..., 0]
+        out[..., 0, 2] = u[..., 0] * dx[..., 1] + x[..., 1] * du[..., 0]
+        out[..., 0, 3] = cos * dx[..., 0]
+        out[..., 1, 2] = du[..., 1]
+        out[..., 1, 3] = du[..., 0]
+        return out
 
-    return pl.ControlSystem("mixed", 2, 2, f, f_x, f_u, d_partials)
+    return pl.ControlSystem("mixed", 2, 2, f, partials, d_partials)
 
 
 def _oracle(name, segments):
@@ -280,15 +274,16 @@ def test_mixed_system_partials_match_differences():
             else (fn(x, u + eps * e[k]) - fn(x, u - eps * e[k]))
             for k in range(2)], axis=-1) / (2 * eps)
 
-    for got, expect in [(system.f_x(x, u), diff(system.f, "x")),
-                        (system.f_u(x, u), diff(system.f, "u"))]:
+    rows = system.partials(x, u)
+    for got, expect in [(rows[..., :2], diff(system.f, "x")),
+                        (rows[..., 2:], diff(system.f, "u"))]:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(_SYSTEMS) + ["mixed"])
 def test_d_partials_match_differences_of_the_partials(name):
-    """(dA, dB) along (dx, du) against central differences of (f_x, f_u)
-    along the same line, at a few random points."""
+    """[dA | dB] along (dx, du) against central differences of the
+    partials along the same line, at a few random points."""
     system = _oracle(name, 2).system
     n, m = system.state_dim, system.control_dim
     rng = np.random.default_rng(len(name))
@@ -297,10 +292,9 @@ def test_d_partials_match_differences_of_the_partials(name):
         x, dx = rng.standard_normal((2, n))
         u, du = rng.standard_normal((2, m))
         got = system.d_partials(x, u, dx, du)
-        for fn, dfn in zip((system.f_x, system.f_u), got):
-            expect = (fn(x + eps * dx, u + eps * du)
-                      - fn(x - eps * dx, u - eps * du)) / (2 * eps)
-            np.testing.assert_allclose(dfn, expect, rtol=0, atol=1e-8)
+        expect = (system.partials(x + eps * dx, u + eps * du)
+                  - system.partials(x - eps * dx, u - eps * du)) / (2 * eps)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-8)
 
 
 @settings(max_examples=80, deadline=None)
@@ -421,7 +415,7 @@ def test_oracle_without_second_differential_is_rejected():
     full = pl.make_system("unicycle")
     with pytest.raises(TypeError, match="d_partials"):
         pl.ControlSystem(full.name, full.state_dim, full.control_dim,
-                         full.f, full.f_x, full.f_u)
+                         full.f, full.partials)
     oracle = _FirstOrderOnly(_unicycle(segments=4))
     u, v = np.random.default_rng(10).standard_normal((2, oracle.dim_domain))
     for call, args in [(oracle.jacobian_derivative, (u, v)),
@@ -554,8 +548,8 @@ def _forward_mode(ep, u, v):
         sx, sz, sdz, sy = x, z, dz, y
         slopes = []
         for c in (0.5, 0.5, 1.0, None):
-            a, b = sys_.f_x(sx, us), sys_.f_u(sx, us)
-            da, db = sys_.d_partials(sx, us, sy, vs)
+            a, b = np.split(sys_.partials(sx, us), [n], axis=-1)
+            da, db = np.split(sys_.d_partials(sx, us, sy, vs), [n], axis=-1)
             slope = (a @ sz + b @ select, a @ sy + b @ vs,
                      da @ sz + a @ sdz + db @ select)
             slopes.append(slope)
@@ -767,11 +761,11 @@ def _counted_system(points, name="unicycle"):
 
 
 def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
-    """In one pass, ``f_x`` and ``f_u`` are evaluated at each distinct u's
+    """In one pass, ``partials`` is evaluated at each distinct u's
     stages once, however many members share that u, and ``f`` not at
     all: the stage states are the ones ``integrate`` stepped through.
     Only ``d_partials`` is evaluated per member."""
-    points = dict.fromkeys(["f", "f_x", "f_u", "d_partials"], 0)
+    points = dict.fromkeys(["f", "partials", "d_partials"], 0)
     segments = 4
     grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
     ep = pl.EndpointOracle(_counted_system(points), [0.1, -0.2, 0.3],
@@ -786,8 +780,7 @@ def test_a_pass_takes_the_stage_partials_once_per_distinct_u():
     points.update(dict.fromkeys(points, 0))
     ep.jacobian_derivative_many(us, vs)
     assert points == {"f": 0,
-                      "f_x": 4 * steps * len(distinct),
-                      "f_u": 4 * steps * len(distinct),
+                      "partials": 4 * steps * len(distinct),
                       "d_partials": 4 * steps * len(us)}
 
 
@@ -795,7 +788,7 @@ def test_jacobian_after_eval_makes_no_f_call():
     """``jacobian`` at a control that ``eval`` has integrated reads the
     stage states the trajectory kept: no ``f`` call, and J bit for bit
     that of an oracle that integrates inside ``jacobian``."""
-    points = dict.fromkeys(["f", "f_x"], 0)
+    points = dict.fromkeys(["f", "partials"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
     x0 = [0.1, -0.2, 0.3]
     ep = pl.EndpointOracle(_counted_system(points), x0, grid)
@@ -803,26 +796,27 @@ def test_jacobian_after_eval_makes_no_f_call():
     ep.eval(u)
     points.update(dict.fromkeys(points, 0))
     jac = ep.jacobian(u)
-    assert points == {"f": 0, "f_x": 4 * grid.segments * grid.substeps}
+    assert points == {"f": 0,
+                      "partials": 4 * grid.segments * grid.substeps}
     fresh = pl.EndpointOracle(pl.make_system("unicycle"), x0, grid)
     assert jac.tobytes() == fresh.jacobian(u).tobytes()
 
 
 def test_second_variation_reads_the_linearization_of_the_last_jacobian():
-    """dJ right after ``jacobian`` at the same u evaluates no ``f``,
-    ``f_x`` or ``f_u``, and is bit for bit the dJ of an oracle that
+    """dJ right after ``jacobian`` at the same u evaluates no ``f`` or
+    ``partials``, and is bit for bit the dJ of an oracle that
     linearizes afresh.  The memo keeps the controls of the last request
     for J or dJ, read-only, across a request that integrates others, so a
     stack over them linearizes nothing; a control that has left the memo
     is linearized again, once."""
-    points = dict.fromkeys(["f", "f_x", "f_u"], 0)
+    points = dict.fromkeys(["f", "partials"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
     x0 = [0.1, -0.2, 0.3]
     ep = pl.EndpointOracle(_counted_system(points), x0, grid)
     fresh = pl.EndpointOracle(pl.make_system("unicycle"), x0, grid)
     rng = np.random.default_rng(16)
     u, w, z, v = rng.uniform(-1.0, 1.0, (4, ep.dim_domain))
-    per_u = 4 * grid.segments * grid.substeps     # f_x points at one u
+    per_u = 4 * grid.segments * grid.substeps     # partials points at one u
 
     def same_bits(got, expect):
         return np.array_equal(got.view(np.int64), expect.view(np.int64))
@@ -849,14 +843,14 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
     points.update(dict.fromkeys(points, 0))
     ep.jacobian_derivative(u, v)
     ep.jacobian_derivative(u, -v)
-    assert points["f_x"] == per_u
+    assert points["partials"] == per_u
 
 
 def test_repeated_stacks_linearize_each_control_once():
     """Eight ``jacobian_derivative_many`` calls over the same three
-    controls, as the C_est sweeps make them, evaluate ``f_x`` and
-    ``f_u`` at each control's stage states once."""
-    points = dict.fromkeys(["f_x", "f_u"], 0)
+    controls, as the C_est sweeps make them, evaluate ``partials`` at each
+    control's stage states once."""
+    points = dict.fromkeys(["partials"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
     ep = pl.EndpointOracle(_counted_system(points), [0.1, -0.2, 0.3],
                            grid)
@@ -873,7 +867,7 @@ def test_validate_linearizes_each_base_point_once():
     """Brockett-10 ``validate``: its curvature stack and its Taylor
     rows' Jacobians read one linearization of each of the five base
     points, 5 x 10 segments x 6 steps x 4 stages = 1200 stage rows."""
-    points = dict.fromkeys(["f_x", "f_u"], 0)
+    points = dict.fromkeys(["partials"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=10, control_dim=2)
     ep = pl.EndpointOracle(_counted_system(points, "brockett"),
                            [0.0, 0.0, 0.0], grid)
@@ -1214,7 +1208,7 @@ def test_non_cascade_escape_time_matches_the_reference(batch):
     loop's, and in a batch the earliest member's.  The controls are
     constant, on 240 segments of one RK4 step each: h = 1/240."""
     system = pl.ControlSystem("riccati", 1, 1, lambda x, u: x * x + u,
-                              _zeros(1, 1), _zeros(1, 1), _not_called)
+                              _zeros(1, 2), _not_called)
     us = np.ones((240, 1)) if batch is None else np.stack(
         [np.full((240, 1), u) for u in (0.5, 1.0, -1.0)], axis=-1)
     expect = _loop_escape_time(system, [2.0], us, 1.0)
@@ -1232,8 +1226,8 @@ def test_cascade_escape_in_its_second_component_matches_the_reference():
     control escapes first."""
     system = pl.ControlSystem(
         "exp-cascade", 2, 1,
-        lambda x, u: np.stack([u[0], np.exp(x[0])]), _zeros(2, 2),
-        _zeros(2, 1), _not_called)
+        lambda x, u: np.stack([u[0], np.exp(x[0])]), _zeros(2, 3),
+        _not_called)
     us = np.stack([np.full((5, 1), 30.0), np.full((5, 1), 40.0)], axis=-1)
     expect = [_loop_escape_time(system, [0.0, 0.0], us[..., b], 1.0)
               for b in range(2)]
@@ -1361,7 +1355,7 @@ def test_non_conforming_f_fails_on_a_batch():
     bm = np.array([[0.0, 0.5], [1.0, 0.0]])
     good = pl.lti(a, bm)
     bad = pl.ControlSystem("bad", 2, 2, lambda x, u: x @ a.T + u @ bm.T,
-                           good.f_x, good.f_u, good.d_partials)
+                           good.partials, good.d_partials)
     grid = pl.ControlGrid(horizon=1.0, segments=3, control_dim=2)
     us = np.random.default_rng(13).standard_normal((2, grid.dim))
     ep = pl.EndpointOracle(bad, [1.0, -0.5], grid)
@@ -1372,14 +1366,14 @@ def test_non_conforming_f_fails_on_a_batch():
     grid1 = pl.ControlGrid(horizon=1.0, segments=2, control_dim=1)
     scalar_only = pl.ControlSystem(
         "scalar", 1, 1, lambda x, u: np.array([float(x[0]) * u[0]]),
-        good.f_x, good.f_u, _not_called)
+        good.partials, _not_called)
     with pytest.raises(ConfigurationError, match="stacked"):
         pl.EndpointOracle(scalar_only, [1.0], grid1).eval_many(
             np.ones((3, 2)))
     # right at the first stage, where every member has the same state and
     # control, and wrong once the second segments' controls differ
     mean_of_batch = pl.ControlSystem(
-        "mean", 1, 1, lambda x, u: x * np.mean(u), good.f_x, good.f_u,
+        "mean", 1, 1, lambda x, u: x * np.mean(u), good.partials,
         _not_called)
     with pytest.raises(ConfigurationError, match="stacked"):
         pl.EndpointOracle(mean_of_batch, [1.0], grid1).eval_many(
@@ -1400,9 +1394,8 @@ def _unicycle(segments=6, x0=(0.0, 0.0, 0.0), d_partials=None):
 
 
 def _zeros(*shape):
-    """A partial that is identically zero."""
-    return lambda x, u: np.zeros(
-        np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1]) + shape)
+    """Partials that are identically zero."""
+    return lambda x, u: _stage_zeros(x, u, shape=shape)
 
 
 def _not_called(x, u, dx, du):
@@ -1480,14 +1473,18 @@ def test_fd_second_differential_is_symmetric_on_a_coarse_grid(x0_seed):
 def _without_f_xx(x, u, dx, du):
     """Unicycle's d_partials without its f_xx term, the dx part of dA."""
     full = pl.make_system("unicycle").d_partials
-    return full(x, u, 0 * dx, du)[0], full(x, u, dx, du)[1]
+    rows = full(x, u, dx, du)
+    rows[..., :3] = full(x, u, 0 * dx, du)[..., :3]
+    return rows
 
 
 def _without_f_xu(x, u, dx, du):
     """Unicycle's d_partials without its mixed term f_xu, the du part of
     dA and the dx part of dB."""
     full = pl.make_system("unicycle").d_partials
-    return full(x, u, dx, 0 * du)[0], full(x, u, 0 * dx, du)[1]
+    rows = full(x, u, dx, 0 * du)
+    rows[..., 3:] = full(x, u, 0 * dx, du)[..., 3:]
+    return rows
 
 
 @pytest.mark.parametrize("dropped", ["f_xx", "f_xu"])
@@ -1500,4 +1497,124 @@ def test_dropped_second_partial_fails_the_taylor_row(dropped):
     rows = {r.name: r for r in pl.validate_oracle(ep, seed=0)}
     assert not rows["second-differential Taylor order deficit"].passed
     assert rows["second-differential symmetry"].passed
+    assert rows["jacobian Taylor order deficit"].passed
+
+
+# wrong stage rows made from right ones (..., 3, 5)
+_WRONG_ROWS = {
+    "column-short": lambda rows: rows[..., :4],
+    "row-short": lambda rows: rows[..., :2, :],
+    "pair": lambda rows: (rows[..., :3], rows[..., 3:]),   # (dA, dB)
+}
+
+
+@pytest.mark.parametrize("field, wrong", [
+    ("partials", "column-short"), ("partials", "row-short"),
+    ("d_partials", "column-short"), ("d_partials", "pair")])
+def test_partials_of_the_wrong_shape_are_configuration_errors(field, wrong):
+    """Stage rows of any shape but (..., n, n + m), or a pair of arrays, are
+    a ConfigurationError naming the shape expected and the one received,
+    raised where the oracle reads them: J for ``partials``, dJ for
+    ``d_partials``."""
+    base, bad = pl.make_system("brockett"), _WRONG_ROWS[wrong]
+    full = getattr(base, field)
+    system = dataclasses.replace(
+        base, **{field: lambda *args: bad(full(*args))})
+    grid = pl.ControlGrid(horizon=1.0, segments=6, control_dim=2)
+    ep = pl.EndpointOracle(system, [0.1, -0.2, 0.3], grid)
+    u, v = np.random.default_rng(21).uniform(-1.0, 1.0, (2, ep.dim_domain))
+    # stage rows at the 4 stages of 1 control's 6 segments of 6 steps
+    expect = (4, 1, 6, 6, 3, 5)
+    got = bad(np.zeros(expect))
+    got = "tuple" if isinstance(got, tuple) else got.shape
+    with pytest.raises(ConfigurationError, match="^" + re.escape(
+            f"{field} must return one (..., n, n + m) array, {expect} "
+            f"here, got {got}") + "$"):
+        ep.jacobian_derivative(u, v)
+    if field == "d_partials":       # J reads only the partials
+        fresh = pl.EndpointOracle(base, [0.1, -0.2, 0.3], grid)
+        assert ep.jacobian(u).tobytes() == fresh.jacobian(u).tobytes()
+
+
+# -- a state beyond n = 3 ----------------------------------------------------
+
+
+def _chained_system():
+    """The chained form of length 4, x1' = u1, x2' = u2, x3' = x2 u1,
+    x4' = x3 u1 (Murray & Sastry, IEEE Trans. Automat. Control 38
+    (1993)): n = 4, m = 2, whose fourth direction needs a Lie bracket of
+    order three.  Each segment's flow is polynomial in t, of degree 3 in
+    x4, so RK4 integrates it exactly."""
+    def f(x, u):
+        return np.array([u[0], u[1], x[1] * u[0], x[2] * u[0]])
+
+    def partials(x, u):
+        out = _stage_zeros(x, u, shape=(4, 6))
+        out[..., 2, 1] = out[..., 3, 2] = u[..., 0]
+        out[..., 0, 4] = out[..., 1, 5] = 1.0
+        out[..., 2, 4] = x[..., 1]
+        out[..., 3, 4] = x[..., 2]
+        return out
+
+    def d_partials(x, u, dx, du):
+        out = _stage_zeros(x, u, dx, du, shape=(4, 6))
+        out[..., 2, 1] = out[..., 3, 2] = du[..., 0]
+        out[..., 2, 4] = dx[..., 1]
+        out[..., 3, 4] = dx[..., 2]
+        return out
+
+    return pl.ControlSystem("chained", 4, 2, f, partials, d_partials)
+
+
+def _chained(segments, d_partials=None):
+    """Chained-form endpoint oracle from rest on [0, 1], with its own
+    ``d_partials`` or, if given, ``d_partials`` in its place."""
+    system = _chained_system()
+    if d_partials is not None:
+        system = dataclasses.replace(system, d_partials=d_partials)
+    grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
+    return pl.EndpointOracle(system, np.zeros(4), grid)
+
+
+@pytest.mark.parametrize("segments", [6, 10])
+def test_chained_form_passes_validate_and_steps_exactly(segments):
+    """An n = 4 system with a 4 x 6 stage-row block: ``validate`` passes
+    its three rows, and the Richardson estimate of the RK4 error is
+    roundoff."""
+    ep = _chained(segments)
+    rows = pl.validate_oracle(ep, seed=0)
+    assert len(rows) == 3
+    assert all(r.passed for r in rows), [r.line() for r in rows]
+    u = np.random.default_rng(segments).uniform(-1.0, 1.0, ep.dim_domain)
+    assert ep.discretisation_error(u) <= 1e-14
+
+
+@pytest.mark.parametrize("segments", [6, 10])
+def test_chained_form_lifts_a_line_to_a_nearby_target(segments):
+    """A line from a random control to a target 0.1 away is lifted to
+    its end through the n = 4 backward pass."""
+    ep = _chained(segments)
+    rng = np.random.default_rng(2)
+    u0 = rng.uniform(-1.0, 1.0, ep.dim_domain)
+    step = rng.standard_normal(4)
+    target = ep.eval(u0) + 0.1 * step / np.linalg.norm(step)
+    rep = pl.lift(ep, pl.line_to_target(ep, u0, target), u0)
+    assert rep.status == pl.REACHED
+    np.testing.assert_allclose(ep.eval(rep.final_u), target, rtol=0,
+                               atol=1e-9)
+
+
+def test_chained_form_without_a_second_partial_fails_the_taylor_row():
+    """Its d_partials without the term dx3 of d(x4')/du1 fails the
+    second-order Taylor row, and J's row still passes."""
+    full = _chained_system().d_partials
+
+    def dropped(x, u, dx, du):
+        rows = full(x, u, dx, du)
+        rows[..., 3, 4] = 0.0
+        return rows
+
+    rows = {r.name: r
+            for r in pl.validate_oracle(_chained(6, dropped), seed=0)}
+    assert not rows["second-differential Taylor order deficit"].passed
     assert rows["jacobian Taylor order deficit"].passed

@@ -431,17 +431,17 @@ def test_check_report_decomposes_and_evaluates_each_plan_point_once(
 def test_check_report_forms_each_plan_points_jacobian_once():
     """The oracle keeps each plan point's linearization with its J, so the
     Gramians, the switching functions and every second-variation pass
-    (C_est sweeps, coercivity samples) read it: ``f_x`` is evaluated at
-    each plan point's stage states once."""
+    (C_est sweeps, coercivity samples) read it: ``partials`` is evaluated
+    at each plan point's stage states once."""
     base = pl.make_system("unicycle")
     points = [0]
 
-    def f_x(x, u):
+    def partials(x, u):
         points[0] += int(np.prod(np.shape(x)[:-1]))
-        return base.f_x(x, u)
+        return base.partials(x, u)
 
     grid = pl.ControlGrid(horizon=1.0, segments=6, control_dim=2)
-    o = pl.EndpointOracle(dataclasses.replace(base, f_x=f_x),
+    o = pl.EndpointOracle(dataclasses.replace(base, partials=partials),
                           [0.1, -0.2, 0.3], grid)
     plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=1, z_samples=2)
     pl.check_report(o, plan)

@@ -136,6 +136,15 @@ def test_counts_must_be_integers(name):
             build(bad)
 
 
+@pytest.mark.parametrize("control_dim", [0, -2])
+def test_control_grid_needs_a_control(control_dim):
+    """``control_dim`` is checked as ``segments`` is: an integer, and at
+    least one, before any property such as ``weights`` reads it."""
+    with pytest.raises(ConfigurationError,
+                       match="^control_dim must be >= 1$"):
+        pl.ControlGrid(1.0, 6, control_dim)
+
+
 def test_fd_second_matches_analytic():
     rng = np.random.default_rng(5)
     o = pl.SphereMap(3)
