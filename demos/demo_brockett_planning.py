@@ -12,8 +12,6 @@ re-integrated endpoint matches the target to solver precision.
 Run:  python3 demos/demo_brockett_planning.py
 """
 
-import warnings
-
 import numpy as np
 
 import pathlift as pl
@@ -23,16 +21,14 @@ def main():
     oracle = pl.endpoint_problem("brockett", x0=[0.0, 0.0, 0.0],
                                  horizon=1.0, segments=20)
 
-    # the zero control is the classic degenerate start: corank-1 Gramian
-    # (the repeated eigenvalue above lambda_1 is expected here)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        spec0 = pl.spectral_decompose(
-            pl.gramian(oracle, np.zeros(oracle.dim_domain)))
+    # the zero control is the classic degenerate start: corank-1 Gramian,
+    # with a repeated eigenvalue above lambda_1
+    spec0 = pl.spectrum_at(oracle, np.zeros(oracle.dim_domain))
     print("Gramian eigenvalues at the zero control:",
           np.round(spec0.lambdas, 12))
     print("least eigenvector (the invisible direction):",
           np.round(spec0.vectors[:, 0], 6))
+    print("tied eigenvalues above lambda_1:", spec0.degenerate)
     print()
 
     u0 = oracle.grid.constant([1.0, 1.0])

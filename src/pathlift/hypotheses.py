@@ -18,13 +18,12 @@ report records the seed and sample counts, and a report states at most
 """
 
 import io
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidXi, finite, integer, positive
-from .spectrum import spectrum_at
+from .spectrum import _gramian, spectral_decompose
 
 POWER_ITERATIONS = 12
 GROWTH_SLOPE_LIMIT = 2.0
@@ -298,40 +297,53 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     return float(best[0]) if np.ndim(u) == 1 else best
 
 
-def _switching_samples(oracle, us, zs, phis):
-    """||phi_z||_X and the coercivity ratio at each sample (u, z) with its
-    switching function phi_z, the ratio NaN where phi_z is degenerate:
-    one stack of dJ."""
-    us, zs = np.asarray(us, dtype=float), np.asarray(zs, dtype=float)
-    phis = np.asarray(phis, dtype=float)
+def _switching_samples(oracle, us, jacs, zs, xi=None):
+    """(P, Z) tables of ||phi_z||_X, the coercivity ratio (NaN where phi_z
+    is degenerate) and the margin ratio * ||phi_z|| * xi(||u||)^2 (NaN
+    without ``xi``) at points ``us`` (P, N) with their J (P, n, N) and z
+    samples ``zs`` (P, Z, n), phi_z = W^-1 J^T z: one stack of dJ, xi^2
+    once per point.  In float64: a margin is inf where xi^2 overflows."""
+    shape = zs.shape[:2]
+    phis = np.array([(jac.T @ z) / oracle.weights
+                     for jac, u_zs in zip(jacs, zs) for z in u_zs])
+    zs = zs.reshape(len(phis), -1)
     nphi2 = np.array([oracle.inner(phi, phi) for phi in phis])
     keep = np.flatnonzero(nphi2 > DEGENERATE_SWITCHING ** 2)
     ratio = np.full(len(phis), np.nan)
-    curvatures = oracle.jacobian_derivative_many(us[keep], phis[keep])
+    curvatures = oracle.jacobian_derivative_many(us[keep // shape[1]],
+                                                 phis[keep])
     for k, dj in zip(keep, curvatures):
         curv = abs(oracle.inner(phis[k], (zs[k] @ dj) / oracle.weights))
         ratio[k] = curv / nphi2[k]
-    return np.sqrt(nphi2), ratio
+    nphi, ratio = np.sqrt(nphi2).reshape(shape), ratio.reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_u2 = [np.nan if xi is None else xi(oracle.norm(u)) ** 2
+                 for u in us]
+        margin = ratio * nphi * np.reshape(xi_u2, (-1, 1))
+    return nphi, ratio, margin
+
+
+def _one_sample(oracle, u, z, xi=None):
+    """(ratio, margin) of :func:`_switching_samples` at one sample."""
+    u, z = oracle._domain_vec(u), oracle._codomain_vec(z)
+    _, ratio, margin = _switching_samples(
+        oracle, u[None], oracle.jacobian(u)[None], z[None, None], xi)
+    return ratio.item(), margin.item()
 
 
 def coercivity_ratio(oracle, u, z):
     """|z^* d2F(phi_z, phi_z)| / ||phi_z||_X^2, or None when the
     switching function is degenerate at the sample."""
-    (ratio,) = _switching_samples(oracle, [u], [z],
-                                  [oracle.apply_adjoint(u, z)])[1]
-    return None if np.isnan(ratio) else float(ratio)
+    ratio, _ = _one_sample(oracle, u, z)
+    return None if np.isnan(ratio) else ratio
 
 
 def xi_margin(oracle, u, z, xi):
     """Margin ratio * ||phi_z|| * xi(||u||)^2 of the product condition at
-    one sample; pass is >= 1.  In float64: inf where xi^2 overflows, NaN
-    where the ratio is 0 there."""
-    (nphi,), (ratio,) = _switching_samples(oracle, [u], [z],
-                                           [oracle.apply_adjoint(u, z)])
-    if np.isnan(ratio):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(ratio * nphi * xi(oracle.norm(u)) ** 2)
+    one sample, None where phi_z is degenerate; pass is >= 1.  In float64:
+    inf where xi^2 overflows, NaN where the ratio is 0 there."""
+    ratio, margin = _one_sample(oracle, u, z, xi)
+    return None if np.isnan(ratio) else margin
 
 
 def _sample_u(oracle, plan, shell_idx, sample_idx):
@@ -368,14 +380,13 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     Deterministic given (oracle, plan): each sample draws from its own
     hashed substream, so doubling the counts extends the sample set
     without disturbing earlier draws.  The samples form one table of
-    shells x points x z samples: per plan point (every J formed in one
-    :meth:`MapOracle.jacobian_many` and taken once, by
-    :func:`~pathlift.spectrum.spectrum_at`, for its Gramian and its
-    switching functions; each Gramian decomposed once) its
-    least eigenvalue, singular flag, eigenvalue floor and C_est, and per
-    (u, z) ||phi_z|| and the coercivity ratio, NaN where phi_z is
-    degenerate and the sample skipped.  Every shell row and every
-    aggregate is a reduction of the table over its axes.
+    shells x points x z samples: per plan point (every J formed once, in
+    one :meth:`MapOracle.jacobian_many`, for its Gramian and its
+    switching functions; each Gramian decomposed once) its least
+    eigenvalue, singular flag, eigenvalue floor and C_est, and per (u, z)
+    ||phi_z||, the coercivity ratio and the product margin, NaN where
+    phi_z is degenerate and the sample skipped.  Every shell row and
+    every aggregate is a reduction of the table over its axes.
     """
     lambda0 = positive(lambda0, "lambda0")
     radii = np.asarray(plan.radii)
@@ -384,18 +395,10 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
     points = np.array([_sample_u(oracle, plan, si, k) for si, k in index])
     zs = np.array([[_sample_z(oracle, plan, si, k, j)
                     for j in range(plan.z_samples)] for si, k in index])
-    oracle.jacobian_many(points)
-    # each point's spectrum and its z samples' switching functions
-    # W^-1 J^T z from one J, which an endpoint oracle keeps; sampling only
-    # reads eigenvalues, so basis ambiguity in a repeated spectrum is
-    # harmless
-    specs, phis = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for u, u_zs in zip(points, zs):
-            specs.append(spectrum_at(oracle, u))
-            phis.extend((specs[-1].jac.T @ z) / oracle.weights
-                        for z in u_zs)
+    jacs = oracle.jacobian_many(points)
+    # sampling reads eigenvalues only: a tie above lambda_1 is harmless
+    specs = [spectral_decompose(_gramian(jac, oracle.weights))
+             for jac in jacs]
     lam1 = np.reshape([s.lambdas[0] for s in specs], shape)
     singular = np.reshape([s.singular for s in specs], shape)
     gap = np.reshape([s.floor for s in specs], shape) - lambda0
@@ -404,16 +407,8 @@ def check_report(oracle, plan, lambda0=1e-6, xi=None):
         oracle, points, v_count=plan.z_samples,
         seed=[plan.seed + 104729 * si + 1299721 * k for si, k in index]
     ).reshape(shape)
-    nphi, ratio = _switching_samples(
-        oracle, np.repeat(points, plan.z_samples, axis=0),
-        zs.reshape(-1, oracle.dim_codomain), phis)
-    nphi, ratio = nphi.reshape(shape + (-1,)), ratio.reshape(shape + (-1,))
-    # in float64: a margin is inf where xi^2 overflows, and NaN, so
-    # skipped, where the ratio is 0 there
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi_u2 = [np.nan if xi is None else xi(oracle.norm(u)) ** 2
-                 for u in points]
-        margin = ratio * nphi * np.reshape(xi_u2, shape)[..., None]
+    nphi, ratio, margin = (table.reshape(shape + (-1,)) for table in
+                           _switching_samples(oracle, points, jacs, zs, xi))
     kept = ~np.isnan(ratio)
     inv_max = (1.0 / np.where(singular, np.inf, lam1)).max(axis=1)
     # ShellStats columns after radius and samples, in field order

@@ -126,12 +126,6 @@ class MapOracle:
         return np.array([self.jacobian(u) for u in us]).reshape(
             len(us), self.dim_codomain, self.dim_domain)
 
-    def apply_adjoint(self, u, z):
-        """Switching function dF|_u^* z, i.e. W^-1 J^T z in coordinates."""
-        u = self._domain_vec(u)
-        z = self._codomain_vec(z)
-        return (self.jacobian(u).T @ z) / self.weights
-
     def jacobian_derivative_many(self, us, vs):
         """:meth:`jacobian_derivative` at each row pair of ``us`` and
         ``vs`` (K, N), shape (K, n, N), by default one call per pair."""

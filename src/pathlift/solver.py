@@ -171,8 +171,8 @@ def ple_rhs(oracle, u, gamma_dot):
 def _rhs_from_spectrum(oracle, gamma_dot, spec, clamp=False):
     """dF|_u^* G^-1 gamma_dot with G solved through the eigendecomposition
     ``spec`` at u, and |<gamma_dot, z_1>| / sqrt(lambda_1), which is |g| on
-    the path.  The adjoint step is W^-1 J^T with the J ``spec`` carries,
-    the product ``MapOracle.apply_adjoint`` forms.
+    the path.  The adjoint step is W^-1 J^T, the adjoint of J in the
+    weighted inner product, with the J ``spec`` carries.
 
     Neither depends on the eigenvector signs.  With ``clamp`` the
     eigenvalues are floored at the singular threshold, the

@@ -8,14 +8,16 @@ curvature contractions h and f feeding the least-eigenvalue derivative,
 and the blowup indicator g = a1 / sqrt(lambda_1).
 """
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigurationError, GapViolation, NumericalError
+
+log = logging.getLogger(__name__)
 
 # Relative thresholds: singular-set surrogate and tied upper eigenvalues.
 LAMBDA_SING_REL = 1e-10
@@ -26,19 +28,27 @@ DEGENERACY_REL = 1e-12
 class GramianSpectrum:
     """Ascending eigenvalues with unit eigenvectors (columns of ``vectors``)
     and, from :func:`spectrum_at`, the coordinate Jacobian ``jac`` that G
-    was formed from."""
+    was formed from.  Relative to max(1, lambda_n), ``singular`` is
+    lambda_1 below ``lambda_sing``, and ``degenerate`` a tie within
+    ``DEGENERACY_REL`` above lambda_1, whose eigenbasis is then arbitrary:
+    an expected condition (G = T I on the single integrator), not an
+    error."""
 
     lambdas: np.ndarray
     vectors: np.ndarray  # column i is z_i
     jac: np.ndarray | None = None
-    # the singular threshold and the test against it, read several times
-    # per point of a lift, so set once here
+    # read several times per point of a lift, so set once here
     lambda_sing: float = field(init=False)
     singular: bool = field(init=False)
+    degenerate: bool = field(init=False)
 
     def __post_init__(self):
-        self.lambda_sing = LAMBDA_SING_REL * max(1.0, float(self.lambdas[-1]))
+        scale = max(1.0, float(self.lambdas[-1]))
+        self.lambda_sing = LAMBDA_SING_REL * scale
         self.singular = bool(self.lambdas[0] < self.lambda_sing)
+        lam = self.lambdas.tolist() if len(self.lambdas) > 2 else ()
+        self.degenerate = any(b - a < DEGENERACY_REL * scale
+                              for a, b in zip(lam[1:], lam[2:]))
 
     def jacobian(self):
         """The J this spectrum was taken from; ConfigurationError for a
@@ -124,7 +134,8 @@ def spectral_decompose(grammat, prev=None):
     ``np.linalg.eigh`` sets around it, so a LAPACK failure raises the same
     LinAlgError.  The result is ``np.linalg.eigh``'s bit for bit, without
     its Python wrapper: on a 2 x 2 G the gufunc takes 1.6 us of the 5.0 us
-    that ``np.linalg.eigh`` does.
+    that ``np.linalg.eigh`` does.  A tie above lambda_1 sets the
+    spectrum's ``degenerate`` and logs one DEBUG record.
     """
     grammat = np.asarray(grammat, dtype=float)
     shape = grammat.shape
@@ -168,12 +179,11 @@ def spectral_decompose(grammat, prev=None):
             flip = np.dot(vectors[:, i], prev.vectors[:, i]) < 0.0
         if flip:
             vectors[:, i] = -vectors[:, i]
-    tol = DEGENERACY_REL * norm
-    if any(b - a < tol for a, b in zip(lam[1:], lam[2:])):
-        warnings.warn("degenerate eigenvalues above lambda_1; eigenbasis "
-                      "choice is arbitrary there", RuntimeWarning,
-                      stacklevel=2)
-    return GramianSpectrum(lambdas=lambdas, vectors=vectors)
+    spec = GramianSpectrum(lambdas=lambdas, vectors=vectors)
+    if spec.degenerate:
+        log.debug("degenerate eigenvalues above lambda_1; eigenbasis "
+                  "choice is arbitrary there")
+    return spec
 
 
 def diagnostics(oracle, u, spec, gamma_dot):

@@ -8,7 +8,6 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 import pathlift as pl
 from pathlift import cli
@@ -169,8 +168,8 @@ def test_criterion_5_brockett_planning():
 
 def test_criterion_6_brockett_singular_point():
     o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 20)
-    with pytest.warns(RuntimeWarning, match="degenerate"):
-        spec = spectral_decompose(gramian(o, np.zeros(o.dim_domain)))
+    spec = spectral_decompose(gramian(o, np.zeros(o.dim_domain)))
+    assert spec.degenerate     # lambda_2 = lambda_3 = 1 at u = 0
     overlap = abs(spec.vectors[2, 0])
     ok = spec.lambdas[0] <= 1e-10 and overlap >= 1.0 - 1e-8
     _record(6, ok, f"lambda_1 = {spec.lambdas[0]:.2e}, "

@@ -258,15 +258,18 @@ def test_check_report_stacks_one_second_differential_per_pair():
     o = pl.endpoint_problem("brockett", [0.1, -0.2, 0.3], 1.0, 4)
     plan = _plan(per_radius=2, z_samples=3)
     sizes = _record_stacks(o)
-    counts = _count_calls(o, "jacobian", "apply_adjoint", "second_operator",
+    counts = _count_calls(o, "jacobian", "second_operator",
                           "jacobian_derivative")
+    rows = []
+    real = o.jacobian_many
+    o.jacobian_many = lambda us: rows.append(len(us)) or real(us)
     rep = pl.check_report(o, plan, xi=pl.PowerLawXi(c=1.0, p=0.5))
     samples = len(plan.radii) * plan.per_radius
     pairs = samples * plan.z_samples - rep.skipped_samples
-    # one J per plan point gives its Gramian and its z samples' switching
-    # functions
-    assert counts["jacobian"] == samples
-    assert counts["apply_adjoint"] == 0
+    # one J per plan point, all in one jacobian_many, gives its Gramian
+    # and its z samples' switching functions; none is asked for again
+    assert rows == [samples]
+    assert counts["jacobian"] == 0
     assert counts["second_operator"] == counts["jacobian_derivative"] == 0
     # the estimator's starts of every point, its sweeps over the points
     # still sweeping, then every non-degenerate (u, z) pair in one stack
@@ -421,11 +424,24 @@ def test_check_report_decomposes_and_evaluates_each_plan_point_once(
         decompositions.append(1)
         return real(*args, **kwargs)
 
-    # spectrum_at decomposes in its own module
-    monkeypatch.setattr(spectrum, "spectral_decompose", counting)
+    # check_report decomposes through its own module's binding
+    monkeypatch.setattr(hyp, "spectral_decompose", counting)
     pl.check_report(o, plan)
     assert len(decompositions) == len(plan.radii) * plan.per_radius
     assert counts == {"eval_many": 0, "jacobian_many": 1}
+
+
+@pytest.mark.parametrize("o", [
+    pl.SphereMap(3), pl.FoldMap(),
+    pl.LinearMap([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])],
+    ids=["sphere", "fold", "linear"])
+def test_check_report_takes_one_jacobian_per_plan_point(o):
+    # an analytic map keeps nothing, so each J asked for is formed again:
+    # the Gramians and the switching functions read one J per point
+    plan = _plan(radii=(0.5, 1.0, 2.0), per_radius=2, z_samples=2)
+    counts = _count_calls(o, "jacobian")
+    pl.check_report(o, plan)
+    assert counts["jacobian"] == len(plan.radii) * plan.per_radius == 6
 
 
 def test_check_report_forms_each_plan_points_jacobian_once():
@@ -532,17 +548,15 @@ def _finite_or_nan(x):
 
 def _check_report_reference(o, plan, lambda0, xi):
     """check_report's shell rows and aggregates from loops: per plan point
-    one Gramian decomposition and one estimate, and per (u, z) one adjoint
-    and one second_operator call."""
+    one Gramian decomposition and one estimate, and per (u, z) one
+    switching function W^-1 J^T z and one second_operator call."""
     rows, fit, log_r, log_ratio, log_phi = [], [], [], [], []
     for si, r in enumerate(plan.radii):
         c_max, k_min, xi_min, skipped = 0.0, np.inf, np.inf, 0
         inv_max, gap, singular = 0.0, np.inf, 0
         for k in range(plan.per_radius):
             u = hyp._sample_u(o, plan, si, k)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                spec = pl.spectral_decompose(pl.gramian(o, u))
+            spec = pl.spectral_decompose(pl.gramian(o, u))
             gap = min(gap, spec.floor - lambda0)
             if spec.singular:
                 singular += 1
@@ -553,7 +567,7 @@ def _check_report_reference(o, plan, lambda0, xi):
                 seed=plan.seed + 104729 * si + 1299721 * k))
             for j in range(plan.z_samples):
                 z = hyp._sample_z(o, plan, si, k, j)
-                phi = o.apply_adjoint(u, z)
+                phi = (o.jacobian(u).T @ z) / o.weights
                 nphi2 = o.inner(phi, phi)
                 if nphi2 <= hyp.DEGENERATE_SWITCHING ** 2:
                     skipped += 1

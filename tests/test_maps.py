@@ -33,7 +33,8 @@ def test_adjoint_is_weighted_transpose():
         v = rng.standard_normal(7)
         z = rng.standard_normal(3)
         lhs = float(np.dot(o.jacobian(u) @ v, z))
-        rhs = o.inner(v, o.apply_adjoint(u, z))
+        # the switching function dF|_u^* z that every caller forms
+        rhs = o.inner(v, (o.jacobian(u).T @ z) / o.weights)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -238,8 +239,12 @@ def test_dimension_validation():
     o = pl.SphereMap(3)
     with pytest.raises(ConfigurationError):
         o.eval(np.zeros(4))
-    with pytest.raises(ConfigurationError):
-        o.apply_adjoint(np.zeros(3), np.zeros(2))
+    # a switching-function sample takes u in R^3 and z in the R^1 of F
+    for u, z in [(np.zeros(3), np.zeros(2)), (np.zeros(4), np.zeros(1))]:
+        with pytest.raises(ConfigurationError):
+            pl.coercivity_ratio(o, u, z)
+        with pytest.raises(ConfigurationError):
+            pl.xi_margin(o, u, z, pl.PowerLawXi(1.0, 1.0))
     with pytest.raises(ConfigurationError):
         pl.SphereMap(3, weights=np.zeros(3))
     with pytest.raises(ConfigurationError):

@@ -730,12 +730,11 @@ _ONE_J_ORACLES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:degenerate eigenvalues")
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_ple_rhs_takes_one_jacobian_for_the_gramian_and_the_adjoint(data):
-    # the velocity is apply_adjoint(u, V (V^T gamma_dot / lambda)) bit for
-    # bit, from the one J that also formed G
+    # the velocity is W^-1 J^T V (V^T gamma_dot / lambda) bit for bit,
+    # from the one J that also formed G
     name = data.draw(st.sampled_from(sorted(_ONE_J_ORACLES)), label="map")
     o = _ONE_J_ORACLES[name]
     entries = st.floats(-2.0, 2.0, allow_nan=False)
@@ -744,8 +743,8 @@ def test_ple_rhs_takes_one_jacobian_for_the_gramian_and_the_adjoint(data):
                    label="gamma_dot")
     spec = pl.spectral_decompose(pl.gramian(o, u))
     assume(not spec.singular)
-    expect = o.apply_adjoint(
-        u, spec.vectors @ ((spec.vectors.T @ gd) / spec.lambdas))
+    expect = (o.jacobian(u).T @ (spec.vectors @ ((spec.vectors.T @ gd)
+                                                 / spec.lambdas))) / o.weights
     calls = []
     real = o.jacobian
     o.jacobian = lambda uu: calls.append(1) or real(uu)
@@ -757,6 +756,19 @@ def test_ple_rhs_takes_one_jacobian_for_the_gramian_and_the_adjoint(data):
     assert rhs.tobytes() == expect.tobytes()
     assert g == abs(float((spec.vectors.T @ gd)[0]
                           / np.sqrt(spec.lambdas[0])))
+
+
+def test_a_lift_through_tied_eigenvalues_warns_nothing():
+    # the single integrator's G = T I ties lambda_2 = lambda_3 at every
+    # state: an expected condition that each spectrum reads, not a warning
+    o = pl.endpoint_problem("single-integrator", [0.0, 0.0, 0.0], 1.0, 6,
+                            system_params={"dim": 3})
+    u0 = o.grid.constant([1.0, 0.5, -0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = pl.lift(o, pl.line_to_target(o, u0, [0.3, -0.4, 0.9]), u0)
+    assert rep.status == pl.REACHED
+    assert all(st.spectrum.degenerate for st in rep.trace)
 
 
 def test_a_lift_takes_one_jacobian_per_point(monkeypatch):

@@ -1,5 +1,6 @@
 """Gramian spectrum, diagnostics, and derivative formulas."""
 
+import logging
 import warnings
 from types import SimpleNamespace
 
@@ -95,12 +96,10 @@ def _spectral_reference(grammat, prev=None):
         for i in range(len(lambdas)):
             if np.dot(vectors[:, i], prev.vectors[:, i]) < 0.0:
                 vectors[:, i] = -vectors[:, i]
-    ties = np.diff(lambdas[1:]) < DEGENERACY_REL * norm
-    if np.any(ties):
-        warnings.warn("degenerate eigenvalues above lambda_1; eigenbasis "
-                      "choice is arbitrary there", RuntimeWarning,
-                      stacklevel=2)
-    return GramianSpectrum(lambdas=lambdas, vectors=vectors)
+    spec = GramianSpectrum(lambdas=lambdas, vectors=vectors)
+    spec.degenerate = bool(np.any(np.diff(lambdas[1:])
+                                  < DEGENERACY_REL * norm))
+    return spec
 
 
 def _canonical(vectors):
@@ -112,26 +111,46 @@ def _canonical(vectors):
     return vectors * signs
 
 
+DEGENERATE_RECORD = ("degenerate eigenvalues above lambda_1; eigenbasis "
+                     "choice is arbitrary there")
+
+
 def _outcome(decompose, grammat, prev):
-    """(spectrum or None, error message or None, warning messages)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            spec, error = decompose(grammat.copy(), prev=prev), None
-        except NumericalError as exc:
-            spec, error = None, str(exc)
-    return spec, error, [str(w.message) for w in caught]
+    """(spectrum or None, error message or None, the messages logged under
+    ``pathlift.spectrum``); a warning is an error."""
+    logged = []
+    handler = logging.Handler()
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("pathlift.spectrum")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                spec, error = decompose(grammat.copy(), prev=prev), None
+            except NumericalError as exc:
+                spec, error = None, str(exc)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return spec, error, logged
 
 
 def _assert_same_outcome(grammat, prev):
-    spec, error, warned = _outcome(pl.spectral_decompose, grammat, prev)
-    ref, ref_error, ref_warned = _outcome(_spectral_reference, grammat, prev)
-    assert (error, warned) == (ref_error, ref_warned)
+    spec, error, logged = _outcome(pl.spectral_decompose, grammat, prev)
+    ref, ref_error, _ = _outcome(_spectral_reference, grammat, prev)
+    assert error == ref_error
+    degenerate = ref is not None and ref.degenerate
+    # one DEBUG record where the reference finds a tie above lambda_1
+    assert logged == [DEGENERATE_RECORD] * degenerate
     if ref is not None:
         expect = ref.vectors if prev is not None else _canonical(ref.vectors)
         assert spec.lambdas.tobytes() == ref.lambdas.tobytes()
         assert spec.vectors.tobytes() == expect.tobytes()
-    return error or (warned and "warned") or "regular"
+        assert spec.degenerate == degenerate
+    return error or (degenerate and "degenerate") or "regular"
 
 
 def _orthogonal(a):
@@ -186,8 +205,12 @@ def test_spectral_reference_pins_the_warning_and_the_raises(grammat,
                                                              message):
     prev_spec = pl.spectral_decompose(np.diag(np.arange(len(grammat)) + 1.0))
     for prev in (None, prev_spec):
-        spec, error, warned = _outcome(pl.spectral_decompose, grammat, prev)
-        assert message in (error or "") + "".join(warned)
+        spec, error, logged = _outcome(pl.spectral_decompose, grammat, prev)
+        assert message in (error or "") + "".join(logged)
+        # a tie above lambda_1 is a spectrum that reads degenerate, not an
+        # error
+        assert (error is None and spec.degenerate) == (
+            message == "degenerate eigenvalues above lambda_1")
         _assert_same_outcome(grammat, prev)
 
 
@@ -206,6 +229,21 @@ def test_singular_flag_threshold():
     assert spec.singular
     spec = pl.spectral_decompose(np.diag([1e-6, 1.0]))
     assert not spec.singular
+
+
+def test_degenerate_flags_a_tie_above_lambda_1():
+    # relative to max(1, lambda_n), as the singular threshold is
+    for grammat in (np.diag([0.5, 2.0, 2.0]), np.diag([0.5, 1e6, 1e6 + 1e-7]),
+                    np.diag([1e-12, 0.3, 0.3, 4.0])):
+        assert pl.spectral_decompose(grammat).degenerate
+    # Brockett at the zero control: lambda_1 = 0 below lambda_2 = lambda_3
+    o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 10)
+    assert pl.spectrum_at(o, np.zeros(o.dim_domain)).degenerate
+    # distinct eigenvalues, a tie at lambda_1 itself, and n <= 2
+    for grammat in (np.diag([0.5, 1.0, 2.0]), np.diag([0.5, 1.0, 1.0 + 1e-11]),
+                    np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 0.0, 1.0]),
+                    np.eye(2), np.zeros((2, 2)), np.array([[3.0]])):
+        assert not pl.spectral_decompose(grammat).degenerate
 
 
 def test_spectrum_floor():
