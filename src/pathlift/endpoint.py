@@ -7,7 +7,13 @@ in R^n.  The induced weighted inner product with weights T/P equals the
 L2 inner product of the piecewise-constant representatives exactly, so
 the oracle adjoint discretizes the continuous one.
 
-The map F is the one ``integrate`` computes: S classical RK4 steps per
+A system that declares ``closed_form`` (Brockett's and the single
+integrator) has its exact endpoint map computed from it: F, J and dJ
+from a few cumulative sums over the segments, with no integration and no
+memo.  What follows describes the map of every other system, and the
+trajectories of all of them (``trajectory``, ``endpoint_refined``).
+
+That map F is the one ``integrate`` computes: S classical RK4 steps per
 segment, S(P) = min(6, ceil(60 / P)) on P segments
 (``ControlGrid.substeps``).  No grid steps coarser than the 10-segment
 one, h <= T / 60, and none takes more than 6 steps per segment; every
@@ -107,6 +113,20 @@ class ControlSystem:
     ConfigurationError for another shape.  ``pathlift.validate_oracle``
     checks a hand-written ``d_partials``: a wrong term fails its
     second-order Taylor row.
+
+    ``closed_form``, optional, is the exact endpoint map of P constant
+    controls on segments of length dt.  ``closed_form(x0, us, dt)``, with
+    K controls stacked on the leading axis of ``us`` (K, P, m), returns
+    F (K, n) and J (K, n, P m), J's columns segment by segment as the
+    flattened control; ``closed_form(x0, us, dt, vs)``, with directions
+    ``vs`` (K, P, m), returns dJ(v_k) at u_k (K, n, P m), the derivative
+    of J along v_k.  Each member's rows are those of the stack of one, bit
+    for bit.  It returns fresh arrays, and raises TrajectoryBlowup as
+    ``integrate`` does where a segment-end state is non-finite or larger
+    than BLOWUP_NORM (:func:`_check_escape`); the oracle calls it with
+    floating-point warnings off, as ``integrate`` calls ``f``.  Where it
+    is set, ``EndpointOracle`` takes F, J and dJ from it and keeps no
+    memo; ``trajectory`` and ``endpoint_refined`` still integrate ``f``.
     """
 
     name: str
@@ -116,6 +136,9 @@ class ControlSystem:
     partials: Callable   # (..., n), (..., m) -> (..., n, n + m)
     # (..., n), (..., m), (..., n), (..., m) -> (..., n, n + m)
     d_partials: Callable
+    # x0 (n,), us (K, P, m), dt -> F (K, n), J (K, n, P m); with vs
+    # (K, P, m) -> dJ (K, n, P m)
+    closed_form: Callable = None
 
 
 def _lead(*arrays):
@@ -136,13 +159,42 @@ def _zero_d_partials(n, m):
     return lambda x, u, dx, du: np.zeros(_lead(x, u, dx, du) + (n, n + m))
 
 
+def _check_escape(ends, dt):
+    """Raise TrajectoryBlowup, as :func:`integrate` does, at the first
+    segment end, over all members, whose state in ``ends`` (K, P, n) is
+    non-finite or has |x|^2 > BLOWUP_NORM^2."""
+    squares = np.add.reduce(ends * ends, axis=-1)
+    # NaN, inf and large states alike fail the test on the largest
+    if squares.size and not squares.max() <= BLOWUP_NORM ** 2:
+        fine = (squares <= BLOWUP_NORM ** 2).all(axis=0)
+        t = (int(fine.argmin()) + 1) * dt
+        raise TrajectoryBlowup(
+            f"trajectory escaped near t = {t:.4f}", escape_time=t)
+
+
+def _integrator_closed_form(x0, us, dt, vs=None):
+    """The single integrator's endpoint map, F = x0 + dt sum_p u_p, with
+    J = dt [I ... I] and dJ = 0 (``ControlSystem.closed_form``)."""
+    count, segments, n = us.shape
+    # the states at the segment ends, x0 first, summed from x0 on
+    states = np.empty((count, segments + 1, n))
+    states[:, 0] = x0
+    np.multiply(us, dt, out=states[:, 1:])
+    np.add.accumulate(states, axis=1, out=states)
+    _check_escape(states[:, 1:], dt)
+    if vs is not None:
+        return np.zeros((count, n, segments * n))
+    return states[:, -1], np.tile(dt * np.eye(n), (count, 1, segments))
+
+
 def single_integrator(dim=1):
     dim = integer(dim, "dim")
     return ControlSystem(
         name="single-integrator", state_dim=dim, control_dim=dim,
         f=lambda x, u: np.asarray(u, float),
         partials=_constant(np.eye(dim, 2 * dim, dim)),      # [0 | I]
-        d_partials=_zero_d_partials(dim, dim))
+        d_partials=_zero_d_partials(dim, dim),
+        closed_form=_integrator_closed_form)
 
 
 def lti(A, B):
@@ -182,7 +234,50 @@ def brockett():
         return out
 
     return ControlSystem(name="brockett", state_dim=3, control_dim=2, f=f,
-                         partials=partials, d_partials=d_partials)
+                         partials=partials, d_partials=d_partials,
+                         closed_form=_brockett_closed_form)
+
+
+def _half_sums(w, dt, out, reverse=False):
+    """Writes dt^2 (sum_{r<q} w_r + w_q / 2) at each segment q of ``w``
+    (K, P) into ``out``, dt^2 (sum_{r>q} w_r + w_q / 2) with ``reverse``."""
+    if reverse:
+        w, out = w[:, ::-1], out[:, ::-1]
+    np.add.accumulate(w, axis=1, out=out)
+    out -= 0.5 * w
+    out *= dt * dt
+
+
+def _brockett_closed_form(x0, us, dt, vs=None):
+    """Brockett's endpoint map (``ControlSystem.closed_form``).  On segment
+    p with control (a_p, b_p), x_1 and x_2 gain dt a_p and dt b_p, and x_3
+    gains b_p c_p, c_p = dt x1_p + dt^2 a_p / 2 = dt x_1 at the segment's
+    midpoint, x1_p the x_1 at its start.  So F is quadratic in u: J's third
+    row is c_p on b_p and dt^2 (b_q / 2 + sum_{p>q} b_p) on a_q.  dJ(v),
+    v = (alpha, beta), is 0 but for its third row, the same two cumulative
+    sums over v: dt^2 (sum_{r<q} alpha_r + alpha_q / 2) on b_q and
+    dt^2 (beta_q / 2 + sum_{p>q} beta_p) on a_q."""
+    count, segments, _ = us.shape
+    # the states at the segment ends, x0 first, summed from x0 on
+    states = np.empty((count, segments + 1, 3))
+    states[:, 0] = x0
+    np.multiply(us, dt, out=states[:, 1:, :2])
+    np.add.accumulate(states[..., :2], axis=1, out=states[..., :2])
+    gains = np.add(states[:, :-1, 0], states[:, 1:, 0])
+    gains *= 0.5 * dt       # c_p
+    np.multiply(us[..., 1], gains, out=states[:, 1:, 2])
+    np.add.accumulate(states[..., 2], axis=1, out=states[..., 2])
+    _check_escape(states[:, 1:], dt)
+    jac = np.zeros((count, 3, segments, 2))
+    third = jac[:, 2]
+    if vs is not None:
+        _half_sums(vs[..., 1], dt, third[..., 0], reverse=True)
+        _half_sums(vs[..., 0], dt, third[..., 1])
+        return jac.reshape(count, 3, 2 * segments)
+    jac[:, 0, :, 0] = jac[:, 1, :, 1] = dt
+    _half_sums(us[..., 1], dt, third[..., 0], reverse=True)
+    third[..., 1] = gains
+    return states[:, -1], jac.reshape(count, 3, 2 * segments)
 
 
 def unicycle():
@@ -647,6 +742,12 @@ class EndpointOracle(MapOracle):
     control once, and the backward pass calls no ``f``.  Any call may
     replace the memo, with no lock: use one oracle from one thread at a
     time.  What it keeps is read-only.
+
+    For a system with a ``closed_form``, :meth:`eval`, :meth:`jacobian`,
+    :meth:`jacobian_derivative` and their ``_many`` forms return the
+    closed form's fresh arrays, computed anew at each call (a fresh
+    Brockett J in a tenth of the time of one by RK4), and only the RK4
+    trajectories keep the memo.
     """
 
     def __init__(self, system, x0, grid):
@@ -671,8 +772,31 @@ class EndpointOracle(MapOracle):
     # -- oracle contract ---------------------------------------------------
 
     def eval(self, u):
+        if self.system.closed_form is not None:
+            return self._closed(self._domain_vec(u)[None])[0][0]
         _, states = self.trajectory(u)
         return states[-1].copy()
+
+    def _closed(self, us, vs=None):
+        """The system's ``closed_form`` at the rows of ``us`` (K, N): (F, J),
+        or with directions ``vs`` (K, N) dJ(v_k) at u_k; ConfigurationError
+        unless each is of its stated shape."""
+        grid, count = self.grid, len(us)
+        shape = (count, grid.segments, grid.control_dim)
+        args = (self.x0, us.reshape(shape), grid.dt)
+        with np.errstate(all="ignore"):
+            if vs is None:
+                out = self.system.closed_form(*args)
+            else:
+                out = (self.system.closed_form(*args, vs.reshape(shape)),)
+        n, dim = self.dim_codomain, self.dim_domain
+        want = ([(count, n), (count, n, dim)] if vs is None else
+                [(count, n, dim)])
+        got = [getattr(a, "shape", None) for a in out]
+        if got != want:
+            raise ConfigurationError(
+                f"closed_form must return arrays of shapes {want}, got {got}")
+        return out
 
     def _kept(self, us, ask=False):
         """The memo's entries for the rows of ``us`` (B, N), the rows it
@@ -697,9 +821,12 @@ class EndpointOracle(MapOracle):
         return [self._memo[key] for key in keys]
 
     def eval_many(self, us):
-        """F at each row of ``us`` (B, N), shape (B, n), from
-        :meth:`_kept`: a later :meth:`jacobian` costs no integration."""
+        """F at each row of ``us`` (B, N), shape (B, n), from the closed
+        form, else from :meth:`_kept`: a later :meth:`jacobian` costs no
+        integration."""
         us = self._domain_rows(us)
+        if self.system.closed_form is not None:
+            return self._closed(us)[0]
         ends = [e.trajectory[1][-1] for e in self._kept(us)]
         return np.array(ends).reshape(len(us), self.dim_codomain)
 
@@ -718,7 +845,10 @@ class EndpointOracle(MapOracle):
         """(16/15) |F_S(u) - F_2S(u)|: Richardson's estimate of the RK4
         error |F_S(u) - F(u)| of the computed map.  The error is of order
         h^4, so halving h leaves 1/16 of it, and F_S - F_2S is 15/16 of
-        F_S's error."""
+        F_S's error.  On a system with a ``closed_form``, F_S is the exact
+        map and F_2S still RK4's, so it reads how far RK4 on 2S steps is
+        from the exact map: roundoff for Brockett and the single
+        integrator, whose segment flows RK4 integrates exactly."""
         return 16.0 / 15.0 * float(np.linalg.norm(
             self.eval(u) - self.endpoint_refined(u, refine=2)))
 
@@ -768,9 +898,12 @@ class EndpointOracle(MapOracle):
         return linear if count == len(kept) else None
 
     def jacobian(self, u):
-        """J = dF/du of the computed RK4 map, kept read-only in the memo
-        with u's linearization and flows for dJ at u."""
+        """J = dF/du of the closed form, or of the computed RK4 map, kept
+        read-only in the memo with u's linearization and flows for dJ at
+        u."""
         u = self._domain_vec(u)
+        if self.system.closed_form is not None:
+            return self._closed(u[None])[1][0]
         key = u.tobytes()
         kept = self._memo.get(key)
         if kept is None or kept.jac is None:
@@ -782,10 +915,13 @@ class EndpointOracle(MapOracle):
 
     def jacobian_many(self, us):
         """J at each row of ``us`` (B, N), shape (B, n, N), each bit for
-        bit :meth:`jacobian` of a row integrated in the same batch: the
-        rows the memo lacks integrated, then linearized with their flows
-        and J in one stacked call."""
-        kept = self._kept(self._domain_rows(us), ask=True)
+        bit :meth:`jacobian` (of a row integrated in the same batch): one
+        closed-form call, or the rows the memo lacks integrated, then
+        linearized with their flows and J in one stacked call."""
+        us = self._domain_rows(us)
+        if self.system.closed_form is not None:
+            return self._closed(us)[1]
+        kept = self._kept(us, ask=True)
         self._linearized(kept)
         return np.array([e.jac for e in kept]).reshape(
             len(kept), self.dim_codomain, self.dim_domain)
@@ -797,10 +933,13 @@ class EndpointOracle(MapOracle):
 
     def jacobian_derivative_many(self, us, vs):
         """Exact derivatives of :meth:`jacobian` along v_k at u_k, (K, n,
-        N), each bit for bit the stack of one, in passes of at most
-        STACK_LIMIT // (P S) members, S = ``grid.substeps``: the memory of
-        one call at STACK_LIMIT RK4 steps."""
+        N), each bit for bit the stack of one: one closed-form call, or
+        passes of at most STACK_LIMIT // (P S) members, S =
+        ``grid.substeps``, the memory of one call at STACK_LIMIT RK4
+        steps."""
         us, vs = self._pair_rows(us, vs)
+        if self.system.closed_form is not None:
+            return self._closed(us, vs)[0]
         kept = self._kept(us, ask=True)     # one batch for the new rows
         out = np.empty((len(us), self.dim_codomain, self.dim_domain))
         size = max(1, STACK_LIMIT // (self.grid.segments

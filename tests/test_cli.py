@@ -1,5 +1,6 @@
 """Config parsing, subcommands, artifacts, and exit codes."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -414,6 +415,33 @@ def test_numerical_failure_exits_6_without_traceback(tmp_path, capsys,
     assert code == cli.EXIT_NUMERICAL == 6
     assert err.startswith("error: ") and "escape" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("segments", [10, 60])
+def test_closed_form_blowup_exits_as_rk4_does(tmp_path, capsys, monkeypatch,
+                                              segments):
+    """Brockett at the constant control 1e5 escapes before T: the lift
+    exits 6 with one ``error:`` line and no traceback on the closed form
+    as on RK4, the same line where each segment is one RK4 step."""
+    text = "\n".join([
+        "[problem]", "kind = endpoint", "system = brockett", "x0 = 0, 0, 0",
+        "horizon = 1.0", f"segments = {segments}",
+        "u0_constant = 100000, 100000", "[path]", "target = 0, 0, 0"])
+    argv = ["lift", "--config", _cfg(tmp_path, text),
+            "--out-dir", str(tmp_path / "out")]
+    outcomes = []
+    for closed in (True, False):
+        if not closed:
+            monkeypatch.setitem(endpoint.SYSTEM_BUILDERS, "brockett",
+                                lambda: dataclasses.replace(
+                                    endpoint.brockett(), closed_form=None))
+        code = cli.main(argv)
+        outcomes.append((code, capsys.readouterr().err))
+    for code, err in outcomes:
+        assert code == cli.EXIT_NUMERICAL == 6
+        assert err.startswith("error: ") and "escape" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert (outcomes[0] == outcomes[1]) == (segments == 60)
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -689,6 +689,121 @@ def test_results_do_not_depend_on_the_call_history(data):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), call
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_form_equals_the_rk4_oracle(data):
+    """Brockett's and the single integrator's closed forms against the
+    RK4 oracle of the same system without one: F, J and dJ(v) within
+    1e-14 of max(1, |.|) (RK4 integrates both exactly; this is the two
+    roundoffs).  Each row of a stack is bit for bit its single call, and
+    each call is that on a fresh oracle, after any history."""
+    name = data.draw(st.sampled_from(["brockett", "single-integrator"]),
+                     label="system")
+    params = ({} if name == "brockett" else
+              {"dim": data.draw(st.integers(1, 3), label="dim")})
+    system = pl.make_system(name, **params)
+    n, m = system.state_dim, system.control_dim
+    segments = data.draw(st.sampled_from(
+        [p for p in (1, 2, 3, 6, 10, 40, 80) if p * m >= n]),
+        label="segments")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=m)
+    x0 = rng.uniform(-2.0, 2.0, n)
+    ep = pl.EndpointOracle(system, x0, grid)
+    rk4 = pl.EndpointOracle(dataclasses.replace(system, closed_form=None),
+                            x0, grid)
+    us = rng.uniform(-2.0, 2.0, (3, grid.dim))[[0, 1, 0, 2]]
+    vs = rng.uniform(-2.0, 2.0, us.shape)
+    stacks = (ep.eval_many(us), ep.jacobian_many(us),
+              ep.jacobian_derivative_many(us, vs))
+    for k, (u, v) in enumerate(zip(us, vs)):
+        fresh = pl.EndpointOracle(system, x0, grid)
+        first = (fresh.jacobian_derivative(u, v), fresh.jacobian(u),
+                 fresh.eval(u))[::-1]
+        singles = (ep.eval(u), ep.jacobian(u), ep.jacobian_derivative(u, v))
+        refs = (rk4.eval(u), rk4.jacobian(u), rk4.jacobian_derivative(u, v))
+        for stack, one, again, ref in zip(stacks, singles, first, refs):
+            assert one.shape == ref.shape
+            assert stack[k].tobytes() == one.tobytes() == again.tobytes()
+            assert (np.abs(one - ref).max()
+                    <= 1e-14 * max(1.0, np.abs(ref).max()))
+
+
+def test_closed_form_integrates_only_trajectories(monkeypatch):
+    """On Brockett, F, J and dJ come from the closed form: eval, J, dJ,
+    their stacks, ``validate_oracle`` and a short lift call ``integrate``
+    0 times, and return fresh writable arrays; ``trajectory`` and
+    ``endpoint_refined`` still integrate."""
+    calls = _count_integrate(monkeypatch)
+    ep = _oracle("brockett", 10)
+    rng = np.random.default_rng(24)
+    u, v = rng.uniform(-1.0, 1.0, (2, ep.dim_domain))
+    ep.eval(u)
+    ep.jacobian_derivative(u, v)
+    ep.eval_many([u, v])
+    ep.jacobian_many([u, v])
+    ep.jacobian_derivative_many([u, v], [v, u])
+    ep.jacobian(u)[...] = 0.0       # not kept: writing changes nothing
+    assert ep.jacobian(u).any()
+    assert all(r.passed for r in pl.validate_oracle(ep, seed=0))
+    u0 = ep.grid.constant([1.0, 1.0])
+    rep = pl.lift(ep, pl.line_to_target(ep, u0, ep.eval(u0) + 0.05), u0)
+    assert rep.status == pl.REACHED, rep.message
+    assert calls == []
+    ep.trajectory(u)
+    ep.endpoint_refined(u, refine=2)
+    assert calls == [(10, 2, 1), (10, 2)]
+
+
+def test_closed_form_of_the_wrong_shape_is_a_configuration_error():
+    """A closed form whose F, J or dJ is not of its stated shape is a
+    ConfigurationError naming the shapes, raised at each call."""
+    base = pl.make_system("brockett")
+
+    def short(x0, us, dt, *vs):     # drops the last column of J and dJ
+        out = base.closed_form(x0, us, dt, *vs)
+        return out[..., :-1] if vs else (out[0], out[1][..., :-1])
+
+    grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
+    ep = pl.EndpointOracle(dataclasses.replace(base, closed_form=short),
+                           np.zeros(3), grid)
+    u = np.ones(ep.dim_domain)
+    for call, args in [("eval", (u,)), ("jacobian_many", ([u],)),
+                       ("jacobian_derivative", (u, u))]:
+        with pytest.raises(ConfigurationError,
+                           match=r"^closed_form must return arrays of "
+                                 r"shapes \[.*\(1, 3, 8\)\], got .*7\)\]$"):
+            getattr(ep, call)(*args)
+
+
+@pytest.mark.parametrize("segments", [10, 60])
+def test_closed_form_blowup_matches_rk4(segments):
+    """Brockett at the constant control 1e5 escapes near t = 0.1414: both
+    paths raise TrajectoryBlowup, the closed form at a segment end no
+    earlier than RK4's step end, at the same one on 60 segments (one step
+    each)."""
+    grid = pl.ControlGrid(horizon=1.0, segments=segments, control_dim=2)
+    system = pl.make_system("brockett")
+    u = grid.constant([1e5, 1e5])
+    times = []
+    for form in (system.closed_form, None):
+        ep = pl.EndpointOracle(
+            dataclasses.replace(system, closed_form=form), np.zeros(3), grid)
+        for call, args in [("eval", (u,)), ("jacobian", (u,)),
+                           ("jacobian_derivative", (u, u)),
+                           ("eval_many", ([np.zeros_like(u), u],))]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TrajectoryBlowup) as info:
+                    getattr(ep, call)(*args)
+            times.append(info.value.escape_time)
+    exact, rk4 = times[:4], times[4:]
+    assert len(set(exact)) == len(set(rk4)) == 1
+    assert 0.1414 < rk4[0] <= exact[0] <= 1.0
+    assert (exact[0] == rk4[0]) == (segments == 60)
+
+
 def test_stack_split_bounds_the_working_memory(monkeypatch):
     """40 pairs at 10 segments, 60 RK4 steps each, go through passes of
     STACK_LIMIT // 60 = 4 members, so they need no more working memory
@@ -864,13 +979,12 @@ def test_repeated_stacks_linearize_each_control_once():
 
 
 def test_validate_linearizes_each_base_point_once():
-    """Brockett-10 ``validate``: its curvature stack and its Taylor
+    """Unicycle-10 ``validate``: its curvature stack and its Taylor
     rows' Jacobians read one linearization of each of the five base
     points, 5 x 10 segments x 6 steps x 4 stages = 1200 stage rows."""
     points = dict.fromkeys(["partials"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=10, control_dim=2)
-    ep = pl.EndpointOracle(_counted_system(points, "brockett"),
-                           [0.0, 0.0, 0.0], grid)
+    ep = pl.EndpointOracle(_counted_system(points), [0.0, 0.0, 0.0], grid)
     assert all(r.passed for r in pl.validate_oracle(ep, seed=0))
     assert points == dict.fromkeys(points, 1200)
 
@@ -897,15 +1011,18 @@ def test_jacobian_many_equals_single_calls(name):
 
 
 def test_jacobian_derivative_many_checks_its_rows():
-    ep = _oracle("brockett", 3)
-    us = np.zeros((2, ep.dim_domain))
-    for bad in (us[:1], us[:, :-1], us[0]):
-        with pytest.raises(ConfigurationError, match="vs must have the shape"):
-            ep.jacobian_derivative_many(us, bad)
-    with pytest.raises(ConfigurationError, match="us must have shape"):
-        ep.jacobian_derivative_many(us[0], us[0])
-    assert ep.jacobian_derivative_many(us[:0], us[:0]).shape == (
-        0, 3, ep.dim_domain)
+    # on the closed form (brockett) and on RK4 (unicycle)
+    for name in ("brockett", "unicycle"):
+        ep = _oracle(name, 3)
+        us = np.zeros((2, ep.dim_domain))
+        for bad in (us[:1], us[:, :-1], us[0]):
+            with pytest.raises(ConfigurationError,
+                               match="vs must have the shape"):
+                ep.jacobian_derivative_many(us, bad)
+        with pytest.raises(ConfigurationError, match="us must have shape"):
+            ep.jacobian_derivative_many(us[0], us[0])
+        assert ep.jacobian_derivative_many(us[:0], us[:0]).shape == (
+            0, 3, ep.dim_domain)
 
 
 _EXACT = ["brockett", "lti", "mixed", "unicycle"]
@@ -946,7 +1063,7 @@ def test_second_differential_is_symmetric(name, segments):
 
 
 def test_cached_arrays_are_read_only():
-    ep = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 4)
+    ep = pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0], 1.0, 4)
     u = 0.3 * np.ones(ep.dim_domain)
     y = ep.eval(u)
     jac = ep.jacobian(u).copy()
@@ -1287,7 +1404,7 @@ def test_eval_many_matches_eval_with_duplicates_and_small_cache(
         monkeypatch):
     calls = _count_integrate(monkeypatch)
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
-    system = pl.make_system("brockett")
+    system = pl.make_system("unicycle")
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((6, grid.dim))
     us = rows[[0, 1, 0, 2, 3, 4, 5, 1, 5]]
@@ -1342,7 +1459,7 @@ def test_validate_integrates_each_check_as_one_batch(monkeypatch):
     """The 50 Taylor line points in one trajectory call; dJ and J at the
     five base points read their cached trajectories."""
     calls = _count_integrate(monkeypatch)
-    results = pl.validate_oracle(_oracle("brockett", 6), seed=0)
+    results = pl.validate_oracle(_oracle("unicycle", 6), seed=0)
     assert all(r.passed for r in results)
     assert calls == [(6, 2, 50)]
 
@@ -1516,7 +1633,7 @@ def test_partials_of_the_wrong_shape_are_configuration_errors(field, wrong):
     a ConfigurationError naming the shape expected and the one received,
     raised where the oracle reads them: J for ``partials``, dJ for
     ``d_partials``."""
-    base, bad = pl.make_system("brockett"), _WRONG_ROWS[wrong]
+    base, bad = pl.make_system("unicycle"), _WRONG_ROWS[wrong]
     full = getattr(base, field)
     system = dataclasses.replace(
         base, **{field: lambda *args: bad(full(*args))})

@@ -630,11 +630,12 @@ def test_endgame_started_on_a_knot_takes_the_new_legs_slope():
     assert q1 == 2.0 * run.sigma0 * g
 
 
-def _short_brockett_lift(opts=None):
-    o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 10)
+def _short_lift(opts=None, system="brockett", scale=1.0):
+    o = pl.endpoint_problem(system, [0.0, 0.0, 0.0], 1.0, 10)
     u0 = o.grid.constant([1.0, 1.0])
     y0 = o.eval(u0)
-    return pl.lift(o, pl.LinePath(y0, y0 + [0.05, -0.03, 0.02]), u0, opts)
+    step = scale * np.array([0.05, -0.03, 0.02])
+    return pl.lift(o, pl.LinePath(y0, y0 + step), u0, opts)
 
 
 def test_short_lift_takes_one_cash_karp_step(monkeypatch):
@@ -647,7 +648,7 @@ def test_short_lift_takes_one_cash_karp_step(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(endpoint, "integrate", integrate)
-    rep = _short_brockett_lift()
+    rep = _short_lift(system="unicycle")    # an RK4 oracle
     assert rep.status == pl.REACHED, rep.message
     assert [state.s for state in rep.trace] == [0.0, 1.0]
     assert len(calls) <= 8
@@ -657,7 +658,8 @@ def test_rejected_correction_integrates_no_control_twice(monkeypatch):
     # tol_residual = 1e-30 makes every correction try until one fails to
     # reduce the residual; that try integrates its control, and the
     # accepted one (whose J was the last asked) stays in the oracle's
-    # memo for the state's log: each control is integrated once
+    # memo for the state's log: each control is integrated once.  On the
+    # unicycle, an RK4 oracle, over twice the short path: 15 controls
     controls = []
     real = endpoint.integrate
 
@@ -669,14 +671,14 @@ def test_rejected_correction_integrates_no_control_twice(monkeypatch):
         return real(system, x0, u_values, *args)
 
     monkeypatch.setattr(endpoint, "integrate", integrate)
-    rep = _short_brockett_lift(pl.SolverOptions(tol_residual=1e-30))
+    rep = _short_lift(pl.SolverOptions(tol_residual=1e-30), "unicycle", 2.0)
     assert rep.status == pl.DIVERGED
     assert len(controls) >= 10
     assert len(controls) == len(set(controls))
 
 
 def test_small_ds_init_keeps_the_growing_step_sequence():
-    rep = _short_brockett_lift(pl.SolverOptions(ds_init=0.01))
+    rep = _short_lift(pl.SolverOptions(ds_init=0.01))
     assert rep.status == pl.REACHED, rep.message
     np.testing.assert_allclose([state.s for state in rep.trace],
                                [0.0, 0.01, 0.06, 0.31, 1.0], atol=1e-12)
