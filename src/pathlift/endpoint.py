@@ -63,9 +63,10 @@ and two scans over the segments (see
 ``EndpointOracle._second_variations``).
 
 The oracle keeps a read-only memo keyed by control bytes (see
-``EndpointOracle``).  J and dJ at a kept control integrate nothing,
-evaluate no ``f`` or ``partials``, form no flows and keep nothing new,
-and a dJ pass there pays only for its members.
+``EndpointOracle``), and ``eval`` is the stack of one of ``eval_many``.
+F, J and dJ at a kept control integrate nothing, evaluate no ``f`` or
+``partials``, form no flows and keep nothing new, and a dJ pass there
+pays only for its members.
 """
 
 import functools
@@ -122,11 +123,11 @@ class ControlSystem:
     ``vs`` (K, P, m), returns dJ(v_k) at u_k (K, n, P m), the derivative
     of J along v_k.  Each member's rows are those of the stack of one, bit
     for bit.  It returns fresh arrays, and raises TrajectoryBlowup as
-    ``integrate`` does where a segment-end state is non-finite or larger
-    than BLOWUP_NORM (:func:`_check_escape`); the oracle calls it with
-    floating-point warnings off, as ``integrate`` calls ``f``.  Where it
-    is set, ``EndpointOracle`` takes F, J and dJ from it and keeps no
-    memo; ``trajectory`` and ``endpoint_refined`` still integrate ``f``.
+    ``integrate`` does, by :func:`_check_escape` on the segment-end states
+    and times; the oracle calls it with floating-point warnings off, as
+    ``integrate`` calls ``f``.  Where it is set, ``EndpointOracle`` takes
+    F, J and dJ from it and keeps no memo; ``trajectory`` and
+    ``endpoint_refined`` still integrate ``f``.
     """
 
     name: str
@@ -159,15 +160,17 @@ def _zero_d_partials(n, m):
     return lambda x, u, dx, du: np.zeros(_lead(x, u, dx, du) + (n, n + m))
 
 
-def _check_escape(ends, dt):
-    """Raise TrajectoryBlowup, as :func:`integrate` does, at the first
-    segment end, over all members, whose state in ``ends`` (K, P, n) is
-    non-finite or has |x|^2 > BLOWUP_NORM^2."""
+def _check_escape(ends, times):
+    """Raise TrajectoryBlowup at the first of the end times ``times`` (T,)
+    at which a member's state in ``ends`` (K, T, n) is non-finite or has
+    |x|^2 > BLOWUP_NORM^2: the one escape test of :func:`integrate` and
+    of the closed forms, its ``escape_time`` that time."""
     squares = np.add.reduce(ends * ends, axis=-1)
-    # NaN, inf and large states alike fail the test on the largest
+    # |x| <= BLOWUP_NORM as |x|^2 <= BLOWUP_NORM^2, the same test for every
+    # float; NaN, inf and large states alike fail it on the largest
     if squares.size and not squares.max() <= BLOWUP_NORM ** 2:
         fine = (squares <= BLOWUP_NORM ** 2).all(axis=0)
-        t = (int(fine.argmin()) + 1) * dt
+        t = float(times[int(fine.argmin())])
         raise TrajectoryBlowup(
             f"trajectory escaped near t = {t:.4f}", escape_time=t)
 
@@ -181,7 +184,7 @@ def _integrator_closed_form(x0, us, dt, vs=None):
     states[:, 0] = x0
     np.multiply(us, dt, out=states[:, 1:])
     np.add.accumulate(states, axis=1, out=states)
-    _check_escape(states[:, 1:], dt)
+    _check_escape(states[:, 1:], dt * np.arange(1, segments + 1))
     if vs is not None:
         return np.zeros((count, n, segments * n))
     return states[:, -1], np.tile(dt * np.eye(n), (count, 1, segments))
@@ -189,6 +192,8 @@ def _integrator_closed_form(x0, us, dt, vs=None):
 
 def single_integrator(dim=1):
     dim = integer(dim, "dim")
+    if dim < 1:
+        raise ConfigurationError("dim must be >= 1")
     return ControlSystem(
         name="single-integrator", state_dim=dim, control_dim=dim,
         f=lambda x, u: np.asarray(u, float),
@@ -267,7 +272,7 @@ def _brockett_closed_form(x0, us, dt, vs=None):
     gains *= 0.5 * dt       # c_p
     np.multiply(us[..., 1], gains, out=states[:, 1:, 2])
     np.add.accumulate(states[..., 2], axis=1, out=states[..., 2])
-    _check_escape(states[:, 1:], dt)
+    _check_escape(states[:, 1:], dt * np.arange(1, segments + 1))
     jac = np.zeros((count, 3, segments, 2))
     third = jac[:, 2]
     if vs is not None:
@@ -473,10 +478,10 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
     read-only array shared by every call on the same (horizon, steps); the
     states at the step starts, (T, n), and each step's four stage states,
     (T - 1, 4, n); (B, T, n) and (B, T - 1, 4, n) for a batch.  ``f`` is
-    checked against single-member
-    calls at the first and last states; the escape time is the first
-    non-finite or too-large state's, over all members.  ``horizon`` and
-    ``x0`` follow the rules of ``ControlGrid`` and ``EndpointOracle``.
+    checked against single-member calls at the first and last states;
+    :func:`_check_escape` on the step-end times raises TrajectoryBlowup.
+    ``horizon`` and ``x0`` follow the rules of ``ControlGrid`` and
+    ``EndpointOracle``.
 
     The states are bit for bit those of stepping x_{j+1} = x_j + inc(x_j)
     one step at a time.  States up to x_d are exact, the later ones are
@@ -543,16 +548,9 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
             done = stop
         # each step's first stage is its start, exact once the step is
         stages[0] = states[:, :-batch]
-        # |x| <= BLOWUP_NORM as |x|^2 <= BLOWUP_NORM^2, the same test for
-        # every float; NaN, inf and large states alike fail it
-        ends = states[:, batch:]
-        fine = np.add.reduce(ends * ends, axis=0) <= BLOWUP_NORM ** 2
-    times = _step_times(horizon, steps)
-    if not fine.all():
-        t = float(times[1 + int(fine.argmin()) // batch])
-        raise TrajectoryBlowup(
-            f"trajectory escaped near t = {t:.4f}", escape_time=t)
-    states = states.reshape(n, steps + 1, batch)
+        states = states.reshape(n, steps + 1, batch)
+        times = _step_times(horizon, steps)
+        _check_escape(states[:, 1:].T, times[1:])
     _check_stacked(system.f, states[:, -1], u_values[-1])
     out = (states.transpose(2, 1, 0),
            stages.reshape(4, n, steps, batch).transpose(3, 2, 0, 1))
@@ -747,7 +745,10 @@ class EndpointOracle(MapOracle):
     :meth:`jacobian_derivative` and their ``_many`` forms return the
     closed form's fresh arrays, computed anew at each call (a fresh
     Brockett J in a tenth of the time of one by RK4), and only the RK4
-    trajectories keep the memo.
+    trajectories keep the memo.  Either way a request takes one path:
+    :meth:`eval` and :meth:`jacobian_derivative` are the stacks of one of
+    their ``_many`` forms, and :meth:`jacobian` reads its one row through
+    :meth:`_kept` as :meth:`jacobian_many` does.
     """
 
     def __init__(self, system, x0, grid):
@@ -772,10 +773,8 @@ class EndpointOracle(MapOracle):
     # -- oracle contract ---------------------------------------------------
 
     def eval(self, u):
-        if self.system.closed_form is not None:
-            return self._closed(self._domain_vec(u)[None])[0][0]
-        _, states = self.trajectory(u)
-        return states[-1].copy()
+        """F(u): the stack of one."""
+        return self.eval_many(self._domain_vec(u)[None])[0]
 
     def _closed(self, us, vs=None):
         """The system's ``closed_form`` at the rows of ``us`` (K, N): (F, J),
@@ -898,19 +897,14 @@ class EndpointOracle(MapOracle):
         return linear if count == len(kept) else None
 
     def jacobian(self, u):
-        """J = dF/du of the closed form, or of the computed RK4 map, kept
-        read-only in the memo with u's linearization and flows for dJ at
-        u."""
-        u = self._domain_vec(u)
+        """J = dF/du of the closed form, or of the computed RK4 map: u's
+        entry from :meth:`_kept`, whose J is kept read-only in the memo
+        with u's linearization and flows for dJ at u."""
+        u = self._domain_vec(u)[None]
         if self.system.closed_form is not None:
-            return self._closed(u[None])[1][0]
-        key = u.tobytes()
-        kept = self._memo.get(key)
-        if kept is None or kept.jac is None:
-            kept = self._kept(u[None], ask=True)[0]
-            self._linearized([kept])
-        else:
-            self._asked = [key]     # J again, the common case, in one lookup
+            return self._closed(u)[1][0]
+        kept = self._kept(u, ask=True)[0]
+        self._linearized([kept])
         return kept.jac
 
     def jacobian_many(self, us):

@@ -553,6 +553,21 @@ def test_key_the_problem_does_not_read_exits_1(tmp_path, capsys, problem,
     assert capsys.readouterr().err == f"error: problem.{message}\n"
 
 
+@pytest.mark.parametrize("state_dim", ["0", "-1"])
+def test_single_integrator_without_a_state_exits_1(tmp_path, capsys,
+                                                   state_dim):
+    """A state dimension below 1 is a configuration error (exit 1) on one
+    line naming the builder's ``dim``: no numpy traceback at -1, and no
+    misnamed ``control_dim`` at 0."""
+    config = _cfg(tmp_path, "[problem]\nkind = endpoint\n"
+                  "system = single-integrator\n"
+                  f"state_dim = {state_dim}\nx0 = 0\nhorizon = 1.0\n"
+                  "segments = 6\n")
+    code = cli.main(["validate", "--config", config])
+    assert code == cli.EXIT_CONFIG == 1
+    assert capsys.readouterr().err == "error: dim must be >= 1\n"
+
+
 def _cli_subprocess(argv):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))

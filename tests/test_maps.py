@@ -146,6 +146,14 @@ def test_control_grid_needs_a_control(control_dim):
         pl.ControlGrid(1.0, 6, control_dim)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_single_integrator_needs_a_state(dim):
+    """The single integrator's ``dim`` is checked where it is held: at
+    least one, named as ``dim``, before any array is shaped by it."""
+    with pytest.raises(ConfigurationError, match="^dim must be >= 1$"):
+        pl.single_integrator(dim)
+
+
 def test_fd_second_matches_analytic():
     rng = np.random.default_rng(5)
     o = pl.SphereMap(3)
