@@ -10,7 +10,9 @@ the oracle adjoint discretizes the continuous one.
 A system that declares ``closed_form`` (Brockett's and the single
 integrator) has its exact endpoint map computed from it: F, J and dJ
 from a few cumulative sums over the segments, with no integration and no
-memo.  What follows describes the map of every other system, and the
+memo.  The closed form is algebra alone; the oracle checks its shapes
+and runs the escape test of ``integrate`` on its segment-end states.
+What follows describes the map of every other system, and the
 trajectories of all of them (``trajectory``, ``endpoint_refined``).
 
 That map F is the one ``integrate`` computes: S classical RK4 steps per
@@ -95,8 +97,8 @@ STACK_LIMIT = 240
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Dynamics f written on components, and its partials, which
-    broadcast over leading axes for the whole-grid backward pass.
+    """Dynamics f written on components, and its partials, which take
+    stacks on leading axes for the whole-grid backward pass.
 
     ``f`` takes one state (n,) and control (m,), or B of each stacked on
     the last axis, (n, B) and (m, B), and returns (n,) or (n, B) with
@@ -107,27 +109,29 @@ class ControlSystem:
 
     ``partials(x, u)`` returns f's Jacobian, the stage rows [df/dx |
     df/du], as one (..., n, n + m) array, ``partials(X, U)[i] ==
-    partials(X[i], U[i])``.  ``d_partials(x, u, dx, du)`` returns its
-    derivative [dA | dB] along (dx, du), shaped and broadcast the same
-    way, from which ``EndpointOracle`` forms the exact second variation of
+    partials(X[i], U[i])``; the oracle passes x and u of one leading
+    shape.  ``d_partials(x, u, dx, du)`` returns its derivative
+    [dA | dB] along (dx, du), its four arguments and result shaped the
+    same way, from which ``EndpointOracle`` forms the exact second variation of
     the endpoint map.  The oracle keeps both read-only and raises
     ConfigurationError for another shape.  ``pathlift.validate_oracle``
     checks a hand-written ``d_partials``: a wrong term fails its
     second-order Taylor row.
 
     ``closed_form``, optional, is the exact endpoint map of P constant
-    controls on segments of length dt.  ``closed_form(x0, us, dt)``, with
-    K controls stacked on the leading axis of ``us`` (K, P, m), returns
-    F (K, n) and J (K, n, P m), J's columns segment by segment as the
-    flattened control; ``closed_form(x0, us, dt, vs)``, with directions
-    ``vs`` (K, P, m), returns dJ(v_k) at u_k (K, n, P m), the derivative
-    of J along v_k.  Each member's rows are those of the stack of one, bit
-    for bit.  It returns fresh arrays, and raises TrajectoryBlowup as
-    ``integrate`` does, by :func:`_check_escape` on the segment-end states
-    and times; the oracle calls it with floating-point warnings off, as
-    ``integrate`` calls ``f``.  Where it is set, ``EndpointOracle`` takes
-    F, J and dJ from it and keeps no memo; ``trajectory`` and
-    ``endpoint_refined`` still integrate ``f``.
+    controls on segments of length dt, as pure algebra.
+    ``closed_form(x0, us, dt)``, with K controls stacked on the leading
+    axis of ``us`` (K, P, m), returns the states at the P segment ends
+    (K, P, n), F the last, and J (K, n, P m), J's columns segment by
+    segment as the flattened control; ``closed_form(x0, us, dt, vs)``,
+    with directions ``vs`` (K, P, m), returns the same states and dJ(v_k)
+    at u_k (K, n, P m), the derivative of J along v_k.  Each member's rows
+    are those of the stack of one, bit for bit, in fresh arrays.  Where it
+    is set, ``EndpointOracle`` takes F, J and dJ from it, with
+    floating-point warnings off, and keeps no memo; the oracle raises
+    TrajectoryBlowup on the segment-end states as ``integrate`` does on
+    its step ends.  ``trajectory`` and ``endpoint_refined`` still
+    integrate ``f``.
     """
 
     name: str
@@ -137,34 +141,27 @@ class ControlSystem:
     partials: Callable   # (..., n), (..., m) -> (..., n, n + m)
     # (..., n), (..., m), (..., n), (..., m) -> (..., n, n + m)
     d_partials: Callable
-    # x0 (n,), us (K, P, m), dt -> F (K, n), J (K, n, P m); with vs
-    # (K, P, m) -> dJ (K, n, P m)
+    # x0 (n,), us (K, P, m), dt -> ends (K, P, n), J (K, n, P m); with vs
+    # (K, P, m) -> ends, dJ (K, n, P m)
     closed_form: Callable = None
-
-
-def _lead(*arrays):
-    """Broadcast leading shape of stacked states and controls."""
-    shapes = [np.shape(a)[:-1] for a in arrays]
-    if shapes.count(shapes[0]) == len(shapes):
-        return shapes[0]
-    return np.broadcast_shapes(*shapes)
 
 
 def _constant(mat):
     """Partials equal to ``mat`` at every (x, u)."""
-    return lambda x, u: np.broadcast_to(mat, _lead(x, u) + mat.shape)
+    return lambda x, u: np.broadcast_to(mat, x.shape[:-1] + mat.shape)
 
 
 def _zero_d_partials(n, m):
     """d_partials of a system that is affine in (x, u)."""
-    return lambda x, u, dx, du: np.zeros(_lead(x, u, dx, du) + (n, n + m))
+    return lambda x, u, dx, du: np.zeros(x.shape[:-1] + (n, n + m))
 
 
 def _check_escape(ends, times):
     """Raise TrajectoryBlowup at the first of the end times ``times`` (T,)
     at which a member's state in ``ends`` (K, T, n) is non-finite or has
-    |x|^2 > BLOWUP_NORM^2: the one escape test of :func:`integrate` and
-    of the closed forms, its ``escape_time`` that time."""
+    |x|^2 > BLOWUP_NORM^2: the one escape test, of :func:`integrate` on
+    its step ends and of ``EndpointOracle._closed`` on a closed form's
+    segment ends, its ``escape_time`` that time."""
     squares = np.add.reduce(ends * ends, axis=-1)
     # |x| <= BLOWUP_NORM as |x|^2 <= BLOWUP_NORM^2, the same test for every
     # float; NaN, inf and large states alike fail it on the largest
@@ -184,10 +181,9 @@ def _integrator_closed_form(x0, us, dt, vs=None):
     states[:, 0] = x0
     np.multiply(us, dt, out=states[:, 1:])
     np.add.accumulate(states, axis=1, out=states)
-    _check_escape(states[:, 1:], dt * np.arange(1, segments + 1))
     if vs is not None:
-        return np.zeros((count, n, segments * n))
-    return states[:, -1], np.tile(dt * np.eye(n), (count, 1, segments))
+        return states[:, 1:], np.zeros((count, n, segments * n))
+    return states[:, 1:], np.tile(dt * np.eye(n), (count, 1, segments))
 
 
 def single_integrator(dim=1):
@@ -226,14 +222,14 @@ def brockett():
         return np.array([u[0], u[1], x[0] * u[1]])
 
     def partials(x, u):
-        out = np.zeros(_lead(x, u) + (3, 5))
+        out = np.zeros(x.shape[:-1] + (3, 5))
         out[..., 2, 0] = u[..., 1]
         out[..., 0, 3] = out[..., 1, 4] = 1.0
         out[..., 2, 4] = x[..., 0]
         return out
 
     def d_partials(x, u, dx, du):
-        out = np.zeros(_lead(x, u, dx, du) + (3, 5))
+        out = np.zeros(x.shape[:-1] + (3, 5))
         out[..., 2, 0] = du[..., 1]
         out[..., 2, 4] = dx[..., 0]
         return out
@@ -272,17 +268,16 @@ def _brockett_closed_form(x0, us, dt, vs=None):
     gains *= 0.5 * dt       # c_p
     np.multiply(us[..., 1], gains, out=states[:, 1:, 2])
     np.add.accumulate(states[..., 2], axis=1, out=states[..., 2])
-    _check_escape(states[:, 1:], dt * np.arange(1, segments + 1))
     jac = np.zeros((count, 3, segments, 2))
     third = jac[:, 2]
     if vs is not None:
         _half_sums(vs[..., 1], dt, third[..., 0], reverse=True)
         _half_sums(vs[..., 0], dt, third[..., 1])
-        return jac.reshape(count, 3, 2 * segments)
-    jac[:, 0, :, 0] = jac[:, 1, :, 1] = dt
-    _half_sums(us[..., 1], dt, third[..., 0], reverse=True)
-    third[..., 1] = gains
-    return states[:, -1], jac.reshape(count, 3, 2 * segments)
+    else:
+        jac[:, 0, :, 0] = jac[:, 1, :, 1] = dt
+        _half_sums(us[..., 1], dt, third[..., 0], reverse=True)
+        third[..., 1] = gains
+    return states[:, 1:], jac.reshape(count, 3, 2 * segments)
 
 
 def unicycle():
@@ -290,7 +285,7 @@ def unicycle():
         return np.array([u[0] * np.cos(x[2]), u[0] * np.sin(x[2]), u[1]])
 
     def partials(x, u):
-        out = np.zeros(_lead(x, u) + (3, 5))
+        out = np.zeros(x.shape[:-1] + (3, 5))
         cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
         out[..., 0, 2] = -u[..., 0] * sin
         out[..., 1, 2] = u[..., 0] * cos
@@ -299,7 +294,7 @@ def unicycle():
         return out
 
     def d_partials(x, u, dx, du):
-        out = np.zeros(_lead(x, u, dx, du) + (3, 5))
+        out = np.zeros(x.shape[:-1] + (3, 5))
         cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
         turn = u[..., 0] * dx[..., 2]
         out[..., 0, 2] = -du[..., 0] * sin - turn * cos
@@ -478,8 +473,9 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
     read-only array shared by every call on the same (horizon, steps); the
     states at the step starts, (T, n), and each step's four stage states,
     (T - 1, 4, n); (B, T, n) and (B, T - 1, 4, n) for a batch.  ``f`` is
-    checked against single-member calls at the first and last states;
-    :func:`_check_escape` on the step-end times raises TrajectoryBlowup.
+    checked against single-member calls at the first and last states, and
+    :func:`_check_escape` on the step-end times raises TrajectoryBlowup,
+    all with floating-point warnings off.
     ``horizon`` and ``x0`` follow the rules of ``ControlGrid`` and
     ``EndpointOracle``.
 
@@ -519,13 +515,14 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
     # column j*B + b holds member b at step j: a run of steps is a slice
     states = np.empty((n, (steps + 1) * batch))
     states.reshape(n, steps + 1, batch)[...] = x0[:, None, None]
-    _check_stacked(system.f, states[:, :batch], u_values[0])
     stages = np.empty((4, n, steps * batch))
     controls = np.repeat(u_values, substeps, axis=0).transpose(1, 0, 2)
     controls = controls.reshape(m, -1)
     done = sweeps = 0
-    # flags raised at guesses mean nothing; a real escape fails the test below
+    # flags raised at guesses mean nothing, nor at a non-finite control; a
+    # real escape fails the test below
     with np.errstate(all="ignore"):
+        _check_stacked(system.f, states[:, :batch], u_values[0])
         while done < steps:
             stop = steps if sweeps <= n else done + 1
             sweeps += 1
@@ -551,7 +548,7 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
         states = states.reshape(n, steps + 1, batch)
         times = _step_times(horizon, steps)
         _check_escape(states[:, 1:].T, times[1:])
-    _check_stacked(system.f, states[:, -1], u_values[-1])
+        _check_stacked(system.f, states[:, -1], u_values[-1])
     out = (states.transpose(2, 1, 0),
            stages.reshape(4, n, steps, batch).transpose(3, 2, 0, 1))
     return times, *(np.ascontiguousarray(a[0] if single else a) for a in out)
@@ -761,6 +758,9 @@ class EndpointOracle(MapOracle):
         self.x0 = x0
         self.grid = grid
         self._h = grid.dt / grid.substeps
+        # the segment-end times, which a closed form's escape test reads
+        self._end_times = grid.dt * np.arange(1, grid.segments + 1)
+        self._end_times.flags.writeable = False
         # control bytes -> _Kept, for the rows of the last request that
         # integrated and those of the last request for J or dJ
         self._memo = {}
@@ -778,24 +778,29 @@ class EndpointOracle(MapOracle):
 
     def _closed(self, us, vs=None):
         """The system's ``closed_form`` at the rows of ``us`` (K, N): (F, J),
-        or with directions ``vs`` (K, N) dJ(v_k) at u_k; ConfigurationError
-        unless each is of its stated shape."""
+        or with directions ``vs`` (K, N) (F, dJ(v_k) at u_k).
+        ConfigurationError unless it returns the segment-end states (K, P,
+        n) and J or dJ (K, n, N); TrajectoryBlowup by :func:`_check_escape`
+        on those states at the segment-end times, as :func:`integrate`
+        raises it.  F is the last of them.  Floating-point warnings are
+        off throughout, as in :func:`integrate`."""
         grid, count = self.grid, len(us)
         shape = (count, grid.segments, grid.control_dim)
         args = (self.x0, us.reshape(shape), grid.dt)
+        if vs is not None:
+            args += (vs.reshape(shape),)
+        want = [shape[:2] + (self.dim_codomain,),
+                (count, self.dim_codomain, self.dim_domain)]
         with np.errstate(all="ignore"):
-            if vs is None:
-                out = self.system.closed_form(*args)
-            else:
-                out = (self.system.closed_form(*args, vs.reshape(shape)),)
-        n, dim = self.dim_codomain, self.dim_domain
-        want = ([(count, n), (count, n, dim)] if vs is None else
-                [(count, n, dim)])
-        got = [getattr(a, "shape", None) for a in out]
-        if got != want:
-            raise ConfigurationError(
-                f"closed_form must return arrays of shapes {want}, got {got}")
-        return out
+            out = self.system.closed_form(*args)
+            got = [getattr(a, "shape", None) for a in out]
+            if got != want:
+                raise ConfigurationError(
+                    f"closed_form must return arrays of shapes {want}, "
+                    f"got {got}")
+            ends, jac = out
+            _check_escape(ends, self._end_times)
+        return ends[:, -1], jac
 
     def _kept(self, us, ask=False):
         """The memo's entries for the rows of ``us`` (B, N), the rows it
@@ -933,7 +938,7 @@ class EndpointOracle(MapOracle):
         steps."""
         us, vs = self._pair_rows(us, vs)
         if self.system.closed_form is not None:
-            return self._closed(us, vs)[0]
+            return self._closed(us, vs)[1]
         kept = self._kept(us, ask=True)     # one batch for the new rows
         out = np.empty((len(us), self.dim_codomain, self.dim_domain))
         size = max(1, STACK_LIMIT // (self.grid.segments

@@ -176,6 +176,8 @@ class LinearMap(MapOracle):
         return self.matrix
 
     def jacobian_derivative(self, u, v):
+        self._domain_vec(u)
+        self._domain_vec(v, "v")
         return np.zeros_like(self.matrix)
 
 
@@ -199,7 +201,8 @@ class SphereMap(MapOracle):
         return (2.0 * self.weights * u)[None, :]
 
     def jacobian_derivative(self, u, v):
-        return (2.0 * self.weights * v)[None, :]
+        self._domain_vec(u)
+        return (2.0 * self.weights * self._domain_vec(v, "v"))[None, :]
 
 
 class FoldMap(MapOracle):
@@ -217,6 +220,8 @@ class FoldMap(MapOracle):
         return np.array([[2.0 * u[0], 0.0], [0.0, 1.0]])
 
     def jacobian_derivative(self, u, v):
+        self._domain_vec(u)
+        v = self._domain_vec(v, "v")
         return np.array([[2.0 * v[0], 0.0], [0.0, 0.0]])
 
 

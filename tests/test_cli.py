@@ -738,6 +738,51 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
+def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path):
+    """A failed write, of text that is no string or onto a directory,
+    raises and leaves nothing beside the target."""
+    (tmp_path / "taken").mkdir()
+    for name, text, error in [("trace.csv", 3.0, TypeError),
+                              ("taken", "text", OSError)]:
+        with pytest.raises(error):
+            cli._atomic_write(str(tmp_path / name), text)
+    assert os.listdir(tmp_path) == ["taken"]
+    assert not os.listdir(tmp_path / "taken")
+
+
+FOLD = "[problem]\nkind = builtin-map\nmap = fold\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[problem]\nkind = linear\nmatrix = ;",
+     "problem.matrix: empty matrix"),
+    ("[problem]\nkind = linear\nmatrix = 1 0; 1",
+     "problem.matrix: ragged matrix rows"),
+    ("[problem\nkind = linear",
+     "malformed config: File contains no section headers."),
+    ("[problem]\nkind = nope", "problem.kind must be one of builtin-map | "
+     "linear | endpoint, got 'nope'"),
+    (FOLD + "u0 = 1, 2, 3", "problem.u0 must have length 2, got 3"),
+    (FOLD + "u0 = 0.1, 0\n[path]\nkind = polyline\n"
+     "waypoints = 0 0 0; 1 1 1", "path.waypoints columns must equal 2"),
+    (FOLD + "u0 = 0.1, 0\n[path]\nkind = spiral",
+     "path.kind must be line or polyline, got 'spiral'"),
+    (FOLD + "[path]\ntarget = 0.1, 0.2",
+     "problem.u0 (or u0_constant) is required for lift"),
+], ids=["empty-matrix", "ragged-matrix", "malformed", "unknown-kind",
+        "u0-length", "waypoint-columns", "unknown-path-kind", "lift-u0"])
+def test_config_rule_exits_1_on_one_line(tmp_path, capsys, text, message):
+    """Each rule is a configuration error (exit 1) whose first line is
+    its message; only configparser's own text runs on."""
+    code = cli.main(["lift", "--config", _cfg(tmp_path, text + "\n"),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"error: {message}"
+    assert (err.count("\n") == 1) == (not message.startswith("malformed"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_trace_floats_have_17_significant_digits():
     assert cli._fmt(1.0 / 3.0) == "0.33333333333333331"
     assert cli._fmt(1.0) == "1"

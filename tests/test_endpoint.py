@@ -762,8 +762,8 @@ def test_closed_form_of_the_wrong_shape_is_a_configuration_error():
     base = pl.make_system("brockett")
 
     def short(x0, us, dt, *vs):     # drops the last column of J and dJ
-        out = base.closed_form(x0, us, dt, *vs)
-        return out[..., :-1] if vs else (out[0], out[1][..., :-1])
+        ends, jac = base.closed_form(x0, us, dt, *vs)
+        return ends, jac[..., :-1]
 
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
     ep = pl.EndpointOracle(dataclasses.replace(base, closed_form=short),
@@ -802,6 +802,52 @@ def test_closed_form_blowup_matches_rk4(segments):
     assert len(set(exact)) == len(set(rk4)) == 1
     assert 0.1414 < rk4[0] <= exact[0] <= 1.0
     assert (exact[0] == rk4[0]) == (segments == 60)
+
+
+def test_a_closed_form_of_algebra_alone_escapes_through_the_oracle():
+    """The oracle runs the escape test on a closed form's segment-end
+    states: a single-integrator closed form with no escape code raises
+    TrajectoryBlowup from every entry point, with no warning, at the
+    built-in's escape_time, the end of segment 3 of 5, the first past
+    BLOWUP_NORM."""
+    def algebra(x0, us, dt, *vs):
+        count, segments, n = us.shape
+        jac = (np.zeros((count, n, segments * n)) if vs else
+               np.tile(dt * np.eye(n), (count, 1, segments)))
+        return x0 + dt * np.cumsum(us, axis=1), jac
+
+    base = pl.single_integrator(2)
+    grid = pl.ControlGrid(horizon=1.0, segments=5, control_dim=2)
+    u = np.zeros(grid.dim)
+    u[4:] = 1e9     # 2e8 at the end of segment 3
+    times = []
+    for form in (base.closed_form, algebra):
+        ep = pl.EndpointOracle(dataclasses.replace(base, closed_form=form),
+                               np.zeros(2), grid)
+        for call, args in [("eval", (u,)), ("jacobian", (u,)),
+                           ("jacobian_derivative", (u, u)),
+                           ("eval_many", ([np.zeros_like(u), u],)),
+                           ("jacobian_derivative_many", ([u], [u]))]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TrajectoryBlowup) as info:
+                    getattr(ep, call)(*args)
+            times.append(info.value.escape_time)
+    assert times == [grid.dt * 3] * 10
+
+
+@pytest.mark.parametrize("name,call", [("lti", "eval"), ("unicycle", "eval"),
+                                       ("brockett", "trajectory")])
+def test_a_non_finite_control_escapes_with_no_warning(name, call):
+    """A non-finite control reaches ``f`` in integrate's check of stacked
+    calls as well as in its sweeps, and escapes at the first RK4 step's
+    end with no warning."""
+    ep = _oracle(name, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryBlowup) as info:
+            getattr(ep, call)(np.full(ep.dim_domain, np.inf))
+    assert info.value.escape_time == np.linspace(0.0, 1.0, 25)[1]
 
 
 def test_stack_split_bounds_the_working_memory(monkeypatch):
@@ -1113,6 +1159,30 @@ def test_blowup_detection():
                 ep.eval(np.zeros(2))
         assert 0.0 < info.value.escape_time <= 1.0
         assert info.value.escape_time == _first_escape(a, 1.0, 1.0, 2)
+
+
+_GRID = pl.ControlGrid(horizon=1.0, segments=2, control_dim=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pl.lti([[1.0, 2.0]], [[1.0]]), "A must be square"),
+    (lambda: pl.lti([[1.0]], [[1.0], [2.0]]),
+     "B must have the same row count as A"),
+    (lambda: pl.ControlGrid(horizon=1.0, segments=0, control_dim=1),
+     "segments must be >= 1"),
+    (lambda: _GRID.unpack(np.zeros(3)),
+     "control vector must have length 4, got (3,)"),
+    (lambda: _GRID.constant([1.0]), "need 2 channel values"),
+    (lambda: pl.integrate(pl.brockett(), np.zeros(3), np.zeros(4), 1.0),
+     "u_values must be (segments, control_dim) or "
+     "(segments, control_dim, batch)"),
+    (lambda: pl.EndpointOracle(pl.single_integrator(1), [0.0], _GRID),
+     "grid control_dim does not match the system"),
+], ids=["lti-square", "lti-rows", "no-segments", "unpack-length",
+        "constant-length", "integrate-1d", "control-dim-mismatch"])
+def test_endpoint_input_rules(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_constructor_validation():

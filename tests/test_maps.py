@@ -274,6 +274,23 @@ def test_dimension_validation():
             call()
 
 
+@pytest.mark.parametrize("bad", ["u", "v"])
+@pytest.mark.parametrize("oracle", [pl.LinearMap(np.eye(2, 3)),
+                                    pl.SphereMap(3), pl.FoldMap()],
+                         ids=["linear", "sphere", "fold"])
+def test_jacobian_derivative_checks_u_and_v(oracle, bad):
+    """A u or v of the wrong length is the ConfigurationError of eval and
+    jacobian, not a dJ broadcast from it or numpy's broadcast error."""
+    dim = oracle.dim_domain
+    for length in (1, dim + 1, 5):
+        args = {"u": np.full(dim, 0.5), "v": np.full(dim, 0.5)}
+        args[bad] = np.ones(length)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{bad} must have length {dim}, got "
+                                 rf"\({length},\)$"):
+            oracle.jacobian_derivative(**args)
+
+
 def test_make_map_registry():
     """The problem registry builds each analytic map by name."""
     name_key = cli._PROBLEMS["builtin-map"][0]
@@ -414,6 +431,23 @@ def test_non_numeric_values_raise_the_callers_error(error, what, build):
     """Not numpy's bare ValueError from the float conversion."""
     with pytest.raises(error, match=f"^{what} must be finite numbers, got"):
         build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pl.MapOracle(3, 0), "codomain dimension must be >= 1"),
+    (lambda: pl.SphereMap(3, weights=[1.0, 2.0]),
+     "weights must have length 3, got (2,)"),
+    (lambda: pl.LinearMap([1.0, 2.0, 3.0]), "linear map needs a 2-d matrix"),
+    (lambda: pl.LinePath([0.0, 0.0], [1.0]),
+     "line endpoints must be 1-d and match"),
+    (lambda: pl.PolylinePath([[0.0, 0.0]]), "polyline needs >= 2 waypoints"),
+    (lambda: pl.line_to_target(pl.FoldMap(), [0.1, 0.0], [1.0, 2.0, 3.0]),
+     "target must have length 2, got (3,)"),
+], ids=["no-codomain", "weights-length", "linear-1d", "line-endpoints",
+        "one-waypoint", "target-length"])
+def test_map_and_path_input_rules(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
