@@ -15,6 +15,7 @@ from pathlift.spectrum import (diagnostics, gramian, spectral_decompose,
                               spectrum_at)
 
 from lift_fd import lambda1_fd_along_lift, rk4_flow
+from reference_cases import acceptance_problem
 
 
 def _record(num, ok, detail):
@@ -28,36 +29,9 @@ _scenarios = {}
 
 def _scenario(name):
     """Shared lift runs, computed once (also criterion 4's corpus)."""
-    if name in _scenarios:
-        return _scenarios[name]
-    if name == "linear":
-        rng = np.random.default_rng(42)
-        mat = rng.standard_normal((3, 6))
-        o = pl.LinearMap(mat)
-        u0 = rng.standard_normal(6)
-        target = o.eval(u0) + rng.standard_normal(3)
-        path = pl.line_to_target(o, u0, target)
-    elif name == "fold":
-        o = pl.FoldMap()
-        u0 = np.array([0.1, 0.0])
-        path = pl.line_to_target(o, u0, [0.2025, 0.3])
-    elif name == "sphere":
-        o = pl.SphereMap(3)
-        u0 = np.array([0.8, -0.36, 0.48])  # unit anchor
-        path = pl.LinePath([1.0], [0.0])
-    elif name == "unicycle":
-        o = pl.endpoint_problem("unicycle", [0.0, 0.0, 0.0], 1.0, 10)
-        u0 = o.grid.constant([1.0, 0.3])
-        y0 = o.eval(u0)
-        path = pl.LinePath(y0, y0 + np.array([0.05, -0.04, 0.08]))
-    elif name == "brockett":
-        o = pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 20)
-        u0 = o.grid.constant([1.0, 1.0])
-        path = pl.line_to_target(o, u0, [0.5, -0.3, 0.2])
-    else:
-        raise KeyError(name)
-    report = pl.lift(o, path, u0)
-    _scenarios[name] = (o, path, u0, report)
+    if name not in _scenarios:
+        o, path, u0 = acceptance_problem(name)
+        _scenarios[name] = (o, path, u0, pl.lift(o, path, u0))
     return _scenarios[name]
 
 
