@@ -743,9 +743,8 @@ class EndpointOracle(MapOracle):
     closed form's fresh arrays, computed anew at each call (a fresh
     Brockett J in a tenth of the time of one by RK4), and only the RK4
     trajectories keep the memo.  Either way a request takes one path:
-    :meth:`eval` and :meth:`jacobian_derivative` are the stacks of one of
-    their ``_many`` forms, and :meth:`jacobian` reads its one row through
-    :meth:`_kept` as :meth:`jacobian_many` does.
+    :meth:`eval`, :meth:`jacobian` and :meth:`jacobian_derivative` are
+    the stacks of one of their ``_many`` forms.
     """
 
     def __init__(self, system, x0, grid):
@@ -902,27 +901,23 @@ class EndpointOracle(MapOracle):
         return linear if count == len(kept) else None
 
     def jacobian(self, u):
-        """J = dF/du of the closed form, or of the computed RK4 map: u's
-        entry from :meth:`_kept`, whose J is kept read-only in the memo
-        with u's linearization and flows for dJ at u."""
-        u = self._domain_vec(u)[None]
-        if self.system.closed_form is not None:
-            return self._closed(u)[1][0]
-        kept = self._kept(u, ask=True)[0]
-        self._linearized([kept])
-        return kept.jac
+        """J = dF/du: the stack of one."""
+        return self.jacobian_many(self._domain_vec(u)[None])[0]
 
     def jacobian_many(self, us):
         """J at each row of ``us`` (B, N), shape (B, n, N), each bit for
-        bit :meth:`jacobian` (of a row integrated in the same batch): one
+        bit the stack of one (of a row integrated in the same batch): one
         closed-form call, or the rows the memo lacks integrated, then
-        linearized with their flows and J in one stacked call."""
+        linearized with their flows and J in one stacked call.  The memo
+        keeps each J read-only with its linearization and flows for dJ at
+        its row; a stack of one is a view of the kept J, more rows a
+        copy."""
         us = self._domain_rows(us)
         if self.system.closed_form is not None:
             return self._closed(us)[1]
         kept = self._kept(us, ask=True)
         self._linearized(kept)
-        return np.array([e.jac for e in kept]).reshape(
+        return _stacked([e.jac for e in kept]).reshape(
             len(kept), self.dim_codomain, self.dim_domain)
 
     def jacobian_derivative(self, u, v):

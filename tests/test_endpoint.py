@@ -994,7 +994,8 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
     for got, point, sign in zip(stack, (u, w, u, w), (1, 1, -1, -1)):
         assert same_bits(got, fresh.jacobian_derivative(point, sign * v))
     kept = ep._memo[u.tobytes()]
-    assert ep.jacobian(u) is kept.jac
+    jac = ep.jacobian(u)
+    assert np.shares_memory(jac, kept.jac) and not jac.flags.writeable
     for arr in (*kept.trajectory, *kept.linear, kept.jac):
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -1127,7 +1128,9 @@ def test_trajectory_cache_reuses_results():
     t1, s1 = ep.trajectory(u)
     t2, s2 = ep.trajectory(u)
     assert s1 is s2
-    assert ep.jacobian(u) is ep.jacobian(u)
+    jac = ep.jacobian(u)
+    assert np.shares_memory(jac, ep._memo[u.tobytes()].jac)
+    assert np.shares_memory(jac, ep.jacobian(u)) and not jac.flags.writeable
 
 
 def _first_escape(a, x0, horizon, segments):
