@@ -12,6 +12,17 @@ import numpy as np
 from .errors import ConfigurationError, finite, integer
 
 
+def _floats(values, name):
+    """``values`` as a float array, with no copy where numpy makes none;
+    ConfigurationError naming ``name`` unless they are real numbers
+    (non-finite ones included)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{name} must be real numbers: {exc}") from None
+
+
 class MapOracle:
     """Base class for C^2 maps F: (R^N, W) -> R^n.
 
@@ -67,28 +78,28 @@ class MapOracle:
     # -- dimension checks --------------------------------------------------
 
     def _domain_vec(self, u, name="u"):
-        u = np.asarray(u, dtype=float)
+        u = _floats(u, name)
         if u.shape != (self.dim_domain,):
             raise ConfigurationError(
                 f"{name} must have length {self.dim_domain}, got {u.shape}")
         return u
 
     def _domain_rows(self, us):
-        us = np.asarray(us, dtype=float)
+        us = _floats(us, "us")
         if us.ndim != 2 or us.shape[1] != self.dim_domain:
             raise ConfigurationError(
                 f"us must have shape (B, {self.dim_domain}), got {us.shape}")
         return us
 
     def _pair_rows(self, us, vs):
-        us, vs = self._domain_rows(us), np.asarray(vs, dtype=float)
+        us, vs = self._domain_rows(us), _floats(vs, "vs")
         if vs.shape != us.shape:
             raise ConfigurationError(
                 f"vs must have the shape of us {us.shape}, got {vs.shape}")
         return us, vs
 
     def _codomain_vec(self, z, name="z"):
-        z = np.asarray(z, dtype=float)
+        z = _floats(z, name)
         if z.shape != (self.dim_codomain,):
             raise ConfigurationError(
                 f"{name} must have length {self.dim_codomain}, got {z.shape}")

@@ -235,7 +235,7 @@ def gauss_newton_correct(oracle, u, target, tol_residual, spec=None):
     J the first iteration uses instead of taking it again (the update
     does not depend on the eigenvector signs).
     """
-    u = np.asarray(u, dtype=float)
+    u = oracle._domain_vec(u)
     target = oracle._codomain_vec(target, "target")
     r = target - oracle.eval(u)
     res = float(np.linalg.norm(r))

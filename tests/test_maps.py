@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pathlift as pl
 from pathlift import cli
 from pathlift.errors import BadAnchor, ConfigurationError
+from pathlift.solver import gauss_newton_correct, ple_rhs
 
 from map_fd import central_jacobian, central_second
 
@@ -431,6 +432,38 @@ def test_non_numeric_values_raise_the_callers_error(error, what, build):
     """Not numpy's bare ValueError from the float conversion."""
     with pytest.raises(error, match=f"^{what} must be finite numbers, got"):
         build()
+
+
+def _brockett2():
+    return pl.endpoint_problem("brockett", [0.0, 0.0, 0.0], 1.0, 2)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("u", lambda: pl.FoldMap().eval("ab")),
+    ("v", lambda: pl.FoldMap().jacobian_derivative([0.5, 1.0], "ab")),
+    ("us", lambda: pl.FoldMap().eval_many([["a", "b"]])),
+    ("u", lambda: _brockett2().eval(["x"] * 4)),
+    ("u", lambda: _brockett2().eval(object())),
+    ("vs", lambda: _brockett2().jacobian_derivative_many(
+        np.ones((1, 4)), [["a", "b", "c", "d"]])),
+    ("z", lambda: pl.FoldMap().bilinear_second([1.0, 0.0], "ab",
+                                               [1.0, 0.0], [1.0, 0.0])),
+    ("gamma_dot", lambda: ple_rhs(_brockett2(), np.ones(4), "ab")),
+    ("target", lambda: gauss_newton_correct(_brockett2(), np.ones(4), "ab",
+                                            1e-10)),
+    ("u", lambda: gauss_newton_correct(_brockett2(), "abcd", np.zeros(3),
+                                       1e-10)),
+], ids=["fold-eval", "fold-jacobian-derivative", "fold-eval-many",
+        "endpoint-eval", "endpoint-eval-object",
+        "endpoint-jacobian-derivative-many", "bilinear-second", "ple-rhs",
+        "gauss-newton-target", "gauss-newton-u"])
+def test_non_numeric_oracle_input_is_a_configuration_error(name, call):
+    """Each of the oracle's gates converts its input and names the
+    argument, not numpy's bare ValueError or TypeError; non-finite
+    numbers pass the gates (an endpoint eval of inf is TrajectoryBlowup)."""
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} must be real numbers: "):
+        call()
 
 
 @pytest.mark.parametrize("call, message", [
