@@ -86,10 +86,10 @@ def acceptance_problem(name):
     return o, path, u0
 
 
-def _lifted(problem):
-    """The lift of ``problem()`` = (oracle, path, u0), rendered as the CLI
-    renders it."""
-    oracle, path, u0 = problem()
+def _lifted(problem, *args):
+    """The lift of ``problem(*args)`` = (oracle, path, u0), rendered as
+    the CLI renders it."""
+    oracle, path, u0 = problem(*args)
     report = pl.lift(oracle, path, u0)
     return report.status, {"trace.csv": cli.trace_csv_text(report, oracle),
                            "report.txt": cli.lift_report_text(report)}
@@ -206,21 +206,20 @@ def _cli_check(text, seed):
 # case name -> callable returning (status, {file name: text})
 CASES = {
     **{f"acceptance-{name}": functools.partial(
-        _lifted, functools.partial(acceptance_problem, name))
+        _lifted, acceptance_problem, name)
        for name in ("linear", "fold", "sphere", "unicycle", "brockett")},
     **{f"ci-{name}": functools.partial(_cli_lift, text)
        for name, text in _CI_LIFTS.items()},
-    "fold-line": functools.partial(_lifted, functools.partial(
-        _fold_probe, pl.LinePath([0.25, 0.0], [-0.25, 0.5]))),
-    "fold-crossing-polyline": functools.partial(_lifted, functools.partial(
-        _fold_probe, pl.PolylinePath(
-            [[0.25, 0.0], [0.36, 0.3], [0.16, 0.6], [0.3, 0.9]]))),
-    "fold-near-miss-polyline": functools.partial(_lifted, functools.partial(
-        _fold_probe, pl.PolylinePath([[0.25, 0.0], [1e-10, 0.3],
-                                      [0.25, 0.6]]))),
+    "fold-line": functools.partial(
+        _lifted, _fold_probe, pl.LinePath([0.25, 0.0], [-0.25, 0.5])),
+    "fold-crossing-polyline": functools.partial(
+        _lifted, _fold_probe, pl.PolylinePath(
+            [[0.25, 0.0], [0.36, 0.3], [0.16, 0.6], [0.3, 0.9]])),
+    "fold-near-miss-polyline": functools.partial(
+        _lifted, _fold_probe, pl.PolylinePath(
+            [[0.25, 0.0], [1e-10, 0.3], [0.25, 0.6]])),
     **{f"through-zero-{system}-{segments}-{c[0]:g}_{c[1]:g}":
-       functools.partial(_lifted, functools.partial(
-           _through_zero, system, segments, c))
+       functools.partial(_lifted, _through_zero, system, segments, c)
        for system in ("brockett", "unicycle") for segments in (6, 10)
        for c in ((1.0, 1.0), (1.0, 0.3), (0.7, -0.2))},
     **{f"check-{name}-seed{seed}": functools.partial(_cli_check, text, seed)
@@ -244,16 +243,13 @@ def differences(name, files):
     out = []
     for file_name, text in files.items():
         with open(os.path.join(folder, file_name), newline="") as fh:
-            reference = fh.read().splitlines()
-        lines = text.splitlines()
-        for k, (got, expect) in enumerate(zip(lines, reference), 1):
-            if got != expect:
-                out.append(f"{name}/{file_name}:{k}: {got!r} != {expect!r}")
-                break
-        else:
-            if len(lines) != len(reference):
-                out.append(f"{name}/{file_name}: {len(lines)} lines, "
-                           f"reference {len(reference)}")
+            reference = fh.read()
+        if text != reference:
+            got, want = text.splitlines(True), reference.splitlines(True)
+            k = next((k for k, pair in enumerate(zip(got, want))
+                      if pair[0] != pair[1]), min(len(got), len(want)))
+            out.append(f"{name}/{file_name}:{k + 1}: {got[k:k + 1]} != "
+                       f"{want[k:k + 1]}")
     return out
 
 
