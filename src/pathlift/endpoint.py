@@ -77,8 +77,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigurationError, TrajectoryBlowup, finite, integer,
-                     positive)
+from .errors import (ConfigurationError, TrajectoryBlowup, finite, floats,
+                     integer, positive)
 from .maps import MapOracle
 
 BLOWUP_NORM = 1e8
@@ -368,7 +368,7 @@ class ControlGrid:
         return np.full(self.dim, self.dt)
 
     def unpack(self, u_flat):
-        u_flat = np.asarray(u_flat, dtype=float)
+        u_flat = floats(u_flat, "u_flat")
         if u_flat.shape != (self.dim,):
             raise ConfigurationError(
                 f"control vector must have length {self.dim}, "
@@ -377,7 +377,7 @@ class ControlGrid:
 
     def constant(self, per_channel):
         """Flat control with the same value on every segment."""
-        per_channel = np.asarray(per_channel, dtype=float)
+        per_channel = floats(per_channel, "per_channel")
         if per_channel.shape != (self.control_dim,):
             raise ConfigurationError(
                 f"need {self.control_dim} channel values")
@@ -490,7 +490,7 @@ def integrate(system, x0, u_values, horizon, substeps=_BY_GRID):
     and earlier ones) is exact after n sweeps, confirmed by sweep n + 1;
     after n + 1 sweeps the steps left are taken one at a time.
     """
-    u_values = np.asarray(u_values, dtype=float)
+    u_values = floats(u_values, "u_values")
     if u_values.ndim not in (2, 3) or u_values.shape[1] != system.control_dim:
         raise ConfigurationError(
             "u_values must be (segments, control_dim) or "
@@ -729,14 +729,13 @@ class EndpointOracle(MapOracle):
     """Map oracle for the endpoint map of a control system.
 
     It keeps one memo keyed by control bytes: the rows of the last
-    request that integrated and those of the last request for J or dJ,
-    each with its trajectory and stage states, and, where J or dJ was
-    asked, its linearization, J and the flows of :func:`_flows`.  So
-    repeated calls at the points a caller has reached (spectral assembly,
-    adjoints, correction, C_est sweeps) integrate and linearize each
-    control once, and the backward pass calls no ``f``.  Any call may
-    replace the memo, with no lock: use one oracle from one thread at a
-    time.  What it keeps is read-only.
+    request that integrated, each with its trajectory and stage states,
+    and, where J or dJ was asked, its linearization, J and the flows of
+    :func:`_flows`.  So repeated calls at the points a caller has reached
+    (spectral assembly, adjoints, correction, C_est sweeps) integrate and
+    linearize each control once, and the backward pass calls no ``f``.
+    Any call may replace the memo, with no lock: use one oracle from one
+    thread at a time.  What it keeps is read-only.
 
     For a system with a ``closed_form``, :meth:`eval`, :meth:`jacobian`,
     :meth:`jacobian_derivative` and their ``_many`` forms return the
@@ -760,10 +759,9 @@ class EndpointOracle(MapOracle):
         # the segment-end times, which a closed form's escape test reads
         self._end_times = grid.dt * np.arange(1, grid.segments + 1)
         self._end_times.flags.writeable = False
-        # control bytes -> _Kept, for the rows of the last request that
-        # integrated and those of the last request for J or dJ
+        # control bytes -> _Kept, the rows of the last request that
+        # integrated
         self._memo = {}
-        self._asked = []    # keys of the last request for J or dJ
 
     def trajectory(self, u):
         """(times, states) of the controlled flow at the RK4 step starts."""
@@ -801,11 +799,11 @@ class EndpointOracle(MapOracle):
             _check_escape(ends, self._end_times)
         return ends[:, -1], jac
 
-    def _kept(self, us, ask=False):
+    def _kept(self, us):
         """The memo's entries for the rows of ``us`` (B, N), the rows it
         lacks integrated by :func:`integrate` in one stacked call; if there
-        are any, the memo becomes the request's rows and those of the last
-        request for J or dJ, which the request becomes if ``ask``."""
+        are any, the memo becomes the request's rows, so it keeps the rows
+        of the last request that integrated."""
         keys = [u.tobytes() for u in us]
         todo = {key: u for key, u in zip(keys, us) if key not in self._memo}
         if todo:
@@ -818,9 +816,7 @@ class EndpointOracle(MapOracle):
             new = {key: _Kept(key, (out[0], states, stages))
                    for key, states, stages in zip(todo, *out[1:])}
             self._memo = {key: self._memo.get(key) or new[key]
-                          for key in keys + self._asked}
-        if ask:
-            self._asked = keys
+                          for key in keys}
         return [self._memo[key] for key in keys]
 
     def eval_many(self, us):
@@ -915,7 +911,7 @@ class EndpointOracle(MapOracle):
         us = self._domain_rows(us)
         if self.system.closed_form is not None:
             return self._closed(us)[1]
-        kept = self._kept(us, ask=True)
+        kept = self._kept(us)
         self._linearized(kept)
         return _stacked([e.jac for e in kept]).reshape(
             len(kept), self.dim_codomain, self.dim_domain)
@@ -934,7 +930,7 @@ class EndpointOracle(MapOracle):
         us, vs = self._pair_rows(us, vs)
         if self.system.closed_form is not None:
             return self._closed(us, vs)[1]
-        kept = self._kept(us, ask=True)     # one batch for the new rows
+        kept = self._kept(us)     # one batch for the new rows
         out = np.empty((len(us), self.dim_codomain, self.dim_domain))
         size = max(1, STACK_LIMIT // (self.grid.segments
                                       * self.grid.substeps))

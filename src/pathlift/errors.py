@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the finiteness,
-positivity and integer checks that input rules raise them from."""
+"""Exception types shared across the package, and the conversion,
+finiteness, positivity and integer checks that input rules raise them
+from."""
 
 import numbers
 
@@ -53,6 +54,17 @@ def finite(values, what, error=ConfigurationError):
     if not np.isfinite(out).all():
         raise error(f"{what} must be finite")
     return out
+
+
+def floats(values, name):
+    """``values`` as a float array, with no copy where numpy makes none;
+    ConfigurationError naming ``name`` unless they are real numbers
+    (non-finite ones included)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{name} must be real numbers: {exc}") from None
 
 
 def integer(value, what):

@@ -18,11 +18,12 @@ report records the seed and sample counts, and a report states at most
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidXi, finite, integer, positive
+from .errors import (ConfigurationError, InvalidXi, finite, floats, integer,
+                     positive)
 from .spectrum import _gramian, spectral_decompose
 
 POWER_ITERATIONS = 12
@@ -154,15 +155,10 @@ class HypothesisReport:
 
     def shells_csv(self):
         """Per-shell table as CSV text, floats at 17 significant digits."""
-        out = ["radius,samples,skipped,c_max,k_min,xi_margin_min,"
-               "inv_gramian_max,gap_margin_min,singular_found\n"]
-        for sh in self.shells:
-            out.append(
-                f"{sh.radius:.17g},{sh.samples},{sh.skipped},"
-                f"{sh.c_max:.17g},{sh.k_min:.17g},{sh.xi_margin_min:.17g},"
-                f"{sh.inv_gramian_max:.17g},{sh.gap_margin_min:.17g},"
-                f"{sh.singular_found}\n")
-        return "".join(out)
+        rows = [[f.name for f in fields(ShellStats)]]
+        rows += [[f"{v:.17g}" if isinstance(v, float) else str(v)
+                  for v in astuple(sh)] for sh in self.shells]
+        return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _unit(rng, dim, norm=np.linalg.norm):
@@ -246,7 +242,7 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
     alone: all starts in one stack, then one per sweep of the points still
     sweeping.
     """
-    u = np.asarray(u, dtype=float)
+    u = floats(u, "u")
     us = oracle._domain_vec(u)[None] if u.ndim <= 1 else oracle._domain_rows(u)
     if not len(us):
         raise ConfigurationError("u must hold at least one point")
@@ -294,7 +290,7 @@ def estimate_bilinear_norm(oracle, u, v_count=8, seed=0):
         basis[running, k], forms[running, k] = _orthonormal_part(
             basis[running], forms[running], p, form)
     best = np.maximum(best, sigma)
-    return float(best[0]) if np.ndim(u) == 1 else best
+    return float(best[0]) if u.ndim == 1 else best
 
 
 def _switching_samples(oracle, us, jacs, zs, xi=None):

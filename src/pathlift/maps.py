@@ -9,18 +9,7 @@ the adjoint of the Jacobian J is ``W^-1 J^T``, never the bare transpose.
 
 import numpy as np
 
-from .errors import ConfigurationError, finite, integer
-
-
-def _floats(values, name):
-    """``values`` as a float array, with no copy where numpy makes none;
-    ConfigurationError naming ``name`` unless they are real numbers
-    (non-finite ones included)."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"{name} must be real numbers: {exc}") from None
+from .errors import ConfigurationError, finite, floats, integer
 
 
 class MapOracle:
@@ -34,6 +23,9 @@ class MapOracle:
     (``EndpointOracle`` takes a stack in one pass).
     :func:`pathlift.validate_oracle` (``pathlift validate``) holds a
     hand-written J and dJ to :meth:`eval` through Taylor remainders.
+    The built-in methods, :meth:`inner` and :meth:`norm` among them, gate
+    their own inputs: a value that is not real numbers of the argument's
+    shape is a ConfigurationError that names the argument.
 
     Oracles are not thread-safe: an oracle may keep its last results in
     unlocked state that any call may replace (see ``EndpointOracle``), so
@@ -54,7 +46,7 @@ class MapOracle:
                 f"{dim_domain}")
         if weights is None:
             weights = np.ones(dim_domain)
-        weights = np.array(weights, dtype=float)
+        weights = np.array(floats(weights, "weights"))
         if weights.shape != (dim_domain,):
             raise ConfigurationError(
                 f"weights must have length {dim_domain}, got {weights.shape}")
@@ -70,36 +62,38 @@ class MapOracle:
 
     def inner(self, a, b):
         """Weighted inner product on the domain."""
-        return float(np.dot(self.weights * np.asarray(a, float), b))
+        return float(np.dot(self.weights * self._domain_vec(a, "a"),
+                            self._domain_vec(b, "b")))
 
     def norm(self, a):
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
+        a = self._domain_vec(a, "a")
+        return float(np.sqrt(max(np.dot(self.weights * a, a), 0.0)))
 
     # -- dimension checks --------------------------------------------------
 
     def _domain_vec(self, u, name="u"):
-        u = _floats(u, name)
+        u = floats(u, name)
         if u.shape != (self.dim_domain,):
             raise ConfigurationError(
                 f"{name} must have length {self.dim_domain}, got {u.shape}")
         return u
 
     def _domain_rows(self, us):
-        us = _floats(us, "us")
+        us = floats(us, "us")
         if us.ndim != 2 or us.shape[1] != self.dim_domain:
             raise ConfigurationError(
                 f"us must have shape (B, {self.dim_domain}), got {us.shape}")
         return us
 
     def _pair_rows(self, us, vs):
-        us, vs = self._domain_rows(us), _floats(vs, "vs")
+        us, vs = self._domain_rows(us), floats(vs, "vs")
         if vs.shape != us.shape:
             raise ConfigurationError(
                 f"vs must have the shape of us {us.shape}, got {vs.shape}")
         return us, vs
 
     def _codomain_vec(self, z, name="z"):
-        z = _floats(z, name)
+        z = floats(z, name)
         if z.shape != (self.dim_codomain,):
             raise ConfigurationError(
                 f"{name} must have length {self.dim_codomain}, got {z.shape}")

@@ -104,9 +104,5 @@ class PolylinePath(TargetPath):
 
 def line_to_target(oracle, u0, target):
     """Default path: straight line from F(u0) to the target point."""
-    start = oracle.eval(np.asarray(u0, dtype=float))
-    target = np.asarray(target, dtype=float)
-    if target.shape != start.shape:
-        raise ConfigurationError(
-            f"target must have length {len(start)}, got {target.shape}")
-    return LinePath(start, target)
+    return LinePath(oracle.eval(oracle._domain_vec(u0, "u0")),
+                    oracle._codomain_vec(target, "target"))

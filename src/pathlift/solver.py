@@ -260,7 +260,7 @@ class _Lift:
         self.oracle = oracle
         self.path = path
         self.opts = opts
-        self.u = np.asarray(u0, dtype=float)
+        self.u = u0
         self.s = 0.0
         _, self.b, self.leg = path.legs[0]  # the leg lifted now, up to b
         self.next_leg = None    # the leg after b, if b is a knot

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import ConfigurationError, GapViolation, NumericalError
+from .errors import ConfigurationError, GapViolation, NumericalError, floats
 
 log = logging.getLogger(__name__)
 
@@ -93,14 +93,13 @@ def _gramian(jac, weights):
 
 def gramian(oracle, u):
     """Gramian matrix J W^-1 J^T at u."""
-    return _gramian(oracle.jacobian(np.asarray(u, dtype=float)),
-                    oracle.weights)
+    return _gramian(oracle.jacobian(oracle._domain_vec(u)), oracle.weights)
 
 
 def spectrum_at(oracle, u, prev=None):
     """:func:`spectral_decompose` of the Gramian at u, formed from one
     ``oracle.jacobian`` call; the spectrum carries that J."""
-    jac = oracle.jacobian(np.asarray(u, dtype=float))
+    jac = oracle.jacobian(oracle._domain_vec(u))
     spec = spectral_decompose(_gramian(jac, oracle.weights), prev)
     spec.jac = jac
     return spec
@@ -137,7 +136,7 @@ def spectral_decompose(grammat, prev=None):
     that ``np.linalg.eigh`` does.  A tie above lambda_1 sets the
     spectrum's ``degenerate`` and logs one DEBUG record.
     """
-    grammat = np.asarray(grammat, dtype=float)
+    grammat = floats(grammat, "Gramian")
     shape = grammat.shape
     if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
         raise ConfigurationError(
@@ -198,7 +197,6 @@ def diagnostics(oracle, u, spec, gamma_dot):
     The switching functions are products of the J that ``spec`` carries
     (see :func:`spectrum_at`).
     """
-    u = np.asarray(u, dtype=float)
     # coefficients a_i = <gamma_dot, z_i> of the path velocity
     a = spec.vectors.T @ oracle._codomain_vec(gamma_dot, "gamma_dot")
     lam = spec.lambdas

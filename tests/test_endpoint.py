@@ -882,8 +882,8 @@ def test_stack_split_bounds_the_working_memory(monkeypatch):
 
 def test_retained_memory_does_not_grow_with_the_controls_seen():
     """``eval`` then ``jacobian`` at one control after another: the oracle
-    keeps the rows of its last request and of its last request for J, so
-    what it retains after 100 controls exceeds what it retains after 10 by
+    keeps the rows of its last request that integrated, so what it
+    retains after 100 controls exceeds what it retains after 10 by
     far less than the 90 extra trajectories and Jacobians would occupy."""
     def retained(count):
         ep = pl.endpoint_problem("unicycle", [0.1, -0.2, 0.3], 1.0, 20)
@@ -963,13 +963,13 @@ def test_jacobian_after_eval_makes_no_f_call():
     assert jac.tobytes() == fresh.jacobian(u).tobytes()
 
 
-def test_second_variation_reads_the_linearization_of_the_last_jacobian():
+def test_second_variation_reads_the_linearization_of_the_last_jacobian(
+        monkeypatch):
     """dJ right after ``jacobian`` at the same u evaluates no ``f`` or
     ``partials``, and is bit for bit the dJ of an oracle that
     linearizes afresh.  The memo keeps the controls of the last request
-    for J or dJ, read-only, across a request that integrates others, so a
-    stack over them linearizes nothing; a control that has left the memo
-    is linearized again, once."""
+    that integrated, read-only, so a stack over them linearizes only the
+    controls that have left it, each once."""
     points = dict.fromkeys(["f", "partials"], 0)
     grid = pl.ControlGrid(horizon=1.0, segments=4, control_dim=2)
     x0 = [0.1, -0.2, 0.3]
@@ -988,9 +988,12 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
         assert same_bits(ep.jacobian_derivative(point, v),
                          fresh.jacobian_derivative(point, v))
         assert points == dict.fromkeys(points, 0)
-    # jacobian(w) integrated w, and u, whose J was the last asked, stayed
+    # jacobian(w) integrated w alone, so the stack integrates and
+    # linearizes u once, and w not at all
+    calls = _count_integrate(monkeypatch)
     stack = ep.jacobian_derivative_many([u, w, u, w], [v, v, -v, -v])
-    assert points == dict.fromkeys(points, 0)
+    assert calls == [(grid.segments, 2, 1)]
+    assert points["partials"] == per_u
     for got, point, sign in zip(stack, (u, w, u, w), (1, 1, -1, -1)):
         assert same_bits(got, fresh.jacobian_derivative(point, sign * v))
     kept = ep._memo[u.tobytes()]
@@ -999,9 +1002,10 @@ def test_second_variation_reads_the_linearization_of_the_last_jacobian():
     for arr in (*kept.trajectory, *kept.linear, kept.jac):
         with pytest.raises(ValueError):
             arr[...] = 0.0
-    # J at z becomes the last request, so integrating -z drops u and w
+    # integrating z, then -z, leaves -z alone in the memo
     ep.jacobian(z)
     ep.eval(-z)
+    assert list(ep._memo) == [(-z).tobytes()]
     points.update(dict.fromkeys(points, 0))
     ep.jacobian_derivative(u, v)
     ep.jacobian_derivative(u, -v)
@@ -1500,13 +1504,12 @@ def test_eval_many_matches_eval_with_duplicates_and_small_cache(
     assert calls == []
     assert list(small._memo) == kept
     # a request with a new row integrates that row alone, and its rows
-    # become the memo, with the row whose Jacobian was asked last
+    # become the memo
     new = rng.standard_normal(grid.dim)
     pair = small.eval_many([us[0], new])
     assert calls == [(4, 2, 1)]
     np.testing.assert_array_equal(pair, [got[0], ref.eval(new)])
-    assert list(small._memo) == [us[0].tobytes(), new.tobytes(),
-                                 us[-1].tobytes()]
+    assert list(small._memo) == [us[0].tobytes(), new.tobytes()]
 
 
 def test_batch_blowup_reports_the_first_escape():

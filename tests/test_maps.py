@@ -453,10 +453,31 @@ def _brockett2():
                                             1e-10)),
     ("u", lambda: gauss_newton_correct(_brockett2(), "abcd", np.zeros(3),
                                        1e-10)),
+    ("u", lambda: pl.spectrum_at(pl.FoldMap(), "ab")),
+    ("u", lambda: pl.gramian(pl.FoldMap(), "ab")),
+    ("u", lambda: pl.diagnostics(pl.FoldMap(), "ab",
+                                 pl.spectrum_at(pl.FoldMap(), [1.0, 1.0]),
+                                 [1.0, 0.0])),
+    ("u", lambda: pl.estimate_bilinear_norm(pl.FoldMap(), "ab")),
+    ("u", lambda: pl.estimate_bilinear_norm(pl.FoldMap(),
+                                            [[1.0, 2.0], [3.0]])),
+    ("u0", lambda: pl.line_to_target(pl.FoldMap(), "ab", [1.0, 0.0])),
+    ("target", lambda: pl.line_to_target(pl.FoldMap(), [1.0, 0.0], "ab")),
+    ("b", lambda: pl.FoldMap().inner([1.0, 2.0], "ab")),
+    ("a", lambda: pl.FoldMap().norm("ab")),
+    ("weights", lambda: pl.SphereMap(2, weights="ab")),
+    ("u_flat", lambda: _brockett2().grid.unpack("abcd")),
+    ("per_channel", lambda: _brockett2().grid.constant("ab")),
+    ("u_values", lambda: pl.integrate(pl.brockett(), np.zeros(3), "ab",
+                                      1.0)),
+    ("Gramian", lambda: pl.spectral_decompose("ab")),
 ], ids=["fold-eval", "fold-jacobian-derivative", "fold-eval-many",
         "endpoint-eval", "endpoint-eval-object",
         "endpoint-jacobian-derivative-many", "bilinear-second", "ple-rhs",
-        "gauss-newton-target", "gauss-newton-u"])
+        "gauss-newton-target", "gauss-newton-u", "spectrum-at", "gramian",
+        "diagnostics", "bilinear-norm", "bilinear-norm-ragged", "line-u0",
+        "line-target", "inner", "norm", "weights", "unpack", "constant",
+        "integrate-u-values", "spectral-decompose"])
 def test_non_numeric_oracle_input_is_a_configuration_error(name, call):
     """Each of the oracle's gates converts its input and names the
     argument, not numpy's bare ValueError or TypeError; non-finite
@@ -476,8 +497,10 @@ def test_non_numeric_oracle_input_is_a_configuration_error(name, call):
     (lambda: pl.PolylinePath([[0.0, 0.0]]), "polyline needs >= 2 waypoints"),
     (lambda: pl.line_to_target(pl.FoldMap(), [0.1, 0.0], [1.0, 2.0, 3.0]),
      "target must have length 2, got (3,)"),
+    (lambda: pl.FoldMap().norm([1.0, 2.0, 3.0]),
+     "a must have length 2, got (3,)"),
 ], ids=["no-codomain", "weights-length", "linear-1d", "line-endpoints",
-        "one-waypoint", "target-length"])
+        "one-waypoint", "target-length", "norm-length"])
 def test_map_and_path_input_rules(call, message):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         call()

@@ -15,15 +15,32 @@ import pytest
 import pathlift as pl
 
 
-@pytest.mark.parametrize("control", [(1.0, 1.0), (1.0, 0.3), (0.7, -0.2)])
+# each control with the unicycle lift's integrate calls at 6 and 10
+# segments, which read the oracle memo's hit rate on a real lift; the
+# Brockett lifts take its closed form and integrate nothing
+@pytest.mark.parametrize("control, unicycle_integrations", [
+    ((1.0, 1.0), {6: 372, 10: 368}),
+    ((1.0, 0.3), {6: 377, 10: 379}),
+    ((0.7, -0.2), {6: 381, 10: 365}),
+], ids=["control0", "control1", "control2"])
 @pytest.mark.parametrize("segments", [6, 10])
 @pytest.mark.parametrize("system", ["brockett", "unicycle"])
-def test_a_lift_through_a_critical_value_is_reached(system, segments,
-                                                    control):
+def test_a_lift_through_a_critical_value_is_reached(
+        monkeypatch, system, segments, control, unicycle_integrations):
+    calls = []
+    real = pl.endpoint.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pl.endpoint, "integrate", counting)
     o = pl.endpoint_problem(system, [0.0, 0.0, 0.0], 1.0, segments)
     u0 = o.grid.constant(control)
     rep = pl.lift(o, pl.line_to_target(o, u0, -o.eval(u0)), u0)
     assert rep.status == pl.REACHED
+    assert len(calls) == (unicycle_integrations[segments]
+                          if system == "unicycle" else 0)
     # every lift takes 48-51 states.  lambda_1 stays bounded away from 0
     # (read 8.0e-4 to 7.8e-3; 1.7e-3 to 1.9e-3 from (1, 0.3))
     assert min(st.spectrum.lambdas[0] for st in rep.trace) >= 5e-4

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -654,12 +655,13 @@ def test_short_lift_takes_one_cash_karp_step(monkeypatch):
     assert len(calls) <= 8
 
 
-def test_rejected_correction_integrates_no_control_twice(monkeypatch):
+def test_rejected_correction_integrates_one_control_twice(monkeypatch):
     # tol_residual = 1e-30 makes every correction try until one fails to
-    # reduce the residual; that try integrates its control, and the
-    # accepted one (whose J was the last asked) stays in the oracle's
-    # memo for the state's log: each control is integrated once.  On the
-    # unicycle, an RK4 oracle, over twice the short path: 15 controls
+    # reduce the residual; that try integrates its control, which
+    # replaces the accepted one in the oracle's memo, so the state's log
+    # integrates the accepted control again: the one control integrated
+    # twice.  On the unicycle, an RK4 oracle, over twice the short path:
+    # 16 integrations of 15 controls
     controls = []
     real = endpoint.integrate
 
@@ -674,7 +676,9 @@ def test_rejected_correction_integrates_no_control_twice(monkeypatch):
     rep = _short_lift(pl.SolverOptions(tol_residual=1e-30), "unicycle", 2.0)
     assert rep.status == pl.DIVERGED
     assert len(controls) >= 10
-    assert len(controls) == len(set(controls))
+    counts = Counter(controls)
+    assert len(controls) == len(counts) + 1
+    assert counts[rep.trace[-1].u.tobytes()] == 2
 
 
 def test_small_ds_init_keeps_the_growing_step_sequence():
